@@ -2,9 +2,11 @@
 
 One search builds a tree for a single output position. The arena keeps every
 statistic in flat (batch, node) and (batch, node, sparse-action) arrays so a
-whole batch advances in lockstep. A plain recursive twin implementation exists
-purely to cross-check the arena arithmetic, and the search tree can be
-exported as DOT for inspection.
+whole batch advances in lockstep, plus one node-ordered list of the provider's
+state handles (``node_states[node][b]``). An arena searches once; the next
+search needs a fresh one. A plain recursive twin implementation exists purely
+to cross-check the arena arithmetic, and the search tree can be exported as
+DOT for inspection.
 """
 
 from pathlib import Path
@@ -42,6 +44,8 @@ def main() -> None:
     values = np.where(result.dense_visit_counts[0] > 0, result.dense_root_values[0], np.nan)
     print(f"  root child values        : {np.array2string(values, precision=3)}")
     print(f"  adaptive value range     : [{arena.adaptive_min[0]:.3f}, {arena.adaptive_max[0]:.3f}]")
+    terminal = sum(handles[0].state.terminal for handles in arena.node_states)
+    print(f"  terminal nodes           : {terminal} (children of a terminal node repeat its state)")
 
     dot_path = Path("mcts_tree.dot")
     export_tree(arena, dot_path)

@@ -59,7 +59,6 @@ from .models import (
     ModelState,
     NoisyValueModel,
     PolicyValueModel,
-    PolicyValueOutput,
     SeededTabularModel,
     TransformedValueModel,
     affine_value_model,

@@ -23,14 +23,14 @@ from .harness import (
     MetricSpec,
     ModelSpec,
     RunConfig,
+    _build_model,
     emit_report,
     export_tree,
     load_dataset,
     run_experiment,
 )
-from .mcts import ArenaSearch, SearchConfig
+from .mcts import ArenaSearch
 from .mdp import ConfigurationError
-from .models import make_seeded_model
 from .oracle import exact_argmax_likelihood, exact_argmax_metric
 
 
@@ -181,7 +181,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             raise ConfigurationError(
                 f"instance {inst.id!r} lacks the reference required by {metric.name!r}"
             )
-        model = make_seeded_model(spec.seed, spec.vocab_size, spec.max_len, spec.context_order)
+        model = _build_model(spec, metric, inst)
         best_ll = exact_argmax_likelihood(model, inst.source)
         best_metric = exact_argmax_metric(model, inst.source, metric, inst.reference)
         rows.append(
@@ -210,25 +210,8 @@ def _cmd_tree(args: argparse.Namespace) -> int:
         instance = matches[0]
 
     metric = _metric_spec(args).build()
-    spec = _model_spec(args)
-    model = make_seeded_model(
-        spec.seed,
-        spec.vocab_size,
-        spec.max_len,
-        spec.context_order,
-        value_metric=metric,
-        reference=instance.reference,
-        value_noise=spec.value_noise,
-    )
-    cfg = SearchConfig(
-        num_simulations=args.simulations,
-        num_sparse_actions=min(args.sparse_actions, spec.vocab_size),
-        c_puct=args.c_puct,
-        tau=args.tau,
-        backup=args.backup,
-        root_selection=args.root_selection,
-        value_source=args.value_source,
-    )
+    model = _build_model(_model_spec(args), metric, instance)
+    cfg = _algorithm_spec("mcts", args).search_config(args.simulations, model.vocab_size)
     if metric.privileged and cfg.value_source == "rollout":
         raise ConfigurationError("rollout value source cannot be used with a privileged metric")
     arena = ArenaSearch(model, 1, cfg, metric=metric, references=[instance.reference])

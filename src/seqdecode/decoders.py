@@ -238,13 +238,11 @@ def sample_sequences(
     n: int,
     tau: float = 1.0,
     seed: int = 0,
-    argmax: bool = False,
 ) -> list[Candidate]:
     """Draw ``n`` ancestral samples from the tempered policy.
 
     Candidate i uses its own RNG stream derived from (seed, i), so the pool
     for (seed, n) is a strict prefix of the pool for (seed, n') when n' > n.
-    With ``argmax=True`` every draw degenerates to the greedy trajectory.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -258,10 +256,7 @@ def sample_sequences(
         while not s.terminal:
             priors, _, _ = model.evaluate_root([s])
             probs = apply_temperature(priors[0], tau)
-            if argmax:
-                a = int(np.argmax(probs))
-            else:
-                a = int(rng.choice(model.vocab_size, p=probs / probs.sum()))
+            a = int(rng.choice(model.vocab_size, p=probs / probs.sum()))
             log_likelihood += math.log(priors[0][a])
             s = step(s, a)
         pool.append(Candidate(sequence=s.prefix, log_likelihood=log_likelihood, state=s))

@@ -120,6 +120,18 @@ class AlgorithmSpec:
             self.name in ("mcts", "vgbs") and self.value_source == "rollout"
         )
 
+    def search_config(self, num_simulations: int, vocab_size: int) -> SearchConfig:
+        """MCTS settings for one simulation budget; A is capped at the vocabulary size."""
+        return SearchConfig(
+            num_simulations=num_simulations,
+            num_sparse_actions=min(self.num_sparse_actions, vocab_size),
+            c_puct=self.c_puct,
+            tau=self.tau,
+            backup=self.backup,
+            root_selection=self.root_selection,
+            value_source=self.value_source,
+        )
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -287,15 +299,7 @@ def _decode_cell(
         model.ledger.charge_tokens(len(winner.sequence))
         return winner
     if algo.name == "mcts":
-        cfg = SearchConfig(
-            num_simulations=budget,
-            num_sparse_actions=min(algo.num_sparse_actions, model.vocab_size),
-            c_puct=algo.c_puct,
-            tau=algo.tau,
-            backup=algo.backup,
-            root_selection=algo.root_selection,
-            value_source=algo.value_source,
-        )
+        cfg = algo.search_config(budget, model.vocab_size)
         return decode_mcts(model, [state], cfg, metric=metric, references=[instance.reference])[0]
     raise ConfigurationError(f"unknown algorithm {algo.name!r}")
 

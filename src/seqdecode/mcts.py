@@ -4,7 +4,10 @@ One search builds a tree per batch element for a single output position.
 Storage is indexed by (batch, node) and (batch, node, sparse action): node i
 is the i-th node expanded for that element, node 0 is the root, and only the
 top-A prior actions of each node are kept, with ``topk_mapping`` translating
-sparse slots back to vocabulary ids.
+sparse slots back to vocabulary ids. Alongside the arrays, ``node_states``
+holds the provider's ``ModelState`` handles in node order, so each expansion
+is stepped once, by the provider, and the node count is the list's length.
+An arena runs one search; build a fresh one for the next.
 
 Selection uses the prior-weighted UCT rule with the node's own visit count
 under the square root, and rescales exploitation values into [0, 1] via the
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mdp import ContractViolation, DecodeState, Sequence, step
-from .models import PolicyValueModel, apply_temperature, rollout_value
+from .models import ModelState, PolicyValueModel, apply_temperature, rollout_value
 from .scoring import Metric
 
 BACKUP_RULES = ("average", "max")
@@ -98,17 +101,13 @@ class ArenaSearch:
 
         b, n, a = batch_size, cfg.num_simulations + 1, cfg.num_sparse_actions
         self.batch_size = b
-        self.num_nodes = n
         self.num_actions = model.vocab_size
         self.num_sparse_actions = a
 
         self.visit_counts = np.zeros((b, n), dtype=np.int64)
         self.values = np.zeros((b, n), dtype=np.float64)
-        self.raw_values = np.zeros((b, n), dtype=np.float64)
         self.parents = np.full((b, n), -1, dtype=np.int64)
         self.action_from_parents = np.full((b, n), -1, dtype=np.int64)
-        self.depth = np.zeros((b, n), dtype=np.int64)
-        self.is_terminal = np.zeros((b, n), dtype=bool)
 
         self.topk_mapping = np.full((b, n, a), -1, dtype=np.int64)
         self.children_index = np.full((b, n, a), -1, dtype=np.int64)
@@ -119,47 +118,24 @@ class ArenaSearch:
         self.adaptive_min = np.zeros(b, dtype=np.float64)
         self.adaptive_max = np.zeros(b, dtype=np.float64)
 
-        self.model_states: dict[tuple[int, int], object] = {}
-        self.decode_states: dict[tuple[int, int], DecodeState] = {}
+        self.node_states: list[list[ModelState]] = []  # node_states[node][b]
         self._batch_range = np.arange(b)
-        self._sims_done = 0
         self._root_priors: np.ndarray | None = None
         self._tempered_root: np.ndarray | None = None
 
     # -------------------------------------------------------------- lifecycle
 
-    def reset_tree(self) -> None:
-        """Return every array to its freshly allocated contents."""
-        self.visit_counts.fill(0)
-        self.values.fill(0.0)
-        self.raw_values.fill(0.0)
-        self.parents.fill(-1)
-        self.action_from_parents.fill(-1)
-        self.depth.fill(0)
-        self.is_terminal.fill(False)
-        self.topk_mapping.fill(-1)
-        self.children_index.fill(-1)
-        self.children_prior.fill(0.0)
-        self.children_values.fill(0.0)
-        self.children_visits.fill(0)
-        self.adaptive_min.fill(0.0)
-        self.adaptive_max.fill(0.0)
-        self.model_states = {}
-        self.decode_states = {}
-        self._sims_done = 0
-        self._root_priors = None
-        self._tempered_root = None
-
     def begin(self, root_states: list[DecodeState]) -> None:
-        """Reset, evaluate the roots and install them as node 0."""
+        """Evaluate the roots and install them as node 0 (once per arena)."""
+        if self.node_states:
+            raise ContractViolation("begin() called twice; build a fresh arena per search")
         if len(root_states) != self.batch_size:
             raise ValueError("batch size mismatch")
         for s in root_states:
             if s.terminal:
                 raise ContractViolation("search roots must be non-terminal")
-        self.reset_tree()
 
-        priors, values, model_states = self.model.evaluate_root(root_states)
+        priors, values, handles = self.model.evaluate_root(root_states)
         if self.cfg.value_source == "rollout":
             values = self._rollout_values(root_states)
         self._root_priors = priors
@@ -169,8 +145,7 @@ class ArenaSearch:
         self.adaptive_min = values.astype(np.float64).copy()
         self.adaptive_max = values.astype(np.float64) + 1e-6
 
-        terminal = np.zeros(self.batch_size, dtype=bool)
-        self._create_node(0, tempered, values, model_states, terminal, root_states)
+        self._create_node(tempered, values, handles)
 
     def run(self, root_states: list[DecodeState]) -> SearchResult:
         """Full search: root evaluation plus ``num_simulations`` simulations."""
@@ -181,14 +156,11 @@ class ArenaSearch:
 
     def step_simulation(self) -> None:
         """One simulate / expand / backward round for every batch element."""
-        if self._sims_done >= self.cfg.num_simulations:
+        if self.allocated_nodes() > self.cfg.num_simulations:
             raise ContractViolation("simulation budget exhausted")
         node_indices, actions = self.simulate()
-        next_node_index = self._sims_done + 1  # node 0 is the root
-        self.expand(node_indices, actions, next_node_index)
-        leaf_indices = np.full(self.batch_size, next_node_index, dtype=np.int64)
-        self.backward(leaf_indices)
-        self._sims_done += 1
+        leaf = self.expand(node_indices, actions)
+        self.backward(np.full(self.batch_size, leaf, dtype=np.int64))
 
     def result(self) -> SearchResult:
         dense_counts = np.zeros((self.batch_size, self.num_actions), dtype=np.int64)
@@ -244,59 +216,45 @@ class ArenaSearch:
                 return node_indices, actions
             node_indices = np.where(is_unexplored, node_indices, next_nodes)
 
-    def expand(
-        self, node_indices: np.ndarray, sparse_actions: np.ndarray, next_node_index: int
-    ) -> None:
-        """Evaluate the selected edges and wire the resulting nodes into the tree."""
-        parent_model_states = [
-            self.model_states[(b, int(node_indices[b]))] for b in range(self.batch_size)
-        ]
+    def expand(self, node_indices: np.ndarray, sparse_actions: np.ndarray) -> int:
+        """Evaluate the selected edges and wire the resulting nodes into the tree.
+
+        The provider steps each parent handle (terminal handles absorb); the
+        new node gets the same index in every element's tree, which is returned.
+        """
+        parent_states = [self.node_states[n][b] for b, n in enumerate(node_indices)]
         dense_actions = self.topk_mapping[self._batch_range, node_indices, sparse_actions]
 
-        priors, values, next_model_states, terminal = self.model.evaluate_step(
-            parent_model_states, [int(a) for a in dense_actions]
+        priors, values, child_states, _ = self.model.evaluate_step(
+            parent_states, dense_actions.tolist()
         )
-        child_states = []
-        for b in range(self.batch_size):
-            parent_state = self.decode_states[(b, int(node_indices[b]))]
-            if parent_state.terminal:
-                child_states.append(parent_state)  # absorbing
-            else:
-                child_states.append(step(parent_state, int(dense_actions[b])))
         if self.cfg.value_source == "rollout":
-            values = self._rollout_values(child_states)
+            values = self._rollout_values([ms.state for ms in child_states])
 
         tempered = np.stack([apply_temperature(p, self.cfg.tau) for p in priors])
-        self._create_node(next_node_index, tempered, values, next_model_states, terminal, child_states)
+        node = self._create_node(tempered, values, child_states)
 
         self.adaptive_min = np.minimum(self.adaptive_min, values)
         self.adaptive_max = np.maximum(self.adaptive_max, values)
 
-        self.children_index[self._batch_range, node_indices, sparse_actions] = next_node_index
-        self.parents[:, next_node_index] = node_indices
-        self.action_from_parents[:, next_node_index] = sparse_actions
-        self.depth[:, next_node_index] = self.depth[self._batch_range, node_indices] + 1
+        self.children_index[self._batch_range, node_indices, sparse_actions] = node
+        self.parents[:, node] = node_indices
+        self.action_from_parents[:, node] = sparse_actions
+        return node
 
     def _create_node(
-        self,
-        node_index: int,
-        tempered_priors: np.ndarray,
-        values: np.ndarray,
-        model_states: list,
-        terminal: np.ndarray,
-        decode_states: list[DecodeState],
-    ) -> None:
-        for b in range(self.batch_size):
-            top = _sparse_topk(tempered_priors[b], self.num_sparse_actions)
-            self.topk_mapping[b, node_index, :] = top
-            # Truncated priors are stored as-is, without renormalization.
-            self.children_prior[b, node_index, :] = tempered_priors[b][top]
-            self.model_states[(b, node_index)] = model_states[b]
-            self.decode_states[(b, node_index)] = decode_states[b]
-        self.values[:, node_index] = values
-        self.raw_values[:, node_index] = values
-        self.visit_counts[:, node_index] = 1
-        self.is_terminal[:, node_index] = terminal
+        self, tempered_priors: np.ndarray, values: np.ndarray, handles: list[ModelState]
+    ) -> int:
+        node = len(self.node_states)
+        # Row-wise top-A by descending prior, ties to the lower token id.
+        top = np.argsort(-tempered_priors, axis=1, kind="stable")[:, : self.num_sparse_actions]
+        self.topk_mapping[:, node, :] = top
+        # Truncated priors are stored as-is, without renormalization.
+        self.children_prior[:, node, :] = tempered_priors[self._batch_range[:, None], top]
+        self.values[:, node] = values
+        self.visit_counts[:, node] = 1
+        self.node_states.append(handles)
+        return node
 
     def backward(self, leaf_indices: np.ndarray) -> None:
         """Propagate each leaf's value to its ancestors, masking finished walks."""
@@ -329,7 +287,7 @@ class ArenaSearch:
     # ------------------------------------------------------------- inspection
 
     def allocated_nodes(self) -> int:
-        return self._sims_done + 1
+        return len(self.node_states)
 
     def node_token(self, b: int, node_index: int) -> int | None:
         """Vocabulary id of the edge into a node, or None for the root."""

@@ -20,7 +20,6 @@ total:
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,21 +36,18 @@ class BudgetLedger:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self.evaluations = 0
         self.tokens_decoded = 0
 
     def charge_evaluations(self, n: int) -> None:
         if n < 0:
             raise ValueError("cannot uncharge evaluations")
-        with self._lock:
-            self.evaluations += n
+        self.evaluations += n
 
     def charge_tokens(self, n: int = 1) -> None:
         if n < 0:
             raise ValueError("cannot uncharge tokens")
-        with self._lock:
-            self.tokens_decoded += n
+        self.tokens_decoded += n
 
     def per_token(self) -> float:
         if self.tokens_decoded == 0:
@@ -59,8 +55,7 @@ class BudgetLedger:
         return self.evaluations / self.tokens_decoded
 
     def snapshot(self) -> tuple[int, int]:
-        with self._lock:
-            return (self.evaluations, self.tokens_decoded)
+        return (self.evaluations, self.tokens_decoded)
 
 
 @dataclass(frozen=True)
@@ -68,20 +63,6 @@ class ModelState:
     """Incremental-evaluation handle; advancing it matches stepping the state."""
 
     state: DecodeState
-
-
-@dataclass(frozen=True)
-class PolicyValueOutput:
-    """One state's forward result: a distribution over the vocabulary plus a value."""
-
-    prior: np.ndarray
-    value: float
-
-    def __post_init__(self) -> None:
-        if abs(float(np.sum(self.prior)) - 1.0) > 1e-9 or np.any(np.asarray(self.prior) < 0):
-            raise ValueError("prior must be a probability vector")
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError("value must lie in [0, 1]")
 
 
 def apply_temperature(prior: np.ndarray, tau: float) -> np.ndarray:
@@ -171,11 +152,6 @@ class PolicyValueModel:
         while not s.terminal:
             s = step(s, int(np.argmax(self.prior(s))))
         return terminal_reward(s, self._value_metric, self._reference)
-
-    def evaluate(self, state: DecodeState) -> PolicyValueOutput:
-        """Single-state convenience over :meth:`evaluate_root`."""
-        priors, values, _ = self.evaluate_root([state])
-        return PolicyValueOutput(prior=priors[0], value=float(values[0]))
 
     # ------------------------------------------------------- batched interface
 

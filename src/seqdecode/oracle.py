@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .mdp import DecodeState, Sequence, step
+from .mdp import ContractViolation, DecodeState, Sequence, step
 from .models import PolicyValueModel
 from .scoring import Metric
 
@@ -92,7 +92,8 @@ def exact_argmax_likelihood(
             if prior[a] <= 0.0:
                 continue
             child_ll = log_likelihood + math.log(prior[a])
-            assert child_ll <= log_likelihood + 1e-12, "likelihood must be non-increasing"
+            if child_ll > log_likelihood + 1e-12:
+                raise ContractViolation("likelihood must be non-increasing")
             walk(step(state, a), child_ll)
 
     walk(_root(model, source, max_len), 0.0)

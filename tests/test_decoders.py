@@ -180,11 +180,6 @@ class TestSampling:
                 expected += math.log([0.5, 0.3, 0.2][token])
             assert c.log_likelihood == pytest.approx(expected, abs=1e-12)
 
-    def test_argmax_mode_degenerates_to_greedy(self, m0):
-        sampled = sample_sequences(m0, m0.initial_state(()), n=1, tau=0.7, seed=0, argmax=True)
-        greedy = greedy_decode(make_m0(), make_m0().initial_state(()))
-        assert sampled[0].sequence == greedy.sequence
-
     def test_temperature_changes_draws(self, m0):
         hot = sample_sequences(m0, m0.initial_state(()), n=32, tau=2.0, seed=1)
         cold = sample_sequences(make_m0(), make_m0().initial_state(()), n=32, tau=0.3, seed=1)

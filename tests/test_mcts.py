@@ -7,6 +7,7 @@ import pytest
 
 from seqdecode import (
     ArenaSearch,
+    ContractViolation,
     FixedPriorModel,
     RecursiveSearch,
     SearchConfig,
@@ -16,6 +17,7 @@ from seqdecode import (
     exact_argmax_metric,
     greedy_decode,
     select_root_action,
+    step,
 )
 
 from conftest import A, B, EOS, make_m0
@@ -25,6 +27,14 @@ def fresh_arena(model, batch=1, **cfg_kwargs):
     defaults = dict(num_simulations=4, num_sparse_actions=2, c_puct=1.0)
     defaults.update(cfg_kwargs)
     return ArenaSearch(model, batch, SearchConfig(**defaults))
+
+
+def node_depth(arena, b, node):
+    depth = 0
+    while node != 0:
+        node = int(arena.parents[b, node])
+        depth += 1
+    return depth
 
 
 class TestConfig:
@@ -47,36 +57,14 @@ class TestResetTree:
         assert (arena.children_index == -1).all()
         assert (arena.topk_mapping == -1).all()
 
-    def test_reset_after_search_restores_fresh_state(self, m0, occupancy_a3):
-        arena = fresh_arena(make_m0(value_metric=occupancy_a3), num_simulations=4)
-        arena.run([arena.model.initial_state(())])
-        arena.reset_tree()
-        fresh = fresh_arena(make_m0(value_metric=occupancy_a3), num_simulations=4)
-        for name in (
-            "visit_counts",
-            "values",
-            "raw_values",
-            "parents",
-            "action_from_parents",
-            "depth",
-            "is_terminal",
-            "topk_mapping",
-            "children_index",
-            "children_prior",
-            "children_values",
-            "children_visits",
-            "adaptive_min",
-            "adaptive_max",
-        ):
-            assert np.array_equal(getattr(arena, name), getattr(fresh, name)), name
-        assert arena.model_states == {} and arena.decode_states == {}
-
-    def test_reset_is_idempotent(self, m0):
-        arena = fresh_arena(m0)
-        arena.reset_tree()
-        snapshot = arena.children_index.copy()
-        arena.reset_tree()
-        assert np.array_equal(arena.children_index, snapshot)
+    def test_second_begin_raises(self, occupancy_a3):
+        # An arena searches once; a new search needs a fresh arena.
+        model = make_m0(value_metric=occupancy_a3)
+        arena = fresh_arena(model, num_simulations=4)
+        arena.run([model.initial_state(())])
+        with pytest.raises(ContractViolation):
+            arena.begin([model.initial_state(())])
+        assert arena.allocated_nodes() == 5
 
 
 class TestUctSelection:
@@ -140,9 +128,9 @@ class TestExpandAndBackward:
         arena.begin([arena.model.initial_state(())])
         arena.step_simulation()
         assert arena.visit_counts[0, 1] == 1
-        assert arena.values[0, 1] == arena.raw_values[0, 1]
+        assert arena.values[0, 1] == arena.model.value(arena.node_states[1][0].state)
         assert arena.parents[0, 1] == 0
-        assert arena.depth[0, 1] == 1
+        assert node_depth(arena, 0, 1) == 1
 
     def test_average_backup_arithmetic(self, m0):
         arena = fresh_arena(m0, num_simulations=2, backup="average")
@@ -185,15 +173,15 @@ class TestExpandAndBackward:
         model = FixedPriorModel([0.05, 0.05, 0.9], 3, value_metric=occupancy_a3)
         arena = fresh_arena(model, num_simulations=3, num_sparse_actions=3, c_puct=0.1)
         arena.run([model.initial_state(())])
-        terminal_nodes = [i for i in range(4) if arena.is_terminal[0, i]]
+        states = [arena.node_states[i][0].state for i in range(4)]
+        terminal_nodes = [i for i in range(4) if states[i].terminal]
         assert terminal_nodes, "expected at least one terminal expansion"
         first = terminal_nodes[0]
         children = [i for i in range(4) if arena.parents[0, i] == first]
         if children:
             child = children[0]
-            assert arena.is_terminal[0, child]
-            assert arena.raw_values[0, child] == arena.raw_values[0, first]
-            assert arena.decode_states[(0, child)] == arena.decode_states[(0, first)]
+            assert states[child].terminal
+            assert states[child] == states[first]
 
 
 class TestSimulate:
@@ -212,8 +200,8 @@ class TestSimulate:
             model, num_simulations=8, num_sparse_actions=3, c_puct=0.5, backup="max"
         )
         arena.run([model.initial_state(())])
-        depths = arena.depth[0, : arena.allocated_nodes()]
-        assert depths.max() >= 2
+        depths = [node_depth(arena, 0, i) for i in range(arena.allocated_nodes())]
+        assert max(depths) >= 2
 
 
 class TestSearchInvariants:
@@ -369,6 +357,43 @@ class TestDecodeMcts:
         assert out[0].sequence == out[1].sequence
         again = decode_mcts(make_m0(value_metric=occupancy_a3), [s, s], cfg, metric=occupancy_a3)
         assert [c.sequence for c in again] == [c.sequence for c in out]
+
+        # Batched decoding equals one-at-a-time decoding, also for distinct
+        # roots that finish at different output positions.
+        metric = coverage_metric()
+        for seed in range(4):
+            for value_source in ("model", "rollout"):
+                for backup in ("average", "max"):
+                    cfg = SearchConfig(
+                        num_simulations=6,
+                        num_sparse_actions=3,
+                        backup=backup,
+                        value_source=value_source,
+                    )
+
+                    def model():
+                        return SeededTabularModel(
+                            seed, vocab_size=4, max_len=3, context_order=1, value_metric=metric
+                        )
+
+                    batched_model = model()
+                    roots = [
+                        batched_model.initial_state((0, 1)),
+                        step(batched_model.initial_state((1,)), 0),
+                        step(step(batched_model.initial_state((2, 0, 1)), 1), 2),
+                    ]
+                    batched = decode_mcts(batched_model, roots, cfg, metric=metric)
+                    singles, evaluations, tokens = [], 0, 0
+                    for root in roots:
+                        single_model = model()
+                        singles += decode_mcts(single_model, [root], cfg, metric=metric)
+                        evaluations += single_model.ledger.evaluations
+                        tokens += single_model.ledger.tokens_decoded
+                    case = (seed, value_source, backup)
+                    assert [(c.sequence, c.log_likelihood) for c in batched] == [
+                        (c.sequence, c.log_likelihood) for c in singles
+                    ], case
+                    assert batched_model.ledger.snapshot() == (evaluations, tokens), case
 
     def test_budget_per_token_is_simulations_plus_one(self, occupancy_a3):
         sims = 5

@@ -74,18 +74,10 @@ class TestPriors:
 class TestPolicyValueOutput:
     def test_single_state_convenience(self, occupancy_a3):
         m = make_m0(value_metric=occupancy_a3)
-        out = m.evaluate(m.initial_state(()))
-        assert np.allclose(out.prior, [0.5, 0.3, 0.2])
-        assert out.value == 1.0
+        priors, values, _ = m.evaluate_root([m.initial_state(())])
+        assert np.allclose(priors[0], [0.5, 0.3, 0.2])
+        assert values[0] == 1.0
         assert m.ledger.evaluations == 1
-
-    def test_invalid_outputs_rejected(self):
-        from seqdecode import PolicyValueOutput
-
-        with pytest.raises(ValueError):
-            PolicyValueOutput(prior=np.array([0.5, 0.4]), value=0.5)
-        with pytest.raises(ValueError):
-            PolicyValueOutput(prior=np.array([0.5, 0.5]), value=1.5)
 
 
 class TestAbsorption:

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from seqdecode import (
+    ContractViolation,
     FixedPriorModel,
     GuardExceeded,
     Metric,
+    PolicyValueModel,
     SeededTabularModel,
     coverage_metric,
     enumerate_sequences,
@@ -80,6 +83,16 @@ class TestArgmaxLikelihood:
         big = SeededTabularModel(0, vocab_size=32, max_len=8, context_order=0)
         with pytest.raises(GuardExceeded):
             exact_argmax_likelihood(big)
+
+    def test_increasing_likelihood_is_a_contract_violation(self):
+        # A table entry above 1 makes a child likelier than its prefix; the
+        # check must survive ``python -O``, so it cannot be an assert.
+        class Improper(PolicyValueModel):
+            def _table_prior(self, state):
+                return np.array([2.0, 0.5])
+
+        with pytest.raises(ContractViolation):
+            exact_argmax_likelihood(Improper(vocab_size=2, max_len=1))
 
 
 class TestArgmaxMetric:
