@@ -48,7 +48,7 @@ def main() -> None:
     for n in (1, 4, 16):
         model = fresh_model()
         pool = sample_sequences(model, model.initial_state(()), n=n, tau=1.0, seed=7)
-        winner = rerank_by_score(pool, METRIC, source=())
+        winner = rerank_by_score(pool, METRIC)
         print(f"  n={n:2d} -> best metric score {winner.score:.3f}  winner {winner.sequence}")
     print("Pools are nested by seed, so the winner's score never drops as n grows.")
 

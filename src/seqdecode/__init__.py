@@ -50,6 +50,7 @@ from .mdp import (
     ContractViolation,
     DecodeState,
     Sequence,
+    complete,
     step,
     terminal_reward,
 )
@@ -63,6 +64,7 @@ from .models import (
     TransformedValueModel,
     affine_value_model,
     apply_temperature,
+    greedy_policy,
     make_seeded_model,
     model_value_fn,
     rollout_value,

@@ -53,7 +53,7 @@ def _add_metric_args(p: argparse.ArgumentParser) -> None:
 
 def _add_algorithm_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", type=float, default=0.0, help="beam length-normalization exponent")
-    p.add_argument("--tau", type=float, default=1.0, help="logits temperature")
+    p.add_argument("--tau", type=float, default=1.0, help="sampling / mcts prior temperature")
     p.add_argument("--alpha", type=float, default=0.5, help="vgbs likelihood weight")
     p.add_argument("--value-source", choices=("model", "rollout"), default="model")
     p.add_argument("--sparse-actions", type=int, default=3)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mdp import ContractViolation, DecodeState, Sequence, step
-from .models import PolicyValueModel, apply_temperature
+from .mdp import ContractViolation, DecodeState, Sequence, complete, step, terminal_reward
+from .models import PolicyValueModel, apply_temperature, greedy_policy
 from .scoring import Metric
 
 
@@ -22,15 +22,12 @@ from .scoring import Metric
 class BeamConfig:
     k: int = 4
     theta: float = 0.0  # length-normalization exponent
-    tau: float = 1.0  # logits temperature for proposal ordering
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("beam size must be >= 1")
         if self.theta < 0:
             raise ValueError("theta must be >= 0")
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
 
 
 @dataclass(frozen=True)
@@ -68,14 +65,8 @@ def greedy_decode(model: PolicyValueModel, state: DecodeState) -> Candidate:
     """Follow the argmax token until terminal; ties go to the lowest token id."""
     if state.terminal:
         raise ContractViolation("greedy_decode() needs a non-terminal state")
-    s = state
-    log_likelihood = 0.0
-    while not s.terminal:
-        priors, _, _ = model.evaluate_root([s])
-        a = int(np.argmax(priors[0]))
-        log_likelihood += math.log(priors[0][a])
-        s = step(s, a)
-        model.ledger.charge_tokens(1)
+    (s,), (log_likelihood,) = complete([state], greedy_policy(model))
+    model.ledger.charge_tokens(len(s.prefix) - len(state.prefix))
     return Candidate(sequence=s.prefix, log_likelihood=log_likelihood, state=s)
 
 
@@ -88,10 +79,9 @@ class _Hypothesis:
     log_likelihood: float
 
 
-def _proposals(prior: np.ndarray, tau: float, width: int) -> list[int]:
-    """Top-``width`` actions by tempered prior; ties resolved to lower ids."""
-    tempered = apply_temperature(prior, tau)
-    order = np.argsort(-tempered, kind="stable")
+def _proposals(prior: np.ndarray, width: int) -> list[int]:
+    """Top-``width`` actions by prior; ties resolved to lower ids."""
+    order = np.argsort(-prior, kind="stable")
     return [int(a) for a in order[:width]]
 
 
@@ -108,6 +98,9 @@ def beam_search(model: PolicyValueModel, state: DecodeState, cfg: BeamConfig) ->
     beam = [_Hypothesis(state, 0.0)]
     width = min(cfg.k, model.vocab_size)
 
+    def rank(h: _Hypothesis) -> float:
+        return length_normalizer(len(h.state.prefix), cfg.theta) * h.log_likelihood
+
     for _ in range(state.max_len - len(state.prefix)):
         if all(h.state.terminal for h in beam):
             break
@@ -117,28 +110,16 @@ def beam_search(model: PolicyValueModel, state: DecodeState, cfg: BeamConfig) ->
 
         pool = list(finished)
         for h, prior in zip(live, priors):
-            for a in _proposals(prior, cfg.tau, width):
+            for a in _proposals(prior, width):
                 if prior[a] <= 0.0:
                     continue
                 pool.append(_Hypothesis(step(h.state, a), h.log_likelihood + math.log(prior[a])))
-
-        def rank(h: _Hypothesis) -> float:
-            return length_normalizer(len(h.state.prefix), cfg.theta) * h.log_likelihood
-
         pool.sort(key=rank, reverse=True)  # stable: earlier pool entries win ties
         beam = pool[: cfg.k]
         model.ledger.charge_tokens(1)
 
-    best = max(
-        (h for h in beam if h.state.terminal),
-        key=lambda h: length_normalizer(len(h.state.prefix), cfg.theta) * h.log_likelihood,
-    )
-    return Candidate(
-        sequence=best.state.prefix,
-        log_likelihood=best.log_likelihood,
-        score=length_normalizer(len(best.state.prefix), cfg.theta) * best.log_likelihood,
-        state=best.state,
-    )
+    best = max((h for h in beam if h.state.terminal), key=rank)
+    return Candidate(best.state.prefix, best.log_likelihood, score=rank(best), state=best.state)
 
 
 # -------------------------------------------------- value-guided beam search
@@ -187,7 +168,7 @@ def value_guided_beam_search(
         children: list[_Row] = []
         ranking: list[float] = []
         for row, prior in zip(rows, priors):
-            for a in _proposals(prior, 1.0, k):
+            for a in _proposals(prior, k):
                 if row.state.terminal:
                     child_state = row.state  # absorbing self-transition
                     log_add = 0.0 if a == model.eos_id else -math.inf
@@ -216,16 +197,12 @@ def value_guided_beam_search(
         rows = kept + [replace(kept[0], padding=True) for _ in range(k - len(kept))]
         model.ledger.charge_tokens(1)
 
-    best = max(
-        (r for r in rows if not r.padding and r.state.terminal),
-        key=lambda r: vgbs_score(r.log_likelihood, len(r.state.prefix), r.value, cfg.alpha),
-    )
+    def score(r: _Row) -> float:
+        return vgbs_score(r.log_likelihood, len(r.state.prefix), r.value, cfg.alpha)
+
+    best = max((r for r in rows if not r.padding and r.state.terminal), key=score)
     return Candidate(
-        sequence=best.state.prefix,
-        log_likelihood=best.log_likelihood,
-        score=vgbs_score(best.log_likelihood, len(best.state.prefix), best.value, cfg.alpha),
-        value=best.value,
-        state=best.state,
+        best.state.prefix, best.log_likelihood, score=score(best), value=best.value, state=best.state
     )
 
 
@@ -248,27 +225,33 @@ def sample_sequences(
         raise ValueError("n must be >= 1")
     if state.terminal:
         raise ContractViolation("sample_sequences() needs a non-terminal state")
-    pool = []
-    for i in range(n):
-        rng = np.random.default_rng([seed, i])
-        s = state
-        log_likelihood = 0.0
-        while not s.terminal:
-            priors, _, _ = model.evaluate_root([s])
-            probs = apply_temperature(priors[0], tau)
-            a = int(rng.choice(model.vocab_size, p=probs / probs.sum()))
-            log_likelihood += math.log(priors[0][a])
-            s = step(s, a)
-        pool.append(Candidate(sequence=s.prefix, log_likelihood=log_likelihood, state=s))
-    return pool
+    rngs = [np.random.default_rng([seed, i]) for i in range(n)]
+
+    def policy(indices: list[int], states: list[DecodeState]):
+        priors, _, _ = model.evaluate_root(states)
+        probs = apply_temperature(priors, tau)
+        draws = [rngs[i].choice(model.vocab_size, p=p / p.sum()) for i, p in zip(indices, probs)]
+        return priors, draws
+
+    finals, log_likelihoods = complete([state] * n, policy)
+    return [
+        Candidate(sequence=s.prefix, log_likelihood=ll, state=s)
+        for s, ll in zip(finals, log_likelihoods)
+    ]
 
 
 # ----------------------------------------------------------------- reranking
 
 
-def _pick(candidates: list[Candidate], keys: list[float]) -> tuple[int, Candidate]:
+def _final_states(candidates: list[Candidate]) -> list[DecodeState]:
     if not candidates:
         raise ValueError("empty candidate pool")
+    if any(c.state is None for c in candidates):
+        raise ValueError("candidates must carry their final decode state")
+    return [c.state for c in candidates]
+
+
+def _pick(candidates: list[Candidate], keys: list[float]) -> tuple[int, Candidate]:
     best = 0
     for i in range(1, len(candidates)):
         # Ties: higher log-likelihood, then earliest pool position.
@@ -280,29 +263,16 @@ def _pick(candidates: list[Candidate], keys: list[float]) -> tuple[int, Candidat
 def rerank_by_score(
     candidates: list[Candidate],
     metric: Metric,
-    source: Sequence,
     reference: Sequence | None = None,
 ) -> Candidate:
-    """Return the candidate with the best metric score."""
-    anchor = tuple(reference) if metric.privileged else tuple(source)
-    if metric.privileged and reference is None:
-        raise ValueError(f"metric {metric.name!r} requires a reference")
-
-    def content(c: Candidate) -> Sequence:
-        seq = c.sequence
-        return seq[:-1] if seq and c.state is not None and seq[-1] == c.state.eos_id else seq
-
-    keys = [metric(anchor, content(c)) for c in candidates]
+    """Return the candidate whose final state has the best ``terminal_reward``."""
+    keys = [terminal_reward(s, metric, reference) for s in _final_states(candidates)]
     i, winner = _pick(candidates, keys)
     return replace(winner, score=keys[i])
 
 
 def rerank_by_value(candidates: list[Candidate], value_fn) -> Candidate:
     """Return the candidate with the best value estimate at its final state."""
-    for c in candidates:
-        if c.state is None:
-            raise ValueError("candidates must carry their final decode state")
-    values = value_fn([c.state for c in candidates])
-    keys = [float(v) for v in values]
+    keys = [float(v) for v in value_fn(_final_states(candidates))]
     i, winner = _pick(candidates, keys)
     return replace(winner, value=keys[i])

@@ -103,7 +103,7 @@ class AlgorithmSpec:
 
     name: str
     theta: float = 0.0  # beam
-    tau: float = 1.0  # beam / sampling / mcts prior temperature
+    tau: float = 1.0  # sampling / mcts prior temperature
     alpha: float = 0.5  # vgbs
     value_source: str = "model"  # vgbs / mcts: "model" or "rollout"
     num_sparse_actions: int = 3  # mcts
@@ -206,10 +206,11 @@ def load_dataset(path: str | Path) -> list[Instance]:
             continue
         try:
             obj = json.loads(line)
+            reference = obj.get("reference")
             instance = Instance(
                 id=str(obj["id"]),
-                source=tuple(int(t) for t in obj["source"]),
-                reference=tuple(int(t) for t in obj["reference"]) if "reference" in obj and obj["reference"] is not None else None,
+                source=_token_ids(obj["source"]),
+                reference=_token_ids(reference) if reference is not None else None,
             )
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed dataset line {lineno}: {exc}") from exc
@@ -218,6 +219,13 @@ def load_dataset(path: str | Path) -> list[Instance]:
         seen.add(instance.id)
         instances.append(instance)
     return instances
+
+
+def _token_ids(values) -> Sequence:
+    """A JSON list of non-negative integers (booleans and floats are not token ids)."""
+    if not isinstance(values, list) or any(type(t) is not int or t < 0 for t in values):
+        raise ValueError(f"token ids must be a list of non-negative integers, got {values!r}")
+    return tuple(values)
 
 
 def save_dataset(instances: list[Instance], path: str | Path) -> None:
@@ -278,22 +286,18 @@ def _decode_cell(
     if algo.name == "greedy":
         return greedy_decode(model, state)
     if algo.name == "beam":
-        return beam_search(model, state, BeamConfig(k=budget, theta=algo.theta, tau=algo.tau))
+        return beam_search(model, state, BeamConfig(k=budget, theta=algo.theta))
     if algo.name == "vgbs":
-        k = vgbs_width_for_budget(budget)
-        if k > model.vocab_size:
-            raise ConfigurationError(
-                f"budget {budget} implies beam width {k} > vocabulary size {model.vocab_size}"
-            )
         if algo.value_source == "rollout":
             value_fn = rollout_value_fn(model, metric, instance.reference)
         else:
             value_fn = model_value_fn(model)
-        return value_guided_beam_search(model, value_fn, state, VgbsConfig(k=k, alpha=algo.alpha))
+        cfg = VgbsConfig(k=vgbs_width_for_budget(budget), alpha=algo.alpha)
+        return value_guided_beam_search(model, value_fn, state, cfg)
     if algo.name in ("sample_rerank", "sample_rerank_value"):
         pool = sample_sequences(model, state, n=budget, tau=algo.tau, seed=cell_seed)
         if algo.name == "sample_rerank":
-            winner = rerank_by_score(pool, metric, instance.source, instance.reference)
+            winner = rerank_by_score(pool, metric, instance.reference)
         else:
             winner = rerank_by_value(pool, model_value_fn(model))
         model.ledger.charge_tokens(len(winner.sequence))
@@ -305,6 +309,7 @@ def _decode_cell(
 
 
 def validate_run_config(cfg: RunConfig, dataset: list[Instance]) -> None:
+    """Every check a run needs, made before anything is decoded."""
     metric = cfg.metric.build()
     for algo in cfg.algorithms:
         if metric.privileged and algo.uses_score_directly():
@@ -318,9 +323,15 @@ def validate_run_config(cfg: RunConfig, dataset: list[Instance]) -> None:
                 raise ConfigurationError(
                     f"instance {inst.id!r} lacks the reference required by {metric.name!r}"
                 )
+    vocab_size = len(cfg.model.prior) if cfg.model.prior is not None else cfg.model.vocab_size
     for budget in cfg.budgets:
         if budget < 1:
             raise ConfigurationError("budgets must be >= 1")
+        k = vgbs_width_for_budget(budget)
+        if k > vocab_size and any(algo.name == "vgbs" for algo in cfg.algorithms):
+            raise ConfigurationError(
+                f"budget {budget} implies beam width {k} > vocabulary size {vocab_size}"
+            )
 
 
 def run_experiment(cfg: RunConfig, dataset: list[Instance]) -> Report:

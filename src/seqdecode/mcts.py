@@ -7,7 +7,9 @@ top-A prior actions of each node are kept, with ``topk_mapping`` translating
 sparse slots back to vocabulary ids. Alongside the arrays, ``node_states``
 holds the provider's ``ModelState`` handles in node order, so each expansion
 is stepped once, by the provider, and the node count is the list's length.
-An arena runs one search; build a fresh one for the next.
+An arena runs one search; build a fresh one for the next. Rollout values
+are batched greedy completions (:func:`.models.rollout_value`), and
+:func:`decode_mcts` is one arena per round as an :func:`.mdp.complete` policy.
 
 Selection uses the prior-weighted UCT rule with the node's own visit count
 under the square root, and rescales exploitation values into [0, 1] via the
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import ContractViolation, DecodeState, Sequence, step
+from .mdp import ContractViolation, DecodeState, Sequence, complete, step
 from .models import ModelState, PolicyValueModel, apply_temperature, rollout_value
 from .scoring import Metric
 
@@ -137,9 +139,9 @@ class ArenaSearch:
 
         priors, values, handles = self.model.evaluate_root(root_states)
         if self.cfg.value_source == "rollout":
-            values = self._rollout_values(root_states)
+            values = rollout_value(self.model, root_states, self.metric, self.references)
         self._root_priors = priors
-        tempered = np.stack([apply_temperature(p, self.cfg.tau) for p in priors])
+        tempered = apply_temperature(priors, self.cfg.tau)
         self._tempered_root = tempered
 
         self.adaptive_min = values.astype(np.float64).copy()
@@ -176,14 +178,6 @@ class ArenaSearch:
         )
 
     # -------------------------------------------------------------- internals
-
-    def _rollout_values(self, states: list[DecodeState]) -> np.ndarray:
-        return np.array(
-            [
-                rollout_value(self.model, s, self.metric, self.references[b])
-                for b, s in enumerate(states)
-            ]
-        )
 
     def uct_select_action(self, node_indices: np.ndarray) -> np.ndarray:
         """Per element, the sparse action maximizing value score + policy score."""
@@ -229,10 +223,11 @@ class ArenaSearch:
             parent_states, dense_actions.tolist()
         )
         if self.cfg.value_source == "rollout":
-            values = self._rollout_values([ms.state for ms in child_states])
+            values = rollout_value(
+                self.model, [ms.state for ms in child_states], self.metric, self.references
+            )
 
-        tempered = np.stack([apply_temperature(p, self.cfg.tau) for p in priors])
-        node = self._create_node(tempered, values, child_states)
+        node = self._create_node(apply_temperature(priors, self.cfg.tau), values, child_states)
 
         self.adaptive_min = np.minimum(self.adaptive_min, values)
         self.adaptive_max = np.maximum(self.adaptive_max, values)
@@ -338,45 +333,34 @@ def decode_mcts(
 ):
     """Decode a batch by running one search per output position.
 
-    Finished elements are held fixed while the rest continue; each element is
-    charged one root evaluation plus one evaluation per simulation for every
-    emitted token (plus rollout costs in rollout mode).
+    The search is the ``complete`` policy: each round builds one arena over
+    the live elements and commits each one's selected root action, scored by
+    its raw root prior. Finished elements are held fixed while the rest
+    continue; each element is charged one root evaluation plus one evaluation
+    per simulation for every emitted token (plus rollout costs in rollout mode).
     """
     from .decoders import Candidate  # local import to avoid a module cycle
 
     if not states:
         raise ValueError("empty batch")
     refs = references if references is not None else [None] * len(states)
-    current = list(states)
-    log_likelihoods = [0.0] * len(states)
 
-    for _ in range(max(s.max_len for s in states) + 1):
-        active = [i for i, s in enumerate(current) if not s.terminal]
-        if not active:
-            break
-        arena = ArenaSearch(
-            model,
-            len(active),
-            cfg,
-            metric=metric,
-            references=[refs[i] for i in active],
-        )
-        result = arena.run([current[i] for i in active])
+    def search(indices: list[int], live: list[DecodeState]):
+        arena = ArenaSearch(model, len(live), cfg, metric, [refs[i] for i in indices])
+        result = arena.run(live)
         actions = select_root_action(
             result.dense_visit_counts,
             result.dense_root_values,
             cfg.root_selection,
             fallback_priors=result.tempered_root_priors,
         )
-        for j, i in enumerate(active):
-            a = int(actions[j])
-            log_likelihoods[i] += math.log(result.root_priors[j][a])
-            current[i] = step(current[i], a)
-        model.ledger.charge_tokens(len(active))
+        return result.root_priors, actions
 
+    finals, log_likelihoods = complete(states, search)
+    model.ledger.charge_tokens(sum(len(f.prefix) - len(s.prefix) for f, s in zip(finals, states)))
     return [
-        Candidate(sequence=s.prefix, log_likelihood=log_likelihoods[i], state=s)
-        for i, s in enumerate(current)
+        Candidate(sequence=s.prefix, log_likelihood=ll, state=s)
+        for s, ll in zip(finals, log_likelihoods)
     ]
 
 
@@ -385,18 +369,14 @@ def decode_mcts(
 
 @dataclass
 class _RefNode:
-    index: int
     prior: np.ndarray  # tempered, truncated, unrenormalized
     mapping: np.ndarray  # sparse slot -> vocabulary id
     value: float
-    raw_value: float
     visits: int
-    terminal: bool
     decode_state: DecodeState
     model_state: object
     parent: "_RefNode | None" = None
     action_from_parent: int = -1
-    depth: int = 0
     children: dict[int, "_RefNode"] = field(default_factory=dict)
     child_values: np.ndarray | None = None
     child_visits: np.ndarray | None = None
@@ -436,29 +416,24 @@ class RecursiveSearch:
         priors, values, model_states = self.model.evaluate_root([root_state])
         value = float(values[0])
         if self.cfg.value_source == "rollout":
-            value = rollout_value(self.model, root_state, self.metric, self.reference)
+            value = self._rollout(root_state)
         self.adaptive_min = value
         self.adaptive_max = value + 1e-6
-        self._make_node(priors[0], value, model_states[0], False, root_state)
+        self._make_node(priors[0], value, model_states[0], root_state)
+
+    def _rollout(self, state: DecodeState) -> float:
+        return float(rollout_value(self.model, [state], self.metric, [self.reference])[0])
 
     def _make_node(
-        self,
-        prior: np.ndarray,
-        value: float,
-        model_state: object,
-        terminal: bool,
-        decode_state: DecodeState,
+        self, prior: np.ndarray, value: float, model_state: object, decode_state: DecodeState
     ) -> _RefNode:
         tempered = apply_temperature(prior, self.cfg.tau)
         top = _sparse_topk(tempered, self.cfg.num_sparse_actions)
         node = _RefNode(
-            index=len(self.nodes),
             prior=tempered[top],
             mapping=top,
             value=value,
-            raw_value=value,
             visits=1,
-            terminal=terminal,
             decode_state=decode_state,
             model_state=model_state,
             child_values=np.zeros(self.cfg.num_sparse_actions),
@@ -489,7 +464,7 @@ class RecursiveSearch:
             node = child
 
         dense_action = int(node.mapping[action])
-        priors, values, next_model_states, terminal = self.model.evaluate_step(
+        priors, values, next_model_states, _ = self.model.evaluate_step(
             [node.model_state], [dense_action]
         )
         if node.decode_state.terminal:
@@ -498,12 +473,11 @@ class RecursiveSearch:
             child_state = step(node.decode_state, dense_action)
         value = float(values[0])
         if self.cfg.value_source == "rollout":
-            value = rollout_value(self.model, child_state, self.metric, self.reference)
+            value = self._rollout(child_state)
 
-        leaf = self._make_node(priors[0], value, next_model_states[0], bool(terminal[0]), child_state)
+        leaf = self._make_node(priors[0], value, next_model_states[0], child_state)
         leaf.parent = node
         leaf.action_from_parent = action
-        leaf.depth = node.depth + 1
         node.children[action] = leaf
 
         self.adaptive_min = min(self.adaptive_min, value)

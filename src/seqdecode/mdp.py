@@ -8,8 +8,9 @@ terminal states and is delegated to a metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from .scoring import Metric
@@ -79,6 +80,30 @@ def step(state: DecodeState, action: int) -> DecodeState:
     if action < 0:
         raise ValueError(f"invalid token id {action}")
     return replace(state, prefix=state.prefix + (action,))
+
+
+def complete(
+    states: list[DecodeState], policy: Callable[[list[int], list[DecodeState]], tuple]
+) -> tuple[list[DecodeState], list[float]]:
+    """Commit tokens to every unfinished state, in lockstep rounds, until all are terminal.
+
+    Each round makes one ``policy(indices, live_states)`` call for the
+    elements still live; it returns their priors (one row each) and the token
+    chosen for each. An element's log-likelihood is the sum of
+    ``log(prior[token])`` over the tokens committed to it. Terminal inputs come
+    back unchanged, at log-likelihood 0, and never reach the policy.
+    """
+    final = list(states)
+    log_likelihoods = [0.0] * len(final)
+    live = [i for i, s in enumerate(final) if not s.terminal]
+    while live:
+        priors, tokens = policy(live, [final[i] for i in live])
+        for i, prior, token in zip(live, priors, tokens):
+            token = int(token)
+            log_likelihoods[i] += math.log(prior[token])
+            final[i] = step(final[i], token)
+        live = [i for i in live if not final[i].terminal]
+    return final, log_likelihoods
 
 
 def terminal_reward(

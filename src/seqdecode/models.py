@@ -15,6 +15,9 @@ total:
 * absorbing terminals — evaluating any action from a terminal state returns
   the same state, the same value, a one-hot EOS prior and ``terminal=True``,
   so lockstep batched loops can keep running past finished elements.
+
+Charged greedy completion (rollouts, greedy decoding) is :func:`.mdp.complete`
+under :func:`greedy_policy`; the value head's own walk is uncharged forward pass.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import DecodeState, Sequence, clamp01, step, terminal_reward
+from .mdp import DecodeState, Sequence, clamp01, complete, step, terminal_reward
 from .scoring import Metric
 
 
@@ -66,23 +69,26 @@ class ModelState:
 
 
 def apply_temperature(prior: np.ndarray, tau: float) -> np.ndarray:
-    """Renormalized tempered distribution ``p^(1/tau) / sum``.
+    """Renormalized tempered distribution ``p^(1/tau) / sum``, row by row.
 
-    ``tau`` must be strictly positive; callers wanting the greedy limit should
-    take an argmax instead of passing tau -> 0.
+    ``prior`` is one distribution ``(V,)`` or a batch ``(B, V)``; each row
+    needs a positive entry. ``tau`` must be strictly positive; callers wanting
+    the greedy limit should take an argmax instead of passing tau -> 0.
     """
     if tau <= 0:
         raise ValueError("temperature must be > 0")
     p = np.asarray(prior, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("prior must be a non-empty vector")
+    if p.ndim not in (1, 2) or p.size == 0:
+        raise ValueError("prior must be a non-empty vector or batch of vectors")
     if tau == 1.0:
         return p.copy()
-    scaled = np.zeros_like(p)
     pos = p > 0
-    # Divide by the max first so p == 1 stays exactly 1 (one-hot fixed point).
-    scaled[pos] = np.exp(np.log(p[pos] / p[pos].max()) / tau)
-    return scaled / scaled.sum()
+    if not pos.any(axis=-1).all():
+        raise ValueError("every prior row needs a positive entry")
+    # Divide by the row max first so p == 1 stays exactly 1 (one-hot fixed point).
+    row_max = p.max(axis=-1, keepdims=True)
+    scaled = np.where(pos, np.exp(np.log(np.where(pos, p, row_max) / row_max) / tau), 0.0)
+    return scaled / scaled.sum(axis=-1, keepdims=True)
 
 
 class PolicyValueModel:
@@ -299,37 +305,45 @@ def make_seeded_model(
     value_metric: Metric | None = None,
     reference: Sequence | None = None,
     value_noise: float = 0.0,
-    noise_seed: int | None = None,
 ) -> PolicyValueModel:
     """Build a seeded tabular provider, optionally with a noisy value head."""
     model: PolicyValueModel = SeededTabularModel(
         seed, vocab_size, max_len, context_order, value_metric, reference
     )
     if value_noise > 0.0:
-        model = NoisyValueModel(model, value_noise, seed if noise_seed is None else noise_seed)
+        model = NoisyValueModel(model, value_noise, seed)
     return model
 
 
 # ------------------------------------------------------------------- rollouts
 
 
+def greedy_policy(model: PolicyValueModel):
+    """``complete`` policy: argmax of one charged ``evaluate_root``, ties to the lowest id."""
+
+    def policy(_indices: list[int], states: list[DecodeState]):
+        priors, _, _ = model.evaluate_root(states)
+        return priors, np.argmax(priors, axis=1)
+
+    return policy
+
+
 def rollout_value(
     model: PolicyValueModel,
-    state: DecodeState,
+    states: list[DecodeState],
     metric: Metric,
-    reference: Sequence | None = None,
-) -> float:
-    """Greedy-complete the prefix and return the terminal reward.
+    references: list[Sequence | None] | None = None,
+) -> np.ndarray:
+    """Greedy-complete each prefix, in lockstep, and return its terminal reward.
 
     Unlike the value head, this is an explicit search-time procedure: every
-    greedy step is a real model call and is charged to the ledger. At a
-    terminal state it returns the reward directly at zero cost.
+    greedy step is a real model call and is charged to the ledger. A terminal
+    state is scored directly at zero cost. ``references[i]`` is the reference
+    of ``states[i]`` (all None when omitted).
     """
-    s = state
-    while not s.terminal:
-        priors, _, _ = model.evaluate_root([s])
-        s = step(s, int(np.argmax(priors[0])))
-    return terminal_reward(s, metric, reference)
+    refs = references if references is not None else [None] * len(states)
+    final, _ = complete(states, greedy_policy(model))
+    return np.array([terminal_reward(s, metric, r) for s, r in zip(final, refs)])
 
 
 def model_value_fn(model: PolicyValueModel):
@@ -346,6 +360,6 @@ def rollout_value_fn(model: PolicyValueModel, metric: Metric, reference: Sequenc
     """Batch value oracle backed by greedy rollouts (charged per rollout step)."""
 
     def fn(states: list[DecodeState]) -> np.ndarray:
-        return np.array([rollout_value(model, s, metric, reference) for s in states])
+        return rollout_value(model, list(states), metric, [reference] * len(states))
 
     return fn

@@ -57,7 +57,7 @@ def test_criterion_01_beam_of_one_equals_greedy():
     for seed in range(100):
         beam_model = SeededTabularModel(seed, vocab_size=3, max_len=4, context_order=1)
         greedy_model = SeededTabularModel(seed, vocab_size=3, max_len=4, context_order=1)
-        b = beam_search(beam_model, beam_model.initial_state(()), BeamConfig(k=1, theta=0.0, tau=1.0))
+        b = beam_search(beam_model, beam_model.initial_state(()), BeamConfig(k=1, theta=0.0))
         g = greedy_decode(greedy_model, greedy_model.initial_state(()))
         assert b.sequence == g.sequence, f"seed {seed}"
         matches += 1
@@ -200,7 +200,7 @@ def test_criterion_07_reranking_is_monotone_in_pool_size():
         for n in (1, 4, 16, 64):
             model = SeededTabularModel(i, vocab_size=3, max_len=3, context_order=1)
             pool = sample_sequences(model, model.initial_state(source), n=n, tau=1.0, seed=i)
-            scores.append(rerank_by_score(pool, metric, source).score)
+            scores.append(rerank_by_score(pool, metric).score)
         assert all(b >= a for a, b in zip(scores, scores[1:])), (i, scores)
         checked += 1
     assert checked == 50
@@ -214,7 +214,7 @@ def test_criterion_08_value_reranking_matches_score_reranking_at_terminals():
         metric = occupancy_metric(0, 3) if i % 2 == 0 else coverage_metric()
         model = SeededTabularModel(i, vocab_size=3, max_len=3, context_order=1)
         pool = sample_sequences(model, model.initial_state(source), n=16, tau=1.0, seed=i)
-        by_score = rerank_by_score(pool, metric, source)
+        by_score = rerank_by_score(pool, metric)
         value_fn = rollout_value_fn(SeededTabularModel(i, 3, 3, context_order=1), metric)
         by_value = rerank_by_value(pool, value_fn)
         assert by_value.value == by_score.score, i
@@ -352,7 +352,7 @@ def test_criterion_11_budget_scaling_trends():
         for i, source in enumerate(sources):
             model = SeededTabularModel(11, vocab_size=4, max_len=4, context_order=1)
             pool = sample_sequences(model, model.initial_state(source), n=budget, tau=1.0, seed=i)
-            scores.append(rerank_by_score(pool, metric, source).score)
+            scores.append(rerank_by_score(pool, metric).score)
         sr_means.append(float(np.mean(scores)))
     assert_nearly_monotone(sr_means, "sample+rerank")
 

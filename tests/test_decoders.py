@@ -54,7 +54,7 @@ class TestBeamSearch:
         for seed in range(10):
             m_beam = SeededTabularModel(seed, vocab_size=3, max_len=4, context_order=1)
             m_greedy = SeededTabularModel(seed, vocab_size=3, max_len=4, context_order=1)
-            b = beam_search(m_beam, m_beam.initial_state(()), BeamConfig(k=1, theta=0.0, tau=1.0))
+            b = beam_search(m_beam, m_beam.initial_state(()), BeamConfig(k=1, theta=0.0))
             g = greedy_decode(m_greedy, m_greedy.initial_state(()))
             assert b.sequence == g.sequence
             assert b.log_likelihood == pytest.approx(g.log_likelihood, abs=1e-12)
@@ -195,12 +195,12 @@ class TestRerank:
 
     def test_single_candidate_wins(self, m0, occupancy_a3):
         pool = self._pool(m0, n=1)
-        assert rerank_by_score(pool, occupancy_a3, source=()).sequence == pool[0].sequence
+        assert rerank_by_score(pool, occupancy_a3).sequence == pool[0].sequence
 
     def test_score_rerank_prefers_high_metric(self, m0, occupancy_a3):
         empty = greedy_decode(FixedPriorModel([0.1, 0.1, 0.8], 3), FixedPriorModel([0.1, 0.1, 0.8], 3).initial_state(()))
         full = greedy_decode(make_m0(), make_m0().initial_state(()))
-        winner = rerank_by_score([empty, full], occupancy_a3, source=())
+        winner = rerank_by_score([empty, full], occupancy_a3)
         assert winner.sequence == (A, A, A, EOS)
         assert winner.score == 1.0
 
@@ -210,19 +210,22 @@ class TestRerank:
         low = Candidate((B, EOS), math.log(0.3) + math.log(0.2), state=step(step(root, B), EOS))
         high = Candidate((A, EOS), math.log(0.5) + math.log(0.2), state=step(step(root, A), EOS))
         # Both score 0 under occupancy of token A over horizon 3... high likelihood wins.
-        winner = rerank_by_score([low, high], occupancy_a3, source=())
+        winner = rerank_by_score([low, high], occupancy_a3)
         assert winner.sequence == (A, EOS)
         twin = Candidate((B, EOS), low.log_likelihood, state=low.state)
-        assert rerank_by_score([low, twin], occupancy_a3, source=()).sequence == low.sequence
+        assert rerank_by_score([low, twin], occupancy_a3).sequence == low.sequence
 
     def test_empty_pool_rejected(self, occupancy_a3):
         with pytest.raises(ValueError):
-            rerank_by_score([], occupancy_a3, source=())
+            rerank_by_score([], occupancy_a3)
+        stateless = Candidate((A, EOS), math.log(0.5) + math.log(0.2))
+        with pytest.raises(ValueError, match="final decode state"):
+            rerank_by_score([stateless], occupancy_a3)
 
     def test_value_rerank_with_rollout_matches_score_rerank(self, occupancy_a3):
         m = make_m0()
         pool = self._pool(m, n=16, seed=11)
-        by_score = rerank_by_score(pool, occupancy_a3, source=())
+        by_score = rerank_by_score(pool, occupancy_a3)
         by_value = rerank_by_value(pool, rollout_value_fn(make_m0(), occupancy_a3))
         assert by_value.value == by_score.score
         assert by_value.sequence == by_score.sequence

@@ -54,9 +54,19 @@ class TestLoadDataset:
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "data.jsonl"
-        path.write_text('{"id": "1", "source": [0]}\nnot json\n', encoding="utf-8")
-        with pytest.raises(ValueError, match="line 2"):
-            load_dataset(path)
+        bad_lines = (
+            "not json",
+            '{"id": "b", "source": [1.7, true]}',  # a float and a boolean are not token ids
+            '{"id": "b", "source": ["3"]}',
+            '{"id": "b", "source": [-1]}',
+            '{"id": "b", "source": "12"}',
+            '{"id": "b", "source": [0], "reference": [true]}',
+            '{"id": "b", "source": [0], "reference": [2.0]}',
+        )
+        for bad in bad_lines:
+            path.write_text('{"id": "1", "source": [0]}\n' + bad + "\n", encoding="utf-8")
+            with pytest.raises(ValueError, match="malformed dataset line 2"):
+                load_dataset(path)
 
     def test_missing_field_is_malformed(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -167,6 +177,26 @@ class TestRunExperiment:
         dataset = [Instance("a", (0,), reference=(0, 0))]
         with pytest.raises(ConfigurationError):
             run_experiment(cfg, dataset)
+
+    def test_vgbs_width_above_vocabulary_rejected_before_any_decode(self, monkeypatch):
+        import seqdecode.harness as harness
+
+        built = []
+        real_build = harness._build_model
+        monkeypatch.setattr(
+            harness, "_build_model", lambda *args: built.append(args) or real_build(*args)
+        )
+        # A fixed prior sets the vocabulary (3 here), whatever vocab_size says.
+        for model in (ModelSpec(vocab_size=3), ModelSpec(prior=M0_PRIOR, vocab_size=8)):
+            cfg = RunConfig(
+                model=model,
+                metric=OCC,
+                algorithms=(AlgorithmSpec("greedy"), AlgorithmSpec("vgbs")),
+                budgets=(1, 50),  # budget 50 implies width 7 > 3
+            )
+            with pytest.raises(ConfigurationError, match="beam width 7 > vocabulary size 3"):
+                run_experiment(cfg, m0_dataset(2))
+        assert built == []
 
     def test_privileged_metric_requires_references(self):
         cfg = RunConfig(model=M0_SPEC, metric=MetricSpec(name="bleu"))

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +11,7 @@ from seqdecode import (
     ContractViolation,
     DecodeState,
     bleu_metric,
+    complete,
     step,
     terminal_reward,
 )
@@ -17,6 +21,42 @@ from conftest import A, B, EOS
 
 def state(prefix=(), source=(A, B), max_len=4):
     return DecodeState(source=source, prefix=tuple(prefix), max_len=max_len, eos_id=EOS)
+
+
+class TestComplete:
+    PRIOR = np.array([0.5, 0.3, 0.2])
+
+    def _recording_policy(self, tokens_by_round):
+        calls = []
+
+        def policy(indices, states):
+            calls.append((list(indices), list(states)))
+            tokens = tokens_by_round[len(calls) - 1]
+            return np.tile(self.PRIOR, (len(states), 1)), [tokens[i] for i in indices]
+
+        return policy, calls
+
+    def test_terminal_inputs_cost_no_policy_call(self):
+        finished = [step(state(()), EOS), state((A, B, A, EOS))]
+        policy, calls = self._recording_policy([])
+        final, log_likelihoods = complete(finished, policy)
+        assert final == finished and log_likelihoods == [0.0, 0.0]
+        assert calls == []
+
+    def test_live_set_shrinks_round_by_round(self):
+        inputs = [state(()), step(state(()), EOS), state((A, A)), state(())]
+        rounds = [
+            {0: A, 2: A, 3: EOS},  # element 3 finishes with EOS
+            {0: B, 2: A},  # element 2 reaches max_len
+            {0: EOS},
+        ]
+        policy, calls = self._recording_policy(rounds)
+        final, log_likelihoods = complete(inputs, policy)
+        assert [indices for indices, _ in calls] == [[0, 2, 3], [0, 2], [0]]
+        assert calls[1][1] == [state((A,)), state((A, A, A))]
+        assert [s.prefix for s in final] == [(A, B, EOS), (EOS,), (A, A, A, A), (EOS,)]
+        log = [math.log(p) for p in self.PRIOR]
+        assert log_likelihoods == [log[A] + log[B] + log[EOS], 0.0, log[A] + log[A], log[EOS]]
 
 
 class TestStep:

@@ -9,6 +9,7 @@ from seqdecode import (
     SeededTabularModel,
     affine_value_model,
     apply_temperature,
+    bleu_metric,
     coverage_metric,
     greedy_decode,
     make_seeded_model,
@@ -132,6 +133,20 @@ class TestTemperature:
         with pytest.raises(ValueError):
             apply_temperature(np.array([0.5, 0.5]), 0.0)
 
+    def test_batch_equals_rows(self):
+        rng = np.random.default_rng(0)
+        for trial in range(200):
+            batch = rng.dirichlet(np.ones(6), size=5)
+            batch[0, rng.integers(0, 6, size=2)] = 0.0  # zero entries
+            batch[1] = np.eye(6)[trial % 6]  # a one-hot row
+            for tau in (0.05, 0.5, 0.8, 1.0, 1.25, 4.0):
+                rows = np.stack([apply_temperature(p, tau) for p in batch])
+                assert np.array_equal(apply_temperature(batch, tau), rows)
+
+    def test_row_without_mass_rejected(self):
+        with pytest.raises(ValueError):
+            apply_temperature(np.array([[0.5, 0.5], [0.0, 0.0]]), 0.5)
+
     @given(st.floats(0.2, 5.0), st.integers(0, 100))
     @settings(max_examples=30, deadline=None)
     def test_output_is_distribution(self, tau, seed):
@@ -161,23 +176,51 @@ class TestRolloutValue:
     def test_terminal_state_returns_reward(self, occupancy_a3):
         m = make_m0()
         terminal = step(step(m.initial_state(()), A), EOS)
-        value = rollout_value(m, terminal, occupancy_a3)
-        assert value == terminal_reward(terminal, occupancy_a3)
+        values = rollout_value(m, [terminal], occupancy_a3)
+        assert values.tolist() == [terminal_reward(terminal, occupancy_a3)]
         assert m.ledger.evaluations == 0  # nothing to roll out
 
     def test_greedy_completion_from_a(self, occupancy_a3):
         m = make_m0()
-        assert rollout_value(m, step(m.initial_state(()), A), occupancy_a3) == 1.0
+        assert rollout_value(m, [step(m.initial_state(()), A)], occupancy_a3)[0] == 1.0
 
     def test_greedy_completion_from_b(self, occupancy_a3):
         m = make_m0()
-        assert rollout_value(m, step(m.initial_state(()), B), occupancy_a3) == pytest.approx(2 / 3)
+        value = rollout_value(m, [step(m.initial_state(()), B)], occupancy_a3)[0]
+        assert value == pytest.approx(2 / 3)
 
     def test_rollout_charges_ledger(self, occupancy_a3):
         m = make_m0()
-        rollout_value(m, step(m.initial_state(()), B), occupancy_a3)
-        # [B] -> [B,A] -> [B,A,A] -> forced EOS: three greedy steps.
-        assert m.ledger.evaluations == 3
+        root = m.initial_state(())
+        rollout_value(m, [step(root, B), step(root, A), step(step(root, A), EOS)], occupancy_a3)
+        # [B] and [A] each take three greedy steps to the forced EOS; the
+        # terminal [A, EOS] takes none.
+        assert m.ledger.evaluations == 6
+
+    def test_batch_equals_one_at_a_time(self):
+        metric = bleu_metric(2)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            states, references = [], []
+            for i in range(7):
+                m = SeededTabularModel(seed, vocab_size=5, max_len=4, context_order=1)
+                s = m.initial_state(tuple(int(t) for t in rng.integers(0, 4, size=2)))
+                for _ in range(int(rng.integers(0, 4))):
+                    if not s.terminal:
+                        s = step(s, int(rng.integers(0, 5)))  # token 4 is EOS
+                states.append(s)
+                references.append(tuple(int(t) for t in rng.integers(0, 4, size=i % 3 + 1)))
+            assert any(s.terminal for s in states) and not all(s.terminal for s in states)
+
+            batched_model = SeededTabularModel(seed, vocab_size=5, max_len=4, context_order=1)
+            batched = rollout_value(batched_model, states, metric, references)
+            single_model = SeededTabularModel(seed, vocab_size=5, max_len=4, context_order=1)
+            singles = [
+                rollout_value(single_model, [s], metric, [r])[0]
+                for s, r in zip(states, references)
+            ]
+            assert batched.tolist() == singles
+            assert batched_model.ledger.snapshot() == single_model.ledger.snapshot()
 
 
 class TestValueHeads:
