@@ -24,6 +24,7 @@ from .harness import (
     ModelSpec,
     RunConfig,
     _build_model,
+    check_token_ids,
     emit_report,
     export_tree,
     load_dataset,
@@ -175,6 +176,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     metric = _metric_spec(args).build()
     spec = _model_spec(args)
+    check_token_ids(spec, dataset)
     rows = []
     for inst in sorted(dataset, key=lambda i: i.id):
         if metric.privileged and inst.reference is None:
@@ -209,8 +211,10 @@ def _cmd_tree(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"no instance with id {args.instance_id!r}")
         instance = matches[0]
 
+    spec = _model_spec(args)
+    check_token_ids(spec, [instance])
     metric = _metric_spec(args).build()
-    model = _build_model(_model_spec(args), metric, instance)
+    model = _build_model(spec, metric, instance)
     cfg = _algorithm_spec("mcts", args).search_config(args.simulations, model.vocab_size)
     if metric.privileged and cfg.value_source == "rollout":
         raise ConfigurationError("rollout value source cannot be used with a privileged metric")

@@ -65,6 +65,11 @@ class ModelSpec:
     # When set, overrides the seeded table with one fixed prior (fixture models).
     prior: tuple[float, ...] | None = None
 
+    @property
+    def effective_vocab_size(self) -> int:
+        """Vocabulary size of the built models; a fixed prior sets it by its length."""
+        return len(self.prior) if self.prior is not None else self.vocab_size
+
 
 @dataclass(frozen=True)
 class MetricSpec:
@@ -308,8 +313,22 @@ def _decode_cell(
     raise ConfigurationError(f"unknown algorithm {algo.name!r}")
 
 
+def check_token_ids(spec: ModelSpec, dataset: list[Instance]) -> None:
+    """Reject source or reference ids outside the vocabulary of the models ``spec`` builds."""
+    vocab_size = spec.effective_vocab_size
+    for inst in dataset:
+        for name, tokens in (("source", inst.source), ("reference", inst.reference or ())):
+            for t in tokens:
+                if t >= vocab_size:
+                    raise ConfigurationError(
+                        f"instance {inst.id!r}: {name} token id {t} is outside the "
+                        f"vocabulary of size {vocab_size}"
+                    )
+
+
 def validate_run_config(cfg: RunConfig, dataset: list[Instance]) -> None:
     """Every check a run needs, made before anything is decoded."""
+    check_token_ids(cfg.model, dataset)
     metric = cfg.metric.build()
     for algo in cfg.algorithms:
         if metric.privileged and algo.uses_score_directly():
@@ -323,7 +342,7 @@ def validate_run_config(cfg: RunConfig, dataset: list[Instance]) -> None:
                 raise ConfigurationError(
                     f"instance {inst.id!r} lacks the reference required by {metric.name!r}"
                 )
-    vocab_size = len(cfg.model.prior) if cfg.model.prior is not None else cfg.model.vocab_size
+    vocab_size = cfg.model.effective_vocab_size
     for budget in cfg.budgets:
         if budget < 1:
             raise ConfigurationError("budgets must be >= 1")

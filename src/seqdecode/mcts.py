@@ -7,6 +7,8 @@ top-A prior actions of each node are kept, with ``topk_mapping`` translating
 sparse slots back to vocabulary ids. Alongside the arrays, ``node_states``
 holds the provider's ``ModelState`` handles in node order, so each expansion
 is stepped once, by the provider, and the node count is the list's length.
+A simulation records its descent as a ``(depth, batch)`` path; an element that
+stops early repeats its last node, and the backup masks those padding rows.
 An arena runs one search; build a fresh one for the next. Rollout values
 are batched greedy completions (:func:`.models.rollout_value`), and
 :func:`decode_mcts` is one arena per round as an :func:`.mdp.complete` policy.
@@ -160,9 +162,9 @@ class ArenaSearch:
         """One simulate / expand / backward round for every batch element."""
         if self.allocated_nodes() > self.cfg.num_simulations:
             raise ContractViolation("simulation budget exhausted")
-        node_indices, actions = self.simulate()
-        leaf = self.expand(node_indices, actions)
-        self.backward(np.full(self.batch_size, leaf, dtype=np.int64))
+        path, actions = self.simulate()
+        leaf = self.expand(path[-1], actions)
+        self.backward(path, leaf)
 
     def result(self) -> SearchResult:
         dense_counts = np.zeros((self.batch_size, self.num_actions), dtype=np.int64)
@@ -200,15 +202,22 @@ class ArenaSearch:
         return np.argmax(value_score + policy_score, axis=1)
 
     def simulate(self) -> tuple[np.ndarray, np.ndarray]:
-        """Descend in lockstep until every element sits on an unexplored edge."""
-        node_indices = np.zeros(self.batch_size, dtype=np.int64)
+        """Descend in lockstep until every element sits on an unexplored edge.
+
+        Returns the ``(D, B)`` path, root first, and the actions chosen at ``path[-1]``. Each
+        row moves an element to a new node or, once it has stopped, repeats its last node
+        (padding), so ``D`` is at most the node count.
+        """
+        path = np.zeros((self.allocated_nodes(), self.batch_size), dtype=np.int64)
+        node_indices, depth = path[0], 0
         while True:
             actions = self.uct_select_action(node_indices)
             next_nodes = self.children_index[self._batch_range, node_indices, actions]
             is_unexplored = next_nodes == -1
             if is_unexplored.all():
-                return node_indices, actions
-            node_indices = np.where(is_unexplored, node_indices, next_nodes)
+                return path[: depth + 1], actions
+            depth += 1
+            node_indices = path[depth] = np.where(is_unexplored, node_indices, next_nodes)
 
     def expand(self, node_indices: np.ndarray, sparse_actions: np.ndarray) -> int:
         """Evaluate the selected edges and wire the resulting nodes into the tree.
@@ -251,33 +260,27 @@ class ArenaSearch:
         self.node_states.append(handles)
         return node
 
-    def backward(self, leaf_indices: np.ndarray) -> None:
-        """Propagate each leaf's value to its ancestors, masking finished walks."""
-        node_indices = leaf_indices.astype(np.int64).copy()
-        leaf_values = self.values[self._batch_range, leaf_indices]
-        while True:
-            is_root = node_indices == 0
-            if is_root.all():
-                return
-            parents = np.where(is_root, 0, self.parents[self._batch_range, node_indices])
-            keep = is_root  # keep: node already at root, do not touch its "parent"
-            parent_values = self.values[self._batch_range, parents]
-            parent_visits = self.visit_counts[self._batch_range, parents]
-            if self.cfg.backup == "average":
-                updated = (parent_values * parent_visits + leaf_values) / (parent_visits + 1)
-            else:
-                updated = np.maximum(parent_values, leaf_values)
-            self.values[self._batch_range, parents] = np.where(keep, parent_values, updated)
-            self.visit_counts[self._batch_range, parents] += ~keep
+    def backward(self, path: np.ndarray, leaf: int) -> None:
+        """Propagate the leaf's value to every ancestor on :meth:`simulate`'s path.
 
-            actions = np.where(is_root, 0, self.action_from_parents[self._batch_range, node_indices])
-            edge_values = self.children_values[self._batch_range, parents, actions]
-            self.children_values[self._batch_range, parents, actions] = np.where(
-                keep, edge_values, self.values[self._batch_range, node_indices]
-            )
-            self.children_visits[self._batch_range, parents, actions] += ~keep
+        ``leaf`` is the node expanded below ``path[-1]``. Padding rows (a node repeating the
+        one above it, or a leaf equal to it) are masked; each (element, ancestor) pair then
+        occurs once, so fancy-indexed updates apply level-by-level float operations at any depth.
+        """
+        chain = np.vstack([path, np.broadcast_to(leaf, path.shape[1:])])
+        rows, b = np.nonzero(chain[1:] != chain[:-1])
+        nodes, children = chain[rows, b], chain[rows + 1, b]
+        leaf_values = self.values[b, leaf]
+        values, visits = self.values[b, nodes], self.visit_counts[b, nodes]
+        if self.cfg.backup == "average":
+            self.values[b, nodes] = (values * visits + leaf_values) / (visits + 1)
+        else:
+            self.values[b, nodes] = np.maximum(values, leaf_values)
+        self.visit_counts[b, nodes] += 1
 
-            node_indices = parents
+        actions = self.action_from_parents[b, children]
+        self.children_values[b, nodes, actions] = self.values[b, children]
+        self.children_visits[b, nodes, actions] += 1
 
     # ------------------------------------------------------------- inspection
 
@@ -308,20 +311,17 @@ def select_root_action(
     """
     if mode not in ROOT_SELECTIONS:
         raise ValueError(f"unknown root selection {mode!r}")
-    batch, _ = dense_counts.shape
-    actions = np.zeros(batch, dtype=np.int64)
-    for b in range(batch):
-        visited = dense_counts[b] > 0
-        if not visited.any():
-            if fallback_priors is None:
-                raise ValueError("no visited root child and no fallback prior")
-            actions[b] = int(np.argmax(fallback_priors[b]))
-        elif mode == "visit_count":
-            actions[b] = int(np.argmax(dense_counts[b]))
-        else:
-            masked = np.where(visited, dense_values[b], -np.inf)
-            actions[b] = int(np.argmax(masked))
-    return actions
+    visited = dense_counts > 0
+    if mode == "visit_count":
+        actions = np.argmax(dense_counts, axis=1)
+    else:
+        actions = np.argmax(np.where(visited, dense_values, -np.inf), axis=1)
+    unvisited = ~visited.any(axis=1)
+    if unvisited.any():
+        if fallback_priors is None:
+            raise ValueError("no visited root child and no fallback prior")
+        actions = np.where(unvisited, np.argmax(fallback_priors, axis=1), actions)
+    return actions.astype(np.int64)
 
 
 def decode_mcts(

@@ -31,12 +31,15 @@ def clamp01(x: float) -> float:
 
 
 def validate_sequence(tokens: Sequence, eos_id: int) -> None:
-    """A sequence may contain EOS at most once, and only as its final token."""
+    """Ids lie in ``[0, eos_id]``, and EOS appears at most once, as the final token."""
     for i, t in enumerate(tokens):
-        if t < 0:
+        if t >= eos_id:
+            if t > eos_id:
+                raise ValueError(f"token id {t} is outside the vocabulary (EOS is {eos_id})")
+            if i != len(tokens) - 1:
+                raise ValueError("EOS may only appear as the final token")
+        elif t < 0:
             raise ValueError(f"negative token id {t}")
-        if t == eos_id and i != len(tokens) - 1:
-            raise ValueError("EOS may only appear as the final token")
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,6 @@ def step(state: DecodeState, action: int) -> DecodeState:
     """Append one token. Stepping a terminal state is a caller bug."""
     if state.terminal:
         raise ContractViolation("step() called on a terminal state")
-    if action < 0:
-        raise ValueError(f"invalid token id {action}")
     return replace(state, prefix=state.prefix + (action,))
 
 

@@ -23,11 +23,12 @@ under :func:`greedy_policy`; the value head's own walk is uncharged forward pass
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import DecodeState, Sequence, clamp01, complete, step, terminal_reward
+from .mdp import ContractViolation, DecodeState, Sequence, clamp01, complete, step, terminal_reward
 from .scoring import Metric
 
 
@@ -147,6 +148,8 @@ class PolicyValueModel:
         cached = self._value_cache.get(key)
         if cached is None:
             cached = self._value(state)
+            if not math.isfinite(cached):
+                raise ContractViolation(f"value head returned {cached} for state {state}")
             self._value_cache[key] = cached
         return cached
 

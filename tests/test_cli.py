@@ -91,6 +91,35 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_out_of_vocabulary_source_names_the_id(self, tmp_path, capsys):
+        # Id 4 is EOS at V=5; id 6 lies outside the vocabulary altogether.
+        path = tmp_path / "oov.jsonl"
+        save_dataset([Instance("ok", (0, 1), reference=(0,)), Instance("bad", (4, 6))], path)
+        for command in ("oracle", "decode", "tree"):
+            extra = ("--algorithm", "greedy") if command == "decode" else ()
+            extra += ("--instance-id", "bad") if command == "tree" else ()
+            code = run(
+                command, "--dataset", path, "--vocab-size", 5, *extra, "--out", tmp_path / "x"
+            )
+            assert code == 1, command
+            err = capsys.readouterr().err
+            assert "'bad'" in err and "token id 6" in err, (command, err)
+            assert "EOS may only appear" not in err
+
+    def test_out_of_vocabulary_sweep_fails_before_any_model(self, tmp_path, monkeypatch):
+        import seqdecode.harness as harness
+
+        built = []
+        monkeypatch.setattr(harness, "_build_model", lambda *args: built.append(args))
+        path = tmp_path / "oov.jsonl"
+        save_dataset([Instance("x", (5, 6))], path)
+        code = run(
+            "sweep", "--dataset", path, "--vocab-size", 3,
+            "--algorithms", "greedy,mcts", "--budgets", "1", "--out", tmp_path / "x.json",
+        )
+        assert code == 1
+        assert built == []
+
     def test_io_error_is_two(self, tmp_path):
         code = run(
             "decode", "--dataset", tmp_path / "missing.jsonl", "--algorithm", "greedy",

@@ -198,6 +198,13 @@ class TestRunExperiment:
                 run_experiment(cfg, m0_dataset(2))
         assert built == []
 
+    def test_out_of_vocabulary_reference_rejected(self):
+        # A fixed prior of length 3 makes id 3 out of vocabulary, whatever vocab_size says.
+        cfg = RunConfig(model=ModelSpec(prior=M0_PRIOR, vocab_size=8), metric=OCC)
+        dataset = [Instance("a", (0,), reference=(0, 3))]
+        with pytest.raises(ConfigurationError, match="'a': reference token id 3"):
+            run_experiment(cfg, dataset)
+
     def test_privileged_metric_requires_references(self):
         cfg = RunConfig(model=M0_SPEC, metric=MetricSpec(name="bleu"))
         with pytest.raises(ConfigurationError, match="reference"):

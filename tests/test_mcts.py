@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqdecode import (
     ArenaSearch,
@@ -19,6 +20,7 @@ from seqdecode import (
     select_root_action,
     step,
 )
+from seqdecode.mcts import BACKUP_RULES, VALUE_SOURCES
 
 from conftest import A, B, EOS, make_m0
 
@@ -132,37 +134,45 @@ class TestExpandAndBackward:
         assert arena.parents[0, 1] == 0
         assert node_depth(arena, 0, 1) == 1
 
+    def _two_element_arena(self, m0, backup):
+        # Element 0 stopped at the root (its second path row is padding) and
+        # expands node 2 under sparse action 1; element 1 descended 0 -> 1 and
+        # expands node 2 under node 1's sparse action 1.
+        arena = fresh_arena(m0, batch=2, num_simulations=2, backup=backup)
+        arena.parents[:, 1], arena.action_from_parents[:, 1] = 0, 0
+        arena.parents[:, 2], arena.action_from_parents[:, 2] = [0, 1], 1
+        arena.values[0, :3], arena.visit_counts[0, :3] = [0.5, 0.9, 0.8], [2, 1, 1]
+        arena.values[1, :3], arena.visit_counts[1, :3] = [0.2, 0.4, 1.0], [3, 1, 1]
+        arena.backward(np.array([[0, 0], [0, 1]]), 2)
+        return arena
+
     def test_average_backup_arithmetic(self, m0):
-        arena = fresh_arena(m0, num_simulations=2, backup="average")
-        arena.parents[0, 1] = 0
-        arena.action_from_parents[0, 1] = 0
-        arena.values[0, 0] = 0.5
-        arena.visit_counts[0, 0] = 2
-        arena.values[0, 1] = 0.8
-        arena.visit_counts[0, 1] = 1
-        arena.backward(np.array([1]))
-        assert arena.values[0, 0] == pytest.approx(0.6, abs=1e-12)
-        assert arena.visit_counts[0, 0] == 3
-        assert arena.children_values[0, 0, 0] == pytest.approx(0.8)
-        assert arena.children_visits[0, 0, 0] == 1
+        arena = self._two_element_arena(m0, "average")
+        assert arena.values[0, 0] == pytest.approx(0.6, abs=1e-12)  # (0.5 * 2 + 0.8) / 3
+        assert arena.values[1, 1] == pytest.approx(0.7, abs=1e-12)  # (0.4 * 1 + 1.0) / 2
+        assert arena.values[1, 0] == pytest.approx(0.4, abs=1e-12)  # (0.2 * 3 + 1.0) / 4
+        assert arena.visit_counts[:, :3].tolist() == [[3, 1, 1], [4, 2, 1]]
+        assert arena.values[0, 1] == 0.9  # the padding row leaves node 1 alone
+        assert arena.children_values[0, 0].tolist() == [0.0, 0.8]
+        assert arena.children_visits[0, 0].tolist() == [0, 1]
+        assert arena.children_values[1, 0, 0] == arena.values[1, 1]
+        assert arena.children_values[1, 1, 1] == 1.0
+        assert arena.children_visits[1, :2].tolist() == [[1, 0], [0, 1]]
+        assert (arena.children_visits[0, 1:] == 0).all()
 
     def test_max_backup_arithmetic(self, m0):
-        arena = fresh_arena(m0, num_simulations=2, backup="max")
-        arena.parents[0, 1] = 0
-        arena.action_from_parents[0, 1] = 0
-        arena.values[0, 0] = 0.5
-        arena.visit_counts[0, 0] = 2
-        arena.values[0, 1] = 0.8
-        arena.visit_counts[0, 1] = 1
-        arena.backward(np.array([1]))
-        assert arena.values[0, 0] == pytest.approx(0.8, abs=1e-12)
-        assert arena.visit_counts[0, 0] == 3
+        arena = self._two_element_arena(m0, "max")
+        assert arena.values[0, :3].tolist() == [0.8, 0.9, 0.8]
+        assert arena.values[1, :3].tolist() == [1.0, 1.0, 1.0]
+        assert arena.visit_counts[:, :3].tolist() == [[3, 1, 1], [4, 2, 1]]
+        assert arena.children_values[1, 0, 0] == 1.0
 
     def test_root_leaf_is_masked(self, m0):
+        # A path holding only the root, with the root as leaf, changes nothing.
         arena = fresh_arena(m0)
         arena.values[0, 0] = 0.4
         arena.visit_counts[0, 0] = 1
-        arena.backward(np.array([0]))
+        arena.backward(np.zeros((1, 1), dtype=np.int64), 0)
         assert arena.values[0, 0] == 0.4
         assert arena.visit_counts[0, 0] == 1
         assert (arena.children_visits == 0).all()
@@ -189,8 +199,8 @@ class TestSimulate:
         model = make_m0(value_metric=occupancy_a3)
         arena = fresh_arena(model, num_simulations=2, num_sparse_actions=3)
         arena.begin([model.initial_state(())])
-        nodes, actions = arena.simulate()
-        assert nodes[0] == 0
+        path, actions = arena.simulate()
+        assert path.tolist() == [[0]]
         assert 0 <= actions[0] < 3
 
     def test_descends_into_dominating_child(self, occupancy_a3):
@@ -260,6 +270,46 @@ class TestSearchInvariants:
             previous = current.copy()
 
 
+@st.composite
+def batched_twin_cases(draw):
+    """A seed, vocabulary, 2-4 roots with prefix lengths 0, 1, 2, 0, and a search config."""
+    vocab = draw(st.integers(3, 5))
+    content = st.integers(0, vocab - 2)
+    roots = [
+        (
+            tuple(draw(st.lists(content, min_size=1, max_size=3))),
+            tuple(draw(st.lists(content, min_size=b % 3, max_size=b % 3))),
+        )
+        for b in range(draw(st.integers(2, 4)))
+    ]
+    cfg = SearchConfig(
+        num_simulations=draw(st.integers(1, 12)),
+        num_sparse_actions=draw(st.integers(1, vocab)),
+        c_puct=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        tau=draw(st.sampled_from([0.8, 1.0])),
+        backup=draw(st.sampled_from(BACKUP_RULES)),
+        value_source=draw(st.sampled_from(VALUE_SOURCES)),
+    )
+    return draw(st.integers(0, 2**16)), vocab, roots, cfg
+
+
+def twin_arrays(ref):
+    """The twin's nodes as arena-layout arrays, in node order."""
+    index = {id(node): i for i, node in enumerate(ref.nodes)}
+    slots = range(ref.cfg.num_sparse_actions)
+    return {
+        "visit_counts": np.array([n.visits for n in ref.nodes]),
+        "values": np.array([n.value for n in ref.nodes]),
+        "children_index": np.array(
+            [[index[id(n.children[a])] if a in n.children else -1 for a in slots]
+             for n in ref.nodes]
+        ),
+        "children_prior": np.stack([n.prior for n in ref.nodes]),
+        "children_values": np.stack([n.child_values for n in ref.nodes]),
+        "children_visits": np.stack([n.child_visits for n in ref.nodes]),
+    }
+
+
 class TestDifferential:
     def _compare(self, seed, batch, cfg, metric=None, sources=None):
         model_a = SeededTabularModel(
@@ -296,6 +346,37 @@ class TestDifferential:
         cfg = SearchConfig(num_simulations=8, num_sparse_actions=2, c_puct=2.0, backup="average")
         self._compare(2, 3, cfg, metric=occupancy_a3, sources=[(), (0,), (1, 0)])
 
+    @settings(max_examples=60, deadline=None)
+    @given(batched_twin_cases())
+    def test_batched_arena_matches_twins_after_every_simulation(self, case):
+        # Mixed prefix lengths give mixed terminal depths, so descents stop at
+        # different depths and paths carry padding rows.
+        seed, vocab, roots, cfg = case
+        metric = coverage_metric()
+
+        def model():
+            return SeededTabularModel(seed, vocab, 3, context_order=1, value_metric=metric)
+
+        arena_model = model()
+        states = [arena_model.initial_state(src) for src, _ in roots]
+        for b, (_, prefix) in enumerate(roots):
+            for token in prefix:
+                states[b] = step(states[b], token)
+        arena = ArenaSearch(arena_model, len(roots), cfg, metric=metric)
+        arena.begin(states)
+        twins = []
+        for state in states:
+            twin = RecursiveSearch(model(), cfg, metric=metric)
+            twin.begin(state)
+            twins.append(twin)
+        for sim in range(cfg.num_simulations):
+            arena.step_simulation()
+            for b, twin in enumerate(twins):
+                twin.step_simulation()
+                for name, expected in twin_arrays(twin).items():
+                    got = getattr(arena, name)[b, : sim + 2]
+                    assert np.array_equal(got, expected), (name, b, sim)
+
     def test_rollout_value_source(self):
         metric = coverage_metric()
         cfg = SearchConfig(
@@ -319,6 +400,39 @@ class TestRootSelection:
         counts = np.array([[4, 4, 0]])
         values = np.zeros((1, 3))
         assert select_root_action(counts, values, "visit_count")[0] == 0
+
+    @staticmethod
+    def _loop_reference(dense_counts, dense_values, mode, fallback_priors=None):
+        actions = np.zeros(dense_counts.shape[0], dtype=np.int64)
+        for b in range(dense_counts.shape[0]):
+            visited = dense_counts[b] > 0
+            if not visited.any():
+                if fallback_priors is None:
+                    raise ValueError("no visited root child and no fallback prior")
+                actions[b] = int(np.argmax(fallback_priors[b]))
+            elif mode == "visit_count":
+                actions[b] = int(np.argmax(dense_counts[b]))
+            else:
+                actions[b] = int(np.argmax(np.where(visited, dense_values[b], -np.inf)))
+        return actions
+
+    def test_matches_per_row_loop_on_random_batches(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            batch, vocab = rng.integers(1, 6), rng.integers(2, 6)
+            # Small integer ranges force ties in counts, values and priors.
+            counts = rng.integers(0, 3, size=(batch, vocab)) * (rng.random((batch, 1)) < 0.7)
+            values = rng.integers(-2, 3, size=(batch, vocab)) / 2.0
+            priors = rng.integers(1, 4, size=(batch, vocab)) / 10.0
+            for mode in ("visit_count", "max_value"):
+                want = self._loop_reference(counts, values, mode, priors)
+                got = select_root_action(counts, values, mode, fallback_priors=priors)
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+                if (counts == 0).all(axis=1).any():
+                    with pytest.raises(ValueError):
+                        select_root_action(counts, values, mode)
+                else:
+                    assert np.array_equal(select_root_action(counts, values, mode), want)
 
     def test_zero_simulation_fallback(self):
         counts = np.zeros((1, 3), dtype=int)

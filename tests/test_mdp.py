@@ -91,6 +91,16 @@ class TestDecodeStateInvariants:
         with pytest.raises(ValueError):
             state((EOS, A))
 
+    def test_out_of_vocabulary_ids_rejected(self):
+        with pytest.raises(ValueError, match="token id 3 is outside the vocabulary"):
+            state((A, 3))
+        with pytest.raises(ValueError, match="token id 4 is outside the vocabulary"):
+            state((), source=(4, A))
+        with pytest.raises(ValueError, match="token id 3 is outside the vocabulary"):
+            step(state((A,)), 3)
+        with pytest.raises(ValueError, match="negative token id"):
+            state((A, -1))
+
     def test_overlong_prefix_rejected(self):
         with pytest.raises(ValueError):
             state((A, A, A), max_len=2)

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqdecode import (
+    ContractViolation,
     NoisyValueModel,
+    SearchConfig,
     SeededTabularModel,
     affine_value_model,
     apply_temperature,
     bleu_metric,
     coverage_metric,
+    decode_mcts,
     greedy_decode,
     make_seeded_model,
     rollout_value,
@@ -235,6 +238,13 @@ class TestValueHeads:
         )
         v = m.value(m.initial_state((0, 1)))
         assert 0.0 <= v <= 1.0
+
+    @pytest.mark.parametrize("scale, shift", [(np.nan, 0.0), (1.0, np.inf), (1.0, -np.inf)])
+    def test_non_finite_value_head_rejected(self, occupancy_a3, scale, shift):
+        model = affine_value_model(make_m0(value_metric=occupancy_a3), scale, shift)
+        cfg = SearchConfig(num_simulations=2, num_sparse_actions=2)
+        with pytest.raises(ContractViolation, match=r"value head returned .*prefix=\(\)"):
+            decode_mcts(model, [model.initial_state(())], cfg)
 
     def test_metricless_value_head_is_zero(self, m0):
         assert m0.value(m0.initial_state(())) == 0.0
