@@ -6,7 +6,8 @@ Subcommands:
   oracle  exact likelihood/metric argmax baselines per instance
   tree    run one search and export the tree as DOT
 
-Exit codes: 0 success, 1 configuration error, 2 I/O error.
+Exit codes: 0 success, 1 configuration error, 2 I/O error. Any other
+exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .harness import (
     ModelSpec,
     RunConfig,
     _build_model,
+    check_references,
     check_token_ids,
     emit_report,
     export_tree,
@@ -159,7 +161,10 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     names = [n.strip() for n in args.algorithms.split(",") if n.strip()]
-    budgets = tuple(int(b) for b in args.budgets.split(",") if b.strip())
+    try:
+        budgets = tuple(int(b) for b in args.budgets.split(",") if b.strip())
+    except ValueError as exc:
+        raise ConfigurationError(f"--budgets must be comma-separated integers: {exc}") from exc
     cfg = RunConfig(
         model=_model_spec(args),
         metric=_metric_spec(args),
@@ -177,12 +182,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     metric = _metric_spec(args).build()
     spec = _model_spec(args)
     check_token_ids(spec, dataset)
+    check_references(metric, dataset)
     rows = []
     for inst in sorted(dataset, key=lambda i: i.id):
-        if metric.privileged and inst.reference is None:
-            raise ConfigurationError(
-                f"instance {inst.id!r} lacks the reference required by {metric.name!r}"
-            )
         model = _build_model(spec, metric, inst)
         best_ll = exact_argmax_likelihood(model, inst.source)
         best_metric = exact_argmax_metric(model, inst.source, metric, inst.reference)
@@ -214,6 +216,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     spec = _model_spec(args)
     check_token_ids(spec, [instance])
     metric = _metric_spec(args).build()
+    check_references(metric, [instance])
     model = _build_model(spec, metric, instance)
     cfg = _algorithm_spec("mcts", args).search_config(args.simulations, model.vocab_size)
     if metric.privileged and cfg.value_source == "rollout":
@@ -235,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return commands[args.command](args)
-    except (ConfigurationError, ValueError) as exc:
+    except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -13,7 +13,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mdp import ContractViolation, DecodeState, Sequence, complete, step, terminal_reward
+from .mdp import (
+    ConfigurationError,
+    ContractViolation,
+    DecodeState,
+    Sequence,
+    complete,
+    step,
+    terminal_reward,
+)
 from .models import PolicyValueModel, apply_temperature, greedy_policy
 from .scoring import Metric
 
@@ -25,9 +33,9 @@ class BeamConfig:
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise ValueError("beam size must be >= 1")
+            raise ConfigurationError("beam size must be >= 1")
         if self.theta < 0:
-            raise ValueError("theta must be >= 0")
+            raise ConfigurationError("theta must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -37,9 +45,9 @@ class VgbsConfig:
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise ValueError("beam size must be >= 1")
+            raise ConfigurationError("beam size must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
+            raise ConfigurationError("alpha must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

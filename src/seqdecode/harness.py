@@ -205,7 +205,10 @@ def load_dataset(path: str | Path) -> list[Instance]:
     """Parse a line-delimited UTF-8 file of {"id", "source", "reference"?} objects."""
     instances: list[Instance] = []
     seen: set[str] = set()
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not a UTF-8 file: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -218,9 +221,11 @@ def load_dataset(path: str | Path) -> list[Instance]:
                 reference=_token_ids(reference) if reference is not None else None,
             )
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: malformed dataset line {lineno}: {exc}") from exc
+            raise ConfigurationError(f"{path}: malformed dataset line {lineno}: {exc}") from exc
         if instance.id in seen:
-            raise ValueError(f"{path}: duplicate instance id {instance.id!r} at line {lineno}")
+            raise ConfigurationError(
+                f"{path}: duplicate instance id {instance.id!r} at line {lineno}"
+            )
         seen.add(instance.id)
         instances.append(instance)
     return instances
@@ -314,7 +319,8 @@ def _decode_cell(
 
 
 def check_token_ids(spec: ModelSpec, dataset: list[Instance]) -> None:
-    """Reject source or reference ids outside the vocabulary of the models ``spec`` builds."""
+    """Reject source or reference ids outside the vocabulary of the models ``spec`` builds,
+    and sources with EOS (the last id) before their final token."""
     vocab_size = spec.effective_vocab_size
     for inst in dataset:
         for name, tokens in (("source", inst.source), ("reference", inst.reference or ())):
@@ -324,6 +330,20 @@ def check_token_ids(spec: ModelSpec, dataset: list[Instance]) -> None:
                         f"instance {inst.id!r}: {name} token id {t} is outside the "
                         f"vocabulary of size {vocab_size}"
                     )
+        if vocab_size - 1 in inst.source[:-1]:
+            raise ConfigurationError(
+                f"instance {inst.id!r}: EOS (id {vocab_size - 1}) may only end the source"
+            )
+
+
+def check_references(metric: Metric, dataset: list[Instance]) -> None:
+    """Reject instances without the reference a privileged metric needs."""
+    if metric.privileged:
+        for inst in dataset:
+            if inst.reference is None:
+                raise ConfigurationError(
+                    f"instance {inst.id!r} lacks the reference required by {metric.name!r}"
+                )
 
 
 def validate_run_config(cfg: RunConfig, dataset: list[Instance]) -> None:
@@ -336,12 +356,7 @@ def validate_run_config(cfg: RunConfig, dataset: list[Instance]) -> None:
                 f"algorithm {algo.name!r} consults the score at decode time and "
                 f"cannot be used with the privileged metric {metric.name!r}"
             )
-    if metric.privileged:
-        for inst in dataset:
-            if inst.reference is None:
-                raise ConfigurationError(
-                    f"instance {inst.id!r} lacks the reference required by {metric.name!r}"
-                )
+    check_references(metric, dataset)
     vocab_size = cfg.model.effective_vocab_size
     for budget in cfg.budgets:
         if budget < 1:

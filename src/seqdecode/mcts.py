@@ -18,6 +18,8 @@ under the square root, and rescales exploitation values into [0, 1] via the
 online min/max of all values seen in the tree. Unvisited children are
 detected by a zero visit count and pinned to the rescaled minimum, which
 keeps every decision invariant under affine maps of the value function.
+No statistic changes during a descent, so a simulation scores every node
+once (:meth:`ArenaSearch.uct_scores`) and each level is a lookup in that table.
 
 :class:`RecursiveSearch` is a deliberately plain tree-of-records twin used
 for differential testing of the arena arithmetic.
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import ContractViolation, DecodeState, Sequence, complete, step
+from .mdp import ConfigurationError, ContractViolation, DecodeState, Sequence, complete, step
 from .models import ModelState, PolicyValueModel, apply_temperature, rollout_value
 from .scoring import Metric
 
@@ -51,19 +53,19 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         if self.num_simulations < 0:
-            raise ValueError("num_simulations must be >= 0")
+            raise ConfigurationError("num_simulations must be >= 0")
         if self.num_sparse_actions < 1:
-            raise ValueError("num_sparse_actions must be >= 1")
+            raise ConfigurationError("num_sparse_actions must be >= 1")
         if self.c_puct <= 0:
-            raise ValueError("c_puct must be > 0")
+            raise ConfigurationError("c_puct must be > 0")
         if self.tau <= 0:
-            raise ValueError("tau must be > 0")
+            raise ConfigurationError("tau must be > 0")
         if self.backup not in BACKUP_RULES:
-            raise ValueError(f"backup must be one of {BACKUP_RULES}")
+            raise ConfigurationError(f"backup must be one of {BACKUP_RULES}")
         if self.root_selection not in ROOT_SELECTIONS:
-            raise ValueError(f"root_selection must be one of {ROOT_SELECTIONS}")
+            raise ConfigurationError(f"root_selection must be one of {ROOT_SELECTIONS}")
         if self.value_source not in VALUE_SOURCES:
-            raise ValueError(f"value_source must be one of {VALUE_SOURCES}")
+            raise ConfigurationError(f"value_source must be one of {VALUE_SOURCES}")
 
 
 @dataclass
@@ -181,37 +183,50 @@ class ArenaSearch:
 
     # -------------------------------------------------------------- internals
 
-    def uct_select_action(self, node_indices: np.ndarray) -> np.ndarray:
-        """Per element, the sparse action maximizing value score + policy score."""
-        prior = self.children_prior[self._batch_range, node_indices, :]
-        child_values = self.children_values[self._batch_range, node_indices, :]
-        child_visits = self.children_visits[self._batch_range, node_indices, :]
-        node_visits = self.visit_counts[self._batch_range, node_indices]
-
+    def uct_scores(self, m: int | None = None) -> np.ndarray:
+        """Value score + policy score of every sparse action of the first ``m`` nodes, (B, m, A)."""
+        child_visits = self.children_visits[:, :m]
         policy_score = (
-            np.sqrt(node_visits)[:, None] * self.cfg.c_puct * prior / (child_visits + 1)
+            np.sqrt(self.visit_counts[:, :m])[..., None]
+            * self.cfg.c_puct
+            * self.children_prior[:, :m]
+            / (child_visits + 1)
         )
-        span = (self.adaptive_max - self.adaptive_min)[:, None]
+        span = (self.adaptive_max - self.adaptive_min)[:, None, None]
         # Unvisited children sit at the rescaled minimum; their stored value
         # (zero-filled) must never leak into the score.
         value_score = np.where(
             child_visits > 0,
-            (child_values - self.adaptive_min[:, None]) / span,
+            (self.children_values[:, :m] - self.adaptive_min[:, None, None]) / span,
             0.0,
         )
-        return np.argmax(value_score + policy_score, axis=1)
+        return value_score + policy_score
+
+    def uct_select_action(
+        self, node_indices: np.ndarray, scores: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Per element, the sparse action maximizing value score + policy score.
+
+        ``scores`` is a :meth:`uct_scores` table; without one, the scores are computed
+        from the current statistics.
+        """
+        if scores is None:
+            scores = self.uct_scores()
+        return np.argmax(scores[self._batch_range, node_indices], axis=1)
 
     def simulate(self) -> tuple[np.ndarray, np.ndarray]:
         """Descend in lockstep until every element sits on an unexplored edge.
 
         Returns the ``(D, B)`` path, root first, and the actions chosen at ``path[-1]``. Each
         row moves an element to a new node or, once it has stopped, repeats its last node
-        (padding), so ``D`` is at most the node count.
+        (padding), so ``D`` is at most the node count. No statistic changes during a descent,
+        so the UCT table is computed once and each level is a gather and an argmax.
         """
+        scores = self.uct_scores(self.allocated_nodes())
         path = np.zeros((self.allocated_nodes(), self.batch_size), dtype=np.int64)
         node_indices, depth = path[0], 0
         while True:
-            actions = self.uct_select_action(node_indices)
+            actions = self.uct_select_action(node_indices, scores)
             next_nodes = self.children_index[self._batch_range, node_indices, actions]
             is_unexplored = next_nodes == -1
             if is_unexplored.all():

@@ -28,7 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import ContractViolation, DecodeState, Sequence, clamp01, complete, step, terminal_reward
+from .mdp import (
+    ConfigurationError,
+    ContractViolation,
+    DecodeState,
+    Sequence,
+    clamp01,
+    complete,
+    step,
+    terminal_reward,
+)
 from .scoring import Metric
 
 
@@ -77,7 +86,7 @@ def apply_temperature(prior: np.ndarray, tau: float) -> np.ndarray:
     the greedy limit should take an argmax instead of passing tau -> 0.
     """
     if tau <= 0:
-        raise ValueError("temperature must be > 0")
+        raise ConfigurationError("temperature must be > 0")
     p = np.asarray(prior, dtype=float)
     if p.ndim not in (1, 2) or p.size == 0:
         raise ValueError("prior must be a non-empty vector or batch of vectors")
@@ -110,9 +119,9 @@ class PolicyValueModel:
         ledger: BudgetLedger | None = None,
     ):
         if vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2 (one content token plus EOS)")
+            raise ConfigurationError("vocab_size must be >= 2 (one content token plus EOS)")
         if max_len < 1:
-            raise ValueError("max_len must be >= 1")
+            raise ConfigurationError("max_len must be >= 1")
         self.vocab_size = vocab_size
         self.max_len = max_len  # content horizon, excludes the closing EOS
         self.eos_id = vocab_size - 1
@@ -217,7 +226,7 @@ class SeededTabularModel(PolicyValueModel):
     ):
         super().__init__(vocab_size, max_len, value_metric, reference)
         if context_order < 0:
-            raise ValueError("context_order must be >= 0")
+            raise ConfigurationError("context_order must be >= 0")
         self.seed = seed
         self.context_order = context_order
         self._priors: dict[Sequence, np.ndarray] = {}
@@ -283,7 +292,7 @@ class NoisyValueModel(TransformedValueModel):
 
     def __init__(self, inner: PolicyValueModel, amplitude: float, seed: int = 0):
         if amplitude < 0:
-            raise ValueError("amplitude must be >= 0")
+            raise ConfigurationError("amplitude must be >= 0")
 
         def perturb(value: float, state: DecodeState) -> float:
             payload = repr((seed, state.source, state.prefix)).encode()

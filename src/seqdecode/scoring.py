@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mdp import Sequence, clamp01
+from .mdp import ConfigurationError, Sequence, clamp01
 
 ScoreFn = Callable[[Sequence, Sequence], float]
 
@@ -54,7 +54,7 @@ def bleu(
     which is why callers should prefer corpus-level over per-sentence use.
     """
     if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+        raise ConfigurationError("max_n must be >= 1")
     if len(candidates) != len(references):
         raise ValueError("candidate and reference corpora differ in length")
     if not candidates:
@@ -98,7 +98,7 @@ class SeededUnitEmbeddings:
 
     def __init__(self, dim: int = 8, seed: int = 0):
         if dim < 1:
-            raise ValueError("dim must be positive")
+            raise ConfigurationError("dim must be positive")
         self.dim = dim
         self.seed = seed
         self._cache: dict[int, np.ndarray] = {}
@@ -178,7 +178,7 @@ def multilingual_bert_style_metric(embedder, name: str = "mlbertscore") -> Metri
 def toy_occupancy(candidate: Sequence, target: int, horizon: int) -> float:
     """Fraction of the horizon filled with the target token."""
     if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+        raise ConfigurationError("horizon must be >= 1")
     return clamp01(sum(1 for t in candidate if t == target) / horizon)
 
 
@@ -194,7 +194,7 @@ def toy_coverage(candidate: Sequence, source: Sequence) -> float:
     """Fraction of the source's distinct tokens appearing in the candidate."""
     source_set = set(source)
     if not source_set:
-        raise ValueError("source must be non-empty")
+        raise ConfigurationError("source must be non-empty")
     return clamp01(len(source_set & set(candidate)) / len(source_set))
 
 

@@ -120,6 +120,78 @@ class TestExitCodes:
         assert code == 1
         assert built == []
 
+    def test_missing_reference_fails_before_any_enumeration(self, tmp_path, monkeypatch, capsys):
+        import seqdecode.cli as cli
+
+        calls = []
+        original = cli.exact_argmax_metric
+        monkeypatch.setattr(
+            cli, "exact_argmax_metric", lambda *args: calls.append(args) or original(*args)
+        )
+        path = tmp_path / "refs.jsonl"
+        save_dataset([Instance("a", (0, 1), reference=(0, 1)), Instance("b", (1, 0))], path)
+        code = run("oracle", "--dataset", path, "--metric", "bleu", "--out", tmp_path / "x")
+        assert code == 1
+        assert "'b'" in capsys.readouterr().err
+        assert calls == []
+
+    def test_tree_missing_reference_fails_before_any_model(self, tmp_path, monkeypatch, capsys):
+        import seqdecode.cli as cli
+
+        built = []
+        monkeypatch.setattr(cli, "_build_model", lambda *args: built.append(args))
+        path = tmp_path / "refs.jsonl"
+        save_dataset([Instance("b", (1, 0))], path)
+        code = run("tree", "--dataset", path, "--metric", "bleu", "--out", tmp_path / "x.dot")
+        assert code == 1
+        assert "'b'" in capsys.readouterr().err
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "lines, flags",
+        [
+            (['{"id": "a", "source": [0]}'], ("--algorithm", "mcts", "--c-puct", 0)),
+            (['{"id": "a", "source": [0]}', "not json"], ("--algorithm", "greedy")),
+            (['{"id": "a", "source": [0]}'] * 2, ("--algorithm", "greedy")),
+            (['{"id": "a", "source": [2, 0]}'], ("--algorithm", "greedy")),
+            (['{"id": "a", "source": [0]}'], ("--algorithm", "beam", "--theta", -1)),
+            (['{"id": "a", "source": [0]}'], ("--algorithm", "greedy", "--max-len", 0)),
+        ],
+    )
+    def test_user_input_errors_are_one(self, tmp_path, capsys, lines, flags):
+        path = tmp_path / "data.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run("decode", "--dataset", path, *flags, "--out", tmp_path / "x.json")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
+    def test_bad_budgets_and_encoding_are_one(self, dataset_path, tmp_path):
+        code = run(
+            "sweep", "--dataset", dataset_path, "--algorithms", "greedy", "--budgets", "1,x",
+            "--out", tmp_path / "x.json",
+        )
+        assert code == 1
+        latin = tmp_path / "latin.jsonl"
+        latin.write_bytes(b'{"id": "\xe9", "source": [0]}\n')
+        code = run("decode", "--dataset", latin, "--algorithm", "greedy", "--out", tmp_path / "y")
+        assert code == 1
+
+    def test_internal_value_error_is_not_a_configuration_error(
+        self, dataset_path, tmp_path, monkeypatch, capsys
+    ):
+        import seqdecode.harness as harness
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(harness, "greedy_decode", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            run(
+                "decode", "--dataset", dataset_path, "--algorithm", "greedy",
+                "--out", tmp_path / "x",
+            )
+        assert "configuration error" not in capsys.readouterr().err
+
     def test_io_error_is_two(self, tmp_path):
         code = run(
             "decode", "--dataset", tmp_path / "missing.jsonl", "--algorithm", "greedy",

@@ -39,6 +39,48 @@ def node_depth(arena, b, node):
     return depth
 
 
+def per_row_scores(arena, node_indices):
+    """UCT scores of one node per element, computed row by row from the arena's statistics
+    (the formula ``uct_select_action`` evaluated at every level before the score table)."""
+    rows = np.arange(arena.batch_size)
+    prior = arena.children_prior[rows, node_indices, :]
+    child_values = arena.children_values[rows, node_indices, :]
+    child_visits = arena.children_visits[rows, node_indices, :]
+    node_visits = arena.visit_counts[rows, node_indices]
+    policy_score = np.sqrt(node_visits)[:, None] * arena.cfg.c_puct * prior / (child_visits + 1)
+    span = (arena.adaptive_max - arena.adaptive_min)[:, None]
+    value_score = np.where(
+        child_visits > 0, (child_values - arena.adaptive_min[:, None]) / span, 0.0
+    )
+    return value_score + policy_score
+
+
+def level_by_level_descent(arena):
+    """Reference descent: rescore the current node of every element at each level."""
+    rows = np.arange(arena.batch_size)
+    nodes = np.zeros(arena.batch_size, dtype=np.int64)
+    path = [nodes]
+    while True:
+        actions = np.argmax(per_row_scores(arena, nodes), axis=1)
+        next_nodes = arena.children_index[rows, nodes, actions]
+        if (next_nodes == -1).all():
+            return np.array(path), actions
+        nodes = np.where(next_nodes == -1, nodes, next_nodes)
+        path.append(nodes)
+
+
+def random_statistics(rng, arena):
+    """Hand-fill an arena's statistics: tie-prone priors and values drawn from a few random
+    floats, many zero visit counts, and stale values behind them."""
+    shape, b = arena.children_prior.shape, arena.batch_size
+    arena.children_prior[:] = rng.choice(np.append(rng.random(3), 0.25), size=shape)
+    arena.children_visits[:] = rng.choice([0, 0, 1, 2, 5], size=shape)
+    arena.children_values[:] = rng.choice(np.append(rng.normal(size=4), 99.0), size=shape)
+    arena.visit_counts[:] = rng.integers(1, 8, size=arena.visit_counts.shape)
+    arena.adaptive_min[:] = rng.normal(size=b)
+    arena.adaptive_max[:] = arena.adaptive_min + rng.choice([1e-6, rng.random(), 3.0], size=b)
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -116,6 +158,34 @@ class TestUctSelection:
         arena.visit_counts[0, 0] = 1
         arena.adaptive_min[0], arena.adaptive_max[0] = 0.0, 1.0
         assert arena.uct_select_action(np.array([0]))[0] == 0
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("num_sparse", [1, 3])
+    def test_score_table_matches_per_row_formula(self, batch, num_sparse):
+        # Every entry of the table is bit-identical to the per-row formula, and so is every
+        # choice, with or without a table, however the arena was filled.
+        model = SeededTabularModel(0, vocab_size=4, max_len=3)
+        rng = np.random.default_rng(batch * 10 + num_sparse)
+        for trial in range(40):
+            arena = fresh_arena(
+                model,
+                batch=batch,
+                num_simulations=int(rng.integers(0, 6)),
+                num_sparse_actions=num_sparse,
+                c_puct=float(rng.choice([0.5, 1.0, 3.0])),
+            )
+            random_statistics(rng, arena)
+            num_nodes = arena.visit_counts.shape[1]
+            m = int(rng.integers(1, num_nodes + 1))
+            table = arena.uct_scores(m)
+            assert table.shape == (batch, m, num_sparse)
+            for node in range(m):
+                nodes = np.full(batch, node)
+                assert np.array_equal(table[:, node], per_row_scores(arena, nodes)), trial
+            nodes = rng.integers(0, m, size=batch)
+            expected = np.argmax(per_row_scores(arena, nodes), axis=1)
+            assert np.array_equal(arena.uct_select_action(nodes, table), expected), trial
+            assert np.array_equal(arena.uct_select_action(nodes), expected), trial
 
 
 class TestExpandAndBackward:
@@ -212,6 +282,36 @@ class TestSimulate:
         arena.run([model.initial_state(())])
         depths = [node_depth(arena, 0, i) for i in range(arena.allocated_nodes())]
         assert max(depths) >= 2
+
+    @pytest.mark.parametrize("backup", BACKUP_RULES)
+    @pytest.mark.parametrize("value_source", VALUE_SOURCES)
+    def test_matches_level_by_level_descent(self, backup, value_source):
+        # The table is scored once per descent; the path and actions must equal a descent
+        # that rescores each level, after any number of simulations.
+        metric = coverage_metric()
+        rng = np.random.default_rng(len(backup) + len(value_source))
+        for seed in range(4):
+            model = SeededTabularModel(seed, 5, 3, context_order=1, value_metric=metric)
+            cfg = SearchConfig(
+                num_simulations=int(rng.integers(1, 20)),
+                num_sparse_actions=int(rng.integers(1, 4)),
+                c_puct=float(rng.choice([0.5, 1.0, 2.0])),
+                backup=backup,
+                value_source=value_source,
+            )
+            roots = [
+                model.initial_state((0, 1)),
+                step(model.initial_state((2,)), 1),
+                model.initial_state((3,)),
+            ]
+            arena = ArenaSearch(model, len(roots), cfg, metric=metric)
+            arena.begin(roots)
+            for sim in range(int(rng.integers(0, cfg.num_simulations)) + 1):
+                path, actions = arena.simulate()
+                ref_path, ref_actions = level_by_level_descent(arena)
+                assert np.array_equal(path, ref_path), (seed, sim)
+                assert np.array_equal(actions, ref_actions), (seed, sim)
+                arena.step_simulation()
 
 
 class TestSearchInvariants:
@@ -530,3 +630,50 @@ class TestDecodeMcts:
         for c in out:
             assert c.state.terminal
             assert c.sequence[-1] == EOS or len(c.sequence) == short.max_len + 1
+
+
+def rollout_closed_form(arena, horizon):
+    """Evaluations an arena charges in rollout mode when every greedy completion runs to the
+    cap: one per node, plus ``horizon + 1 - len(prefix)`` greedy steps per live node."""
+    return sum(
+        1 + (0 if ms.state.terminal else horizon + 1 - len(ms.state.prefix))
+        for handles in arena.node_states
+        for ms in handles
+    )
+
+
+class TestRolloutLedger:
+    # m0's argmax is a content token, so every greedy completion runs to the horizon.
+    def test_arena_run_matches_closed_form(self, occupancy_a3):
+        for sims, num_sparse, backup in ((0, 3, "average"), (5, 2, "max"), (16, 3, "average")):
+            model = make_m0(value_metric=occupancy_a3)
+            cfg = SearchConfig(
+                num_simulations=sims,
+                num_sparse_actions=num_sparse,
+                backup=backup,
+                value_source="rollout",
+            )
+            arena = ArenaSearch(model, 2, cfg, metric=occupancy_a3)
+            arena.run([model.initial_state(()), step(model.initial_state(()), B)])
+            assert arena.allocated_nodes() == sims + 1
+            expected = rollout_closed_form(arena, model.max_len)
+            assert model.ledger.evaluations == expected, (sims, num_sparse, backup)
+
+    def test_decode_mcts_sums_the_closed_form_over_positions(self, occupancy_a3, monkeypatch):
+        import seqdecode.mcts as mcts_module
+
+        arenas = []
+
+        class RecordingArena(ArenaSearch):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                arenas.append(self)
+
+        monkeypatch.setattr(mcts_module, "ArenaSearch", RecordingArena)
+        model = make_m0(value_metric=occupancy_a3)
+        cfg = SearchConfig(num_simulations=6, num_sparse_actions=3, value_source="rollout")
+        states = [model.initial_state(()), model.initial_state((A,))]
+        decode_mcts(model, states, cfg, metric=occupancy_a3)
+        assert len(arenas) >= 2
+        expected = sum(rollout_closed_form(arena, model.max_len) for arena in arenas)
+        assert model.ledger.evaluations == expected
