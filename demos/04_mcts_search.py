@@ -35,7 +35,7 @@ def main() -> None:
     cfg = SearchConfig(num_simulations=8, num_sparse_actions=3, c_puct=1.0,
                        backup="max", root_selection="max_value", value_source="rollout")
     model = fresh_model()
-    arena = ArenaSearch(model, batch_size=1, cfg=cfg, metric=METRIC, references=[None])
+    arena = ArenaSearch(model, batch_size=1, cfg=cfg, metric=METRIC)
     result = arena.run([model.initial_state(())])
 
     print("after 8 simulations:")

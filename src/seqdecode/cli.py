@@ -185,7 +185,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     check_references(metric, dataset)
     rows = []
     for inst in sorted(dataset, key=lambda i: i.id):
-        model = _build_model(spec, metric, inst)
+        model = _build_model(spec, metric)
         best_ll = exact_argmax_likelihood(model, inst.source)
         best_metric = exact_argmax_metric(model, inst.source, metric, inst.reference)
         rows.append(
@@ -217,12 +217,13 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     check_token_ids(spec, [instance])
     metric = _metric_spec(args).build()
     check_references(metric, [instance])
-    model = _build_model(spec, metric, instance)
-    cfg = _algorithm_spec("mcts", args).search_config(args.simulations, model.vocab_size)
-    if metric.privileged and cfg.value_source == "rollout":
+    model = _build_model(spec, metric)
+    algo = _algorithm_spec("mcts", args)
+    cfg = algo.search_config(args.simulations, model.vocab_size)
+    if metric.privileged and algo.uses_score_directly():
         raise ConfigurationError("rollout value source cannot be used with a privileged metric")
-    arena = ArenaSearch(model, 1, cfg, metric=metric, references=[instance.reference])
-    arena.run([model.initial_state(instance.source)])
+    arena = ArenaSearch(model, 1, cfg, metric=metric)
+    arena.run([model.initial_state(instance.source, instance.reference)])
     export_tree(arena, args.out)
     return 0
 

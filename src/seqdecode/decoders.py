@@ -268,13 +268,9 @@ def _pick(candidates: list[Candidate], keys: list[float]) -> tuple[int, Candidat
     return best, candidates[best]
 
 
-def rerank_by_score(
-    candidates: list[Candidate],
-    metric: Metric,
-    reference: Sequence | None = None,
-) -> Candidate:
+def rerank_by_score(candidates: list[Candidate], metric: Metric) -> Candidate:
     """Return the candidate whose final state has the best ``terminal_reward``."""
-    keys = [terminal_reward(s, metric, reference) for s in _final_states(candidates)]
+    keys = [terminal_reward(s, metric) for s in _final_states(candidates)]
     i, winner = _pick(candidates, keys)
     return replace(winner, score=keys[i])
 

@@ -3,7 +3,9 @@
 A run decodes every dataset instance under every (algorithm, budget) cell
 with a fresh model and ledger per cell, deriving all randomness from a stable
 hash of (global seed, instance id, algorithm, budget) so reports are
-byte-identical across repeats.
+byte-identical across repeats. Every cell's decoder config is built, and so
+checked, before the first decode. Models are built from the run config alone;
+an instance's reference enters through the root state of its cells.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .models import (
     FixedPriorModel,
     NoisyValueModel,
     PolicyValueModel,
-    make_seeded_model,
+    SeededTabularModel,
     model_value_fn,
     rollout_value_fn,
 )
@@ -46,6 +48,9 @@ from .scoring import (
 
 ALGORITHMS = ("greedy", "beam", "vgbs", "sample_rerank", "sample_rerank_value", "mcts")
 METRICS = ("occupancy", "coverage", "bleu", "bertscore", "mlbertscore")
+
+# What one (algorithm, budget) cell hands its decoder; greedy and sampling need none.
+CellConfig = BeamConfig | VgbsConfig | SearchConfig | None
 
 
 @dataclass(frozen=True)
@@ -136,6 +141,23 @@ class AlgorithmSpec:
             root_selection=self.root_selection,
             value_source=self.value_source,
         )
+
+    def cell_config(self, budget: int, vocab_size: int) -> CellConfig:
+        """The decoder config for one budget; building it runs every check the cell needs."""
+        if self.name == "beam":
+            return BeamConfig(k=budget, theta=self.theta)
+        if self.name == "vgbs":
+            k = vgbs_width_for_budget(budget)
+            if k > vocab_size:
+                raise ConfigurationError(
+                    f"budget {budget} implies beam width {k} > vocabulary size {vocab_size}"
+                )
+            return VgbsConfig(k=k, alpha=self.alpha)
+        if self.name == "mcts":
+            return self.search_config(budget, vocab_size)
+        if self.name in ("sample_rerank", "sample_rerank_value") and self.tau <= 0:
+            raise ConfigurationError("temperature must be > 0")
+        return None
 
 
 @dataclass(frozen=True)
@@ -265,56 +287,49 @@ def vgbs_width_for_budget(budget: int) -> int:
     return k
 
 
-def _build_model(spec: ModelSpec, metric: Metric, instance: Instance) -> PolicyValueModel:
+def _build_model(spec: ModelSpec, metric: Metric) -> PolicyValueModel:
+    """A fresh provider with its own ledger; any nonzero ``value_noise`` wraps it."""
     if spec.prior is not None:
-        model: PolicyValueModel = FixedPriorModel(
-            spec.prior, spec.max_len, value_metric=metric, reference=instance.reference
+        model: PolicyValueModel = FixedPriorModel(spec.prior, spec.max_len, value_metric=metric)
+    else:
+        model = SeededTabularModel(
+            spec.seed, spec.vocab_size, spec.max_len, spec.context_order, metric
         )
-        if spec.value_noise > 0.0:
-            model = NoisyValueModel(model, spec.value_noise, spec.seed)
-        return model
-    return make_seeded_model(
-        seed=spec.seed,
-        vocab_size=spec.vocab_size,
-        max_len=spec.max_len,
-        context_order=spec.context_order,
-        value_metric=metric,
-        reference=instance.reference,
-        value_noise=spec.value_noise,
-    )
+    if spec.value_noise != 0.0:
+        model = NoisyValueModel(model, spec.value_noise, spec.seed)
+    return model
 
 
 def _decode_cell(
     model: PolicyValueModel,
     algo: AlgorithmSpec,
     budget: int,
+    cell_cfg: CellConfig,
     instance: Instance,
     metric: Metric,
     cell_seed: int,
 ) -> Candidate:
-    state = model.initial_state(instance.source)
+    state = model.initial_state(instance.source, instance.reference)
     if algo.name == "greedy":
         return greedy_decode(model, state)
     if algo.name == "beam":
-        return beam_search(model, state, BeamConfig(k=budget, theta=algo.theta))
+        return beam_search(model, state, cell_cfg)
     if algo.name == "vgbs":
         if algo.value_source == "rollout":
-            value_fn = rollout_value_fn(model, metric, instance.reference)
+            value_fn = rollout_value_fn(model, metric)
         else:
             value_fn = model_value_fn(model)
-        cfg = VgbsConfig(k=vgbs_width_for_budget(budget), alpha=algo.alpha)
-        return value_guided_beam_search(model, value_fn, state, cfg)
+        return value_guided_beam_search(model, value_fn, state, cell_cfg)
     if algo.name in ("sample_rerank", "sample_rerank_value"):
         pool = sample_sequences(model, state, n=budget, tau=algo.tau, seed=cell_seed)
         if algo.name == "sample_rerank":
-            winner = rerank_by_score(pool, metric, instance.reference)
+            winner = rerank_by_score(pool, metric)
         else:
             winner = rerank_by_value(pool, model_value_fn(model))
         model.ledger.charge_tokens(len(winner.sequence))
         return winner
     if algo.name == "mcts":
-        cfg = algo.search_config(budget, model.vocab_size)
-        return decode_mcts(model, [state], cfg, metric=metric, references=[instance.reference])[0]
+        return decode_mcts(model, [state], cell_cfg, metric=metric)[0]
     raise ConfigurationError(f"unknown algorithm {algo.name!r}")
 
 
@@ -346,8 +361,13 @@ def check_references(metric: Metric, dataset: list[Instance]) -> None:
                 )
 
 
-def validate_run_config(cfg: RunConfig, dataset: list[Instance]) -> None:
-    """Every check a run needs, made before anything is decoded."""
+def validate_run_config(
+    cfg: RunConfig, dataset: list[Instance]
+) -> list[tuple[AlgorithmSpec, int, CellConfig]]:
+    """Every check a run needs, made before anything is decoded.
+
+    Returns each (algorithm, budget) cell with its decoder config, algorithm-major.
+    """
     check_token_ids(cfg.model, dataset)
     metric = cfg.metric.build()
     for algo in cfg.algorithms:
@@ -357,54 +377,50 @@ def validate_run_config(cfg: RunConfig, dataset: list[Instance]) -> None:
                 f"cannot be used with the privileged metric {metric.name!r}"
             )
     check_references(metric, dataset)
+    if any(budget < 1 for budget in cfg.budgets):
+        raise ConfigurationError("budgets must be >= 1")
     vocab_size = cfg.model.effective_vocab_size
-    for budget in cfg.budgets:
-        if budget < 1:
-            raise ConfigurationError("budgets must be >= 1")
-        k = vgbs_width_for_budget(budget)
-        if k > vocab_size and any(algo.name == "vgbs" for algo in cfg.algorithms):
-            raise ConfigurationError(
-                f"budget {budget} implies beam width {k} > vocabulary size {vocab_size}"
-            )
+    return [
+        (algo, budget, algo.cell_config(budget, vocab_size))
+        for algo in cfg.algorithms
+        for budget in cfg.budgets
+    ]
 
 
 def run_experiment(cfg: RunConfig, dataset: list[Instance]) -> Report:
     """Decode every instance under every (algorithm, budget) cell."""
-    validate_run_config(cfg, dataset)
+    cell_configs = validate_run_config(cfg, dataset)
     metric = cfg.metric.build()
     report = Report()
 
     for instance in sorted(dataset, key=lambda i: i.id):
-        for algo in cfg.algorithms:
-            for budget in cfg.budgets:
-                cell_seed = stable_cell_seed(cfg.seed, instance.id, algo.name, budget)
-                model = _build_model(cfg.model, metric, instance)
-                candidate = _decode_cell(model, algo, budget, instance, metric, cell_seed)
-                score = terminal_reward(candidate.state, metric, instance.reference)
-                evaluations, tokens = model.ledger.snapshot()
-                report.cells.append(
-                    CellResult(
-                        instance_id=instance.id,
-                        algorithm=algo.name,
-                        budget=budget,
-                        sequence=candidate.sequence,
-                        score=score,
-                        log_likelihood=candidate.log_likelihood,
-                        evaluations=evaluations,
-                        tokens=tokens,
-                    )
+        for algo, budget, cell_cfg in cell_configs:
+            cell_seed = stable_cell_seed(cfg.seed, instance.id, algo.name, budget)
+            model = _build_model(cfg.model, metric)
+            candidate = _decode_cell(model, algo, budget, cell_cfg, instance, metric, cell_seed)
+            evaluations, tokens = model.ledger.snapshot()
+            report.cells.append(
+                CellResult(
+                    instance_id=instance.id,
+                    algorithm=algo.name,
+                    budget=budget,
+                    sequence=candidate.sequence,
+                    score=terminal_reward(candidate.state, metric),
+                    log_likelihood=candidate.log_likelihood,
+                    evaluations=evaluations,
+                    tokens=tokens,
                 )
+            )
 
-    for algo in cfg.algorithms:
-        for budget in cfg.budgets:
-            cells = [c for c in report.cells if c.algorithm == algo.name and c.budget == budget]
-            if not cells:
-                continue
-            report.aggregates[(algo.name, budget)] = {
-                "mean_score": sum(c.score for c in cells) / len(cells),
-                "mean_evaluations_per_token": sum(c.evaluations / c.tokens for c in cells)
-                / len(cells),
-            }
+    for algo, budget, _ in cell_configs:
+        cells = [c for c in report.cells if c.algorithm == algo.name and c.budget == budget]
+        if not cells:
+            continue
+        report.aggregates[(algo.name, budget)] = {
+            "mean_score": sum(c.score for c in cells) / len(cells),
+            "mean_evaluations_per_token": sum(c.evaluations / c.tokens for c in cells)
+            / len(cells),
+        }
     return report
 
 

@@ -10,8 +10,10 @@ is stepped once, by the provider, and the node count is the list's length.
 A simulation records its descent as a ``(depth, batch)`` path; an element that
 stops early repeats its last node, and the backup masks those padding rows.
 An arena runs one search; build a fresh one for the next. Rollout values
-are batched greedy completions (:func:`.models.rollout_value`), and
-:func:`decode_mcts` is one arena per round as an :func:`.mdp.complete` policy.
+are batched greedy completions (:func:`.models.rollout_value`), each scored
+against its root state's own reference, so a search holds no per-element
+data beyond its root states; :func:`decode_mcts` is one arena per round as an
+:func:`.mdp.complete` policy.
 
 Selection uses the prior-weighted UCT rule with the node's own visit count
 under the square root, and rescales exploitation values into [0, 1] via the
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import ConfigurationError, ContractViolation, DecodeState, Sequence, complete, step
+from .mdp import ConfigurationError, ContractViolation, DecodeState, complete, step
 from .models import ModelState, PolicyValueModel, apply_temperature, rollout_value
 from .scoring import Metric
 
@@ -92,7 +94,6 @@ class ArenaSearch:
         batch_size: int,
         cfg: SearchConfig,
         metric: Metric | None = None,
-        references: list[Sequence | None] | None = None,
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -103,7 +104,6 @@ class ArenaSearch:
         self.model = model
         self.cfg = cfg
         self.metric = metric
-        self.references = references if references is not None else [None] * batch_size
 
         b, n, a = batch_size, cfg.num_simulations + 1, cfg.num_sparse_actions
         self.batch_size = b
@@ -143,7 +143,7 @@ class ArenaSearch:
 
         priors, values, handles = self.model.evaluate_root(root_states)
         if self.cfg.value_source == "rollout":
-            values = rollout_value(self.model, root_states, self.metric, self.references)
+            values = rollout_value(self.model, root_states, self.metric)
         self._root_priors = priors
         tempered = apply_temperature(priors, self.cfg.tau)
         self._tempered_root = tempered
@@ -247,9 +247,7 @@ class ArenaSearch:
             parent_states, dense_actions.tolist()
         )
         if self.cfg.value_source == "rollout":
-            values = rollout_value(
-                self.model, [ms.state for ms in child_states], self.metric, self.references
-            )
+            values = rollout_value(self.model, [ms.state for ms in child_states], self.metric)
 
         node = self._create_node(apply_temperature(priors, self.cfg.tau), values, child_states)
 
@@ -344,7 +342,6 @@ def decode_mcts(
     states: list[DecodeState],
     cfg: SearchConfig,
     metric: Metric | None = None,
-    references: list[Sequence | None] | None = None,
 ):
     """Decode a batch by running one search per output position.
 
@@ -358,10 +355,9 @@ def decode_mcts(
 
     if not states:
         raise ValueError("empty batch")
-    refs = references if references is not None else [None] * len(states)
 
-    def search(indices: list[int], live: list[DecodeState]):
-        arena = ArenaSearch(model, len(live), cfg, metric, [refs[i] for i in indices])
+    def search(_indices: list[int], live: list[DecodeState]):
+        arena = ArenaSearch(model, len(live), cfg, metric)
         result = arena.run(live)
         actions = select_root_action(
             result.dense_visit_counts,
@@ -405,13 +401,7 @@ class RecursiveSearch:
     implementations must agree exactly after every simulation.
     """
 
-    def __init__(
-        self,
-        model: PolicyValueModel,
-        cfg: SearchConfig,
-        metric: Metric | None = None,
-        reference: Sequence | None = None,
-    ):
+    def __init__(self, model: PolicyValueModel, cfg: SearchConfig, metric: Metric | None = None):
         if cfg.num_sparse_actions > model.vocab_size:
             raise ValueError("num_sparse_actions must not exceed the vocabulary size")
         if cfg.value_source == "rollout" and metric is None:
@@ -419,7 +409,6 @@ class RecursiveSearch:
         self.model = model
         self.cfg = cfg
         self.metric = metric
-        self.reference = reference
         self.nodes: list[_RefNode] = []
         self.adaptive_min = 0.0
         self.adaptive_max = 0.0
@@ -437,7 +426,7 @@ class RecursiveSearch:
         self._make_node(priors[0], value, model_states[0], root_state)
 
     def _rollout(self, state: DecodeState) -> float:
-        return float(rollout_value(self.model, [state], self.metric, [self.reference])[0])
+        return float(rollout_value(self.model, [state], self.metric)[0])
 
     def _make_node(
         self, prior: np.ndarray, value: float, model_state: object, decode_state: DecodeState

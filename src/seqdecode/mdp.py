@@ -1,9 +1,10 @@
 """Deterministic token-level decoding MDP.
 
-States are (source, output prefix) pairs over an integer vocabulary.
-Appending a token is the only action; a state is terminal once the prefix
-ends with the EOS token or hits the hard length cap. Reward exists only at
-terminal states and is delegated to a metric.
+States are (source, output prefix) pairs over an integer vocabulary, plus the
+instance's reference when it has one. Appending a token is the only action; a
+state is terminal once the prefix ends with the EOS token or hits the hard
+length cap. Reward exists only at terminal states and is delegated to a
+metric, which scores against the state's own reference or source.
 """
 
 from __future__ import annotations
@@ -48,12 +49,17 @@ class DecodeState:
 
     ``max_len`` caps ``len(prefix)`` *including* the closing EOS token, so a
     model with content horizon ``h`` produces states with ``max_len = h + 1``.
+    ``reference`` is the instance's reference (a tuple, or None), carried
+    unchanged by :func:`step`; only :func:`terminal_reward` scores against it.
+    Its ids are checked once where a dataset enters (``harness.check_token_ids``),
+    not on every step.
     """
 
     source: Sequence
     prefix: Sequence
     max_len: int
     eos_id: int
+    reference: Sequence | None = None
 
     def __post_init__(self) -> None:
         if self.max_len < 1:
@@ -107,14 +113,10 @@ def complete(
     return final, log_likelihoods
 
 
-def terminal_reward(
-    state: DecodeState,
-    metric: "Metric",
-    reference: Sequence | None = None,
-) -> float:
+def terminal_reward(state: DecodeState, metric: "Metric") -> float:
     """Score a finished output.
 
-    Reference-based (privileged) metrics compare against ``reference``;
+    Reference-based (privileged) metrics compare against ``state.reference``;
     source-only (unprivileged) metrics compare against ``state.source``.
     The closing EOS is excluded from the scored text, and the result is
     clamped to [0, 1].
@@ -122,9 +124,9 @@ def terminal_reward(
     if not state.terminal:
         raise ContractViolation("terminal_reward() called on a non-terminal state")
     if metric.privileged:
-        if reference is None:
+        if state.reference is None:
             raise ConfigurationError(f"metric {metric.name!r} requires a reference")
-        anchor = tuple(reference)
+        anchor = state.reference
     else:
         anchor = state.source
     return clamp01(metric(anchor, state.content))

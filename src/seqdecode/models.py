@@ -18,6 +18,11 @@ total:
 
 Charged greedy completion (rollouts, greedy decoding) is :func:`.mdp.complete`
 under :func:`greedy_policy`; the value head's own walk is uncharged forward pass.
+
+A model holds no per-instance data: an instance's reference enters decoding
+once, through :meth:`PolicyValueModel.initial_state`, and rides in every state
+stepped from it, so the value head and rollouts score each state against its
+own reference.
 """
 
 from __future__ import annotations
@@ -105,9 +110,10 @@ class PolicyValueModel:
     """Base provider: vocabulary bookkeeping, forced EOS, absorbing terminals.
 
     Subclasses supply ``_table_prior(state)``. The value head is the score of
-    a greedy completion under ``value_metric`` (0.0 when no metric is set);
-    it is part of the forward pass and costs nothing beyond the evaluation
-    that produced it.
+    a greedy completion under ``value_metric`` (0.0 when no metric is set),
+    against the state's own reference, and is cached per (source, reference,
+    prefix); it is part of the forward pass and costs nothing beyond the
+    evaluation that produced it.
     """
 
     def __init__(
@@ -115,7 +121,6 @@ class PolicyValueModel:
         vocab_size: int,
         max_len: int,
         value_metric: Metric | None = None,
-        reference: Sequence | None = None,
         ledger: BudgetLedger | None = None,
     ):
         if vocab_size < 2:
@@ -127,17 +132,20 @@ class PolicyValueModel:
         self.eos_id = vocab_size - 1
         self.ledger = ledger if ledger is not None else BudgetLedger()
         self._value_metric = value_metric
-        self._reference = tuple(reference) if reference is not None else None
-        self._value_cache: dict[tuple[Sequence, Sequence], float] = {}
+        self._value_cache: dict[tuple[Sequence, Sequence | None, Sequence], float] = {}
 
     # ----------------------------------------------------------- state access
 
-    def initial_state(self, source: Sequence = ()) -> DecodeState:
+    def initial_state(
+        self, source: Sequence = (), reference: Sequence | None = None
+    ) -> DecodeState:
+        """The empty-prefix state of one instance; the only way a reference enters decoding."""
         return DecodeState(
             source=tuple(source),
             prefix=(),
             max_len=self.max_len + 1,
             eos_id=self.eos_id,
+            reference=tuple(reference) if reference is not None else None,
         )
 
     def _table_prior(self, state: DecodeState) -> np.ndarray:
@@ -153,7 +161,7 @@ class PolicyValueModel:
 
     def value(self, state: DecodeState) -> float:
         """Value head output for one state (memoized; the head is deterministic)."""
-        key = (state.source, state.prefix)
+        key = (state.source, state.reference, state.prefix)
         cached = self._value_cache.get(key)
         if cached is None:
             cached = self._value(state)
@@ -169,7 +177,7 @@ class PolicyValueModel:
         s = state
         while not s.terminal:
             s = step(s, int(np.argmax(self.prior(s))))
-        return terminal_reward(s, self._value_metric, self._reference)
+        return terminal_reward(s, self._value_metric)
 
     # ------------------------------------------------------- batched interface
 
@@ -222,9 +230,8 @@ class SeededTabularModel(PolicyValueModel):
         max_len: int,
         context_order: int = 0,
         value_metric: Metric | None = None,
-        reference: Sequence | None = None,
     ):
-        super().__init__(vocab_size, max_len, value_metric, reference)
+        super().__init__(vocab_size, max_len, value_metric)
         if context_order < 0:
             raise ConfigurationError("context_order must be >= 0")
         self.seed = seed
@@ -245,18 +252,14 @@ class FixedPriorModel(PolicyValueModel):
     """Context-free model emitting the same prior at every non-forced state."""
 
     def __init__(
-        self,
-        prior: Sequence | np.ndarray,
-        max_len: int,
-        value_metric: Metric | None = None,
-        reference: Sequence | None = None,
+        self, prior: Sequence | np.ndarray, max_len: int, value_metric: Metric | None = None
     ):
         p = np.asarray(prior, dtype=float)
         if p.ndim != 1:
             raise ValueError("prior must be a vector")
         if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("prior must be a probability vector")
-        super().__init__(len(p), max_len, value_metric, reference)
+        super().__init__(len(p), max_len, value_metric)
         self._prior = p
 
     def _table_prior(self, state: DecodeState) -> np.ndarray:
@@ -270,13 +273,7 @@ class TransformedValueModel(PolicyValueModel):
     """
 
     def __init__(self, inner: PolicyValueModel, transform):
-        super().__init__(
-            inner.vocab_size,
-            inner.max_len,
-            value_metric=None,
-            reference=None,
-            ledger=inner.ledger,
-        )
+        super().__init__(inner.vocab_size, inner.max_len, value_metric=None, ledger=inner.ledger)
         self._inner = inner
         self._transform = transform
 
@@ -315,14 +312,13 @@ def make_seeded_model(
     max_len: int,
     context_order: int = 0,
     value_metric: Metric | None = None,
-    reference: Sequence | None = None,
     value_noise: float = 0.0,
 ) -> PolicyValueModel:
-    """Build a seeded tabular provider, optionally with a noisy value head."""
+    """Build a seeded tabular provider, with a noisy value head unless ``value_noise`` is 0."""
     model: PolicyValueModel = SeededTabularModel(
-        seed, vocab_size, max_len, context_order, value_metric, reference
+        seed, vocab_size, max_len, context_order, value_metric
     )
-    if value_noise > 0.0:
+    if value_noise != 0.0:
         model = NoisyValueModel(model, value_noise, seed)
     return model
 
@@ -340,22 +336,16 @@ def greedy_policy(model: PolicyValueModel):
     return policy
 
 
-def rollout_value(
-    model: PolicyValueModel,
-    states: list[DecodeState],
-    metric: Metric,
-    references: list[Sequence | None] | None = None,
-) -> np.ndarray:
+def rollout_value(model: PolicyValueModel, states: list[DecodeState], metric: Metric) -> np.ndarray:
     """Greedy-complete each prefix, in lockstep, and return its terminal reward.
 
     Unlike the value head, this is an explicit search-time procedure: every
     greedy step is a real model call and is charged to the ledger. A terminal
-    state is scored directly at zero cost. ``references[i]`` is the reference
-    of ``states[i]`` (all None when omitted).
+    state is scored directly at zero cost. Each state is scored against its
+    own reference.
     """
-    refs = references if references is not None else [None] * len(states)
     final, _ = complete(states, greedy_policy(model))
-    return np.array([terminal_reward(s, metric, r) for s, r in zip(final, refs)])
+    return np.array([terminal_reward(s, metric) for s in final])
 
 
 def model_value_fn(model: PolicyValueModel):
@@ -368,10 +358,10 @@ def model_value_fn(model: PolicyValueModel):
     return fn
 
 
-def rollout_value_fn(model: PolicyValueModel, metric: Metric, reference: Sequence | None = None):
+def rollout_value_fn(model: PolicyValueModel, metric: Metric):
     """Batch value oracle backed by greedy rollouts (charged per rollout step)."""
 
     def fn(states: list[DecodeState]) -> np.ndarray:
-        return rollout_value(model, list(states), metric, [reference] * len(states))
+        return rollout_value(model, list(states), metric)
 
     return fn

@@ -109,17 +109,18 @@ def exact_argmax_metric(
 ):
     """Metric argmax over every terminated sequence.
 
-    Ties prefer higher likelihood, then the lexicographically smaller token
-    sequence.
+    Each sequence is scored as a terminal state carrying ``reference``. Ties
+    prefer higher likelihood, then the lexicographically smaller token sequence.
     """
     from .decoders import Candidate
     from .mdp import terminal_reward
 
     best: Candidate | None = None
     best_key: tuple[float, float] | None = None
+    reference = tuple(reference) if reference is not None else None
     for prefix, log_likelihood in enumerate_sequences(model, source, max_len):
-        state = DecodeState(tuple(source), prefix, len(prefix), model.eos_id)
-        score = terminal_reward(state, metric, reference)
+        state = DecodeState(tuple(source), prefix, len(prefix), model.eos_id, reference)
+        score = terminal_reward(state, metric)
         key = (score, log_likelihood)
         if (
             best_key is None

@@ -17,8 +17,8 @@ M0_MAX_LEN = 3
 A, B, EOS = 0, 1, 2
 
 
-def make_m0(value_metric=None, reference=None, max_len: int = M0_MAX_LEN) -> FixedPriorModel:
-    return FixedPriorModel(M0_PRIOR, max_len, value_metric=value_metric, reference=reference)
+def make_m0(value_metric=None, max_len: int = M0_MAX_LEN) -> FixedPriorModel:
+    return FixedPriorModel(M0_PRIOR, max_len, value_metric=value_metric)
 
 
 @pytest.fixture

@@ -156,6 +156,7 @@ class TestExitCodes:
             (['{"id": "a", "source": [2, 0]}'], ("--algorithm", "greedy")),
             (['{"id": "a", "source": [0]}'], ("--algorithm", "beam", "--theta", -1)),
             (['{"id": "a", "source": [0]}'], ("--algorithm", "greedy", "--max-len", 0)),
+            (['{"id": "a", "source": [0]}'], ("--algorithm", "greedy", "--value-noise", -1)),
         ],
     )
     def test_user_input_errors_are_one(self, tmp_path, capsys, lines, flags):

@@ -198,6 +198,38 @@ class TestRunExperiment:
                 run_experiment(cfg, m0_dataset(2))
         assert built == []
 
+    @pytest.mark.parametrize(
+        "algorithms, option",
+        [
+            (("greedy", "beam", "mcts"), {"c_puct": 0.0}),
+            (("greedy", "vgbs"), {"alpha": 2.0}),
+            (("greedy", "sample_rerank"), {"tau": 0.0}),
+        ],
+    )
+    def test_cell_config_errors_raise_before_any_decode(self, monkeypatch, algorithms, option):
+        import seqdecode.harness as harness
+
+        built = []
+        real_build = harness._build_model
+        monkeypatch.setattr(
+            harness, "_build_model", lambda *args: built.append(args) or real_build(*args)
+        )
+        cfg = RunConfig(
+            model=M0_SPEC,
+            metric=OCC,
+            algorithms=tuple(AlgorithmSpec(name, **option) for name in algorithms),
+            budgets=(1, 2),
+        )
+        with pytest.raises(ConfigurationError):
+            run_experiment(cfg, m0_dataset(2))
+        assert built == []
+
+    def test_negative_value_noise_rejected(self):
+        # A fixed prior takes the model-building branch that the CLI test does not reach.
+        cfg = RunConfig(model=ModelSpec(prior=M0_PRIOR, value_noise=-0.5), metric=OCC)
+        with pytest.raises(ConfigurationError, match="amplitude"):
+            run_experiment(cfg, m0_dataset(1))
+
     def test_out_of_vocabulary_reference_rejected(self):
         # A fixed prior of length 3 makes id 3 out of vocabulary, whatever vocab_size says.
         cfg = RunConfig(model=ModelSpec(prior=M0_PRIOR, vocab_size=8), metric=OCC)

@@ -13,6 +13,7 @@ from seqdecode import (
     RecursiveSearch,
     SearchConfig,
     SeededTabularModel,
+    bleu_metric,
     coverage_metric,
     decode_mcts,
     exact_argmax_metric,
@@ -352,7 +353,7 @@ class TestSearchInvariants:
             root_selection="max_value",
             value_source="rollout",
         )
-        arena = ArenaSearch(model, 1, cfg, metric=occupancy_a3, references=[None])
+        arena = ArenaSearch(model, 1, cfg, metric=occupancy_a3)
         result = arena.run([model.initial_state(())])
         visited = result.dense_visit_counts[0] > 0
         values = np.where(visited, result.dense_root_values[0], -np.inf)
@@ -419,7 +420,7 @@ class TestDifferential:
             seed, vocab_size=4, max_len=3, context_order=1, value_metric=metric
         )
         sources = sources or [()] * batch
-        arena = ArenaSearch(model_a, batch, cfg, metric=metric, references=[None] * batch)
+        arena = ArenaSearch(model_a, batch, cfg, metric=metric)
         arena.begin([model_a.initial_state(s) for s in sources])
         refs = []
         for s in sources:
@@ -608,6 +609,41 @@ class TestDecodeMcts:
                         (c.sequence, c.log_likelihood) for c in singles
                     ], case
                     assert batched_model.ledger.snapshot() == (evaluations, tokens), case
+
+    @pytest.mark.parametrize("value_source", VALUE_SOURCES)
+    def test_references_ride_in_the_root_states(self, value_source):
+        # Three roots with distinct references, two of them sharing a source: one
+        # batched call equals one-at-a-time decoding, because the value head and
+        # the rollouts score each state against its own reference.
+        metric = bleu_metric(2)
+        cfg = SearchConfig(num_simulations=6, num_sparse_actions=3, value_source=value_source)
+        steered = False
+        for seed in range(4):
+
+            def model():
+                return SeededTabularModel(
+                    seed, vocab_size=4, max_len=3, context_order=1, value_metric=metric
+                )
+
+            batched_model = model()
+            roots = [
+                batched_model.initial_state((0, 1), reference=(0, 1)),
+                batched_model.initial_state((0, 1), reference=(2, 2, 1)),
+                batched_model.initial_state((1,), reference=(1, 0)),
+            ]
+            batched = decode_mcts(batched_model, roots, cfg, metric=metric)
+            singles, evaluations, tokens = [], 0, 0
+            for root in roots:
+                single_model = model()
+                singles += decode_mcts(single_model, [root], cfg, metric=metric)
+                evaluations += single_model.ledger.evaluations
+                tokens += single_model.ledger.tokens_decoded
+            assert [(c.sequence, c.log_likelihood) for c in batched] == [
+                (c.sequence, c.log_likelihood) for c in singles
+            ], seed
+            assert batched_model.ledger.snapshot() == (evaluations, tokens), seed
+            steered |= batched[0].sequence != batched[1].sequence
+        assert steered  # the reference, not just the source, decides some search
 
     def test_budget_per_token_is_simulations_plus_one(self, occupancy_a3):
         sims = 5

@@ -128,8 +128,8 @@ class TestTerminalReward:
 
     def test_bleu_identical_sentences(self):
         ref = (A, B, A, B)
-        s = state(ref + (EOS,), max_len=5)
-        assert terminal_reward(s, bleu_metric(max_n=2), reference=ref) == 1.0
+        s = DecodeState(source=(A, B), prefix=ref + (EOS,), max_len=5, eos_id=EOS, reference=ref)
+        assert terminal_reward(s, bleu_metric(max_n=2)) == 1.0
 
     def test_empty_output_scores_zero(self, occupancy_a3):
         assert terminal_reward(state((EOS,)), occupancy_a3) == 0.0

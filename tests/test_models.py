@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqdecode import (
+    ConfigurationError,
     ContractViolation,
     NoisyValueModel,
     SearchConfig,
@@ -204,24 +207,21 @@ class TestRolloutValue:
         metric = bleu_metric(2)
         for seed in range(6):
             rng = np.random.default_rng(seed)
-            states, references = [], []
+            states = []
             for i in range(7):
                 m = SeededTabularModel(seed, vocab_size=5, max_len=4, context_order=1)
                 s = m.initial_state(tuple(int(t) for t in rng.integers(0, 4, size=2)))
                 for _ in range(int(rng.integers(0, 4))):
                     if not s.terminal:
                         s = step(s, int(rng.integers(0, 5)))  # token 4 is EOS
-                states.append(s)
-                references.append(tuple(int(t) for t in rng.integers(0, 4, size=i % 3 + 1)))
+                reference = tuple(int(t) for t in rng.integers(0, 4, size=i % 3 + 1))
+                states.append(replace(s, reference=reference))
             assert any(s.terminal for s in states) and not all(s.terminal for s in states)
 
             batched_model = SeededTabularModel(seed, vocab_size=5, max_len=4, context_order=1)
-            batched = rollout_value(batched_model, states, metric, references)
+            batched = rollout_value(batched_model, states, metric)
             single_model = SeededTabularModel(seed, vocab_size=5, max_len=4, context_order=1)
-            singles = [
-                rollout_value(single_model, [s], metric, [r])[0]
-                for s, r in zip(states, references)
-            ]
+            singles = [rollout_value(single_model, [s], metric)[0] for s in states]
             assert batched.tolist() == singles
             assert batched_model.ledger.snapshot() == single_model.ledger.snapshot()
 
@@ -245,6 +245,16 @@ class TestValueHeads:
         cfg = SearchConfig(num_simulations=2, num_sparse_actions=2)
         with pytest.raises(ContractViolation, match=r"value head returned .*prefix=\(\)"):
             decode_mcts(model, [model.initial_state(())], cfg)
+
+    def test_value_cache_is_keyed_on_the_reference(self):
+        # Same source and prefix, different references: each state gets the
+        # BLEU-1 score of its own greedy completion, (A, A, A).
+        m = make_m0(value_metric=bleu_metric(1))
+        hit = m.initial_state((), reference=(A, A, A))
+        miss = m.initial_state((), reference=(B, B))
+        _, values, _ = m.evaluate_root([hit, miss, hit])
+        assert values.tolist() == [1.0, 0.0, 1.0]
+        assert m.value(miss) == 0.0
 
     def test_metricless_value_head_is_zero(self, m0):
         assert m0.value(m0.initial_state(())) == 0.0
@@ -291,3 +301,9 @@ class TestSeededFactory:
         s = clean.initial_state(())
         assert noisy.value(s) != clean.value(s)
         assert np.array_equal(noisy.prior(s), clean.prior(s))
+
+    def test_negative_noise_rejected_and_zero_noise_unwrapped(self):
+        with pytest.raises(ConfigurationError, match="amplitude"):
+            make_seeded_model(seed=4, vocab_size=3, max_len=3, value_noise=-0.1)
+        plain = make_seeded_model(seed=4, vocab_size=3, max_len=3, value_noise=0.0)
+        assert type(plain) is SeededTabularModel
