@@ -25,8 +25,8 @@ from .harness import (
     ModelSpec,
     RunConfig,
     _build_model,
+    check_model_spec,
     check_references,
-    check_token_ids,
     emit_report,
     export_tree,
     load_dataset,
@@ -181,7 +181,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     metric = _metric_spec(args).build()
     spec = _model_spec(args)
-    check_token_ids(spec, dataset)
+    check_model_spec(spec, dataset)
     check_references(metric, dataset)
     rows = []
     for inst in sorted(dataset, key=lambda i: i.id):
@@ -214,7 +214,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
         instance = matches[0]
 
     spec = _model_spec(args)
-    check_token_ids(spec, [instance])
+    check_model_spec(spec, [instance])
     metric = _metric_spec(args).build()
     check_references(metric, [instance])
     model = _build_model(spec, metric)

@@ -75,6 +75,22 @@ class ModelSpec:
         """Vocabulary size of the built models; a fixed prior sets it by its length."""
         return len(self.prior) if self.prior is not None else self.vocab_size
 
+    def build(self, value_metric: Metric | None = None) -> PolicyValueModel:
+        """A fresh provider with its own ledger; any nonzero ``value_noise`` wraps it.
+
+        The provider constructors hold every rule a spec must meet, so building
+        one is also how a spec is checked before anything is decoded.
+        """
+        if self.prior is not None:
+            model: PolicyValueModel = FixedPriorModel(self.prior, self.max_len, value_metric)
+        else:
+            model = SeededTabularModel(
+                self.seed, self.vocab_size, self.max_len, self.context_order, value_metric
+            )
+        if self.value_noise != 0.0:
+            model = NoisyValueModel(model, self.value_noise, self.seed)
+        return model
+
 
 @dataclass(frozen=True)
 class MetricSpec:
@@ -288,16 +304,8 @@ def vgbs_width_for_budget(budget: int) -> int:
 
 
 def _build_model(spec: ModelSpec, metric: Metric) -> PolicyValueModel:
-    """A fresh provider with its own ledger; any nonzero ``value_noise`` wraps it."""
-    if spec.prior is not None:
-        model: PolicyValueModel = FixedPriorModel(spec.prior, spec.max_len, value_metric=metric)
-    else:
-        model = SeededTabularModel(
-            spec.seed, spec.vocab_size, spec.max_len, spec.context_order, metric
-        )
-    if spec.value_noise != 0.0:
-        model = NoisyValueModel(model, spec.value_noise, spec.seed)
-    return model
+    """The provider one cell (or one oracle or tree instance) decodes with."""
+    return spec.build(metric)
 
 
 def _decode_cell(
@@ -333,9 +341,11 @@ def _decode_cell(
     raise ConfigurationError(f"unknown algorithm {algo.name!r}")
 
 
-def check_token_ids(spec: ModelSpec, dataset: list[Instance]) -> None:
-    """Reject source or reference ids outside the vocabulary of the models ``spec`` builds,
-    and sources with EOS (the last id) before their final token."""
+def check_model_spec(spec: ModelSpec, dataset: list[Instance]) -> None:
+    """Reject a spec the provider constructors reject (even for an empty dataset), then
+    source or reference ids outside the vocabulary of the models ``spec`` builds, and
+    sources with EOS (the last id) before their final token."""
+    spec.build()
     vocab_size = spec.effective_vocab_size
     for inst in dataset:
         for name, tokens in (("source", inst.source), ("reference", inst.reference or ())):
@@ -368,7 +378,7 @@ def validate_run_config(
 
     Returns each (algorithm, budget) cell with its decoder config, algorithm-major.
     """
-    check_token_ids(cfg.model, dataset)
+    check_model_spec(cfg.model, dataset)
     metric = cfg.metric.build()
     for algo in cfg.algorithms:
         if metric.privileged and algo.uses_score_directly():

@@ -50,9 +50,10 @@ class DecodeState:
     ``max_len`` caps ``len(prefix)`` *including* the closing EOS token, so a
     model with content horizon ``h`` produces states with ``max_len = h + 1``.
     ``reference`` is the instance's reference (a tuple, or None), carried
-    unchanged by :func:`step`; only :func:`terminal_reward` scores against it.
-    Its ids are checked once where a dataset enters (``harness.check_token_ids``),
-    not on every step.
+    unchanged by :func:`step`; only the reward scores against it (see
+    :func:`reward_anchor`). Its ids are checked once where a dataset enters
+    (``harness.check_model_spec``), not on every step. ``source``, ``prefix`` and
+    ``reference`` are stored as tuples whatever sequence type they are built from.
     """
 
     source: Sequence
@@ -62,6 +63,13 @@ class DecodeState:
     reference: Sequence | None = None
 
     def __post_init__(self) -> None:
+        # step() passes tuples; testing the type first keeps it free of setattr calls.
+        if type(self.source) is not tuple:
+            object.__setattr__(self, "source", tuple(self.source))
+        if type(self.prefix) is not tuple:
+            object.__setattr__(self, "prefix", tuple(self.prefix))
+        if self.reference is not None and type(self.reference) is not tuple:
+            object.__setattr__(self, "reference", tuple(self.reference))
         if self.max_len < 1:
             raise ValueError("max_len must be positive")
         if len(self.prefix) > self.max_len:
@@ -113,20 +121,25 @@ def complete(
     return final, log_likelihoods
 
 
-def terminal_reward(state: DecodeState, metric: "Metric") -> float:
-    """Score a finished output.
+def reward_anchor(metric: "Metric", source: Sequence, reference: Sequence | None) -> Sequence:
+    """What ``metric`` scores an output of this instance against.
 
-    Reference-based (privileged) metrics compare against ``state.reference``;
-    source-only (unprivileged) metrics compare against ``state.source``.
+    Reference-based (privileged) metrics compare against the reference, which
+    must exist; source-only (unprivileged) metrics compare against the source.
+    """
+    if metric.privileged:
+        if reference is None:
+            raise ConfigurationError(f"metric {metric.name!r} requires a reference")
+        return reference
+    return source
+
+
+def terminal_reward(state: DecodeState, metric: "Metric") -> float:
+    """Score a finished output against :func:`reward_anchor` of its state.
+
     The closing EOS is excluded from the scored text, and the result is
     clamped to [0, 1].
     """
     if not state.terminal:
         raise ContractViolation("terminal_reward() called on a non-terminal state")
-    if metric.privileged:
-        if state.reference is None:
-            raise ConfigurationError(f"metric {metric.name!r} requires a reference")
-        anchor = state.reference
-    else:
-        anchor = state.source
-    return clamp01(metric(anchor, state.content))
+    return clamp01(metric(reward_anchor(metric, state.source, state.reference), state.content))

@@ -140,13 +140,7 @@ class PolicyValueModel:
         self, source: Sequence = (), reference: Sequence | None = None
     ) -> DecodeState:
         """The empty-prefix state of one instance; the only way a reference enters decoding."""
-        return DecodeState(
-            source=tuple(source),
-            prefix=(),
-            max_len=self.max_len + 1,
-            eos_id=self.eos_id,
-            reference=tuple(reference) if reference is not None else None,
-        )
+        return DecodeState(source, (), self.max_len + 1, self.eos_id, reference)
 
     def _table_prior(self, state: DecodeState) -> np.ndarray:
         raise NotImplementedError

@@ -3,14 +3,17 @@
 Everything here walks the full space of terminated sequences, so a hard guard
 refuses instances where the vocabulary and horizon would make that explosive.
 Reads priors directly off the model tables and never touches the budget
-ledger: these are verification tools, not decoders.
+ledger: these are verification tools, not decoders. The enumeration walks
+level by level, and the metric argmax scores it with one batch call, which
+handles each length bucket at once.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
-from .mdp import ContractViolation, DecodeState, Sequence, step
+from .mdp import ContractViolation, DecodeState, Sequence, reward_anchor, step
 from .models import PolicyValueModel
 from .scoring import Metric
 
@@ -34,7 +37,7 @@ def _root(model: PolicyValueModel, source: Sequence, max_len: int | None) -> Dec
     horizon = model.max_len if max_len is None else max_len
     if horizon < 0:
         raise ValueError("max_len must be >= 0")
-    return DecodeState(tuple(source), (), horizon + 1, model.eos_id)
+    return DecodeState(source, (), horizon + 1, model.eos_id)
 
 
 def enumerate_sequences(
@@ -42,25 +45,29 @@ def enumerate_sequences(
     source: Sequence = (),
     max_len: int | None = None,
 ) -> list[tuple[Sequence, float]]:
-    """All terminated sequences with exact log-likelihoods, in DFS token order.
+    """All terminated sequences with exact log-likelihoods, in lexicographic token order.
 
-    Under the forced-EOS convention the returned probabilities sum to 1.
+    No terminated sequence is a prefix of another, so this is also the
+    depth-first order. Under the forced-EOS convention the returned
+    probabilities sum to 1.
     """
     horizon = model.max_len if max_len is None else max_len
     _check_guard(model, horizon)
+    root = _root(model, source, max_len)
     out: list[tuple[Sequence, float]] = []
-
-    def walk(state: DecodeState, log_likelihood: float) -> None:
-        if state.terminal:
-            out.append((state.prefix, log_likelihood))
-            return
-        prior = model.prior(state)
-        for a in range(model.vocab_size):
-            if prior[a] <= 0.0:
-                continue
-            walk(step(state, a), log_likelihood + math.log(prior[a]))
-
-    walk(_root(model, source, max_len), 0.0)
+    level: list[tuple[Sequence, float]] = [((), 0.0)]
+    while level:
+        next_level = []
+        for prefix, log_likelihood in level:
+            prior = model.prior(DecodeState(root.source, prefix, root.max_len, root.eos_id))
+            for a, p in enumerate(prior.tolist()):
+                if p <= 0.0:
+                    continue
+                child = (prefix + (a,), log_likelihood + math.log(p))
+                terminal = a == root.eos_id or len(child[0]) == root.max_len
+                (out if terminal else next_level).append(child)
+        level = next_level
+    out.sort(key=itemgetter(0))
     return out
 
 
@@ -109,24 +116,18 @@ def exact_argmax_metric(
 ):
     """Metric argmax over every terminated sequence.
 
-    Each sequence is scored as a terminal state carrying ``reference``. Ties
-    prefer higher likelihood, then the lexicographically smaller token sequence.
+    Each sequence's content is scored against the instance's reward anchor,
+    all in one ``metric.score_batch`` call. Ties prefer higher likelihood, then
+    the lexicographically smaller token sequence.
     """
     from .decoders import Candidate
-    from .mdp import terminal_reward
 
-    best: Candidate | None = None
-    best_key: tuple[float, float] | None = None
-    reference = tuple(reference) if reference is not None else None
-    for prefix, log_likelihood in enumerate_sequences(model, source, max_len):
-        state = DecodeState(tuple(source), prefix, len(prefix), model.eos_id, reference)
-        score = terminal_reward(state, metric)
-        key = (score, log_likelihood)
-        if (
-            best_key is None
-            or key > best_key
-            or (key == best_key and prefix < best.sequence)
-        ):
-            best = Candidate(sequence=prefix, log_likelihood=log_likelihood, score=score, state=state)
-            best_key = key
-    return best
+    anchor = reward_anchor(metric, source, reference)
+    sequences = enumerate_sequences(model, source, max_len)
+    eos = model.eos_id
+    scores = metric.score_batch(anchor, [p[:-1] if p[-1] == eos else p for p, _ in sequences])
+    # max() keeps the first of equal keys, and the enumeration is in token order.
+    best = max(range(len(sequences)), key=lambda i: (scores[i], sequences[i][1]))
+    prefix, log_likelihood = sequences[best]
+    state = DecodeState(source, prefix, len(prefix), eos, reference)
+    return Candidate(sequence=prefix, log_likelihood=log_likelihood, score=scores[best], state=state)

@@ -18,6 +18,7 @@ import numpy as np
 from .mdp import ConfigurationError, Sequence, clamp01
 
 ScoreFn = Callable[[Sequence, Sequence], float]
+BatchScoreFn = Callable[[Sequence, list[Sequence]], list[float]]
 
 
 @dataclass(frozen=True)
@@ -26,14 +27,27 @@ class Metric:
 
     For privileged metrics the anchor is a reference output; for unprivileged
     metrics it is the source sentence.
+
+    ``score_batch(anchor, candidates)`` scores many candidates against one
+    anchor and returns one float per candidate, bitwise equal to calling the
+    metric on each in turn. ``batch_fn``, when given, computes those scores in
+    one call; without it ``score_batch`` loops over ``fn``.
     """
 
     name: str
     privileged: bool
     fn: ScoreFn = field(repr=False)
+    batch_fn: BatchScoreFn | None = field(default=None, repr=False)
 
     def __call__(self, anchor: Sequence, candidate: Sequence) -> float:
         return clamp01(self.fn(tuple(anchor), tuple(candidate)))
+
+    def score_batch(self, anchor: Sequence, candidates: list[Sequence]) -> list[float]:
+        anchor = tuple(anchor)
+        candidates = [tuple(c) for c in candidates]
+        if self.batch_fn is None:
+            return [clamp01(self.fn(anchor, c)) for c in candidates]
+        return [clamp01(s) for s in self.batch_fn(anchor, candidates)]
 
 
 # --------------------------------------------------------------------------- BLEU
@@ -123,35 +137,71 @@ class TableEmbeddings:
         return self._table[token]
 
 
-def bert_style_score(candidate: Sequence, anchor: Sequence, embedder) -> float:
-    """Greedy one-to-one token alignment by cosine similarity.
+# Candidates per block are capped so the (N, L, M) similarity tensor stays this small.
+SCORE_BLOCK_ELEMENTS = 1 << 16
 
-    Repeatedly match the globally most similar unmatched (candidate, anchor)
-    token pair, average the matched similarities, rescale from [-1, 1] to
-    [0, 1], and damp by min(len)/max(len) so degenerate lengths cannot win.
-    Empty inputs score 0 by convention.
+
+def _greedy_alignment_totals(sims: np.ndarray) -> np.ndarray:
+    """Sum of greedily matched similarities for each ``(L, M)`` matrix of ``sims``.
+
+    Each round takes every matrix's largest unmatched entry (the first
+    one in row-major order on ties) and masks its row and column.
     """
-    if not candidate or not anchor:
-        return 0.0
-    cand_vecs = np.stack([embedder.vector(t) for t in candidate])
-    anch_vecs = np.stack([embedder.vector(t) for t in anchor])
-    cand_vecs = cand_vecs / np.linalg.norm(cand_vecs, axis=1, keepdims=True)
-    anch_vecs = anch_vecs / np.linalg.norm(anch_vecs, axis=1, keepdims=True)
-    sims = cand_vecs @ anch_vecs.T
+    n, rows, cols = sims.shape
+    work = sims.reshape(n, rows * cols).copy()
+    grid = work.reshape(n, rows, cols)
+    batch = np.arange(n)
+    total = np.zeros(n)
+    for _ in range(min(rows, cols)):
+        i, j = np.divmod(work.argmax(axis=1), cols)
+        total += sims[batch, i, j]
+        grid[batch, i, :] = -np.inf
+        grid[batch, :, j] = -np.inf
+    return total
 
-    n_pairs = min(len(candidate), len(anchor))
-    work = sims.copy()
-    total = 0.0
-    for _ in range(n_pairs):
-        flat = int(np.argmax(work))
-        i, j = divmod(flat, work.shape[1])
-        total += sims[i, j]
-        work[i, :] = -np.inf
-        work[:, j] = -np.inf
-    mean_sim = total / n_pairs
 
-    length_penalty = n_pairs / max(len(candidate), len(anchor))
-    return clamp01((mean_sim + 1.0) / 2.0 * length_penalty)
+def bert_style_scores(candidates: list[Sequence], anchor: Sequence, embedder) -> list[float]:
+    """Greedy one-to-one token alignment by cosine similarity, for many candidates.
+
+    Per candidate: repeatedly match the globally most similar unmatched
+    (candidate, anchor) token pair, average the matched similarities, rescale
+    from [-1, 1] to [0, 1], and damp by min(len)/max(len) so degenerate
+    lengths cannot win. Empty inputs score 0 by convention.
+
+    Candidates are bucketed by length; each bucket's similarities are one
+    stacked ``(N, L, d) @ (d, M)`` product, so every candidate's ``(L, M)``
+    slice is the same matrix product a lone candidate would get.
+    """
+    scores = [0.0] * len(candidates)
+    buckets: dict[int, list[int]] = {}
+    for k, candidate in enumerate(candidates):
+        if candidate and anchor:
+            buckets.setdefault(len(candidate), []).append(k)
+    if not buckets:
+        return scores
+    tokens = list(set(anchor).union(*candidates))
+    vecs = np.stack([embedder.vector(t) for t in tokens])
+    unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    row_of = {t: r for r, t in enumerate(tokens)}
+    anch_t = unit[[row_of[t] for t in anchor]].T
+    n_anchor = len(anchor)
+    for length, ks in buckets.items():
+        n_pairs = min(length, n_anchor)
+        length_penalty = n_pairs / max(length, n_anchor)
+        block = max(1, SCORE_BLOCK_ELEMENTS // (length * n_anchor))
+        for start in range(0, len(ks), block):
+            part = ks[start : start + block]
+            rows = np.array([[row_of[t] for t in candidates[k]] for k in part])
+            sims = unit[rows] @ anch_t
+            mean_sim = _greedy_alignment_totals(sims) / n_pairs
+            for k, score in zip(part, (mean_sim + 1.0) / 2.0 * length_penalty):
+                scores[k] = clamp01(score)
+    return scores
+
+
+def bert_style_score(candidate: Sequence, anchor: Sequence, embedder) -> float:
+    """:func:`bert_style_scores` of one candidate."""
+    return bert_style_scores([candidate], anchor, embedder)[0]
 
 
 def bert_style_metric(embedder, name: str = "bertscore") -> Metric:
@@ -160,6 +210,7 @@ def bert_style_metric(embedder, name: str = "bertscore") -> Metric:
         name=name,
         privileged=True,
         fn=lambda anchor, cand: bert_style_score(cand, anchor, embedder),
+        batch_fn=lambda anchor, cands: bert_style_scores(cands, anchor, embedder),
     )
 
 
@@ -169,6 +220,7 @@ def multilingual_bert_style_metric(embedder, name: str = "mlbertscore") -> Metri
         name=name,
         privileged=False,
         fn=lambda anchor, cand: bert_style_score(cand, anchor, embedder),
+        batch_fn=lambda anchor, cands: bert_style_scores(cands, anchor, embedder),
     )
 
 

@@ -147,6 +147,17 @@ class TestExitCodes:
         assert "'b'" in capsys.readouterr().err
         assert built == []
 
+    @pytest.mark.parametrize("command", ["sweep", "oracle"])
+    @pytest.mark.parametrize(
+        "flags", [("--max-len", 0), ("--vocab-size", 1), ("--value-noise", -1)]
+    )
+    def test_bad_model_flags_fail_on_an_empty_dataset(self, tmp_path, command, flags):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("", encoding="utf-8")
+        extra = ("--algorithms", "greedy", "--budgets", 1) if command == "sweep" else ()
+        code = run(command, "--dataset", path, *extra, *flags, "--out", tmp_path / "x.json")
+        assert code == 1
+
     @pytest.mark.parametrize(
         "lines, flags",
         [

@@ -10,6 +10,7 @@ from seqdecode import (
     ConfigurationError,
     ContractViolation,
     DecodeState,
+    SeededTabularModel,
     bleu_metric,
     complete,
     step,
@@ -109,6 +110,17 @@ class TestDecodeStateInvariants:
         assert state((A, B, EOS)).content == (A, B)
         assert state((A, B)).content == (A, B)
         assert state((EOS,)).content == ()
+
+    def test_sequences_are_stored_as_tuples(self):
+        s = DecodeState([A], [B], 4, EOS, reference=[A, B])
+        assert (s.source, s.prefix, s.reference) == ((A,), (B,), (A, B))
+        assert all(type(seq) is tuple for seq in (s.source, s.prefix, s.reference))
+        assert s == DecodeState((A,), (B,), 4, EOS, reference=(A, B))
+
+    def test_list_reference_reaches_the_value_head(self):
+        model = SeededTabularModel(0, vocab_size=4, max_len=3, value_metric=bleu_metric(max_n=1))
+        built = DecodeState((), (), 4, 3, reference=[0, 1])
+        assert model.value(built) == model.value(model.initial_state((), (0, 1)))
 
     @given(st.lists(st.sampled_from([A, B]), max_size=6), st.integers(1, 7))
     def test_every_trajectory_terminates_within_cap(self, actions, max_len):

@@ -6,19 +6,57 @@ import numpy as np
 import pytest
 
 from seqdecode import (
+    ConfigurationError,
     ContractViolation,
+    DecodeState,
     FixedPriorModel,
     GuardExceeded,
     Metric,
     PolicyValueModel,
     SeededTabularModel,
+    SeededUnitEmbeddings,
+    bert_style_metric,
     coverage_metric,
     enumerate_sequences,
     exact_argmax_likelihood,
     exact_argmax_metric,
+    step,
+    terminal_reward,
 )
 
 from conftest import A, B, EOS
+
+
+def recursive_enumeration(model, source=(), max_len=None):
+    """Reference twin of ``enumerate_sequences``: the depth-first walk that steps
+    every child with ``step`` and lists terminated sequences in visit order."""
+    horizon = model.max_len if max_len is None else max_len
+    out = []
+
+    def walk(state, log_likelihood):
+        if state.terminal:
+            out.append((state.prefix, log_likelihood))
+            return
+        prior = model.prior(state)
+        for a in range(model.vocab_size):
+            if prior[a] <= 0.0:
+                continue
+            walk(step(state, a), log_likelihood + math.log(prior[a]))
+
+    walk(DecodeState(tuple(source), (), horizon + 1, model.eos_id), 0.0)
+    return out
+
+
+def scalar_argmax_metric(model, source, metric, reference=None):
+    """Reference twin of ``exact_argmax_metric``: one ``terminal_reward`` per sequence,
+    keeping the first best (score, log-likelihood) in depth-first order."""
+    best, best_key = None, None
+    for prefix, log_likelihood in recursive_enumeration(model, source):
+        state = DecodeState(source, prefix, len(prefix), model.eos_id, reference)
+        key = (terminal_reward(state, metric), log_likelihood)
+        if best_key is None or key > best_key:
+            best, best_key = prefix, key
+    return best, best_key
 
 M0_TABLE_MAX2 = {
     (EOS,): 0.2,
@@ -52,6 +90,24 @@ class TestEnumeration:
         big = SeededTabularModel(0, vocab_size=10, max_len=10, context_order=0)
         with pytest.raises(GuardExceeded, match="10\\^10"):
             enumerate_sequences(big, ())
+
+    @pytest.mark.parametrize("max_len", [0, 1, 3, 4])
+    def test_matches_the_recursive_walk_on_seeded_models(self, max_len):
+        for seed in range(12):
+            vocab_size, context_order = 2 + seed % 3, seed % 3
+            model = SeededTabularModel(seed, vocab_size, max_len=4, context_order=context_order)
+            source = tuple(range(vocab_size - 1))
+            # Exact equality: the same prefixes in the same order, the same floats.
+            assert enumerate_sequences(model, source, max_len) == recursive_enumeration(
+                model, source, max_len
+            )
+
+    def test_matches_the_recursive_walk_with_zero_probability_tokens(self):
+        for prior in ([0.5, 0.0, 0.3, 0.2], [0.0, 0.6, 0.0, 0.4], [0.0, 0.0, 0.0, 1.0]):
+            model = FixedPriorModel(prior, max_len=4)
+            seqs = enumerate_sequences(model, ())
+            assert seqs == recursive_enumeration(model, ())
+            assert all(prior[t] > 0.0 for seq, _ in seqs for t in seq[:-1])
 
     def test_all_sequences_end_with_eos(self, m0):
         for seq, _ in enumerate_sequences(m0, ()):
@@ -105,6 +161,39 @@ class TestArgmaxMetric:
         constant = Metric(name="constant", privileged=False, fn=lambda a, c: 0.5)
         best = exact_argmax_metric(m0, (), constant)
         assert best.sequence == exact_argmax_likelihood(m0).sequence
+
+    def test_equal_keys_break_to_the_smaller_sequence(self):
+        # Content tokens A and B are equally likely, so AB, BA and BB tie on
+        # likelihood and on the score; B alone is less likely.
+        model = FixedPriorModel([0.4, 0.4, 0.2], max_len=2)
+        has_b = Metric(name="has_b", privileged=False, fn=lambda a, c: float(B in c))
+        best = exact_argmax_metric(model, (), has_b)
+        assert best.sequence == (A, B, EOS)
+        assert best.score == 1.0
+        assert best.log_likelihood == 2 * math.log(0.4)
+
+    def test_matches_scalar_scoring_on_seeded_models(self):
+        metric = bert_style_metric(SeededUnitEmbeddings(dim=8, seed=0))
+        for seed in range(6):
+            model = SeededTabularModel(seed, vocab_size=4, max_len=4, context_order=1)
+            source, reference = (0, 1, 2), tuple((seed + k) % 3 for k in range(seed % 4 + 1))
+            best = exact_argmax_metric(model, source, metric, list(reference))
+            expected, (score, log_likelihood) = scalar_argmax_metric(model, source, metric, reference)
+            assert best.sequence == expected
+            assert (best.score, best.log_likelihood) == (score, log_likelihood)
+            assert best.state.reference == reference
+
+    def test_missing_reference_raises_before_any_scoring(self, m0):
+        calls = []
+        needs_reference = Metric(
+            name="needs_reference",
+            privileged=True,
+            fn=lambda a, c: calls.append(c) or 0.0,
+            batch_fn=lambda a, cs: calls.extend(cs) or [0.0] * len(cs),
+        )
+        with pytest.raises(ConfigurationError, match="needs_reference"):
+            exact_argmax_metric(m0, (A,), needs_reference)
+        assert calls == []
 
     def test_coverage_oracle_contains_both_source_tokens(self, m0):
         best = exact_argmax_metric(m0, (A, B), coverage_metric())

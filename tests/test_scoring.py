@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seqdecode import (
+    ConfigurationError,
+    Metric,
+    MetricSpec,
     SeededUnitEmbeddings,
     TableEmbeddings,
+    bert_style_metric,
     bert_style_score,
     bleu,
     coverage_metric,
@@ -14,6 +18,8 @@ from seqdecode import (
     toy_coverage,
     toy_occupancy,
 )
+from seqdecode import scoring
+from seqdecode.mdp import clamp01
 
 THE, CAT, IS, ON, MAT = 0, 1, 2, 3, 4
 REFERENCE = (THE, CAT, IS, ON, THE, MAT)  # "the cat is on the mat"
@@ -125,6 +131,86 @@ class TestBertStyleScore:
         b = SeededUnitEmbeddings(dim=5, seed=11)
         for token in range(6):
             assert np.array_equal(a.vector(token), b.vector(token))
+
+
+# The metrics a run can build, plus one whose table repeats a direction (tied similarities).
+BATCH_METRICS = {
+    name: MetricSpec(name=name, max_n=2).build()
+    for name in ("bertscore", "mlbertscore", "coverage", "bleu")
+}
+BATCH_METRICS["bertscore_table"] = bert_style_metric(
+    TableEmbeddings({0: [1.0, 0.0], 1: [0.0, 2.0], 2: [3.0, 0.0], 3: [-1.0, 1.0]})
+)
+TOKENS = st.lists(st.integers(0, 3), max_size=6)
+
+
+def float_bits(values):
+    return [float.hex(v) for v in values]
+
+
+def loop_bert_style_score(candidate, anchor, embedder):
+    """Reference twin of the batched alignment: one candidate, one matched pair at a time."""
+    if not candidate or not anchor:
+        return 0.0
+    cand_vecs = np.stack([embedder.vector(t) for t in candidate])
+    anch_vecs = np.stack([embedder.vector(t) for t in anchor])
+    cand_vecs = cand_vecs / np.linalg.norm(cand_vecs, axis=1, keepdims=True)
+    anch_vecs = anch_vecs / np.linalg.norm(anch_vecs, axis=1, keepdims=True)
+    sims = cand_vecs @ anch_vecs.T
+    n_pairs = min(len(candidate), len(anchor))
+    work = sims.copy()
+    total = 0.0
+    for _ in range(n_pairs):
+        i, j = divmod(int(np.argmax(work)), work.shape[1])
+        total += sims[i, j]
+        work[i, :] = -np.inf
+        work[:, j] = -np.inf
+    length_penalty = n_pairs / max(len(candidate), len(anchor))
+    return clamp01((total / n_pairs + 1.0) / 2.0 * length_penalty)
+
+
+class TestScoreBatch:
+    @pytest.mark.parametrize("name", sorted(BATCH_METRICS))
+    @given(anchor=TOKENS, candidates=st.lists(TOKENS, max_size=30), block=st.sampled_from([1, 7]))
+    def test_bitwise_equal_to_the_scalar_path(self, name, anchor, candidates, block):
+        metric = BATCH_METRICS[name]
+        if name == "coverage" and not anchor:
+            # Coverage has no empty-source score; both paths refuse it alike.
+            for score in (lambda: metric(anchor, ()), lambda: metric.score_batch(anchor, [()])):
+                with pytest.raises(ConfigurationError):
+                    score()
+            return
+        expected = [metric(anchor, c) for c in candidates]
+        for cap in (block, scoring.SCORE_BLOCK_ELEMENTS):
+            # A small block cap splits every length bucket into many blocks.
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(scoring, "SCORE_BLOCK_ELEMENTS", cap)
+                scores = metric.score_batch(anchor, candidates)
+            assert all(type(s) is float for s in scores)
+            assert float_bits(scores) == float_bits(expected)
+
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    @given(anchor=TOKENS, candidates=st.lists(TOKENS, max_size=30))
+    def test_alignment_bitwise_equal_to_the_loop(self, dim, anchor, candidates):
+        emb = SeededUnitEmbeddings(dim=dim, seed=dim)
+        expected = [loop_bert_style_score(c, anchor, emb) for c in candidates]
+        assert float_bits(scoring.bert_style_scores(candidates, anchor, emb)) == float_bits(expected)
+
+    def test_more_candidates_than_one_block(self):
+        metric = BATCH_METRICS["bertscore"]
+        rng = np.random.default_rng(4)
+        anchor = tuple(rng.integers(0, 6, size=6).tolist())
+        per_block = scoring.SCORE_BLOCK_ELEMENTS // (6 * 6)
+        candidates = [tuple(row) for row in rng.integers(0, 6, size=(per_block + 50, 6)).tolist()]
+        candidates += [(), (1,), (2, 2)]
+        expected = [metric(anchor, c) for c in candidates]
+        assert float_bits(metric.score_batch(anchor, candidates)) == float_bits(expected)
+
+    def test_without_a_batch_function_the_metric_is_called_per_candidate(self):
+        seen = []
+        metric = Metric("echo", False, fn=lambda a, c: seen.append((a, c)) or len(c) / 2)
+        assert metric.score_batch([0], [[1], [], [1, 2, 3]]) == [0.5, 0.0, 1.0]
+        assert seen == [((0,), (1,)), ((0,), ()), ((0,), (1, 2, 3))]
 
 
 class TestToyMetrics:
