@@ -5,12 +5,16 @@ instance's reference when it has one. Appending a token is the only action; a
 state is terminal once the prefix ends with the EOS token or hits the hard
 length cap. Reward exists only at terminal states and is delegated to a
 metric, which scores against the state's own reference or source.
+
+A state is validated once, when it is built. A non-terminal prefix holds no
+EOS, so :func:`step` checks only the token it appends and derives the child's
+``terminal`` flag from that token.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
@@ -31,19 +35,23 @@ def clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else float(x)
 
 
+def _check_token(t: int, eos_id: int) -> None:
+    if t > eos_id:
+        raise ValueError(f"token id {t} is outside the vocabulary (EOS is {eos_id})")
+    if t < 0:
+        raise ValueError(f"negative token id {t}")
+
+
 def validate_sequence(tokens: Sequence, eos_id: int) -> None:
     """Ids lie in ``[0, eos_id]``, and EOS appears at most once, as the final token."""
     for i, t in enumerate(tokens):
-        if t >= eos_id:
-            if t > eos_id:
-                raise ValueError(f"token id {t} is outside the vocabulary (EOS is {eos_id})")
+        if t >= eos_id or t < 0:
+            _check_token(t, eos_id)
             if i != len(tokens) - 1:
                 raise ValueError("EOS may only appear as the final token")
-        elif t < 0:
-            raise ValueError(f"negative token id {t}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodeState:
     """One MDP state: a source sentence plus a partial output.
 
@@ -54,6 +62,9 @@ class DecodeState:
     :func:`reward_anchor`). Its ids are checked once where a dataset enters
     (``harness.check_model_spec``), not on every step. ``source``, ``prefix`` and
     ``reference`` are stored as tuples whatever sequence type they are built from.
+    ``terminal`` is computed when the state is built; it takes no part in
+    equality or hashing. The class has slots: the oracle holds a whole
+    enumeration level of states at once.
     """
 
     source: Sequence
@@ -61,9 +72,10 @@ class DecodeState:
     max_len: int
     eos_id: int
     reference: Sequence | None = None
+    terminal: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # step() passes tuples; testing the type first keeps it free of setattr calls.
+        # step() bypasses this method; tuples skip the setattr calls.
         if type(self.source) is not tuple:
             object.__setattr__(self, "source", tuple(self.source))
         if type(self.prefix) is not tuple:
@@ -76,11 +88,8 @@ class DecodeState:
             raise ValueError("prefix longer than max_len")
         validate_sequence(self.source, self.eos_id)
         validate_sequence(self.prefix, self.eos_id)
-
-    @property
-    def terminal(self) -> bool:
         ends_with_eos = len(self.prefix) > 0 and self.prefix[-1] == self.eos_id
-        return ends_with_eos or len(self.prefix) == self.max_len
+        object.__setattr__(self, "terminal", ends_with_eos or len(self.prefix) == self.max_len)
 
     @property
     def content(self) -> Sequence:
@@ -91,10 +100,27 @@ class DecodeState:
 
 
 def step(state: DecodeState, action: int) -> DecodeState:
-    """Append one token. Stepping a terminal state is a caller bug."""
+    """Append one token. Stepping a terminal state is a caller bug.
+
+    ``state`` was validated when it was built and, being live, holds no EOS
+    and is shorter than its cap, so only ``action`` needs checking; the child
+    is built without re-running ``DecodeState.__post_init__``.
+    """
     if state.terminal:
         raise ContractViolation("step() called on a terminal state")
-    return replace(state, prefix=state.prefix + (action,))
+    eos_id = state.eos_id
+    if action >= eos_id or action < 0:
+        _check_token(action, eos_id)
+    prefix = state.prefix + (action,)
+    child = object.__new__(DecodeState)
+    init = object.__setattr__  # the frozen class's own __setattr__ refuses
+    init(child, "source", state.source)
+    init(child, "prefix", prefix)
+    init(child, "max_len", state.max_len)
+    init(child, "eos_id", eos_id)
+    init(child, "reference", state.reference)
+    init(child, "terminal", action == eos_id or len(prefix) == state.max_len)
+    return child
 
 
 def complete(

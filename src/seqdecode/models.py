@@ -13,8 +13,13 @@ total:
 * forced EOS — one step before the length cap the prior becomes a one-hot on
   EOS, so every trajectory terminates with EOS and probabilities sum to 1;
 * absorbing terminals — evaluating any action from a terminal state returns
-  the same state, the same value, a one-hot EOS prior and ``terminal=True``,
-  so lockstep batched loops can keep running past finished elements.
+  the same handle, its value, a one-hot EOS prior and ``terminal=True``, so
+  lockstep batched loops can keep running past finished elements.
+
+Priors are served a batch at a time by :meth:`PolicyValueModel.priors`, the
+one home of forced EOS. A handle (:class:`ModelState`) carries its value, so
+``evaluate_step`` answers absorbing handles from the handle alone and steps
+and evaluates only the live ones.
 
 Charged greedy completion (rollouts, greedy decoding) is :func:`.mdp.complete`
 under :func:`greedy_policy`; the value head's own walk is uncharged forward pass.
@@ -78,9 +83,31 @@ class BudgetLedger:
 
 @dataclass(frozen=True)
 class ModelState:
-    """Incremental-evaluation handle; advancing it matches stepping the state."""
+    """Incremental-evaluation handle: a state and the value head's output for it.
+
+    Advancing a live handle matches stepping the state; a terminal handle
+    absorbs and is returned as it is.
+    """
 
     state: DecodeState
+    value: float
+
+
+def _checked_prior(row, state: DecodeState, vocab_size: int) -> np.ndarray:
+    """``row`` as a float vector of length V, finite, non-negative and summing
+    to 1 within 1e-9; otherwise ``ContractViolation`` naming ``state``."""
+    p = np.asarray(row, dtype=float)
+    if p.shape != (vocab_size,):
+        problem = f"has shape {p.shape}, expected ({vocab_size},)"
+    elif not np.isfinite(p).all():
+        problem = "has a non-finite entry"
+    elif (p < 0).any():
+        problem = "has a negative entry"
+    elif abs(p.sum() - 1.0) > 1e-9:
+        problem = f"sums to {float(p.sum())!r}, not 1"
+    else:
+        return p
+    raise ContractViolation(f"prior {p.tolist()} for state {state} {problem}")
 
 
 def apply_temperature(prior: np.ndarray, tau: float) -> np.ndarray:
@@ -109,7 +136,9 @@ def apply_temperature(prior: np.ndarray, tau: float) -> np.ndarray:
 class PolicyValueModel:
     """Base provider: vocabulary bookkeeping, forced EOS, absorbing terminals.
 
-    Subclasses supply ``_table_prior(state)``. The value head is the score of
+    Subclasses supply the prior of non-forced states: ``_table_priors(states)``
+    for a batch, or ``_table_prior(state)`` for one state, which the default
+    ``_table_priors`` stacks and checks. The value head is the score of
     a greedy completion under ``value_metric`` (0.0 when no metric is set),
     against the state's own reference, and is cached per (source, reference,
     prefix); it is part of the forward pass and costs nothing beyond the
@@ -145,13 +174,31 @@ class PolicyValueModel:
     def _table_prior(self, state: DecodeState) -> np.ndarray:
         raise NotImplementedError
 
+    def _table_priors(self, states: list[DecodeState]) -> np.ndarray:
+        """A new ``(n, V)`` array of table rows for non-forced states.
+
+        This default stacks ``_table_prior`` rows and checks each one.
+        """
+        return np.stack([_checked_prior(self._table_prior(s), s, self.vocab_size) for s in states])
+
+    def priors(self, states: list[DecodeState]) -> np.ndarray:
+        """Next-token distributions ``(n, V)``; does not touch the ledger.
+
+        Forced EOS: a terminal state, and a state one token short of its cap,
+        gets a one-hot on EOS. Every other row comes from ``_table_priors``.
+        """
+        free = [i for i, s in enumerate(states) if not s.terminal and len(s.prefix) < s.max_len - 1]
+        if len(free) == len(states):
+            return self._table_priors(states)
+        out = np.zeros((len(states), self.vocab_size))
+        out[:, self.eos_id] = 1.0
+        if free:
+            out[free] = self._table_priors([states[i] for i in free])
+        return out
+
     def prior(self, state: DecodeState) -> np.ndarray:
-        """Next-token distribution; does not touch the ledger."""
-        if state.terminal or len(state.prefix) == state.max_len - 1:
-            one_hot = np.zeros(self.vocab_size)
-            one_hot[self.eos_id] = 1.0
-            return one_hot
-        return self._table_prior(state)
+        """Next-token distribution of one state (see :meth:`priors`)."""
+        return self.priors([state])[0]
 
     def value(self, state: DecodeState) -> float:
         """Value head output for one state (memoized; the head is deterministic)."""
@@ -181,32 +228,34 @@ class PolicyValueModel:
         """Evaluate a batch of states from scratch; charges one call per state."""
         if not states:
             raise ValueError("empty batch")
-        priors = np.stack([self.prior(s) for s in states])
-        values = np.array([self.value(s) for s in states])
+        priors = self.priors(states)
+        values = [self.value(s) for s in states]
         self.ledger.charge_evaluations(len(states))
-        return priors, values, [ModelState(s) for s in states]
+        return priors, np.array(values), [ModelState(s, v) for s, v in zip(states, values)]
 
     def evaluate_step(
         self, model_states: list[ModelState], actions: list[int]
     ) -> tuple[np.ndarray, np.ndarray, list[ModelState], np.ndarray]:
         """Advance each handle by one action and evaluate the result.
 
-        Terminal handles absorb: the action is ignored and the same state is
-        returned, terminal and unchanged in value.
+        Terminal handles absorb: the action is ignored, and the same handle
+        comes back with its value and a one-hot EOS prior, without a step or
+        a value-cache lookup. Only live handles are stepped and evaluated, but
+        every handle is charged as one evaluation.
         """
         if len(model_states) != len(actions):
             raise ValueError("one action required per model state")
-        next_states = []
-        for ms, a in zip(model_states, actions):
-            if ms.state.terminal:
-                next_states.append(ms.state)
-            else:
-                next_states.append(step(ms.state, int(a)))
-        priors = np.stack([self.prior(s) for s in next_states])
-        values = np.array([self.value(s) for s in next_states])
-        terminal = np.array([s.terminal for s in next_states])
-        self.ledger.charge_evaluations(len(next_states))
-        return priors, values, [ModelState(s) for s in next_states], terminal
+        handles = list(model_states)
+        for i, ms in enumerate(model_states):
+            if not ms.state.terminal:
+                s = step(ms.state, int(actions[i]))
+                handles[i] = ModelState(s, self.value(s))
+        states = [ms.state for ms in handles]
+        priors = self.priors(states)
+        values = np.array([ms.value for ms in handles])
+        terminal = np.array([s.terminal for s in states])
+        self.ledger.charge_evaluations(len(handles))
+        return priors, values, handles, terminal
 
 
 class SeededTabularModel(PolicyValueModel):
@@ -214,7 +263,9 @@ class SeededTabularModel(PolicyValueModel):
 
     Each context (the last ``context_order`` prefix tokens) gets a strictly
     positive prior drawn from a Dirichlet keyed by (seed, context), so priors
-    are identical across calls and independent of evaluation order.
+    are identical across calls and independent of evaluation order. A row is
+    drawn and checked on first use, into one table indexed by context id, and
+    a batch's rows are one gather from it.
     """
 
     def __init__(
@@ -230,16 +281,29 @@ class SeededTabularModel(PolicyValueModel):
             raise ConfigurationError("context_order must be >= 0")
         self.seed = seed
         self.context_order = context_order
-        self._priors: dict[Sequence, np.ndarray] = {}
+        self._context_ids: dict[Sequence, int] = {}
+        self._table = np.empty((8, vocab_size))  # row i is the prior of context id i
 
-    def _table_prior(self, state: DecodeState) -> np.ndarray:
-        context = state.prefix[-self.context_order :] if self.context_order > 0 else ()
-        cached = self._priors.get(context)
-        if cached is None:
-            rng = np.random.default_rng([self.seed, *context])
-            cached = rng.dirichlet(np.ones(self.vocab_size))
-            self._priors[context] = cached
-        return cached.copy()
+    def _table_priors(self, states: list[DecodeState]) -> np.ndarray:
+        k = self.context_order
+        ids = []
+        for s in states:
+            context = s.prefix[-k:] if k > 0 else ()
+            i = self._context_ids.get(context)
+            if i is None:
+                i = self._add_row(context, s)
+            ids.append(i)
+        return self._table.take(ids, axis=0)
+
+    def _add_row(self, context: Sequence, state: DecodeState) -> int:
+        rng = np.random.default_rng([self.seed, *context])
+        row = _checked_prior(rng.dirichlet(np.ones(self.vocab_size)), state, self.vocab_size)
+        i = len(self._context_ids)
+        if i == len(self._table):
+            self._table = np.concatenate([self._table, np.empty_like(self._table)])
+        self._table[i] = row
+        self._context_ids[context] = i
+        return i
 
 
 class FixedPriorModel(PolicyValueModel):
@@ -251,13 +315,13 @@ class FixedPriorModel(PolicyValueModel):
         p = np.asarray(prior, dtype=float)
         if p.ndim != 1:
             raise ValueError("prior must be a vector")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):  # NaN fails both tests
             raise ValueError("prior must be a probability vector")
         super().__init__(len(p), max_len, value_metric)
         self._prior = p
 
-    def _table_prior(self, state: DecodeState) -> np.ndarray:
-        return self._prior.copy()
+    def _table_priors(self, states: list[DecodeState]) -> np.ndarray:
+        return np.tile(self._prior, (len(states), 1))
 
 
 class TransformedValueModel(PolicyValueModel):
@@ -271,8 +335,8 @@ class TransformedValueModel(PolicyValueModel):
         self._inner = inner
         self._transform = transform
 
-    def _table_prior(self, state: DecodeState) -> np.ndarray:
-        return self._inner._table_prior(state)
+    def _table_priors(self, states: list[DecodeState]) -> np.ndarray:
+        return self._inner._table_priors(states)
 
     def _value(self, state: DecodeState) -> float:
         return float(self._transform(self._inner.value(state), state))

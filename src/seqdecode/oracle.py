@@ -4,14 +4,17 @@ Everything here walks the full space of terminated sequences, so a hard guard
 refuses instances where the vocabulary and horizon would make that explosive.
 Reads priors directly off the model tables and never touches the budget
 ledger: these are verification tools, not decoders. The enumeration walks
-level by level, and the metric argmax scores it with one batch call, which
-handles each length bucket at once.
+level by level, reading each level's priors in one ``model.priors`` call, and
+the metric argmax scores it with one batch call, which handles each length
+bucket at once.
 """
 
 from __future__ import annotations
 
 import math
 from operator import itemgetter
+
+import numpy as np
 
 from .mdp import ContractViolation, DecodeState, Sequence, reward_anchor, step
 from .models import PolicyValueModel
@@ -55,17 +58,18 @@ def enumerate_sequences(
     _check_guard(model, horizon)
     root = _root(model, source, max_len)
     out: list[tuple[Sequence, float]] = []
-    level: list[tuple[Sequence, float]] = [((), 0.0)]
+    level: list[tuple[DecodeState, float]] = [(root, 0.0)]
     while level:
         next_level = []
-        for prefix, log_likelihood in level:
-            prior = model.prior(DecodeState(root.source, prefix, root.max_len, root.eos_id))
-            for a, p in enumerate(prior.tolist()):
-                if p <= 0.0:
-                    continue
-                child = (prefix + (a,), log_likelihood + math.log(p))
-                terminal = a == root.eos_id or len(child[0]) == root.max_len
-                (out if terminal else next_level).append(child)
+        priors = model.priors([state for state, _ in level])
+        rows, tokens = np.nonzero(priors > 0.0)  # row-major: each prefix's children in token order
+        for i, a, p in zip(rows.tolist(), tokens.tolist(), priors[rows, tokens].tolist()):
+            state, log_likelihood = level[i]
+            child_ll = log_likelihood + math.log(p)
+            if a == root.eos_id or len(state.prefix) + 1 == root.max_len:
+                out.append((state.prefix + (a,), child_ll))
+            else:
+                next_level.append((step(state, a), child_ll))
         level = next_level
     out.sort(key=itemgetter(0))
     return out

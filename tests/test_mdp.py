@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,6 +86,30 @@ class TestStep:
         s = state((A,))
         assert step(s, B) == step(s, B)
         assert s.prefix == (A,)  # input untouched
+
+    def test_bad_token_ids_rejected_with_the_validation_messages(self):
+        s = state((A,), source=(A, B))
+        with pytest.raises(ValueError, match=r"^token id 3 is outside the vocabulary \(EOS is 2\)$"):
+            step(s, 3)
+        with pytest.raises(ValueError, match=r"^negative token id -1$"):
+            step(s, -1)
+        with pytest.raises(ContractViolation, match="terminal state"):
+            step(step(s, EOS), -1)  # the terminal check comes first
+
+    @given(
+        st.lists(st.sampled_from([A, B]), max_size=4),
+        st.sampled_from([A, B, EOS]),
+        st.integers(1, 6),
+        st.one_of(st.none(), st.lists(st.sampled_from([A, B]), max_size=3)),
+    )
+    def test_step_equals_building_the_child(self, prefix, action, max_len, reference):
+        s = DecodeState((A, B), prefix[: max_len - 1], max_len, EOS, reference)
+        child = step(s, action)
+        built = DecodeState(s.source, s.prefix + (action,), s.max_len, s.eos_id, s.reference)
+        assert child == built and hash(child) == hash(built)
+        assert child.terminal == built.terminal == (action == EOS or len(built.prefix) == max_len)
+        assert child == replace(s, prefix=s.prefix + (action,))
+        assert replace(child, prefix=s.prefix).terminal == s.terminal
 
 
 class TestDecodeStateInvariants:

@@ -1,15 +1,21 @@
 from __future__ import annotations
 
-from dataclasses import replace
+import importlib.util
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import seqdecode.cli  # noqa: F401  (the bench tracer wraps cli.main)
 from seqdecode import (
     ConfigurationError,
     ContractViolation,
+    FixedPriorModel,
+    ModelState,
     NoisyValueModel,
+    PolicyValueModel,
     SearchConfig,
     SeededTabularModel,
     affine_value_model,
@@ -85,6 +91,191 @@ class TestPolicyValueOutput:
         assert np.allclose(priors[0], [0.5, 0.3, 0.2])
         assert values[0] == 1.0
         assert m.ledger.evaluations == 1
+
+
+class RowPrior(PolicyValueModel):
+    """Defines only ``_table_prior``: ``row`` at every non-empty prefix, m0's prior at the root."""
+
+    def __init__(self, row):
+        super().__init__(vocab_size=3, max_len=3)
+        self.row = row
+
+    def _table_prior(self, state):
+        return np.array(self.row) if state.prefix else np.array([0.5, 0.3, 0.2])
+
+
+BAD_ROWS = {
+    "nan": ([np.nan, 0.5, 0.5], "non-finite"),
+    "negative": ([-0.1, 0.6, 0.5], "negative entry"),
+    "length": ([0.5, 0.5], r"shape \(2,\), expected \(3,\)"),
+    "sum": ([0.5, 0.3, 0.3], "sums to 1.1"),
+}
+
+
+class TestPriorRowChecks:
+    @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+    def test_bad_row_rejected_by_evaluate_root(self, kind):
+        row, problem = BAD_ROWS[kind]
+        m = RowPrior(row)
+        state = step(m.initial_state(()), A)
+        with pytest.raises(ContractViolation, match=rf"state .*prefix=\(0,\).* {problem}"):
+            m.evaluate_root([m.initial_state(()), state])
+        assert m.ledger.evaluations == 0
+
+    @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+    def test_bad_row_rejected_by_evaluate_step(self, kind):
+        row, problem = BAD_ROWS[kind]
+        m = RowPrior(row)
+        _, _, handles = m.evaluate_root([m.initial_state(())])
+        with pytest.raises(ContractViolation, match=rf"state .*prefix=\(1,\).* {problem}"):
+            m.evaluate_step(handles, [B])
+        assert m.ledger.evaluations == 1
+
+    def test_forced_rows_never_reach_the_table(self):
+        # Terminal and forced-depth states take the one-hot without reading the bad row.
+        m = RowPrior([np.nan, 0.5, 0.5])
+        root = m.initial_state(())
+        forced = step(step(step(root, A), A), B)
+        priors, _, handles = m.evaluate_root([forced, step(step(root, A), EOS)])
+        assert priors.tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
+        priors, _, _, _ = m.evaluate_step(handles, [A, A])
+        assert priors.tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
+
+    def test_fixed_prior_rejects_nan_at_construction(self):
+        with pytest.raises(ValueError, match="probability vector"):
+            FixedPriorModel([np.nan, 0.5, 0.5], max_len=3)
+
+
+def loop_prior(model, s):
+    """The forced-EOS rule applied to one state, with the table row read alone."""
+    if s.terminal or len(s.prefix) == s.max_len - 1:
+        one_hot = np.zeros(model.vocab_size)
+        one_hot[model.eos_id] = 1.0
+        return one_hot
+    return model._table_priors([s])[0]
+
+
+def loop_evaluate_step(model, states, actions):
+    """Reference twin of ``evaluate_step``: the per-handle loop that steps or
+    copies every state and reads its prior and value one at a time."""
+    next_states = [s if s.terminal else step(s, int(a)) for s, a in zip(states, actions)]
+    priors = np.stack([loop_prior(model, s) for s in next_states])
+    values = np.array([model.value(s) for s in next_states])
+    terminal = np.array([s.terminal for s in next_states])
+    return priors, values, next_states, terminal
+
+
+class PowerPrior(PolicyValueModel):
+    """Defines only ``_table_prior``: a prior that sharpens with the prefix length."""
+
+    def _table_prior(self, state):
+        row = np.arange(1.0, self.vocab_size + 1) ** (len(state.prefix) + 1)
+        return row / row.sum()
+
+
+V4 = 4  # EOS is 3
+PROVIDERS = {
+    "seeded0": lambda seed, metric: SeededTabularModel(seed, V4, 3, 0, metric),
+    "seeded1": lambda seed, metric: SeededTabularModel(seed, V4, 3, 1, metric),
+    "seeded2": lambda seed, metric: SeededTabularModel(seed, V4, 3, 2, metric),
+    "fixed_zero": lambda seed, metric: FixedPriorModel([0.45, 0.0, 0.3, 0.25], 3, metric),
+    "noisy": lambda seed, metric: NoisyValueModel(
+        SeededTabularModel(seed, V4, 3, 1, metric), amplitude=0.3, seed=seed
+    ),
+    "affine": lambda seed, metric: affine_value_model(
+        SeededTabularModel(seed, V4, 3, 1, metric), 0.5, 0.25
+    ),
+    "table_prior_only": lambda seed, metric: PowerPrior(V4, 3, metric),
+}
+
+
+class TestMaskedStep:
+    @given(
+        st.sampled_from(sorted(PROVIDERS)),
+        st.integers(0, 1_000),
+        st.lists(
+            st.tuples(st.lists(st.integers(0, V4 - 1), max_size=4), st.integers(0, V4 - 1)),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_masked_step_equals_the_per_handle_loop(self, kind, seed, rows):
+        metric = coverage_metric()
+        model, twin = PROVIDERS[kind](seed, metric), PROVIDERS[kind](seed, metric)
+        states, actions = [], []
+        for tokens, action in rows:
+            s = model.initial_state((0, 1))
+            for t in tokens:  # up to the cap: terminal, forced-depth and live states
+                if not s.terminal:
+                    s = step(s, t)
+            states.append(s)
+            actions.append(action)
+        _, _, handles = model.evaluate_root(states)
+        before = model.ledger.evaluations
+
+        priors, values, next_handles, terminal = model.evaluate_step(handles, actions)
+        want_priors, want_values, want_states, want_terminal = loop_evaluate_step(
+            twin, states, actions
+        )
+        assert model.ledger.evaluations - before == len(states)
+        assert np.array_equal(priors, want_priors)
+        assert values.tolist() == want_values.tolist()
+        assert [h.state for h in next_handles] == want_states
+        assert [h.value for h in next_handles] == want_values.tolist()
+        assert terminal.tolist() == want_terminal.tolist()
+        for s, handle, new in zip(states, handles, next_handles):
+            assert (new is handle) == s.terminal  # absorbing rows return the same handle
+        for batch in (states, want_states):
+            assert np.array_equal(model.priors(batch), np.stack([twin.prior(s) for s in batch]))
+
+
+def load_bench_tracer():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracerBoundary:
+    """``bench/tracer.py`` patches ``evaluate_root``/``evaluate_step`` on
+    ``PolicyValueModel`` and reads ``ms.state.terminal`` off the handles."""
+
+    def test_only_the_base_class_defines_the_batched_interface(self):
+        import seqdecode.models as models
+
+        providers = [
+            c for c in vars(models).values()
+            if isinstance(c, type) and issubclass(c, models.PolicyValueModel)
+        ]  # fmt: skip
+        assert len(providers) == 5
+        for cls in providers:
+            for name in ("evaluate_root", "evaluate_step"):
+                assert (name in vars(cls)) == (cls is models.PolicyValueModel), (cls, name)
+        assert "state" in {f.name for f in fields(ModelState)}
+
+    def test_traced_search_counts_every_charged_handle(self):
+        tracer_module = load_bench_tracer()
+        cfg = SearchConfig(num_simulations=8, num_sparse_actions=2)
+
+        def run():
+            m = SeededTabularModel(0, 4, 3, context_order=1, value_metric=coverage_metric())
+            out = decode_mcts(m, [m.initial_state((0, 1)), m.initial_state((1, 2))], cfg)
+            return [c.sequence for c in out], m.ledger.snapshot()
+
+        untraced = run()
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            traced = run()
+        finally:
+            tracer.uninstall()
+        assert traced == untraced
+        counts = tracer.counts
+        charged = counts["models.evaluate_root.states"] + counts["models.evaluate_step.states"]
+        assert charged == untraced[1][0]
+        assert 0 < counts["models.evaluate_step.terminal"] < counts["models.evaluate_step.states"]
 
 
 class TestAbsorption:

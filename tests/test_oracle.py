@@ -109,6 +109,17 @@ class TestEnumeration:
             assert seqs == recursive_enumeration(model, ())
             assert all(prior[t] > 0.0 for seq, _ in seqs for t in seq[:-1])
 
+    def test_one_priors_read_per_level(self):
+        model = SeededTabularModel(0, vocab_size=3, max_len=3, context_order=1)
+        batch_sizes = []
+        read_batch = model.priors
+        model.priors = lambda states: batch_sizes.append(len(states)) or read_batch(states)
+        model.prior = lambda state: pytest.fail("enumeration read one prefix's prior")
+        assert enumerate_sequences(model, ()) == recursive_enumeration(
+            SeededTabularModel(0, vocab_size=3, max_len=3, context_order=1), ()
+        )
+        assert batch_sizes == [1, 2, 4, 8]  # live prefixes per level; the last is forced EOS
+
     def test_all_sequences_end_with_eos(self, m0):
         for seq, _ in enumerate_sequences(m0, ()):
             assert seq[-1] == EOS
