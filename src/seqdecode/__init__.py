@@ -24,7 +24,6 @@ from .harness import (
     CellResult,
     Instance,
     MetricSpec,
-    ModelSpec,
     Report,
     RunConfig,
     emit_report,
@@ -57,6 +56,7 @@ from .mdp import (
 from .models import (
     BudgetLedger,
     FixedPriorModel,
+    ModelSpec,
     ModelState,
     NoisyValueModel,
     PolicyValueModel,

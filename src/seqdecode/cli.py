@@ -186,8 +186,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     rows = []
     for inst in sorted(dataset, key=lambda i: i.id):
         model = _build_model(spec, metric)
-        best_ll = exact_argmax_likelihood(model, inst.source)
-        best_metric = exact_argmax_metric(model, inst.source, metric, inst.reference)
+        root = model.initial_state(inst.source, inst.reference)
+        best_ll = exact_argmax_likelihood(model, root)
+        best_metric = exact_argmax_metric(model, root, metric)
         rows.append(
             {
                 "id": inst.id,

@@ -177,12 +177,9 @@ def value_guided_beam_search(
         ranking: list[float] = []
         for row, prior in zip(rows, priors):
             for a in _proposals(prior, k):
-                if row.state.terminal:
-                    child_state = row.state  # absorbing self-transition
-                    log_add = 0.0 if a == model.eos_id else -math.inf
-                else:
-                    child_state = step(row.state, a)
-                    log_add = math.log(prior[a]) if prior[a] > 0 else -math.inf
+                # A terminal row absorbs; its prior is one-hot EOS, so log_add is 0 or -inf.
+                child_state = row.state if row.state.terminal else step(row.state, a)
+                log_add = math.log(prior[a]) if prior[a] > 0 else -math.inf
                 children.append(
                     _Row(child_state, row.log_likelihood + log_add, 0.0, padding=row.padding)
                 )

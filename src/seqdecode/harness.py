@@ -28,14 +28,7 @@ from .decoders import (
 )
 from .mcts import ArenaSearch, SearchConfig, decode_mcts
 from .mdp import ConfigurationError, Sequence, terminal_reward
-from .models import (
-    FixedPriorModel,
-    NoisyValueModel,
-    PolicyValueModel,
-    SeededTabularModel,
-    model_value_fn,
-    rollout_value_fn,
-)
+from .models import ModelSpec, PolicyValueModel, model_value_fn, rollout_value_fn
 from .scoring import (
     Metric,
     SeededUnitEmbeddings,
@@ -58,38 +51,6 @@ class Instance:
     id: str
     source: Sequence
     reference: Sequence | None = None
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    seed: int = 0
-    vocab_size: int = 3
-    max_len: int = 3
-    context_order: int = 0
-    value_noise: float = 0.0
-    # When set, overrides the seeded table with one fixed prior (fixture models).
-    prior: tuple[float, ...] | None = None
-
-    @property
-    def effective_vocab_size(self) -> int:
-        """Vocabulary size of the built models; a fixed prior sets it by its length."""
-        return len(self.prior) if self.prior is not None else self.vocab_size
-
-    def build(self, value_metric: Metric | None = None) -> PolicyValueModel:
-        """A fresh provider with its own ledger; any nonzero ``value_noise`` wraps it.
-
-        The provider constructors hold every rule a spec must meet, so building
-        one is also how a spec is checked before anything is decoded.
-        """
-        if self.prior is not None:
-            model: PolicyValueModel = FixedPriorModel(self.prior, self.max_len, value_metric)
-        else:
-            model = SeededTabularModel(
-                self.seed, self.vocab_size, self.max_len, self.context_order, value_metric
-            )
-        if self.value_noise != 0.0:
-            model = NoisyValueModel(model, self.value_noise, self.seed)
-        return model
 
 
 @dataclass(frozen=True)
@@ -200,8 +161,21 @@ class CellResult:
 @dataclass
 class Report:
     cells: list[CellResult] = field(default_factory=list)
-    # (algorithm, budget) -> {"mean_score", "mean_evaluations_per_token"}
-    aggregates: dict[tuple[str, int], dict[str, float]] = field(default_factory=dict)
+
+    @property
+    def aggregates(self) -> dict[tuple[str, int], dict[str, float]]:
+        """(algorithm, budget) -> {"mean_score", "mean_evaluations_per_token"} over its cells."""
+        groups: dict[tuple[str, int], list[CellResult]] = {}
+        for c in self.cells:
+            groups.setdefault((c.algorithm, c.budget), []).append(c)
+        return {
+            key: {
+                "mean_score": sum(c.score for c in cells) / len(cells),
+                "mean_evaluations_per_token": sum(c.evaluations / c.tokens for c in cells)
+                / len(cells),
+            }
+            for key, cells in groups.items()
+        }
 
     def to_dict(self) -> dict:
         return {
@@ -227,13 +201,7 @@ class Report:
             )
             for c in data["cells"]
         ]
-        aggregates = {
-            (a["algorithm"], a["budget"]): {
-                k: v for k, v in a.items() if k not in ("algorithm", "budget")
-            }
-            for a in data["aggregates"]
-        }
-        return cls(cells=cells, aggregates=aggregates)
+        return cls(cells=cells)
 
 
 # ------------------------------------------------------------------- dataset
@@ -421,16 +389,6 @@ def run_experiment(cfg: RunConfig, dataset: list[Instance]) -> Report:
                     tokens=tokens,
                 )
             )
-
-    for algo, budget, _ in cell_configs:
-        cells = [c for c in report.cells if c.algorithm == algo.name and c.budget == budget]
-        if not cells:
-            continue
-        report.aggregates[(algo.name, budget)] = {
-            "mean_score": sum(c.score for c in cells) / len(cells),
-            "mean_evaluations_per_token": sum(c.evaluations / c.tokens for c in cells)
-            / len(cells),
-        }
     return report
 
 
@@ -439,14 +397,15 @@ def run_experiment(cfg: RunConfig, dataset: list[Instance]) -> Report:
 
 def format_table(report: Report) -> str:
     """Budget-by-algorithm grid of mean scores, 4 decimal places."""
-    algorithms = sorted({a for a, _ in report.aggregates})
-    budgets = sorted({b for _, b in report.aggregates})
+    aggregates = report.aggregates
+    algorithms = sorted({a for a, _ in aggregates})
+    budgets = sorted({b for _, b in aggregates})
     header = ["budget"] + algorithms
     rows = [header]
     for b in budgets:
         row = [str(b)]
         for a in algorithms:
-            stats = report.aggregates.get((a, b))
+            stats = aggregates.get((a, b))
             row.append(f"{stats['mean_score']:.4f}" if stats else "-")
         rows.append(row)
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]

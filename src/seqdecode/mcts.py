@@ -202,16 +202,9 @@ class ArenaSearch:
         )
         return value_score + policy_score
 
-    def uct_select_action(
-        self, node_indices: np.ndarray, scores: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Per element, the sparse action maximizing value score + policy score.
-
-        ``scores`` is a :meth:`uct_scores` table; without one, the scores are computed
-        from the current statistics.
-        """
-        if scores is None:
-            scores = self.uct_scores()
+    def uct_select_action(self, node_indices: np.ndarray, scores: np.ndarray) -> np.ndarray:
+        """Per element, the sparse action maximizing value score + policy score, read
+        from ``scores``, a :meth:`uct_scores` table."""
         return np.argmax(scores[self._batch_range, node_indices], axis=1)
 
     def simulate(self) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,10 @@ States are (source, output prefix) pairs over an integer vocabulary, plus the
 instance's reference when it has one. Appending a token is the only action; a
 state is terminal once the prefix ends with the EOS token or hits the hard
 length cap. Reward exists only at terminal states and is delegated to a
-metric, which scores against the state's own reference or source.
+metric, which scores against the state's own reference or source
+(:func:`reward_anchor`). Decoders and the exact oracles alike start from a
+root built by ``PolicyValueModel.initial_state`` and reach every other state
+by :func:`step`, so a state's cap and reference are its instance's.
 
 A state is validated once, when it is built. A non-terminal prefix holds no
 EOS, so :func:`step` checks only the token it appends and derives the child's
@@ -147,17 +150,18 @@ def complete(
     return final, log_likelihoods
 
 
-def reward_anchor(metric: "Metric", source: Sequence, reference: Sequence | None) -> Sequence:
-    """What ``metric`` scores an output of this instance against.
+def reward_anchor(metric: "Metric", state: DecodeState) -> Sequence:
+    """What ``metric`` scores an output of ``state``'s instance against.
 
-    Reference-based (privileged) metrics compare against the reference, which
-    must exist; source-only (unprivileged) metrics compare against the source.
+    Reference-based (privileged) metrics compare against the state's
+    reference, which must exist; source-only (unprivileged) metrics compare
+    against its source.
     """
     if metric.privileged:
-        if reference is None:
+        if state.reference is None:
             raise ConfigurationError(f"metric {metric.name!r} requires a reference")
-        return reference
-    return source
+        return state.reference
+    return state.source
 
 
 def terminal_reward(state: DecodeState, metric: "Metric") -> float:
@@ -168,4 +172,4 @@ def terminal_reward(state: DecodeState, metric: "Metric") -> float:
     """
     if not state.terminal:
         raise ContractViolation("terminal_reward() called on a non-terminal state")
-    return clamp01(metric(reward_anchor(metric, state.source, state.reference), state.content))
+    return clamp01(metric(reward_anchor(metric, state), state.content))

@@ -21,6 +21,10 @@ one home of forced EOS. A handle (:class:`ModelState`) carries its value, so
 ``evaluate_step`` answers absorbing handles from the handle alone and steps
 and evaluates only the live ones.
 
+A :class:`ModelSpec` holds everything that builds a provider, and its
+``build`` is the one construction rule; :func:`make_seeded_model` is its
+seeded-table shorthand.
+
 Charged greedy completion (rollouts, greedy decoding) is :func:`.mdp.complete`
 under :func:`greedy_policy`; the value head's own walk is uncharged forward pass.
 
@@ -245,6 +249,8 @@ class PolicyValueModel:
         """
         if len(model_states) != len(actions):
             raise ValueError("one action required per model state")
+        if not model_states:
+            raise ValueError("empty batch")
         handles = list(model_states)
         for i, ms in enumerate(model_states):
             if not ms.state.terminal:
@@ -364,6 +370,40 @@ def affine_value_model(inner: PolicyValueModel, scale: float, shift: float) -> T
     return TransformedValueModel(inner, lambda v, _state: scale * v + shift)
 
 
+@dataclass(frozen=True)
+class ModelSpec:
+    """Everything that builds a provider; :meth:`build` is the one construction rule."""
+
+    seed: int = 0
+    vocab_size: int = 3
+    max_len: int = 3
+    context_order: int = 0
+    value_noise: float = 0.0
+    # When set, overrides the seeded table with one fixed prior (fixture models).
+    prior: tuple[float, ...] | None = None
+
+    @property
+    def effective_vocab_size(self) -> int:
+        """Vocabulary size of the built models; a fixed prior sets it by its length."""
+        return len(self.prior) if self.prior is not None else self.vocab_size
+
+    def build(self, value_metric: Metric | None = None) -> PolicyValueModel:
+        """A fresh provider with its own ledger; any nonzero ``value_noise`` wraps it.
+
+        The provider constructors hold every rule a spec must meet, so building
+        one is also how a spec is checked before anything is decoded.
+        """
+        if self.prior is not None:
+            model: PolicyValueModel = FixedPriorModel(self.prior, self.max_len, value_metric)
+        else:
+            model = SeededTabularModel(
+                self.seed, self.vocab_size, self.max_len, self.context_order, value_metric
+            )
+        if self.value_noise != 0.0:
+            model = NoisyValueModel(model, self.value_noise, self.seed)
+        return model
+
+
 def make_seeded_model(
     seed: int,
     vocab_size: int,
@@ -373,12 +413,7 @@ def make_seeded_model(
     value_noise: float = 0.0,
 ) -> PolicyValueModel:
     """Build a seeded tabular provider, with a noisy value head unless ``value_noise`` is 0."""
-    model: PolicyValueModel = SeededTabularModel(
-        seed, vocab_size, max_len, context_order, value_metric
-    )
-    if value_noise != 0.0:
-        model = NoisyValueModel(model, value_noise, seed)
-    return model
+    return ModelSpec(seed, vocab_size, max_len, context_order, value_noise).build(value_metric)
 
 
 # ------------------------------------------------------------------- rollouts

@@ -1,17 +1,19 @@
 """Exact ground truth at desk scale.
 
-Everything here walks the full space of terminated sequences, so a hard guard
-refuses instances where the vocabulary and horizon would make that explosive.
-Reads priors directly off the model tables and never touches the budget
-ledger: these are verification tools, not decoders. The enumeration walks
-level by level, reading each level's priors in one ``model.priors`` call, and
-the metric argmax scores it with one batch call, which handles each length
-bucket at once.
+Everything here walks the full space of terminated sequences below a root
+state, built by ``model.initial_state`` as for every decoder, so a hard guard
+refuses instances where the vocabulary and the root's remaining horizon would
+make that explosive. Reads priors directly off the model tables and never
+touches the budget ledger: these are verification tools, not decoders. The
+enumeration walks level by level, reading each level's priors in one
+``model.priors`` call, and the metric argmax scores it with one batch call,
+which handles each length bucket at once.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from operator import itemgetter
 
 import numpy as np
@@ -27,36 +29,29 @@ class GuardExceeded(ValueError):
     """The instance is too large for exhaustive search."""
 
 
-def _check_guard(model: PolicyValueModel, max_len: int) -> None:
-    bound = model.vocab_size**max_len
+def _check_root(model: PolicyValueModel, root: DecodeState) -> None:
+    if root.terminal:
+        raise ContractViolation("the oracles need a non-terminal root state")
+    horizon = root.max_len - 1 - len(root.prefix)
+    bound = model.vocab_size**horizon
     if bound > ENUMERATION_GUARD:
         raise GuardExceeded(
-            f"V^max_len = {model.vocab_size}^{max_len} = {bound} exceeds the "
+            f"V^max_len = {model.vocab_size}^{horizon} = {bound} exceeds the "
             f"enumeration guard of {ENUMERATION_GUARD}"
         )
 
 
-def _root(model: PolicyValueModel, source: Sequence, max_len: int | None) -> DecodeState:
-    horizon = model.max_len if max_len is None else max_len
-    if horizon < 0:
-        raise ValueError("max_len must be >= 0")
-    return DecodeState(source, (), horizon + 1, model.eos_id)
-
-
 def enumerate_sequences(
-    model: PolicyValueModel,
-    source: Sequence = (),
-    max_len: int | None = None,
+    model: PolicyValueModel, root: DecodeState
 ) -> list[tuple[Sequence, float]]:
-    """All terminated sequences with exact log-likelihoods, in lexicographic token order.
+    """All terminated sequences below ``root`` with exact log-likelihoods, in
+    lexicographic token order.
 
     No terminated sequence is a prefix of another, so this is also the
     depth-first order. Under the forced-EOS convention the returned
     probabilities sum to 1.
     """
-    horizon = model.max_len if max_len is None else max_len
-    _check_guard(model, horizon)
-    root = _root(model, source, max_len)
+    _check_root(model, root)
     out: list[tuple[Sequence, float]] = []
     level: list[tuple[DecodeState, float]] = [(root, 0.0)]
     while level:
@@ -75,20 +70,15 @@ def enumerate_sequences(
     return out
 
 
-def exact_argmax_likelihood(
-    model: PolicyValueModel,
-    source: Sequence = (),
-    max_len: int | None = None,
-):
-    """Global likelihood argmax via depth-first branch-and-bound.
+def exact_argmax_likelihood(model: PolicyValueModel, root: DecodeState):
+    """Global likelihood argmax below ``root`` via depth-first branch-and-bound.
 
     Prefixes whose log-likelihood already fails to beat the incumbent are
     pruned; this is sound because appending tokens can only lower it.
     """
     from .decoders import Candidate
 
-    horizon = model.max_len if max_len is None else max_len
-    _check_guard(model, horizon)
+    _check_root(model, root)
     best: list = [None, -math.inf]  # (state, log_likelihood)
 
     def walk(state: DecodeState, log_likelihood: float) -> None:
@@ -107,31 +97,26 @@ def exact_argmax_likelihood(
                 raise ContractViolation("likelihood must be non-increasing")
             walk(step(state, a), child_ll)
 
-    walk(_root(model, source, max_len), 0.0)
+    walk(root, 0.0)
     return Candidate(sequence=best[0].prefix, log_likelihood=best[1], state=best[0])
 
 
-def exact_argmax_metric(
-    model: PolicyValueModel,
-    source: Sequence,
-    metric: Metric,
-    reference: Sequence | None = None,
-    max_len: int | None = None,
-):
-    """Metric argmax over every terminated sequence.
+def exact_argmax_metric(model: PolicyValueModel, root: DecodeState, metric: Metric):
+    """Metric argmax over every terminated sequence below ``root``.
 
-    Each sequence's content is scored against the instance's reward anchor,
-    all in one ``metric.score_batch`` call. Ties prefer higher likelihood, then
-    the lexicographically smaller token sequence.
+    Each sequence's content is scored against the root's reward anchor, all
+    in one ``metric.score_batch`` call. Ties prefer higher likelihood, then
+    the lexicographically smaller token sequence. The winner's state is
+    stepped from ``root``, so it is the state a decoder reaches for that output.
     """
     from .decoders import Candidate
 
-    anchor = reward_anchor(metric, source, reference)
-    sequences = enumerate_sequences(model, source, max_len)
+    anchor = reward_anchor(metric, root)
+    sequences = enumerate_sequences(model, root)
     eos = model.eos_id
     scores = metric.score_batch(anchor, [p[:-1] if p[-1] == eos else p for p, _ in sequences])
     # max() keeps the first of equal keys, and the enumeration is in token order.
     best = max(range(len(sequences)), key=lambda i: (scores[i], sequences[i][1]))
     prefix, log_likelihood = sequences[best]
-    state = DecodeState(source, prefix, len(prefix), eos, reference)
+    state = reduce(step, prefix[len(root.prefix):], root)
     return Candidate(sequence=prefix, log_likelihood=log_likelihood, score=scores[best], state=state)

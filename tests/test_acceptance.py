@@ -9,6 +9,7 @@ contract.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,9 +73,9 @@ def test_criterion_02_beam_optimality_at_saturation():
         horizon = 2 + seed % 4  # max_len in {2..5}
         model = SeededTabularModel(seed, vocab_size=vocab, max_len=horizon, context_order=1)
         twin = SeededTabularModel(seed, vocab_size=vocab, max_len=horizon, context_order=1)
-        n_terminated = len(enumerate_sequences(twin, ()))
+        n_terminated = len(enumerate_sequences(twin, twin.initial_state(())))
         found = beam_search(model, model.initial_state(()), BeamConfig(k=n_terminated, theta=0.0))
-        exact = exact_argmax_likelihood(twin)
+        exact = exact_argmax_likelihood(twin, twin.initial_state(()))
         assert found.sequence == exact.sequence, f"seed {seed}"
         assert found.log_likelihood == pytest.approx(exact.log_likelihood, abs=1e-12)
         cases += 1
@@ -84,7 +85,7 @@ def test_criterion_02_beam_optimality_at_saturation():
 
 def test_criterion_03_empty_mode_and_length_normalization():
     m0 = make_m0()
-    enumerated = enumerate_sequences(make_m0(), ())
+    enumerated = enumerate_sequences(make_m0(), make_m0().initial_state(()))
 
     plain = beam_search(m0, m0.initial_state(()), BeamConfig(k=8, theta=0.0))
     assert plain.sequence == (EOS,)
@@ -153,9 +154,8 @@ def test_criterion_05_mcts_reaches_the_metric_oracle():
             model = SeededTabularModel(seed, vocab_size=3, max_len=3, context_order=1)
             out = decode_mcts(model, [model.initial_state(source)], cfg, metric=metric)[0]
             achieved = terminal_reward(out.state, metric)
-            oracle = exact_argmax_metric(
-                SeededTabularModel(seed, 3, 3, context_order=1), source, metric
-            )
+            twin = SeededTabularModel(seed, 3, 3, context_order=1)
+            oracle = exact_argmax_metric(twin, twin.initial_state(source), metric)
             assert achieved == oracle.score, (seed, metric.name)
         hits += 1
     assert hits == 20
@@ -378,7 +378,7 @@ def test_criterion_12_enumeration_is_a_proper_distribution():
     for seed in range(50):
         vocab = 3 + seed % 3
         model = SeededTabularModel(seed, vocab_size=vocab, max_len=3, context_order=1)
-        total = sum(math.exp(ll) for _, ll in enumerate_sequences(model, ()))
+        total = sum(math.exp(ll) for _, ll in enumerate_sequences(model, model.initial_state(())))
         assert abs(total - 1.0) <= 1e-9, seed
 
     table = {
@@ -390,7 +390,8 @@ def test_criterion_12_enumeration_is_a_proper_distribution():
         (B, A, EOS): 0.15,
         (B, B, EOS): 0.09,
     }
-    enumerated = dict(enumerate_sequences(make_m0(), (), max_len=2))
+    horizon2 = replace(make_m0().initial_state(()), max_len=3)
+    enumerated = dict(enumerate_sequences(make_m0(), horizon2))
     assert set(enumerated) == set(table)
     for seq, prob in table.items():
         assert math.exp(enumerated[seq]) == pytest.approx(prob, abs=1e-12)

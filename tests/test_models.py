@@ -368,6 +368,23 @@ class TestLedger:
         with pytest.raises(ValueError):
             m0.ledger.charge_evaluations(-1)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SeededTabularModel(0, vocab_size=3, max_len=3),
+            make_m0,
+            lambda: RowPrior([0.5, 0.3, 0.2]),
+            lambda: NoisyValueModel(make_m0(), 0.2),
+        ],
+        ids=["seeded", "fixed", "row_prior", "noisy"],
+    )
+    def test_empty_batches_raise_before_charging(self, build):
+        model = build()
+        for evaluate in (lambda: model.evaluate_root([]), lambda: model.evaluate_step([], [])):
+            with pytest.raises(ValueError, match="empty batch"):
+                evaluate()
+        assert model.ledger.snapshot() == (0, 0)
+
 
 class TestRolloutValue:
     def test_terminal_state_returns_reward(self, occupancy_a3):

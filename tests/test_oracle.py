@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ import pytest
 from seqdecode import (
     ConfigurationError,
     ContractViolation,
-    DecodeState,
     FixedPriorModel,
     GuardExceeded,
     Metric,
@@ -16,10 +17,12 @@ from seqdecode import (
     SeededTabularModel,
     SeededUnitEmbeddings,
     bert_style_metric,
+    bleu_metric,
     coverage_metric,
     enumerate_sequences,
     exact_argmax_likelihood,
     exact_argmax_metric,
+    greedy_decode,
     step,
     terminal_reward,
 )
@@ -27,15 +30,19 @@ from seqdecode import (
 from conftest import A, B, EOS
 
 
-def recursive_enumeration(model, source=(), max_len=None):
-    """Reference twin of ``enumerate_sequences``: the depth-first walk that steps
-    every child with ``step`` and lists terminated sequences in visit order."""
-    horizon = model.max_len if max_len is None else max_len
+def horizon_root(model, horizon, source=()):
+    """``model``'s root for ``source`` with content horizon ``horizon`` instead of the model's."""
+    return replace(model.initial_state(source), max_len=horizon + 1)
+
+
+def terminal_states(model, root):
+    """Every terminated state below ``root``, with its log-likelihood, in depth-first
+    order: the walk steps every child with ``step``."""
     out = []
 
     def walk(state, log_likelihood):
         if state.terminal:
-            out.append((state.prefix, log_likelihood))
+            out.append((state, log_likelihood))
             return
         prior = model.prior(state)
         for a in range(model.vocab_size):
@@ -43,19 +50,23 @@ def recursive_enumeration(model, source=(), max_len=None):
                 continue
             walk(step(state, a), log_likelihood + math.log(prior[a]))
 
-    walk(DecodeState(tuple(source), (), horizon + 1, model.eos_id), 0.0)
+    walk(root, 0.0)
     return out
 
 
-def scalar_argmax_metric(model, source, metric, reference=None):
+def recursive_enumeration(model, root):
+    """Reference twin of ``enumerate_sequences``: terminated sequences in visit order."""
+    return [(state.prefix, ll) for state, ll in terminal_states(model, root)]
+
+
+def scalar_argmax_metric(model, root, metric):
     """Reference twin of ``exact_argmax_metric``: one ``terminal_reward`` per sequence,
     keeping the first best (score, log-likelihood) in depth-first order."""
     best, best_key = None, None
-    for prefix, log_likelihood in recursive_enumeration(model, source):
-        state = DecodeState(source, prefix, len(prefix), model.eos_id, reference)
+    for state, log_likelihood in terminal_states(model, root):
         key = (terminal_reward(state, metric), log_likelihood)
         if best_key is None or key > best_key:
-            best, best_key = prefix, key
+            best, best_key = state.prefix, key
     return best, best_key
 
 M0_TABLE_MAX2 = {
@@ -71,11 +82,11 @@ M0_TABLE_MAX2 = {
 
 class TestEnumeration:
     def test_zero_horizon_gives_only_empty_output(self, m0):
-        seqs = enumerate_sequences(m0, (), max_len=0)
+        seqs = enumerate_sequences(m0, horizon_root(m0, 0))
         assert seqs == [((EOS,), 0.0)]
 
     def test_m0_table_at_horizon_two(self, m0):
-        seqs = dict(enumerate_sequences(m0, (), max_len=2))
+        seqs = dict(enumerate_sequences(m0, horizon_root(m0, 2)))
         assert set(seqs) == set(M0_TABLE_MAX2)
         for seq, prob in M0_TABLE_MAX2.items():
             assert math.exp(seqs[seq]) == pytest.approx(prob, abs=1e-12)
@@ -83,13 +94,14 @@ class TestEnumeration:
     def test_probabilities_sum_to_one(self):
         for seed in range(10):
             model = SeededTabularModel(seed, vocab_size=3, max_len=4, context_order=1)
-            total = sum(math.exp(ll) for _, ll in enumerate_sequences(model, ()))
+            seqs = enumerate_sequences(model, model.initial_state(()))
+            total = sum(math.exp(ll) for _, ll in seqs)
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_guard_refusal_names_bound(self, m0):
         big = SeededTabularModel(0, vocab_size=10, max_len=10, context_order=0)
         with pytest.raises(GuardExceeded, match="10\\^10"):
-            enumerate_sequences(big, ())
+            enumerate_sequences(big, big.initial_state(()))
 
     @pytest.mark.parametrize("max_len", [0, 1, 3, 4])
     def test_matches_the_recursive_walk_on_seeded_models(self, max_len):
@@ -98,15 +110,15 @@ class TestEnumeration:
             model = SeededTabularModel(seed, vocab_size, max_len=4, context_order=context_order)
             source = tuple(range(vocab_size - 1))
             # Exact equality: the same prefixes in the same order, the same floats.
-            assert enumerate_sequences(model, source, max_len) == recursive_enumeration(
-                model, source, max_len
-            )
+            root = horizon_root(model, max_len, source)
+            assert enumerate_sequences(model, root) == recursive_enumeration(model, root)
 
     def test_matches_the_recursive_walk_with_zero_probability_tokens(self):
         for prior in ([0.5, 0.0, 0.3, 0.2], [0.0, 0.6, 0.0, 0.4], [0.0, 0.0, 0.0, 1.0]):
             model = FixedPriorModel(prior, max_len=4)
-            seqs = enumerate_sequences(model, ())
-            assert seqs == recursive_enumeration(model, ())
+            root = model.initial_state(())
+            seqs = enumerate_sequences(model, root)
+            assert seqs == recursive_enumeration(model, root)
             assert all(prior[t] > 0.0 for seq, _ in seqs for t in seq[:-1])
 
     def test_one_priors_read_per_level(self):
@@ -115,25 +127,26 @@ class TestEnumeration:
         read_batch = model.priors
         model.priors = lambda states: batch_sizes.append(len(states)) or read_batch(states)
         model.prior = lambda state: pytest.fail("enumeration read one prefix's prior")
-        assert enumerate_sequences(model, ()) == recursive_enumeration(
-            SeededTabularModel(0, vocab_size=3, max_len=3, context_order=1), ()
+        twin = SeededTabularModel(0, vocab_size=3, max_len=3, context_order=1)
+        assert enumerate_sequences(model, model.initial_state(())) == recursive_enumeration(
+            twin, twin.initial_state(())
         )
         assert batch_sizes == [1, 2, 4, 8]  # live prefixes per level; the last is forced EOS
 
     def test_all_sequences_end_with_eos(self, m0):
-        for seq, _ in enumerate_sequences(m0, ()):
+        for seq, _ in enumerate_sequences(m0, m0.initial_state(())):
             assert seq[-1] == EOS
 
 
 class TestArgmaxLikelihood:
     def test_m0_mode_is_the_empty_sequence(self, m0):
-        best = exact_argmax_likelihood(m0)
+        best = exact_argmax_likelihood(m0, m0.initial_state(()))
         assert best.sequence == (EOS,)
         assert math.exp(best.log_likelihood) == pytest.approx(0.2, abs=1e-12)
 
     def test_deterministic_model_returns_its_trajectory(self):
         model = FixedPriorModel([1.0, 0.0, 0.0], max_len=2)
-        best = exact_argmax_likelihood(model)
+        best = exact_argmax_likelihood(model, model.initial_state(()))
         assert best.sequence == (A, A, EOS)
         assert best.log_likelihood == 0.0
 
@@ -141,15 +154,15 @@ class TestArgmaxLikelihood:
         for seed in range(50):
             model = SeededTabularModel(seed, vocab_size=3, max_len=4, context_order=1)
             twin = SeededTabularModel(seed, vocab_size=3, max_len=4, context_order=1)
-            best = exact_argmax_likelihood(model)
-            brute = max(enumerate_sequences(twin, ()), key=lambda item: item[1])
+            best = exact_argmax_likelihood(model, model.initial_state(()))
+            brute = max(enumerate_sequences(twin, twin.initial_state(())), key=lambda item: item[1])
             assert best.log_likelihood == pytest.approx(brute[1], abs=1e-12)
             assert best.sequence == brute[0]
 
     def test_guard_refusal(self):
         big = SeededTabularModel(0, vocab_size=32, max_len=8, context_order=0)
         with pytest.raises(GuardExceeded):
-            exact_argmax_likelihood(big)
+            exact_argmax_likelihood(big, big.initial_state(()))
 
     def test_increasing_likelihood_is_a_contract_violation(self):
         # A table entry above 1 makes a child likelier than its prefix; the
@@ -159,26 +172,28 @@ class TestArgmaxLikelihood:
                 return np.array([2.0, 0.5])
 
         with pytest.raises(ContractViolation):
-            exact_argmax_likelihood(Improper(vocab_size=2, max_len=1))
+            improper = Improper(vocab_size=2, max_len=1)
+            exact_argmax_likelihood(improper, improper.initial_state(()))
 
 
 class TestArgmaxMetric:
     def test_occupancy_oracle_fills_the_horizon(self, m0, occupancy_a3):
-        best = exact_argmax_metric(m0, (), occupancy_a3)
+        best = exact_argmax_metric(m0, m0.initial_state(()), occupancy_a3)
         assert best.sequence == (A, A, A, EOS)
         assert best.score == 1.0
 
     def test_constant_metric_ties_break_to_likelihood(self, m0):
         constant = Metric(name="constant", privileged=False, fn=lambda a, c: 0.5)
-        best = exact_argmax_metric(m0, (), constant)
-        assert best.sequence == exact_argmax_likelihood(m0).sequence
+        root = m0.initial_state(())
+        best = exact_argmax_metric(m0, root, constant)
+        assert best.sequence == exact_argmax_likelihood(m0, root).sequence
 
     def test_equal_keys_break_to_the_smaller_sequence(self):
         # Content tokens A and B are equally likely, so AB, BA and BB tie on
         # likelihood and on the score; B alone is less likely.
         model = FixedPriorModel([0.4, 0.4, 0.2], max_len=2)
         has_b = Metric(name="has_b", privileged=False, fn=lambda a, c: float(B in c))
-        best = exact_argmax_metric(model, (), has_b)
+        best = exact_argmax_metric(model, model.initial_state(()), has_b)
         assert best.sequence == (A, B, EOS)
         assert best.score == 1.0
         assert best.log_likelihood == 2 * math.log(0.4)
@@ -188,8 +203,9 @@ class TestArgmaxMetric:
         for seed in range(6):
             model = SeededTabularModel(seed, vocab_size=4, max_len=4, context_order=1)
             source, reference = (0, 1, 2), tuple((seed + k) % 3 for k in range(seed % 4 + 1))
-            best = exact_argmax_metric(model, source, metric, list(reference))
-            expected, (score, log_likelihood) = scalar_argmax_metric(model, source, metric, reference)
+            root = model.initial_state(source, list(reference))
+            best = exact_argmax_metric(model, root, metric)
+            expected, (score, log_likelihood) = scalar_argmax_metric(model, root, metric)
             assert best.sequence == expected
             assert (best.score, best.log_likelihood) == (score, log_likelihood)
             assert best.state.reference == reference
@@ -203,14 +219,69 @@ class TestArgmaxMetric:
             batch_fn=lambda a, cs: calls.extend(cs) or [0.0] * len(cs),
         )
         with pytest.raises(ConfigurationError, match="needs_reference"):
-            exact_argmax_metric(m0, (A,), needs_reference)
+            exact_argmax_metric(m0, m0.initial_state((A,)), needs_reference)
         assert calls == []
 
     def test_coverage_oracle_contains_both_source_tokens(self, m0):
-        best = exact_argmax_metric(m0, (A, B), coverage_metric())
+        best = exact_argmax_metric(m0, m0.initial_state((A, B)), coverage_metric())
         assert best.score == 1.0
         assert {A, B} <= set(best.sequence)
         # The most likely full-coverage outputs are the three 0.075 permutations
         # of AAB (forced EOS is free); ties prefer the lexicographically smaller.
         assert math.exp(best.log_likelihood) == pytest.approx(0.075, abs=1e-12)
         assert best.sequence == (A, A, B, EOS)
+
+
+class TestRootState:
+    """The oracles start from the root ``model.initial_state`` builds, as every decoder does."""
+
+    def test_likelihood_argmax_state_carries_the_reference(self, m0):
+        root = m0.initial_state((A,), reference=(A, B))
+        best = exact_argmax_likelihood(m0, root)
+        assert best.state.reference == (A, B)
+        assert best.state.max_len == root.max_len
+        assert terminal_reward(best.state, bleu_metric(1)) == 0.0  # empty output, scored
+
+    def test_metric_argmax_state_is_stepped_from_the_root(self, m0):
+        metric = bleu_metric(1)
+        root = m0.initial_state((A,), reference=[A, B])
+        best = exact_argmax_metric(m0, root, metric)
+        assert best.state == reduce(step, best.sequence, root)
+        assert best.state.max_len == root.max_len
+        assert best.state.reference == (A, B)
+        assert terminal_reward(best.state, metric) == best.score
+
+    def test_metric_argmax_state_equals_the_decoders(self, m0, occupancy_a3):
+        root = m0.initial_state(())
+        best = exact_argmax_metric(m0, root, occupancy_a3)
+        assert best.state == greedy_decode(m0, root).state
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            enumerate_sequences,
+            exact_argmax_likelihood,
+            lambda model, root: exact_argmax_metric(model, root, coverage_metric()),
+        ],
+    )
+    def test_terminal_root_is_a_contract_violation(self, m0, oracle):
+        root = m0.initial_state(())
+        for terminal in (step(root, EOS), reduce(step, (A, A, A, A), root)):  # EOS, cap
+            assert terminal.terminal
+            with pytest.raises(ContractViolation, match="non-terminal"):
+                oracle(m0, terminal)
+
+    def test_a_stepped_root_enumerates_its_subtree(self):
+        model = SeededTabularModel(3, vocab_size=3, max_len=4, context_order=1)
+        root = step(model.initial_state((0, 1)), A)
+        seqs = enumerate_sequences(model, root)
+        assert seqs == recursive_enumeration(model, root)
+        assert all(seq[0] == A for seq, _ in seqs)
+        assert sum(math.exp(ll) for _, ll in seqs) == pytest.approx(1.0, abs=1e-9)
+        best = exact_argmax_metric(model, root, coverage_metric())
+        assert best.state == reduce(step, best.sequence[1:], root)
+
+    def test_guard_counts_the_remaining_horizon(self):
+        model = SeededTabularModel(0, vocab_size=11, max_len=7, context_order=0)
+        with pytest.raises(GuardExceeded, match="11\\^6"):
+            enumerate_sequences(model, step(model.initial_state(()), A))
