@@ -4,9 +4,10 @@ One search builds a tree for a single output position. The arena keeps every
 statistic in flat (batch, node) and (batch, node, sparse-action) arrays so a
 whole batch advances in lockstep, plus one node-ordered list of the provider's
 state handles (``node_states[node][b]``). An arena searches once; the next
-search needs a fresh one. A plain recursive twin implementation exists purely
-to cross-check the arena arithmetic, and the search tree can be exported as
-DOT for inspection.
+search needs a fresh one. The search tree can be exported as DOT for
+inspection. The arena arithmetic is cross-checked against a plain recursive
+twin after every simulation in the test suite (``tests/twin.py``, acceptance
+criterion 4).
 """
 
 from pathlib import Path
@@ -16,7 +17,6 @@ import numpy as np
 from seqdecode import (
     ArenaSearch,
     FixedPriorModel,
-    RecursiveSearch,
     SearchConfig,
     decode_mcts,
     export_tree,
@@ -50,15 +50,6 @@ def main() -> None:
     dot_path = Path("mcts_tree.dot")
     export_tree(arena, dot_path)
     print(f"  tree exported to {dot_path} ({len(dot_path.read_text().splitlines())} DOT lines)")
-
-    reference = RecursiveSearch(fresh_model(), cfg, metric=METRIC)
-    reference.begin(fresh_model().initial_state(()))
-    for _ in range(cfg.num_simulations):
-        reference.step_simulation()
-    agree = np.array_equal(arena.visit_counts[0], reference.visit_counts()) and np.allclose(
-        arena.values[0], reference.node_values(), atol=1e-12
-    )
-    print(f"  recursive twin agrees    : {agree}")
 
     print("\nfull decodes under different backup/selection variants:")
     variants = [

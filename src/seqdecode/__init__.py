@@ -38,7 +38,6 @@ from .harness import (
 )
 from .mcts import (
     ArenaSearch,
-    RecursiveSearch,
     SearchConfig,
     SearchResult,
     decode_mcts,
@@ -62,7 +61,6 @@ from .models import (
     PolicyValueModel,
     SeededTabularModel,
     TransformedValueModel,
-    affine_value_model,
     apply_temperature,
     greedy_policy,
     make_seeded_model,
@@ -79,7 +77,6 @@ from .oracle import (
 from .scoring import (
     Metric,
     SeededUnitEmbeddings,
-    TableEmbeddings,
     bert_style_metric,
     bert_style_score,
     bleu,

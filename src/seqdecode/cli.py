@@ -25,6 +25,7 @@ from .harness import (
     ModelSpec,
     RunConfig,
     _build_model,
+    check_algorithms,
     check_model_spec,
     check_references,
     emit_report,
@@ -32,7 +33,7 @@ from .harness import (
     load_dataset,
     run_experiment,
 )
-from .mcts import ArenaSearch
+from .mcts import BACKUP_RULES, ROOT_SELECTIONS, VALUE_SOURCES, ArenaSearch
 from .mdp import ConfigurationError
 from .oracle import exact_argmax_likelihood, exact_argmax_metric
 
@@ -58,11 +59,11 @@ def _add_algorithm_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", type=float, default=0.0, help="beam length-normalization exponent")
     p.add_argument("--tau", type=float, default=1.0, help="sampling / mcts prior temperature")
     p.add_argument("--alpha", type=float, default=0.5, help="vgbs likelihood weight")
-    p.add_argument("--value-source", choices=("model", "rollout"), default="model")
+    p.add_argument("--value-source", choices=VALUE_SOURCES, default="model")
     p.add_argument("--sparse-actions", type=int, default=3)
     p.add_argument("--c-puct", type=float, default=1.0)
-    p.add_argument("--backup", choices=("average", "max"), default="average")
-    p.add_argument("--root-selection", choices=("visit_count", "max_value"), default="visit_count")
+    p.add_argument("--backup", choices=BACKUP_RULES, default="average")
+    p.add_argument("--root-selection", choices=ROOT_SELECTIONS, default="visit_count")
 
 
 def _model_spec(args: argparse.Namespace) -> ModelSpec:
@@ -217,12 +218,11 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     spec = _model_spec(args)
     check_model_spec(spec, [instance])
     metric = _metric_spec(args).build()
-    check_references(metric, [instance])
-    model = _build_model(spec, metric)
     algo = _algorithm_spec("mcts", args)
-    cfg = algo.search_config(args.simulations, model.vocab_size)
-    if metric.privileged and algo.uses_score_directly():
-        raise ConfigurationError("rollout value source cannot be used with a privileged metric")
+    check_algorithms(metric, (algo,))
+    check_references(metric, [instance])
+    cfg = algo.search_config(args.simulations, spec.effective_vocab_size)
+    model = _build_model(spec, metric)
     arena = ArenaSearch(model, 1, cfg, metric=metric)
     arena.run([model.initial_state(instance.source, instance.reference)])
     export_tree(arena, args.out)

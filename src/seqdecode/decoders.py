@@ -34,8 +34,8 @@ class BeamConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigurationError("beam size must be >= 1")
-        if self.theta < 0:
-            raise ConfigurationError("theta must be >= 0")
+        if not (math.isfinite(self.theta) and self.theta >= 0):
+            raise ConfigurationError("theta must be finite and >= 0")
 
 
 @dataclass(frozen=True)

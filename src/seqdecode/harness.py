@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -132,8 +133,10 @@ class AlgorithmSpec:
             return VgbsConfig(k=k, alpha=self.alpha)
         if self.name == "mcts":
             return self.search_config(budget, vocab_size)
-        if self.name in ("sample_rerank", "sample_rerank_value") and self.tau <= 0:
-            raise ConfigurationError("temperature must be > 0")
+        if self.name in ("sample_rerank", "sample_rerank_value") and not (
+            math.isfinite(self.tau) and self.tau > 0
+        ):
+            raise ConfigurationError("temperature must be finite and > 0")
         return None
 
 
@@ -329,6 +332,17 @@ def check_model_spec(spec: ModelSpec, dataset: list[Instance]) -> None:
             )
 
 
+def check_algorithms(metric: Metric, algorithms: tuple[AlgorithmSpec, ...]) -> None:
+    """Reject algorithms that consult the score at decode time under a privileged metric."""
+    if metric.privileged:
+        for algo in algorithms:
+            if algo.uses_score_directly():
+                raise ConfigurationError(
+                    f"algorithm {algo.name!r} consults the score at decode time and "
+                    f"cannot be used with the privileged metric {metric.name!r}"
+                )
+
+
 def check_references(metric: Metric, dataset: list[Instance]) -> None:
     """Reject instances without the reference a privileged metric needs."""
     if metric.privileged:
@@ -348,12 +362,7 @@ def validate_run_config(
     """
     check_model_spec(cfg.model, dataset)
     metric = cfg.metric.build()
-    for algo in cfg.algorithms:
-        if metric.privileged and algo.uses_score_directly():
-            raise ConfigurationError(
-                f"algorithm {algo.name!r} consults the score at decode time and "
-                f"cannot be used with the privileged metric {metric.name!r}"
-            )
+    check_algorithms(metric, cfg.algorithms)
     check_references(metric, dataset)
     if any(budget < 1 for budget in cfg.budgets):
         raise ConfigurationError("budgets must be >= 1")

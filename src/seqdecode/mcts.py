@@ -23,18 +23,18 @@ keeps every decision invariant under affine maps of the value function.
 No statistic changes during a descent, so a simulation scores every node
 once (:meth:`ArenaSearch.uct_scores`) and each level is a lookup in that table.
 
-:class:`RecursiveSearch` is a deliberately plain tree-of-records twin used
-for differential testing of the arena arithmetic.
+The tests check the arena against a plain recursive twin (``tests/twin.py``)
+after every simulation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import ConfigurationError, ContractViolation, DecodeState, complete, step
+from .mdp import ConfigurationError, ContractViolation, DecodeState, complete
 from .models import ModelState, PolicyValueModel, apply_temperature, rollout_value
 from .scoring import Metric
 
@@ -58,10 +58,10 @@ class SearchConfig:
             raise ConfigurationError("num_simulations must be >= 0")
         if self.num_sparse_actions < 1:
             raise ConfigurationError("num_sparse_actions must be >= 1")
-        if self.c_puct <= 0:
-            raise ConfigurationError("c_puct must be > 0")
-        if self.tau <= 0:
-            raise ConfigurationError("tau must be > 0")
+        if not (math.isfinite(self.c_puct) and self.c_puct > 0):
+            raise ConfigurationError("c_puct must be finite and > 0")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ConfigurationError("tau must be finite and > 0")
         if self.backup not in BACKUP_RULES:
             raise ConfigurationError(f"backup must be one of {BACKUP_RULES}")
         if self.root_selection not in ROOT_SELECTIONS:
@@ -78,11 +78,6 @@ class SearchResult:
     dense_root_values: np.ndarray  # (B, V) float, valid where counts > 0
     root_priors: np.ndarray  # (B, V) raw (untempered) root priors
     tempered_root_priors: np.ndarray  # (B, V)
-
-
-def _sparse_topk(prior_row: np.ndarray, num_sparse: int) -> np.ndarray:
-    # Deterministic top-A: by descending prior, ties to the lower token id.
-    return np.argsort(-prior_row, kind="stable")[:num_sparse]
 
 
 class ArenaSearch:
@@ -366,136 +361,3 @@ def decode_mcts(
         Candidate(sequence=s.prefix, log_likelihood=ll, state=s)
         for s, ll in zip(finals, log_likelihoods)
     ]
-
-
-# --------------------------------------------------------- reference twin
-
-
-@dataclass
-class _RefNode:
-    prior: np.ndarray  # tempered, truncated, unrenormalized
-    mapping: np.ndarray  # sparse slot -> vocabulary id
-    value: float
-    visits: int
-    decode_state: DecodeState
-    model_state: object
-    parent: "_RefNode | None" = None
-    action_from_parent: int = -1
-    children: dict[int, "_RefNode"] = field(default_factory=dict)
-    child_values: np.ndarray | None = None
-    child_visits: np.ndarray | None = None
-
-
-class RecursiveSearch:
-    """Plain single-instance MCTS with explicit node records.
-
-    Mirrors :class:`ArenaSearch` operation by operation (same selection
-    formula, same backup arithmetic, same sparse-action ordering) so the two
-    implementations must agree exactly after every simulation.
-    """
-
-    def __init__(self, model: PolicyValueModel, cfg: SearchConfig, metric: Metric | None = None):
-        if cfg.num_sparse_actions > model.vocab_size:
-            raise ValueError("num_sparse_actions must not exceed the vocabulary size")
-        if cfg.value_source == "rollout" and metric is None:
-            raise ValueError("rollout value source needs a metric")
-        self.model = model
-        self.cfg = cfg
-        self.metric = metric
-        self.nodes: list[_RefNode] = []
-        self.adaptive_min = 0.0
-        self.adaptive_max = 0.0
-
-    def begin(self, root_state: DecodeState) -> None:
-        if root_state.terminal:
-            raise ContractViolation("search roots must be non-terminal")
-        self.nodes = []
-        priors, values, model_states = self.model.evaluate_root([root_state])
-        value = float(values[0])
-        if self.cfg.value_source == "rollout":
-            value = self._rollout(root_state)
-        self.adaptive_min = value
-        self.adaptive_max = value + 1e-6
-        self._make_node(priors[0], value, model_states[0], root_state)
-
-    def _rollout(self, state: DecodeState) -> float:
-        return float(rollout_value(self.model, [state], self.metric)[0])
-
-    def _make_node(
-        self, prior: np.ndarray, value: float, model_state: object, decode_state: DecodeState
-    ) -> _RefNode:
-        tempered = apply_temperature(prior, self.cfg.tau)
-        top = _sparse_topk(tempered, self.cfg.num_sparse_actions)
-        node = _RefNode(
-            prior=tempered[top],
-            mapping=top,
-            value=value,
-            visits=1,
-            decode_state=decode_state,
-            model_state=model_state,
-            child_values=np.zeros(self.cfg.num_sparse_actions),
-            child_visits=np.zeros(self.cfg.num_sparse_actions, dtype=np.int64),
-        )
-        self.nodes.append(node)
-        return node
-
-    def _select_action(self, node: _RefNode) -> int:
-        policy_score = (
-            math.sqrt(node.visits) * self.cfg.c_puct * node.prior / (node.child_visits + 1)
-        )
-        span = self.adaptive_max - self.adaptive_min
-        value_score = np.where(
-            node.child_visits > 0,
-            (node.child_values - self.adaptive_min) / span,
-            0.0,
-        )
-        return int(np.argmax(value_score + policy_score))
-
-    def step_simulation(self) -> None:
-        node = self.nodes[0]
-        while True:
-            action = self._select_action(node)
-            child = node.children.get(action)
-            if child is None:
-                break
-            node = child
-
-        dense_action = int(node.mapping[action])
-        priors, values, next_model_states, _ = self.model.evaluate_step(
-            [node.model_state], [dense_action]
-        )
-        if node.decode_state.terminal:
-            child_state = node.decode_state
-        else:
-            child_state = step(node.decode_state, dense_action)
-        value = float(values[0])
-        if self.cfg.value_source == "rollout":
-            value = self._rollout(child_state)
-
-        leaf = self._make_node(priors[0], value, next_model_states[0], child_state)
-        leaf.parent = node
-        leaf.action_from_parent = action
-        node.children[action] = leaf
-
-        self.adaptive_min = min(self.adaptive_min, value)
-        self.adaptive_max = max(self.adaptive_max, value)
-
-        # Backward pass: push the leaf value to every ancestor.
-        leaf_value = leaf.value
-        child = leaf
-        while child.parent is not None:
-            parent = child.parent
-            if self.cfg.backup == "average":
-                parent.value = (parent.value * parent.visits + leaf_value) / (parent.visits + 1)
-            else:
-                parent.value = max(parent.value, leaf_value)
-            parent.visits += 1
-            parent.child_values[child.action_from_parent] = child.value
-            parent.child_visits[child.action_from_parent] += 1
-            child = parent
-
-    def visit_counts(self) -> np.ndarray:
-        return np.array([n.visits for n in self.nodes], dtype=np.int64)
-
-    def node_values(self) -> np.ndarray:
-        return np.array([n.value for n in self.nodes])

@@ -118,11 +118,12 @@ def apply_temperature(prior: np.ndarray, tau: float) -> np.ndarray:
     """Renormalized tempered distribution ``p^(1/tau) / sum``, row by row.
 
     ``prior`` is one distribution ``(V,)`` or a batch ``(B, V)``; each row
-    needs a positive entry. ``tau`` must be strictly positive; callers wanting
-    the greedy limit should take an argmax instead of passing tau -> 0.
+    needs a positive entry. ``tau`` must be finite and strictly positive;
+    callers wanting the greedy limit should take an argmax instead of passing
+    tau -> 0.
     """
-    if tau <= 0:
-        raise ConfigurationError("temperature must be > 0")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ConfigurationError("temperature must be finite and > 0")
     p = np.asarray(prior, dtype=float)
     if p.ndim not in (1, 2) or p.size == 0:
         raise ValueError("prior must be a non-empty vector or batch of vectors")
@@ -352,8 +353,8 @@ class NoisyValueModel(TransformedValueModel):
     """Emulates an imperfect value network: seeded per-state noise, clamped to [0, 1]."""
 
     def __init__(self, inner: PolicyValueModel, amplitude: float, seed: int = 0):
-        if amplitude < 0:
-            raise ConfigurationError("amplitude must be >= 0")
+        if not (math.isfinite(amplitude) and amplitude >= 0):
+            raise ConfigurationError("amplitude must be finite and >= 0")
 
         def perturb(value: float, state: DecodeState) -> float:
             payload = repr((seed, state.source, state.prefix)).encode()
@@ -363,11 +364,6 @@ class NoisyValueModel(TransformedValueModel):
 
         super().__init__(inner, perturb)
         self.amplitude = amplitude
-
-
-def affine_value_model(inner: PolicyValueModel, scale: float, shift: float) -> TransformedValueModel:
-    """Value head replaced by ``scale * v + shift`` (selection should not care)."""
-    return TransformedValueModel(inner, lambda v, _state: scale * v + shift)
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,14 @@ from operator import itemgetter
 
 import numpy as np
 
-from .mdp import ContractViolation, DecodeState, Sequence, reward_anchor, step
+from .mdp import ConfigurationError, ContractViolation, DecodeState, Sequence, reward_anchor, step
 from .models import PolicyValueModel
 from .scoring import Metric
 
 ENUMERATION_GUARD = 1_000_000
 
 
-class GuardExceeded(ValueError):
+class GuardExceeded(ConfigurationError):
     """The instance is too large for exhaustive search."""
 
 

@@ -127,16 +127,6 @@ class SeededUnitEmbeddings:
         return vec
 
 
-class TableEmbeddings:
-    """Embeddings from an explicit (token -> vector) table; handy in tests."""
-
-    def __init__(self, table: dict[int, np.ndarray]):
-        self._table = {t: np.asarray(v, dtype=float) for t, v in table.items()}
-
-    def vector(self, token: int) -> np.ndarray:
-        return self._table[token]
-
-
 # Candidates per block are capped so the (N, L, M) similarity tensor stays this small.
 SCORE_BLOCK_ELEMENTS = 1 << 16
 

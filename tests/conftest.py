@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from seqdecode import FixedPriorModel, occupancy_metric
+from seqdecode import FixedPriorModel, PolicyValueModel, TransformedValueModel, occupancy_metric
 
 M0_PRIOR = (0.5, 0.3, 0.2)
 M0_MAX_LEN = 3
@@ -19,6 +19,11 @@ A, B, EOS = 0, 1, 2
 
 def make_m0(value_metric=None, max_len: int = M0_MAX_LEN) -> FixedPriorModel:
     return FixedPriorModel(M0_PRIOR, max_len, value_metric=value_metric)
+
+
+def affine_value_model(inner: PolicyValueModel, scale: float, shift: float) -> TransformedValueModel:
+    """Value head replaced by ``scale * v + shift`` (selection should not care)."""
+    return TransformedValueModel(inner, lambda v, _state: scale * v + shift)
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ from seqdecode import (
     NoisyValueModel,
     SearchConfig,
     SeededTabularModel,
-    affine_value_model,
     beam_search,
     bleu,
     coverage_metric,
@@ -39,9 +38,10 @@ from seqdecode import (
     value_guided_beam_search,
 )
 from seqdecode.decoders import VgbsConfig
-from seqdecode.mcts import ArenaSearch, RecursiveSearch
+from seqdecode.mcts import ArenaSearch
 
-from conftest import A, B, EOS, make_m0
+from conftest import A, B, EOS, affine_value_model, make_m0
+from twin import RecursiveSearch
 
 
 def _pass(criterion: int, message: str) -> None:

@@ -177,6 +177,62 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("configuration error: ")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "algorithm, flag",
+        [
+            ("mcts", "--c-puct"),
+            ("mcts", "--tau"),
+            ("beam", "--theta"),
+            ("sample_rerank", "--tau"),
+            ("greedy", "--value-noise"),
+        ],
+    )
+    def test_non_finite_flags_fail_before_any_model(
+        self, tmp_path, monkeypatch, capsys, algorithm, flag, value
+    ):
+        import seqdecode.harness as harness
+
+        built = []
+        monkeypatch.setattr(harness, "_build_model", lambda *args: built.append(args))
+        path = tmp_path / "data.jsonl"
+        save_dataset([Instance("a", (0, 1))], path)
+        code = run(
+            "sweep", "--dataset", path, "--vocab-size", 4, "--max-len", 3,
+            "--algorithms", algorithm, "--budgets", 2, flag, value, "--out", tmp_path / "x.json",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "finite" in err, err
+        assert built == []
+
+    def test_oversize_oracle_is_one(self, tmp_path, capsys):
+        path = tmp_path / "data.jsonl"
+        save_dataset([Instance("a", (0, 1))], path)
+        code = run(
+            "oracle", "--dataset", path, "--vocab-size", 8, "--max-len", 9,
+            "--out", tmp_path / "x.json",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert "8^9 = 134217728" in err and "guard of 1000000" in err, err
+
+    def test_tree_rollout_under_privileged_metric_fails_before_any_model(
+        self, dataset_path, tmp_path, monkeypatch, capsys
+    ):
+        import seqdecode.cli as cli
+
+        built = []
+        monkeypatch.setattr(cli, "_build_model", lambda *args: built.append(args))
+        code = run(
+            "tree", "--dataset", dataset_path, "--value-source", "rollout", "--metric", "bleu",
+            "--out", tmp_path / "x.dot",
+        )
+        assert code == 1
+        assert "'mcts'" in capsys.readouterr().err
+        assert built == []
+
     def test_bad_budgets_and_encoding_are_one(self, dataset_path, tmp_path):
         code = run(
             "sweep", "--dataset", dataset_path, "--algorithms", "greedy", "--budgets", "1,x",

@@ -10,7 +10,6 @@ from seqdecode import (
     ArenaSearch,
     ContractViolation,
     FixedPriorModel,
-    RecursiveSearch,
     SearchConfig,
     SeededTabularModel,
     bleu_metric,
@@ -24,6 +23,7 @@ from seqdecode import (
 from seqdecode.mcts import BACKUP_RULES, VALUE_SOURCES
 
 from conftest import A, B, EOS, make_m0
+from twin import RecursiveSearch
 
 
 def fresh_arena(model, batch=1, **cfg_kwargs):

@@ -18,7 +18,6 @@ from seqdecode import (
     PolicyValueModel,
     SearchConfig,
     SeededTabularModel,
-    affine_value_model,
     apply_temperature,
     bleu_metric,
     coverage_metric,
@@ -30,7 +29,7 @@ from seqdecode import (
     terminal_reward,
 )
 
-from conftest import A, B, EOS, make_m0
+from conftest import A, B, EOS, affine_value_model, make_m0
 
 
 class TestPriors:
@@ -329,6 +328,11 @@ class TestTemperature:
     def test_non_positive_tau_rejected(self):
         with pytest.raises(ValueError):
             apply_temperature(np.array([0.5, 0.5]), 0.0)
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_non_finite_tau_is_a_configuration_error(self, tau):
+        with pytest.raises(ConfigurationError, match="finite"):
+            apply_temperature(np.array([0.5, 0.5]), tau)
 
     def test_batch_equals_rows(self):
         rng = np.random.default_rng(0)

@@ -9,7 +9,6 @@ from seqdecode import (
     Metric,
     MetricSpec,
     SeededUnitEmbeddings,
-    TableEmbeddings,
     bert_style_metric,
     bert_style_score,
     bleu,
@@ -23,6 +22,16 @@ from seqdecode.mdp import clamp01
 
 THE, CAT, IS, ON, MAT = 0, 1, 2, 3, 4
 REFERENCE = (THE, CAT, IS, ON, THE, MAT)  # "the cat is on the mat"
+
+
+class TableEmbeddings:
+    """Embeddings from an explicit (token -> vector) table."""
+
+    def __init__(self, table: dict[int, np.ndarray]):
+        self._table = {t: np.asarray(v, dtype=float) for t, v in table.items()}
+
+    def vector(self, token: int) -> np.ndarray:
+        return self._table[token]
 
 
 def brute_force_precision(candidate, reference, n):
