@@ -24,14 +24,11 @@ from .harness import (
     MetricSpec,
     ModelSpec,
     RunConfig,
-    _build_model,
-    check_algorithms,
-    check_model_spec,
-    check_references,
     emit_report,
     export_tree,
     load_dataset,
     run_experiment,
+    validate_run_config,
 )
 from .mcts import BACKUP_RULES, ROOT_SELECTIONS, VALUE_SOURCES, ArenaSearch
 from .mdp import ConfigurationError
@@ -166,6 +163,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         budgets = tuple(int(b) for b in args.budgets.split(",") if b.strip())
     except ValueError as exc:
         raise ConfigurationError(f"--budgets must be comma-separated integers: {exc}") from exc
+    for flag, values in (("--algorithms", names), ("--budgets", budgets)):
+        if not values:
+            raise ConfigurationError(f"{flag} names no value")
     cfg = RunConfig(
         model=_model_spec(args),
         metric=_metric_spec(args),
@@ -180,13 +180,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
-    metric = _metric_spec(args).build()
-    spec = _model_spec(args)
-    check_model_spec(spec, dataset)
-    check_references(metric, dataset)
+    cfg = RunConfig(model=_model_spec(args), metric=_metric_spec(args), algorithms=())
+    model, metric, _ = validate_run_config(cfg, dataset)
     rows = []
     for inst in sorted(dataset, key=lambda i: i.id):
-        model = _build_model(spec, metric)
         root = model.initial_state(inst.source, inst.reference)
         best_ll = exact_argmax_likelihood(model, root)
         best_metric = exact_argmax_metric(model, root, metric)
@@ -215,15 +212,14 @@ def _cmd_tree(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"no instance with id {args.instance_id!r}")
         instance = matches[0]
 
-    spec = _model_spec(args)
-    check_model_spec(spec, [instance])
-    metric = _metric_spec(args).build()
     algo = _algorithm_spec("mcts", args)
-    check_algorithms(metric, (algo,))
-    check_references(metric, [instance])
-    cfg = algo.search_config(args.simulations, spec.effective_vocab_size)
-    model = _build_model(spec, metric)
-    arena = ArenaSearch(model, 1, cfg, metric=metric)
+    # No sweep budget: unlike a budget, --simulations 0 is valid (a tree of the root alone).
+    cfg = RunConfig(
+        model=_model_spec(args), metric=_metric_spec(args), algorithms=(algo,), budgets=()
+    )
+    model, metric, _ = validate_run_config(cfg, [instance])
+    search_cfg = algo.search_config(args.simulations, model.vocab_size)
+    arena = ArenaSearch(model, 1, search_cfg, metric=metric)
     arena.run([model.initial_state(instance.source, instance.reference)])
     export_tree(arena, args.out)
     return 0

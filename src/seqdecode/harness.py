@@ -1,11 +1,12 @@
 """Experiment runner: datasets, algorithm/budget sweeps, reports, tree export.
 
 A run decodes every dataset instance under every (algorithm, budget) cell
-with a fresh model and ledger per cell, deriving all randomness from a stable
+with the one model built when the run is validated, charging each cell the
+ledger counts its own decode adds, and deriving all randomness from a stable
 hash of (global seed, instance id, algorithm, budget) so reports are
 byte-identical across repeats. Every cell's decoder config is built, and so
-checked, before the first decode. Models are built from the run config alone;
-an instance's reference enters through the root state of its cells.
+checked, before the first decode. The model is built from the run config
+alone; an instance's reference enters through the root state of its cells.
 """
 
 from __future__ import annotations
@@ -274,11 +275,6 @@ def vgbs_width_for_budget(budget: int) -> int:
     return k
 
 
-def _build_model(spec: ModelSpec, metric: Metric) -> PolicyValueModel:
-    """The provider one cell (or one oracle or tree instance) decodes with."""
-    return spec.build(metric)
-
-
 def _decode_cell(
     model: PolicyValueModel,
     algo: AlgorithmSpec,
@@ -312,12 +308,9 @@ def _decode_cell(
     raise ConfigurationError(f"unknown algorithm {algo.name!r}")
 
 
-def check_model_spec(spec: ModelSpec, dataset: list[Instance]) -> None:
-    """Reject a spec the provider constructors reject (even for an empty dataset), then
-    source or reference ids outside the vocabulary of the models ``spec`` builds, and
-    sources with EOS (the last id) before their final token."""
-    spec.build()
-    vocab_size = spec.effective_vocab_size
+def check_token_ids(vocab_size: int, dataset: list[Instance]) -> None:
+    """Reject source or reference ids outside the vocabulary, and sources with EOS
+    (the last id) before their final token."""
     for inst in dataset:
         for name, tokens in (("source", inst.source), ("reference", inst.reference or ())):
             for t in tokens:
@@ -355,37 +348,37 @@ def check_references(metric: Metric, dataset: list[Instance]) -> None:
 
 def validate_run_config(
     cfg: RunConfig, dataset: list[Instance]
-) -> list[tuple[AlgorithmSpec, int, CellConfig]]:
+) -> tuple[PolicyValueModel, Metric, list[tuple[AlgorithmSpec, int, CellConfig]]]:
     """Every check a run needs, made before anything is decoded.
 
-    Returns each (algorithm, budget) cell with its decoder config, algorithm-major.
+    Returns the run's one model, its metric, and each (algorithm, budget) cell
+    with its decoder config, algorithm-major. Building the model checks its spec.
     """
-    check_model_spec(cfg.model, dataset)
     metric = cfg.metric.build()
+    model = cfg.model.build(metric)
+    check_token_ids(model.vocab_size, dataset)
     check_algorithms(metric, cfg.algorithms)
     check_references(metric, dataset)
     if any(budget < 1 for budget in cfg.budgets):
         raise ConfigurationError("budgets must be >= 1")
-    vocab_size = cfg.model.effective_vocab_size
-    return [
-        (algo, budget, algo.cell_config(budget, vocab_size))
+    cells = [
+        (algo, budget, algo.cell_config(budget, model.vocab_size))
         for algo in cfg.algorithms
         for budget in cfg.budgets
     ]
+    return model, metric, cells
 
 
 def run_experiment(cfg: RunConfig, dataset: list[Instance]) -> Report:
     """Decode every instance under every (algorithm, budget) cell."""
-    cell_configs = validate_run_config(cfg, dataset)
-    metric = cfg.metric.build()
+    model, metric, cells = validate_run_config(cfg, dataset)
     report = Report()
 
     for instance in sorted(dataset, key=lambda i: i.id):
-        for algo, budget, cell_cfg in cell_configs:
+        for algo, budget, cell_cfg in cells:
             cell_seed = stable_cell_seed(cfg.seed, instance.id, algo.name, budget)
-            model = _build_model(cfg.model, metric)
-            candidate = _decode_cell(model, algo, budget, cell_cfg, instance, metric, cell_seed)
             evaluations, tokens = model.ledger.snapshot()
+            candidate = _decode_cell(model, algo, budget, cell_cfg, instance, metric, cell_seed)
             report.cells.append(
                 CellResult(
                     instance_id=instance.id,
@@ -394,8 +387,8 @@ def run_experiment(cfg: RunConfig, dataset: list[Instance]) -> Report:
                     sequence=candidate.sequence,
                     score=terminal_reward(candidate.state, metric),
                     log_likelihood=candidate.log_likelihood,
-                    evaluations=evaluations,
-                    tokens=tokens,
+                    evaluations=model.ledger.evaluations - evaluations,
+                    tokens=model.ledger.tokens_decoded - tokens,
                 )
             )
     return report

@@ -63,7 +63,7 @@ class DecodeState:
     ``reference`` is the instance's reference (a tuple, or None), carried
     unchanged by :func:`step`; only the reward scores against it (see
     :func:`reward_anchor`). Its ids are checked once where a dataset enters
-    (``harness.check_model_spec``), not on every step. ``source``, ``prefix`` and
+    (``harness.check_token_ids``), not on every step. ``source``, ``prefix`` and
     ``reference`` are stored as tuples whatever sequence type they are built from.
     ``terminal`` is computed when the state is built; it takes no part in
     equality or hashing. The class has slots: the oracle holds a whole

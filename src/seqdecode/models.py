@@ -25,8 +25,9 @@ A :class:`ModelSpec` holds everything that builds a provider, and its
 ``build`` is the one construction rule; :func:`make_seeded_model` is its
 seeded-table shorthand.
 
-Charged greedy completion (rollouts, greedy decoding) is :func:`.mdp.complete`
-under :func:`greedy_policy`; the value head's own walk is uncharged forward pass.
+Every greedy completion is :func:`.mdp.complete`: charged under
+:func:`greedy_policy` for rollouts and greedy decoding, and uncharged under an
+argmax of ``priors`` for the value head, whose walk is part of the forward pass.
 
 A model holds no per-instance data: an instance's reference enters decoding
 once, through :meth:`PolicyValueModel.initial_state`, and rides in every state
@@ -143,11 +144,11 @@ class PolicyValueModel:
 
     Subclasses supply the prior of non-forced states: ``_table_priors(states)``
     for a batch, or ``_table_prior(state)`` for one state, which the default
-    ``_table_priors`` stacks and checks. The value head is the score of
-    a greedy completion under ``value_metric`` (0.0 when no metric is set),
-    against the state's own reference, and is cached per (source, reference,
-    prefix); it is part of the forward pass and costs nothing beyond the
-    evaluation that produced it.
+    ``_table_priors`` stacks and checks. The value head (:meth:`values`) is the
+    score of a greedy completion under ``value_metric`` (0.0 when no metric is
+    set), against the state's own reference, and is cached per (source,
+    reference, prefix); it is part of the forward pass and costs nothing beyond
+    the evaluation that produced it.
     """
 
     def __init__(
@@ -205,25 +206,28 @@ class PolicyValueModel:
         """Next-token distribution of one state (see :meth:`priors`)."""
         return self.priors([state])[0]
 
-    def value(self, state: DecodeState) -> float:
-        """Value head output for one state (memoized; the head is deterministic)."""
-        key = (state.source, state.reference, state.prefix)
-        cached = self._value_cache.get(key)
-        if cached is None:
-            cached = self._value(state)
-            if not math.isfinite(cached):
-                raise ContractViolation(f"value head returned {cached} for state {state}")
-            self._value_cache[key] = cached
-        return cached
+    def values(self, states: list[DecodeState]) -> np.ndarray:
+        """Value head outputs ``(n,)``, memoized per (source, reference, prefix)."""
+        cache = self._value_cache
+        keys = [(s.source, s.reference, s.prefix) for s in states]
+        misses = {k: s for k, s in zip(keys, states) if k not in cache}
+        for (k, s), v in zip(misses.items(), self._head(list(misses.values()))):
+            if not math.isfinite(v):
+                raise ContractViolation(f"value head returned {v} for state {s}")
+            cache[k] = float(v)
+        return np.array([cache[k] for k in keys])
 
-    def _value(self, state: DecodeState) -> float:
-        """Default head: greedy-completion score under the configured metric."""
+    def _head(self, states: list[DecodeState]) -> list[float]:
+        """Greedy-completion score of each state under the value metric, or 0.0 without one."""
         if self._value_metric is None:
-            return 0.0
-        s = state
-        while not s.terminal:
-            s = step(s, int(np.argmax(self.prior(s))))
-        return terminal_reward(s, self._value_metric)
+            return [0.0] * len(states)
+
+        def argmax(_indices: list[int], live: list[DecodeState]):
+            priors = self.priors(live)
+            return priors, np.argmax(priors, axis=1)
+
+        final, _ = complete(states, argmax)
+        return [terminal_reward(s, self._value_metric) for s in final]
 
     # ------------------------------------------------------- batched interface
 
@@ -234,9 +238,9 @@ class PolicyValueModel:
         if not states:
             raise ValueError("empty batch")
         priors = self.priors(states)
-        values = [self.value(s) for s in states]
+        values = self.values(states)
         self.ledger.charge_evaluations(len(states))
-        return priors, np.array(values), [ModelState(s, v) for s, v in zip(states, values)]
+        return priors, values, [ModelState(s, v) for s, v in zip(states, values.tolist())]
 
     def evaluate_step(
         self, model_states: list[ModelState], actions: list[int]
@@ -253,10 +257,10 @@ class PolicyValueModel:
         if not model_states:
             raise ValueError("empty batch")
         handles = list(model_states)
-        for i, ms in enumerate(model_states):
-            if not ms.state.terminal:
-                s = step(ms.state, int(actions[i]))
-                handles[i] = ModelState(s, self.value(s))
+        live = [i for i, ms in enumerate(model_states) if not ms.state.terminal]
+        stepped = [step(model_states[i].state, int(actions[i])) for i in live]
+        for i, s, v in zip(live, stepped, self.values(stepped).tolist()):
+            handles[i] = ModelState(s, v)
         states = [ms.state for ms in handles]
         priors = self.priors(states)
         values = np.array([ms.value for ms in handles])
@@ -345,8 +349,9 @@ class TransformedValueModel(PolicyValueModel):
     def _table_priors(self, states: list[DecodeState]) -> np.ndarray:
         return self._inner._table_priors(states)
 
-    def _value(self, state: DecodeState) -> float:
-        return float(self._transform(self._inner.value(state), state))
+    def _head(self, states: list[DecodeState]) -> list[float]:
+        inner = self._inner.values(states).tolist()
+        return [float(self._transform(v, s)) for v, s in zip(inner, states)]
 
 
 class NoisyValueModel(TransformedValueModel):
@@ -377,11 +382,6 @@ class ModelSpec:
     value_noise: float = 0.0
     # When set, overrides the seeded table with one fixed prior (fixture models).
     prior: tuple[float, ...] | None = None
-
-    @property
-    def effective_vocab_size(self) -> int:
-        """Vocabulary size of the built models; a fixed prior sets it by its length."""
-        return len(self.prior) if self.prior is not None else self.vocab_size
 
     def build(self, value_metric: Metric | None = None) -> PolicyValueModel:
         """A fresh provider with its own ledger; any nonzero ``value_noise`` wraps it.

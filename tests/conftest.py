@@ -26,6 +26,19 @@ def affine_value_model(inner: PolicyValueModel, scale: float, shift: float) -> T
     return TransformedValueModel(inner, lambda v, _state: scale * v + shift)
 
 
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Record the arguments of every call of ``owner.name``, which still runs."""
+    calls: list = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 @pytest.fixture
 def m0() -> FixedPriorModel:
     return make_m0()

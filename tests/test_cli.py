@@ -7,6 +7,8 @@ import pytest
 from seqdecode import Instance, load_report, save_dataset
 from seqdecode.cli import main
 
+from conftest import count_calls
+
 
 @pytest.fixture
 def dataset_path(tmp_path):
@@ -82,6 +84,32 @@ class TestTree:
         assert text.startswith("digraph mcts {")
         assert text.count("->") == 3
 
+    def test_zero_simulations_is_the_root_alone(self, dataset_path, tmp_path):
+        out = tmp_path / "tree.dot"
+        code = run("tree", "--dataset", dataset_path, "--simulations", 0, "--out", out)
+        assert code == 0
+        assert "->" not in out.read_text()
+
+
+class TestModelConstruction:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decode", "--algorithm", "vgbs", "--budget", 4),
+            ("sweep", "--algorithms", "greedy,sample_rerank_value,mcts", "--budgets", "1,3"),
+            ("oracle",),
+            ("tree", "--simulations", 4),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_each_command_builds_one_provider(self, dataset_path, tmp_path, monkeypatch, argv):
+        from seqdecode.models import ModelSpec
+
+        built = count_calls(monkeypatch, ModelSpec, "build")
+        code = run(*argv, "--dataset", dataset_path, "--value-noise", 0.1, "--out", tmp_path / "x")
+        assert code == 0
+        assert len(built) == 1
+
 
 class TestExitCodes:
     def test_configuration_error_is_one(self, dataset_path, tmp_path):
@@ -109,8 +137,7 @@ class TestExitCodes:
     def test_out_of_vocabulary_sweep_fails_before_any_model(self, tmp_path, monkeypatch):
         import seqdecode.harness as harness
 
-        built = []
-        monkeypatch.setattr(harness, "_build_model", lambda *args: built.append(args))
+        decoded = count_calls(monkeypatch, harness, "_decode_cell")
         path = tmp_path / "oov.jsonl"
         save_dataset([Instance("x", (5, 6))], path)
         code = run(
@@ -118,16 +145,13 @@ class TestExitCodes:
             "--algorithms", "greedy,mcts", "--budgets", "1", "--out", tmp_path / "x.json",
         )
         assert code == 1
-        assert built == []
+        assert decoded == []
 
     def test_missing_reference_fails_before_any_enumeration(self, tmp_path, monkeypatch, capsys):
         import seqdecode.cli as cli
 
-        calls = []
-        original = cli.exact_argmax_metric
-        monkeypatch.setattr(
-            cli, "exact_argmax_metric", lambda *args: calls.append(args) or original(*args)
-        )
+        calls = count_calls(monkeypatch, cli, "exact_argmax_likelihood")
+        calls += count_calls(monkeypatch, cli, "exact_argmax_metric")
         path = tmp_path / "refs.jsonl"
         save_dataset([Instance("a", (0, 1), reference=(0, 1)), Instance("b", (1, 0))], path)
         code = run("oracle", "--dataset", path, "--metric", "bleu", "--out", tmp_path / "x")
@@ -138,14 +162,13 @@ class TestExitCodes:
     def test_tree_missing_reference_fails_before_any_model(self, tmp_path, monkeypatch, capsys):
         import seqdecode.cli as cli
 
-        built = []
-        monkeypatch.setattr(cli, "_build_model", lambda *args: built.append(args))
+        searches = count_calls(monkeypatch, cli, "ArenaSearch")
         path = tmp_path / "refs.jsonl"
         save_dataset([Instance("b", (1, 0))], path)
         code = run("tree", "--dataset", path, "--metric", "bleu", "--out", tmp_path / "x.dot")
         assert code == 1
         assert "'b'" in capsys.readouterr().err
-        assert built == []
+        assert searches == []
 
     @pytest.mark.parametrize("command", ["sweep", "oracle"])
     @pytest.mark.parametrize(
@@ -193,8 +216,7 @@ class TestExitCodes:
     ):
         import seqdecode.harness as harness
 
-        built = []
-        monkeypatch.setattr(harness, "_build_model", lambda *args: built.append(args))
+        decoded = count_calls(monkeypatch, harness, "_decode_cell")
         path = tmp_path / "data.jsonl"
         save_dataset([Instance("a", (0, 1))], path)
         code = run(
@@ -204,7 +226,7 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "finite" in err, err
-        assert built == []
+        assert decoded == []
 
     def test_oversize_oracle_is_one(self, tmp_path, capsys):
         path = tmp_path / "data.jsonl"
@@ -223,15 +245,23 @@ class TestExitCodes:
     ):
         import seqdecode.cli as cli
 
-        built = []
-        monkeypatch.setattr(cli, "_build_model", lambda *args: built.append(args))
+        searches = count_calls(monkeypatch, cli, "ArenaSearch")
         code = run(
             "tree", "--dataset", dataset_path, "--value-source", "rollout", "--metric", "bleu",
             "--out", tmp_path / "x.dot",
         )
         assert code == 1
         assert "'mcts'" in capsys.readouterr().err
-        assert built == []
+        assert searches == []
+
+    @pytest.mark.parametrize("flag, value", [("--algorithms", ","), ("--budgets", "")])
+    def test_empty_sweep_grid_is_one(self, dataset_path, tmp_path, capsys, flag, value):
+        grid = {"--algorithms": "greedy", "--budgets": "1", flag: value}
+        out = tmp_path / "x.json"
+        code = run("sweep", "--dataset", dataset_path, *sum(grid.items(), ()), "--out", out)
+        assert code == 1
+        assert f"configuration error: {flag} " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_budgets_and_encoding_are_one(self, dataset_path, tmp_path):
         code = run(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -24,8 +25,9 @@ from seqdecode import (
     stable_cell_seed,
     vgbs_width_for_budget,
 )
+from seqdecode.harness import ALGORITHMS
 
-from conftest import M0_PRIOR, A
+from conftest import M0_PRIOR, A, count_calls
 
 M0_SPEC = ModelSpec(prior=M0_PRIOR, max_len=3, vocab_size=3)
 OCC = MetricSpec(name="occupancy", target=A, horizon=3)
@@ -181,11 +183,7 @@ class TestRunExperiment:
     def test_vgbs_width_above_vocabulary_rejected_before_any_decode(self, monkeypatch):
         import seqdecode.harness as harness
 
-        built = []
-        real_build = harness._build_model
-        monkeypatch.setattr(
-            harness, "_build_model", lambda *args: built.append(args) or real_build(*args)
-        )
+        decoded = count_calls(monkeypatch, harness, "_decode_cell")
         # A fixed prior sets the vocabulary (3 here), whatever vocab_size says.
         for model in (ModelSpec(vocab_size=3), ModelSpec(prior=M0_PRIOR, vocab_size=8)):
             cfg = RunConfig(
@@ -196,7 +194,7 @@ class TestRunExperiment:
             )
             with pytest.raises(ConfigurationError, match="beam width 7 > vocabulary size 3"):
                 run_experiment(cfg, m0_dataset(2))
-        assert built == []
+        assert decoded == []
 
     @pytest.mark.parametrize(
         "algorithms, option",
@@ -209,11 +207,7 @@ class TestRunExperiment:
     def test_cell_config_errors_raise_before_any_decode(self, monkeypatch, algorithms, option):
         import seqdecode.harness as harness
 
-        built = []
-        real_build = harness._build_model
-        monkeypatch.setattr(
-            harness, "_build_model", lambda *args: built.append(args) or real_build(*args)
-        )
+        decoded = count_calls(monkeypatch, harness, "_decode_cell")
         cfg = RunConfig(
             model=M0_SPEC,
             metric=OCC,
@@ -222,7 +216,7 @@ class TestRunExperiment:
         )
         with pytest.raises(ConfigurationError):
             run_experiment(cfg, m0_dataset(2))
-        assert built == []
+        assert decoded == []
 
     def test_negative_value_noise_rejected(self):
         # A fixed prior takes the model-building branch that the CLI test does not reach.
@@ -254,6 +248,54 @@ class TestRunExperiment:
         greedy = [c for c in report.cells if c.algorithm == "greedy"][0]
         assert greedy.sequence == (0, 0, 0, 2)
         assert greedy.score == 1.0
+
+
+class TestSharedModel:
+    """A run decodes every cell with one provider; before, each cell built its own."""
+
+    @pytest.mark.parametrize(
+        "metric, algorithm_options, value_noise",
+        [
+            ("coverage", {}, 0.0),
+            ("coverage", {}, 0.2),
+            ("coverage", {"value_source": "rollout"}, 0.0),
+            ("bleu", {"backup": "max"}, 0.0),
+        ],
+        ids=["coverage", "value_noise", "rollout", "bleu"],
+    )
+    def test_run_equals_one_cell_runs_on_fresh_models(
+        self, tmp_path, metric, algorithm_options, value_noise
+    ):
+        names = [n for n in ALGORITHMS if not (metric == "bleu" and n == "sample_rerank")]
+        cfg = RunConfig(
+            model=ModelSpec(seed=1, vocab_size=5, max_len=4, context_order=1,
+                            value_noise=value_noise),
+            metric=MetricSpec(name=metric, max_n=2),
+            algorithms=tuple(AlgorithmSpec(n, **algorithm_options) for n in names),
+            budgets=(1, 6),
+            seed=2,
+        )  # fmt: skip
+        # "a" and "b" share a source but not a reference.
+        dataset = [
+            Instance("b", (0, 1), reference=(1, 1)),
+            Instance("a", (0, 1), reference=(0, 2, 3)),
+            Instance("c", (3, 2, 1), reference=(2,)),
+        ]
+        one_cell_runs = Report(
+            [
+                cell
+                for instance in sorted(dataset, key=lambda i: i.id)
+                for algo in cfg.algorithms
+                for budget in cfg.budgets
+                for cell in run_experiment(
+                    replace(cfg, algorithms=(algo,), budgets=(budget,)), [instance]
+                ).cells
+            ]
+        )
+        shared, fresh = tmp_path / "shared.json", tmp_path / "fresh.json"
+        emit_report(run_experiment(cfg, dataset), shared)
+        emit_report(one_cell_runs, fresh)
+        assert shared.read_bytes() == fresh.read_bytes()
 
 
 class TestSeedDerivation:

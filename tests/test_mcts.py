@@ -201,7 +201,7 @@ class TestExpandAndBackward:
         arena.begin([arena.model.initial_state(())])
         arena.step_simulation()
         assert arena.visit_counts[0, 1] == 1
-        assert arena.values[0, 1] == arena.model.value(arena.node_states[1][0].state)
+        assert arena.values[0, 1] == arena.model.values([arena.node_states[1][0].state])[0]
         assert arena.parents[0, 1] == 0
         assert node_depth(arena, 0, 1) == 1
 

@@ -145,7 +145,7 @@ class TestDecodeStateInvariants:
     def test_list_reference_reaches_the_value_head(self):
         model = SeededTabularModel(0, vocab_size=4, max_len=3, value_metric=bleu_metric(max_n=1))
         built = DecodeState((), (), 4, 3, reference=[0, 1])
-        assert model.value(built) == model.value(model.initial_state((), (0, 1)))
+        assert model.values([built])[0] == model.values([model.initial_state((), (0, 1))])[0]
 
     @given(st.lists(st.sampled_from([A, B]), max_size=6), st.integers(1, 7))
     def test_every_trajectory_terminates_within_cap(self, actions, max_len):

@@ -18,6 +18,7 @@ from seqdecode import (
     PolicyValueModel,
     SearchConfig,
     SeededTabularModel,
+    TransformedValueModel,
     apply_temperature,
     bleu_metric,
     coverage_metric,
@@ -154,12 +155,24 @@ def loop_prior(model, s):
     return model._table_priors([s])[0]
 
 
+def loop_value(model, s):
+    """Reference twin of the value head: one state's greedy walk, a token at a
+    time, scored against its reference, then mapped by any value transform."""
+    if isinstance(model, TransformedValueModel):
+        return float(model._transform(loop_value(model._inner, s), s))
+    if model._value_metric is None:
+        return 0.0
+    while not s.terminal:
+        s = step(s, int(np.argmax(loop_prior(model, s))))
+    return terminal_reward(s, model._value_metric)
+
+
 def loop_evaluate_step(model, states, actions):
     """Reference twin of ``evaluate_step``: the per-handle loop that steps or
     copies every state and reads its prior and value one at a time."""
     next_states = [s if s.terminal else step(s, int(a)) for s, a in zip(states, actions)]
     priors = np.stack([loop_prior(model, s) for s in next_states])
-    values = np.array([model.value(s) for s in next_states])
+    values = np.array([loop_value(model, s) for s in next_states])
     terminal = np.array([s.terminal for s in next_states])
     return priors, values, next_states, terminal
 
@@ -229,6 +242,40 @@ class TestMaskedStep:
             assert np.array_equal(model.priors(batch), np.stack([twin.prior(s) for s in batch]))
 
 
+class TestBatchedValues:
+    @given(
+        st.sampled_from(sorted(PROVIDERS)),
+        st.integers(0, 1_000),
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, V4 - 1), max_size=4),
+                st.sampled_from([(0,), (1, 2), (0, 0, 1), (2, 2, 2, 2)]),
+            ),
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_batch_equals_the_scalar_walk(self, kind, seed, rows):
+        metric = bleu_metric(2)  # privileged: each state is scored against its own reference
+        model, twin = PROVIDERS[kind](seed, metric), PROVIDERS[kind](seed, metric)
+        states = []
+        for tokens, reference in rows:
+            s = model.initial_state((0, 1), reference)
+            for t in tokens:  # up to the cap: terminal, forced-depth and live states
+                if not s.terminal:
+                    s = step(s, t)
+            states.append(s)
+        root = model.initial_state((0, 1), (1, 2))
+        states += [step(root, V4 - 1), root, *states[:3], root]  # a terminal, duplicates
+
+        values = model.values(states)
+        assert values.dtype == float and values.shape == (len(states),)
+        assert values.tolist() == [loop_value(twin, s) for s in states]
+        assert model.values(states[::-1]).tolist() == values.tolist()[::-1]  # cache hits
+        assert model.values([]).shape == (0,)
+        assert model.ledger.snapshot() == (0, 0)
+
+
 def load_bench_tracer():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
@@ -285,7 +332,7 @@ class TestAbsorption:
         assert next_handles[0].state == terminal
         assert flags[0]
         assert priors[0][EOS] == 1.0
-        assert values[0] == m0.value(terminal)
+        assert values[0] == m0.values([terminal])[0]
 
     def test_eos_action_sets_terminal_flag(self, m0):
         _, _, handles = m0.evaluate_root([m0.initial_state(())])
@@ -441,14 +488,14 @@ class TestRolloutValue:
 class TestValueHeads:
     def test_value_head_is_greedy_completion_score(self, occupancy_a3):
         m = make_m0(value_metric=occupancy_a3)
-        assert m.value(m.initial_state(())) == 1.0
-        assert m.value(step(m.initial_state(()), B)) == pytest.approx(2 / 3)
+        assert m.values([m.initial_state(())])[0] == 1.0
+        assert m.values([step(m.initial_state(()), B)])[0] == pytest.approx(2 / 3)
 
     def test_value_head_uses_source_for_unprivileged(self):
         m = SeededTabularModel(
             seed=0, vocab_size=3, max_len=3, context_order=0, value_metric=coverage_metric()
         )
-        v = m.value(m.initial_state((0, 1)))
+        v = m.values([m.initial_state((0, 1))])[0]
         assert 0.0 <= v <= 1.0
 
     @pytest.mark.parametrize("scale, shift", [(np.nan, 0.0), (1.0, np.inf), (1.0, -np.inf)])
@@ -466,19 +513,19 @@ class TestValueHeads:
         miss = m.initial_state((), reference=(B, B))
         _, values, _ = m.evaluate_root([hit, miss, hit])
         assert values.tolist() == [1.0, 0.0, 1.0]
-        assert m.value(miss) == 0.0
+        assert m.values([miss])[0] == 0.0
 
     def test_metricless_value_head_is_zero(self, m0):
-        assert m0.value(m0.initial_state(())) == 0.0
+        assert m0.values([m0.initial_state(())])[0] == 0.0
 
     def test_noisy_wrapper_is_deterministic_and_clamped(self, occupancy_a3):
         base = make_m0(value_metric=occupancy_a3)
         noisy = NoisyValueModel(make_m0(value_metric=occupancy_a3), amplitude=0.4, seed=5)
         again = NoisyValueModel(make_m0(value_metric=occupancy_a3), amplitude=0.4, seed=5)
         s = step(base.initial_state(()), B)
-        assert noisy.value(s) == again.value(s)
-        assert 0.0 <= noisy.value(s) <= 1.0
-        assert noisy.value(s) != base.value(s)
+        assert noisy.values([s])[0] == again.values([s])[0]
+        assert 0.0 <= noisy.values([s])[0] <= 1.0
+        assert noisy.values([s])[0] != base.values([s])[0]
 
     def test_noise_shares_inner_ledger(self, occupancy_a3):
         inner = make_m0(value_metric=occupancy_a3)
@@ -491,7 +538,7 @@ class TestValueHeads:
         inner = make_m0(value_metric=occupancy_a3)
         wrapped = affine_value_model(inner, 0.5, 0.25)
         s = step(inner.initial_state(()), B)
-        assert wrapped.value(s) == pytest.approx(0.5 * inner.value(s) + 0.25)
+        assert wrapped.values([s])[0] == pytest.approx(0.5 * inner.values([s])[0] + 0.25)
 
 
 class TestSeededFactory:
@@ -511,7 +558,7 @@ class TestSeededFactory:
             seed=4, vocab_size=3, max_len=3, context_order=0, value_metric=occupancy_a3
         )
         s = clean.initial_state(())
-        assert noisy.value(s) != clean.value(s)
+        assert noisy.values([s])[0] != clean.values([s])[0]
         assert np.array_equal(noisy.prior(s), clean.prior(s))
 
     def test_negative_noise_rejected_and_zero_noise_unwrapped(self):
