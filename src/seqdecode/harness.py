@@ -370,7 +370,11 @@ def validate_run_config(
 
 
 def run_experiment(cfg: RunConfig, dataset: list[Instance]) -> Report:
-    """Decode every instance under every (algorithm, budget) cell."""
+    """Decode every instance under every (algorithm, budget) cell, instance by instance.
+
+    Cached values are keyed by instance, so the model's cache is dropped after each
+    instance's last cell and holds one instance's values at most.
+    """
     model, metric, cells = validate_run_config(cfg, dataset)
     report = Report()
 
@@ -391,6 +395,7 @@ def run_experiment(cfg: RunConfig, dataset: list[Instance]) -> Report:
                     tokens=model.ledger.tokens_decoded - tokens,
                 )
             )
+        model.clear_value_cache()
     return report
 
 

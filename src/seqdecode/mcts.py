@@ -9,6 +9,13 @@ holds the provider's ``ModelState`` handles in node order, so each expansion
 is stepped once, by the provider, and the node count is the list's length.
 A simulation records its descent as a ``(depth, batch)`` path; an element that
 stops early repeats its last node, and the backup masks those padding rows.
+Terminal nodes absorb: a terminal node's tempered prior is one-hot EOS, so UCT
+always picks its slot 0, and the child there is an identical terminal copy.
+Terminal nodes therefore form chains, recorded per node as ``chain_head`` (the
+chain's first node) and, on each head, ``chain_tail`` (its last). A descent
+ends at an unexplored edge or at a chain head; a chain's tail is expanded, and
+the backup updates every chain member as the walk down the chain would have,
+so statistics and ledger charges are those of the full walk.
 An arena runs one search; build a fresh one for the next. Rollout values
 are batched greedy completions (:func:`.models.rollout_value`), each scored
 against its root state's own reference, so a search holds no per-element
@@ -116,6 +123,12 @@ class ArenaSearch:
         self.children_values = np.zeros((b, n, a), dtype=np.float64)
         self.children_visits = np.zeros((b, n, a), dtype=np.int64)
 
+        # A terminal node's only child is an absorbing copy at slot 0, so terminal nodes
+        # form chains. chain_head is each node's first chain member (-1 for a live node);
+        # chain_tail, read at a head, is the chain's last member.
+        self.chain_head = np.full((b, n), -1, dtype=np.int64)
+        self.chain_tail = np.full((b, n), -1, dtype=np.int64)
+
         self.adaptive_min = np.zeros(b, dtype=np.float64)
         self.adaptive_max = np.zeros(b, dtype=np.float64)
 
@@ -156,11 +169,16 @@ class ArenaSearch:
         return self.result()
 
     def step_simulation(self) -> None:
-        """One simulate / expand / backward round for every batch element."""
+        """One simulate / expand / backward round for every batch element.
+
+        A descent that ends at a chain head expands the chain's tail, at slot 0.
+        """
         if self.allocated_nodes() > self.cfg.num_simulations:
             raise ContractViolation("simulation budget exhausted")
         path, actions = self.simulate()
-        leaf = self.expand(path[-1], actions)
+        heads = self.chain_head[self._batch_range, path[-1]]
+        tails = self.chain_tail[self._batch_range, heads]
+        leaf = self.expand(np.where(heads >= 0, tails, path[-1]), actions)
         self.backward(path, leaf)
 
     def result(self) -> SearchResult:
@@ -203,12 +221,14 @@ class ArenaSearch:
         return np.argmax(scores[self._batch_range, node_indices], axis=1)
 
     def simulate(self) -> tuple[np.ndarray, np.ndarray]:
-        """Descend in lockstep until every element sits on an unexplored edge.
+        """Descend in lockstep until every element sits on an unexplored edge or a chain head.
 
         Returns the ``(D, B)`` path, root first, and the actions chosen at ``path[-1]``. Each
         row moves an element to a new node or, once it has stopped, repeats its last node
-        (padding), so ``D`` is at most the node count. No statistic changes during a descent,
-        so the UCT table is computed once and each level is a gather and an argmax.
+        (padding), so ``D`` is at most the node count. An element stops at the first terminal
+        node it reaches, which is a chain head; the action there is slot 0, and the chain's
+        tail is the node to expand. No statistic changes during a descent, so the UCT table
+        is computed once and each level is a gather and an argmax.
         """
         scores = self.uct_scores(self.allocated_nodes())
         path = np.zeros((self.allocated_nodes(), self.batch_size), dtype=np.int64)
@@ -216,22 +236,24 @@ class ArenaSearch:
         while True:
             actions = self.uct_select_action(node_indices, scores)
             next_nodes = self.children_index[self._batch_range, node_indices, actions]
-            is_unexplored = next_nodes == -1
-            if is_unexplored.all():
+            stopped = (next_nodes == -1) | (self.chain_head[self._batch_range, node_indices] >= 0)
+            if stopped.all():
                 return path[: depth + 1], actions
             depth += 1
-            node_indices = path[depth] = np.where(is_unexplored, node_indices, next_nodes)
+            node_indices = path[depth] = np.where(stopped, node_indices, next_nodes)
 
     def expand(self, node_indices: np.ndarray, sparse_actions: np.ndarray) -> int:
         """Evaluate the selected edges and wire the resulting nodes into the tree.
 
         The provider steps each parent handle (terminal handles absorb); the
         new node gets the same index in every element's tree, which is returned.
+        A terminal new node heads a chain below a live parent, or becomes the
+        tail of its terminal parent's chain.
         """
         parent_states = [self.node_states[n][b] for b, n in enumerate(node_indices)]
         dense_actions = self.topk_mapping[self._batch_range, node_indices, sparse_actions]
 
-        priors, values, child_states, _ = self.model.evaluate_step(
+        priors, values, child_states, terminal = self.model.evaluate_step(
             parent_states, dense_actions.tolist()
         )
         if self.cfg.value_source == "rollout":
@@ -245,6 +267,11 @@ class ArenaSearch:
         self.children_index[self._batch_range, node_indices, sparse_actions] = node
         self.parents[:, node] = node_indices
         self.action_from_parents[:, node] = sparse_actions
+
+        parent_heads = self.chain_head[self._batch_range, node_indices]
+        heads = np.where(terminal, np.where(parent_heads >= 0, parent_heads, node), -1)
+        self.chain_head[:, node] = heads
+        self.chain_tail[terminal, heads[terminal]] = node
         return node
 
     def _create_node(
@@ -262,15 +289,27 @@ class ArenaSearch:
         return node
 
     def backward(self, path: np.ndarray, leaf: int) -> None:
-        """Propagate the leaf's value to every ancestor on :meth:`simulate`'s path.
+        """Propagate the leaf's value to every ancestor: :meth:`simulate`'s path, then the
+        members of the chain it ends at, if any.
 
-        ``leaf`` is the node expanded below ``path[-1]``. Padding rows (a node repeating the
-        one above it, or a leaf equal to it) are masked; each (element, ancestor) pair then
-        occurs once, so fancy-indexed updates apply level-by-level float operations at any depth.
+        ``leaf`` is the node expanded below ``path[-1]``, or below the tail of the chain that
+        ``path[-1]`` heads. Padding rows (a node repeating the one above it, or a leaf equal to
+        it) are masked; a chain's members are the older nodes sharing its head, each with its
+        slot-0 child. Each (element, ancestor) pair then occurs once, so fancy-indexed updates
+        apply level-by-level float operations at any depth.
         """
-        chain = np.vstack([path, np.broadcast_to(leaf, path.shape[1:])])
-        rows, b = np.nonzero(chain[1:] != chain[:-1])
-        nodes, children = chain[rows, b], chain[rows + 1, b]
+        heads = self.chain_head[self._batch_range, path[-1]]
+        last = np.where(heads >= 0, path[-1], leaf)
+        steps = np.vstack([path, last])
+        rows, path_b = np.nonzero(steps[1:] != steps[:-1])
+        member_b, members = np.nonzero(
+            (self.chain_head[:, :leaf] == heads[:, None]) & (heads >= 0)[:, None]
+        )
+        b = np.concatenate([path_b, member_b])
+        nodes = np.concatenate([steps[rows, path_b], members])
+        children = np.concatenate(
+            [steps[rows + 1, path_b], self.children_index[member_b, members, 0]]
+        )
         leaf_values = self.values[b, leaf]
         values, visits = self.values[b, nodes], self.visit_counts[b, nodes]
         if self.cfg.backup == "average":

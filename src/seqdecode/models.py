@@ -217,6 +217,10 @@ class PolicyValueModel:
             cache[k] = float(v)
         return np.array([cache[k] for k in keys])
 
+    def clear_value_cache(self) -> None:
+        """Forget every cached value; a value asked for again is recomputed, identically."""
+        self._value_cache.clear()
+
     def _head(self, states: list[DecodeState]) -> list[float]:
         """Greedy-completion score of each state under the value metric, or 0.0 without one."""
         if self._value_metric is None:
@@ -348,6 +352,10 @@ class TransformedValueModel(PolicyValueModel):
 
     def _table_priors(self, states: list[DecodeState]) -> np.ndarray:
         return self._inner._table_priors(states)
+
+    def clear_value_cache(self) -> None:
+        super().clear_value_cache()
+        self._inner.clear_value_cache()
 
     def _head(self, states: list[DecodeState]) -> list[float]:
         inner = self._inner.values(states).tolist()

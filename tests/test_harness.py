@@ -12,6 +12,7 @@ from seqdecode import (
     Instance,
     MetricSpec,
     ModelSpec,
+    PolicyValueModel,
     Report,
     RunConfig,
     SearchConfig,
@@ -296,6 +297,50 @@ class TestSharedModel:
         emit_report(run_experiment(cfg, dataset), shared)
         emit_report(one_cell_runs, fresh)
         assert shared.read_bytes() == fresh.read_bytes()
+
+
+    @pytest.mark.parametrize("value_noise", [0.0, 0.2], ids=["plain", "value_noise"])
+    def test_value_cache_holds_one_instance(self, tmp_path, monkeypatch, value_noise):
+        cfg = RunConfig(
+            model=ModelSpec(seed=1, vocab_size=5, max_len=4, context_order=1,
+                            value_noise=value_noise),
+            metric=MetricSpec(name="coverage"),
+            algorithms=tuple(AlgorithmSpec(n) for n in ALGORITHMS),
+            budgets=(1, 6),
+            seed=2,
+        )  # fmt: skip
+        # "a" and "b" share a source but not a reference.
+        dataset = [
+            Instance("b", (0, 1), reference=(1, 1)),
+            Instance("a", (0, 1), reference=(0, 2, 3)),
+            Instance("c", (3, 2, 1), reference=(2,)),
+        ]
+        kept, cleared = tmp_path / "kept.json", tmp_path / "cleared.json"
+        with monkeypatch.context() as patch:
+            patch.setattr(PolicyValueModel, "clear_value_cache", lambda self: None)
+            emit_report(run_experiment(cfg, dataset), kept)
+
+        held = []  # (model, cached keys) at each clear; a noisy model clears its inner one too
+        clear = PolicyValueModel.clear_value_cache
+
+        def recording_clear(model):
+            held.append((model, set(model._value_cache)))
+            clear(model)
+
+        monkeypatch.setattr(PolicyValueModel, "clear_value_cache", recording_clear)
+        emit_report(run_experiment(cfg, dataset), cleared)
+        assert cleared.read_bytes() == kept.read_bytes()
+
+        models_per_instance = 2 if value_noise else 1
+        assert len(held) == models_per_instance * len(dataset)
+        ordered = sorted(dataset, key=lambda i: i.id)
+        for k, (model, keys) in enumerate(held):
+            instance = ordered[k // models_per_instance]
+            assert keys, k
+            assert {(source, reference) for source, reference, _ in keys} == {
+                (instance.source, instance.reference)
+            }, k
+            assert not model._value_cache, k
 
 
 class TestSeedDerivation:

@@ -57,16 +57,19 @@ def per_row_scores(arena, node_indices):
 
 
 def level_by_level_descent(arena):
-    """Reference descent: rescore the current node of every element at each level."""
+    """Reference descent: rescore the current node of every element at each level, and stop
+    an element on an unexplored edge or at the first terminal node, read from its state."""
     rows = np.arange(arena.batch_size)
     nodes = np.zeros(arena.batch_size, dtype=np.int64)
     path = [nodes]
     while True:
         actions = np.argmax(per_row_scores(arena, nodes), axis=1)
         next_nodes = arena.children_index[rows, nodes, actions]
-        if (next_nodes == -1).all():
+        states = [arena.node_states[n][b].state for b, n in enumerate(nodes)]
+        stopped = (next_nodes == -1) | np.array([s.terminal for s in states])
+        if stopped.all():
             return np.array(path), actions
-        nodes = np.where(next_nodes == -1, nodes, next_nodes)
+        nodes = np.where(stopped, nodes, next_nodes)
         path.append(nodes)
 
 
@@ -315,6 +318,61 @@ class TestSimulate:
                 arena.step_simulation()
 
 
+def check_chains(arena):
+    """Assert the chain invariants of every element's tree, from node states and parent links."""
+    n = arena.allocated_nodes()
+    for b in range(arena.batch_size):
+        states = [arena.node_states[i][b].state for i in range(n)]
+        for i in range(n):
+            if not states[i].terminal:
+                assert arena.chain_head[b, i] == -1 and arena.chain_tail[b, i] == -1, (b, i)
+                continue
+            # A terminal node's only child sits at sparse slot 0.
+            assert (arena.children_index[b, i, 1:] == -1).all(), (b, i)
+            head = int(arena.chain_head[b, i])
+            assert states[head].terminal and not states[int(arena.parents[b, head])].terminal
+            member = i
+            while member != head:
+                member = int(arena.parents[b, member])
+                assert states[member].terminal, (b, i)
+            assert states[i] == states[head], (b, i)
+            if head != i:
+                assert arena.chain_tail[b, i] == -1, (b, i)
+                continue
+            tail = i
+            while arena.children_index[b, tail, 0] != -1:
+                tail = int(arena.children_index[b, tail, 0])
+            assert arena.chain_tail[b, i] == tail, (b, i)
+            assert (arena.children_index[b, tail] == -1).all(), (b, i)
+
+
+class TestAbsorbingChains:
+    PROVIDERS = {
+        "seeded-order-0": lambda metric: SeededTabularModel(3, 5, 3, 0, value_metric=metric),
+        "seeded-order-1": lambda metric: SeededTabularModel(3, 5, 3, 1, value_metric=metric),
+        "eos-heavy": lambda metric: FixedPriorModel(
+            [0.05, 0.05, 0.05, 0.05, 0.8], 3, value_metric=metric
+        ),
+    }
+
+    @pytest.mark.parametrize("provider", PROVIDERS)
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("num_sparse_actions", [1, 3])
+    def test_chains_agree_with_node_states(self, provider, tau, num_sparse_actions):
+        metric = coverage_metric()
+        model = self.PROVIDERS[provider](metric)
+        cfg = SearchConfig(num_simulations=30, num_sparse_actions=num_sparse_actions, tau=tau)
+        roots = [
+            model.initial_state((0, 1)),
+            step(model.initial_state((2,)), 1),
+            step(step(model.initial_state((3,)), 0), 2),
+        ]
+        arena = ArenaSearch(model, len(roots), cfg, metric=metric)
+        arena.run(roots)
+        assert (arena.chain_head >= 0).any()
+        check_chains(arena)
+
+
 class TestSearchInvariants:
     def test_zero_simulations_yield_zero_counts(self, occupancy_a3):
         model = make_m0(value_metric=occupancy_a3)
@@ -477,6 +535,39 @@ class TestDifferential:
                 for name, expected in twin_arrays(twin).items():
                     got = getattr(arena, name)[b, : sim + 2]
                     assert np.array_equal(got, expected), (name, b, sim)
+
+    def test_long_absorbing_chains_match_the_twin(self, occupancy_a3):
+        # An EOS-dominated prior sends most simulations down chains of absorbing copies. The
+        # arena stops each descent at the chain's head, within the horizon, while the chains
+        # grow far below it, and must still match the twin, which walks every chain.
+        max_len = 3
+
+        def model():
+            return FixedPriorModel([0.05, 0.05, 0.9], max_len, value_metric=occupancy_a3)
+
+        cfg = SearchConfig(num_simulations=48, num_sparse_actions=3)
+        arena_model = model()
+        roots = [arena_model.initial_state(()), step(arena_model.initial_state(()), A)]
+        arena = ArenaSearch(arena_model, len(roots), cfg)
+        arena.begin(roots)
+        twins = []
+        for root in roots:
+            twin = RecursiveSearch(model(), cfg)
+            twin.begin(root)
+            twins.append(twin)
+        for sim in range(cfg.num_simulations):
+            path, _ = arena.simulate()
+            assert len(path) <= max_len + 2, sim
+            arena.step_simulation()
+            for b, twin in enumerate(twins):
+                twin.step_simulation()
+                for name, expected in twin_arrays(twin).items():
+                    got = getattr(arena, name)[b, : sim + 2]
+                    assert np.array_equal(got, expected), (name, b, sim)
+        elements, nodes = range(len(roots)), range(arena.allocated_nodes())
+        heads = [arena.chain_head[b][arena.chain_head[b] >= 0] for b in elements]
+        assert max(np.bincount(h).max() for h in heads) >= 10
+        assert max(node_depth(arena, b, i) for b in elements for i in nodes) > max_len + 2
 
     def test_rollout_value_source(self):
         metric = coverage_metric()
