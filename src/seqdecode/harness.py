@@ -357,6 +357,12 @@ def validate_run_config(
     metric = cfg.metric.build()
     model = cfg.model.build(metric)
     check_token_ids(model.vocab_size, dataset)
+    # EOS is stripped before scoring, so only a content id can ever be counted.
+    if cfg.metric.name == "occupancy" and not 0 <= cfg.metric.target <= model.vocab_size - 2:
+        raise ConfigurationError(
+            f"occupancy target {cfg.metric.target} is not a content token id "
+            f"(0..{model.vocab_size - 2} at vocabulary size {model.vocab_size})"
+        )
     check_algorithms(metric, cfg.algorithms)
     check_references(metric, dataset)
     if any(budget < 1 for budget in cfg.budgets):

@@ -27,8 +27,14 @@ under the square root, and rescales exploitation values into [0, 1] via the
 online min/max of all values seen in the tree. Unvisited children are
 detected by a zero visit count and pinned to the rescaled minimum, which
 keeps every decision invariant under affine maps of the value function.
-No statistic changes during a descent, so a simulation scores every node
-once (:meth:`ArenaSearch.uct_scores`) and each level is a lookup in that table.
+The arena keeps every node's UCT scores in a table, ``ArenaSearch.scores``,
+and rescores a row only where its statistics change: a new node's row is
+written when it is created, :meth:`ArenaSearch.backward` rescores the live
+nodes on the path it updates, and :meth:`ArenaSearch.expand` rescores an
+element's rows when its adaptive range moves. No statistic changes during a
+descent, so each level is a lookup in that table. ``backward`` leaves terminal
+rows alone: only a chain head's is read, to pick slot 0, which the row a
+terminal node is created with already picks.
 
 The tests check the arena against a plain recursive twin (``tests/twin.py``)
 after every simulation.
@@ -122,6 +128,8 @@ class ArenaSearch:
         self.children_prior = np.zeros((b, n, a), dtype=np.float64)
         self.children_values = np.zeros((b, n, a), dtype=np.float64)
         self.children_visits = np.zeros((b, n, a), dtype=np.int64)
+        # UCT scores of every live node's sparse actions, kept equal to uct_scores.
+        self.scores = np.zeros((b, n, a), dtype=np.float64)
 
         # A terminal node's only child is an absorbing copy at slot 0, so terminal nodes
         # form chains. chain_head is each node's first chain member (-1 for a live node);
@@ -196,29 +204,32 @@ class ArenaSearch:
 
     # -------------------------------------------------------------- internals
 
-    def uct_scores(self, m: int | None = None) -> np.ndarray:
-        """Value score + policy score of every sparse action of the first ``m`` nodes, (B, m, A)."""
-        child_visits = self.children_visits[:, :m]
+    def uct_scores(self, elements: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """Value score + policy score of the sparse actions of each (element, node) pair.
+
+        The index arrays broadcast; the result has their shape plus ``(A,)``, so the
+        full table is ``uct_scores(arange(B)[:, None], arange(m))``.
+        """
+        child_visits = self.children_visits[elements, nodes]
         policy_score = (
-            np.sqrt(self.visit_counts[:, :m])[..., None]
+            np.sqrt(self.visit_counts[elements, nodes])[..., None]
             * self.cfg.c_puct
-            * self.children_prior[:, :m]
+            * self.children_prior[elements, nodes]
             / (child_visits + 1)
         )
-        span = (self.adaptive_max - self.adaptive_min)[:, None, None]
+        low = self.adaptive_min[elements][..., None]
+        span = (self.adaptive_max - self.adaptive_min)[elements][..., None]
         # Unvisited children sit at the rescaled minimum; their stored value
         # (zero-filled) must never leak into the score.
         value_score = np.where(
-            child_visits > 0,
-            (self.children_values[:, :m] - self.adaptive_min[:, None, None]) / span,
-            0.0,
+            child_visits > 0, (self.children_values[elements, nodes] - low) / span, 0.0
         )
         return value_score + policy_score
 
-    def uct_select_action(self, node_indices: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    def uct_select_action(self, node_indices: np.ndarray) -> np.ndarray:
         """Per element, the sparse action maximizing value score + policy score, read
-        from ``scores``, a :meth:`uct_scores` table."""
-        return np.argmax(scores[self._batch_range, node_indices], axis=1)
+        from the score table; ties go to the lower slot."""
+        return self.scores[self._batch_range, node_indices].argmax(axis=1)
 
     def simulate(self) -> tuple[np.ndarray, np.ndarray]:
         """Descend in lockstep until every element sits on an unexplored edge or a chain head.
@@ -227,14 +238,13 @@ class ArenaSearch:
         row moves an element to a new node or, once it has stopped, repeats its last node
         (padding), so ``D`` is at most the node count. An element stops at the first terminal
         node it reaches, which is a chain head; the action there is slot 0, and the chain's
-        tail is the node to expand. No statistic changes during a descent, so the UCT table
-        is computed once and each level is a gather and an argmax.
+        tail is the node to expand. The score table is current, so each level is a gather
+        and an argmax, and the descent costs what its path does, not the tree size.
         """
-        scores = self.uct_scores(self.allocated_nodes())
         path = np.zeros((self.allocated_nodes(), self.batch_size), dtype=np.int64)
         node_indices, depth = path[0], 0
         while True:
-            actions = self.uct_select_action(node_indices, scores)
+            actions = self.uct_select_action(node_indices)
             next_nodes = self.children_index[self._batch_range, node_indices, actions]
             stopped = (next_nodes == -1) | (self.chain_head[self._batch_range, node_indices] >= 0)
             if stopped.all():
@@ -248,27 +258,38 @@ class ArenaSearch:
         The provider steps each parent handle (terminal handles absorb); the
         new node gets the same index in every element's tree, which is returned.
         A terminal new node heads a chain below a live parent, or becomes the
-        tail of its terminal parent's chain.
+        tail of its terminal parent's chain. In rollout mode only children of
+        live parents are rolled out, and each new handle carries its rollout
+        value, so an absorbed child gets that value back from the provider.
+        When a value moves an element's adaptive range, its rows are rescored.
         """
-        parent_states = [self.node_states[n][b] for b, n in enumerate(node_indices)]
+        parent_states = [self.node_states[n][b] for b, n in enumerate(node_indices.tolist())]
         dense_actions = self.topk_mapping[self._batch_range, node_indices, sparse_actions]
 
         priors, values, child_states, terminal = self.model.evaluate_step(
             parent_states, dense_actions.tolist()
         )
+        parent_heads = self.chain_head[self._batch_range, node_indices]
         if self.cfg.value_source == "rollout":
-            values = rollout_value(self.model, [ms.state for ms in child_states], self.metric)
+            fresh = np.flatnonzero(parent_heads < 0).tolist()
+            values[fresh] = rollout_value(
+                self.model, [child_states[i].state for i in fresh], self.metric
+            )
+            for i in fresh:
+                child_states[i] = ModelState(child_states[i].state, float(values[i]))
 
         node = self._create_node(apply_temperature(priors, self.cfg.tau), values, child_states)
 
+        moved = np.flatnonzero((values < self.adaptive_min) | (values > self.adaptive_max))
         self.adaptive_min = np.minimum(self.adaptive_min, values)
         self.adaptive_max = np.maximum(self.adaptive_max, values)
+        if moved.size:
+            self.scores[moved, : node + 1] = self.uct_scores(moved[:, None], np.arange(node + 1))
 
         self.children_index[self._batch_range, node_indices, sparse_actions] = node
         self.parents[:, node] = node_indices
         self.action_from_parents[:, node] = sparse_actions
 
-        parent_heads = self.chain_head[self._batch_range, node_indices]
         heads = np.where(terminal, np.where(parent_heads >= 0, parent_heads, node), -1)
         self.chain_head[:, node] = heads
         self.chain_tail[terminal, heads[terminal]] = node
@@ -279,10 +300,13 @@ class ArenaSearch:
     ) -> int:
         node = len(self.node_states)
         # Row-wise top-A by descending prior, ties to the lower token id.
-        top = np.argsort(-tempered_priors, axis=1, kind="stable")[:, : self.num_sparse_actions]
+        top = (-tempered_priors).argsort(axis=1, kind="stable")[:, : self.num_sparse_actions]
         self.topk_mapping[:, node, :] = top
         # Truncated priors are stored as-is, without renormalization.
         self.children_prior[:, node, :] = tempered_priors[self._batch_range[:, None], top]
+        # The UCT row at one visit with no visited child, bit for bit: sqrt(1) = 1, the
+        # division is by 1, and the value score adds +0.0.
+        self.scores[:, node, :] = self.cfg.c_puct * self.children_prior[:, node, :]
         self.values[:, node] = values
         self.visit_counts[:, node] = 1
         self.node_states.append(handles)
@@ -290,23 +314,26 @@ class ArenaSearch:
 
     def backward(self, path: np.ndarray, leaf: int) -> None:
         """Propagate the leaf's value to every ancestor: :meth:`simulate`'s path, then the
-        members of the chain it ends at, if any.
+        members of the chain it ends at, if any, and rescore the live path nodes.
 
         ``leaf`` is the node expanded below ``path[-1]``, or below the tail of the chain that
         ``path[-1]`` heads. Padding rows (a node repeating the one above it, or a leaf equal to
         it) are masked; a chain's members are the older nodes sharing its head, each with its
         slot-0 child. Each (element, ancestor) pair then occurs once, so fancy-indexed updates
-        apply level-by-level float operations at any depth.
+        apply level-by-level float operations at any depth. The path's nodes above the chain
+        are the only live nodes whose statistics change, so only their rows are rescored.
         """
         heads = self.chain_head[self._batch_range, path[-1]]
-        last = np.where(heads >= 0, path[-1], leaf)
-        steps = np.vstack([path, last])
+        chained = heads >= 0
+        steps = np.concatenate([path, np.where(chained, path[-1], leaf)[None]])
         rows, path_b = np.nonzero(steps[1:] != steps[:-1])
+        # Live nodes hold chain_head -1, so -2 matches no node of an element off any chain.
         member_b, members = np.nonzero(
-            (self.chain_head[:, :leaf] == heads[:, None]) & (heads >= 0)[:, None]
+            self.chain_head[:, :leaf] == np.where(chained, heads, -2)[:, None]
         )
+        path_nodes = steps[rows, path_b]
         b = np.concatenate([path_b, member_b])
-        nodes = np.concatenate([steps[rows, path_b], members])
+        nodes = np.concatenate([path_nodes, members])
         children = np.concatenate(
             [steps[rows + 1, path_b], self.children_index[member_b, members, 0]]
         )
@@ -316,11 +343,12 @@ class ArenaSearch:
             self.values[b, nodes] = (values * visits + leaf_values) / (visits + 1)
         else:
             self.values[b, nodes] = np.maximum(values, leaf_values)
-        self.visit_counts[b, nodes] += 1
+        self.visit_counts[b, nodes] = visits + 1
 
         actions = self.action_from_parents[b, children]
         self.children_values[b, nodes, actions] = self.values[b, children]
         self.children_visits[b, nodes, actions] += 1
+        self.scores[path_b, path_nodes] = self.uct_scores(path_b, path_nodes)
 
     # ------------------------------------------------------------- inspection
 

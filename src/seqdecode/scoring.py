@@ -97,6 +97,8 @@ def bleu(
 
 
 def bleu_metric(max_n: int = 4) -> Metric:
+    if max_n < 1:
+        raise ConfigurationError("max_n must be >= 1")
     return Metric(
         name=f"bleu{max_n}",
         privileged=True,
@@ -225,6 +227,8 @@ def toy_occupancy(candidate: Sequence, target: int, horizon: int) -> float:
 
 
 def occupancy_metric(target: int, horizon: int) -> Metric:
+    if horizon < 1:
+        raise ConfigurationError("horizon must be >= 1")
     return Metric(
         name=f"occupancy({target},{horizon})",
         privileged=False,

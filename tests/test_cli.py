@@ -147,6 +147,45 @@ class TestExitCodes:
         assert code == 1
         assert decoded == []
 
+    @pytest.mark.parametrize("target", [9, 3, -1])
+    def test_occupancy_target_outside_the_content_ids_fails_before_any_decode(
+        self, dataset_path, tmp_path, monkeypatch, capsys, target
+    ):
+        # At V=4 the content ids are 0..2; id 3 is EOS, which is stripped before scoring.
+        import seqdecode.harness as harness
+
+        decoded = count_calls(monkeypatch, harness, "_decode_cell")
+        code = run(
+            "sweep", "--dataset", dataset_path, "--vocab-size", 4, "--algorithms", "greedy,mcts",
+            "--budgets", 2, "--metric", "occupancy", "--metric-target", target,
+            "--out", tmp_path / "x.json",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and f"target {target} " in err, err
+        assert decoded == []
+
+    @pytest.mark.parametrize(
+        "flags, problem",
+        [
+            (("--metric", "occupancy", "--metric-horizon", 0), "horizon must be >= 1"),
+            (("--metric", "bleu", "--metric-max-n", 0), "max_n must be >= 1"),
+        ],
+    )
+    def test_bad_metric_parameters_fail_before_any_decode(
+        self, dataset_path, tmp_path, monkeypatch, capsys, flags, problem
+    ):
+        import seqdecode.harness as harness
+
+        decoded = count_calls(monkeypatch, harness, "_decode_cell")
+        code = run(
+            "sweep", "--dataset", dataset_path, "--algorithms", "greedy", "--budgets", 1,
+            *flags, "--out", tmp_path / "x.json",
+        )
+        assert code == 1
+        assert problem in capsys.readouterr().err
+        assert decoded == []
+
     def test_missing_reference_fails_before_any_enumeration(self, tmp_path, monkeypatch, capsys):
         import seqdecode.cli as cli
 

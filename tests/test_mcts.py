@@ -10,6 +10,7 @@ from seqdecode import (
     ArenaSearch,
     ContractViolation,
     FixedPriorModel,
+    Metric,
     SearchConfig,
     SeededTabularModel,
     bleu_metric,
@@ -54,6 +55,12 @@ def per_row_scores(arena, node_indices):
         child_visits > 0, (child_values - arena.adaptive_min[:, None]) / span, 0.0
     )
     return value_score + policy_score
+
+
+def fill_score_table(arena):
+    """Score every (element, node) pair of a hand-filled arena into its score table."""
+    rows, nodes = np.arange(arena.batch_size)[:, None], np.arange(arena.scores.shape[1])
+    arena.scores[:] = arena.uct_scores(rows, nodes)
 
 
 def level_by_level_descent(arena):
@@ -136,7 +143,8 @@ class TestUctSelection:
         assert policy[1] == pytest.approx(math.sqrt(2) * 0.4, abs=1e-12)
         value = (0.9 - 0.5) / (1.0 - 0.5)
         assert value == pytest.approx(0.8)
-        actions = arena.uct_select_action(np.array([0]), arena.uct_scores())
+        fill_score_table(arena)
+        actions = arena.uct_select_action(np.array([0]))
         assert actions[0] == 0  # 0.8 + 0.424 beats 0 + 0.566
 
     def test_unvisited_children_follow_prior(self, m0):
@@ -144,7 +152,8 @@ class TestUctSelection:
         arena.children_prior[0, 0] = [0.2, 0.5, 0.3]
         arena.visit_counts[0, 0] = 1
         arena.adaptive_min[0], arena.adaptive_max[0] = 0.3, 0.3 + 1e-6
-        assert arena.uct_select_action(np.array([0]), arena.uct_scores())[0] == 1
+        fill_score_table(arena)
+        assert arena.uct_select_action(np.array([0]))[0] == 1
 
     def test_unvisited_value_never_read(self, m0):
         # A stored (stale) child value must not leak through the visit mask.
@@ -154,21 +163,23 @@ class TestUctSelection:
         arena.children_visits[0, 0] = [0, 0]
         arena.visit_counts[0, 0] = 1
         arena.adaptive_min[0], arena.adaptive_max[0] = 0.0, 1.0
-        scores = arena.uct_scores()
-        assert arena.uct_select_action(np.array([0]), scores)[0] == 0  # tie on priors -> low index
+        fill_score_table(arena)
+        assert arena.uct_select_action(np.array([0]))[0] == 0  # tie on priors -> low index
 
     def test_single_sparse_action(self, m0):
         arena = fresh_arena(m0, num_sparse_actions=1)
         arena.children_prior[0, 0] = [1.0]
         arena.visit_counts[0, 0] = 1
         arena.adaptive_min[0], arena.adaptive_max[0] = 0.0, 1.0
-        assert arena.uct_select_action(np.array([0]), arena.uct_scores())[0] == 0
+        fill_score_table(arena)
+        assert arena.uct_select_action(np.array([0]))[0] == 0
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("num_sparse", [1, 3])
     def test_score_table_matches_per_row_formula(self, batch, num_sparse):
-        # Every entry of the table is bit-identical to the per-row formula, and so is every
-        # choice made from the table, however the arena was filled.
+        # Every entry of the full table and of the pairwise rows is bit-identical to the
+        # per-row formula, and so is every choice made from the table, however the arena
+        # was filled.
         model = SeededTabularModel(0, vocab_size=4, max_len=3)
         rng = np.random.default_rng(batch * 10 + num_sparse)
         for trial in range(40):
@@ -182,14 +193,18 @@ class TestUctSelection:
             random_statistics(rng, arena)
             num_nodes = arena.visit_counts.shape[1]
             m = int(rng.integers(1, num_nodes + 1))
-            table = arena.uct_scores(m)
+            rows = np.arange(batch)
+            table = arena.uct_scores(rows[:, None], np.arange(m))
             assert table.shape == (batch, m, num_sparse)
             for node in range(m):
                 nodes = np.full(batch, node)
                 assert np.array_equal(table[:, node], per_row_scores(arena, nodes)), trial
             nodes = rng.integers(0, m, size=batch)
-            expected = np.argmax(per_row_scores(arena, nodes), axis=1)
-            assert np.array_equal(arena.uct_select_action(nodes, table), expected), trial
+            expected_scores = per_row_scores(arena, nodes)
+            assert np.array_equal(arena.uct_scores(rows, nodes), expected_scores), trial
+            arena.scores[:, :m] = table
+            expected = np.argmax(expected_scores, axis=1)
+            assert np.array_equal(arena.uct_select_action(nodes), expected), trial
 
 
 class TestExpandAndBackward:
@@ -217,6 +232,8 @@ class TestExpandAndBackward:
         arena.parents[:, 2], arena.action_from_parents[:, 2] = [0, 1], 1
         arena.values[0, :3], arena.visit_counts[0, :3] = [0.5, 0.9, 0.8], [2, 1, 1]
         arena.values[1, :3], arena.visit_counts[1, :3] = [0.2, 0.4, 1.0], [3, 1, 1]
+        # backward rescores the path, which divides by the adaptive span; a search's is never 0.
+        arena.adaptive_max[:] = 1.0
         arena.backward(np.array([[0, 0], [0, 1]]), 2)
         return arena
 
@@ -290,7 +307,7 @@ class TestSimulate:
     @pytest.mark.parametrize("backup", BACKUP_RULES)
     @pytest.mark.parametrize("value_source", VALUE_SOURCES)
     def test_matches_level_by_level_descent(self, backup, value_source):
-        # The table is scored once per descent; the path and actions must equal a descent
+        # The table is kept across simulations; the path and actions must equal a descent
         # that rescores each level, after any number of simulations.
         metric = coverage_metric()
         rng = np.random.default_rng(len(backup) + len(value_source))
@@ -371,6 +388,116 @@ class TestAbsorbingChains:
         arena.run(roots)
         assert (arena.chain_head >= 0).any()
         check_chains(arena)
+
+
+def check_score_table(arena):
+    """Assert the score-table invariant: every live node's row equals the per-row formula bit
+    for bit, and every chain head picks slot 0."""
+    for node in range(arena.allocated_nodes()):
+        nodes = np.full(arena.batch_size, node)
+        live = arena.chain_head[:, node] < 0
+        assert np.array_equal(arena.scores[live, node], per_row_scores(arena, nodes)[live]), node
+        heads = arena.chain_head[:, node] == node
+        assert (arena.uct_select_action(nodes)[heads] == 0).all(), node
+
+
+class TestScoreTable:
+    @staticmethod
+    def _checked_search(batch, cfg):
+        """Run a search, checking the score table after ``begin`` and after every simulation;
+        return the simulations after which some element's adaptive range moved."""
+        metric = coverage_metric()
+        model = SeededTabularModel(3, 5, 3, 1, value_metric=metric)
+        roots = [
+            model.initial_state((0, 1)),
+            step(model.initial_state((2,)), 1),
+            step(step(model.initial_state((3,)), 0), 2),
+        ][:batch]
+        arena = ArenaSearch(model, batch, cfg, metric=metric)
+        arena.begin(roots)
+        check_score_table(arena)
+        moves = []
+        for sim in range(cfg.num_simulations):
+            low, high = arena.adaptive_min.copy(), arena.adaptive_max.copy()
+            arena.step_simulation()
+            check_score_table(arena)
+            if ((low != arena.adaptive_min) | (high != arena.adaptive_max)).any():
+                moves.append(sim)
+        assert (arena.chain_head >= 0).any()
+        return moves
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("backup", BACKUP_RULES)
+    @pytest.mark.parametrize("value_source", VALUE_SOURCES)
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("num_sparse_actions", [1, 3])
+    def test_rows_match_the_formula_after_every_simulation(
+        self, batch, backup, value_source, tau, num_sparse_actions
+    ):
+        cfg = SearchConfig(
+            num_simulations=30,
+            num_sparse_actions=num_sparse_actions,
+            tau=tau,
+            backup=backup,
+            value_source=value_source,
+        )
+        self._checked_search(batch, cfg)
+
+    def test_late_adaptive_moves_rescore_the_element(self):
+        # A value outside an element's adaptive range after simulation 10 rescales every
+        # visited child of that element, far from the path being backed up.
+        cfg = SearchConfig(num_simulations=30, num_sparse_actions=3, tau=0.5)
+        assert max(self._checked_search(3, cfg)) > 10
+
+
+class TestRolloutReuse:
+    def test_absorbed_children_carry_their_rollout_value(self):
+        # An EOS-heavy prior sends most expansions below terminal nodes. Only children of live
+        # parents are rolled out; an absorbed child gets its value back from its handle.
+        calls = []
+
+        def counted(anchor, candidate):
+            calls.append(candidate)
+            return coverage_metric().fn(anchor, candidate)
+
+        metric = Metric("counted-coverage", privileged=False, fn=counted)
+        cfg = SearchConfig(num_simulations=40, num_sparse_actions=3, value_source="rollout")
+
+        def model():  # no value metric: the value head never calls the metric
+            return FixedPriorModel([0.05, 0.05, 0.05, 0.05, 0.8], 3)
+
+        arena_model = model()
+        roots = [arena_model.initial_state((0, 1)), step(arena_model.initial_state((2,)), 1)]
+        arena = ArenaSearch(arena_model, len(roots), cfg, metric=metric)
+        arena.begin(roots)
+        twins = []
+        for root in roots:
+            twin = RecursiveSearch(model(), cfg, metric=coverage_metric())
+            twin.begin(root)
+            twins.append(twin)
+        created = [arena.values[:, 0].copy()]
+        for sim in range(cfg.num_simulations):
+            arena.step_simulation()
+            created.append(arena.values[:, sim + 1].copy())
+            for b, twin in enumerate(twins):
+                twin.step_simulation()
+                for name, expected in twin_arrays(twin).items():
+                    got = getattr(arena, name)[b, : sim + 2]
+                    assert np.array_equal(got, expected), (name, b, sim)
+
+        batch, nodes = len(roots), range(1, arena.allocated_nodes())
+        fresh = sum(
+            int(arena.chain_head[b, arena.parents[b, n]] < 0) for b in range(batch) for n in nodes
+        )
+        assert len(calls) <= batch + fresh < batch * arena.allocated_nodes()
+        terminal = 0
+        for b in range(batch):
+            for n in nodes:
+                handle = arena.node_states[n][b]
+                if handle.state.terminal:
+                    terminal += 1
+                    assert handle.value == created[n][b], (b, n)
+        assert terminal > batch * arena.allocated_nodes() // 2
 
 
 class TestSearchInvariants:
