@@ -21,6 +21,7 @@ from .harness import (
     ALGORITHMS,
     METRICS,
     AlgorithmSpec,
+    Instance,
     MetricSpec,
     ModelSpec,
     RunConfig,
@@ -142,18 +143,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_decode(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.dataset)
+def _run(
+    args: argparse.Namespace, dataset: list[Instance], names: list[str], budgets: tuple[int, ...]
+) -> int:
+    """Sweep ``names`` over ``budgets`` and write the report to ``--out``."""
     cfg = RunConfig(
         model=_model_spec(args),
         metric=_metric_spec(args),
-        algorithms=(_algorithm_spec(args.algorithm, args),),
-        budgets=(args.budget,),
+        algorithms=tuple(_algorithm_spec(n, args) for n in names),
+        budgets=budgets,
         seed=args.seed,
     )
-    report = run_experiment(cfg, dataset)
-    emit_report(report, args.out, format=args.format)
+    emit_report(run_experiment(cfg, dataset), args.out, format=args.format)
     return 0
+
+
+def _cmd_decode(args: argparse.Namespace) -> int:
+    return _run(args, load_dataset(args.dataset), [args.algorithm], (args.budget,))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -166,16 +172,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for flag, values in (("--algorithms", names), ("--budgets", budgets)):
         if not values:
             raise ConfigurationError(f"{flag} names no value")
-    cfg = RunConfig(
-        model=_model_spec(args),
-        metric=_metric_spec(args),
-        algorithms=tuple(_algorithm_spec(n, args) for n in names),
-        budgets=budgets,
-        seed=args.seed,
-    )
-    report = run_experiment(cfg, dataset)
-    emit_report(report, args.out, format=args.format)
-    return 0
+    return _run(args, dataset, names, budgets)
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:

@@ -81,12 +81,6 @@ def greedy_decode(model: PolicyValueModel, state: DecodeState) -> Candidate:
 # --------------------------------------------------------------- beam search
 
 
-@dataclass(frozen=True)
-class _Hypothesis:
-    state: DecodeState
-    log_likelihood: float
-
-
 def _proposals(prior: np.ndarray, width: int) -> list[int]:
     """Top-``width`` actions by prior; ties resolved to lower ids."""
     order = np.argsort(-prior, kind="stable")
@@ -103,42 +97,31 @@ def beam_search(model: PolicyValueModel, state: DecodeState, cfg: BeamConfig) ->
     """
     if state.terminal:
         raise ContractViolation("beam_search() needs a non-terminal state")
-    beam = [_Hypothesis(state, 0.0)]
+    beam = [(state, 0.0)]  # (state, log_likelihood) hypotheses
     width = min(cfg.k, model.vocab_size)
 
-    def rank(h: _Hypothesis) -> float:
-        return length_normalizer(len(h.state.prefix), cfg.theta) * h.log_likelihood
+    def rank(h: tuple[DecodeState, float]) -> float:
+        return length_normalizer(len(h[0].prefix), cfg.theta) * h[1]
 
     for _ in range(state.max_len - len(state.prefix)):
-        if all(h.state.terminal for h in beam):
+        live = [h for h in beam if not h[0].terminal]
+        if not live:
             break
-        finished = [h for h in beam if h.state.terminal]
-        live = [h for h in beam if not h.state.terminal]
-        priors, _, _ = model.evaluate_root([h.state for h in live])
-
-        pool = list(finished)
-        for h, prior in zip(live, priors):
+        pool = [h for h in beam if h[0].terminal]
+        priors, _, _ = model.evaluate_root([s for s, _ in live])
+        for (s, log_likelihood), prior in zip(live, priors):
             for a in _proposals(prior, width):
-                if prior[a] <= 0.0:
-                    continue
-                pool.append(_Hypothesis(step(h.state, a), h.log_likelihood + math.log(prior[a])))
+                if prior[a] > 0.0:
+                    pool.append((step(s, a), log_likelihood + math.log(prior[a])))
         pool.sort(key=rank, reverse=True)  # stable: earlier pool entries win ties
         beam = pool[: cfg.k]
         model.ledger.charge_tokens(1)
 
-    best = max((h for h in beam if h.state.terminal), key=rank)
-    return Candidate(best.state.prefix, best.log_likelihood, score=rank(best), state=best.state)
+    best = max((h for h in beam if h[0].terminal), key=rank)
+    return Candidate(best[0].prefix, best[1], score=rank(best), state=best[0])
 
 
 # -------------------------------------------------- value-guided beam search
-
-
-@dataclass(frozen=True)
-class _Row:
-    state: DecodeState
-    log_likelihood: float
-    value: float
-    padding: bool  # padding rows keep the batch rectangular but never rank
 
 
 def vgbs_score(log_likelihood: float, length: int, value: float, alpha: float) -> float:
@@ -154,11 +137,11 @@ def value_guided_beam_search(
 ) -> Candidate:
     """Beam search whose ranking mixes log-likelihood with a value estimate.
 
-    Runs in lockstep with exactly k rows: the root is replicated (duplicates
-    masked out of the ranking) and finished rows absorb in place, exactly as a
-    batched implementation would. Every step therefore performs k policy
-    evaluations plus k*k value queries on the proposed children, which is the
-    advertised cost of this decoder.
+    Runs in lockstep on a batch of exactly k rows, as a batched implementation
+    would: the ranked rows, padded with copies of the best one, whose children
+    are evaluated but never ranked. Finished rows absorb in place. Every step
+    therefore performs k policy evaluations plus k*k value queries on the
+    proposed children, which is the advertised cost of this decoder.
     """
     if state.terminal:
         raise ContractViolation("value_guided_beam_search() needs a non-terminal state")
@@ -166,49 +149,36 @@ def value_guided_beam_search(
         raise ValueError("beam size must not exceed the vocabulary size")
 
     k = cfg.k
-    rows = [_Row(state, 0.0, 0.0, padding=(i > 0)) for i in range(k)]
+    rows = [(state, 0.0, 0.0)]  # ranked (state, log_likelihood, value), best first
 
     for _ in range(state.max_len - len(state.prefix) + 1):
-        if all(r.state.terminal for r in rows if not r.padding):
+        if all(s.terminal for s, _, _ in rows):
             break
-        priors, _, _ = model.evaluate_root([r.state for r in rows])
+        batch = rows + [rows[0]] * (k - len(rows))
+        priors, _, _ = model.evaluate_root([s for s, _, _ in batch])
 
-        children: list[_Row] = []
-        ranking: list[float] = []
-        for row, prior in zip(rows, priors):
+        children: list[tuple[DecodeState, float]] = []
+        for (s, log_likelihood, _), prior in zip(batch, priors):
             for a in _proposals(prior, k):
                 # A terminal row absorbs; its prior is one-hot EOS, so log_add is 0 or -inf.
-                child_state = row.state if row.state.terminal else step(row.state, a)
                 log_add = math.log(prior[a]) if prior[a] > 0 else -math.inf
-                children.append(
-                    _Row(child_state, row.log_likelihood + log_add, 0.0, padding=row.padding)
-                )
-                ranking.append(-math.inf if (row.padding or log_add == -math.inf) else 0.0)
+                children.append((s if s.terminal else step(s, a), log_likelihood + log_add))
 
-        values = value_fn([c.state for c in children])
-        for i, child in enumerate(children):
-            if ranking[i] == -math.inf:
-                continue
-            ranking[i] = vgbs_score(
-                child.log_likelihood, len(child.state.prefix), float(values[i]), cfg.alpha
-            )
-
-        order = sorted(range(len(children)), key=lambda i: -ranking[i])  # stable on ties
-        kept = [
-            replace(children[i], value=float(values[i]))
-            for i in order
-            if ranking[i] > -math.inf
-        ][:k]
-        rows = kept + [replace(kept[0], padding=True) for _ in range(k - len(kept))]
+        values = value_fn([s for s, _ in children])
+        ranked = sorted(  # stable on ties
+            (i for i in range(len(rows) * k) if children[i][1] > -math.inf),
+            key=lambda i: -vgbs_score(
+                children[i][1], len(children[i][0].prefix), float(values[i]), cfg.alpha
+            ),
+        )
+        rows = [(*children[i], float(values[i])) for i in ranked[:k]]
         model.ledger.charge_tokens(1)
 
-    def score(r: _Row) -> float:
-        return vgbs_score(r.log_likelihood, len(r.state.prefix), r.value, cfg.alpha)
+    def score(row: tuple[DecodeState, float, float]) -> float:
+        return vgbs_score(row[1], len(row[0].prefix), row[2], cfg.alpha)
 
-    best = max((r for r in rows if not r.padding and r.state.terminal), key=score)
-    return Candidate(
-        best.state.prefix, best.log_likelihood, score=score(best), value=best.value, state=best.state
-    )
+    best = max((r for r in rows if r[0].terminal), key=score)
+    return Candidate(best[0].prefix, best[1], score=score(best), value=best[2], state=best[0])
 
 
 # ------------------------------------------------------------------ sampling

@@ -4,9 +4,11 @@ A run decodes every dataset instance under every (algorithm, budget) cell
 with the one model built when the run is validated, charging each cell the
 ledger counts its own decode adds, and deriving all randomness from a stable
 hash of (global seed, instance id, algorithm, budget) so reports are
-byte-identical across repeats. Every cell's decoder config is built, and so
-checked, before the first decode. The model is built from the run config
-alone; an instance's reference enters through the root state of its cells.
+byte-identical across repeats. A cell is a decoder, ``decode(root, cell_seed)``,
+built by :meth:`AlgorithmSpec.cell_decoder` when the run is validated, so
+every cell is checked before the first decode. The model is built from the
+run config alone; an instance's reference enters through the root state each
+cell decodes.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -29,7 +32,7 @@ from .decoders import (
     value_guided_beam_search,
 )
 from .mcts import ArenaSearch, SearchConfig, decode_mcts
-from .mdp import ConfigurationError, Sequence, terminal_reward
+from .mdp import ConfigurationError, DecodeState, Sequence, terminal_reward
 from .models import ModelSpec, PolicyValueModel, model_value_fn, rollout_value_fn
 from .scoring import (
     Metric,
@@ -44,8 +47,8 @@ from .scoring import (
 ALGORITHMS = ("greedy", "beam", "vgbs", "sample_rerank", "sample_rerank_value", "mcts")
 METRICS = ("occupancy", "coverage", "bleu", "bertscore", "mlbertscore")
 
-# What one (algorithm, budget) cell hands its decoder; greedy and sampling need none.
-CellConfig = BeamConfig | VgbsConfig | SearchConfig | None
+# One (algorithm, budget) cell: decode(root, cell_seed) -> the cell's output.
+CellDecoder = Callable[[DecodeState, int], Candidate]
 
 
 @dataclass(frozen=True)
@@ -121,24 +124,45 @@ class AlgorithmSpec:
             value_source=self.value_source,
         )
 
-    def cell_config(self, budget: int, vocab_size: int) -> CellConfig:
-        """The decoder config for one budget; building it runs every check the cell needs."""
+    def cell_decoder(self, budget: int, model: PolicyValueModel, metric: Metric) -> CellDecoder:
+        """The decoder of one budget cell; building it runs every check the cell needs.
+
+        Decoders are looked up in this module's globals when a cell decodes, so
+        a wrapper installed on those names, such as a tracer, sees every call.
+        """
+        if self.name == "greedy":
+            return lambda state, _seed: greedy_decode(model, state)
         if self.name == "beam":
-            return BeamConfig(k=budget, theta=self.theta)
+            beam_cfg = BeamConfig(k=budget, theta=self.theta)
+            return lambda state, _seed: beam_search(model, state, beam_cfg)
+        if self.name == "mcts":
+            search_cfg = self.search_config(budget, model.vocab_size)
+            return lambda state, _seed: decode_mcts(model, [state], search_cfg, metric=metric)[0]
         if self.name == "vgbs":
             k = vgbs_width_for_budget(budget)
-            if k > vocab_size:
+            if k > model.vocab_size:
                 raise ConfigurationError(
-                    f"budget {budget} implies beam width {k} > vocabulary size {vocab_size}"
+                    f"budget {budget} implies beam width {k} > vocabulary size {model.vocab_size}"
                 )
-            return VgbsConfig(k=k, alpha=self.alpha)
-        if self.name == "mcts":
-            return self.search_config(budget, vocab_size)
-        if self.name in ("sample_rerank", "sample_rerank_value") and not (
-            math.isfinite(self.tau) and self.tau > 0
-        ):
+            vgbs_cfg = VgbsConfig(k=k, alpha=self.alpha)
+            if self.value_source == "rollout":
+                value_fn = rollout_value_fn(model, metric)
+            else:
+                value_fn = model_value_fn(model)
+            return lambda state, _seed: value_guided_beam_search(model, value_fn, state, vgbs_cfg)
+        if not (math.isfinite(self.tau) and self.tau > 0):
             raise ConfigurationError("temperature must be finite and > 0")
-        return None
+
+        def sample_rerank(state: DecodeState, cell_seed: int) -> Candidate:
+            pool = sample_sequences(model, state, n=budget, tau=self.tau, seed=cell_seed)
+            if self.name == "sample_rerank":
+                winner = rerank_by_score(pool, metric)
+            else:
+                winner = rerank_by_value(pool, model_value_fn(model))
+            model.ledger.charge_tokens(len(winner.sequence))
+            return winner
+
+        return sample_rerank
 
 
 @dataclass(frozen=True)
@@ -275,39 +299,6 @@ def vgbs_width_for_budget(budget: int) -> int:
     return k
 
 
-def _decode_cell(
-    model: PolicyValueModel,
-    algo: AlgorithmSpec,
-    budget: int,
-    cell_cfg: CellConfig,
-    instance: Instance,
-    metric: Metric,
-    cell_seed: int,
-) -> Candidate:
-    state = model.initial_state(instance.source, instance.reference)
-    if algo.name == "greedy":
-        return greedy_decode(model, state)
-    if algo.name == "beam":
-        return beam_search(model, state, cell_cfg)
-    if algo.name == "vgbs":
-        if algo.value_source == "rollout":
-            value_fn = rollout_value_fn(model, metric)
-        else:
-            value_fn = model_value_fn(model)
-        return value_guided_beam_search(model, value_fn, state, cell_cfg)
-    if algo.name in ("sample_rerank", "sample_rerank_value"):
-        pool = sample_sequences(model, state, n=budget, tau=algo.tau, seed=cell_seed)
-        if algo.name == "sample_rerank":
-            winner = rerank_by_score(pool, metric)
-        else:
-            winner = rerank_by_value(pool, model_value_fn(model))
-        model.ledger.charge_tokens(len(winner.sequence))
-        return winner
-    if algo.name == "mcts":
-        return decode_mcts(model, [state], cell_cfg, metric=metric)[0]
-    raise ConfigurationError(f"unknown algorithm {algo.name!r}")
-
-
 def check_token_ids(vocab_size: int, dataset: list[Instance]) -> None:
     """Reject source or reference ids outside the vocabulary, and sources with EOS
     (the last id) before their final token."""
@@ -348,11 +339,11 @@ def check_references(metric: Metric, dataset: list[Instance]) -> None:
 
 def validate_run_config(
     cfg: RunConfig, dataset: list[Instance]
-) -> tuple[PolicyValueModel, Metric, list[tuple[AlgorithmSpec, int, CellConfig]]]:
+) -> tuple[PolicyValueModel, Metric, list[tuple[AlgorithmSpec, int, CellDecoder]]]:
     """Every check a run needs, made before anything is decoded.
 
     Returns the run's one model, its metric, and each (algorithm, budget) cell
-    with its decoder config, algorithm-major. Building the model checks its spec.
+    with its decoder, algorithm-major. Building the model checks its spec.
     """
     metric = cfg.metric.build()
     model = cfg.model.build(metric)
@@ -363,12 +354,17 @@ def validate_run_config(
             f"occupancy target {cfg.metric.target} is not a content token id "
             f"(0..{model.vocab_size - 2} at vocabulary size {model.vocab_size})"
         )
+    # Coverage is a share of the source's distinct tokens.
+    if cfg.metric.name == "coverage":
+        for inst in dataset:
+            if not inst.source:
+                raise ConfigurationError(f"instance {inst.id!r}: coverage needs a non-empty source")
     check_algorithms(metric, cfg.algorithms)
     check_references(metric, dataset)
     if any(budget < 1 for budget in cfg.budgets):
         raise ConfigurationError("budgets must be >= 1")
     cells = [
-        (algo, budget, algo.cell_config(budget, model.vocab_size))
+        (algo, budget, algo.cell_decoder(budget, model, metric))
         for algo in cfg.algorithms
         for budget in cfg.budgets
     ]
@@ -385,10 +381,10 @@ def run_experiment(cfg: RunConfig, dataset: list[Instance]) -> Report:
     report = Report()
 
     for instance in sorted(dataset, key=lambda i: i.id):
-        for algo, budget, cell_cfg in cells:
+        for algo, budget, decode in cells:
             cell_seed = stable_cell_seed(cfg.seed, instance.id, algo.name, budget)
             evaluations, tokens = model.ledger.snapshot()
-            candidate = _decode_cell(model, algo, budget, cell_cfg, instance, metric, cell_seed)
+            candidate = decode(model.initial_state(instance.source, instance.reference), cell_seed)
             report.cells.append(
                 CellResult(
                     instance_id=instance.id,

@@ -294,6 +294,8 @@ class SeededTabularModel(PolicyValueModel):
         super().__init__(vocab_size, max_len, value_metric)
         if context_order < 0:
             raise ConfigurationError("context_order must be >= 0")
+        if seed < 0:
+            raise ConfigurationError(f"model seed must be >= 0, got {seed}")
         self.seed = seed
         self.context_order = context_order
         self._context_ids: dict[Sequence, int] = {}

@@ -115,6 +115,8 @@ class SeededUnitEmbeddings:
     def __init__(self, dim: int = 8, seed: int = 0):
         if dim < 1:
             raise ConfigurationError("dim must be positive")
+        if seed < 0:
+            raise ConfigurationError(f"embedding seed must be >= 0, got {seed}")
         self.dim = dim
         self.seed = seed
         self._cache: dict[int, np.ndarray] = {}

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from seqdecode import Instance, load_report, save_dataset
+from seqdecode import Instance, PolicyValueModel, load_report, save_dataset
 from seqdecode.cli import main
 
 from conftest import count_calls
@@ -135,9 +135,7 @@ class TestExitCodes:
             assert "EOS may only appear" not in err
 
     def test_out_of_vocabulary_sweep_fails_before_any_model(self, tmp_path, monkeypatch):
-        import seqdecode.harness as harness
-
-        decoded = count_calls(monkeypatch, harness, "_decode_cell")
+        decoded = count_calls(monkeypatch, PolicyValueModel, "initial_state")
         path = tmp_path / "oov.jsonl"
         save_dataset([Instance("x", (5, 6))], path)
         code = run(
@@ -152,9 +150,7 @@ class TestExitCodes:
         self, dataset_path, tmp_path, monkeypatch, capsys, target
     ):
         # At V=4 the content ids are 0..2; id 3 is EOS, which is stripped before scoring.
-        import seqdecode.harness as harness
-
-        decoded = count_calls(monkeypatch, harness, "_decode_cell")
+        decoded = count_calls(monkeypatch, PolicyValueModel, "initial_state")
         code = run(
             "sweep", "--dataset", dataset_path, "--vocab-size", 4, "--algorithms", "greedy,mcts",
             "--budgets", 2, "--metric", "occupancy", "--metric-target", target,
@@ -175,9 +171,7 @@ class TestExitCodes:
     def test_bad_metric_parameters_fail_before_any_decode(
         self, dataset_path, tmp_path, monkeypatch, capsys, flags, problem
     ):
-        import seqdecode.harness as harness
-
-        decoded = count_calls(monkeypatch, harness, "_decode_cell")
+        decoded = count_calls(monkeypatch, PolicyValueModel, "initial_state")
         code = run(
             "sweep", "--dataset", dataset_path, "--algorithms", "greedy", "--budgets", 1,
             *flags, "--out", tmp_path / "x.json",
@@ -253,9 +247,7 @@ class TestExitCodes:
     def test_non_finite_flags_fail_before_any_model(
         self, tmp_path, monkeypatch, capsys, algorithm, flag, value
     ):
-        import seqdecode.harness as harness
-
-        decoded = count_calls(monkeypatch, harness, "_decode_cell")
+        decoded = count_calls(monkeypatch, PolicyValueModel, "initial_state")
         path = tmp_path / "data.jsonl"
         save_dataset([Instance("a", (0, 1))], path)
         code = run(
@@ -266,6 +258,52 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "finite" in err, err
         assert decoded == []
+
+    @pytest.mark.parametrize("command", ["sweep", "decode", "oracle", "tree"])
+    @pytest.mark.parametrize(
+        "flags, problem",
+        [
+            (("--model-seed", -1), "model seed must be >= 0, got -1"),
+            (("--metric", "bertscore", "--embedding-seed", -1), "embedding seed must be >= 0"),
+        ],
+        ids=["model", "embedding"],
+    )
+    def test_negative_seed_fails_before_any_decode(
+        self, dataset_path, tmp_path, monkeypatch, capsys, command, flags, problem
+    ):
+        roots = count_calls(monkeypatch, PolicyValueModel, "initial_state")
+        extra = {
+            "sweep": ("--algorithms", "greedy,mcts", "--budgets", 2),
+            "decode": ("--algorithm", "greedy"),
+        }.get(command, ())
+        code = run(command, "--dataset", dataset_path, *extra, *flags, "--out", tmp_path / "x")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and problem in err, err
+        assert roots == []
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("sweep", ("--algorithms", "greedy,mcts", "--budgets", "1,2")),
+            ("oracle", ()),
+            ("tree", ("--instance-id", "b")),
+        ],
+        ids=["sweep", "oracle", "tree"],
+    )
+    def test_coverage_of_an_empty_source_fails_before_any_decode(
+        self, tmp_path, monkeypatch, capsys, command, extra
+    ):
+        roots = count_calls(monkeypatch, PolicyValueModel, "initial_state")
+        path = tmp_path / "data.jsonl"
+        save_dataset([Instance("a", (0,)), Instance("b", ())], path)
+        code = run(
+            command, "--dataset", path, "--metric", "coverage", *extra, "--out", tmp_path / "x"
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "'b'" in err, err
+        assert roots == []
 
     def test_oversize_oracle_is_one(self, tmp_path, capsys):
         path = tmp_path / "data.jsonl"

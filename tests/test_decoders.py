@@ -12,7 +12,9 @@ from seqdecode import (
     SeededTabularModel,
     VgbsConfig,
     beam_search,
+    coverage_metric,
     greedy_decode,
+    make_seeded_model,
     model_value_fn,
     rerank_by_score,
     rerank_by_value,
@@ -157,6 +159,145 @@ class TestDeterminism:
             assert a.sequence == b.sequence
             assert a.log_likelihood == b.log_likelihood
             assert a.score == b.score
+
+
+# (decoder, V, k, alpha or theta, value source) -> (sequence, repr of log-likelihood,
+# score and value, ledger snapshot). Recorded, not derived: they pin the ranking, the
+# padding rows and the tie order, which decides the alpha=0 VGBS rows at V=5, k >= 2.
+BEAM_GOLDEN = {
+    ('vgbs', 3, 1, 0.0, 'model'):
+        ((0, 0, 0, 0, 2), '-2.7047171004467594', '0.5', '0.5', (10, 5)),
+    ('vgbs', 3, 1, 0.0, 'rollout'):
+        ((0, 0, 0, 0, 2), '-2.7047171004467594', '0.5', '0.5', (15, 5)),
+    ('vgbs', 3, 1, 0.5, 'model'):
+        ((0, 0, 0, 0, 2), '-2.7047171004467594', '-0.02047171004467596', '0.5', (10, 5)),
+    ('vgbs', 3, 1, 0.5, 'rollout'):
+        ((0, 0, 0, 0, 2), '-2.7047171004467594', '-0.02047171004467596', '0.5', (15, 5)),
+    ('vgbs', 3, 1, 1.0, 'model'):
+        ((0, 0, 0, 0, 2), '-2.7047171004467594', '-0.5409434200893519', '0.5', (10, 5)),
+    ('vgbs', 3, 1, 1.0, 'rollout'):
+        ((0, 0, 0, 0, 2), '-2.7047171004467594', '-0.5409434200893519', '0.5', (15, 5)),
+    ('vgbs', 3, 2, 0.0, 'model'):
+        ((0, 0, 0, 0, 2), '-2.7047171004467594', '0.5', '0.5', (30, 5)),
+    ('vgbs', 3, 2, 0.0, 'rollout'):
+        ((0, 0, 0, 0, 2), '-2.7047171004467594', '0.5', '0.5', (24, 5)),
+    ('vgbs', 3, 2, 0.5, 'model'):
+        ((0, 0, 0, 0, 2), '-2.7047171004467594', '-0.02047171004467596', '0.5', (30, 5)),
+    ('vgbs', 3, 2, 0.5, 'rollout'):
+        ((0, 0, 0, 0, 2), '-2.7047171004467594', '-0.02047171004467596', '0.5', (24, 5)),
+    ('vgbs', 3, 2, 1.0, 'model'):
+        ((0, 0, 0, 0, 2), '-2.7047171004467594', '-0.5409434200893519', '0.5', (30, 5)),
+    ('vgbs', 3, 2, 1.0, 'rollout'):
+        ((0, 0, 0, 0, 2), '-2.7047171004467594', '-0.5409434200893519', '0.5', (24, 5)),
+    ('vgbs', 3, 3, 0.0, 'model'):
+        ((1, 0, 0, 0, 2), '-4.528981270718317', '1.0', '1.0', (60, 5)),
+    ('vgbs', 3, 3, 0.0, 'rollout'):
+        ((1, 0, 0, 0, 2), '-4.528981270718317', '1.0', '1.0', (67, 5)),
+    ('vgbs', 3, 3, 0.5, 'model'):
+        ((0, 0, 0, 1, 2), '-4.881523566884159', '0.01184764331158411', '1.0', (60, 5)),
+    ('vgbs', 3, 3, 0.5, 'rollout'):
+        ((0, 0, 0, 1, 2), '-4.881523566884159', '0.01184764331158411', '1.0', (61, 5)),
+    ('vgbs', 3, 3, 1.0, 'model'):
+        ((0, 0, 0, 0, 2), '-2.7047171004467594', '-0.5409434200893519', '0.5', (60, 5)),
+    ('vgbs', 3, 3, 1.0, 'rollout'):
+        ((0, 0, 0, 0, 2), '-2.7047171004467594', '-0.5409434200893519', '0.5', (57, 5)),
+    ('beam', 3, 1, 0.0, None):
+        ((0, 0, 0, 0, 2), '-2.7047171004467594', '-2.7047171004467594', 'None', (5, 5)),
+    ('beam', 3, 1, 0.6, None):
+        ((0, 0, 0, 0, 2), '-2.7047171004467594', '-1.9907310809490986', 'None', (5, 5)),
+    ('beam', 3, 3, 0.0, None):
+        ((2,), '-0.8352367109891332', '-0.8352367109891332', 'None', (6, 5)),
+    ('beam', 3, 3, 0.6, None):
+        ((2,), '-0.8352367109891332', '-0.8352367109891332', 'None', (6, 5)),
+    ('beam', 3, 8, 0.0, None):
+        ((2,), '-0.8352367109891332', '-0.8352367109891332', 'None', (14, 5)),
+    ('beam', 3, 8, 0.6, None):
+        ((2,), '-0.8352367109891332', '-0.8352367109891332', 'None', (14, 5)),
+    ('vgbs', 5, 1, 0.0, 'model'):
+        ((0, 0, 0, 0, 4), '-3.245548432056805',
+         '0.3333333333333333', '0.3333333333333333', (10, 5)),
+    ('vgbs', 5, 1, 0.0, 'rollout'):
+        ((0, 0, 0, 0, 4), '-3.245548432056805',
+         '0.3333333333333333', '0.3333333333333333', (15, 5)),
+    ('vgbs', 5, 1, 0.5, 'model'):
+        ((0, 0, 0, 0, 4), '-3.245548432056805',
+         '-0.15788817653901385', '0.3333333333333333', (10, 5)),
+    ('vgbs', 5, 1, 0.5, 'rollout'):
+        ((0, 0, 0, 0, 4), '-3.245548432056805',
+         '-0.15788817653901385', '0.3333333333333333', (15, 5)),
+    ('vgbs', 5, 1, 1.0, 'model'):
+        ((0, 0, 0, 0, 4), '-3.245548432056805',
+         '-0.649109686411361', '0.3333333333333333', (10, 5)),
+    ('vgbs', 5, 1, 1.0, 'rollout'):
+        ((0, 0, 0, 0, 4), '-3.245548432056805',
+         '-0.649109686411361', '0.3333333333333333', (15, 5)),
+    ('vgbs', 5, 2, 0.0, 'model'):
+        ((2, 1, 0, 0, 4), '-3.8763134753140065',
+         '0.6666666666666666', '0.6666666666666666', (30, 5)),
+    ('vgbs', 5, 2, 0.0, 'rollout'):
+        ((2, 1, 0, 0, 4), '-3.8763134753140065',
+         '0.6666666666666666', '0.6666666666666666', (38, 5)),
+    ('vgbs', 5, 2, 0.5, 'model'):
+        ((0, 2, 1, 0, 4), '-3.8763134753140065',
+         '-0.054298014198067346', '0.6666666666666666', (30, 5)),
+    ('vgbs', 5, 2, 0.5, 'rollout'):
+        ((0, 2, 1, 0, 4), '-3.8763134753140065',
+         '-0.054298014198067346', '0.6666666666666666', (36, 5)),
+    ('vgbs', 5, 2, 1.0, 'model'):
+        ((0, 0, 0, 0, 4), '-3.245548432056805',
+         '-0.649109686411361', '0.3333333333333333', (30, 5)),
+    ('vgbs', 5, 2, 1.0, 'rollout'):
+        ((0, 0, 0, 0, 4), '-3.245548432056805',
+         '-0.649109686411361', '0.3333333333333333', (35, 5)),
+    ('vgbs', 5, 3, 0.0, 'model'):
+        ((2, 1, 0, 0, 4), '-3.8763134753140065',
+         '0.6666666666666666', '0.6666666666666666', (60, 5)),
+    ('vgbs', 5, 3, 0.0, 'rollout'):
+        ((2, 1, 0, 0, 4), '-3.8763134753140065',
+         '0.6666666666666666', '0.6666666666666666', (57, 5)),
+    ('vgbs', 5, 3, 0.5, 'model'):
+        ((2, 1, 0, 0, 4), '-3.8763134753140065',
+         '-0.054298014198067346', '0.6666666666666666', (60, 5)),
+    ('vgbs', 5, 3, 0.5, 'rollout'):
+        ((2, 1, 0, 0, 4), '-3.8763134753140065',
+         '-0.054298014198067346', '0.6666666666666666', (57, 5)),
+    ('vgbs', 5, 3, 1.0, 'model'):
+        ((0, 0, 0, 0, 4), '-3.245548432056805',
+         '-0.649109686411361', '0.3333333333333333', (60, 5)),
+    ('vgbs', 5, 3, 1.0, 'rollout'):
+        ((0, 0, 0, 0, 4), '-3.245548432056805',
+         '-0.649109686411361', '0.3333333333333333', (51, 5)),
+    ('beam', 5, 1, 0.0, None):
+        ((0, 0, 0, 0, 4), '-3.245548432056805', '-3.245548432056805', 'None', (5, 5)),
+    ('beam', 5, 1, 0.6, None):
+        ((0, 0, 0, 0, 4), '-3.245548432056805', '-2.3887947975608537', 'None', (5, 5)),
+    ('beam', 5, 3, 0.0, None):
+        ((2, 4), '-1.9942093103433707', '-1.9942093103433707', 'None', (9, 5)),
+    ('beam', 5, 3, 0.6, None):
+        ((2, 4), '-1.9942093103433707', '-1.8180367829861328', 'None', (9, 5)),
+    ('beam', 5, 8, 0.0, None):
+        ((2, 4), '-1.9942093103433707', '-1.9942093103433707', 'None', (17, 5)),
+    ('beam', 5, 8, 0.6, None):
+        ((2, 4), '-1.9942093103433707', '-1.8180367829861328', 'None', (17, 5)),
+}
+
+
+@pytest.mark.parametrize("case", list(BEAM_GOLDEN), ids=str)
+def test_beam_decoders_match_their_golden_outputs(case):
+    name, vocab_size, k, knob, value_source = case
+    metric = coverage_metric()
+    model = make_seeded_model(4, vocab_size, 4, context_order=1, value_metric=metric)
+    root = model.initial_state({3: (0, 1), 5: (1, 3, 0)}[vocab_size])
+    if name == "beam":
+        c = beam_search(model, root, BeamConfig(k=k, theta=knob))
+    else:
+        if value_source == "model":
+            value_fn = model_value_fn(model)
+        else:
+            value_fn = rollout_value_fn(model, metric)
+        c = value_guided_beam_search(model, value_fn, root, VgbsConfig(k=k, alpha=knob))
+    got = (c.sequence, repr(c.log_likelihood), repr(c.score), repr(c.value))
+    assert got + (model.ledger.snapshot(),) == BEAM_GOLDEN[case]
 
 
 class TestSampling:

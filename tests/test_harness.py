@@ -182,9 +182,7 @@ class TestRunExperiment:
             run_experiment(cfg, dataset)
 
     def test_vgbs_width_above_vocabulary_rejected_before_any_decode(self, monkeypatch):
-        import seqdecode.harness as harness
-
-        decoded = count_calls(monkeypatch, harness, "_decode_cell")
+        decoded = count_calls(monkeypatch, PolicyValueModel, "initial_state")
         # A fixed prior sets the vocabulary (3 here), whatever vocab_size says.
         for model in (ModelSpec(vocab_size=3), ModelSpec(prior=M0_PRIOR, vocab_size=8)):
             cfg = RunConfig(
@@ -206,9 +204,7 @@ class TestRunExperiment:
         ],
     )
     def test_cell_config_errors_raise_before_any_decode(self, monkeypatch, algorithms, option):
-        import seqdecode.harness as harness
-
-        decoded = count_calls(monkeypatch, harness, "_decode_cell")
+        decoded = count_calls(monkeypatch, PolicyValueModel, "initial_state")
         cfg = RunConfig(
             model=M0_SPEC,
             metric=OCC,
@@ -224,6 +220,11 @@ class TestRunExperiment:
         cfg = RunConfig(model=ModelSpec(prior=M0_PRIOR, value_noise=-0.5), metric=OCC)
         with pytest.raises(ConfigurationError, match="amplitude"):
             run_experiment(cfg, m0_dataset(1))
+
+    def test_fixed_prior_accepts_a_negative_seed(self):
+        # A fixed prior uses the seed only to hash its value noise.
+        cfg = RunConfig(model=ModelSpec(prior=M0_PRIOR, seed=-1, value_noise=0.1), metric=OCC)
+        assert len(run_experiment(cfg, m0_dataset(1)).cells) == 1
 
     def test_out_of_vocabulary_reference_rejected(self):
         # A fixed prior of length 3 makes id 3 out of vocabulary, whatever vocab_size says.
