@@ -25,6 +25,7 @@ from .harness import (
     MetricSpec,
     ModelSpec,
     RunConfig,
+    check_budget,
     emit_report,
     export_tree,
     load_dataset,
@@ -211,6 +212,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
     algo = _algorithm_spec("mcts", args)
     # No sweep budget: unlike a budget, --simulations 0 is valid (a tree of the root alone).
+    check_budget(args.simulations, "--simulations")
     cfg = RunConfig(
         model=_model_spec(args), metric=_metric_spec(args), algorithms=(algo,), budgets=()
     )

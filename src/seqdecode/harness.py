@@ -47,6 +47,10 @@ from .scoring import (
 ALGORITHMS = ("greedy", "beam", "vgbs", "sample_rerank", "sample_rerank_value", "mcts")
 METRICS = ("occupancy", "coverage", "bleu", "bertscore", "mlbertscore")
 
+# The largest sweep budget or tree simulation count a run may ask for. Sampling builds a
+# generator per sample and the arena sizes its (B, S + 1, A) arrays by the budget.
+BUDGET_GUARD = 10_000
+
 # One (algorithm, budget) cell: decode(root, cell_seed) -> the cell's output.
 CellDecoder = Callable[[DecodeState, int], Candidate]
 
@@ -337,6 +341,12 @@ def check_references(metric: Metric, dataset: list[Instance]) -> None:
                 )
 
 
+def check_budget(budget: int, name: str = "budget") -> None:
+    """Reject a budget above ``BUDGET_GUARD``; ``name`` is what the message calls it."""
+    if budget > BUDGET_GUARD:
+        raise ConfigurationError(f"{name} {budget} exceeds the budget guard of {BUDGET_GUARD}")
+
+
 def validate_run_config(
     cfg: RunConfig, dataset: list[Instance]
 ) -> tuple[PolicyValueModel, Metric, list[tuple[AlgorithmSpec, int, CellDecoder]]]:
@@ -345,6 +355,8 @@ def validate_run_config(
     Returns the run's one model, its metric, and each (algorithm, budget) cell
     with its decoder, algorithm-major. Building the model checks its spec.
     """
+    for budget in cfg.budgets:
+        check_budget(budget)
     metric = cfg.metric.build()
     model = cfg.model.build(metric)
     check_token_ids(model.vocab_size, dataset)

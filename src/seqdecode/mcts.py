@@ -14,8 +14,11 @@ always picks its slot 0, and the child there is an identical terminal copy.
 Terminal nodes therefore form chains, recorded per node as ``chain_head`` (the
 chain's first node) and, on each head, ``chain_tail`` (its last). A descent
 ends at an unexplored edge or at a chain head; a chain's tail is expanded, and
-the backup updates every chain member as the walk down the chain would have,
-so statistics and ledger charges are those of the full walk.
+the backup updates the path and the chain's head. Every value backed into a
+chain is its one value, so the other members' statistics follow from the
+head's; the public statistics (``values``, ``visit_counts``,
+``children_values``, ``children_visits``) settle them from their heads when
+read after a backup. Statistics and ledger charges are those of the full walk.
 An arena runs one search; build a fresh one for the next. Rollout values
 are batched greedy completions (:func:`.models.rollout_value`), each scored
 against its root state's own reference, so a search holds no per-element
@@ -34,7 +37,8 @@ nodes on the path it updates, and :meth:`ArenaSearch.expand` rescores an
 element's rows when its adaptive range moves. No statistic changes during a
 descent, so each level is a lookup in that table. ``backward`` leaves terminal
 rows alone: only a chain head's is read, to pick slot 0, which the row a
-terminal node is created with already picks.
+terminal node is created with already picks. The search itself reads the
+unsettled arrays: of a chain's rows it only ever reads the head's.
 
 The tests check the arena against a plain recursive twin (``tests/twin.py``)
 after every simulation.
@@ -118,16 +122,19 @@ class ArenaSearch:
         self.num_actions = model.vocab_size
         self.num_sparse_actions = a
 
-        self.visit_counts = np.zeros((b, n), dtype=np.int64)
-        self.values = np.zeros((b, n), dtype=np.float64)
+        # Node and edge statistics; the public properties of the same names settle chain
+        # members first (see backward), the search itself reads these directly.
+        self._visit_counts = np.zeros((b, n), dtype=np.int64)
+        self._values = np.zeros((b, n), dtype=np.float64)
         self.parents = np.full((b, n), -1, dtype=np.int64)
         self.action_from_parents = np.full((b, n), -1, dtype=np.int64)
 
         self.topk_mapping = np.full((b, n, a), -1, dtype=np.int64)
         self.children_index = np.full((b, n, a), -1, dtype=np.int64)
         self.children_prior = np.zeros((b, n, a), dtype=np.float64)
-        self.children_values = np.zeros((b, n, a), dtype=np.float64)
-        self.children_visits = np.zeros((b, n, a), dtype=np.int64)
+        self._children_values = np.zeros((b, n, a), dtype=np.float64)
+        self._children_visits = np.zeros((b, n, a), dtype=np.int64)
+        self._stale = False  # a backup has left chain members behind their heads
         # UCT scores of every live node's sparse actions, kept equal to uct_scores.
         self.scores = np.zeros((b, n, a), dtype=np.float64)
 
@@ -193,8 +200,8 @@ class ArenaSearch:
         dense_counts = np.zeros((self.batch_size, self.num_actions), dtype=np.int64)
         dense_values = np.zeros((self.batch_size, self.num_actions), dtype=np.float64)
         mapping = self.topk_mapping[:, 0, :]
-        dense_counts[self._batch_range[:, None], mapping] = self.children_visits[:, 0, :]
-        dense_values[self._batch_range[:, None], mapping] = self.children_values[:, 0, :]
+        dense_counts[self._batch_range[:, None], mapping] = self._children_visits[:, 0, :]
+        dense_values[self._batch_range[:, None], mapping] = self._children_values[:, 0, :]
         return SearchResult(
             dense_visit_counts=dense_counts,
             dense_root_values=dense_values,
@@ -210,9 +217,9 @@ class ArenaSearch:
         The index arrays broadcast; the result has their shape plus ``(A,)``, so the
         full table is ``uct_scores(arange(B)[:, None], arange(m))``.
         """
-        child_visits = self.children_visits[elements, nodes]
+        child_visits = self._children_visits[elements, nodes]
         policy_score = (
-            np.sqrt(self.visit_counts[elements, nodes])[..., None]
+            np.sqrt(self._visit_counts[elements, nodes])[..., None]
             * self.cfg.c_puct
             * self.children_prior[elements, nodes]
             / (child_visits + 1)
@@ -222,7 +229,7 @@ class ArenaSearch:
         # Unvisited children sit at the rescaled minimum; their stored value
         # (zero-filled) must never leak into the score.
         value_score = np.where(
-            child_visits > 0, (self.children_values[elements, nodes] - low) / span, 0.0
+            child_visits > 0, (self._children_values[elements, nodes] - low) / span, 0.0
         )
         return value_score + policy_score
 
@@ -307,48 +314,104 @@ class ArenaSearch:
         # The UCT row at one visit with no visited child, bit for bit: sqrt(1) = 1, the
         # division is by 1, and the value score adds +0.0.
         self.scores[:, node, :] = self.cfg.c_puct * self.children_prior[:, node, :]
-        self.values[:, node] = values
-        self.visit_counts[:, node] = 1
+        self._values[:, node] = values
+        self._visit_counts[:, node] = 1
         self.node_states.append(handles)
         return node
 
     def backward(self, path: np.ndarray, leaf: int) -> None:
-        """Propagate the leaf's value to every ancestor: :meth:`simulate`'s path, then the
-        members of the chain it ends at, if any, and rescore the live path nodes.
+        """Propagate the leaf's value to every ancestor: :meth:`simulate`'s path, then the head
+        of the chain it ends at, if any, and rescore the live path nodes.
 
         ``leaf`` is the node expanded below ``path[-1]``, or below the tail of the chain that
         ``path[-1]`` heads. Padding rows (a node repeating the one above it, or a leaf equal to
-        it) are masked; a chain's members are the older nodes sharing its head, each with its
-        slot-0 child. Each (element, ancestor) pair then occurs once, so fancy-indexed updates
-        apply level-by-level float operations at any depth. The path's nodes above the chain
-        are the only live nodes whose statistics change, so only their rows are rescored.
+        it) are masked, so each (element, ancestor) pair occurs once and fancy-indexed updates
+        apply level-by-level float operations at any depth. Every value backed into a chain is
+        its one value, so a member's statistics follow from its head's: the head's slot-0 child
+        would now hold the head's value before this backup. Only the head is updated; the other
+        members are settled from it when the statistics are read. The path's nodes above the
+        chain are the only live nodes whose statistics change, so only their rows are rescored.
         """
         heads = self.chain_head[self._batch_range, path[-1]]
-        chained = heads >= 0
-        steps = np.concatenate([path, np.where(chained, path[-1], leaf)[None]])
+        at_head = heads >= 0
+        chained, chain_heads = np.flatnonzero(at_head), heads[at_head]
+        steps = np.concatenate([path, np.where(at_head, path[-1], leaf)[None]])
         rows, path_b = np.nonzero(steps[1:] != steps[:-1])
-        # Live nodes hold chain_head -1, so -2 matches no node of an element off any chain.
-        member_b, members = np.nonzero(
-            self.chain_head[:, :leaf] == np.where(chained, heads, -2)[:, None]
-        )
         path_nodes = steps[rows, path_b]
-        b = np.concatenate([path_b, member_b])
-        nodes = np.concatenate([path_nodes, members])
+        b = np.concatenate([path_b, chained])
+        nodes = np.concatenate([path_nodes, chain_heads])
         children = np.concatenate(
-            [steps[rows + 1, path_b], self.children_index[member_b, members, 0]]
+            [steps[rows + 1, path_b], self.children_index[chained, chain_heads, 0]]
         )
-        leaf_values = self.values[b, leaf]
-        values, visits = self.values[b, nodes], self.visit_counts[b, nodes]
-        if self.cfg.backup == "average":
-            self.values[b, nodes] = (values * visits + leaf_values) / (visits + 1)
-        else:
-            self.values[b, nodes] = np.maximum(values, leaf_values)
-        self.visit_counts[b, nodes] = visits + 1
+        values, visits = self._values[b, nodes], self._visit_counts[b, nodes]
+        self._values[b, nodes] = self._backup(values, visits, self._values[b, leaf])
+        self._visit_counts[b, nodes] = visits + 1
 
+        child_values = self._values[b, children]
+        child_values[path_b.size :] = values[path_b.size :]
         actions = self.action_from_parents[b, children]
-        self.children_values[b, nodes, actions] = self.values[b, children]
-        self.children_visits[b, nodes, actions] += 1
+        self._children_values[b, nodes, actions] = child_values
+        self._children_visits[b, nodes, actions] += 1
+        self._stale |= bool(chained.size)
         self.scores[path_b, path_nodes] = self.uct_scores(path_b, path_nodes)
+
+    def _backup(
+        self, values: np.ndarray, visits: np.ndarray, leaf_values: np.ndarray
+    ) -> np.ndarray:
+        """The values of nodes holding ``values`` after ``visits`` visits, once the leaf values
+        are backed into them."""
+        if self.cfg.backup == "average":
+            return (values * visits + leaf_values) / (visits + 1)
+        return np.maximum(values, leaf_values)
+
+    def _settle(self) -> None:
+        """Give each chain member below its head the statistics per-member backups would have,
+        once per read after a backup: in a chain of L members (L is the head's visit count),
+        member i (the head is member 0) has L - i visits and the value they leave, and its
+        slot-0 edge holds member i + 1's. The values are replayed with :meth:`_backup`, bit for bit."""
+        if not self._stale:
+            return
+        self._stale = False
+        b, heads = np.nonzero(self.chain_tail >= 0)
+        nodes = self.chain_tail[b, heads]
+        # Walk each chain up from its tail, which holds the chain's one value at one visit.
+        v = x = self._values[b, nodes]
+        visits, below = np.ones_like(nodes), np.zeros_like(v)
+        while (members := nodes != heads).any():
+            b, heads, nodes, v, x, visits, below = (
+                a[members] for a in (b, heads, nodes, v, x, visits, below)
+            )
+            self._values[b, nodes], self._visit_counts[b, nodes] = x, visits
+            self._children_values[b, nodes, 0] = below
+            self._children_visits[b, nodes, 0] = visits - 1
+            nodes, below, x = self.parents[b, nodes], x, self._backup(x, visits, v)
+            visits = visits + 1
+
+    # ------------------------------------------------------------- statistics
+
+    @property
+    def values(self) -> np.ndarray:
+        """(B, N) backed-up value of each node."""
+        self._settle()
+        return self._values
+
+    @property
+    def visit_counts(self) -> np.ndarray:
+        """(B, N) visit count of each node."""
+        self._settle()
+        return self._visit_counts
+
+    @property
+    def children_values(self) -> np.ndarray:
+        """(B, N, A) backed-up value of each node's child at each sparse action."""
+        self._settle()
+        return self._children_values
+
+    @property
+    def children_visits(self) -> np.ndarray:
+        """(B, N, A) visit count of each node's child at each sparse action."""
+        self._settle()
+        return self._children_visits
 
     # ------------------------------------------------------------- inspection
 

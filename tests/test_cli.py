@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from seqdecode import Instance, PolicyValueModel, load_report, save_dataset
+from seqdecode import Instance, ModelSpec, PolicyValueModel, load_report, save_dataset
 from seqdecode.cli import main
 
 from conftest import count_calls
@@ -304,6 +304,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "'b'" in err, err
         assert roots == []
+
+    @pytest.mark.parametrize(
+        "command, extra, name",
+        [
+            ("sweep", ("--algorithms", "greedy,sample_rerank_value", "--budgets", "1,10001"),
+             "budget"),
+            ("decode", ("--algorithm", "sample_rerank_value", "--budget", 10001), "budget"),
+            ("decode", ("--algorithm", "mcts", "--budget", 10001), "budget"),
+            ("tree", ("--simulations", 10001), "--simulations"),
+        ],
+        ids=["sweep", "decode-sample", "decode-mcts", "tree"],
+    )
+    def test_budget_above_the_guard_fails_before_any_model(
+        self, dataset_path, tmp_path, monkeypatch, capsys, command, extra, name
+    ):
+        builds = count_calls(monkeypatch, ModelSpec, "build")
+        roots = count_calls(monkeypatch, PolicyValueModel, "initial_state")
+        code = run(command, "--dataset", dataset_path, *extra, "--out", tmp_path / "x")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: "), err
+        assert f"{name} 10001 exceeds the budget guard of 10000" in err, err
+        assert builds == [] and roots == []
 
     def test_oversize_oracle_is_one(self, tmp_path, capsys):
         path = tmp_path / "data.jsonl"

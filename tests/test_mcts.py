@@ -389,6 +389,53 @@ class TestAbsorbingChains:
         assert (arena.chain_head >= 0).any()
         check_chains(arena)
 
+    @staticmethod
+    def _roots(model):
+        return [
+            model.initial_state((0, 1)),
+            step(model.initial_state((2,)), 1),
+            step(step(model.initial_state((3,)), 0), 2),
+        ]
+
+    @pytest.mark.parametrize("provider", PROVIDERS)
+    @pytest.mark.parametrize("backup", BACKUP_RULES)
+    @pytest.mark.parametrize("value_source", VALUE_SOURCES)
+    def test_reading_statistics_mid_search_changes_nothing(self, provider, backup, value_source):
+        # Reading the statistics settles every chain from its head. One arena is read after
+        # every simulation, its lockstep twin only at the end: the search itself never reads a
+        # chain member the backup left behind its head.
+        metric = coverage_metric()
+        cfg = SearchConfig(
+            num_simulations=30, num_sparse_actions=3, backup=backup, value_source=value_source
+        )
+        arenas = []
+        for _ in range(2):
+            model = self.PROVIDERS[provider](metric)
+            arenas.append(ArenaSearch(model, 3, cfg, metric=metric))
+            arenas[-1].begin(self._roots(model))
+        read, unread = arenas
+        for sim in range(cfg.num_simulations):
+            for arena in arenas:
+                arena.step_simulation()
+            read.values  # the read settles every chain
+            got, want = read.result(), unread.result()
+            for name in vars(want):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (name, sim)
+            assert np.array_equal(read.children_index, unread.children_index), sim
+            assert np.array_equal(read.parents, unread.parents), sim
+            live = unread.chain_head < 0
+            assert np.array_equal(read.scores[live], unread.scores[live]), sim
+        assert read.model.ledger.snapshot() == unread.model.ledger.snapshot()
+        for name in ("values", "visit_counts", "children_values", "children_visits"):
+            assert np.array_equal(getattr(read, name), getattr(unread, name)), name
+        heads = [read.chain_head[b][read.chain_head[b] >= 0] for b in range(3)]
+        assert max(np.bincount(h).max() for h in heads if h.size) >= 2
+        for arena in arenas:
+            for node in range(arena.allocated_nodes()):
+                at_head = arena.chain_head[:, node] == node
+                picks = arena.uct_select_action(np.full(arena.batch_size, node))
+                assert (picks[at_head] == 0).all(), node
+
 
 def check_score_table(arena):
     """Assert the score-table invariant: every live node's row equals the per-row formula bit
@@ -663,7 +710,9 @@ class TestDifferential:
                     got = getattr(arena, name)[b, : sim + 2]
                     assert np.array_equal(got, expected), (name, b, sim)
 
-    def test_long_absorbing_chains_match_the_twin(self, occupancy_a3):
+    @pytest.mark.parametrize("backup", BACKUP_RULES)
+    @pytest.mark.parametrize("value_source", VALUE_SOURCES)
+    def test_long_absorbing_chains_match_the_twin(self, occupancy_a3, backup, value_source):
         # An EOS-dominated prior sends most simulations down chains of absorbing copies. The
         # arena stops each descent at the chain's head, within the horizon, while the chains
         # grow far below it, and must still match the twin, which walks every chain.
@@ -672,14 +721,16 @@ class TestDifferential:
         def model():
             return FixedPriorModel([0.05, 0.05, 0.9], max_len, value_metric=occupancy_a3)
 
-        cfg = SearchConfig(num_simulations=48, num_sparse_actions=3)
+        cfg = SearchConfig(
+            num_simulations=48, num_sparse_actions=3, backup=backup, value_source=value_source
+        )
         arena_model = model()
         roots = [arena_model.initial_state(()), step(arena_model.initial_state(()), A)]
-        arena = ArenaSearch(arena_model, len(roots), cfg)
+        arena = ArenaSearch(arena_model, len(roots), cfg, metric=occupancy_a3)
         arena.begin(roots)
         twins = []
         for root in roots:
-            twin = RecursiveSearch(model(), cfg)
+            twin = RecursiveSearch(model(), cfg, metric=occupancy_a3)
             twin.begin(root)
             twins.append(twin)
         for sim in range(cfg.num_simulations):
