@@ -9,7 +9,6 @@ accounting.
 
 from .decoders import (
     BeamConfig,
-    Candidate,
     VgbsConfig,
     beam_search,
     greedy_decode,
@@ -30,7 +29,6 @@ from .harness import (
     export_tree,
     format_table,
     load_dataset,
-    load_report,
     run_experiment,
     save_dataset,
     stable_cell_seed,
@@ -44,6 +42,7 @@ from .mcts import (
     select_root_action,
 )
 from .mdp import (
+    Candidate,
     ConfigurationError,
     ContractViolation,
     DecodeState,
@@ -67,6 +66,7 @@ from .models import (
     model_value_fn,
     rollout_value,
     rollout_value_fn,
+    top_actions,
 )
 from .oracle import (
     GuardExceeded,

@@ -1,7 +1,7 @@
 """Non-tree decoders: greedy, beam search, value-guided beam search, sampling.
 
-All decoders return :class:`Candidate` objects whose ``log_likelihood`` is the
-sum of per-step log-probabilities under the raw (untempered) model. Finished
+All decoders return :class:`.mdp.Candidate` objects whose ``log_likelihood`` is
+the sum of per-step log-probabilities under the raw (untempered) model. Finished
 hypotheses keep competing in beam pools under the same ranking score; they are
 never expanded further.
 """
@@ -14,15 +14,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .mdp import (
+    Candidate,
     ConfigurationError,
     ContractViolation,
     DecodeState,
-    Sequence,
     complete,
     step,
     terminal_reward,
 )
-from .models import PolicyValueModel, apply_temperature, greedy_policy
+from .models import PolicyValueModel, apply_temperature, greedy_policy, top_actions
 from .scoring import Metric
 
 
@@ -50,17 +50,6 @@ class VgbsConfig:
             raise ConfigurationError("alpha must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """A finished output with its exact log-likelihood under the model."""
-
-    sequence: Sequence
-    log_likelihood: float
-    score: float | None = None
-    value: float | None = None
-    state: DecodeState | None = None
-
-
 def length_normalizer(t: int, theta: float) -> float:
     """Beam-score discount ``(6 / (t + 5)) ** theta`` for a candidate of length t >= 1."""
     return (6.0 / (t + 5.0)) ** theta
@@ -75,16 +64,10 @@ def greedy_decode(model: PolicyValueModel, state: DecodeState) -> Candidate:
         raise ContractViolation("greedy_decode() needs a non-terminal state")
     (s,), (log_likelihood,) = complete([state], greedy_policy(model))
     model.ledger.charge_tokens(len(s.prefix) - len(state.prefix))
-    return Candidate(sequence=s.prefix, log_likelihood=log_likelihood, state=s)
+    return Candidate(s, log_likelihood)
 
 
 # --------------------------------------------------------------- beam search
-
-
-def _proposals(prior: np.ndarray, width: int) -> list[int]:
-    """Top-``width`` actions by prior; ties resolved to lower ids."""
-    order = np.argsort(-prior, kind="stable")
-    return [int(a) for a in order[:width]]
 
 
 def beam_search(model: PolicyValueModel, state: DecodeState, cfg: BeamConfig) -> Candidate:
@@ -109,8 +92,8 @@ def beam_search(model: PolicyValueModel, state: DecodeState, cfg: BeamConfig) ->
             break
         pool = [h for h in beam if h[0].terminal]
         priors, _, _ = model.evaluate_root([s for s, _ in live])
-        for (s, log_likelihood), prior in zip(live, priors):
-            for a in _proposals(prior, width):
+        for (s, log_likelihood), prior, top in zip(live, priors, top_actions(priors, width)):
+            for a in top.tolist():
                 if prior[a] > 0.0:
                     pool.append((step(s, a), log_likelihood + math.log(prior[a])))
         pool.sort(key=rank, reverse=True)  # stable: earlier pool entries win ties
@@ -118,7 +101,7 @@ def beam_search(model: PolicyValueModel, state: DecodeState, cfg: BeamConfig) ->
         model.ledger.charge_tokens(1)
 
     best = max((h for h in beam if h[0].terminal), key=rank)
-    return Candidate(best[0].prefix, best[1], score=rank(best), state=best[0])
+    return Candidate(best[0], best[1], score=rank(best))
 
 
 # -------------------------------------------------- value-guided beam search
@@ -158,8 +141,8 @@ def value_guided_beam_search(
         priors, _, _ = model.evaluate_root([s for s, _, _ in batch])
 
         children: list[tuple[DecodeState, float]] = []
-        for (s, log_likelihood, _), prior in zip(batch, priors):
-            for a in _proposals(prior, k):
+        for (s, log_likelihood, _), prior, top in zip(batch, priors, top_actions(priors, k)):
+            for a in top.tolist():
                 # A terminal row absorbs; its prior is one-hot EOS, so log_add is 0 or -inf.
                 log_add = math.log(prior[a]) if prior[a] > 0 else -math.inf
                 children.append((s if s.terminal else step(s, a), log_likelihood + log_add))
@@ -178,7 +161,7 @@ def value_guided_beam_search(
         return vgbs_score(row[1], len(row[0].prefix), row[2], cfg.alpha)
 
     best = max((r for r in rows if r[0].terminal), key=score)
-    return Candidate(best[0].prefix, best[1], score=score(best), value=best[2], state=best[0])
+    return Candidate(best[0], best[1], score=score(best), value=best[2])
 
 
 # ------------------------------------------------------------------ sampling
@@ -209,10 +192,7 @@ def sample_sequences(
         return priors, draws
 
     finals, log_likelihoods = complete([state] * n, policy)
-    return [
-        Candidate(sequence=s.prefix, log_likelihood=ll, state=s)
-        for s, ll in zip(finals, log_likelihoods)
-    ]
+    return [Candidate(s, ll) for s, ll in zip(finals, log_likelihoods)]
 
 
 # ----------------------------------------------------------------- reranking
@@ -221,8 +201,6 @@ def sample_sequences(
 def _final_states(candidates: list[Candidate]) -> list[DecodeState]:
     if not candidates:
         raise ValueError("empty candidate pool")
-    if any(c.state is None for c in candidates):
-        raise ValueError("candidates must carry their final decode state")
     return [c.state for c in candidates]
 
 

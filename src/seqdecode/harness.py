@@ -22,7 +22,6 @@ from pathlib import Path
 
 from .decoders import (
     BeamConfig,
-    Candidate,
     VgbsConfig,
     beam_search,
     greedy_decode,
@@ -32,7 +31,7 @@ from .decoders import (
     value_guided_beam_search,
 )
 from .mcts import ArenaSearch, SearchConfig, decode_mcts
-from .mdp import ConfigurationError, DecodeState, Sequence, terminal_reward
+from .mdp import Candidate, ConfigurationError, DecodeState, Sequence, terminal_reward
 from .models import ModelSpec, PolicyValueModel, model_value_fn, rollout_value_fn
 from .scoring import (
     Metric,
@@ -218,23 +217,6 @@ class Report:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Report":
-        cells = [
-            CellResult(
-                instance_id=c["instance_id"],
-                algorithm=c["algorithm"],
-                budget=c["budget"],
-                sequence=tuple(c["sequence"]),
-                score=c["score"],
-                log_likelihood=c["log_likelihood"],
-                evaluations=c["evaluations"],
-                tokens=c["tokens"],
-            )
-            for c in data["cells"]
-        ]
-        return cls(cells=cells)
-
 
 # ------------------------------------------------------------------- dataset
 
@@ -252,6 +234,10 @@ def load_dataset(path: str | Path) -> list[Instance]:
             continue
         try:
             obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError(f"expected a JSON object, got {obj!r}")
+            if type(obj["id"]) not in (str, int):  # a boolean is not an id
+                raise ValueError(f"id must be a JSON string or integer, got {obj['id']!r}")
             reference = obj.get("reference")
             instance = Instance(
                 id=str(obj["id"]),
@@ -357,6 +343,11 @@ def validate_run_config(
     """
     for budget in cfg.budgets:
         check_budget(budget)
+    names = [algo.name for algo in cfg.algorithms]
+    for what, values in (("algorithm", names), ("budget", cfg.budgets)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigurationError(f"{what} {value!r} is given twice; cells must differ")
     metric = cfg.metric.build()
     model = cfg.model.build(metric)
     check_token_ids(model.vocab_size, dataset)
@@ -434,7 +425,7 @@ def format_table(report: Report) -> str:
 
 
 def emit_report(report: Report, path: str | Path, format: str = "json") -> None:
-    """Persist a report as round-trippable JSON or a budget-by-algorithm text grid."""
+    """Persist a report as JSON (``Report.to_dict``) or a budget-by-algorithm text grid."""
     if format == "json":
         Path(path).write_text(
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -445,20 +436,16 @@ def emit_report(report: Report, path: str | Path, format: str = "json") -> None:
         raise ConfigurationError(f"unknown report format {format!r}")
 
 
-def load_report(path: str | Path) -> Report:
-    return Report.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
 # ---------------------------------------------------------------- tree export
 
 
-def export_tree(arena: ArenaSearch, path: str | Path, batch_index: int = 0) -> None:
-    """Write one element's search tree as a DOT graph.
+def export_tree(arena: ArenaSearch, path: str | Path) -> None:
+    """Write the search tree of the arena's first element as a DOT graph.
 
     Nodes show (token, visit count, value) in expansion order; edges carry
     the stored child prior. Output is deterministic for a given arena.
     """
-    b = batch_index
+    b = 0
     lines = ["digraph mcts {", "  node [shape=box];"]
     n_nodes = arena.allocated_nodes()
     for i in range(n_nodes):

@@ -51,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import ConfigurationError, ContractViolation, DecodeState, complete
-from .models import ModelState, PolicyValueModel, apply_temperature, rollout_value
+from .mdp import Candidate, ConfigurationError, ContractViolation, DecodeState, complete
+from .models import ModelState, PolicyValueModel, apply_temperature, rollout_value, top_actions
 from .scoring import Metric
 
 BACKUP_RULES = ("average", "max")
@@ -306,8 +306,7 @@ class ArenaSearch:
         self, tempered_priors: np.ndarray, values: np.ndarray, handles: list[ModelState]
     ) -> int:
         node = len(self.node_states)
-        # Row-wise top-A by descending prior, ties to the lower token id.
-        top = (-tempered_priors).argsort(axis=1, kind="stable")[:, : self.num_sparse_actions]
+        top = top_actions(tempered_priors, self.num_sparse_actions)
         self.topk_mapping[:, node, :] = top
         # Truncated priors are stored as-is, without renormalization.
         self.children_prior[:, node, :] = tempered_priors[self._batch_range[:, None], top]
@@ -460,7 +459,7 @@ def decode_mcts(
     states: list[DecodeState],
     cfg: SearchConfig,
     metric: Metric | None = None,
-):
+) -> list[Candidate]:
     """Decode a batch by running one search per output position.
 
     The search is the ``complete`` policy: each round builds one arena over
@@ -469,8 +468,6 @@ def decode_mcts(
     continue; each element is charged one root evaluation plus one evaluation
     per simulation for every emitted token (plus rollout costs in rollout mode).
     """
-    from .decoders import Candidate  # local import to avoid a module cycle
-
     if not states:
         raise ValueError("empty batch")
 
@@ -487,7 +484,4 @@ def decode_mcts(
 
     finals, log_likelihoods = complete(states, search)
     model.ledger.charge_tokens(sum(len(f.prefix) - len(s.prefix) for f, s in zip(finals, states)))
-    return [
-        Candidate(sequence=s.prefix, log_likelihood=ll, state=s)
-        for s, ll in zip(finals, log_likelihoods)
-    ]
+    return [Candidate(s, ll) for s, ll in zip(finals, log_likelihoods)]

@@ -7,7 +7,9 @@ length cap. Reward exists only at terminal states and is delegated to a
 metric, which scores against the state's own reference or source
 (:func:`reward_anchor`). Decoders and the exact oracles alike start from a
 root built by ``PolicyValueModel.initial_state`` and reach every other state
-by :func:`step`, so a state's cap and reference are its instance's.
+by :func:`step`, so a state's cap and reference are its instance's. Each
+output they return is a :class:`Candidate`: a terminal state and its
+log-likelihood.
 
 A state is validated once, when it is built. A non-terminal prefix holds no
 EOS, so :func:`step` checks only the token it appends and derives the child's
@@ -148,6 +150,21 @@ def complete(
             final[i] = step(final[i], token)
         live = [i for i in live if not final[i].terminal]
     return final, log_likelihoods
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """A finished output: its final state and its exact log-likelihood under the model."""
+
+    state: DecodeState
+    log_likelihood: float
+    score: float | None = None
+    value: float | None = None
+
+    @property
+    def sequence(self) -> Sequence:
+        """The output tokens, the final state's prefix."""
+        return self.state.prefix
 
 
 def reward_anchor(metric: "Metric", state: DecodeState) -> Sequence:

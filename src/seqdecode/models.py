@@ -139,6 +139,11 @@ def apply_temperature(prior: np.ndarray, tau: float) -> np.ndarray:
     return scaled / scaled.sum(axis=-1, keepdims=True)
 
 
+def top_actions(priors: np.ndarray, k: int) -> np.ndarray:
+    """Each row's top-``k`` token ids ``(n, k)``: descending prior, ties to the lower id."""
+    return (-priors).argsort(axis=1, kind="stable")[:, :k]
+
+
 class PolicyValueModel:
     """Base provider: vocabulary bookkeeping, forced EOS, absorbing terminals.
 
@@ -201,10 +206,6 @@ class PolicyValueModel:
         if free:
             out[free] = self._table_priors([states[i] for i in free])
         return out
-
-    def prior(self, state: DecodeState) -> np.ndarray:
-        """Next-token distribution of one state (see :meth:`priors`)."""
-        return self.priors([state])[0]
 
     def values(self, states: list[DecodeState]) -> np.ndarray:
         """Value head outputs ``(n,)``, memoized per (source, reference, prefix)."""

@@ -18,7 +18,15 @@ from operator import itemgetter
 
 import numpy as np
 
-from .mdp import ConfigurationError, ContractViolation, DecodeState, Sequence, reward_anchor, step
+from .mdp import (
+    Candidate,
+    ConfigurationError,
+    ContractViolation,
+    DecodeState,
+    Sequence,
+    reward_anchor,
+    step,
+)
 from .models import PolicyValueModel
 from .scoring import Metric
 
@@ -70,14 +78,12 @@ def enumerate_sequences(
     return out
 
 
-def exact_argmax_likelihood(model: PolicyValueModel, root: DecodeState):
+def exact_argmax_likelihood(model: PolicyValueModel, root: DecodeState) -> Candidate:
     """Global likelihood argmax below ``root`` via depth-first branch-and-bound.
 
     Prefixes whose log-likelihood already fails to beat the incumbent are
     pruned; this is sound because appending tokens can only lower it.
     """
-    from .decoders import Candidate
-
     _check_root(model, root)
     best: list = [None, -math.inf]  # (state, log_likelihood)
 
@@ -88,7 +94,7 @@ def exact_argmax_likelihood(model: PolicyValueModel, root: DecodeState):
             best[0] = state
             best[1] = log_likelihood
             return
-        prior = model.prior(state)
+        prior = model.priors([state])[0]
         for a in range(model.vocab_size):
             if prior[a] <= 0.0:
                 continue
@@ -98,10 +104,10 @@ def exact_argmax_likelihood(model: PolicyValueModel, root: DecodeState):
             walk(step(state, a), child_ll)
 
     walk(root, 0.0)
-    return Candidate(sequence=best[0].prefix, log_likelihood=best[1], state=best[0])
+    return Candidate(best[0], best[1])
 
 
-def exact_argmax_metric(model: PolicyValueModel, root: DecodeState, metric: Metric):
+def exact_argmax_metric(model: PolicyValueModel, root: DecodeState, metric: Metric) -> Candidate:
     """Metric argmax over every terminated sequence below ``root``.
 
     Each sequence's content is scored against the root's reward anchor, all
@@ -109,8 +115,6 @@ def exact_argmax_metric(model: PolicyValueModel, root: DecodeState, metric: Metr
     the lexicographically smaller token sequence. The winner's state is
     stepped from ``root``, so it is the state a decoder reaches for that output.
     """
-    from .decoders import Candidate
-
     anchor = reward_anchor(metric, root)
     sequences = enumerate_sequences(model, root)
     eos = model.eos_id
@@ -119,4 +123,4 @@ def exact_argmax_metric(model: PolicyValueModel, root: DecodeState, metric: Metr
     best = max(range(len(sequences)), key=lambda i: (scores[i], sequences[i][1]))
     prefix, log_likelihood = sequences[best]
     state = reduce(step, prefix[len(root.prefix):], root)
-    return Candidate(sequence=prefix, log_likelihood=log_likelihood, score=scores[best], state=state)
+    return Candidate(state, log_likelihood, score=scores[best])

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from seqdecode import Instance, ModelSpec, PolicyValueModel, load_report, save_dataset
+from seqdecode import Instance, ModelSpec, PolicyValueModel, save_dataset
 from seqdecode.cli import main
 
 from conftest import count_calls
@@ -36,8 +36,8 @@ class TestDecode:
             "--out", out,
         )
         assert code == 0
-        report = load_report(out)
-        assert {c.instance_id for c in report.cells} == {"a", "b"}
+        report = json.loads(out.read_text())
+        assert {c["instance_id"] for c in report["cells"]} == {"a", "b"}
 
     def test_table_format(self, dataset_path, tmp_path):
         out = tmp_path / "report.txt"
@@ -58,8 +58,10 @@ class TestSweep:
             "--out", out,
         )
         assert code == 0
-        report = load_report(out)
-        assert set(report.aggregates) == {("greedy", 1), ("greedy", 4), ("mcts", 1), ("mcts", 4)}
+        report = json.loads(out.read_text())
+        assert {(a["algorithm"], a["budget"]) for a in report["aggregates"]} == {
+            ("greedy", 1), ("greedy", 4), ("mcts", 1), ("mcts", 4)
+        }
 
 
 class TestOracle:
@@ -304,6 +306,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "'b'" in err, err
         assert roots == []
+
+    def test_non_object_dataset_line_is_one(self, tmp_path, capsys):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"id": "a", "source": [0]}\n["x"]\n', encoding="utf-8")
+        code = run("decode", "--dataset", path, "--algorithm", "greedy", "--out", tmp_path / "x")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "malformed dataset line 2" in err, err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--algorithms", "mcts,greedy,mcts", "--budgets", "2"), "algorithm 'mcts'"),
+            (("--algorithms", "mcts", "--budgets", "2,3,2"), "budget 2"),
+        ],
+        ids=["algorithm", "budget"],
+    )
+    def test_repeated_sweep_value_fails_before_any_model(
+        self, dataset_path, tmp_path, monkeypatch, capsys, flags, message
+    ):
+        builds = count_calls(monkeypatch, ModelSpec, "build")
+        code = run("sweep", "--dataset", dataset_path, *flags, "--out", tmp_path / "x.json")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and f"{message} is given twice" in err, err
+        assert builds == []
 
     @pytest.mark.parametrize(
         "command, extra, name",

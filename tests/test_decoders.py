@@ -80,7 +80,7 @@ def reference_length_averaged_beam(model, state, k):
         for s, ll in beam:
             if s.terminal:
                 continue
-            prior = model.prior(s)
+            prior = model.priors([s])[0]
             order = np.argsort(-prior, kind="stable")[: min(k, model.vocab_size)]
             for a in order:
                 if prior[a] > 0:
@@ -348,20 +348,17 @@ class TestRerank:
     def test_ties_break_by_likelihood_then_order(self, occupancy_a3):
         m = make_m0()
         root = m.initial_state(())
-        low = Candidate((B, EOS), math.log(0.3) + math.log(0.2), state=step(step(root, B), EOS))
-        high = Candidate((A, EOS), math.log(0.5) + math.log(0.2), state=step(step(root, A), EOS))
+        low = Candidate(step(step(root, B), EOS), math.log(0.3) + math.log(0.2))
+        high = Candidate(step(step(root, A), EOS), math.log(0.5) + math.log(0.2))
         # Both score 0 under occupancy of token A over horizon 3... high likelihood wins.
         winner = rerank_by_score([low, high], occupancy_a3)
         assert winner.sequence == (A, EOS)
-        twin = Candidate((B, EOS), low.log_likelihood, state=low.state)
+        twin = Candidate(low.state, low.log_likelihood)
         assert rerank_by_score([low, twin], occupancy_a3).sequence == low.sequence
 
     def test_empty_pool_rejected(self, occupancy_a3):
         with pytest.raises(ValueError):
             rerank_by_score([], occupancy_a3)
-        stateless = Candidate((A, EOS), math.log(0.5) + math.log(0.2))
-        with pytest.raises(ValueError, match="final decode state"):
-            rerank_by_score([stateless], occupancy_a3)
 
     def test_value_rerank_with_rollout_matches_score_rerank(self, occupancy_a3):
         m = make_m0()

@@ -20,7 +20,6 @@ from seqdecode import (
     export_tree,
     format_table,
     load_dataset,
-    load_report,
     run_experiment,
     save_dataset,
     stable_cell_seed,
@@ -65,11 +64,24 @@ class TestLoadDataset:
             '{"id": "b", "source": "12"}',
             '{"id": "b", "source": [0], "reference": [true]}',
             '{"id": "b", "source": [0], "reference": [2.0]}',
+            '["x"]',  # valid JSON, but not an object
+            "5",
+            "null",
+            '"s"',
+            '{"id": null, "source": [0]}',  # an id is a JSON string or integer
+            '{"id": true, "source": [0]}',
+            '{"id": [1], "source": [0]}',
+            '{"id": 1.5, "source": [0]}',
         )
         for bad in bad_lines:
             path.write_text('{"id": "1", "source": [0]}\n' + bad + "\n", encoding="utf-8")
             with pytest.raises(ValueError, match="malformed dataset line 2"):
                 load_dataset(path)
+
+    def test_integer_id_becomes_its_decimal_string(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"id": 7, "source": [0]}\n', encoding="utf-8")
+        assert load_dataset(path)[0].id == "7"
 
     def test_missing_field_is_malformed(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -106,6 +118,19 @@ class TestRunExperiment:
         assert report.aggregates[("greedy", 8)]["mean_score"] == 1.0
         assert report.aggregates[("beam", 8)]["mean_score"] == 1.0
         assert report.aggregates[("greedy", 8)]["mean_evaluations_per_token"] == 1.0
+
+    def test_repeated_algorithm_name_rejected_before_the_model(self, monkeypatch):
+        # Differently configured specs of one algorithm would share cell seeds and a row key.
+        builds = count_calls(monkeypatch, ModelSpec, "build")
+        cfg = RunConfig(
+            model=M0_SPEC,
+            metric=OCC,
+            algorithms=(AlgorithmSpec("mcts", c_puct=0.1), AlgorithmSpec("mcts", c_puct=5.0)),
+            budgets=(4,),
+        )
+        with pytest.raises(ConfigurationError, match="algorithm 'mcts' is given twice"):
+            run_experiment(cfg, m0_dataset(2))
+        assert builds == []
 
     def test_vgbs_accounting_closed_form(self):
         budget = 10  # smallest k with k + k^2 >= 10 is 3
@@ -373,7 +398,7 @@ class TestReportEmission:
         report = self._report()
         path = tmp_path / "report.json"
         emit_report(report, path, format="json")
-        assert load_report(path) == report
+        assert json.loads(path.read_text()) == report.to_dict()
 
     def test_table_layout(self, tmp_path):
         report = self._report()

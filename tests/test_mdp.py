@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seqdecode import (
+    Candidate,
     ConfigurationError,
     ContractViolation,
     DecodeState,
@@ -59,6 +60,16 @@ class TestComplete:
         assert [s.prefix for s in final] == [(A, B, EOS), (EOS,), (A, A, A, A), (EOS,)]
         log = [math.log(p) for p in self.PRIOR]
         assert log_likelihoods == [log[A] + log[B] + log[EOS], 0.0, log[A] + log[A], log[EOS]]
+
+
+class TestCandidate:
+    def test_sequence_is_the_final_state_prefix(self):
+        final = step(step(state(()), A), EOS)
+        c = Candidate(final, -1.5)
+        assert c.sequence == (A, EOS) and c.state is final
+        assert (c.score, c.value) == (None, None)
+        with pytest.raises(AttributeError):
+            c.sequence = (B, EOS)
 
 
 class TestStep:

@@ -28,6 +28,7 @@ from seqdecode import (
     rollout_value,
     step,
     terminal_reward,
+    top_actions,
 )
 
 from conftest import A, B, EOS, affine_value_model, make_m0
@@ -50,8 +51,15 @@ class TestPriors:
         s = m0.initial_state(())
         for _ in range(m0.max_len):  # content horizon reached
             s = step(s, A)
-        prior = m0.prior(s)
+        prior = m0.priors([s])[0]
         assert prior[EOS] == 1.0 and prior.sum() == 1.0
+
+    def test_top_actions_match_a_stable_per_row_sort(self):
+        priors = np.array([[0.2, 0.5, 0.3, 0.0], [0.25, 0.25, 0.25, 0.25], [0.0, 0.0, 0.0, 1.0]])
+        assert top_actions(priors, 3).tolist() == [[1, 2, 0], [0, 1, 2], [3, 0, 1]]
+        for k in (1, 4):
+            per_row = [np.argsort(-p, kind="stable")[:k].tolist() for p in priors]
+            assert top_actions(priors, k).tolist() == per_row
 
     def test_seeded_model_is_reproducible(self):
         kwargs = dict(seed=7, vocab_size=3, max_len=3, context_order=1)
@@ -59,17 +67,17 @@ class TestPriors:
         s = a.initial_state(())
         for prefix in [(), (0,), (1,), (0, 1)]:
             sa = s if not prefix else type(s)(s.source, prefix, s.max_len, s.eos_id)
-            assert np.array_equal(a.prior(sa), b.prior(sa))
+            assert np.array_equal(a.priors([sa])[0], b.priors([sa])[0])
 
     def test_context_order_zero_ignores_prefix(self):
         m = SeededTabularModel(seed=3, vocab_size=4, max_len=4, context_order=0)
         root = m.initial_state(())
-        assert np.array_equal(m.prior(root), m.prior(step(step(root, 0), 1)))
+        assert np.array_equal(m.priors([root])[0], m.priors([step(step(root, 0), 1)])[0])
 
     def test_context_order_one_sees_last_token(self):
         m = SeededTabularModel(seed=3, vocab_size=4, max_len=4, context_order=1)
         root = m.initial_state(())
-        assert not np.array_equal(m.prior(step(root, 0)), m.prior(step(root, 1)))
+        assert not np.array_equal(m.priors([step(root, 0)])[0], m.priors([step(root, 1)])[0])
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -78,7 +86,7 @@ class TestPriors:
         s = m.initial_state(())
         rng = np.random.default_rng(seed)
         while not s.terminal:
-            prior = m.prior(s)
+            prior = m.priors([s])[0]
             assert abs(prior.sum() - 1.0) < 1e-9
             assert (prior >= 0).all()
             s = step(s, int(rng.integers(0, 5)))
@@ -239,7 +247,8 @@ class TestMaskedStep:
         for s, handle, new in zip(states, handles, next_handles):
             assert (new is handle) == s.terminal  # absorbing rows return the same handle
         for batch in (states, want_states):
-            assert np.array_equal(model.priors(batch), np.stack([twin.prior(s) for s in batch]))
+            one_by_one = np.stack([twin.priors([s])[0] for s in batch])
+            assert np.array_equal(model.priors(batch), one_by_one)
 
 
 class TestBatchedValues:
@@ -546,7 +555,7 @@ class TestSeededFactory:
         made = make_seeded_model(seed=4, vocab_size=4, max_len=3, context_order=1)
         direct = SeededTabularModel(seed=4, vocab_size=4, max_len=3, context_order=1)
         s = made.initial_state(())
-        assert np.array_equal(made.prior(s), direct.prior(s))
+        assert np.array_equal(made.priors([s])[0], direct.priors([s])[0])
 
     def test_noise_amplitude_wraps_the_model(self, occupancy_a3):
         noisy = make_seeded_model(
@@ -559,7 +568,7 @@ class TestSeededFactory:
         )
         s = clean.initial_state(())
         assert noisy.values([s])[0] != clean.values([s])[0]
-        assert np.array_equal(noisy.prior(s), clean.prior(s))
+        assert np.array_equal(noisy.priors([s])[0], clean.priors([s])[0])
 
     def test_negative_noise_rejected_and_zero_noise_unwrapped(self):
         with pytest.raises(ConfigurationError, match="amplitude"):

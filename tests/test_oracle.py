@@ -44,7 +44,7 @@ def terminal_states(model, root):
         if state.terminal:
             out.append((state, log_likelihood))
             return
-        prior = model.prior(state)
+        prior = model.priors([state])[0]
         for a in range(model.vocab_size):
             if prior[a] <= 0.0:
                 continue
