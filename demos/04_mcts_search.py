@@ -3,11 +3,12 @@
 One search builds a tree for a single output position. The arena keeps every
 statistic in flat (batch, node) and (batch, node, sparse-action) arrays so a
 whole batch advances in lockstep, plus one node-ordered list of the provider's
-state handles (``node_states[node][b]``). An arena searches once; the next
-search needs a fresh one. The search tree can be exported as DOT for
-inspection. The arena arithmetic is cross-checked against a plain recursive
-twin after every simulation in the test suite (``tests/twin.py``, acceptance
-criterion 4).
+state handles (``node_states[node][b]``). An arena is built from its root
+states and searches once; the next search needs a fresh one. An edge's visit
+count and value are read off its child node, so each is stored once. The
+search tree can be exported as DOT for inspection. The arena arithmetic is
+cross-checked against a plain recursive twin after every simulation in the
+test suite (``tests/twin.py``, acceptance criterion 4).
 """
 
 from pathlib import Path
@@ -35,8 +36,8 @@ def main() -> None:
     cfg = SearchConfig(num_simulations=8, num_sparse_actions=3, c_puct=1.0,
                        backup="max", root_selection="max_value", value_source="rollout")
     model = fresh_model()
-    arena = ArenaSearch(model, batch_size=1, cfg=cfg, metric=METRIC)
-    result = arena.run([model.initial_state(())])
+    arena = ArenaSearch(model, [model.initial_state(())], cfg, METRIC)
+    result = arena.run()
 
     print("after 8 simulations:")
     print(f"  allocated nodes          : {arena.allocated_nodes()} (root + one per simulation)")

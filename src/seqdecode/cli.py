@@ -212,14 +212,15 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
     algo = _algorithm_spec("mcts", args)
     # No sweep budget: unlike a budget, --simulations 0 is valid (a tree of the root alone).
-    check_budget(args.simulations, "--simulations")
+    check_budget(args.simulations, "--simulations", least=0)
     cfg = RunConfig(
         model=_model_spec(args), metric=_metric_spec(args), algorithms=(algo,), budgets=()
     )
     model, metric, _ = validate_run_config(cfg, [instance])
     search_cfg = algo.search_config(args.simulations, model.vocab_size)
-    arena = ArenaSearch(model, 1, search_cfg, metric=metric)
-    arena.run([model.initial_state(instance.source, instance.reference)])
+    root = model.initial_state(instance.source, instance.reference)
+    arena = ArenaSearch(model, [root], search_cfg, metric=metric)
+    arena.run()
     export_tree(arena, args.out)
     return 0
 

@@ -290,8 +290,8 @@ def vgbs_width_for_budget(budget: int) -> int:
 
 
 def check_token_ids(vocab_size: int, dataset: list[Instance]) -> None:
-    """Reject source or reference ids outside the vocabulary, and sources with EOS
-    (the last id) before their final token."""
+    """Reject source or reference ids outside the vocabulary, and sources or references
+    with EOS (the last id) before their final token."""
     for inst in dataset:
         for name, tokens in (("source", inst.source), ("reference", inst.reference or ())):
             for t in tokens:
@@ -300,10 +300,10 @@ def check_token_ids(vocab_size: int, dataset: list[Instance]) -> None:
                         f"instance {inst.id!r}: {name} token id {t} is outside the "
                         f"vocabulary of size {vocab_size}"
                     )
-        if vocab_size - 1 in inst.source[:-1]:
-            raise ConfigurationError(
-                f"instance {inst.id!r}: EOS (id {vocab_size - 1}) may only end the source"
-            )
+            if vocab_size - 1 in tokens[:-1]:
+                raise ConfigurationError(
+                    f"instance {inst.id!r}: EOS (id {vocab_size - 1}) may only end the {name}"
+                )
 
 
 def check_algorithms(metric: Metric, algorithms: tuple[AlgorithmSpec, ...]) -> None:
@@ -327,8 +327,11 @@ def check_references(metric: Metric, dataset: list[Instance]) -> None:
                 )
 
 
-def check_budget(budget: int, name: str = "budget") -> None:
-    """Reject a budget above ``BUDGET_GUARD``; ``name`` is what the message calls it."""
+def check_budget(budget: int, name: str = "budget", least: int = 1) -> None:
+    """Reject a budget below ``least`` or above ``BUDGET_GUARD``; ``name`` is what the message
+    calls it."""
+    if budget < least:
+        raise ConfigurationError(f"{name} must be >= {least}, not {budget}")
     if budget > BUDGET_GUARD:
         raise ConfigurationError(f"{name} {budget} exceeds the budget guard of {BUDGET_GUARD}")
 
@@ -357,15 +360,13 @@ def validate_run_config(
             f"occupancy target {cfg.metric.target} is not a content token id "
             f"(0..{model.vocab_size - 2} at vocabulary size {model.vocab_size})"
         )
-    # Coverage is a share of the source's distinct tokens.
+    # Coverage is a share of the source's distinct tokens, its closing EOS not counted.
     if cfg.metric.name == "coverage":
         for inst in dataset:
-            if not inst.source:
+            if not set(inst.source) - {model.vocab_size - 1}:
                 raise ConfigurationError(f"instance {inst.id!r}: coverage needs a non-empty source")
     check_algorithms(metric, cfg.algorithms)
     check_references(metric, dataset)
-    if any(budget < 1 for budget in cfg.budgets):
-        raise ConfigurationError("budgets must be >= 1")
     cells = [
         (algo, budget, algo.cell_decoder(budget, model, metric))
         for algo in cfg.algorithms

@@ -19,7 +19,8 @@ chain is its one value, so the other members' statistics follow from the
 head's; the public statistics (``values``, ``visit_counts``,
 ``children_values``, ``children_visits``) settle them from their heads when
 read after a backup. Statistics and ledger charges are those of the full walk.
-An arena runs one search; build a fresh one for the next. Rollout values
+An edge's visit count and value are its child's, read through ``children_index``.
+An arena is built from its roots and runs one search. Rollout values
 are batched greedy completions (:func:`.models.rollout_value`), each scored
 against its root state's own reference, so a search holds no per-element
 data beyond its root states; :func:`decode_mcts` is one arena per round as an
@@ -35,10 +36,10 @@ and rescores a row only where its statistics change: a new node's row is
 written when it is created, :meth:`ArenaSearch.backward` rescores the live
 nodes on the path it updates, and :meth:`ArenaSearch.expand` rescores an
 element's rows when its adaptive range moves. No statistic changes during a
-descent, so each level is a lookup in that table. ``backward`` leaves terminal
-rows alone: only a chain head's is read, to pick slot 0, which the row a
-terminal node is created with already picks. The search itself reads the
-unsettled arrays: of a chain's rows it only ever reads the head's.
+descent, so each level is a lookup in that table. Of a terminal row only a
+chain head's is read, to pick slot 0 (see :meth:`ArenaSearch.backward`). The
+search itself reads the unsettled arrays: of a chain's rows it only ever reads
+the head's.
 
 The tests check the arena against a plain recursive twin (``tests/twin.py``)
 after every simulation.
@@ -103,27 +104,30 @@ class ArenaSearch:
     def __init__(
         self,
         model: PolicyValueModel,
-        batch_size: int,
+        root_states: list[DecodeState],
         cfg: SearchConfig,
         metric: Metric | None = None,
     ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        """Evaluate the roots and install them as node 0."""
+        if not root_states:
+            raise ValueError("empty batch")
         if cfg.num_sparse_actions > model.vocab_size:
             raise ValueError("num_sparse_actions must not exceed the vocabulary size")
         if cfg.value_source == "rollout" and metric is None:
             raise ValueError("rollout value source needs a metric")
+        if any(s.terminal for s in root_states):
+            raise ContractViolation("search roots must be non-terminal")
         self.model = model
         self.cfg = cfg
         self.metric = metric
 
-        b, n, a = batch_size, cfg.num_simulations + 1, cfg.num_sparse_actions
+        b, n, a = len(root_states), cfg.num_simulations + 1, cfg.num_sparse_actions
         self.batch_size = b
         self.num_actions = model.vocab_size
         self.num_sparse_actions = a
 
-        # Node and edge statistics; the public properties of the same names settle chain
-        # members first (see backward), the search itself reads these directly.
+        # Node statistics; the public properties of the same names settle chain members
+        # first (see backward), the search itself reads these directly.
         self._visit_counts = np.zeros((b, n), dtype=np.int64)
         self._values = np.zeros((b, n), dtype=np.float64)
         self.parents = np.full((b, n), -1, dtype=np.int64)
@@ -132,8 +136,6 @@ class ArenaSearch:
         self.topk_mapping = np.full((b, n, a), -1, dtype=np.int64)
         self.children_index = np.full((b, n, a), -1, dtype=np.int64)
         self.children_prior = np.zeros((b, n, a), dtype=np.float64)
-        self._children_values = np.zeros((b, n, a), dtype=np.float64)
-        self._children_visits = np.zeros((b, n, a), dtype=np.int64)
         self._stale = False  # a backup has left chain members behind their heads
         # UCT scores of every live node's sparse actions, kept equal to uct_scores.
         self.scores = np.zeros((b, n, a), dtype=np.float64)
@@ -144,41 +146,22 @@ class ArenaSearch:
         self.chain_head = np.full((b, n), -1, dtype=np.int64)
         self.chain_tail = np.full((b, n), -1, dtype=np.int64)
 
-        self.adaptive_min = np.zeros(b, dtype=np.float64)
-        self.adaptive_max = np.zeros(b, dtype=np.float64)
-
         self.node_states: list[list[ModelState]] = []  # node_states[node][b]
         self._batch_range = np.arange(b)
-        self._root_priors: np.ndarray | None = None
-        self._tempered_root: np.ndarray | None = None
+
+        priors, values, handles = model.evaluate_root(root_states)
+        if cfg.value_source == "rollout":
+            values = rollout_value(model, root_states, metric)
+        self._root_priors = priors
+        self._tempered_root = apply_temperature(priors, cfg.tau)
+        self.adaptive_min = values.astype(np.float64).copy()
+        self.adaptive_max = values.astype(np.float64) + 1e-6
+        self._create_node(self._tempered_root, values, handles)
 
     # -------------------------------------------------------------- lifecycle
 
-    def begin(self, root_states: list[DecodeState]) -> None:
-        """Evaluate the roots and install them as node 0 (once per arena)."""
-        if self.node_states:
-            raise ContractViolation("begin() called twice; build a fresh arena per search")
-        if len(root_states) != self.batch_size:
-            raise ValueError("batch size mismatch")
-        for s in root_states:
-            if s.terminal:
-                raise ContractViolation("search roots must be non-terminal")
-
-        priors, values, handles = self.model.evaluate_root(root_states)
-        if self.cfg.value_source == "rollout":
-            values = rollout_value(self.model, root_states, self.metric)
-        self._root_priors = priors
-        tempered = apply_temperature(priors, self.cfg.tau)
-        self._tempered_root = tempered
-
-        self.adaptive_min = values.astype(np.float64).copy()
-        self.adaptive_max = values.astype(np.float64) + 1e-6
-
-        self._create_node(tempered, values, handles)
-
-    def run(self, root_states: list[DecodeState]) -> SearchResult:
-        """Full search: root evaluation plus ``num_simulations`` simulations."""
-        self.begin(root_states)
+    def run(self) -> SearchResult:
+        """Full search: ``num_simulations`` simulations, then the root statistics."""
         for _ in range(self.cfg.num_simulations):
             self.step_simulation()
         return self.result()
@@ -197,11 +180,13 @@ class ArenaSearch:
         self.backward(path, leaf)
 
     def result(self) -> SearchResult:
+        # A root child is never a chain member, so the unsettled statistics are its own.
+        visits, values = self._child_statistics(self._batch_range, 0)
         dense_counts = np.zeros((self.batch_size, self.num_actions), dtype=np.int64)
         dense_values = np.zeros((self.batch_size, self.num_actions), dtype=np.float64)
         mapping = self.topk_mapping[:, 0, :]
-        dense_counts[self._batch_range[:, None], mapping] = self._children_visits[:, 0, :]
-        dense_values[self._batch_range[:, None], mapping] = self._children_values[:, 0, :]
+        dense_counts[self._batch_range[:, None], mapping] = visits
+        dense_values[self._batch_range[:, None], mapping] = values
         return SearchResult(
             dense_visit_counts=dense_counts,
             dense_root_values=dense_values,
@@ -211,13 +196,23 @@ class ArenaSearch:
 
     # -------------------------------------------------------------- internals
 
+    def _child_statistics(
+        self, elements: np.ndarray, nodes: np.ndarray | int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Visit counts and values of the children of each (element, node) pair, indexed as in
+        :meth:`uct_scores`; an unexpanded slot's -1 gathers node N - 1 and reads 0 and 0.0."""
+        children = self.children_index[elements, nodes]
+        expanded, rows = children >= 0, elements[..., None]
+        visits = np.where(expanded, self._visit_counts[rows, children], 0)
+        return visits, np.where(expanded, self._values[rows, children], 0.0)
+
     def uct_scores(self, elements: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """Value score + policy score of the sparse actions of each (element, node) pair.
 
         The index arrays broadcast; the result has their shape plus ``(A,)``, so the
         full table is ``uct_scores(arange(B)[:, None], arange(m))``.
         """
-        child_visits = self._children_visits[elements, nodes]
+        child_visits, child_values = self._child_statistics(elements, nodes)
         policy_score = (
             np.sqrt(self._visit_counts[elements, nodes])[..., None]
             * self.cfg.c_puct
@@ -226,11 +221,8 @@ class ArenaSearch:
         )
         low = self.adaptive_min[elements][..., None]
         span = (self.adaptive_max - self.adaptive_min)[elements][..., None]
-        # Unvisited children sit at the rescaled minimum; their stored value
-        # (zero-filled) must never leak into the score.
-        value_score = np.where(
-            child_visits > 0, (self._children_values[elements, nodes] - low) / span, 0.0
-        )
+        # Unvisited children sit at the rescaled minimum.
+        value_score = np.where(child_visits > 0, (child_values - low) / span, 0.0)
         return value_score + policy_score
 
     def uct_select_action(self, node_indices: np.ndarray) -> np.ndarray:
@@ -326,10 +318,13 @@ class ArenaSearch:
         ``path[-1]`` heads. Padding rows (a node repeating the one above it, or a leaf equal to
         it) are masked, so each (element, ancestor) pair occurs once and fancy-indexed updates
         apply level-by-level float operations at any depth. Every value backed into a chain is
-        its one value, so a member's statistics follow from its head's: the head's slot-0 child
-        would now hold the head's value before this backup. Only the head is updated; the other
-        members are settled from it when the statistics are read. The path's nodes above the
-        chain are the only live nodes whose statistics change, so only their rows are rescored.
+        its one value, so a member's statistics follow from its head's: only the head is
+        updated, and the other members are settled from it when the statistics are read. The
+        path's nodes above the chain are the only live nodes whose statistics change, so only
+        their rows are rescored. Terminal rows are rescored only when :meth:`expand` rescores
+        a moved element's table, which may read a member's unsettled statistics; slot 0 still
+        wins, since a terminal prior is one-hot EOS: slot 0's policy score is above 0, every
+        other slot scores exactly 0, and a value score is never below 0.
         """
         heads = self.chain_head[self._batch_range, path[-1]]
         at_head = heads >= 0
@@ -339,18 +334,9 @@ class ArenaSearch:
         path_nodes = steps[rows, path_b]
         b = np.concatenate([path_b, chained])
         nodes = np.concatenate([path_nodes, chain_heads])
-        children = np.concatenate(
-            [steps[rows + 1, path_b], self.children_index[chained, chain_heads, 0]]
-        )
         values, visits = self._values[b, nodes], self._visit_counts[b, nodes]
         self._values[b, nodes] = self._backup(values, visits, self._values[b, leaf])
         self._visit_counts[b, nodes] = visits + 1
-
-        child_values = self._values[b, children]
-        child_values[path_b.size :] = values[path_b.size :]
-        actions = self.action_from_parents[b, children]
-        self._children_values[b, nodes, actions] = child_values
-        self._children_visits[b, nodes, actions] += 1
         self._stale |= bool(chained.size)
         self.scores[path_b, path_nodes] = self.uct_scores(path_b, path_nodes)
 
@@ -366,8 +352,8 @@ class ArenaSearch:
     def _settle(self) -> None:
         """Give each chain member below its head the statistics per-member backups would have,
         once per read after a backup: in a chain of L members (L is the head's visit count),
-        member i (the head is member 0) has L - i visits and the value they leave, and its
-        slot-0 edge holds member i + 1's. The values are replayed with :meth:`_backup`, bit for bit."""
+        member i (the head is member 0) has L - i visits and the value they leave. The values
+        are replayed with :meth:`_backup`, bit for bit."""
         if not self._stale:
             return
         self._stale = False
@@ -375,15 +361,11 @@ class ArenaSearch:
         nodes = self.chain_tail[b, heads]
         # Walk each chain up from its tail, which holds the chain's one value at one visit.
         v = x = self._values[b, nodes]
-        visits, below = np.ones_like(nodes), np.zeros_like(v)
+        visits = np.ones_like(nodes)
         while (members := nodes != heads).any():
-            b, heads, nodes, v, x, visits, below = (
-                a[members] for a in (b, heads, nodes, v, x, visits, below)
-            )
+            b, heads, nodes, v, x, visits = (a[members] for a in (b, heads, nodes, v, x, visits))
             self._values[b, nodes], self._visit_counts[b, nodes] = x, visits
-            self._children_values[b, nodes, 0] = below
-            self._children_visits[b, nodes, 0] = visits - 1
-            nodes, below, x = self.parents[b, nodes], x, self._backup(x, visits, v)
+            nodes, x = self.parents[b, nodes], self._backup(x, visits, v)
             visits = visits + 1
 
     # ------------------------------------------------------------- statistics
@@ -402,15 +384,17 @@ class ArenaSearch:
 
     @property
     def children_values(self) -> np.ndarray:
-        """(B, N, A) backed-up value of each node's child at each sparse action."""
-        self._settle()
-        return self._children_values
+        """(B, N, A) value of each node's child at each sparse action; a fresh array."""
+        return self._settled_edges()[1]
 
     @property
     def children_visits(self) -> np.ndarray:
-        """(B, N, A) visit count of each node's child at each sparse action."""
+        """(B, N, A) visit count of each node's child at each sparse action; a fresh array."""
+        return self._settled_edges()[0]
+
+    def _settled_edges(self) -> tuple[np.ndarray, np.ndarray]:
         self._settle()
-        return self._children_visits
+        return self._child_statistics(self._batch_range[:, None], np.arange(self._values.shape[1]))
 
     # ------------------------------------------------------------- inspection
 
@@ -472,8 +456,7 @@ def decode_mcts(
         raise ValueError("empty batch")
 
     def search(_indices: list[int], live: list[DecodeState]):
-        arena = ArenaSearch(model, len(live), cfg, metric)
-        result = arena.run(live)
+        result = ArenaSearch(model, live, cfg, metric).run()
         actions = select_root_action(
             result.dense_visit_counts,
             result.dense_root_values,

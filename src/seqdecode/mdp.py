@@ -172,13 +172,13 @@ def reward_anchor(metric: "Metric", state: DecodeState) -> Sequence:
 
     Reference-based (privileged) metrics compare against the state's
     reference, which must exist; source-only (unprivileged) metrics compare
-    against its source.
+    against its source. A closing EOS is dropped, as :attr:`DecodeState.content`
+    drops the output's.
     """
-    if metric.privileged:
-        if state.reference is None:
-            raise ConfigurationError(f"metric {metric.name!r} requires a reference")
-        return state.reference
-    return state.source
+    if metric.privileged and state.reference is None:
+        raise ConfigurationError(f"metric {metric.name!r} requires a reference")
+    anchor = state.reference if metric.privileged else state.source
+    return anchor[:-1] if anchor and anchor[-1] == state.eos_id else anchor
 
 
 def terminal_reward(state: DecodeState, metric: "Metric") -> float:

@@ -122,8 +122,7 @@ def test_criterion_04_arena_matches_recursive_reference():
         source = seeded_source(seed, vocab)
         arena_model = SeededTabularModel(seed, vocab, 3, context_order=1, value_metric=metric)
         ref_model = SeededTabularModel(seed, vocab, 3, context_order=1, value_metric=metric)
-        arena = ArenaSearch(arena_model, 1, cfg, metric=metric)
-        arena.begin([arena_model.initial_state(source)])
+        arena = ArenaSearch(arena_model, [arena_model.initial_state(source)], cfg, metric=metric)
         reference = RecursiveSearch(ref_model, cfg, metric=metric)
         reference.begin(ref_model.initial_state(source))
         for sim in range(cfg.num_simulations):

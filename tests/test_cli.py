@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -92,6 +93,39 @@ class TestTree:
         assert code == 0
         assert "->" not in out.read_text()
 
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (("--simulations", 60),
+             "d4db5f4ecf3bf951cfcff3d97afc3b1f913503802267edfd881f641ed3928090"),
+            (("--simulations", 80, "--backup", "max"),
+             "18ca023829ea98e255decea1f784ab234a38b927976a7600c1ddafeecd10bc4a"),
+            (("--simulations", 40, "--value-source", "rollout"),
+             "97ed8b29033cd6a71148c0de2c2395ebe1904bc029485948268a0b5cebe2d3e0"),
+            (("--simulations", 300),
+             "a631f55d7322ce9951b6065998422eb8d7d2f5c0fcbc100eaf376202eaba4f7c"),
+            (("--simulations", 120, "--instance-id", "b", "--c-puct", 0.3,
+              "--root-selection", "max_value"),
+             "f9786276d8524a26f67861b046e581898ba9168fe4921bc2fece6b8eca1afe33"),
+        ],
+        ids=["average", "max", "rollout", "deep", "instance-b"],
+    )
+    def test_dot_bytes_are_pinned(self, tmp_path, flags, digest):
+        # Golden DOT files: any change to the arena's statistics or tree shape shows here.
+        data = tmp_path / "data.jsonl"
+        data.write_text(
+            '{"id": "a", "source": [1, 2, 3], "reference": [1, 2, 3, 4]}\n'
+            '{"id": "b", "source": [0, 5], "reference": [5, 0]}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "tree.dot"
+        code = run(
+            "tree", "--dataset", data, "--vocab-size", 8, "--max-len", 5,
+            "--context-order", 1, "--metric", "coverage", *flags, "--out", out,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestModelConstruction:
     @pytest.mark.parametrize(
@@ -135,6 +169,25 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "'bad'" in err and "token id 6" in err, (command, err)
             assert "EOS may only appear" not in err
+
+    def test_reference_with_an_inner_eos_is_one(self, tmp_path, monkeypatch, capsys):
+        # Id 4 is EOS at V=5: it may end a reference, as it may end a source, but nothing else.
+        roots = count_calls(monkeypatch, PolicyValueModel, "initial_state")
+        path = tmp_path / "eos.jsonl"
+        save_dataset(
+            [Instance("ok", (0, 1), reference=(0, 4)), Instance("bad", (0,), (1, 4, 0))], path
+        )
+        for command in ("oracle", "decode", "tree"):
+            extra = ("--algorithm", "greedy") if command == "decode" else ()
+            extra += ("--instance-id", "bad") if command == "tree" else ()
+            code = run(
+                command, "--dataset", path, "--vocab-size", 5, "--metric", "bleu", *extra,
+                "--out", tmp_path / "x",
+            )
+            assert code == 1, command
+            err = capsys.readouterr().err
+            assert "'bad'" in err and "EOS (id 4) may only end the reference" in err, (command, err)
+        assert roots == []
 
     def test_out_of_vocabulary_sweep_fails_before_any_model(self, tmp_path, monkeypatch):
         decoded = count_calls(monkeypatch, PolicyValueModel, "initial_state")
@@ -307,6 +360,22 @@ class TestExitCodes:
         assert err.startswith("configuration error: ") and "'b'" in err, err
         assert roots == []
 
+    def test_coverage_of_an_eos_only_source_fails_before_any_decode(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Id 2 is EOS at V=3. A source's closing EOS is not scored, so EOS alone covers nothing.
+        roots = count_calls(monkeypatch, PolicyValueModel, "initial_state")
+        path = tmp_path / "data.jsonl"
+        save_dataset([Instance("a", (0, 2)), Instance("b", (2,))], path)
+        code = run(
+            "sweep", "--dataset", path, "--algorithms", "greedy", "--budgets", 1,
+            "--metric", "coverage", "--out", tmp_path / "x",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'b'" in err and "coverage needs a non-empty source" in err, err
+        assert roots == []
+
     def test_non_object_dataset_line_is_one(self, tmp_path, capsys):
         path = tmp_path / "data.jsonl"
         path.write_text('{"id": "a", "source": [0]}\n["x"]\n', encoding="utf-8")
@@ -334,26 +403,35 @@ class TestExitCodes:
         assert builds == []
 
     @pytest.mark.parametrize(
-        "command, extra, name",
+        "command, extra, message",
         [
             ("sweep", ("--algorithms", "greedy,sample_rerank_value", "--budgets", "1,10001"),
-             "budget"),
-            ("decode", ("--algorithm", "sample_rerank_value", "--budget", 10001), "budget"),
-            ("decode", ("--algorithm", "mcts", "--budget", 10001), "budget"),
-            ("tree", ("--simulations", 10001), "--simulations"),
+             "budget 10001 exceeds the budget guard of 10000"),
+            ("decode", ("--algorithm", "sample_rerank_value", "--budget", 10001),
+             "budget 10001 exceeds the budget guard of 10000"),
+            ("decode", ("--algorithm", "mcts", "--budget", 10001),
+             "budget 10001 exceeds the budget guard of 10000"),
+            ("tree", ("--simulations", 10001),
+             "--simulations 10001 exceeds the budget guard of 10000"),
+            ("sweep", ("--algorithms", "greedy,mcts", "--budgets", "1,0"),
+             "budget must be >= 1, not 0"),
+            ("decode", ("--algorithm", "mcts", "--budget", 0), "budget must be >= 1, not 0"),
+            ("tree", ("--simulations", -1), "--simulations must be >= 0, not -1"),
         ],
-        ids=["sweep", "decode-sample", "decode-mcts", "tree"],
+        ids=["sweep", "decode-sample", "decode-mcts", "tree", "sweep-zero", "decode-zero",
+             "tree-negative"],
     )
     def test_budget_above_the_guard_fails_before_any_model(
-        self, dataset_path, tmp_path, monkeypatch, capsys, command, extra, name
+        self, dataset_path, tmp_path, monkeypatch, capsys, command, extra, message
     ):
+        # A budget below its least value fails as early as one above the guard.
         builds = count_calls(monkeypatch, ModelSpec, "build")
         roots = count_calls(monkeypatch, PolicyValueModel, "initial_state")
         code = run(command, "--dataset", dataset_path, *extra, "--out", tmp_path / "x")
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error: "), err
-        assert f"{name} 10001 exceeds the budget guard of 10000" in err, err
+        assert message in err, err
         assert builds == [] and roots == []
 
     def test_oversize_oracle_is_one(self, tmp_path, capsys):

@@ -425,10 +425,9 @@ class TestTreeExport:
         from seqdecode import occupancy_metric
 
         model = make_m0(value_metric=occupancy_metric(0, 3))
-        arena = ArenaSearch(
-            model, 1, SearchConfig(num_simulations=sims, num_sparse_actions=3)
-        )
-        arena.run([model.initial_state(())])
+        cfg = SearchConfig(num_simulations=sims, num_sparse_actions=3)
+        arena = ArenaSearch(model, [model.initial_state(())], cfg)
+        arena.run()
         return arena
 
     def test_zero_simulations_single_root(self, tmp_path):

@@ -28,9 +28,10 @@ from twin import RecursiveSearch
 
 
 def fresh_arena(model, batch=1, **cfg_kwargs):
+    """An arena over ``batch`` copies of the empty-source root."""
     defaults = dict(num_simulations=4, num_sparse_actions=2, c_puct=1.0)
     defaults.update(cfg_kwargs)
-    return ArenaSearch(model, batch, SearchConfig(**defaults))
+    return ArenaSearch(model, [model.initial_state(())] * batch, SearchConfig(**defaults))
 
 
 def node_depth(arena, b, node):
@@ -82,12 +83,13 @@ def level_by_level_descent(arena):
 
 def random_statistics(rng, arena):
     """Hand-fill an arena's statistics: tie-prone priors and values drawn from a few random
-    floats, many zero visit counts, and stale values behind them."""
+    floats, and many unexpanded slots, whose -1 gathers the last node's random statistics."""
     shape, b = arena.children_prior.shape, arena.batch_size
+    children = rng.integers(0, shape[1], size=shape)
     arena.children_prior[:] = rng.choice(np.append(rng.random(3), 0.25), size=shape)
-    arena.children_visits[:] = rng.choice([0, 0, 1, 2, 5], size=shape)
-    arena.children_values[:] = rng.choice(np.append(rng.normal(size=4), 99.0), size=shape)
-    arena.visit_counts[:] = rng.integers(1, 8, size=arena.visit_counts.shape)
+    arena.children_index[:] = np.where(rng.random(shape) < 0.4, -1, children)
+    arena.values[:] = rng.choice(np.append(rng.normal(size=4), 99.0), size=shape[:2])
+    arena.visit_counts[:] = rng.integers(1, 8, size=shape[:2])
     arena.adaptive_min[:] = rng.normal(size=b)
     arena.adaptive_max[:] = arena.adaptive_min + rng.choice([1e-6, rng.random(), 3.0], size=b)
 
@@ -108,28 +110,31 @@ class TestConfig:
 
 class TestResetTree:
     def test_fresh_arena_has_unexplored_children(self, m0):
+        # A fresh arena holds its root alone.
         arena = fresh_arena(m0)
+        assert arena.allocated_nodes() == 1
         assert (arena.children_index == -1).all()
-        assert (arena.topk_mapping == -1).all()
+        assert (arena.topk_mapping[:, 1:] == -1).all()
 
-    def test_second_begin_raises(self, occupancy_a3):
-        # An arena searches once; a new search needs a fresh arena.
+    def test_roots_are_checked_before_any_evaluation(self, occupancy_a3):
         model = make_m0(value_metric=occupancy_a3)
-        arena = fresh_arena(model, num_simulations=4)
-        arena.run([model.initial_state(())])
+        cfg = SearchConfig(num_simulations=2, num_sparse_actions=2)
+        with pytest.raises(ValueError, match="empty batch"):
+            ArenaSearch(model, [], cfg)
+        terminal = step(model.initial_state(()), EOS)
         with pytest.raises(ContractViolation):
-            arena.begin([model.initial_state(())])
-        assert arena.allocated_nodes() == 5
+            ArenaSearch(model, [model.initial_state(()), terminal], cfg)
+        assert model.ledger.snapshot() == (0, 0)
 
 
 class TestUctSelection:
     def _manual_arena(self, m0):
-        # Hand-filled root: priors [0.6, 0.4], child visits [1, 0], child value 0.9,
+        # Hand-filled root: priors [0.6, 0.4], one child (node 1, value 0.9, one visit),
         # adaptive range [0.5, 1.0], root visited twice.
         arena = fresh_arena(m0, num_sparse_actions=2, c_puct=1.0)
         arena.children_prior[0, 0] = [0.6, 0.4]
-        arena.children_visits[0, 0] = [1, 0]
-        arena.children_values[0, 0] = [0.9, 0.0]
+        arena.children_index[0, 0] = [1, -1]
+        arena.values[0, 1], arena.visit_counts[0, 1] = 0.9, 1
         arena.visit_counts[0, 0] = 2
         arena.adaptive_min[0] = 0.5
         arena.adaptive_max[0] = 1.0
@@ -156,11 +161,11 @@ class TestUctSelection:
         assert arena.uct_select_action(np.array([0]))[0] == 1
 
     def test_unvisited_value_never_read(self, m0):
-        # A stored (stale) child value must not leak through the visit mask.
+        # An unexpanded slot's -1 gathers the last node, whose statistics must not leak
+        # through the mask.
         arena = fresh_arena(m0, num_sparse_actions=2)
         arena.children_prior[0, 0] = [0.5, 0.5]
-        arena.children_values[0, 0] = [0.0, 99.0]
-        arena.children_visits[0, 0] = [0, 0]
+        arena.values[0, -1], arena.visit_counts[0, -1] = 99.0, 1
         arena.visit_counts[0, 0] = 1
         arena.adaptive_min[0], arena.adaptive_max[0] = 0.0, 1.0
         fill_score_table(arena)
@@ -210,13 +215,11 @@ class TestUctSelection:
 class TestExpandAndBackward:
     def test_truncated_priors_stay_unrenormalized(self, m0, occupancy_a3):
         arena = fresh_arena(make_m0(value_metric=occupancy_a3), num_sparse_actions=2)
-        arena.begin([arena.model.initial_state(())])
         assert np.array_equal(arena.topk_mapping[0, 0], [A, B])
         assert np.allclose(arena.children_prior[0, 0], [0.5, 0.3])
 
     def test_new_node_contract(self, m0, occupancy_a3):
         arena = fresh_arena(make_m0(value_metric=occupancy_a3), num_simulations=1)
-        arena.begin([arena.model.initial_state(())])
         arena.step_simulation()
         assert arena.visit_counts[0, 1] == 1
         assert arena.values[0, 1] == arena.model.values([arena.node_states[1][0].state])[0]
@@ -230,10 +233,12 @@ class TestExpandAndBackward:
         arena = fresh_arena(m0, batch=2, num_simulations=2, backup=backup)
         arena.parents[:, 1], arena.action_from_parents[:, 1] = 0, 0
         arena.parents[:, 2], arena.action_from_parents[:, 2] = [0, 1], 1
+        arena.children_index[:, 0, 0] = 1
+        arena.children_index[[0, 1], [0, 1], 1] = 2
         arena.values[0, :3], arena.visit_counts[0, :3] = [0.5, 0.9, 0.8], [2, 1, 1]
         arena.values[1, :3], arena.visit_counts[1, :3] = [0.2, 0.4, 1.0], [3, 1, 1]
         # backward rescores the path, which divides by the adaptive span; a search's is never 0.
-        arena.adaptive_max[:] = 1.0
+        arena.adaptive_min[:], arena.adaptive_max[:] = 0.0, 1.0
         arena.backward(np.array([[0, 0], [0, 1]]), 2)
         return arena
 
@@ -244,11 +249,11 @@ class TestExpandAndBackward:
         assert arena.values[1, 0] == pytest.approx(0.4, abs=1e-12)  # (0.2 * 3 + 1.0) / 4
         assert arena.visit_counts[:, :3].tolist() == [[3, 1, 1], [4, 2, 1]]
         assert arena.values[0, 1] == 0.9  # the padding row leaves node 1 alone
-        assert arena.children_values[0, 0].tolist() == [0.0, 0.8]
-        assert arena.children_visits[0, 0].tolist() == [0, 1]
+        assert arena.children_values[0, 0].tolist() == [0.9, 0.8]
+        assert arena.children_visits[0, 0].tolist() == [1, 1]
         assert arena.children_values[1, 0, 0] == arena.values[1, 1]
         assert arena.children_values[1, 1, 1] == 1.0
-        assert arena.children_visits[1, :2].tolist() == [[1, 0], [0, 1]]
+        assert arena.children_visits[1, :2].tolist() == [[2, 0], [0, 1]]
         assert (arena.children_visits[0, 1:] == 0).all()
 
     def test_max_backup_arithmetic(self, m0):
@@ -273,7 +278,7 @@ class TestExpandAndBackward:
         # later simulations expand absorbing children below it.
         model = FixedPriorModel([0.05, 0.05, 0.9], 3, value_metric=occupancy_a3)
         arena = fresh_arena(model, num_simulations=3, num_sparse_actions=3, c_puct=0.1)
-        arena.run([model.initial_state(())])
+        arena.run()
         states = [arena.node_states[i][0].state for i in range(4)]
         terminal_nodes = [i for i in range(4) if states[i].terminal]
         assert terminal_nodes, "expected at least one terminal expansion"
@@ -289,7 +294,6 @@ class TestSimulate:
     def test_fresh_tree_stops_at_a_root_edge(self, occupancy_a3):
         model = make_m0(value_metric=occupancy_a3)
         arena = fresh_arena(model, num_simulations=2, num_sparse_actions=3)
-        arena.begin([model.initial_state(())])
         path, actions = arena.simulate()
         assert path.tolist() == [[0]]
         assert 0 <= actions[0] < 3
@@ -300,7 +304,7 @@ class TestSimulate:
         arena = fresh_arena(
             model, num_simulations=8, num_sparse_actions=3, c_puct=0.5, backup="max"
         )
-        arena.run([model.initial_state(())])
+        arena.run()
         depths = [node_depth(arena, 0, i) for i in range(arena.allocated_nodes())]
         assert max(depths) >= 2
 
@@ -325,8 +329,7 @@ class TestSimulate:
                 step(model.initial_state((2,)), 1),
                 model.initial_state((3,)),
             ]
-            arena = ArenaSearch(model, len(roots), cfg, metric=metric)
-            arena.begin(roots)
+            arena = ArenaSearch(model, roots, cfg, metric=metric)
             for sim in range(int(rng.integers(0, cfg.num_simulations)) + 1):
                 path, actions = arena.simulate()
                 ref_path, ref_actions = level_by_level_descent(arena)
@@ -384,8 +387,8 @@ class TestAbsorbingChains:
             step(model.initial_state((2,)), 1),
             step(step(model.initial_state((3,)), 0), 2),
         ]
-        arena = ArenaSearch(model, len(roots), cfg, metric=metric)
-        arena.run(roots)
+        arena = ArenaSearch(model, roots, cfg, metric=metric)
+        arena.run()
         assert (arena.chain_head >= 0).any()
         check_chains(arena)
 
@@ -411,8 +414,7 @@ class TestAbsorbingChains:
         arenas = []
         for _ in range(2):
             model = self.PROVIDERS[provider](metric)
-            arenas.append(ArenaSearch(model, 3, cfg, metric=metric))
-            arenas[-1].begin(self._roots(model))
+            arenas.append(ArenaSearch(model, self._roots(model), cfg, metric=metric))
         read, unread = arenas
         for sim in range(cfg.num_simulations):
             for arena in arenas:
@@ -451,7 +453,7 @@ def check_score_table(arena):
 class TestScoreTable:
     @staticmethod
     def _checked_search(batch, cfg):
-        """Run a search, checking the score table after ``begin`` and after every simulation;
+        """Run a search, checking the score table after the roots and after every simulation;
         return the simulations after which some element's adaptive range moved."""
         metric = coverage_metric()
         model = SeededTabularModel(3, 5, 3, 1, value_metric=metric)
@@ -460,8 +462,7 @@ class TestScoreTable:
             step(model.initial_state((2,)), 1),
             step(step(model.initial_state((3,)), 0), 2),
         ][:batch]
-        arena = ArenaSearch(model, batch, cfg, metric=metric)
-        arena.begin(roots)
+        arena = ArenaSearch(model, roots, cfg, metric=metric)
         check_score_table(arena)
         moves = []
         for sim in range(cfg.num_simulations):
@@ -515,8 +516,7 @@ class TestRolloutReuse:
 
         arena_model = model()
         roots = [arena_model.initial_state((0, 1)), step(arena_model.initial_state((2,)), 1)]
-        arena = ArenaSearch(arena_model, len(roots), cfg, metric=metric)
-        arena.begin(roots)
+        arena = ArenaSearch(arena_model, roots, cfg, metric=metric)
         twins = []
         for root in roots:
             twin = RecursiveSearch(model(), cfg, metric=coverage_metric())
@@ -550,14 +550,12 @@ class TestRolloutReuse:
 class TestSearchInvariants:
     def test_zero_simulations_yield_zero_counts(self, occupancy_a3):
         model = make_m0(value_metric=occupancy_a3)
-        arena = fresh_arena(model, num_simulations=0)
-        result = arena.run([model.initial_state(())])
+        result = fresh_arena(model, num_simulations=0).run()
         assert result.dense_visit_counts.sum() == 0
 
     def test_simulation_count_reaches_root(self, occupancy_a3):
         model = make_m0(value_metric=occupancy_a3)
-        arena = fresh_arena(model, num_simulations=3, num_sparse_actions=3)
-        result = arena.run([model.initial_state(())])
+        result = fresh_arena(model, num_simulations=3, num_sparse_actions=3).run()
         assert result.dense_visit_counts[0].sum() == 3
 
     def test_node_and_visit_conservation(self, occupancy_a3):
@@ -567,7 +565,7 @@ class TestSearchInvariants:
             )
             sims = 12
             arena = fresh_arena(model, num_simulations=sims, num_sparse_actions=3, c_puct=2.0)
-            arena.run([model.initial_state(())])
+            arena.run()
             assert arena.allocated_nodes() == sims + 1
             for i in range(1, sims + 1):
                 assert arena.parents[0, i] < i
@@ -585,8 +583,7 @@ class TestSearchInvariants:
             root_selection="max_value",
             value_source="rollout",
         )
-        arena = ArenaSearch(model, 1, cfg, metric=occupancy_a3)
-        result = arena.run([model.initial_state(())])
+        result = ArenaSearch(model, [model.initial_state(())], cfg, metric=occupancy_a3).run()
         visited = result.dense_visit_counts[0] > 0
         values = np.where(visited, result.dense_root_values[0], -np.inf)
         assert int(np.argmax(values)) == A
@@ -594,7 +591,6 @@ class TestSearchInvariants:
     def test_max_backup_values_monotone(self, occupancy_a3):
         model = make_m0(value_metric=occupancy_a3)
         arena = fresh_arena(model, num_simulations=10, num_sparse_actions=3, backup="max")
-        arena.begin([model.initial_state(())])
         previous = arena.values[0].copy()
         for _ in range(10):
             arena.step_simulation()
@@ -652,8 +648,8 @@ class TestDifferential:
             seed, vocab_size=4, max_len=3, context_order=1, value_metric=metric
         )
         sources = sources or [()] * batch
-        arena = ArenaSearch(model_a, batch, cfg, metric=metric)
-        arena.begin([model_a.initial_state(s) for s in sources])
+        roots = [model_a.initial_state(s) for s in sources]
+        arena = ArenaSearch(model_a, roots, cfg, metric=metric)
         refs = []
         for s in sources:
             ref = RecursiveSearch(model_r, cfg, metric=metric)
@@ -695,8 +691,7 @@ class TestDifferential:
         for b, (_, prefix) in enumerate(roots):
             for token in prefix:
                 states[b] = step(states[b], token)
-        arena = ArenaSearch(arena_model, len(roots), cfg, metric=metric)
-        arena.begin(states)
+        arena = ArenaSearch(arena_model, states, cfg, metric=metric)
         twins = []
         for state in states:
             twin = RecursiveSearch(model(), cfg, metric=metric)
@@ -726,8 +721,7 @@ class TestDifferential:
         )
         arena_model = model()
         roots = [arena_model.initial_state(()), step(arena_model.initial_state(()), A)]
-        arena = ArenaSearch(arena_model, len(roots), cfg, metric=occupancy_a3)
-        arena.begin(roots)
+        arena = ArenaSearch(arena_model, roots, cfg, metric=occupancy_a3)
         twins = []
         for root in roots:
             twin = RecursiveSearch(model(), cfg, metric=occupancy_a3)
@@ -958,8 +952,9 @@ class TestRolloutLedger:
                 backup=backup,
                 value_source="rollout",
             )
-            arena = ArenaSearch(model, 2, cfg, metric=occupancy_a3)
-            arena.run([model.initial_state(()), step(model.initial_state(()), B)])
+            roots = [model.initial_state(()), step(model.initial_state(()), B)]
+            arena = ArenaSearch(model, roots, cfg, metric=occupancy_a3)
+            arena.run()
             assert arena.allocated_nodes() == sims + 1
             expected = rollout_closed_form(arena, model.max_len)
             assert model.ledger.evaluations == expected, (sims, num_sparse, backup)

@@ -16,8 +16,10 @@ from seqdecode import (
     bleu_metric,
     complete,
     step,
+    coverage_metric,
     terminal_reward,
 )
+from seqdecode.mdp import reward_anchor
 
 from conftest import A, B, EOS
 
@@ -188,6 +190,18 @@ class TestTerminalReward:
     def test_non_terminal_rejected(self, occupancy_a3):
         with pytest.raises(ContractViolation):
             terminal_reward(state((A,)), occupancy_a3)
+
+    def test_anchor_drops_a_closing_eos_like_the_output(self):
+        s = DecodeState(
+            source=(A, B, EOS), prefix=(B, A, EOS), max_len=4, eos_id=EOS, reference=(B, A, EOS)
+        )
+        assert reward_anchor(coverage_metric(), s) == (A, B)
+        assert reward_anchor(bleu_metric(max_n=1), s) == (B, A)
+        assert terminal_reward(s, coverage_metric()) == 1.0
+        assert terminal_reward(s, bleu_metric(max_n=1)) == 1.0
+        plain = DecodeState(source=(A, B), prefix=(), max_len=4, eos_id=EOS, reference=(B, A))
+        assert reward_anchor(coverage_metric(), plain) == (A, B)
+        assert reward_anchor(bleu_metric(max_n=1), plain) == (B, A)
 
     def test_privileged_without_reference_rejected(self):
         with pytest.raises(ConfigurationError):

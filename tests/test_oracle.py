@@ -222,6 +222,13 @@ class TestArgmaxMetric:
             exact_argmax_metric(m0, m0.initial_state((A,)), needs_reference)
         assert calls == []
 
+    def test_coverage_of_an_eos_ended_source_reaches_one(self, m0):
+        # The source's closing EOS is not a token to cover: outputs never show theirs.
+        ended = exact_argmax_metric(m0, m0.initial_state((A, B, EOS)), coverage_metric())
+        plain = exact_argmax_metric(m0, m0.initial_state((A, B)), coverage_metric())
+        assert ended.score == plain.score == 1.0
+        assert ended.sequence == plain.sequence
+
     def test_coverage_oracle_contains_both_source_tokens(self, m0):
         best = exact_argmax_metric(m0, m0.initial_state((A, B)), coverage_metric())
         assert best.score == 1.0
