@@ -19,8 +19,8 @@ from .mdp import (
     ContractViolation,
     DecodeState,
     complete,
+    reward_anchor,
     step,
-    terminal_reward,
 )
 from .models import PolicyValueModel, apply_temperature, greedy_policy, top_actions
 from .scoring import Metric
@@ -214,8 +214,22 @@ def _pick(candidates: list[Candidate], keys: list[float]) -> tuple[int, Candidat
 
 
 def rerank_by_score(candidates: list[Candidate], metric: Metric) -> Candidate:
-    """Return the candidate whose final state has the best ``terminal_reward``."""
-    keys = [terminal_reward(s, metric) for s in _final_states(candidates)]
+    """Return the candidate whose final state has the best ``terminal_reward``.
+
+    The pool is scored in one ``metric.score_batch`` call, bitwise equal to
+    ``terminal_reward`` per candidate, so every candidate must share one
+    reward anchor (the pool of one instance does).
+    """
+    states = _final_states(candidates)
+    if not all(s.terminal for s in states):
+        raise ContractViolation("rerank_by_score() needs terminal candidates")
+    anchors = {reward_anchor(metric, s) for s in states}
+    if len(anchors) > 1:
+        raise ValueError(
+            f"rerank pool mixes {len(anchors)} reward anchors under {metric.name!r}; "
+            "a pool must come from one instance"
+        )
+    keys = metric.score_batch(anchors.pop(), [s.content for s in states])
     i, winner = _pick(candidates, keys)
     return replace(winner, score=keys[i])
 

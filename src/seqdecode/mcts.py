@@ -7,6 +7,8 @@ top-A prior actions of each node are kept, with ``topk_mapping`` translating
 sparse slots back to vocabulary ids. Alongside the arrays, ``node_states``
 holds the provider's ``ModelState`` handles in node order, so each expansion
 is stepped once, by the provider, and the node count is the list's length.
+The search gathers and scatters whole rows through raveled views of the
+arrays, where (element, node) is row ``element * N + node``.
 A simulation records its descent as a ``(depth, batch)`` path; an element that
 stops early repeats its last node, and the backup masks those padding rows.
 Terminal nodes absorb: a terminal node's tempered prior is one-hot EOS, so UCT
@@ -149,6 +151,19 @@ class ArenaSearch:
         self.node_states: list[list[ModelState]] = []  # node_states[node][b]
         self._batch_range = np.arange(b)
 
+        # Raveled views of the arrays above, so the search gathers and scatters whole rows:
+        # the row of (element, node) is element * N + node, and _row0 holds each element's
+        # node-0 row. They are views, so writes to either shape show in the other.
+        self._stride = n
+        self._row0 = self._batch_range * n
+        self._row_visits = self._visit_counts.reshape(-1)
+        self._row_values = self._values.reshape(-1)
+        self._row_heads = self.chain_head.reshape(-1)
+        self._row_topk = self.topk_mapping.reshape(b * n, a)
+        self._row_children = self.children_index.reshape(b * n, a)
+        self._row_priors = self.children_prior.reshape(b * n, a)
+        self._row_scores = self.scores.reshape(b * n, a)
+
         priors, values, handles = model.evaluate_root(root_states)
         if cfg.value_source == "rollout":
             values = rollout_value(model, root_states, metric)
@@ -181,7 +196,7 @@ class ArenaSearch:
 
     def result(self) -> SearchResult:
         # A root child is never a chain member, so the unsettled statistics are its own.
-        visits, values = self._child_statistics(self._batch_range, 0)
+        visits, values = self._child_statistics(self._row0, self._row0)
         dense_counts = np.zeros((self.batch_size, self.num_actions), dtype=np.int64)
         dense_values = np.zeros((self.batch_size, self.num_actions), dtype=np.float64)
         mapping = self.topk_mapping[:, 0, :]
@@ -197,14 +212,15 @@ class ArenaSearch:
     # -------------------------------------------------------------- internals
 
     def _child_statistics(
-        self, elements: np.ndarray, nodes: np.ndarray | int
+        self, row0: np.ndarray, rows: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Visit counts and values of the children of each (element, node) pair, indexed as in
-        :meth:`uct_scores`; an unexpanded slot's -1 gathers node N - 1 and reads 0 and 0.0."""
-        children = self.children_index[elements, nodes]
-        expanded, rows = children >= 0, elements[..., None]
-        visits = np.where(expanded, self._visit_counts[rows, children], 0)
-        return visits, np.where(expanded, self._values[rows, children], 0.0)
+        """Visit counts and values of the children of each node row, with the shape of
+        ``rows`` plus ``(A,)``; ``row0`` is the node-0 row of each row's element. An
+        unexpanded slot's -1 gathers the row before ``row0`` and reads 0 and 0.0."""
+        children = self._row_children.take(rows, axis=0)
+        expanded, child_rows = children >= 0, row0[..., None] + children
+        visits = np.where(expanded, self._row_visits[child_rows], 0)
+        return visits, np.where(expanded, self._row_values[child_rows], 0.0)
 
     def uct_scores(self, elements: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """Value score + policy score of the sparse actions of each (element, node) pair.
@@ -212,11 +228,13 @@ class ArenaSearch:
         The index arrays broadcast; the result has their shape plus ``(A,)``, so the
         full table is ``uct_scores(arange(B)[:, None], arange(m))``.
         """
-        child_visits, child_values = self._child_statistics(elements, nodes)
+        row0 = elements * self._stride
+        rows = row0 + nodes
+        child_visits, child_values = self._child_statistics(row0, rows)
         policy_score = (
-            np.sqrt(self._visit_counts[elements, nodes])[..., None]
+            np.sqrt(self._row_visits[rows])[..., None]
             * self.cfg.c_puct
-            * self.children_prior[elements, nodes]
+            * self._row_priors.take(rows, axis=0)
             / (child_visits + 1)
         )
         low = self.adaptive_min[elements][..., None]
@@ -228,7 +246,7 @@ class ArenaSearch:
     def uct_select_action(self, node_indices: np.ndarray) -> np.ndarray:
         """Per element, the sparse action maximizing value score + policy score, read
         from the score table; ties go to the lower slot."""
-        return self.scores[self._batch_range, node_indices].argmax(axis=1)
+        return self._row_scores.take(self._row0 + node_indices, axis=0).argmax(axis=1)
 
     def simulate(self) -> tuple[np.ndarray, np.ndarray]:
         """Descend in lockstep until every element sits on an unexplored edge or a chain head.
@@ -244,8 +262,9 @@ class ArenaSearch:
         node_indices, depth = path[0], 0
         while True:
             actions = self.uct_select_action(node_indices)
-            next_nodes = self.children_index[self._batch_range, node_indices, actions]
-            stopped = (next_nodes == -1) | (self.chain_head[self._batch_range, node_indices] >= 0)
+            rows = self._row0 + node_indices
+            next_nodes = self._row_children[rows, actions]
+            stopped = (next_nodes == -1) | (self._row_heads[rows] >= 0)
             if stopped.all():
                 return path[: depth + 1], actions
             depth += 1
@@ -263,12 +282,13 @@ class ArenaSearch:
         When a value moves an element's adaptive range, its rows are rescored.
         """
         parent_states = [self.node_states[n][b] for b, n in enumerate(node_indices.tolist())]
-        dense_actions = self.topk_mapping[self._batch_range, node_indices, sparse_actions]
+        parent_rows = self._row0 + node_indices
+        dense_actions = self._row_topk[parent_rows, sparse_actions]
 
         priors, values, child_states, terminal = self.model.evaluate_step(
             parent_states, dense_actions.tolist()
         )
-        parent_heads = self.chain_head[self._batch_range, node_indices]
+        parent_heads = self._row_heads[parent_rows]
         if self.cfg.value_source == "rollout":
             fresh = np.flatnonzero(parent_heads < 0).tolist()
             values[fresh] = rollout_value(
@@ -285,7 +305,7 @@ class ArenaSearch:
         if moved.size:
             self.scores[moved, : node + 1] = self.uct_scores(moved[:, None], np.arange(node + 1))
 
-        self.children_index[self._batch_range, node_indices, sparse_actions] = node
+        self._row_children[parent_rows, sparse_actions] = node
         self.parents[:, node] = node_indices
         self.action_from_parents[:, node] = sparse_actions
 
@@ -326,19 +346,19 @@ class ArenaSearch:
         wins, since a terminal prior is one-hot EOS: slot 0's policy score is above 0, every
         other slot scores exactly 0, and a value score is never below 0.
         """
-        heads = self.chain_head[self._batch_range, path[-1]]
+        heads = self._row_heads[self._row0 + path[-1]]
         at_head = heads >= 0
-        chained, chain_heads = np.flatnonzero(at_head), heads[at_head]
+        chained = np.flatnonzero(at_head)
         steps = np.concatenate([path, np.where(at_head, path[-1], leaf)[None]])
-        rows, path_b = np.nonzero(steps[1:] != steps[:-1])
-        path_nodes = steps[rows, path_b]
-        b = np.concatenate([path_b, chained])
-        nodes = np.concatenate([path_nodes, chain_heads])
-        values, visits = self._values[b, nodes], self._visit_counts[b, nodes]
-        self._values[b, nodes] = self._backup(values, visits, self._values[b, leaf])
-        self._visit_counts[b, nodes] = visits + 1
+        moved = np.flatnonzero(steps[1:] != steps[:-1])  # raveled: depth * B + element
+        path_b, path_nodes = moved % self.batch_size, steps[:-1].ravel()[moved]
+        row0 = self._row0[np.concatenate([path_b, chained])]
+        rows = row0 + np.concatenate([path_nodes, heads[chained]])
+        values, visits = self._row_values[rows], self._row_visits[rows]
+        self._row_values[rows] = self._backup(values, visits, self._row_values[row0 + leaf])
+        self._row_visits[rows] = visits + 1
         self._stale |= bool(chained.size)
-        self.scores[path_b, path_nodes] = self.uct_scores(path_b, path_nodes)
+        self._row_scores[rows[: moved.size]] = self.uct_scores(path_b, path_nodes)
 
     def _backup(
         self, values: np.ndarray, visits: np.ndarray, leaf_values: np.ndarray
@@ -394,7 +414,8 @@ class ArenaSearch:
 
     def _settled_edges(self) -> tuple[np.ndarray, np.ndarray]:
         self._settle()
-        return self._child_statistics(self._batch_range[:, None], np.arange(self._values.shape[1]))
+        row0 = self._row0[:, None]
+        return self._child_statistics(row0, row0 + np.arange(self._stride))
 
     # ------------------------------------------------------------- inspection
 

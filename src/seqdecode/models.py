@@ -25,9 +25,15 @@ A :class:`ModelSpec` holds everything that builds a provider, and its
 ``build`` is the one construction rule; :func:`make_seeded_model` is its
 seeded-table shorthand.
 
-Every greedy completion is :func:`.mdp.complete`: charged under
-:func:`greedy_policy` for rollouts and greedy decoding, and uncharged under an
-argmax of ``priors`` for the value head, whose walk is part of the forward pass.
+A state's greedy completion (argmax of ``priors``, ties to the lowest id) is
+walked in one place, :meth:`PolicyValueModel.greedy_rewards`, and memoized per
+provider: a walk stores its final state for every state it passes, and a final
+state's terminal reward is computed once per metric. The value head and
+:func:`rollout_value` both read that memo. The value head's walk is part of the
+forward pass and costs nothing; a rollout charges one evaluation per greedy
+step from the state it was asked for, whether or not the walk is recomputed,
+as ``evaluate_step`` charges an absorbing handle. Greedy decoding, which needs
+log-likelihoods, runs :func:`.mdp.complete` under :func:`greedy_policy`.
 
 A model holds no per-instance data: an instance's reference enters decoding
 once, through :meth:`PolicyValueModel.initial_state`, and rides in every state
@@ -49,11 +55,12 @@ from .mdp import (
     DecodeState,
     Sequence,
     clamp01,
-    complete,
     step,
     terminal_reward,
 )
 from .scoring import Metric
+
+StateKey = tuple[Sequence, Sequence | None, Sequence]  # (source, reference, prefix)
 
 
 class BudgetLedger:
@@ -150,10 +157,10 @@ class PolicyValueModel:
     Subclasses supply the prior of non-forced states: ``_table_priors(states)``
     for a batch, or ``_table_prior(state)`` for one state, which the default
     ``_table_priors`` stacks and checks. The value head (:meth:`values`) is the
-    score of a greedy completion under ``value_metric`` (0.0 when no metric is
-    set), against the state's own reference, and is cached per (source,
-    reference, prefix); it is part of the forward pass and costs nothing beyond
-    the evaluation that produced it.
+    score of the memoized greedy completion (:meth:`greedy_rewards`) under
+    ``value_metric`` (0.0 when no metric is set), against the state's own
+    reference, and is cached per (source, reference, prefix); it is part of
+    the forward pass and costs nothing beyond the evaluation that produced it.
     """
 
     def __init__(
@@ -172,7 +179,9 @@ class PolicyValueModel:
         self.eos_id = vocab_size - 1
         self.ledger = ledger if ledger is not None else BudgetLedger()
         self._value_metric = value_metric
-        self._value_cache: dict[tuple[Sequence, Sequence | None, Sequence], float] = {}
+        self._value_cache: dict[StateKey, float] = {}
+        self._completions: dict[StateKey, DecodeState] = {}  # greedy completion memo
+        self._rewards: dict[Metric, dict[StateKey, float]] = {}  # per metric, per final state
 
     # ----------------------------------------------------------- state access
 
@@ -219,20 +228,63 @@ class PolicyValueModel:
         return np.array([cache[k] for k in keys])
 
     def clear_value_cache(self) -> None:
-        """Forget every cached value; a value asked for again is recomputed, identically."""
+        """Forget every cached value and greedy completion; a value asked for again is
+        recomputed, identically."""
         self._value_cache.clear()
+        self._completions.clear()
+        self._rewards.clear()
 
     def _head(self, states: list[DecodeState]) -> list[float]:
         """Greedy-completion score of each state under the value metric, or 0.0 without one."""
         if self._value_metric is None:
             return [0.0] * len(states)
+        return self.greedy_rewards(states, self._value_metric)[1]
 
-        def argmax(_indices: list[int], live: list[DecodeState]):
-            priors = self.priors(live)
-            return priors, np.argmax(priors, axis=1)
+    def greedy_rewards(
+        self, states: list[DecodeState], metric: Metric
+    ) -> tuple[list[DecodeState], list[float]]:
+        """Each state's greedy completion and that final state's ``terminal_reward``.
 
-        final, _ = complete(states, argmax)
-        return [terminal_reward(s, self._value_metric) for s in final]
+        The completion follows the argmax of ``priors`` (ties to the lowest id)
+        in lockstep rounds, and a terminal state is its own. Completions are
+        memoized per (source, reference, prefix): a walk stops at a state the
+        memo holds, and stores its final state for every state it passed.
+        Rewards are memoized per (metric, final state). Does not touch the ledger.
+        """
+        memo = self._completions
+        finals = list(states)
+        trails: dict[int, list[StateKey]] = {}  # element -> keys of the states it walked
+        live = [i for i, s in enumerate(states) if not s.terminal]
+        while live:
+            walking = []
+            for i in live:
+                s = finals[i]
+                key = (s.source, s.reference, s.prefix)
+                final = memo.get(key)
+                if final is None:
+                    trails.setdefault(i, []).append(key)
+                    walking.append(i)
+                else:
+                    finals[i] = final
+            if not walking:
+                break
+            tokens = self.priors([finals[i] for i in walking]).argmax(axis=1).tolist()
+            for i, token in zip(walking, tokens):
+                finals[i] = step(finals[i], token)
+            live = [i for i in walking if not finals[i].terminal]
+        for i, trail in trails.items():
+            for key in trail:
+                memo[key] = finals[i]
+
+        scores = self._rewards.setdefault(metric, {})
+        rewards = []
+        for f in finals:
+            key = (f.source, f.reference, f.prefix)
+            reward = scores.get(key)
+            if reward is None:
+                reward = scores[key] = terminal_reward(f, metric)
+            rewards.append(reward)
+        return finals, rewards
 
     # ------------------------------------------------------- batched interface
 
@@ -360,6 +412,11 @@ class TransformedValueModel(PolicyValueModel):
         super().clear_value_cache()
         self._inner.clear_value_cache()
 
+    def greedy_rewards(
+        self, states: list[DecodeState], metric: Metric
+    ) -> tuple[list[DecodeState], list[float]]:
+        return self._inner.greedy_rewards(states, metric)
+
     def _head(self, states: list[DecodeState]) -> list[float]:
         inner = self._inner.values(states).tolist()
         return [float(self._transform(v, s)) for v, s in zip(inner, states)]
@@ -437,15 +494,19 @@ def greedy_policy(model: PolicyValueModel):
 
 
 def rollout_value(model: PolicyValueModel, states: list[DecodeState], metric: Metric) -> np.ndarray:
-    """Greedy-complete each prefix, in lockstep, and return its terminal reward.
+    """The terminal reward of each state's greedy completion, read from the model's memo.
 
     Unlike the value head, this is an explicit search-time procedure: every
-    greedy step is a real model call and is charged to the ledger. A terminal
-    state is scored directly at zero cost. Each state is scored against its
-    own reference.
+    greedy step from a state is a model call and is charged to the ledger,
+    ``len(final.prefix) - len(state.prefix)`` evaluations per state, whether
+    or not the memo already holds the walk; a terminal state costs nothing.
+    Each state is scored against its own reference.
     """
-    final, _ = complete(states, greedy_policy(model))
-    return np.array([terminal_reward(s, metric) for s in final])
+    finals, rewards = model.greedy_rewards(states, metric)
+    model.ledger.charge_evaluations(
+        sum(len(f.prefix) - len(s.prefix) for f, s in zip(finals, states))
+    )
+    return np.array(rewards)
 
 
 def model_value_fn(model: PolicyValueModel):

@@ -10,8 +10,11 @@ from seqdecode import (
     Candidate,
     FixedPriorModel,
     SeededTabularModel,
+    SeededUnitEmbeddings,
     VgbsConfig,
     beam_search,
+    bert_style_metric,
+    bleu_metric,
     coverage_metric,
     greedy_decode,
     make_seeded_model,
@@ -21,6 +24,7 @@ from seqdecode import (
     rollout_value_fn,
     sample_sequences,
     step,
+    terminal_reward,
     value_guided_beam_search,
 )
 from seqdecode.decoders import vgbs_score
@@ -359,6 +363,28 @@ class TestRerank:
     def test_empty_pool_rejected(self, occupancy_a3):
         with pytest.raises(ValueError):
             rerank_by_score([], occupancy_a3)
+
+    @pytest.mark.parametrize(
+        "metric",
+        [coverage_metric(), bleu_metric(2), bert_style_metric(SeededUnitEmbeddings(4, 1))],
+        ids=lambda m: m.name,
+    )
+    def test_pool_score_is_the_terminal_reward_of_the_best(self, metric):
+        # One score_batch call over the pool picks what per-candidate terminal_reward picks,
+        # with the same score, bit for bit.
+        for seed in range(4):
+            model = make_seeded_model(seed, 6, 4, context_order=1)
+            root = model.initial_state((0, 1, 2), reference=(2, 1, 3))
+            pool = sample_sequences(model, root, n=12, seed=seed)
+            keys = [terminal_reward(c.state, metric) for c in pool]
+            best = max(range(len(pool)), key=lambda i: (keys[i], pool[i].log_likelihood, -i))
+            winner = rerank_by_score(pool, metric)
+            assert winner.state == pool[best].state and winner.score == keys[best], seed
+
+    def test_pool_with_two_reward_anchors_rejected(self, m0):
+        pool = [greedy_decode(m0, m0.initial_state(source)) for source in [(A,), (B,)]]
+        with pytest.raises(ValueError, match="2 reward anchors"):
+            rerank_by_score(pool, coverage_metric())
 
     def test_value_rerank_with_rollout_matches_score_rerank(self, occupancy_a3):
         m = make_m0()

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import importlib.util
+import math
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from seqdecode import (
     ConfigurationError,
     ContractViolation,
     FixedPriorModel,
+    Metric,
     ModelState,
     NoisyValueModel,
     PolicyValueModel,
@@ -21,9 +24,11 @@ from seqdecode import (
     TransformedValueModel,
     apply_temperature,
     bleu_metric,
+    complete,
     coverage_metric,
     decode_mcts,
     greedy_decode,
+    greedy_policy,
     make_seeded_model,
     rollout_value,
     step,
@@ -492,6 +497,93 @@ class TestRolloutValue:
             singles = [rollout_value(single_model, [s], metric)[0] for s in states]
             assert batched.tolist() == singles
             assert batched_model.ledger.snapshot() == single_model.ledger.snapshot()
+
+
+def greedy_walk(model, state):
+    """``state`` and every state its greedy completion passes, read step by step off ``priors``."""
+    walk = [state]
+    while not walk[-1].terminal:
+        walk.append(step(walk[-1], int(np.argmax(model.priors([walk[-1]])[0]))))
+    return walk
+
+
+def counted_metric(inner):
+    """``inner`` under another name, recording every scored candidate."""
+    calls = []
+
+    def fn(anchor, candidate):
+        calls.append(candidate)
+        return inner.fn(anchor, candidate)
+
+    return Metric(f"counted-{inner.name}", inner.privileged, fn=fn), calls
+
+
+class TestGreedyMemo:
+    @staticmethod
+    def _build(noisy: bool, value_metric=None):
+        model = SeededTabularModel(3, 5, 5, context_order=1, value_metric=value_metric)
+        return NoisyValueModel(model, 0.3, seed=1) if noisy else model
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["tabular", "noisy"])
+    def test_rollout_memo_matches_the_walk(self, noisy):
+        # A batch of terminal states, repeated states and states on one another's greedy
+        # walks: a cold and a warm call each return the rewards of complete() under
+        # greedy_policy on a fresh model, and add the ledger delta that walk adds.
+        metric = bleu_metric(2)
+        walker = self._build(noisy)
+        first = walker.initial_state((0, 1), reference=(0, 2, 1))
+        second = walker.initial_state((2,), reference=(3, 3))
+        walk = greedy_walk(walker, first)
+        assert len(walk) >= 4
+        terminal = step(step(second, 1), walker.eos_id)
+        stepped = step(second, 0)
+        states = [walk[2], first, terminal, walk[1], second, stepped, first, walk[-1], walk[2]]
+
+        fresh = self._build(noisy, value_metric=metric)
+        finals, _ = complete(states, greedy_policy(fresh))
+        want = [terminal_reward(f, metric) for f in finals]
+        want_evaluations = fresh.ledger.evaluations
+        assert want_evaluations > 0
+
+        model = self._build(noisy, value_metric=metric)
+        for call in ("cold", "warm"):
+            before = model.ledger.snapshot()
+            assert rollout_value(model, states, metric).tolist() == want, call
+            assert model.ledger.evaluations - before[0] == want_evaluations, call
+            assert model.ledger.tokens_decoded == before[1], call
+
+    def test_value_head_memo_serves_walk_states_in_any_order(self):
+        # Each state of two greedy walks gets the value a fresh model gives it, whether its
+        # walk's later states are asked for before or after it; the metric scores each
+        # final state once, and again after the cache is cleared.
+        metric, calls = counted_metric(bleu_metric(2))
+        walker = self._build(False)
+        roots = [
+            walker.initial_state((0, 1), reference=(0, 2, 1)),
+            walker.initial_state((2,), reference=(3, 3)),
+        ]
+        walks = [greedy_walk(walker, root) for root in roots]
+        assert min(len(w) for w in walks) >= 4
+        states = [s for w in walks for s in w]
+        want = [float(self._build(False, metric).values([s])[0]) for s in states]
+
+        for order in (states, states[::-1]):
+            model = self._build(False, metric)
+            calls.clear()
+            got = {id(s): float(model.values([s])[0]) for s in order}
+            assert [got[id(s)] for s in states] == want
+            assert len(calls) == len(walks)  # one terminal reward per final state
+            model.clear_value_cache()
+            assert model.values(states).tolist() == want
+            assert len(calls) == 2 * len(walks)
+
+    def test_non_finite_head_names_the_state_cold_and_warm(self):
+        nan = Metric("nan", privileged=False, fn=lambda _anchor, _candidate: math.nan)
+        model = self._build(False, nan)
+        walk = greedy_walk(model, model.initial_state((0, 1)))
+        for s in (walk[2], walk[0], walk[1]):  # a cold walk, one that meets the memo, a hit
+            with pytest.raises(ContractViolation, match=re.escape(f"for state {s}")):
+                model.values([s])
 
 
 class TestValueHeads:
