@@ -1,14 +1,17 @@
 """Experiment runner: datasets, algorithm/budget sweeps, reports, tree export.
 
 A run decodes every dataset instance under every (algorithm, budget) cell
-with the one model built when the run is validated, charging each cell the
-ledger counts its own decode adds, and deriving all randomness from a stable
-hash of (global seed, instance id, algorithm, budget) so reports are
-byte-identical across repeats. A cell is a decoder, ``decode(root, cell_seed)``,
-built by :meth:`AlgorithmSpec.cell_decoder` when the run is validated, so
-every cell is checked before the first decode. The model is built from the
-run config alone; an instance's reference enters through the root state each
-cell decodes.
+with the one model built when the run is validated, deriving all randomness
+from a stable hash of (global seed, instance id, algorithm, budget) so reports
+are byte-identical across repeats. Each algorithm decodes an instance at all
+the run's budgets through one decoder, ``decode(root, cell_seeds)``, built by
+:meth:`AlgorithmSpec.instance_decoder` when the run is validated, so every
+cell is checked before the first decode. MCTS decodes them in one search
+batch over copies of the root, one simulation count per copy, and charges
+each cell what the search charged its copy; every other algorithm decodes
+one budget at a time and charges each cell the ledger counts its own decode
+adds. The model is built from the run config alone; an instance's reference
+enters through the root state each cell decodes.
 """
 
 from __future__ import annotations
@@ -47,11 +50,15 @@ ALGORITHMS = ("greedy", "beam", "vgbs", "sample_rerank", "sample_rerank_value", 
 METRICS = ("occupancy", "coverage", "bleu", "bertscore", "mlbertscore")
 
 # The largest sweep budget or tree simulation count a run may ask for. Sampling builds a
-# generator per sample and the arena sizes its (B, S + 1, A) arrays by the budget.
+# generator per sample and the arena sizes its (B, S + 1, A) arrays by the largest budget.
 BUDGET_GUARD = 10_000
 
 # One (algorithm, budget) cell: decode(root, cell_seed) -> the cell's output.
 CellDecoder = Callable[[DecodeState, int], Candidate]
+# A cell's output with the evaluations and tokens charged for it.
+CellOutput = tuple[Candidate, int, int]
+# One algorithm at every budget of a run: decode(root, cell_seeds) -> one output per budget.
+InstanceDecoder = Callable[[DecodeState, list[int]], list[CellOutput]]
 
 
 @dataclass(frozen=True)
@@ -127,20 +134,49 @@ class AlgorithmSpec:
             value_source=self.value_source,
         )
 
-    def cell_decoder(self, budget: int, model: PolicyValueModel, metric: Metric) -> CellDecoder:
-        """The decoder of one budget cell; building it runs every check the cell needs.
+    def instance_decoder(
+        self, budgets: tuple[int, ...], model: PolicyValueModel, metric: Metric
+    ) -> InstanceDecoder:
+        """The decoder of this algorithm's cells at ``budgets``, in that order; building it
+        runs every check the cells need.
 
-        Decoders are looked up in this module's globals when a cell decodes, so
-        a wrapper installed on those names, such as a tracer, sees every call.
+        MCTS decodes one ``decode_mcts`` batch of ``len(budgets)`` copies of the root, each
+        with its budget as its simulation count, and charges each cell its copy's
+        evaluations and output length. Every other algorithm decodes budget by budget and
+        charges each cell its decode's ledger delta. Decoders are looked up in this
+        module's globals when a cell decodes, so a wrapper installed on those names, such
+        as a tracer, sees every call.
         """
+        if self.name == "mcts":
+            search_cfg = self.search_config(max(budgets, default=0), model.vocab_size)
+
+            def decode_budgets(root: DecodeState, _seeds: list[int]) -> list[CellOutput]:
+                roots = [root] * len(budgets)
+                candidates = decode_mcts(model, roots, search_cfg, metric, budgets)
+                return [(c, c.evaluations, len(c.sequence)) for c in candidates]
+
+            return decode_budgets
+
+        cells = [self._cell_decoder(budget, model, metric) for budget in budgets]
+
+        def decode_each(root: DecodeState, seeds: list[int]) -> list[CellOutput]:
+            outputs = []
+            for decode, seed in zip(cells, seeds):
+                evaluations, tokens = model.ledger.snapshot()
+                candidate = decode(root, seed)
+                after = model.ledger.snapshot()
+                outputs.append((candidate, after[0] - evaluations, after[1] - tokens))
+            return outputs
+
+        return decode_each
+
+    def _cell_decoder(self, budget: int, model: PolicyValueModel, metric: Metric) -> CellDecoder:
+        """The decoder of one budget cell of an algorithm other than MCTS."""
         if self.name == "greedy":
             return lambda state, _seed: greedy_decode(model, state)
         if self.name == "beam":
             beam_cfg = BeamConfig(k=budget, theta=self.theta)
             return lambda state, _seed: beam_search(model, state, beam_cfg)
-        if self.name == "mcts":
-            search_cfg = self.search_config(budget, model.vocab_size)
-            return lambda state, _seed: decode_mcts(model, [state], search_cfg, metric=metric)[0]
         if self.name == "vgbs":
             k = vgbs_width_for_budget(budget)
             if k > model.vocab_size:
@@ -338,11 +374,11 @@ def check_budget(budget: int, name: str = "budget", least: int = 1) -> None:
 
 def validate_run_config(
     cfg: RunConfig, dataset: list[Instance]
-) -> tuple[PolicyValueModel, Metric, list[tuple[AlgorithmSpec, int, CellDecoder]]]:
+) -> tuple[PolicyValueModel, Metric, list[tuple[AlgorithmSpec, InstanceDecoder]]]:
     """Every check a run needs, made before anything is decoded.
 
-    Returns the run's one model, its metric, and each (algorithm, budget) cell
-    with its decoder, algorithm-major. Building the model checks its spec.
+    Returns the run's one model, its metric, and each algorithm with the decoder
+    of its cells at the run's budgets. Building the model checks its spec.
     """
     for budget in cfg.budgets:
         check_budget(budget)
@@ -367,40 +403,40 @@ def validate_run_config(
                 raise ConfigurationError(f"instance {inst.id!r}: coverage needs a non-empty source")
     check_algorithms(metric, cfg.algorithms)
     check_references(metric, dataset)
-    cells = [
-        (algo, budget, algo.cell_decoder(budget, model, metric))
-        for algo in cfg.algorithms
-        for budget in cfg.budgets
+    decoders = [
+        (algo, algo.instance_decoder(cfg.budgets, model, metric)) for algo in cfg.algorithms
     ]
-    return model, metric, cells
+    return model, metric, decoders
 
 
 def run_experiment(cfg: RunConfig, dataset: list[Instance]) -> Report:
     """Decode every instance under every (algorithm, budget) cell, instance by instance.
 
-    Cached values are keyed by instance, so the model's cache is dropped after each
-    instance's last cell and holds one instance's values at most.
+    Rows are algorithm-major within an instance. Cached values are keyed by instance, so
+    the model's cache is dropped after each instance's last cell and holds one instance's
+    values at most.
     """
-    model, metric, cells = validate_run_config(cfg, dataset)
+    model, metric, decoders = validate_run_config(cfg, dataset)
     report = Report()
 
     for instance in sorted(dataset, key=lambda i: i.id):
-        for algo, budget, decode in cells:
-            cell_seed = stable_cell_seed(cfg.seed, instance.id, algo.name, budget)
-            evaluations, tokens = model.ledger.snapshot()
-            candidate = decode(model.initial_state(instance.source, instance.reference), cell_seed)
-            report.cells.append(
-                CellResult(
-                    instance_id=instance.id,
-                    algorithm=algo.name,
-                    budget=budget,
-                    sequence=candidate.sequence,
-                    score=terminal_reward(candidate.state, metric),
-                    log_likelihood=candidate.log_likelihood,
-                    evaluations=model.ledger.evaluations - evaluations,
-                    tokens=model.ledger.tokens_decoded - tokens,
+        for algo, decode in decoders:
+            seeds = [stable_cell_seed(cfg.seed, instance.id, algo.name, b) for b in cfg.budgets]
+            root = model.initial_state(instance.source, instance.reference)
+            outputs = decode(root, seeds)
+            for budget, (candidate, evaluations, tokens) in zip(cfg.budgets, outputs):
+                report.cells.append(
+                    CellResult(
+                        instance_id=instance.id,
+                        algorithm=algo.name,
+                        budget=budget,
+                        sequence=candidate.sequence,
+                        score=terminal_reward(candidate.state, metric),
+                        log_likelihood=candidate.log_likelihood,
+                        evaluations=evaluations,
+                        tokens=tokens,
+                    )
                 )
-            )
         model.clear_value_cache()
     return report
 

@@ -9,7 +9,13 @@ holds the provider's ``ModelState`` handles in node order, so each expansion
 is stepped once, by the provider, and the node count is the list's length.
 The search gathers and scatters whole rows through raveled views of the
 arrays, where (element, node) is row ``element * N + node``.
-A simulation records its descent as a ``(depth, batch)`` path; an element that
+Each root has its own simulation count (by default ``num_simulations``), and
+the arrays are sized by the largest. Element b retires after its count S_b:
+later simulations descend, expand and charge only the elements still active,
+so b's tree holds nodes 0..S_b, exactly the tree a search of b alone at S_b
+simulations builds. The arena tallies what it charges each element
+(``ArenaSearch.evaluations``).
+A simulation records its descent as a ``(depth, active)`` path; an element that
 stops early repeats its last node, and the backup masks those padding rows.
 Terminal nodes absorb: a terminal node's tempered prior is one-hot EOS, so UCT
 always picks its slot 0, and the child there is an identical terminal copy.
@@ -25,8 +31,8 @@ An edge's visit count and value are its child's, read through ``children_index``
 An arena is built from its roots and runs one search. Rollout values
 are batched greedy completions (:func:`.models.rollout_value`), each scored
 against its root state's own reference, so a search holds no per-element
-data beyond its root states; :func:`decode_mcts` is one arena per round as an
-:func:`.mdp.complete` policy.
+data beyond its root states and simulation counts; :func:`decode_mcts` is one
+arena per round as an :func:`.mdp.complete` policy.
 
 Selection uses the prior-weighted UCT rule with the node's own visit count
 under the square root, and rescales exploitation values into [0, 1] via the
@@ -50,6 +56,7 @@ after every simulation.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +72,7 @@ VALUE_SOURCES = ("model", "rollout")
 
 @dataclass(frozen=True)
 class SearchConfig:
-    num_simulations: int = 16
+    num_simulations: int = 16  # per root, unless the search is given per-root counts
     num_sparse_actions: int = 4
     c_puct: float = 1.0
     tau: float = 1.0  # prior temperature, applied once at node creation
@@ -90,6 +97,25 @@ class SearchConfig:
             raise ConfigurationError(f"value_source must be one of {VALUE_SOURCES}")
 
 
+def checked_simulation_counts(
+    counts: Iterable[int] | None, batch_size: int, cfg: SearchConfig
+) -> np.ndarray:
+    """One simulation count per root, ``(B,)``: ``cfg.num_simulations`` each when ``counts``
+    is None. A count list of the wrong length, or one holding a non-integer or a negative
+    count, is a ``ValueError``."""
+    if counts is None:
+        return np.full(batch_size, cfg.num_simulations, dtype=np.int64)
+    counts = list(counts)
+    if len(counts) != batch_size:
+        raise ValueError(f"{len(counts)} simulation counts for {batch_size} roots")
+    for b, count in enumerate(counts):
+        if not isinstance(count, (int, np.integer)) or count < 0:
+            raise ValueError(
+                f"element {b}: simulation count {count!r} is not a non-negative integer"
+            )
+    return np.array(counts, dtype=np.int64)
+
+
 @dataclass
 class SearchResult:
     """Root statistics of a finished search, scattered back to dense actions."""
@@ -109,10 +135,16 @@ class ArenaSearch:
         root_states: list[DecodeState],
         cfg: SearchConfig,
         metric: Metric | None = None,
+        simulation_counts: Iterable[int] | None = None,
     ):
-        """Evaluate the roots and install them as node 0."""
+        """Evaluate the roots and install them as node 0.
+
+        ``simulation_counts`` holds one simulation count per root; by default every
+        root gets ``cfg.num_simulations``.
+        """
         if not root_states:
             raise ValueError("empty batch")
+        counts = checked_simulation_counts(simulation_counts, len(root_states), cfg)
         if cfg.num_sparse_actions > model.vocab_size:
             raise ValueError("num_sparse_actions must not exceed the vocabulary size")
         if cfg.value_source == "rollout" and metric is None:
@@ -123,7 +155,15 @@ class ArenaSearch:
         self.cfg = cfg
         self.metric = metric
 
-        b, n, a = len(root_states), cfg.num_simulations + 1, cfg.num_sparse_actions
+        self.simulation_counts = counts
+        self._most = int(counts.max())
+        # Once d simulations are done, the elements whose count is d retire: _retirements[d]
+        # holds the elements still active after them.
+        self._retirements = {
+            d: np.flatnonzero(counts > d) for d in set(counts.tolist()) if d < self._most
+        }
+
+        b, n, a = len(root_states), self._most + 1, cfg.num_sparse_actions
         self.batch_size = b
         self.num_actions = model.vocab_size
         self.num_sparse_actions = a
@@ -148,7 +188,8 @@ class ArenaSearch:
         self.chain_head = np.full((b, n), -1, dtype=np.int64)
         self.chain_tail = np.full((b, n), -1, dtype=np.int64)
 
-        self.node_states: list[list[ModelState]] = []  # node_states[node][b]
+        # node_states[node][b], None where element b had retired before the node was made.
+        self.node_states: list[list[ModelState | None]] = []
         self._batch_range = np.arange(b)
 
         # Raveled views of the arrays above, so the search gathers and scatters whole rows:
@@ -158,15 +199,22 @@ class ArenaSearch:
         self._row0 = self._batch_range * n
         self._row_visits = self._visit_counts.reshape(-1)
         self._row_values = self._values.reshape(-1)
+        self._row_parents = self.parents.reshape(-1)
+        self._row_actions = self.action_from_parents.reshape(-1)
         self._row_heads = self.chain_head.reshape(-1)
+        self._row_tails = self.chain_tail.reshape(-1)
         self._row_topk = self.topk_mapping.reshape(b * n, a)
         self._row_children = self.children_index.reshape(b * n, a)
         self._row_priors = self.children_prior.reshape(b * n, a)
         self._row_scores = self.scores.reshape(b * n, a)
+        self._activate(self._batch_range)
 
+        self._rollout_charges = np.zeros(b, dtype=np.int64)
         priors, values, handles = model.evaluate_root(root_states)
         if cfg.value_source == "rollout":
-            values = rollout_value(model, root_states, metric)
+            values, self._rollout_charges = rollout_value(
+                model, root_states, metric, return_charges=True
+            )
         self._root_priors = priors
         self._tempered_root = apply_temperature(priors, cfg.tau)
         self.adaptive_min = values.astype(np.float64).copy()
@@ -176,23 +224,34 @@ class ArenaSearch:
     # -------------------------------------------------------------- lifecycle
 
     def run(self) -> SearchResult:
-        """Full search: ``num_simulations`` simulations, then the root statistics."""
-        for _ in range(self.cfg.num_simulations):
+        """Full search: each root's simulation count, then the root statistics."""
+        for _ in range(self._most):
             self.step_simulation()
         return self.result()
 
     def step_simulation(self) -> None:
-        """One simulate / expand / backward round for every batch element.
+        """One simulate / expand / backward round for every element still active.
 
-        A descent that ends at a chain head expands the chain's tail, at slot 0.
+        The elements whose simulation count is reached retire first. A descent that
+        ends at a chain head expands the chain's tail, at slot 0.
         """
-        if self.allocated_nodes() > self.cfg.num_simulations:
+        done = self.allocated_nodes() - 1
+        if done >= self._most:
             raise ContractViolation("simulation budget exhausted")
+        if done in self._retirements:
+            self._activate(self._retirements[done])
         path, actions = self.simulate()
-        heads = self.chain_head[self._batch_range, path[-1]]
-        tails = self.chain_tail[self._batch_range, heads]
+        heads = self._row_heads[self._active_row0 + path[-1]]
+        tails = self._row_tails[self._active_row0 + heads]
         leaf = self.expand(np.where(heads >= 0, tails, path[-1]), actions)
         self.backward(path, leaf)
+
+    def _activate(self, elements: np.ndarray) -> None:
+        """Make ``elements`` the ones that simulations descend, expand and charge."""
+        self._active = elements
+        self._active_row0 = self._row0[elements]
+        self._active_list = elements.tolist()
+        self._active_positions = np.arange(elements.size)[:, None]
 
     def result(self) -> SearchResult:
         # A root child is never a chain member, so the unsettled statistics are its own.
@@ -244,25 +303,27 @@ class ArenaSearch:
         return value_score + policy_score
 
     def uct_select_action(self, node_indices: np.ndarray) -> np.ndarray:
-        """Per element, the sparse action maximizing value score + policy score, read
-        from the score table; ties go to the lower slot."""
-        return self._row_scores.take(self._row0 + node_indices, axis=0).argmax(axis=1)
+        """Per active element, the sparse action maximizing value score + policy score,
+        read from the score table; ties go to the lower slot."""
+        return self._row_scores.take(self._active_row0 + node_indices, axis=0).argmax(axis=1)
 
     def simulate(self) -> tuple[np.ndarray, np.ndarray]:
-        """Descend in lockstep until every element sits on an unexplored edge or a chain head.
+        """Descend in lockstep until every active element sits on an unexplored edge or a
+        chain head.
 
-        Returns the ``(D, B)`` path, root first, and the actions chosen at ``path[-1]``. Each
-        row moves an element to a new node or, once it has stopped, repeats its last node
-        (padding), so ``D`` is at most the node count. An element stops at the first terminal
-        node it reaches, which is a chain head; the action there is slot 0, and the chain's
-        tail is the node to expand. The score table is current, so each level is a gather
-        and an argmax, and the descent costs what its path does, not the tree size.
+        Returns the ``(D, b)`` path over the ``b`` active elements, root first, and the
+        actions chosen at ``path[-1]``. Each row moves an element to a new node or, once it
+        has stopped, repeats its last node (padding), so ``D`` is at most the node count. An
+        element stops at the first terminal node it reaches, which is a chain head; the
+        action there is slot 0, and the chain's tail is the node to expand. The score table
+        is current, so each level is a gather and an argmax, and the descent costs what its
+        path does, not the tree size.
         """
-        path = np.zeros((self.allocated_nodes(), self.batch_size), dtype=np.int64)
+        path = np.zeros((self.allocated_nodes(), len(self._active)), dtype=np.int64)
         node_indices, depth = path[0], 0
         while True:
             actions = self.uct_select_action(node_indices)
-            rows = self._row0 + node_indices
+            rows = self._active_row0 + node_indices
             next_nodes = self._row_children[rows, actions]
             stopped = (next_nodes == -1) | (self._row_heads[rows] >= 0)
             if stopped.all():
@@ -271,18 +332,22 @@ class ArenaSearch:
             node_indices = path[depth] = np.where(stopped, node_indices, next_nodes)
 
     def expand(self, node_indices: np.ndarray, sparse_actions: np.ndarray) -> int:
-        """Evaluate the selected edges and wire the resulting nodes into the tree.
+        """Evaluate the selected edges of the active elements and wire the resulting nodes
+        into the tree.
 
         The provider steps each parent handle (terminal handles absorb); the
-        new node gets the same index in every element's tree, which is returned.
+        new node gets the same index in every active element's tree, which is returned.
         A terminal new node heads a chain below a live parent, or becomes the
         tail of its terminal parent's chain. In rollout mode only children of
         live parents are rolled out, and each new handle carries its rollout
         value, so an absorbed child gets that value back from the provider.
         When a value moves an element's adaptive range, its rows are rescored.
         """
-        parent_states = [self.node_states[n][b] for b, n in enumerate(node_indices.tolist())]
-        parent_rows = self._row0 + node_indices
+        active, row0 = self._active, self._active_row0
+        parent_states = [
+            self.node_states[n][b] for b, n in zip(self._active_list, node_indices.tolist())
+        ]
+        parent_rows = row0 + node_indices
         dense_actions = self._row_topk[parent_rows, sparse_actions]
 
         priors, values, child_states, terminal = self.model.evaluate_step(
@@ -290,43 +355,57 @@ class ArenaSearch:
         )
         parent_heads = self._row_heads[parent_rows]
         if self.cfg.value_source == "rollout":
-            fresh = np.flatnonzero(parent_heads < 0).tolist()
-            values[fresh] = rollout_value(
-                self.model, [child_states[i].state for i in fresh], self.metric
+            fresh = np.flatnonzero(parent_heads < 0)
+            values[fresh], charges = rollout_value(
+                self.model,
+                [child_states[i].state for i in fresh.tolist()],
+                self.metric,
+                return_charges=True,
             )
-            for i in fresh:
+            self._rollout_charges[active[fresh]] += charges
+            for i in fresh.tolist():
                 child_states[i] = ModelState(child_states[i].state, float(values[i]))
 
         node = self._create_node(apply_temperature(priors, self.cfg.tau), values, child_states)
 
-        moved = np.flatnonzero((values < self.adaptive_min) | (values > self.adaptive_max))
-        self.adaptive_min = np.minimum(self.adaptive_min, values)
-        self.adaptive_max = np.maximum(self.adaptive_max, values)
+        low, high = self.adaptive_min[active], self.adaptive_max[active]
+        moved = active[(values < low) | (values > high)]
+        self.adaptive_min[active] = np.minimum(low, values)
+        self.adaptive_max[active] = np.maximum(high, values)
         if moved.size:
             self.scores[moved, : node + 1] = self.uct_scores(moved[:, None], np.arange(node + 1))
 
+        rows = row0 + node
         self._row_children[parent_rows, sparse_actions] = node
-        self.parents[:, node] = node_indices
-        self.action_from_parents[:, node] = sparse_actions
+        self._row_parents[rows] = node_indices
+        self._row_actions[rows] = sparse_actions
 
         heads = np.where(terminal, np.where(parent_heads >= 0, parent_heads, node), -1)
-        self.chain_head[:, node] = heads
-        self.chain_tail[terminal, heads[terminal]] = node
+        self._row_heads[rows] = heads
+        self._row_tails[row0[terminal] + heads[terminal]] = node
         return node
 
     def _create_node(
         self, tempered_priors: np.ndarray, values: np.ndarray, handles: list[ModelState]
     ) -> int:
+        """Install one node, the next index, for each active element."""
         node = len(self.node_states)
+        rows = self._active_row0 + node
         top = top_actions(tempered_priors, self.num_sparse_actions)
-        self.topk_mapping[:, node, :] = top
+        self._row_topk[rows] = top
         # Truncated priors are stored as-is, without renormalization.
-        self.children_prior[:, node, :] = tempered_priors[self._batch_range[:, None], top]
+        priors = tempered_priors[self._active_positions, top]
+        self._row_priors[rows] = priors
         # The UCT row at one visit with no visited child, bit for bit: sqrt(1) = 1, the
         # division is by 1, and the value score adds +0.0.
-        self.scores[:, node, :] = self.cfg.c_puct * self.children_prior[:, node, :]
-        self._values[:, node] = values
-        self._visit_counts[:, node] = 1
+        self._row_scores[rows] = self.cfg.c_puct * priors
+        self._row_values[rows] = values
+        self._row_visits[rows] = 1
+        if len(handles) < self.batch_size:
+            spread: list[ModelState | None] = [None] * self.batch_size
+            for b, handle in zip(self._active_list, handles):
+                spread[b] = handle
+            handles = spread
         self.node_states.append(handles)
         return node
 
@@ -346,19 +425,20 @@ class ArenaSearch:
         wins, since a terminal prior is one-hot EOS: slot 0's policy score is above 0, every
         other slot scores exactly 0, and a value score is never below 0.
         """
-        heads = self._row_heads[self._row0 + path[-1]]
+        active_row0 = self._active_row0
+        heads = self._row_heads[active_row0 + path[-1]]
         at_head = heads >= 0
         chained = np.flatnonzero(at_head)
         steps = np.concatenate([path, np.where(at_head, path[-1], leaf)[None]])
-        moved = np.flatnonzero(steps[1:] != steps[:-1])  # raveled: depth * B + element
-        path_b, path_nodes = moved % self.batch_size, steps[:-1].ravel()[moved]
-        row0 = self._row0[np.concatenate([path_b, chained])]
+        moved = np.flatnonzero(steps[1:] != steps[:-1])  # raveled: depth * b + active index
+        path_i, path_nodes = moved % len(active_row0), steps[:-1].ravel()[moved]
+        row0 = active_row0[np.concatenate([path_i, chained])]
         rows = row0 + np.concatenate([path_nodes, heads[chained]])
         values, visits = self._row_values[rows], self._row_visits[rows]
         self._row_values[rows] = self._backup(values, visits, self._row_values[row0 + leaf])
         self._row_visits[rows] = visits + 1
         self._stale |= bool(chained.size)
-        self._row_scores[rows[: moved.size]] = self.uct_scores(path_b, path_nodes)
+        self._row_scores[rows[: moved.size]] = self.uct_scores(self._active[path_i], path_nodes)
 
     def _backup(
         self, values: np.ndarray, visits: np.ndarray, leaf_values: np.ndarray
@@ -417,6 +497,14 @@ class ArenaSearch:
         row0 = self._row0[:, None]
         return self._child_statistics(row0, row0 + np.arange(self._stride))
 
+    @property
+    def evaluations(self) -> np.ndarray:
+        """(B,) evaluations charged for each element so far: its root, one per node it
+        expanded, and the steps of its rollouts. They sum to what the search has charged
+        the ledger."""
+        expanded = np.minimum(self.simulation_counts, self.allocated_nodes() - 1)
+        return 1 + expanded + self._rollout_charges
+
     # ------------------------------------------------------------- inspection
 
     def allocated_nodes(self) -> int:
@@ -464,20 +552,28 @@ def decode_mcts(
     states: list[DecodeState],
     cfg: SearchConfig,
     metric: Metric | None = None,
+    simulation_counts: Iterable[int] | None = None,
 ) -> list[Candidate]:
     """Decode a batch by running one search per output position.
 
     The search is the ``complete`` policy: each round builds one arena over
     the live elements and commits each one's selected root action, scored by
-    its raw root prior. Finished elements are held fixed while the rest
-    continue; each element is charged one root evaluation plus one evaluation
-    per simulation for every emitted token (plus rollout costs in rollout mode).
+    its raw root prior. Element b runs ``simulation_counts[b]`` simulations
+    per position (``cfg.num_simulations`` by default), so the elements of one
+    call may decode one root at several budgets. Finished elements are held
+    fixed while the rest continue; element b is charged ``S_b + 1``
+    evaluations for every token it emits (plus its rollout steps in rollout
+    mode), and its candidate's ``evaluations`` is that charge.
     """
     if not states:
         raise ValueError("empty batch")
+    counts = checked_simulation_counts(simulation_counts, len(states), cfg)
+    evaluations = np.zeros(len(states), dtype=np.int64)
 
-    def search(_indices: list[int], live: list[DecodeState]):
-        result = ArenaSearch(model, live, cfg, metric).run()
+    def search(indices: list[int], live: list[DecodeState]):
+        arena = ArenaSearch(model, live, cfg, metric, counts[indices])
+        result = arena.run()
+        evaluations[indices] += arena.evaluations
         actions = select_root_action(
             result.dense_visit_counts,
             result.dense_root_values,
@@ -488,4 +584,7 @@ def decode_mcts(
 
     finals, log_likelihoods = complete(states, search)
     model.ledger.charge_tokens(sum(len(f.prefix) - len(s.prefix) for f, s in zip(finals, states)))
-    return [Candidate(s, ll) for s, ll in zip(finals, log_likelihoods)]
+    return [
+        Candidate(s, ll, evaluations=e)
+        for s, ll, e in zip(finals, log_likelihoods, evaluations.tolist())
+    ]

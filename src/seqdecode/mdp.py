@@ -154,12 +154,17 @@ def complete(
 
 @dataclass(frozen=True)
 class Candidate:
-    """A finished output: its final state and its exact log-likelihood under the model."""
+    """A finished output: its final state and its exact log-likelihood under the model.
+
+    ``evaluations`` is the model evaluations charged for this output alone, set by a
+    decoder that tallies them per batch element.
+    """
 
     state: DecodeState
     log_likelihood: float
     score: float | None = None
     value: float | None = None
+    evaluations: int | None = None
 
     @property
     def sequence(self) -> Sequence:

@@ -493,19 +493,27 @@ def greedy_policy(model: PolicyValueModel):
     return policy
 
 
-def rollout_value(model: PolicyValueModel, states: list[DecodeState], metric: Metric) -> np.ndarray:
+def rollout_value(
+    model: PolicyValueModel,
+    states: list[DecodeState],
+    metric: Metric,
+    *,
+    return_charges: bool = False,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """The terminal reward of each state's greedy completion, read from the model's memo.
 
     Unlike the value head, this is an explicit search-time procedure: every
     greedy step from a state is a model call and is charged to the ledger,
     ``len(final.prefix) - len(state.prefix)`` evaluations per state, whether
     or not the memo already holds the walk; a terminal state costs nothing.
-    Each state is scored against its own reference.
+    Each state is scored against its own reference. With ``return_charges``
+    the result is the rewards and each state's charge, ``(n,)`` integers.
     """
     finals, rewards = model.greedy_rewards(states, metric)
-    model.ledger.charge_evaluations(
-        sum(len(f.prefix) - len(s.prefix) for f, s in zip(finals, states))
-    )
+    charges = [len(f.prefix) - len(s.prefix) for f, s in zip(finals, states)]
+    model.ledger.charge_evaluations(sum(charges))
+    if return_charges:
+        return np.array(rewards), np.array(charges, dtype=np.int64)
     return np.array(rewards)
 
 

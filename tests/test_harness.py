@@ -25,6 +25,7 @@ from seqdecode import (
     stable_cell_seed,
     vgbs_width_for_budget,
 )
+from seqdecode import harness
 from seqdecode.harness import ALGORITHMS
 
 from conftest import M0_PRIOR, A, count_calls
@@ -150,11 +151,12 @@ class TestRunExperiment:
             model=M0_SPEC,
             metric=OCC,
             algorithms=(AlgorithmSpec("mcts", num_sparse_actions=3),),
-            budgets=(6,),
+            budgets=(6, 1, 3),
         )
         report = run_experiment(cfg, m0_dataset(2))
+        assert [c.budget for c in report.cells] == [6, 1, 3] * 2
         for cell in report.cells:
-            assert cell.evaluations == cell.tokens * (6 + 1)
+            assert cell.evaluations == cell.tokens * (cell.budget + 1)
 
     def test_reports_are_deterministic(self, tmp_path):
         cfg = RunConfig(
@@ -324,6 +326,57 @@ class TestSharedModel:
         emit_report(one_cell_runs, fresh)
         assert shared.read_bytes() == fresh.read_bytes()
 
+
+    @pytest.mark.parametrize(
+        "metric, algorithm_options, value_noise",
+        [
+            ("coverage", {}, 0.0),
+            ("coverage", {}, 0.2),
+            (
+                "coverage",
+                {"value_source": "rollout", "backup": "max", "root_selection": "max_value"},
+                0.0,
+            ),
+            ("bleu", {}, 0.0),
+        ],
+        ids=["coverage", "value_noise", "rollout_max", "bleu"],
+    )
+    def test_four_budget_run_equals_one_cell_runs_on_fresh_models(
+        self, tmp_path, monkeypatch, metric, algorithm_options, value_noise
+    ):
+        # MCTS decodes an instance's four budgets in one batch; every cell must still be
+        # what a run of that cell alone gives.
+        names = [n for n in ALGORITHMS if not (metric == "bleu" and n == "sample_rerank")]
+        cfg = RunConfig(
+            model=ModelSpec(seed=1, vocab_size=5, max_len=4, context_order=1,
+                            value_noise=value_noise),
+            metric=MetricSpec(name=metric, max_n=2),
+            algorithms=tuple(AlgorithmSpec(n, **algorithm_options) for n in names),
+            budgets=(1, 3, 8, 20),
+            seed=2,
+        )  # fmt: skip
+        dataset = [
+            Instance("b", (0, 1), reference=(1, 1)),
+            Instance("a", (0, 1), reference=(0, 2, 3)),
+            Instance("c", (3, 2, 1), reference=(2,)),
+        ]
+        one_cell_runs = Report(
+            [
+                cell
+                for instance in sorted(dataset, key=lambda i: i.id)
+                for algo in cfg.algorithms
+                for budget in cfg.budgets
+                for cell in run_experiment(
+                    replace(cfg, algorithms=(algo,), budgets=(budget,)), [instance]
+                ).cells
+            ]
+        )
+        calls = count_calls(monkeypatch, harness, "decode_mcts")
+        shared, fresh = tmp_path / "shared.json", tmp_path / "fresh.json"
+        emit_report(run_experiment(cfg, dataset), shared)
+        emit_report(one_cell_runs, fresh)
+        assert shared.read_bytes() == fresh.read_bytes()
+        assert [len(args[1]) for args in calls] == [len(cfg.budgets)] * len(dataset)
 
     @pytest.mark.parametrize("value_noise", [0.0, 0.2], ids=["plain", "value_noise"])
     def test_value_cache_holds_one_instance(self, tmp_path, monkeypatch, value_noise):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -747,6 +748,168 @@ class TestDifferential:
             num_simulations=8, num_sparse_actions=3, c_puct=1.0, backup="max", value_source="rollout"
         )
         self._compare(3, 2, cfg, metric=metric, sources=[(0, 1), (1, 2)])
+
+
+# Every per-(element, node) array of the arena, with the fill of a row no node has used.
+ARENA_ARRAYS = {
+    "visit_counts": 0,
+    "values": 0.0,
+    "parents": -1,
+    "action_from_parents": -1,
+    "topk_mapping": -1,
+    "children_index": -1,
+    "children_prior": 0.0,
+    "children_values": 0.0,
+    "children_visits": 0,
+    "scores": 0.0,
+    "chain_head": -1,
+    "chain_tail": -1,
+}
+
+
+def counted_roots(provider, distinct):
+    """A model factory and four roots for a per-root count arena: one root repeated, or four
+    roots with distinct sources and prefix lengths."""
+    metric = coverage_metric()
+    if provider == "eos_heavy":  # most expansions land in absorbing chains
+
+        def model():
+            return FixedPriorModel([0.1, 0.1, 0.1, 0.7], 3, value_metric=metric)
+
+    else:
+
+        def model():
+            return SeededTabularModel(3, 5, 3, context_order=1, value_metric=metric)
+
+    probe = model()
+    if not distinct:
+        return model, metric, [probe.initial_state((0, 1))] * 4
+    return model, metric, [
+        probe.initial_state((0, 1)),
+        step(probe.initial_state((1,)), 0),
+        probe.initial_state((2, 0, 1)),
+        step(step(probe.initial_state((0,)), 1), 2),
+    ]
+
+
+class TestPerRootCounts:
+    COUNTS = (1, 4, 9, 16)
+
+    @pytest.mark.parametrize("distinct", [False, True], ids=["repeated", "distinct"])
+    @pytest.mark.parametrize("provider", ["seeded", "eos_heavy"])
+    @pytest.mark.parametrize("backup", BACKUP_RULES)
+    @pytest.mark.parametrize("value_source", VALUE_SOURCES)
+    def test_elements_match_solo_arenas_and_twins_after_every_simulation(
+        self, distinct, provider, backup, value_source
+    ):
+        model, metric, roots = counted_roots(provider, distinct)
+        counts = self.COUNTS
+        arena_model = model()
+        arena = ArenaSearch(
+            arena_model,
+            roots,
+            SearchConfig(num_simulations=3, num_sparse_actions=3, backup=backup,
+                         value_source=value_source),
+            metric=metric,
+            simulation_counts=counts,
+        )  # fmt: skip
+        solos, twins = [], []
+        for root, count in zip(roots, counts):
+            cfg = replace(arena.cfg, num_simulations=count)
+            solos.append(ArenaSearch(model(), [root], cfg, metric=metric))
+            twins.append(RecursiveSearch(model(), cfg, metric=metric))
+            twins[-1].begin(root)
+        for sim in range(max(counts)):
+            arena.step_simulation()
+            for b, count in enumerate(counts):
+                if sim < count:
+                    solos[b].step_simulation()
+                    twins[b].step_simulation()
+                n = min(sim + 1, count) + 1  # element b's node count
+                for name, fill in ARENA_ARRAYS.items():
+                    got, solo = getattr(arena, name)[b], getattr(solos[b], name)[0]
+                    assert np.array_equal(got[:n], solo[:n]), (name, b, sim)
+                    assert (got[n:] == fill).all(), (name, b, sim)
+                for name, expected in twin_arrays(twins[b]).items():
+                    assert np.array_equal(getattr(arena, name)[b, :n], expected), (name, b, sim)
+                assert arena.adaptive_min[b] == solos[b].adaptive_min[0], (b, sim)
+                assert arena.adaptive_max[b] == solos[b].adaptive_max[0], (b, sim)
+                assert arena.node_states[n - 1][b] == solos[b].node_states[n - 1][0], (b, sim)
+        assert all(arena.node_states[node][0] is None for node in range(2, max(counts) + 1))
+
+        result = arena.result()
+        for b, solo in enumerate(solos):
+            want = solo.result()
+            for field in ("dense_visit_counts", "dense_root_values", "root_priors"):
+                assert np.array_equal(getattr(result, field)[b], getattr(want, field)[0]), field
+        charges = [solo.model.ledger.evaluations for solo in solos]
+        assert arena.evaluations.tolist() == charges
+        assert arena_model.ledger.evaluations == sum(charges)
+
+    @pytest.mark.parametrize("distinct", [False, True], ids=["repeated", "distinct"])
+    @pytest.mark.parametrize("value_source", VALUE_SOURCES)
+    def test_decode_equals_one_decode_per_count(self, distinct, value_source):
+        # Elements finish at different positions, so later rounds search a subset of them.
+        model, metric, roots = counted_roots("seeded", distinct)
+        cfg = SearchConfig(num_simulations=1, num_sparse_actions=3, value_source=value_source)
+        batched_model = model()
+        batched = decode_mcts(batched_model, roots, cfg, metric, simulation_counts=self.COUNTS)
+        for b, (root, count) in enumerate(zip(roots, self.COUNTS)):
+            solo_model = model()
+            (solo,) = decode_mcts(solo_model, [root], replace(cfg, num_simulations=count), metric)
+            assert batched[b] == solo, b
+            assert solo.evaluations == solo_model.ledger.evaluations, b
+        assert sum(c.evaluations for c in batched) == batched_model.ledger.evaluations
+        tokens = [len(c.sequence) - len(r.prefix) for c, r in zip(batched, roots)]
+        assert batched_model.ledger.tokens_decoded == sum(tokens)
+        if value_source == "model":
+            assert [c.evaluations for c in batched] == [
+                t * (count + 1) for t, count in zip(tokens, self.COUNTS)
+            ]
+
+    def test_zero_count_retires_before_the_first_simulation(self, occupancy_a3):
+        model = make_m0(value_metric=occupancy_a3)
+        cfg = SearchConfig(num_simulations=5, num_sparse_actions=3)
+        arena = ArenaSearch(model, [model.initial_state(())] * 2, cfg, simulation_counts=[0, 2])
+        result = arena.run()
+        assert arena.allocated_nodes() == 3
+        assert result.dense_visit_counts.sum(axis=1).tolist() == [0, 2]
+        assert arena.evaluations.tolist() == [1, 3] and model.ledger.evaluations == 4
+        with pytest.raises(ContractViolation, match="simulation budget exhausted"):
+            arena.step_simulation()
+
+    def test_uniform_counts_equal_the_default(self, occupancy_a3):
+        cfg = SearchConfig(num_simulations=6, num_sparse_actions=3, backup="max")
+        arenas = []
+        for counts in (None, [6, 6, 6]):
+            model = make_m0(value_metric=occupancy_a3)
+            roots = [model.initial_state(()), step(model.initial_state(()), A)] + [
+                model.initial_state(())
+            ]
+            arenas.append(ArenaSearch(model, roots, cfg, simulation_counts=counts))
+            arenas[-1].run()
+        for name in ARENA_ARRAYS:
+            assert np.array_equal(getattr(arenas[0], name), getattr(arenas[1], name)), name
+        assert arenas[0].evaluations.tolist() == arenas[1].evaluations.tolist() == [7, 7, 7]
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([3], "1 simulation counts for 2 roots"),
+            ([3, 4, 5], "3 simulation counts for 2 roots"),
+            ([3, -1], "element 1: simulation count -1"),
+            ([2.0, 3], "element 0: simulation count 2.0"),
+        ],
+    )
+    def test_bad_counts_rejected_before_any_evaluation(self, occupancy_a3, counts, message):
+        model = make_m0(value_metric=occupancy_a3)
+        cfg = SearchConfig(num_simulations=2, num_sparse_actions=2)
+        roots = [model.initial_state(())] * 2
+        with pytest.raises(ValueError, match=message):
+            ArenaSearch(model, roots, cfg, simulation_counts=counts)
+        with pytest.raises(ValueError, match=message):
+            decode_mcts(model, roots, cfg, simulation_counts=counts)
+        assert model.ledger.snapshot() == (0, 0)
 
 
 class TestRootSelection:

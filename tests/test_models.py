@@ -552,6 +552,13 @@ class TestGreedyMemo:
             assert model.ledger.evaluations - before[0] == want_evaluations, call
             assert model.ledger.tokens_decoded == before[1], call
 
+        # Each state's charge is its own walk's length, and the charges sum to the delta.
+        before = model.ledger.evaluations
+        values, charges = rollout_value(model, states, metric, return_charges=True)
+        assert values.tolist() == want
+        assert charges.tolist() == [len(f.prefix) - len(s.prefix) for f, s in zip(finals, states)]
+        assert model.ledger.evaluations - before == sum(charges) == want_evaluations
+
     def test_value_head_memo_serves_walk_states_in_any_order(self):
         # Each state of two greedy walks gets the value a fresh model gives it, whether its
         # walk's later states are asked for before or after it; the metric scores each
