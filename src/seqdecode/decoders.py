@@ -18,6 +18,7 @@ from .mdp import (
     ConfigurationError,
     ContractViolation,
     DecodeState,
+    check_integer,
     complete,
     reward_anchor,
     step,
@@ -32,8 +33,7 @@ class BeamConfig:
     theta: float = 0.0  # length-normalization exponent
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ConfigurationError("beam size must be >= 1")
+        check_integer("beam size k", self.k, 1)
         if not (math.isfinite(self.theta) and self.theta >= 0):
             raise ConfigurationError("theta must be finite and >= 0")
 
@@ -44,8 +44,7 @@ class VgbsConfig:
     alpha: float = 0.5  # weight on length-averaged log-likelihood
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ConfigurationError("beam size must be >= 1")
+        check_integer("beam size k", self.k, 1)
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigurationError("alpha must lie in [0, 1]")
 

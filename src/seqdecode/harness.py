@@ -412,9 +412,9 @@ def validate_run_config(
 def run_experiment(cfg: RunConfig, dataset: list[Instance]) -> Report:
     """Decode every instance under every (algorithm, budget) cell, instance by instance.
 
-    Rows are algorithm-major within an instance. Cached values are keyed by instance, so
-    the model's cache is dropped after each instance's last cell and holds one instance's
-    values at most.
+    Rows are algorithm-major within an instance. The model's greedy-completion memo, its
+    one store of values, is keyed by state and so by instance; it is emptied after each
+    instance's last cell and holds one instance's values at most.
     """
     model, metric, decoders = validate_run_config(cfg, dataset)
     report = Report()

@@ -61,7 +61,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import Candidate, ConfigurationError, ContractViolation, DecodeState, complete
+from .mdp import (
+    Candidate,
+    ConfigurationError,
+    ContractViolation,
+    DecodeState,
+    check_integer,
+    complete,
+    is_integer,
+)
 from .models import ModelState, PolicyValueModel, apply_temperature, rollout_value, top_actions
 from .scoring import Metric
 
@@ -81,10 +89,8 @@ class SearchConfig:
     value_source: str = "model"
 
     def __post_init__(self) -> None:
-        if self.num_simulations < 0:
-            raise ConfigurationError("num_simulations must be >= 0")
-        if self.num_sparse_actions < 1:
-            raise ConfigurationError("num_sparse_actions must be >= 1")
+        check_integer("num_simulations", self.num_simulations, 0)
+        check_integer("num_sparse_actions", self.num_sparse_actions, 1)
         if not (math.isfinite(self.c_puct) and self.c_puct > 0):
             raise ConfigurationError("c_puct must be finite and > 0")
         if not (math.isfinite(self.tau) and self.tau > 0):
@@ -101,15 +107,15 @@ def checked_simulation_counts(
     counts: Iterable[int] | None, batch_size: int, cfg: SearchConfig
 ) -> np.ndarray:
     """One simulation count per root, ``(B,)``: ``cfg.num_simulations`` each when ``counts``
-    is None. A count list of the wrong length, or one holding a non-integer or a negative
-    count, is a ``ValueError``."""
+    is None. A count list of the wrong length, or one holding a non-integer (a bool or a
+    float among them) or a negative count, is a ``ValueError``."""
     if counts is None:
         return np.full(batch_size, cfg.num_simulations, dtype=np.int64)
     counts = list(counts)
     if len(counts) != batch_size:
         raise ValueError(f"{len(counts)} simulation counts for {batch_size} roots")
     for b, count in enumerate(counts):
-        if not isinstance(count, (int, np.integer)) or count < 0:
+        if not is_integer(count) or count < 0:
             raise ValueError(
                 f"element {b}: simulation count {count!r} is not a non-negative integer"
             )
@@ -212,9 +218,7 @@ class ArenaSearch:
         self._rollout_charges = np.zeros(b, dtype=np.int64)
         priors, values, handles = model.evaluate_root(root_states)
         if cfg.value_source == "rollout":
-            values, self._rollout_charges = rollout_value(
-                model, root_states, metric, return_charges=True
-            )
+            values, self._rollout_charges = rollout_value(model, root_states, metric)
         self._root_priors = priors
         self._tempered_root = apply_temperature(priors, cfg.tau)
         self.adaptive_min = values.astype(np.float64).copy()
@@ -357,10 +361,7 @@ class ArenaSearch:
         if self.cfg.value_source == "rollout":
             fresh = np.flatnonzero(parent_heads < 0)
             values[fresh], charges = rollout_value(
-                self.model,
-                [child_states[i].state for i in fresh.tolist()],
-                self.metric,
-                return_charges=True,
+                self.model, [child_states[i].state for i in fresh.tolist()], self.metric
             )
             self._rollout_charges[active[fresh]] += charges
             for i in fresh.tolist():

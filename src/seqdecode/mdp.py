@@ -19,6 +19,7 @@ EOS, so :func:`step` checks only the token it appends and derives the child's
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -34,6 +35,17 @@ class ContractViolation(RuntimeError):
 
 class ConfigurationError(ValueError):
     """Incompatible configuration, e.g. a reference-based metric without a reference."""
+
+
+def is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not one, nor is a float of integral value."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_integer(name: str, value, least: int) -> None:
+    """A ``ConfigurationError`` naming ``name`` unless ``value`` is an integer >= ``least``."""
+    if not is_integer(value) or value < least:
+        raise ConfigurationError(f"{name} must be an integer >= {least}, not {value!r}")
 
 
 def clamp01(x: float) -> float:

@@ -28,12 +28,14 @@ seeded-table shorthand.
 A state's greedy completion (argmax of ``priors``, ties to the lowest id) is
 walked in one place, :meth:`PolicyValueModel.greedy_rewards`, and memoized per
 provider: a walk stores its final state for every state it passes, and a final
-state's terminal reward is computed once per metric. The value head and
-:func:`rollout_value` both read that memo. The value head's walk is part of the
-forward pass and costs nothing; a rollout charges one evaluation per greedy
-step from the state it was asked for, whether or not the walk is recomputed,
-as ``evaluate_step`` charges an absorbing handle. Greedy decoding, which needs
-log-likelihoods, runs :func:`.mdp.complete` under :func:`greedy_policy`.
+state's terminal reward is computed once per metric. That memo is the only
+store of values: the value head and :func:`rollout_value` both read it, and a
+wrapped provider (:class:`TransformedValueModel`) shares the memo of the model
+it wraps. The value head's walk is part of the forward pass and costs nothing;
+a rollout charges one evaluation per greedy step from the state it was asked
+for, whether or not the walk is recomputed, as ``evaluate_step`` charges an
+absorbing handle. Greedy decoding, which needs log-likelihoods, runs
+:func:`.mdp.complete` under :func:`greedy_policy`.
 
 A model holds no per-instance data: an instance's reference enters decoding
 once, through :meth:`PolicyValueModel.initial_state`, and rides in every state
@@ -159,8 +161,8 @@ class PolicyValueModel:
     ``_table_priors`` stacks and checks. The value head (:meth:`values`) is the
     score of the memoized greedy completion (:meth:`greedy_rewards`) under
     ``value_metric`` (0.0 when no metric is set), against the state's own
-    reference, and is cached per (source, reference, prefix); it is part of
-    the forward pass and costs nothing beyond the evaluation that produced it.
+    reference; it is part of the forward pass and costs nothing beyond the
+    evaluation that produced it.
     """
 
     def __init__(
@@ -179,7 +181,6 @@ class PolicyValueModel:
         self.eos_id = vocab_size - 1
         self.ledger = ledger if ledger is not None else BudgetLedger()
         self._value_metric = value_metric
-        self._value_cache: dict[StateKey, float] = {}
         self._completions: dict[StateKey, DecodeState] = {}  # greedy completion memo
         self._rewards: dict[Metric, dict[StateKey, float]] = {}  # per metric, per final state
 
@@ -217,20 +218,17 @@ class PolicyValueModel:
         return out
 
     def values(self, states: list[DecodeState]) -> np.ndarray:
-        """Value head outputs ``(n,)``, memoized per (source, reference, prefix)."""
-        cache = self._value_cache
-        keys = [(s.source, s.reference, s.prefix) for s in states]
-        misses = {k: s for k, s in zip(keys, states) if k not in cache}
-        for (k, s), v in zip(misses.items(), self._head(list(misses.values()))):
+        """Value head outputs ``(n,)``, read through the greedy-completion memo; a
+        non-finite output is a ``ContractViolation`` naming its state."""
+        values = self._head(states)
+        for s, v in zip(states, values):
             if not math.isfinite(v):
                 raise ContractViolation(f"value head returned {v} for state {s}")
-            cache[k] = float(v)
-        return np.array([cache[k] for k in keys])
+        return np.array(values, dtype=float)
 
     def clear_value_cache(self) -> None:
-        """Forget every cached value and greedy completion; a value asked for again is
+        """Forget every memoized greedy completion and reward; a value asked for again is
         recomputed, identically."""
-        self._value_cache.clear()
         self._completions.clear()
         self._rewards.clear()
 
@@ -306,7 +304,7 @@ class PolicyValueModel:
 
         Terminal handles absorb: the action is ignored, and the same handle
         comes back with its value and a one-hot EOS prior, without a step or
-        a value-cache lookup. Only live handles are stepped and evaluated, but
+        a value-head call. Only live handles are stepped and evaluated, but
         every handle is charged as one evaluation.
         """
         if len(model_states) != len(actions):
@@ -397,25 +395,19 @@ class FixedPriorModel(PolicyValueModel):
 class TransformedValueModel(PolicyValueModel):
     """Wraps a provider, mapping its value head through ``transform(value, state)``.
 
-    Shares the inner model's ledger, so wrapped evaluations are charged once.
+    Shares the inner model's ledger, so wrapped evaluations are charged once, and its
+    greedy-completion memo, so both walk, score and clear the same completions.
     """
 
     def __init__(self, inner: PolicyValueModel, transform):
         super().__init__(inner.vocab_size, inner.max_len, value_metric=None, ledger=inner.ledger)
+        self._completions = inner._completions
+        self._rewards = inner._rewards
         self._inner = inner
         self._transform = transform
 
     def _table_priors(self, states: list[DecodeState]) -> np.ndarray:
         return self._inner._table_priors(states)
-
-    def clear_value_cache(self) -> None:
-        super().clear_value_cache()
-        self._inner.clear_value_cache()
-
-    def greedy_rewards(
-        self, states: list[DecodeState], metric: Metric
-    ) -> tuple[list[DecodeState], list[float]]:
-        return self._inner.greedy_rewards(states, metric)
 
     def _head(self, states: list[DecodeState]) -> list[float]:
         inner = self._inner.values(states).tolist()
@@ -494,27 +486,21 @@ def greedy_policy(model: PolicyValueModel):
 
 
 def rollout_value(
-    model: PolicyValueModel,
-    states: list[DecodeState],
-    metric: Metric,
-    *,
-    return_charges: bool = False,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """The terminal reward of each state's greedy completion, read from the model's memo.
+    model: PolicyValueModel, states: list[DecodeState], metric: Metric
+) -> tuple[np.ndarray, np.ndarray]:
+    """The terminal reward of each state's greedy completion, read from the model's memo,
+    and each state's charge: ``(n,)`` floats and ``(n,)`` integers.
 
     Unlike the value head, this is an explicit search-time procedure: every
     greedy step from a state is a model call and is charged to the ledger,
     ``len(final.prefix) - len(state.prefix)`` evaluations per state, whether
     or not the memo already holds the walk; a terminal state costs nothing.
-    Each state is scored against its own reference. With ``return_charges``
-    the result is the rewards and each state's charge, ``(n,)`` integers.
+    Each state is scored against its own reference.
     """
     finals, rewards = model.greedy_rewards(states, metric)
     charges = [len(f.prefix) - len(s.prefix) for f, s in zip(finals, states)]
     model.ledger.charge_evaluations(sum(charges))
-    if return_charges:
-        return np.array(rewards), np.array(charges, dtype=np.int64)
-    return np.array(rewards)
+    return np.array(rewards), np.array(charges, dtype=np.int64)
 
 
 def model_value_fn(model: PolicyValueModel):
@@ -531,6 +517,6 @@ def rollout_value_fn(model: PolicyValueModel, metric: Metric):
     """Batch value oracle backed by greedy rollouts (charged per rollout step)."""
 
     def fn(states: list[DecodeState]) -> np.ndarray:
-        return rollout_value(model, list(states), metric)
+        return rollout_value(model, list(states), metric)[0]
 
     return fn

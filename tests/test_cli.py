@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from seqdecode import Instance, ModelSpec, PolicyValueModel, save_dataset
+from seqdecode import (
+    AlgorithmSpec,
+    Instance,
+    MetricSpec,
+    ModelSpec,
+    PolicyValueModel,
+    save_dataset,
+)
+from seqdecode import cli, harness
 from seqdecode.cli import main
 
 from conftest import count_calls
@@ -145,6 +153,32 @@ class TestModelConstruction:
         code = run(*argv, "--dataset", dataset_path, "--value-noise", 0.1, "--out", tmp_path / "x")
         assert code == 0
         assert len(built) == 1
+
+
+class TestDefaults:
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (("decode", "--algorithm", "beam"), ("beam",)),
+            (
+                ("sweep", "--algorithms", "greedy,vgbs,mcts", "--budgets", 2),
+                ("greedy", "vgbs", "mcts"),
+            ),
+            (("tree",), ("mcts",)),
+        ],
+        ids=["decode", "sweep", "tree"],
+    )
+    def test_flag_defaults_are_the_spec_defaults(
+        self, dataset_path, tmp_path, monkeypatch, argv, names
+    ):
+        # tree validates its config in cli; decode and sweep through run_experiment.
+        in_cli = count_calls(monkeypatch, cli, "validate_run_config")
+        in_harness = count_calls(monkeypatch, harness, "validate_run_config")
+        assert run(*argv, "--dataset", dataset_path, "--out", tmp_path / "x") == 0
+        [(cfg, _dataset)] = in_cli + in_harness
+        assert cfg.model == ModelSpec()
+        assert cfg.metric == MetricSpec()
+        assert cfg.algorithms == tuple(AlgorithmSpec(name) for name in names)
 
 
 class TestExitCodes:

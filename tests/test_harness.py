@@ -399,27 +399,30 @@ class TestSharedModel:
             patch.setattr(PolicyValueModel, "clear_value_cache", lambda self: None)
             emit_report(run_experiment(cfg, dataset), kept)
 
-        held = []  # (model, cached keys) at each clear; a noisy model clears its inner one too
+        held = []  # (model, memo keys) at each clear; a noisy model shares its inner memo
         clear = PolicyValueModel.clear_value_cache
 
+        def memo_keys(model):
+            scored = {key for scores in model._rewards.values() for key in scores}
+            return set(model._completions) | scored
+
         def recording_clear(model):
-            held.append((model, set(model._value_cache)))
+            held.append((model, memo_keys(model)))
             clear(model)
 
         monkeypatch.setattr(PolicyValueModel, "clear_value_cache", recording_clear)
         emit_report(run_experiment(cfg, dataset), cleared)
         assert cleared.read_bytes() == kept.read_bytes()
 
-        models_per_instance = 2 if value_noise else 1
-        assert len(held) == models_per_instance * len(dataset)
-        ordered = sorted(dataset, key=lambda i: i.id)
-        for k, (model, keys) in enumerate(held):
-            instance = ordered[k // models_per_instance]
+        assert len(held) == len(dataset)  # one clear per instance
+        for k, (instance, (model, keys)) in enumerate(
+            zip(sorted(dataset, key=lambda i: i.id), held)
+        ):
             assert keys, k
             assert {(source, reference) for source, reference, _ in keys} == {
                 (instance.source, instance.reference)
             }, k
-            assert not model._value_cache, k
+            assert not memo_keys(model), k
 
 
 class TestSeedDerivation:

@@ -9,11 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from seqdecode import (
     ArenaSearch,
+    BeamConfig,
+    ConfigurationError,
     ContractViolation,
     FixedPriorModel,
     Metric,
     SearchConfig,
     SeededTabularModel,
+    VgbsConfig,
     bleu_metric,
     coverage_metric,
     decode_mcts,
@@ -107,6 +110,24 @@ class TestConfig:
             SearchConfig(root_selection="best")
         with pytest.raises(ValueError):
             SearchConfig(value_source="oracle")
+
+    @pytest.mark.parametrize(
+        "config, field, least",
+        [
+            (SearchConfig, "num_simulations", 0),
+            (SearchConfig, "num_sparse_actions", 1),
+            (BeamConfig, "k", 1),
+            (VgbsConfig, "k", 1),
+        ],
+    )
+    def test_integer_fields_reject_floats_and_bools(self, config, field, least):
+        for value in (least + 1.7, float(least + 1), True, False, "2", None):
+            with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+                config(**{field: value})
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer >= {least}"):
+            config(**{field: least - 1})
+        for value in (least, least + 2, np.int64(least + 1), np.int32(least)):
+            assert getattr(config(**{field: value}), field) == value
 
 
 class TestResetTree:
@@ -899,6 +920,9 @@ class TestPerRootCounts:
             ([3, 4, 5], "3 simulation counts for 2 roots"),
             ([3, -1], "element 1: simulation count -1"),
             ([2.0, 3], "element 0: simulation count 2.0"),
+            ([True, 2], "element 0: simulation count True"),
+            ([2, False], "element 1: simulation count False"),
+            ([2, np.bool_(True)], "element 1: simulation count "),
         ],
     )
     def test_bad_counts_rejected_before_any_evaluation(self, occupancy_a3, counts, message):

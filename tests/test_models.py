@@ -285,7 +285,7 @@ class TestBatchedValues:
         values = model.values(states)
         assert values.dtype == float and values.shape == (len(states),)
         assert values.tolist() == [loop_value(twin, s) for s in states]
-        assert model.values(states[::-1]).tolist() == values.tolist()[::-1]  # cache hits
+        assert model.values(states[::-1]).tolist() == values.tolist()[::-1]  # memo hits
         assert model.values([]).shape == (0,)
         assert model.ledger.snapshot() == (0, 0)
 
@@ -455,25 +455,29 @@ class TestRolloutValue:
     def test_terminal_state_returns_reward(self, occupancy_a3):
         m = make_m0()
         terminal = step(step(m.initial_state(()), A), EOS)
-        values = rollout_value(m, [terminal], occupancy_a3)
+        values, charges = rollout_value(m, [terminal], occupancy_a3)
         assert values.tolist() == [terminal_reward(terminal, occupancy_a3)]
+        assert charges.tolist() == [0]
         assert m.ledger.evaluations == 0  # nothing to roll out
 
     def test_greedy_completion_from_a(self, occupancy_a3):
         m = make_m0()
-        assert rollout_value(m, [step(m.initial_state(()), A)], occupancy_a3)[0] == 1.0
+        values, _ = rollout_value(m, [step(m.initial_state(()), A)], occupancy_a3)
+        assert values.tolist() == [1.0]
 
     def test_greedy_completion_from_b(self, occupancy_a3):
         m = make_m0()
-        value = rollout_value(m, [step(m.initial_state(()), B)], occupancy_a3)[0]
-        assert value == pytest.approx(2 / 3)
+        values, _ = rollout_value(m, [step(m.initial_state(()), B)], occupancy_a3)
+        assert values.tolist() == [pytest.approx(2 / 3)]
 
     def test_rollout_charges_ledger(self, occupancy_a3):
         m = make_m0()
         root = m.initial_state(())
-        rollout_value(m, [step(root, B), step(root, A), step(step(root, A), EOS)], occupancy_a3)
+        states = [step(root, B), step(root, A), step(step(root, A), EOS)]
+        _, charges = rollout_value(m, states, occupancy_a3)
         # [B] and [A] each take three greedy steps to the forced EOS; the
         # terminal [A, EOS] takes none.
+        assert charges.tolist() == [3, 3, 0]
         assert m.ledger.evaluations == 6
 
     def test_batch_equals_one_at_a_time(self):
@@ -492,9 +496,9 @@ class TestRolloutValue:
             assert any(s.terminal for s in states) and not all(s.terminal for s in states)
 
             batched_model = SeededTabularModel(seed, vocab_size=5, max_len=4, context_order=1)
-            batched = rollout_value(batched_model, states, metric)
+            batched, _ = rollout_value(batched_model, states, metric)
             single_model = SeededTabularModel(seed, vocab_size=5, max_len=4, context_order=1)
-            singles = [rollout_value(single_model, [s], metric)[0] for s in states]
+            singles = [rollout_value(single_model, [s], metric)[0][0] for s in states]
             assert batched.tolist() == singles
             assert batched_model.ledger.snapshot() == single_model.ledger.snapshot()
 
@@ -548,13 +552,13 @@ class TestGreedyMemo:
         model = self._build(noisy, value_metric=metric)
         for call in ("cold", "warm"):
             before = model.ledger.snapshot()
-            assert rollout_value(model, states, metric).tolist() == want, call
+            assert rollout_value(model, states, metric)[0].tolist() == want, call
             assert model.ledger.evaluations - before[0] == want_evaluations, call
             assert model.ledger.tokens_decoded == before[1], call
 
         # Each state's charge is its own walk's length, and the charges sum to the delta.
         before = model.ledger.evaluations
-        values, charges = rollout_value(model, states, metric, return_charges=True)
+        values, charges = rollout_value(model, states, metric)
         assert values.tolist() == want
         assert charges.tolist() == [len(f.prefix) - len(s.prefix) for f, s in zip(finals, states)]
         assert model.ledger.evaluations - before == sum(charges) == want_evaluations
@@ -583,6 +587,29 @@ class TestGreedyMemo:
             model.clear_value_cache()
             assert model.values(states).tolist() == want
             assert len(calls) == 2 * len(walks)
+
+    def test_wrapper_and_inner_model_share_one_memo(self):
+        # A rollout through a noisy wrapper fills the memo the inner value head reads, so
+        # the metric scores each final state once; one clear on the wrapper empties both.
+        metric, calls = counted_metric(bleu_metric(2))
+        inner = self._build(False, metric)
+        noisy = NoisyValueModel(inner, 0.3, seed=1)
+        assert {"greedy_rewards", "clear_value_cache"}.isdisjoint(vars(TransformedValueModel))
+        roots = [
+            inner.initial_state((0, 1), reference=(0, 2, 1)),
+            inner.initial_state((2,), reference=(3, 3)),
+        ]
+        states = [s for root in roots for s in greedy_walk(inner, root)]
+        want = self._build(False, bleu_metric(2)).values(states).tolist()
+
+        assert rollout_value(noisy, states, metric)[0].tolist() == want
+        assert inner.values(states).tolist() == want
+        assert len(calls) == len(roots)  # one terminal reward per final state
+        noisy.clear_value_cache()
+        for model in (noisy, inner):
+            assert not model._completions and not model._rewards
+        assert inner.values(states).tolist() == want
+        assert len(calls) == 2 * len(roots)
 
     def test_non_finite_head_names_the_state_cold_and_warm(self):
         nan = Metric("nan", privileged=False, fn=lambda _anchor, _candidate: math.nan)

@@ -79,7 +79,7 @@ class RecursiveSearch:
         self._make_node(priors[0], value, model_states[0], root_state)
 
     def _rollout(self, state: DecodeState) -> float:
-        return float(rollout_value(self.model, [state], self.metric)[0])
+        return float(rollout_value(self.model, [state], self.metric)[0][0])
 
     def _make_node(
         self, prior: np.ndarray, value: float, model_state: object, decode_state: DecodeState
