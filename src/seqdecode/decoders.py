@@ -90,7 +90,7 @@ def beam_search(model: PolicyValueModel, state: DecodeState, cfg: BeamConfig) ->
         if not live:
             break
         pool = [h for h in beam if h[0].terminal]
-        priors, _, _ = model.evaluate_root([s for s, _ in live])
+        priors = model.evaluate_policy([s for s, _ in live])
         for (s, log_likelihood), prior, top in zip(live, priors, top_actions(priors, width)):
             for a in top.tolist():
                 if prior[a] > 0.0:
@@ -137,7 +137,7 @@ def value_guided_beam_search(
         if all(s.terminal for s, _, _ in rows):
             break
         batch = rows + [rows[0]] * (k - len(rows))
-        priors, _, _ = model.evaluate_root([s for s, _, _ in batch])
+        priors = model.evaluate_policy([s for s, _, _ in batch])
 
         children: list[tuple[DecodeState, float]] = []
         for (s, log_likelihood, _), prior, top in zip(batch, priors, top_actions(priors, k)):
@@ -166,6 +166,18 @@ def value_guided_beam_search(
 # ------------------------------------------------------------------ sampling
 
 
+def inverse_cdf_draws(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Row j's token: the first whose normalized cdf exceeds ``uniforms[j]``.
+
+    With ``uniforms[j] = rng.random()`` this is ``rng.choice(V, p=row / row.sum())``,
+    whose rule (cumsum, divide by the last entry, ``searchsorted(side="right")``)
+    it applies to the whole ``(n, V)`` batch at once.
+    """
+    cdf = (probs / probs.sum(axis=1, keepdims=True)).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= uniforms[:, None]).sum(axis=1)
+
+
 def sample_sequences(
     model: PolicyValueModel,
     state: DecodeState,
@@ -177,18 +189,19 @@ def sample_sequences(
 
     Candidate i uses its own RNG stream derived from (seed, i), so the pool
     for (seed, n) is a strict prefix of the pool for (seed, n') when n' > n.
+    Each round draws one uniform per live sample and maps the batch through
+    :func:`inverse_cdf_draws`, so every token equals the sample's own
+    ``Generator.choice(V, p=tempered_row / tempered_row.sum())``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_integer("pool size n", n, 1)
     if state.terminal:
         raise ContractViolation("sample_sequences() needs a non-terminal state")
     rngs = [np.random.default_rng([seed, i]) for i in range(n)]
 
     def policy(indices: list[int], states: list[DecodeState]):
-        priors, _, _ = model.evaluate_root(states)
-        probs = apply_temperature(priors, tau)
-        draws = [rngs[i].choice(model.vocab_size, p=p / p.sum()) for i, p in zip(indices, probs)]
-        return priors, draws
+        priors = model.evaluate_policy(states)
+        uniforms = np.array([rngs[i].random() for i in indices])
+        return priors, inverse_cdf_draws(apply_temperature(priors, tau), uniforms)
 
     finals, log_likelihoods = complete([state] * n, policy)
     return [Candidate(s, ll) for s, ll in zip(finals, log_likelihoods)]

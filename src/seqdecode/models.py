@@ -2,7 +2,11 @@
 
 All decoders consume the same provider contract: batched ``evaluate_root`` /
 ``evaluate_step`` calls returning a prior over the vocabulary and a scalar
-value estimate per state, with every call charged to a :class:`BudgetLedger`.
+value estimate per state, and the policy-only ``evaluate_policy``, which
+returns the priors alone and never runs the value head; every call is charged
+to a :class:`BudgetLedger`, one evaluation per state. MCTS and value oracles
+use the first two; greedy, beam and sampling decoders, and the expansion of
+value-guided beam search, use the third.
 The concrete providers here are small deterministic tabular models that stand
 in for trained networks, so every downstream number can be checked by hand or
 by exhaustive enumeration.
@@ -297,6 +301,15 @@ class PolicyValueModel:
         self.ledger.charge_evaluations(len(states))
         return priors, values, [ModelState(s, v) for s, v in zip(states, values.tolist())]
 
+    def evaluate_policy(self, states: list[DecodeState]) -> np.ndarray:
+        """Priors ``(n, V)`` of a batch of states, without the value head; charges one
+        call per state, as ``evaluate_root`` does."""
+        if not states:
+            raise ValueError("empty batch")
+        priors = self.priors(states)
+        self.ledger.charge_evaluations(len(states))
+        return priors
+
     def evaluate_step(
         self, model_states: list[ModelState], actions: list[int]
     ) -> tuple[np.ndarray, np.ndarray, list[ModelState], np.ndarray]:
@@ -476,10 +489,10 @@ def make_seeded_model(
 
 
 def greedy_policy(model: PolicyValueModel):
-    """``complete`` policy: argmax of one charged ``evaluate_root``, ties to the lowest id."""
+    """``complete`` policy: argmax of one charged ``evaluate_policy``, ties to the lowest id."""
 
     def policy(_indices: list[int], states: list[DecodeState]):
-        priors, _, _ = model.evaluate_root(states)
+        priors = model.evaluate_policy(states)
         return priors, np.argmax(priors, axis=1)
 
     return policy

@@ -8,13 +8,16 @@ import pytest
 from seqdecode import (
     BeamConfig,
     Candidate,
+    ConfigurationError,
     FixedPriorModel,
     SeededTabularModel,
     SeededUnitEmbeddings,
     VgbsConfig,
+    apply_temperature,
     beam_search,
     bert_style_metric,
     bleu_metric,
+    complete,
     coverage_metric,
     greedy_decode,
     make_seeded_model,
@@ -27,9 +30,9 @@ from seqdecode import (
     terminal_reward,
     value_guided_beam_search,
 )
-from seqdecode.decoders import vgbs_score
+from seqdecode.decoders import inverse_cdf_draws, vgbs_score
 
-from conftest import A, B, EOS, make_m0
+from conftest import A, B, EOS, M0_MAX_LEN, M0_PRIOR, count_calls, make_m0
 
 
 class TestGreedy:
@@ -332,6 +335,190 @@ class TestSampling:
         cold_matches = sum(c.sequence == (A, A, A, EOS) for c in cold)
         hot_matches = sum(c.sequence == (A, A, A, EOS) for c in hot)
         assert cold_matches > hot_matches
+
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, False, 0, -1, None, "4"])
+    def test_pool_size_must_be_an_integer(self, m0, n):
+        with pytest.raises(ConfigurationError, match="pool size n"):
+            sample_sequences(m0, m0.initial_state(()), n=n)
+        assert m0.ledger.snapshot() == (0, 0)
+
+    def test_numpy_integer_pool_size_accepted(self, m0):
+        pool = sample_sequences(m0, m0.initial_state(()), n=np.int64(3), seed=5)
+        want = sample_sequences(make_m0(), make_m0().initial_state(()), n=3, seed=5)
+        assert [c.sequence for c in pool] == [c.sequence for c in want]
+
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+    def test_pool_matches_per_sample_choice(self, tau):
+        """Every round, each live sample's token is its own stream's ``choice``
+        over its tempered row, forced EOS rounds included."""
+        for seed in range(4):
+            model = SeededTabularModel(seed, vocab_size=5, max_len=4, context_order=2)
+            root = model.initial_state((1, 2))
+            rngs = [np.random.default_rng([seed, i]) for i in range(6)]
+
+            def choice_policy(indices, states):
+                priors = model.priors(states)
+                probs = apply_temperature(priors, tau)
+                draws = [rngs[i].choice(5, p=p / p.sum()) for i, p in zip(indices, probs)]
+                return priors, draws
+
+            finals, log_likelihoods = complete([root] * 6, choice_policy)
+            pool = sample_sequences(model, root, n=6, tau=tau, seed=seed)
+            assert [c.state for c in pool] == finals
+            assert [c.log_likelihood for c in pool] == log_likelihoods
+
+
+def draw_rule_rows() -> list[tuple[int, float, np.ndarray]]:
+    """(seed, tau, tempered rows): per block, 50 dense rows, 50 with zero entries,
+    25 one-hot on EOS and 25 one-hot on a random token."""
+    blocks = []
+    for seed, (tau, vocab_size) in enumerate(
+        (tau, v) for tau in (0.3, 0.5, 1.0, 2.0, 5.0) for v in (2, 3, 8, 17)
+    ):
+        rng = np.random.default_rng([1234, seed])
+        rows = rng.dirichlet(np.ones(vocab_size), size=150)
+        rows[50:100] *= rng.random((50, vocab_size)) < 0.5  # zero entries
+        rows[np.arange(50, 100), rng.integers(vocab_size, size=50)] += 1e-3  # one stays positive
+        rows[100:150] = 0.0
+        rows[100:125, -1] = 1.0  # one-hot EOS
+        rows[np.arange(125, 150), rng.integers(vocab_size, size=25)] = 1.0  # one-hot anywhere
+        rows /= rows.sum(axis=1, keepdims=True)
+        blocks.append((seed, tau, apply_temperature(rows, tau)))
+    return blocks
+
+
+def test_draw_rule_is_numpy_generator_choice():
+    """``inverse_cdf_draws`` fed one ``random()`` per row equals ``choice`` on that
+    row's own stream; pools, reports and golden digests all rest on it."""
+    checked = mismatched = 0
+    first = None
+    for seed, tau, probs in draw_rule_rows():
+        vocab_size = probs.shape[1]
+        uniforms = np.array([np.random.default_rng([seed, i]).random() for i in range(len(probs))])
+        got = inverse_cdf_draws(probs, uniforms)
+        for i, p in enumerate(probs):
+            want = np.random.default_rng([seed, i]).choice(vocab_size, p=p / p.sum())
+            checked += 1
+            if got[i] != want:
+                mismatched += 1
+                first = first or (seed, tau, i, p.tolist(), int(got[i]), int(want))
+    assert checked >= 3000
+    assert mismatched == 0, (
+        f"the batched draw rule no longer matches numpy.random.Generator.choice "
+        f"(numpy {np.__version__}) on {mismatched} of {checked} rows; first "
+        f"(seed, tau, row, p, batched, choice) = {first}"
+    )
+
+
+class UniformsGenerator(np.random.Generator):
+    """A generator whose ``random()`` returns a given uniform, so ``choice`` can be
+    asked about a uniform that sits on a cdf step."""
+
+    def __init__(self, uniform: float):
+        super().__init__(np.random.PCG64(0))
+        self.uniform = uniform
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.uniform
+
+
+def test_draw_rule_is_numpy_generator_choice_on_cdf_steps():
+    """Uniforms equal to a cdf entry, just below one, 0 and the largest double
+    below 1: ties go right past zero-probability tokens, and the cdf ends at 1."""
+    checked = mismatched = 0
+    first = None
+    for seed, tau, probs in draw_rule_rows():
+        vocab_size = probs.shape[1]
+        for p in probs[::5]:
+            steps = np.cumsum(p / p.sum())
+            steps /= steps[-1]
+            uniforms = np.unique(
+                np.concatenate([steps, np.nextafter(steps, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
+            )
+            uniforms = uniforms[uniforms < 1.0]
+            got = inverse_cdf_draws(np.tile(p, (len(uniforms), 1)), uniforms)
+            for u, token in zip(uniforms.tolist(), got.tolist()):
+                want = UniformsGenerator(u).choice(vocab_size, p=p / p.sum())
+                checked += 1
+                if token != want:
+                    mismatched += 1
+                    first = first or (seed, tau, p.tolist(), u, token, int(want))
+    assert checked >= 3000
+    assert mismatched == 0, (
+        f"the batched draw rule no longer matches numpy.random.Generator.choice "
+        f"(numpy {np.__version__}) at {mismatched} of {checked} cdf steps; first "
+        f"(seed, tau, p, uniform, batched, choice) = {first}"
+    )
+
+
+class HeadlessM0(FixedPriorModel):
+    """``m0`` whose value head fails if anything reads it."""
+
+    def __init__(self, value_metric=None):
+        super().__init__(M0_PRIOR, M0_MAX_LEN, value_metric)
+
+    def _head(self, states):
+        raise AssertionError("value head read")
+
+
+class TestPolicyOnlyCalls:
+    """Greedy, beam, sampling and VGBS's expansion read priors only: they call
+    ``evaluate_policy``, never ``evaluate_root``, and leave the value memo empty."""
+
+    @staticmethod
+    def decode_all(model):
+        root = model.initial_state(())
+        return [
+            greedy_decode(model, root),
+            beam_search(model, root, BeamConfig(k=2, theta=1.0)),
+            *sample_sequences(model, root, n=8, tau=0.5, seed=3),
+        ]
+
+    def test_memo_stays_empty_and_evaluate_root_is_never_called(self, monkeypatch, occupancy_a3):
+        from seqdecode.models import PolicyValueModel
+
+        roots = count_calls(monkeypatch, PolicyValueModel, "evaluate_root")
+        model = make_m0(value_metric=occupancy_a3)
+        self.decode_all(model)
+        assert roots == []
+        assert model._completions == {} and model._rewards == {}
+
+    def test_a_raising_value_head_still_decodes(self, occupancy_a3):
+        plain = make_m0(value_metric=occupancy_a3)
+        headless = HeadlessM0(value_metric=occupancy_a3)
+        assert self.decode_all(headless) == self.decode_all(plain)
+        assert headless.ledger.snapshot() == plain.ledger.snapshot()
+
+    def test_greedy_charges_one_evaluation_per_token(self):
+        for seed in range(5):
+            model = SeededTabularModel(seed, vocab_size=4, max_len=5, context_order=1)
+            c = greedy_decode(model, model.initial_state(()))
+            assert model.ledger.snapshot() == (len(c.sequence), len(c.sequence))
+
+    def test_vgbs_reads_values_only_through_its_value_fn(self, occupancy_a3):
+        for k in (1, 2, 3):
+            plain = make_m0(value_metric=occupancy_a3)
+            want = value_guided_beam_search(
+                plain, model_value_fn(plain), plain.initial_state(()), VgbsConfig(k=k)
+            )
+            headless = HeadlessM0(value_metric=occupancy_a3)
+            twin = make_m0(value_metric=occupancy_a3)
+            queried = []
+
+            def value_fn(states):
+                queried.append(len(states))
+                headless.ledger.charge_evaluations(len(states))
+                return model_value_fn(twin)(states)
+
+            root = headless.initial_state(())
+            got = value_guided_beam_search(headless, value_fn, root, VgbsConfig(k=k))
+            assert got == want
+            evaluations, tokens = headless.ledger.snapshot()
+            assert queried == [k * k] * tokens
+            assert evaluations == tokens * (k + k * k)
+            assert headless.ledger.snapshot() == plain.ledger.snapshot()
+            assert headless._completions == {} and headless._rewards == {}
 
 
 class TestRerank:

@@ -52,6 +52,16 @@ class TestPriors:
         assert np.array_equal(priors[1], priors[2])
         assert values[0] == values[1] == values[2]
 
+    def test_evaluate_policy_is_evaluate_root_without_the_value_head(self, occupancy_a3):
+        model = make_seeded_model(2, 4, 3, context_order=1, value_metric=occupancy_a3)
+        root = model.initial_state((0, 1))
+        states = [root, step(root, 1), step(step(root, 1), 3), step(root, 0)]
+        priors = model.evaluate_policy(states)
+        assert model.ledger.snapshot() == (4, 0)
+        assert model._completions == {} and model._rewards == {}
+        assert np.array_equal(priors, model.evaluate_root(states)[0])
+        assert np.array_equal(priors, model.priors(states))
+
     def test_forced_eos_one_step_before_cap(self, m0):
         s = m0.initial_state(())
         for _ in range(m0.max_len):  # content horizon reached
@@ -311,7 +321,7 @@ class TestTracerBoundary:
         ]  # fmt: skip
         assert len(providers) == 5
         for cls in providers:
-            for name in ("evaluate_root", "evaluate_step"):
+            for name in ("evaluate_root", "evaluate_policy", "evaluate_step"):
                 assert (name in vars(cls)) == (cls is models.PolicyValueModel), (cls, name)
         assert "state" in {f.name for f in fields(ModelState)}
 
@@ -445,7 +455,11 @@ class TestLedger:
     )
     def test_empty_batches_raise_before_charging(self, build):
         model = build()
-        for evaluate in (lambda: model.evaluate_root([]), lambda: model.evaluate_step([], [])):
+        for evaluate in (
+            lambda: model.evaluate_root([]),
+            lambda: model.evaluate_policy([]),
+            lambda: model.evaluate_step([], []),
+        ):
             with pytest.raises(ValueError, match="empty batch"):
                 evaluate()
         assert model.ledger.snapshot() == (0, 0)
