@@ -116,6 +116,16 @@ class DecodeState:
         return self.prefix
 
 
+# The slot descriptors set a field directly; the frozen class's own __setattr__ refuses.
+_set_source = DecodeState.source.__set__
+_set_prefix = DecodeState.prefix.__set__
+_set_max_len = DecodeState.max_len.__set__
+_set_eos_id = DecodeState.eos_id.__set__
+_set_reference = DecodeState.reference.__set__
+_set_terminal = DecodeState.terminal.__set__
+_new_state = DecodeState.__new__
+
+
 def step(state: DecodeState, action: int) -> DecodeState:
     """Append one token. Stepping a terminal state is a caller bug.
 
@@ -129,14 +139,14 @@ def step(state: DecodeState, action: int) -> DecodeState:
     if action >= eos_id or action < 0:
         _check_token(action, eos_id)
     prefix = state.prefix + (action,)
-    child = object.__new__(DecodeState)
-    init = object.__setattr__  # the frozen class's own __setattr__ refuses
-    init(child, "source", state.source)
-    init(child, "prefix", prefix)
-    init(child, "max_len", state.max_len)
-    init(child, "eos_id", eos_id)
-    init(child, "reference", state.reference)
-    init(child, "terminal", action == eos_id or len(prefix) == state.max_len)
+    max_len = state.max_len
+    child = _new_state(DecodeState)
+    _set_source(child, state.source)
+    _set_prefix(child, prefix)
+    _set_max_len(child, max_len)
+    _set_eos_id(child, eos_id)
+    _set_reference(child, state.reference)
+    _set_terminal(child, action == eos_id or len(prefix) == max_len)
     return child
 
 

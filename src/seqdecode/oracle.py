@@ -4,10 +4,11 @@ Everything here walks the full space of terminated sequences below a root
 state, built by ``model.initial_state`` as for every decoder, so a hard guard
 refuses instances where the vocabulary and the root's remaining horizon would
 make that explosive. Reads priors directly off the model tables and never
-touches the budget ledger: these are verification tools, not decoders. The
-enumeration walks level by level, reading each level's priors in one
-``model.priors`` call, and the metric argmax scores it with one batch call,
-which handles each length bucket at once.
+touches the budget ledger: these are verification tools, not decoders. One
+walker goes level by level, reading each level's priors in one
+``model.priors`` call and handing on the level's terminated children. The
+enumeration sorts them all into one list; the metric argmax scores each level
+in one batch call as it comes and keeps only the best so far.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from operator import itemgetter
+from typing import Iterator
 
 import numpy as np
 
@@ -49,6 +51,38 @@ def _check_root(model: PolicyValueModel, root: DecodeState) -> None:
         )
 
 
+def _levels(
+    model: PolicyValueModel, root: DecodeState
+) -> Iterator[tuple[list[DecodeState], list[int], np.ndarray]]:
+    """Walk the tree below ``root`` breadth-first, reading each level's priors in
+    one ``model.priors`` call.
+
+    Yields, per level, its terminated children as parallel parent states,
+    appended tokens and exact log-likelihoods, in token order; every child of
+    one level has the same length. A level with no terminated child yields
+    empty lists.
+    """
+    _check_root(model, root)
+    eos = root.eos_id
+    level, log_likelihoods = [root], np.zeros(1)
+    while level:
+        priors = model.priors(level)
+        rows, tokens = np.nonzero(priors > 0.0)  # row-major: each prefix's children in token order
+        child_lls = log_likelihoods[rows] + np.array(
+            list(map(math.log, priors[rows, tokens].tolist()))
+        )
+        # A level's prefixes share one length; at the cap every child ends.
+        ended = (tokens == eos) | (len(level[0].prefix) + 1 == root.max_len)
+        live = ~ended
+        yield (
+            [level[i] for i in rows[ended].tolist()],
+            tokens[ended].tolist(),
+            child_lls[ended],
+        )
+        level = list(map(step, [level[i] for i in rows[live].tolist()], tokens[live].tolist()))
+        log_likelihoods = child_lls[live]
+
+
 def enumerate_sequences(
     model: PolicyValueModel, root: DecodeState
 ) -> list[tuple[Sequence, float]]:
@@ -59,21 +93,12 @@ def enumerate_sequences(
     depth-first order. Under the forced-EOS convention the returned
     probabilities sum to 1.
     """
-    _check_root(model, root)
     out: list[tuple[Sequence, float]] = []
-    level: list[tuple[DecodeState, float]] = [(root, 0.0)]
-    while level:
-        next_level = []
-        priors = model.priors([state for state, _ in level])
-        rows, tokens = np.nonzero(priors > 0.0)  # row-major: each prefix's children in token order
-        for i, a, p in zip(rows.tolist(), tokens.tolist(), priors[rows, tokens].tolist()):
-            state, log_likelihood = level[i]
-            child_ll = log_likelihood + math.log(p)
-            if a == root.eos_id or len(state.prefix) + 1 == root.max_len:
-                out.append((state.prefix + (a,), child_ll))
-            else:
-                next_level.append((step(state, a), child_ll))
-        level = next_level
+    for parents, tokens, log_likelihoods in _levels(model, root):
+        out.extend(
+            (parent.prefix + (a,), ll)
+            for parent, a, ll in zip(parents, tokens, log_likelihoods.tolist())
+        )
     out.sort(key=itemgetter(0))
     return out
 
@@ -110,17 +135,28 @@ def exact_argmax_likelihood(model: PolicyValueModel, root: DecodeState) -> Candi
 def exact_argmax_metric(model: PolicyValueModel, root: DecodeState, metric: Metric) -> Candidate:
     """Metric argmax over every terminated sequence below ``root``.
 
-    Each sequence's content is scored against the root's reward anchor, all
-    in one ``metric.score_batch`` call. Ties prefer higher likelihood, then
-    the lexicographically smaller token sequence. The winner's state is
-    stepped from ``root``, so it is the state a decoder reaches for that output.
+    Each level's outputs are scored against the root's reward anchor in one
+    ``metric.score_batch`` call, as the walk reaches them. Ties prefer higher
+    likelihood, then the lexicographically smaller token sequence. The
+    winner's state is stepped from ``root``, so it is the state a decoder
+    reaches for that output.
     """
     anchor = reward_anchor(metric, root)
-    sequences = enumerate_sequences(model, root)
     eos = model.eos_id
-    scores = metric.score_batch(anchor, [p[:-1] if p[-1] == eos else p for p, _ in sequences])
-    # max() keeps the first of equal keys, and the enumeration is in token order.
-    best = max(range(len(sequences)), key=lambda i: (scores[i], sequences[i][1]))
-    prefix, log_likelihood = sequences[best]
-    state = reduce(step, prefix[len(root.prefix):], root)
-    return Candidate(state, log_likelihood, score=scores[best])
+    best: tuple[tuple[float, float], Sequence] | None = None  # ((score, log-likelihood), sequence)
+    for parents, tokens, log_likelihoods in _levels(model, root):
+        if not parents:
+            continue
+        # An EOS child's content is its parent's prefix; a child cut off by the cap keeps its token.
+        contents = [p.prefix if a == eos else p.prefix + (a,) for p, a in zip(parents, tokens)]
+        scores = np.array(metric.score_batch(anchor, contents))
+        top = np.flatnonzero(scores == scores.max())
+        # argmax keeps the first of equal log-likelihoods: a level is in token order.
+        i = top[np.argmax(log_likelihoods[top])]
+        key = (float(scores[i]), float(log_likelihoods[i]))
+        sequence = parents[i].prefix + (tokens[i],)
+        if best is None or key > best[0] or (key == best[0] and sequence < best[1]):
+            best = (key, sequence)
+    (score, log_likelihood), sequence = best
+    state = reduce(step, sequence[len(root.prefix):], root)
+    return Candidate(state, log_likelihood, score=score)

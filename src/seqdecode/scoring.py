@@ -15,10 +15,15 @@ from typing import Callable
 
 import numpy as np
 
-from .mdp import ConfigurationError, Sequence, clamp01
+from .mdp import ConfigurationError, ContractViolation, Sequence, clamp01
 
 ScoreFn = Callable[[Sequence, Sequence], float]
 BatchScoreFn = Callable[[Sequence, list[Sequence]], list[float]]
+
+
+def _clamp01(scores: np.ndarray) -> np.ndarray:
+    """:func:`clamp01` of every entry."""
+    return np.where(scores < 0.0, 0.0, np.where(scores > 1.0, 1.0, scores))
 
 
 @dataclass(frozen=True)
@@ -31,7 +36,8 @@ class Metric:
     ``score_batch(anchor, candidates)`` scores many candidates against one
     anchor and returns one float per candidate, bitwise equal to calling the
     metric on each in turn. ``batch_fn``, when given, computes those scores in
-    one call; without it ``score_batch`` loops over ``fn``.
+    one call; without it ``score_batch`` loops over ``fn``. A non-finite score
+    is a ``ContractViolation`` naming the metric and the candidate.
     """
 
     name: str
@@ -40,14 +46,28 @@ class Metric:
     batch_fn: BatchScoreFn | None = field(default=None, repr=False)
 
     def __call__(self, anchor: Sequence, candidate: Sequence) -> float:
-        return clamp01(self.fn(tuple(anchor), tuple(candidate)))
+        candidate = tuple(candidate)
+        score = self.fn(tuple(anchor), candidate)
+        if not math.isfinite(score):
+            self._refuse(score, candidate)
+        return clamp01(score)
 
     def score_batch(self, anchor: Sequence, candidates: list[Sequence]) -> list[float]:
         anchor = tuple(anchor)
         candidates = [tuple(c) for c in candidates]
         if self.batch_fn is None:
-            return [clamp01(self.fn(anchor, c)) for c in candidates]
-        return [clamp01(s) for s in self.batch_fn(anchor, candidates)]
+            raw = [self.fn(anchor, c) for c in candidates]
+        else:
+            raw = self.batch_fn(anchor, candidates)
+        scores = np.array(raw, dtype=float)
+        finite = np.isfinite(scores)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            self._refuse(raw[k], candidates[k])
+        return _clamp01(scores).tolist()
+
+    def _refuse(self, score, candidate: Sequence) -> None:
+        raise ContractViolation(f"metric {self.name!r} scored candidate {candidate} as {score}")
 
 
 # --------------------------------------------------------------------------- BLEU
@@ -162,35 +182,34 @@ def bert_style_scores(candidates: list[Sequence], anchor: Sequence, embedder) ->
     from [-1, 1] to [0, 1], and damp by min(len)/max(len) so degenerate
     lengths cannot win. Empty inputs score 0 by convention.
 
-    Candidates are bucketed by length; each bucket's similarities are one
-    stacked ``(N, L, d) @ (d, M)`` product, so every candidate's ``(L, M)``
-    slice is the same matrix product a lone candidate would get.
+    Candidates are bucketed by length, and each bucket is stacked into one
+    ``(N, L)`` token array that is mapped to embedding rows by index lookups,
+    one per block. A block's similarities are one stacked
+    ``(N, L, d) @ (d, M)`` product, so every candidate's ``(L, M)`` slice is
+    the same matrix product a lone candidate would get.
     """
-    scores = [0.0] * len(candidates)
-    buckets: dict[int, list[int]] = {}
-    for k, candidate in enumerate(candidates):
-        if candidate and anchor:
-            buckets.setdefault(len(candidate), []).append(k)
-    if not buckets:
-        return scores
-    tokens = list(set(anchor).union(*candidates))
-    vecs = np.stack([embedder.vector(t) for t in tokens])
+    scores = np.zeros(len(candidates))
+    lengths = np.fromiter(map(len, candidates), dtype=np.intp, count=len(candidates))
+    if not anchor or not lengths.any():
+        return scores.tolist()
+    buckets = [np.flatnonzero(lengths == n) for n in np.unique(lengths[lengths > 0]).tolist()]
+    stacks = [np.array([candidates[k] for k in ks.tolist()]) for ks in buckets]
+    anchor_tokens = np.array(anchor)
+    tokens = np.unique(np.concatenate([anchor_tokens, *(np.unique(stack) for stack in stacks)]))
+    vecs = np.stack([embedder.vector(t) for t in tokens.tolist()])
     unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-    row_of = {t: r for r, t in enumerate(tokens)}
-    anch_t = unit[[row_of[t] for t in anchor]].T
+    anch_t = unit[np.searchsorted(tokens, anchor_tokens)].T
     n_anchor = len(anchor)
-    for length, ks in buckets.items():
+    for ks, stack in zip(buckets, stacks):
+        length = stack.shape[1]
         n_pairs = min(length, n_anchor)
         length_penalty = n_pairs / max(length, n_anchor)
         block = max(1, SCORE_BLOCK_ELEMENTS // (length * n_anchor))
         for start in range(0, len(ks), block):
-            part = ks[start : start + block]
-            rows = np.array([[row_of[t] for t in candidates[k]] for k in part])
-            sims = unit[rows] @ anch_t
-            mean_sim = _greedy_alignment_totals(sims) / n_pairs
-            for k, score in zip(part, (mean_sim + 1.0) / 2.0 * length_penalty):
-                scores[k] = clamp01(score)
-    return scores
+            rows = np.searchsorted(tokens, stack[start : start + block])
+            mean_sim = _greedy_alignment_totals(unit[rows] @ anch_t) / n_pairs
+            scores[ks[start : start + block]] = (mean_sim + 1.0) / 2.0 * length_penalty
+    return _clamp01(scores).tolist()
 
 
 def bert_style_score(candidate: Sequence, anchor: Sequence, embedder) -> float:

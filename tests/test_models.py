@@ -625,13 +625,17 @@ class TestGreedyMemo:
         assert inner.values(states).tolist() == want
         assert len(calls) == 2 * len(roots)
 
-    def test_non_finite_head_names_the_state_cold_and_warm(self):
+    def test_non_finite_reward_names_the_metric_cold_and_warm(self):
+        # The metric refuses a non-finite score itself, so none reaches the reward memo:
+        # a cold walk, one that meets the completion memo and a completion hit all raise.
         nan = Metric("nan", privileged=False, fn=lambda _anchor, _candidate: math.nan)
         model = self._build(False, nan)
         walk = greedy_walk(model, model.initial_state((0, 1)))
-        for s in (walk[2], walk[0], walk[1]):  # a cold walk, one that meets the memo, a hit
-            with pytest.raises(ContractViolation, match=re.escape(f"for state {s}")):
+        refusal = re.escape(f"metric 'nan' scored candidate {walk[-1].content} as nan")
+        for s in (walk[2], walk[0], walk[1]):
+            with pytest.raises(ContractViolation, match=refusal):
                 model.values([s])
+        assert not any(model._rewards.values())
 
 
 class TestValueHeads:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqdecode import (
     ConfigurationError,
@@ -23,9 +25,12 @@ from seqdecode import (
     exact_argmax_likelihood,
     exact_argmax_metric,
     greedy_decode,
+    multilingual_bert_style_metric,
+    occupancy_metric,
     step,
     terminal_reward,
 )
+from seqdecode import oracle
 
 from conftest import A, B, EOS
 
@@ -68,6 +73,38 @@ def scalar_argmax_metric(model, root, metric):
         if best_key is None or key > best_key:
             best, best_key = state.prefix, key
     return best, best_key
+
+
+def float_bits(values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def seeded_oracle_cases(draw):
+    """A seeded model, a root below it and a metric drawn from the five the CLI offers."""
+    vocab_size = draw(st.integers(2, 5))
+    content = st.integers(0, vocab_size - 2)
+    model = SeededTabularModel(
+        draw(st.integers(0, 2**16)), vocab_size, max_len=4, context_order=draw(st.integers(0, 2))
+    )
+    source = tuple(draw(st.lists(content, min_size=1, max_size=4)))
+    reference = tuple(draw(st.lists(content, max_size=4)))
+    horizon = draw(st.integers(0, 4))
+    embeddings = SeededUnitEmbeddings(dim=8, seed=draw(st.integers(0, 3)))
+    metric = draw(
+        st.sampled_from(
+            [
+                bleu_metric(draw(st.integers(1, 2))),
+                bert_style_metric(embeddings),
+                multilingual_bert_style_metric(embeddings),
+                coverage_metric(),
+                occupancy_metric(draw(content), max(1, horizon)),
+            ]
+        )
+    )
+    root = replace(model.initial_state(source, reference), max_len=horizon + 1)
+    return model, root, metric
+
 
 M0_TABLE_MAX2 = {
     (EOS,): 0.2,
@@ -198,17 +235,85 @@ class TestArgmaxMetric:
         assert best.score == 1.0
         assert best.log_likelihood == 2 * math.log(0.4)
 
-    def test_matches_scalar_scoring_on_seeded_models(self):
-        metric = bert_style_metric(SeededUnitEmbeddings(dim=8, seed=0))
-        for seed in range(6):
-            model = SeededTabularModel(seed, vocab_size=4, max_len=4, context_order=1)
-            source, reference = (0, 1, 2), tuple((seed + k) % 3 for k in range(seed % 4 + 1))
-            root = model.initial_state(source, list(reference))
-            best = exact_argmax_metric(model, root, metric)
-            expected, (score, log_likelihood) = scalar_argmax_metric(model, root, metric)
-            assert best.sequence == expected
-            assert (best.score, best.log_likelihood) == (score, log_likelihood)
-            assert best.state.reference == reference
+    @settings(max_examples=40, deadline=None)
+    @given(case=seeded_oracle_cases())
+    def test_matches_scalar_scoring_on_seeded_models(self, case):
+        model, root, metric = case
+        best = exact_argmax_metric(model, root, metric)
+        expected, (score, log_likelihood) = scalar_argmax_metric(model, root, metric)
+        # Exact equality: the same sequence and the same floats, bit for bit.
+        assert best.sequence == expected
+        assert float_bits([best.score, best.log_likelihood]) == float_bits([score, log_likelihood])
+        assert best.state == reduce(step, best.sequence, root)
+        assert enumerate_sequences(model, root) == recursive_enumeration(model, root)
+
+    def test_equal_keys_across_lengths_break_to_the_smaller_sequence(self):
+        # (A, EOS) and (EOS,) tie on the score and on the log-likelihood, log 0.5: the
+        # forced EOS is free. They are scored in different levels; the smaller wins.
+        model = FixedPriorModel([0.5, 0.5], max_len=1)
+        constant = Metric(name="constant", privileged=False, fn=lambda a, c: 0.5)
+        best = exact_argmax_metric(model, model.initial_state(()), constant)
+        assert best.sequence == (A, model.eos_id)
+        assert best.log_likelihood == math.log(0.5)
+
+    def test_outputs_cut_off_by_the_cap_keep_their_last_token(self):
+        # A model that leaves the token at the cap free: an output that ends there
+        # without EOS is scored on every token it holds.
+        class Unforced(FixedPriorModel):
+            def priors(self, states):
+                return self._table_priors(states)
+
+        model = Unforced([0.45, 0.45, 0.1], max_len=1)
+        root = model.initial_state((A, B))
+        best = exact_argmax_metric(model, root, coverage_metric())
+        assert best.sequence == (A, B)
+        assert (best.sequence, (best.score, best.log_likelihood)) == scalar_argmax_metric(
+            model, root, coverage_metric()
+        )
+        assert enumerate_sequences(model, root) == recursive_enumeration(model, root)
+
+    @pytest.mark.parametrize(
+        "model, batches",
+        [
+            # live prefixes per level are [1, 2, 4, 8]; each has one EOS child, the last only that
+            (SeededTabularModel(0, vocab_size=3, max_len=3, context_order=1), [1, 2, 4, 8]),
+            # EOS is impossible before the cap, so only the forced level has terminated children
+            (FixedPriorModel([0.5, 0.5, 0.0], max_len=2), [4]),
+        ],
+    )
+    def test_one_score_batch_per_level_with_a_terminated_child(self, monkeypatch, model, batches):
+        alone, seen = [], []
+        counted = Metric(
+            name="counted",
+            privileged=False,
+            fn=lambda a, c: alone.append(c) or len(c) / 4,
+            batch_fn=lambda a, cs: seen.append(len(cs)) or [len(c) / 4 for c in cs],
+        )
+        monkeypatch.setattr(oracle, "enumerate_sequences", lambda *args: pytest.fail("enumerated"))
+        root = model.initial_state(())
+        best = exact_argmax_metric(model, root, counted)
+        assert (seen, alone) == (batches, [])
+        assert (best.sequence, (best.score, best.log_likelihood)) == scalar_argmax_metric(
+            model, root, counted
+        )
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["per_candidate", "batch_fn"])
+    def test_non_finite_score_is_a_contract_violation(self, batched):
+        # NaN never compares greater, so an unchecked NaN at (A, A) would keep the
+        # lead it takes, although (B,) scores 1.0.
+        def fn(anchor, candidate):
+            return math.nan if candidate == (A, A) else float(candidate == (B,))
+
+        model = FixedPriorModel([0.4, 0.4, 0.2], max_len=2)
+        nan_at_aa = Metric(
+            name="nan_at_aa",
+            privileged=False,
+            fn=fn,
+            batch_fn=(lambda a, cs: [fn(a, c) for c in cs]) if batched else None,
+        )
+        refusal = re.escape("metric 'nan_at_aa' scored candidate (0, 0) as nan")
+        with pytest.raises(ContractViolation, match=refusal):
+            exact_argmax_metric(model, model.initial_state(()), nan_at_aa)
 
     def test_missing_reference_raises_before_any_scoring(self, m0):
         calls = []

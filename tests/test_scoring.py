@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from seqdecode import (
     ConfigurationError,
+    ContractViolation,
     Metric,
     MetricSpec,
     SeededUnitEmbeddings,
@@ -214,6 +217,22 @@ class TestScoreBatch:
         candidates += [(), (1,), (2, 2)]
         expected = [metric(anchor, c) for c in candidates]
         assert float_bits(metric.score_batch(anchor, candidates)) == float_bits(expected)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("batched", [False, True], ids=["per_candidate", "batch_fn"])
+    def test_a_non_finite_score_is_refused_by_name(self, bad, batched):
+        def fn(anchor, candidate):
+            return bad if candidate == (2, 1) else 0.5
+
+        metric = Metric(
+            "flaky", False, fn=fn, batch_fn=(lambda a, cs: [fn(a, c) for c in cs]) if batched else None
+        )
+        refusal = re.escape(f"metric 'flaky' scored candidate (2, 1) as {bad}")
+        with pytest.raises(ContractViolation, match=refusal):
+            metric([0], [2, 1])
+        with pytest.raises(ContractViolation, match=refusal):
+            metric.score_batch([0], [[1], [2, 1], [2, 1]])
+        assert metric.score_batch([0], [[1], [2]]) == [0.5, 0.5]
 
     def test_without_a_batch_function_the_metric_is_called_per_candidate(self):
         seen = []
