@@ -61,7 +61,7 @@ def greedy_decode(model: PolicyValueModel, state: DecodeState) -> Candidate:
     """Follow the argmax token until terminal; ties go to the lowest token id."""
     if state.terminal:
         raise ContractViolation("greedy_decode() needs a non-terminal state")
-    (s,), (log_likelihood,) = complete([state], greedy_policy(model))
+    (s,), (log_likelihood,) = complete([state], greedy_policy(model.evaluate_policy))
     model.ledger.charge_tokens(len(s.prefix) - len(state.prefix))
     return Candidate(s, log_likelihood)
 

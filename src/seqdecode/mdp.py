@@ -23,6 +23,8 @@ import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+
 if TYPE_CHECKING:
     from .scoring import Metric
 
@@ -166,8 +168,7 @@ def complete(
     live = [i for i, s in enumerate(final) if not s.terminal]
     while live:
         priors, tokens = policy(live, [final[i] for i in live])
-        for i, prior, token in zip(live, priors, tokens):
-            token = int(token)
+        for i, prior, token in zip(live, np.asarray(priors).tolist(), np.asarray(tokens).tolist()):
             log_likelihoods[i] += math.log(prior[token])
             final[i] = step(final[i], token)
         live = [i for i in live if not final[i].terminal]

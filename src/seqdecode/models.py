@@ -4,9 +4,10 @@ All decoders consume the same provider contract: batched ``evaluate_root`` /
 ``evaluate_step`` calls returning a prior over the vocabulary and a scalar
 value estimate per state, and the policy-only ``evaluate_policy``, which
 returns the priors alone and never runs the value head; every call is charged
-to a :class:`BudgetLedger`, one evaluation per state. MCTS and value oracles
-use the first two; greedy, beam and sampling decoders, and the expansion of
-value-guided beam search, use the third.
+to a :class:`BudgetLedger`, one evaluation per state. MCTS uses the first
+two; greedy, beam and sampling decoders, and the expansion of value-guided
+beam search, use the third; :func:`model_value_fn` reads the value head alone
+and charges one evaluation per state as well.
 The concrete providers here are small deterministic tabular models that stand
 in for trained networks, so every downstream number can be checked by hand or
 by exhaustive enumeration.
@@ -29,17 +30,18 @@ A :class:`ModelSpec` holds everything that builds a provider, and its
 ``build`` is the one construction rule; :func:`make_seeded_model` is its
 seeded-table shorthand.
 
-A state's greedy completion (argmax of ``priors``, ties to the lowest id) is
-walked in one place, :meth:`PolicyValueModel.greedy_rewards`, and memoized per
-provider: a walk stores its final state for every state it passes, and a final
-state's terminal reward is computed once per metric. That memo is the only
-store of values: the value head and :func:`rollout_value` both read it, and a
-wrapped provider (:class:`TransformedValueModel`) shares the memo of the model
-it wraps. The value head's walk is part of the forward pass and costs nothing;
-a rollout charges one evaluation per greedy step from the state it was asked
+Every greedy completion is walked by :func:`.mdp.complete` under
+:func:`greedy_policy`, the one argmax rule (ties to the lowest id), over the
+charged ``evaluate_policy`` for greedy decoding and the uncharged ``priors``
+for the per-provider memo, :meth:`PolicyValueModel.greedy_rewards`. The memo
+stores each final state under every prefix its walk passed, and a final
+state's terminal reward is computed once per metric. It is the only store of
+values: the value head and :func:`rollout_value` both read it, and a wrapped
+provider (:class:`TransformedValueModel`) shares the memo of the model it
+wraps. The value head's walk is part of the forward pass and costs nothing; a
+rollout charges one evaluation per greedy step from the state it was asked
 for, whether or not the walk is recomputed, as ``evaluate_step`` charges an
-absorbing handle. Greedy decoding, which needs log-likelihoods, runs
-:func:`.mdp.complete` under :func:`greedy_policy`.
+absorbing handle.
 
 A model holds no per-instance data: an instance's reference enters decoding
 once, through :meth:`PolicyValueModel.initial_state`, and rides in every state
@@ -61,6 +63,7 @@ from .mdp import (
     DecodeState,
     Sequence,
     clamp01,
+    complete,
     step,
     terminal_reward,
 )
@@ -247,36 +250,21 @@ class PolicyValueModel:
     ) -> tuple[list[DecodeState], list[float]]:
         """Each state's greedy completion and that final state's ``terminal_reward``.
 
-        The completion follows the argmax of ``priors`` (ties to the lowest id)
-        in lockstep rounds, and a terminal state is its own. Completions are
-        memoized per (source, reference, prefix): a walk stops at a state the
-        memo holds, and stores its final state for every state it passed.
-        Rewards are memoized per (metric, final state). Does not touch the ledger.
+        A terminal state is its own completion. Every other state is looked up
+        once in the memo, keyed per (source, reference, prefix); the misses are
+        walked together by :func:`.mdp.complete` under :func:`greedy_policy`
+        over ``priors``, and each final state is stored under every prefix its
+        walk passed. Rewards are memoized per (metric, final state). Does not
+        touch the ledger.
         """
         memo = self._completions
-        finals = list(states)
-        trails: dict[int, list[StateKey]] = {}  # element -> keys of the states it walked
-        live = [i for i, s in enumerate(states) if not s.terminal]
-        while live:
-            walking = []
-            for i in live:
-                s = finals[i]
-                key = (s.source, s.reference, s.prefix)
-                final = memo.get(key)
-                if final is None:
-                    trails.setdefault(i, []).append(key)
-                    walking.append(i)
-                else:
-                    finals[i] = final
-            if not walking:
-                break
-            tokens = self.priors([finals[i] for i in walking]).argmax(axis=1).tolist()
-            for i, token in zip(walking, tokens):
-                finals[i] = step(finals[i], token)
-            live = [i for i in walking if not finals[i].terminal]
-        for i, trail in trails.items():
-            for key in trail:
-                memo[key] = finals[i]
+        finals = [s if s.terminal else memo.get((s.source, s.reference, s.prefix)) for s in states]
+        misses = [i for i, f in enumerate(finals) if f is None]
+        walked, _ = complete([states[i] for i in misses], greedy_policy(self.priors))
+        for i, f in zip(misses, walked):
+            finals[i] = f
+            for n in range(len(states[i].prefix), len(f.prefix)):
+                memo[f.source, f.reference, f.prefix[:n]] = f
 
         scores = self._rewards.setdefault(metric, {})
         rewards = []
@@ -488,12 +476,13 @@ def make_seeded_model(
 # ------------------------------------------------------------------- rollouts
 
 
-def greedy_policy(model: PolicyValueModel):
-    """``complete`` policy: argmax of one charged ``evaluate_policy``, ties to the lowest id."""
+def greedy_policy(priors_fn):
+    """``complete`` policy: the argmax of one ``priors_fn(states)`` call, ties to the lowest
+    id; ``priors_fn`` is a model's charged ``evaluate_policy`` or its uncharged ``priors``."""
 
     def policy(_indices: list[int], states: list[DecodeState]):
-        priors = model.evaluate_policy(states)
-        return priors, np.argmax(priors, axis=1)
+        priors = priors_fn(states)
+        return priors, priors.argmax(axis=1)
 
     return policy
 
@@ -517,10 +506,15 @@ def rollout_value(
 
 
 def model_value_fn(model: PolicyValueModel):
-    """Batch value oracle backed by the model's value head (one call per state)."""
+    """Batch value oracle backed by the model's value head; charges one evaluation per
+    state, as ``evaluate_root`` does, without computing the priors it would return."""
 
     def fn(states: list[DecodeState]) -> np.ndarray:
-        _, values, _ = model.evaluate_root(list(states))
+        states = list(states)
+        if not states:
+            raise ValueError("empty batch")
+        values = model.values(states)
+        model.ledger.charge_evaluations(len(states))
         return values
 
     return fn

@@ -7,13 +7,15 @@ make that explosive. Reads priors directly off the model tables and never
 touches the budget ledger: these are verification tools, not decoders. One
 walker goes level by level, reading each level's priors in one
 ``model.priors`` call and handing on the level's terminated children. The
-enumeration sorts them all into one list; the metric argmax scores each level
-in one batch call as it comes and keeps only the best so far.
+enumeration sorts them all into one list. Both argmaxes keep only the best so
+far: the metric argmax scores each level in one batch call as it comes; the
+likelihood argmax scores all alike and prunes prefixes below the best so far.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import reduce
 from operator import itemgetter
 from typing import Iterator
@@ -52,7 +54,7 @@ def _check_root(model: PolicyValueModel, root: DecodeState) -> None:
 
 
 def _levels(
-    model: PolicyValueModel, root: DecodeState
+    model: PolicyValueModel, root: DecodeState, floor=lambda: -math.inf
 ) -> Iterator[tuple[list[DecodeState], list[int], np.ndarray]]:
     """Walk the tree below ``root`` breadth-first, reading each level's priors in
     one ``model.priors`` call.
@@ -60,7 +62,9 @@ def _levels(
     Yields, per level, its terminated children as parallel parent states,
     appended tokens and exact log-likelihoods, in token order; every child of
     one level has the same length. A level with no terminated child yields
-    empty lists.
+    empty lists. After each yield, a live child less likely than ``floor()``
+    is dropped; an equally likely one is kept. A child likelier than its
+    prefix is a ``ContractViolation``.
     """
     _check_root(model, root)
     eos = root.eos_id
@@ -68,17 +72,18 @@ def _levels(
     while level:
         priors = model.priors(level)
         rows, tokens = np.nonzero(priors > 0.0)  # row-major: each prefix's children in token order
-        child_lls = log_likelihoods[rows] + np.array(
-            list(map(math.log, priors[rows, tokens].tolist()))
-        )
+        steps = np.array(list(map(math.log, priors[rows, tokens].tolist())))
+        if (steps > 1e-12).any():
+            raise ContractViolation("likelihood must be non-increasing")
+        child_lls = log_likelihoods[rows] + steps
         # A level's prefixes share one length; at the cap every child ends.
         ended = (tokens == eos) | (len(level[0].prefix) + 1 == root.max_len)
-        live = ~ended
         yield (
             [level[i] for i in rows[ended].tolist()],
             tokens[ended].tolist(),
             child_lls[ended],
         )
+        live = ~ended & (child_lls >= floor())
         level = list(map(step, [level[i] for i in rows[live].tolist()], tokens[live].tolist()))
         log_likelihoods = child_lls[live]
 
@@ -103,53 +108,24 @@ def enumerate_sequences(
     return out
 
 
-def exact_argmax_likelihood(model: PolicyValueModel, root: DecodeState) -> Candidate:
-    """Global likelihood argmax below ``root`` via depth-first branch-and-bound.
+def _argmax(model: PolicyValueModel, root: DecodeState, score_level, prune: bool) -> Candidate:
+    """The terminated sequence below ``root`` with the best (score, log-likelihood) key.
 
-    Prefixes whose log-likelihood already fails to beat the incumbent are
-    pruned; this is sound because appending tokens can only lower it.
+    ``score_level(parents, tokens)`` scores one level's outputs as an array. The
+    first best key in token order wins a level; an equal key across levels goes
+    to the smaller sequence. ``prune`` (sound for a constant score only) drops
+    prefixes less likely than the best output so far. The winner's state is
+    stepped from ``root``, so it is the state a decoder reaches for that output.
     """
-    _check_root(model, root)
-    best: list = [None, -math.inf]  # (state, log_likelihood)
-
-    def walk(state: DecodeState, log_likelihood: float) -> None:
-        if best[0] is not None and log_likelihood <= best[1]:
-            return  # no descendant can beat (or first-claim a tie with) the incumbent
-        if state.terminal:
-            best[0] = state
-            best[1] = log_likelihood
-            return
-        prior = model.priors([state])[0]
-        for a in range(model.vocab_size):
-            if prior[a] <= 0.0:
-                continue
-            child_ll = log_likelihood + math.log(prior[a])
-            if child_ll > log_likelihood + 1e-12:
-                raise ContractViolation("likelihood must be non-increasing")
-            walk(step(state, a), child_ll)
-
-    walk(root, 0.0)
-    return Candidate(best[0], best[1])
-
-
-def exact_argmax_metric(model: PolicyValueModel, root: DecodeState, metric: Metric) -> Candidate:
-    """Metric argmax over every terminated sequence below ``root``.
-
-    Each level's outputs are scored against the root's reward anchor in one
-    ``metric.score_batch`` call, as the walk reaches them. Ties prefer higher
-    likelihood, then the lexicographically smaller token sequence. The
-    winner's state is stepped from ``root``, so it is the state a decoder
-    reaches for that output.
-    """
-    anchor = reward_anchor(metric, root)
-    eos = model.eos_id
     best: tuple[tuple[float, float], Sequence] | None = None  # ((score, log-likelihood), sequence)
-    for parents, tokens, log_likelihoods in _levels(model, root):
+
+    def floor() -> float:
+        return best[0][1] if prune and best else -math.inf
+
+    for parents, tokens, log_likelihoods in _levels(model, root, floor):
         if not parents:
             continue
-        # An EOS child's content is its parent's prefix; a child cut off by the cap keeps its token.
-        contents = [p.prefix if a == eos else p.prefix + (a,) for p, a in zip(parents, tokens)]
-        scores = np.array(metric.score_batch(anchor, contents))
+        scores = score_level(parents, tokens)
         top = np.flatnonzero(scores == scores.max())
         # argmax keeps the first of equal log-likelihoods: a level is in token order.
         i = top[np.argmax(log_likelihoods[top])]
@@ -160,3 +136,29 @@ def exact_argmax_metric(model: PolicyValueModel, root: DecodeState, metric: Metr
     (score, log_likelihood), sequence = best
     state = reduce(step, sequence[len(root.prefix):], root)
     return Candidate(state, log_likelihood, score=score)
+
+
+def exact_argmax_likelihood(model: PolicyValueModel, root: DecodeState) -> Candidate:
+    """Global likelihood argmax below ``root``: the level walk, pruned below the best
+    output so far, since appending tokens can only lower a likelihood. Equal
+    likelihoods break to the lexicographically smaller sequence."""
+    best = _argmax(model, root, lambda parents, _tokens: np.zeros(len(parents)), prune=True)
+    return replace(best, score=None)
+
+
+def exact_argmax_metric(model: PolicyValueModel, root: DecodeState, metric: Metric) -> Candidate:
+    """Metric argmax over every terminated sequence below ``root``.
+
+    Each level's outputs are scored against the root's reward anchor in one
+    ``metric.score_batch`` call, as the walk reaches them. Ties prefer higher
+    likelihood, then the lexicographically smaller token sequence.
+    """
+    anchor = reward_anchor(metric, root)
+    eos = model.eos_id
+
+    def score_level(parents: list[DecodeState], tokens: list[int]) -> np.ndarray:
+        # An EOS child's content is its parent's prefix; a child cut off by the cap keeps its token.
+        contents = [p.prefix if a == eos else p.prefix + (a,) for p, a in zip(parents, tokens)]
+        return np.array(metric.score_batch(anchor, contents))
+
+    return _argmax(model, root, score_level, prune=False)

@@ -50,3 +50,34 @@ def test_imports_only_lower_layers_at_module_level(module):
         assert node.level == 1 and node.module, f"{where}: import from the package's modules"
         target = node.module.split(".")[0]
         assert target in LAYERS[:rank], f"{where}: {module} imports {target}, not a lower layer"
+
+
+def _self_calls(tree: ast.Module):
+    """Yield ``(function, call)`` for every call of a function by its own name, or of a
+    method through ``self`` or ``cls``, inside its own body."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            if isinstance(f, ast.Name) and f.id == node.name:
+                yield node, call
+            elif (
+                isinstance(f, ast.Attribute)
+                and f.attr == node.name
+                and isinstance(f.value, ast.Name)
+                and f.value.id in ("self", "cls")
+            ):
+                yield node, call
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_no_function_calls_itself(module):
+    # Walks are loops over batches (``mdp.complete``, the oracle's level walker), never
+    # recursion one state at a time.
+    path = PACKAGE / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"{module}.py:{call.lineno}: {fn.name}" for fn, call in _self_calls(tree)]
+    assert not found, f"recursive calls: {found}"

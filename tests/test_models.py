@@ -30,13 +30,14 @@ from seqdecode import (
     greedy_decode,
     greedy_policy,
     make_seeded_model,
+    model_value_fn,
     rollout_value,
     step,
     terminal_reward,
     top_actions,
 )
 
-from conftest import A, B, EOS, affine_value_model, make_m0
+from conftest import A, B, EOS, affine_value_model, count_calls, make_m0
 
 
 class TestPriors:
@@ -61,6 +62,19 @@ class TestPriors:
         assert model._completions == {} and model._rewards == {}
         assert np.array_equal(priors, model.evaluate_root(states)[0])
         assert np.array_equal(priors, model.priors(states))
+
+    def test_model_value_fn_is_evaluate_root_without_the_priors(self, monkeypatch, occupancy_a3):
+        # With the memo warm, the value function reads no prior at all, and it charges
+        # one evaluation per state, as evaluate_root does.
+        model = make_seeded_model(2, 4, 3, context_order=1, value_metric=occupancy_a3)
+        root = model.initial_state((0, 1))
+        states = [root, step(root, 1), step(step(root, 1), 3), step(root, 0)]
+        want = model.evaluate_root(states)[1]
+        reads = count_calls(monkeypatch, model, "priors")
+        before = model.ledger.evaluations
+        assert np.array_equal(model_value_fn(model)(states), want)
+        assert reads == []
+        assert model.ledger.evaluations - before == len(states)
 
     def test_forced_eos_one_step_before_cap(self, m0):
         s = m0.initial_state(())
@@ -558,7 +572,7 @@ class TestGreedyMemo:
         states = [walk[2], first, terminal, walk[1], second, stepped, first, walk[-1], walk[2]]
 
         fresh = self._build(noisy, value_metric=metric)
-        finals, _ = complete(states, greedy_policy(fresh))
+        finals, _ = complete(states, greedy_policy(fresh.evaluate_policy))
         want = [terminal_reward(f, metric) for f in finals]
         want_evaluations = fresh.ledger.evaluations
         assert want_evaluations > 0
@@ -577,7 +591,7 @@ class TestGreedyMemo:
         assert charges.tolist() == [len(f.prefix) - len(s.prefix) for f, s in zip(finals, states)]
         assert model.ledger.evaluations - before == sum(charges) == want_evaluations
 
-    def test_value_head_memo_serves_walk_states_in_any_order(self):
+    def test_value_head_memo_serves_walk_states_in_any_order(self, monkeypatch):
         # Each state of two greedy walks gets the value a fresh model gives it, whether its
         # walk's later states are asked for before or after it; the metric scores each
         # final state once, and again after the cache is cleared.
@@ -592,10 +606,20 @@ class TestGreedyMemo:
         states = [s for w in walks for s in w]
         want = [float(self._build(False, metric).values([s])[0]) for s in states]
 
+        # Once any state's walk is done, every state on that walk is served without a
+        # priors call; the reverse order meets a memoized state partway through a walk.
+        rest_of_walk = {id(s): w[i:] for w in walks for i, s in enumerate(w)}
         for order in (states, states[::-1]):
             model = self._build(False, metric)
+            reads = count_calls(monkeypatch, model, "priors")
             calls.clear()
-            got = {id(s): float(model.values([s])[0]) for s in order}
+            got, walked = {}, set()
+            for s in order:
+                before = len(reads)
+                got[id(s)] = float(model.values([s])[0])
+                if id(s) in walked:
+                    assert len(reads) == before
+                walked.update(id(t) for t in rest_of_walk[id(s)])
             assert [got[id(s)] for s in states] == want
             assert len(calls) == len(walks)  # one terminal reward per final state
             model.clear_value_cache()

@@ -32,7 +32,7 @@ from seqdecode import (
 )
 from seqdecode import oracle
 
-from conftest import A, B, EOS
+from conftest import A, B, EOS, count_calls, make_m0
 
 
 def horizon_root(model, horizon, source=()):
@@ -104,6 +104,37 @@ def seeded_oracle_cases(draw):
     )
     root = replace(model.initial_state(source, reference), max_len=horizon + 1)
     return model, root, metric
+
+
+@st.composite
+def likelihood_cases(draw):
+    """A model and a root below it: a seeded table, a fixed prior with zero-probability
+    tokens, or a uniform prior that gives EOS nothing before the cap."""
+    vocab_size = draw(st.integers(2, 5))
+    horizon = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(["seeded", "zeros", "eos_free"]))
+    if kind == "seeded":
+        model = SeededTabularModel(
+            draw(st.integers(0, 2**16)), vocab_size, 4, context_order=draw(st.integers(0, 2))
+        )
+    elif kind == "zeros":
+        weights = np.array(
+            draw(st.lists(st.integers(0, 3), min_size=vocab_size, max_size=vocab_size))
+        )
+        if weights.sum() == 0:
+            weights[-1] = 1
+        model = FixedPriorModel(weights / weights.sum(), 4)
+    else:
+        model = FixedPriorModel([1 / (vocab_size - 1)] * (vocab_size - 1) + [0.0], 4)
+    return model, horizon_root(model, horizon)
+
+
+# Every oracle, as a function of (model, root).
+ORACLES = [
+    enumerate_sequences,
+    exact_argmax_likelihood,
+    lambda model, root: exact_argmax_metric(model, root, coverage_metric()),
+]
 
 
 M0_TABLE_MAX2 = {
@@ -211,6 +242,71 @@ class TestArgmaxLikelihood:
         with pytest.raises(ContractViolation):
             improper = Improper(vocab_size=2, max_len=1)
             exact_argmax_likelihood(improper, improper.initial_state(()))
+
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_every_oracle_refuses_a_prior_above_one(self, oracle):
+        # These rows skip the per-row check, so only the walk sees that the child A
+        # is likelier than the root.
+        class Unchecked(PolicyValueModel):
+            def _table_priors(self, states):
+                return np.tile([1.5, 0.5], (len(states), 1))
+
+        improper = Unchecked(vocab_size=2, max_len=2)
+        with pytest.raises(ContractViolation, match="non-increasing"):
+            oracle(improper, improper.initial_state(()))
+
+    def test_equal_likelihoods_across_lengths_break_to_the_smaller_sequence(self):
+        # (EOS,) ends first, at log 0.5; (A, EOS) ties it a level later, since the
+        # forced EOS is free, so an equally likely prefix must stay in the walk.
+        model = FixedPriorModel([0.5, 0.5], max_len=1)
+        best = exact_argmax_likelihood(model, model.initial_state(()))
+        assert best.sequence == (A, model.eos_id)
+        assert best.log_likelihood == math.log(0.5)
+        assert best.score is None
+
+    def test_equal_keys_keep_the_smaller_sequence_of_an_earlier_level(self):
+        # (A, EOS) ends a level before (B, B, EOS), at the same log 0.5, and is the
+        # smaller: both argmaxes keep it.
+        class PrefixPrior(PolicyValueModel):
+            table = {(): [0.5, 0.5, 0.0], (A,): [0.0, 0.0, 1.0], (B,): [0.0, 1.0, 0.0]}
+
+            def _table_prior(self, state):
+                return self.table[state.prefix]
+
+        model = PrefixPrior(vocab_size=3, max_len=2)
+        root = model.initial_state(())
+        constant = Metric(name="constant", privileged=False, fn=lambda a, c: 0.5)
+        for best in (
+            exact_argmax_likelihood(model, root),
+            exact_argmax_metric(model, root, constant),
+        ):
+            assert best.sequence == (A, EOS)
+            assert best.log_likelihood == math.log(0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=likelihood_cases())
+    def test_matches_the_enumeration_argmax_bit_for_bit(self, case):
+        model, root = case
+        best = exact_argmax_likelihood(model, root)
+        # max keeps the first maximum, and the enumeration is in lexicographic order.
+        sequence, log_likelihood = max(enumerate_sequences(model, root), key=lambda item: item[1])
+        assert best.sequence == sequence
+        assert float_bits([best.log_likelihood]) == float_bits([log_likelihood])
+        assert best.state == reduce(step, sequence, root)
+
+    @pytest.mark.parametrize(
+        "model, batches",
+        [
+            # (EOS,) ends at 0.2: A (0.5) and B (0.3) stay live, then only AA (0.25)
+            (make_m0(), [1, 2, 1]),
+            # EOS is impossible before the cap, so nothing is pruned
+            (FixedPriorModel([0.5, 0.5, 0.0], max_len=2), [1, 2, 4]),
+        ],
+    )
+    def test_one_priors_read_per_walked_level(self, monkeypatch, model, batches):
+        reads = count_calls(monkeypatch, model, "priors")
+        exact_argmax_likelihood(model, model.initial_state(()))
+        assert [len(states) for (states,) in reads] == batches
 
 
 class TestArgmaxMetric:
@@ -368,14 +464,7 @@ class TestRootState:
         best = exact_argmax_metric(m0, root, occupancy_a3)
         assert best.state == greedy_decode(m0, root).state
 
-    @pytest.mark.parametrize(
-        "oracle",
-        [
-            enumerate_sequences,
-            exact_argmax_likelihood,
-            lambda model, root: exact_argmax_metric(model, root, coverage_metric()),
-        ],
-    )
+    @pytest.mark.parametrize("oracle", ORACLES)
     def test_terminal_root_is_a_contract_violation(self, m0, oracle):
         root = m0.initial_state(())
         for terminal in (step(root, EOS), reduce(step, (A, A, A, A), root)):  # EOS, cap
