@@ -22,9 +22,13 @@ total:
   lockstep batched loops can keep running past finished elements.
 
 Priors are served a batch at a time by :meth:`PolicyValueModel.priors`, the
-one home of forced EOS. A handle (:class:`ModelState`) carries its value, so
-``evaluate_step`` answers absorbing handles from the handle alone and steps
-and evaluates only the live ones.
+one home of forced EOS. The exact oracles rely on that rule: for a provider
+whose class keeps this method, they close each prefix one token short of the
+cap with EOS, at probability 1, without building its state or reading its
+prior; a provider that overrides ``priors`` is walked to its cap. A handle
+(:class:`ModelState`) carries its value, so ``evaluate_step`` answers
+absorbing handles from the handle alone and steps and evaluates only the live
+ones.
 
 A :class:`ModelSpec` holds everything that builds a provider, and its
 ``build`` is the one construction rule; :func:`make_seeded_model` is its

@@ -6,10 +6,14 @@ refuses instances where the vocabulary and the root's remaining horizon would
 make that explosive. Reads priors directly off the model tables and never
 touches the budget ledger: these are verification tools, not decoders. One
 walker goes level by level, reading each level's priors in one
-``model.priors`` call and handing on the level's terminated children. The
-enumeration sorts them all into one list. Both argmaxes keep only the best so
-far: the metric argmax scores each level in one batch call as it comes; the
-likelihood argmax scores all alike and prunes prefixes below the best so far.
+``model.priors`` call and handing on the level's terminated outputs as output
+prefixes, final tokens and log-likelihoods. Under the base forced-EOS rule of
+``PolicyValueModel.priors`` the level one token short of the cap is never
+built: its outputs are its parents' live children with EOS appended, at their
+own log-likelihood. The enumeration sorts all outputs into one list. Both
+argmaxes keep only the best so far: the metric argmax scores each level in one
+batch call as it comes; the likelihood argmax scores all alike and prunes
+prefixes below the best so far.
 """
 
 from __future__ import annotations
@@ -48,26 +52,34 @@ def _check_root(model: PolicyValueModel, root: DecodeState) -> None:
     bound = model.vocab_size**horizon
     if bound > ENUMERATION_GUARD:
         raise GuardExceeded(
-            f"V^max_len = {model.vocab_size}^{horizon} = {bound} exceeds the "
+            f"V^horizon = {model.vocab_size}^{horizon} = {bound} exceeds the "
             f"enumeration guard of {ENUMERATION_GUARD}"
         )
 
 
 def _levels(
     model: PolicyValueModel, root: DecodeState, floor=lambda: -math.inf
-) -> Iterator[tuple[list[DecodeState], list[int], np.ndarray]]:
+) -> Iterator[tuple[list[Sequence], list[int], np.ndarray]]:
     """Walk the tree below ``root`` breadth-first, reading each level's priors in
     one ``model.priors`` call.
 
-    Yields, per level, its terminated children as parallel parent states,
-    appended tokens and exact log-likelihoods, in token order; every child of
-    one level has the same length. A level with no terminated child yields
-    empty lists. After each yield, a live child less likely than ``floor()``
-    is dropped; an equally likely one is kept. A child likelier than its
-    prefix is a ``ContractViolation``.
+    Yields, per level, its terminated outputs as parallel output prefixes
+    (each output without its final token), final tokens and exact
+    log-likelihoods, in token order; every output of one level has the same
+    length. A level with no terminated output yields empty lists. After each
+    yield, a live child less likely than ``floor()`` is dropped; an equally
+    likely one is kept. A child likelier than its prefix is a
+    ``ContractViolation``.
+
+    A provider that keeps the base ``PolicyValueModel.priors`` forces EOS one
+    token short of the root's cap, at probability 1. Its live children of that
+    length are not stepped: the last level yields them with EOS appended, at
+    their own log-likelihood, and the walk ends. A provider that overrides
+    ``priors`` has that level read like any other.
     """
     _check_root(model, root)
     eos = root.eos_id
+    forced = type(model).priors is PolicyValueModel.priors
     level, log_likelihoods = [root], np.zeros(1)
     while level:
         priors = model.priors(level)
@@ -77,15 +89,22 @@ def _levels(
             raise ContractViolation("likelihood must be non-increasing")
         child_lls = log_likelihoods[rows] + steps
         # A level's prefixes share one length; at the cap every child ends.
-        ended = (tokens == eos) | (len(level[0].prefix) + 1 == root.max_len)
+        length = len(level[0].prefix) + 1
+        ended = (tokens == eos) | (length == root.max_len)
         yield (
-            [level[i] for i in rows[ended].tolist()],
+            [level[i].prefix for i in rows[ended].tolist()],
             tokens[ended].tolist(),
             child_lls[ended],
         )
         live = ~ended & (child_lls >= floor())
-        level = list(map(step, [level[i] for i in rows[live].tolist()], tokens[live].tolist()))
-        log_likelihoods = child_lls[live]
+        parents = [level[i] for i in rows[live].tolist()]
+        tokens, log_likelihoods = tokens[live].tolist(), child_lls[live]
+        if forced and length + 1 == root.max_len:
+            # Every live child is one token short of the cap: its prior is one-hot on EOS.
+            outputs = [p.prefix + (a,) for p, a in zip(parents, tokens)]
+            yield outputs, [eos] * len(outputs), log_likelihoods  # log 1 = 0
+            return
+        level = list(map(step, parents, tokens))
 
 
 def enumerate_sequences(
@@ -99,10 +118,9 @@ def enumerate_sequences(
     probabilities sum to 1.
     """
     out: list[tuple[Sequence, float]] = []
-    for parents, tokens, log_likelihoods in _levels(model, root):
+    for prefixes, tokens, log_likelihoods in _levels(model, root):
         out.extend(
-            (parent.prefix + (a,), ll)
-            for parent, a, ll in zip(parents, tokens, log_likelihoods.tolist())
+            (prefix + (a,), ll) for prefix, a, ll in zip(prefixes, tokens, log_likelihoods.tolist())
         )
     out.sort(key=itemgetter(0))
     return out
@@ -111,7 +129,7 @@ def enumerate_sequences(
 def _argmax(model: PolicyValueModel, root: DecodeState, score_level, prune: bool) -> Candidate:
     """The terminated sequence below ``root`` with the best (score, log-likelihood) key.
 
-    ``score_level(parents, tokens)`` scores one level's outputs as an array. The
+    ``score_level(prefixes, tokens)`` scores one level's outputs as an array. The
     first best key in token order wins a level; an equal key across levels goes
     to the smaller sequence. ``prune`` (sound for a constant score only) drops
     prefixes less likely than the best output so far. The winner's state is
@@ -122,15 +140,15 @@ def _argmax(model: PolicyValueModel, root: DecodeState, score_level, prune: bool
     def floor() -> float:
         return best[0][1] if prune and best else -math.inf
 
-    for parents, tokens, log_likelihoods in _levels(model, root, floor):
-        if not parents:
+    for prefixes, tokens, log_likelihoods in _levels(model, root, floor):
+        if not prefixes:
             continue
-        scores = score_level(parents, tokens)
+        scores = score_level(prefixes, tokens)
         top = np.flatnonzero(scores == scores.max())
         # argmax keeps the first of equal log-likelihoods: a level is in token order.
         i = top[np.argmax(log_likelihoods[top])]
         key = (float(scores[i]), float(log_likelihoods[i]))
-        sequence = parents[i].prefix + (tokens[i],)
+        sequence = prefixes[i] + (tokens[i],)
         if best is None or key > best[0] or (key == best[0] and sequence < best[1]):
             best = (key, sequence)
     (score, log_likelihood), sequence = best
@@ -142,7 +160,7 @@ def exact_argmax_likelihood(model: PolicyValueModel, root: DecodeState) -> Candi
     """Global likelihood argmax below ``root``: the level walk, pruned below the best
     output so far, since appending tokens can only lower a likelihood. Equal
     likelihoods break to the lexicographically smaller sequence."""
-    best = _argmax(model, root, lambda parents, _tokens: np.zeros(len(parents)), prune=True)
+    best = _argmax(model, root, lambda prefixes, _tokens: np.zeros(len(prefixes)), prune=True)
     return replace(best, score=None)
 
 
@@ -156,9 +174,9 @@ def exact_argmax_metric(model: PolicyValueModel, root: DecodeState, metric: Metr
     anchor = reward_anchor(metric, root)
     eos = model.eos_id
 
-    def score_level(parents: list[DecodeState], tokens: list[int]) -> np.ndarray:
-        # An EOS child's content is its parent's prefix; a child cut off by the cap keeps its token.
-        contents = [p.prefix if a == eos else p.prefix + (a,) for p, a in zip(parents, tokens)]
+    def score_level(prefixes: list[Sequence], tokens: list[int]) -> np.ndarray:
+        # An EOS-ended output's content is its prefix; an output cut off by the cap keeps its token.
+        contents = [p if a == eos else p + (a,) for p, a in zip(prefixes, tokens)]
         return np.array(metric.score_batch(anchor, contents))
 
     return _argmax(model, root, score_level, prune=False)

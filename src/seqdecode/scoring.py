@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -192,8 +193,16 @@ def bert_style_scores(candidates: list[Sequence], anchor: Sequence, embedder) ->
     lengths = np.fromiter(map(len, candidates), dtype=np.intp, count=len(candidates))
     if not anchor or not lengths.any():
         return scores.tolist()
-    buckets = [np.flatnonzero(lengths == n) for n in np.unique(lengths[lengths > 0]).tolist()]
-    stacks = [np.array([candidates[k] for k in ks.tolist()]) for ks in buckets]
+    bucket_lengths = np.unique(lengths[lengths > 0]).tolist()
+    buckets = [np.flatnonzero(lengths == n) for n in bucket_lengths]
+    stacks = [
+        np.fromiter(
+            chain.from_iterable(map(candidates.__getitem__, ks.tolist())),
+            dtype=np.intp,
+            count=len(ks) * n,
+        ).reshape(len(ks), n)
+        for n, ks in zip(bucket_lengths, buckets)
+    ]
     anchor_tokens = np.array(anchor)
     tokens = np.unique(np.concatenate([anchor_tokens, *(np.unique(stack) for stack in stacks)]))
     vecs = np.stack([embedder.vector(t) for t in tokens.tolist()])

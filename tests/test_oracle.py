@@ -79,12 +79,21 @@ def float_bits(values):
     return [float(v).hex() for v in values]
 
 
+class UnforcedSeeded(SeededTabularModel):
+    """A seeded table that overrides ``priors``: the token at the cap is drawn from
+    the table, not forced to EOS, so the oracles walk its cap level like any other."""
+
+    def priors(self, states):
+        return self._table_priors(states)
+
+
 @st.composite
 def seeded_oracle_cases(draw):
-    """A seeded model, a root below it and a metric drawn from the five the CLI offers."""
+    """A seeded model, with the base forced EOS or with ``priors`` overridden, a root
+    below it and a metric drawn from the five the CLI offers."""
     vocab_size = draw(st.integers(2, 5))
     content = st.integers(0, vocab_size - 2)
-    model = SeededTabularModel(
+    model = draw(st.sampled_from([SeededTabularModel, UnforcedSeeded]))(
         draw(st.integers(0, 2**16)), vocab_size, max_len=4, context_order=draw(st.integers(0, 2))
     )
     source = tuple(draw(st.lists(content, min_size=1, max_size=4)))
@@ -108,13 +117,14 @@ def seeded_oracle_cases(draw):
 
 @st.composite
 def likelihood_cases(draw):
-    """A model and a root below it: a seeded table, a fixed prior with zero-probability
-    tokens, or a uniform prior that gives EOS nothing before the cap."""
+    """A model and a root below it: a seeded table, with the base forced EOS or with
+    ``priors`` overridden, a fixed prior with zero-probability tokens, or a uniform
+    prior that gives EOS nothing before the cap."""
     vocab_size = draw(st.integers(2, 5))
     horizon = draw(st.integers(0, 4))
-    kind = draw(st.sampled_from(["seeded", "zeros", "eos_free"]))
-    if kind == "seeded":
-        model = SeededTabularModel(
+    kind = draw(st.sampled_from(["seeded", "unforced", "zeros", "eos_free"]))
+    if kind in ("seeded", "unforced"):
+        model = (SeededTabularModel if kind == "seeded" else UnforcedSeeded)(
             draw(st.integers(0, 2**16)), vocab_size, 4, context_order=draw(st.integers(0, 2))
         )
     elif kind == "zeros":
@@ -199,7 +209,24 @@ class TestEnumeration:
         assert enumerate_sequences(model, model.initial_state(())) == recursive_enumeration(
             twin, twin.initial_state(())
         )
-        assert batch_sizes == [1, 2, 4, 8]  # live prefixes per level; the last is forced EOS
+        assert batch_sizes == [1, 2, 4]  # live prefixes per level; the forced-EOS level is not read
+
+    @pytest.mark.parametrize(
+        "model, steps, batches",
+        [
+            # levels of 1, 2, 4 and 8 prefixes: the 8 one token short of the cap are not built
+            (SeededTabularModel(0, vocab_size=3, max_len=3, context_order=1), 2 + 4, [1, 2, 4]),
+            # overridden priors: the cap level is built and read like any other
+            (UnforcedSeeded(0, vocab_size=3, max_len=3, context_order=1), 2 + 4 + 8, [1, 2, 4, 8]),
+        ],
+    )
+    def test_no_state_of_the_forced_length_is_built(self, monkeypatch, model, steps, batches):
+        root = model.initial_state(())
+        expected = recursive_enumeration(model, root)
+        stepped = count_calls(monkeypatch, oracle, "step")
+        reads = count_calls(monkeypatch, model, "priors")
+        assert enumerate_sequences(model, root) == expected
+        assert (len(stepped), [len(states) for (states,) in reads]) == (steps, batches)
 
     def test_all_sequences_end_with_eos(self, m0):
         for seq, _ in enumerate_sequences(m0, m0.initial_state(())):
@@ -288,8 +315,10 @@ class TestArgmaxLikelihood:
     def test_matches_the_enumeration_argmax_bit_for_bit(self, case):
         model, root = case
         best = exact_argmax_likelihood(model, root)
+        enumeration = recursive_enumeration(model, root)
+        assert enumerate_sequences(model, root) == enumeration
         # max keeps the first maximum, and the enumeration is in lexicographic order.
-        sequence, log_likelihood = max(enumerate_sequences(model, root), key=lambda item: item[1])
+        sequence, log_likelihood = max(enumeration, key=lambda item: item[1])
         assert best.sequence == sequence
         assert float_bits([best.log_likelihood]) == float_bits([log_likelihood])
         assert best.state == reduce(step, sequence, root)
@@ -299,8 +328,8 @@ class TestArgmaxLikelihood:
         [
             # (EOS,) ends at 0.2: A (0.5) and B (0.3) stay live, then only AA (0.25)
             (make_m0(), [1, 2, 1]),
-            # EOS is impossible before the cap, so nothing is pruned
-            (FixedPriorModel([0.5, 0.5, 0.0], max_len=2), [1, 2, 4]),
+            # EOS is impossible before the cap, so nothing is pruned; the forced level is not read
+            (FixedPriorModel([0.5, 0.5, 0.0], max_len=2), [1, 2]),
         ],
     )
     def test_one_priors_read_per_walked_level(self, monkeypatch, model, batches):
@@ -486,3 +515,12 @@ class TestRootState:
         model = SeededTabularModel(0, vocab_size=11, max_len=7, context_order=0)
         with pytest.raises(GuardExceeded, match="11\\^6"):
             enumerate_sequences(model, step(model.initial_state(()), A))
+
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_guard_message_names_the_remaining_horizon(self, oracle):
+        # The cap leaves 7 content tokens; the root's prefix uses one of them.
+        model = SeededTabularModel(0, vocab_size=11, max_len=7, context_order=0)
+        root = step(model.initial_state((A,)), A)
+        refusal = "V^horizon = 11^6 = 1771561 exceeds the enumeration guard of 1000000"
+        with pytest.raises(GuardExceeded, match=re.escape(refusal)):
+            oracle(model, root)
