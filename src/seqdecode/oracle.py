@@ -6,13 +6,14 @@ refuses instances where the vocabulary and the root's remaining horizon would
 make that explosive. Reads priors directly off the model tables and never
 touches the budget ledger: these are verification tools, not decoders. One
 walker goes level by level, reading each level's priors in one
-``model.priors`` call and handing on the level's terminated outputs as output
-prefixes, final tokens and log-likelihoods. Under the base forced-EOS rule of
-``PolicyValueModel.priors`` the level one token short of the cap is never
-built: its outputs are its parents' live children with EOS appended, at their
-own log-likelihood. The enumeration sorts all outputs into one list. Both
-argmaxes keep only the best so far: the metric argmax scores each level in one
-batch call as it comes; the likelihood argmax scores all alike and prunes
+``model.priors`` call and handing on the level's terminated outputs as one
+token array of output prefixes plus arrays of final tokens and
+log-likelihoods. Under the base forced-EOS rule of ``PolicyValueModel.priors``
+the level one token short of the cap is never built: its outputs are its
+parents' live children with EOS appended, at their own log-likelihood. The
+enumeration sorts all outputs into one list of tuples. Both argmaxes keep only
+the best so far: the metric argmax scores each level as it comes, one batch
+call per content length; the likelihood argmax scores all alike and prunes
 prefixes below the best so far.
 """
 
@@ -59,28 +60,30 @@ def _check_root(model: PolicyValueModel, root: DecodeState) -> None:
 
 def _levels(
     model: PolicyValueModel, root: DecodeState, floor=lambda: -math.inf
-) -> Iterator[tuple[list[Sequence], list[int], np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Walk the tree below ``root`` breadth-first, reading each level's priors in
     one ``model.priors`` call.
 
-    Yields, per level, its terminated outputs as parallel output prefixes
-    (each output without its final token), final tokens and exact
-    log-likelihoods, in token order; every output of one level has the same
-    length. A level with no terminated output yields empty lists. After each
-    yield, a live child less likely than ``floor()`` is dropped; an equally
-    likely one is kept. A child likelier than its prefix is a
-    ``ContractViolation``.
+    Yields, per level, its terminated outputs as an ``(n, L)`` integer array of
+    output prefixes (each output without its final token, one row per
+    output), and arrays of the ``n`` final tokens and exact log-likelihoods,
+    in token order; every output of one level has the same length. A level
+    with no terminated output yields ``n = 0``. After each yield, a live child
+    less likely than ``floor()`` is dropped; an equally likely one is kept. A
+    child likelier than its prefix is a ``ContractViolation``.
 
     A provider that keeps the base ``PolicyValueModel.priors`` forces EOS one
     token short of the root's cap, at probability 1. Its live children of that
-    length are not stepped: the last level yields them with EOS appended, at
-    their own log-likelihood, and the walk ends. A provider that overrides
-    ``priors`` has that level read like any other.
+    length are not stepped: the last level yields their prefix rows with EOS
+    as every final token, at their own log-likelihood, and the walk ends. A
+    provider that overrides ``priors`` has that level read like any other.
     """
     _check_root(model, root)
     eos = root.eos_id
     forced = type(model).priors is PolicyValueModel.priors
     level, log_likelihoods = [root], np.zeros(1)
+    # Row i holds level[i].prefix.
+    prefixes = np.array(root.prefix, dtype=np.intp).reshape(1, len(root.prefix))
     while level:
         priors = model.priors(level)
         rows, tokens = np.nonzero(priors > 0.0)  # row-major: each prefix's children in token order
@@ -89,22 +92,18 @@ def _levels(
             raise ContractViolation("likelihood must be non-increasing")
         child_lls = log_likelihoods[rows] + steps
         # A level's prefixes share one length; at the cap every child ends.
-        length = len(level[0].prefix) + 1
+        length = prefixes.shape[1] + 1
         ended = (tokens == eos) | (length == root.max_len)
-        yield (
-            [level[i].prefix for i in rows[ended].tolist()],
-            tokens[ended].tolist(),
-            child_lls[ended],
-        )
+        yield prefixes[rows[ended]], tokens[ended], child_lls[ended]
         live = ~ended & (child_lls >= floor())
-        parents = [level[i] for i in rows[live].tolist()]
-        tokens, log_likelihoods = tokens[live].tolist(), child_lls[live]
+        parents = rows[live]
+        prefixes = np.column_stack((prefixes[parents], tokens[live]))
+        tokens, log_likelihoods = tokens[live], child_lls[live]
         if forced and length + 1 == root.max_len:
             # Every live child is one token short of the cap: its prior is one-hot on EOS.
-            outputs = [p.prefix + (a,) for p, a in zip(parents, tokens)]
-            yield outputs, [eos] * len(outputs), log_likelihoods  # log 1 = 0
+            yield prefixes, np.full(len(tokens), eos), log_likelihoods  # log 1 = 0
             return
-        level = list(map(step, parents, tokens))
+        level = list(map(step, map(level.__getitem__, parents.tolist()), tokens.tolist()))
 
 
 def enumerate_sequences(
@@ -119,9 +118,8 @@ def enumerate_sequences(
     """
     out: list[tuple[Sequence, float]] = []
     for prefixes, tokens, log_likelihoods in _levels(model, root):
-        out.extend(
-            (prefix + (a,), ll) for prefix, a, ll in zip(prefixes, tokens, log_likelihoods.tolist())
-        )
+        outputs = np.column_stack((prefixes, tokens)).tolist()
+        out.extend(zip(map(tuple, outputs), log_likelihoods.tolist()))
     out.sort(key=itemgetter(0))
     return out
 
@@ -129,11 +127,12 @@ def enumerate_sequences(
 def _argmax(model: PolicyValueModel, root: DecodeState, score_level, prune: bool) -> Candidate:
     """The terminated sequence below ``root`` with the best (score, log-likelihood) key.
 
-    ``score_level(prefixes, tokens)`` scores one level's outputs as an array. The
-    first best key in token order wins a level; an equal key across levels goes
-    to the smaller sequence. ``prune`` (sound for a constant score only) drops
-    prefixes less likely than the best output so far. The winner's state is
-    stepped from ``root``, so it is the state a decoder reaches for that output.
+    ``score_level(prefixes, tokens)`` scores one level's outputs, given as the
+    walker yields them, as an array. The first best key in token order wins a
+    level; an equal key across levels goes to the smaller sequence. ``prune``
+    (sound for a constant score only) drops prefixes less likely than the best
+    output so far. Only the winner becomes a tuple, and its state is stepped
+    from ``root``, so it is the state a decoder reaches for that output.
     """
     best: tuple[tuple[float, float], Sequence] | None = None  # ((score, log-likelihood), sequence)
 
@@ -141,14 +140,14 @@ def _argmax(model: PolicyValueModel, root: DecodeState, score_level, prune: bool
         return best[0][1] if prune and best else -math.inf
 
     for prefixes, tokens, log_likelihoods in _levels(model, root, floor):
-        if not prefixes:
+        if not len(tokens):
             continue
         scores = score_level(prefixes, tokens)
         top = np.flatnonzero(scores == scores.max())
         # argmax keeps the first of equal log-likelihoods: a level is in token order.
         i = top[np.argmax(log_likelihoods[top])]
         key = (float(scores[i]), float(log_likelihoods[i]))
-        sequence = prefixes[i] + (tokens[i],)
+        sequence = tuple(prefixes[i].tolist() + [tokens[i].item()])
         if best is None or key > best[0] or (key == best[0] and sequence < best[1]):
             best = (key, sequence)
     (score, log_likelihood), sequence = best
@@ -160,23 +159,32 @@ def exact_argmax_likelihood(model: PolicyValueModel, root: DecodeState) -> Candi
     """Global likelihood argmax below ``root``: the level walk, pruned below the best
     output so far, since appending tokens can only lower a likelihood. Equal
     likelihoods break to the lexicographically smaller sequence."""
-    best = _argmax(model, root, lambda prefixes, _tokens: np.zeros(len(prefixes)), prune=True)
+    best = _argmax(model, root, lambda _prefixes, tokens: np.zeros(len(tokens)), prune=True)
     return replace(best, score=None)
 
 
 def exact_argmax_metric(model: PolicyValueModel, root: DecodeState, metric: Metric) -> Candidate:
     """Metric argmax over every terminated sequence below ``root``.
 
-    Each level's outputs are scored against the root's reward anchor in one
-    ``metric.score_batch`` call, as the walk reaches them. Ties prefer higher
-    likelihood, then the lexicographically smaller token sequence.
+    Each level's outputs are scored against the root's reward anchor as the
+    walk reaches them, in one ``metric.score_batch`` call per content length,
+    each handed one ``(n, L)`` token array. An EOS-ended output's content is
+    its prefix row, so a level has one content length, except at the cap of a
+    provider that overrides ``priors``, where an output cut off without EOS
+    keeps its last token. Ties prefer higher likelihood, then the
+    lexicographically smaller token sequence.
     """
     anchor = reward_anchor(metric, root)
     eos = model.eos_id
 
-    def score_level(prefixes: list[Sequence], tokens: list[int]) -> np.ndarray:
-        # An EOS-ended output's content is its prefix; an output cut off by the cap keeps its token.
-        contents = [p if a == eos else p + (a,) for p, a in zip(prefixes, tokens)]
-        return np.array(metric.score_batch(anchor, contents))
+    def score_level(prefixes: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+        cut = tokens != eos
+        if not cut.any():
+            return np.array(metric.score_batch(anchor, prefixes))
+        scores = np.empty(len(tokens))
+        if not cut.all():
+            scores[~cut] = metric.score_batch(anchor, prefixes[~cut])
+        scores[cut] = metric.score_batch(anchor, np.column_stack((prefixes[cut], tokens[cut])))
+        return scores
 
     return _argmax(model, root, score_level, prune=False)

@@ -12,19 +12,30 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .mdp import ConfigurationError, ContractViolation, Sequence, clamp01
 
 ScoreFn = Callable[[Sequence, Sequence], float]
-BatchScoreFn = Callable[[Sequence, list[Sequence]], list[float]]
+BatchScoreFn = Callable[[Sequence, np.ndarray], list[float]]
 
 
 def _clamp01(scores: np.ndarray) -> np.ndarray:
     """:func:`clamp01` of every entry."""
     return np.where(scores < 0.0, 0.0, np.where(scores > 1.0, 1.0, scores))
+
+
+def _by_length(candidates: list[Sequence]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Group ``candidates`` by length: per length, ascending, the candidates'
+    indices and their tokens as one ``(n, L)`` integer array."""
+    lengths = np.fromiter(map(len, candidates), dtype=np.intp, count=len(candidates))
+    for length in np.unique(lengths).tolist():
+        ks = np.flatnonzero(lengths == length)
+        tokens = chain.from_iterable(map(candidates.__getitem__, ks.tolist()))
+        group = np.fromiter(tokens, dtype=np.intp, count=len(ks) * length)
+        yield ks, group.reshape(len(ks), length)
 
 
 @dataclass(frozen=True)
@@ -36,9 +47,14 @@ class Metric:
 
     ``score_batch(anchor, candidates)`` scores many candidates against one
     anchor and returns one float per candidate, bitwise equal to calling the
-    metric on each in turn. ``batch_fn``, when given, computes those scores in
-    one call; without it ``score_batch`` loops over ``fn``. A non-finite score
-    is a ``ContractViolation`` naming the metric and the candidate.
+    metric on each in turn. The candidates are a list of token sequences or
+    one ``(n, L)`` integer array of equal-length candidates, one per row.
+    ``batch_fn``, when given, computes the scores of one ``(n, L)`` array in
+    one call and must return ``n`` of them; ``score_batch`` groups a list by
+    length and calls it once per length. Without ``batch_fn``, ``score_batch``
+    calls ``fn`` on each candidate as a tuple. A non-finite score is a
+    ``ContractViolation`` naming the metric and the candidate, and so is a
+    ``batch_fn`` result of the wrong length, naming both counts.
     """
 
     name: str
@@ -53,19 +69,32 @@ class Metric:
             self._refuse(score, candidate)
         return clamp01(score)
 
-    def score_batch(self, anchor: Sequence, candidates: list[Sequence]) -> list[float]:
+    def score_batch(self, anchor: Sequence, candidates: list[Sequence] | np.ndarray) -> list[float]:
         anchor = tuple(anchor)
-        candidates = [tuple(c) for c in candidates]
+        is_array = isinstance(candidates, np.ndarray)
+        if is_array and (candidates.ndim != 2 or candidates.dtype.kind not in "iu"):
+            raise ContractViolation(
+                f"metric {self.name!r} needs a 2-D integer candidate array, got "
+                f"{candidates.ndim}-D {candidates.dtype}"
+            )
         if self.batch_fn is None:
-            raw = [self.fn(anchor, c) for c in candidates]
+            rows = candidates.tolist() if is_array else candidates
+            raw = np.array([self.fn(anchor, tuple(c)) for c in rows], dtype=float)
         else:
-            raw = self.batch_fn(anchor, candidates)
-        scores = np.array(raw, dtype=float)
-        finite = np.isfinite(scores)
+            raw = np.empty(len(candidates))
+            for ks, group in [(slice(None), candidates)] if is_array else _by_length(candidates):
+                scores = self.batch_fn(anchor, group)
+                if len(scores) != len(group):
+                    raise ContractViolation(
+                        f"metric {self.name!r} returned {len(scores)} scores for a batch "
+                        f"of {len(group)}"
+                    )
+                raw[ks] = scores
+        finite = np.isfinite(raw)
         if not finite.all():
             k = int(np.argmin(finite))
-            self._refuse(raw[k], candidates[k])
-        return _clamp01(scores).tolist()
+            self._refuse(float(raw[k]), tuple(int(t) for t in candidates[k]))
+        return _clamp01(raw).tolist()
 
     def _refuse(self, score, candidate: Sequence) -> None:
         raise ContractViolation(f"metric {self.name!r} scored candidate {candidate} as {score}")
@@ -175,55 +204,45 @@ def _greedy_alignment_totals(sims: np.ndarray) -> np.ndarray:
     return total
 
 
-def bert_style_scores(candidates: list[Sequence], anchor: Sequence, embedder) -> list[float]:
-    """Greedy one-to-one token alignment by cosine similarity, for many candidates.
+def bert_style_scores(candidates: np.ndarray, anchor: Sequence, embedder) -> list[float]:
+    """Greedy one-to-one token alignment by cosine similarity, for the ``(n, L)``
+    integer array ``candidates`` of equal-length candidates, one per row.
 
     Per candidate: repeatedly match the globally most similar unmatched
     (candidate, anchor) token pair, average the matched similarities, rescale
     from [-1, 1] to [0, 1], and damp by min(len)/max(len) so degenerate
     lengths cannot win. Empty inputs score 0 by convention.
 
-    Candidates are bucketed by length, and each bucket is stacked into one
-    ``(N, L)`` token array that is mapped to embedding rows by index lookups,
-    one per block. A block's similarities are one stacked
-    ``(N, L, d) @ (d, M)`` product, so every candidate's ``(L, M)`` slice is
-    the same matrix product a lone candidate would get.
+    The rows are mapped to embedding rows by index lookups, one per block, and
+    a block's similarities are one stacked ``(N, L, d) @ (d, M)`` product, so
+    every candidate's ``(L, M)`` slice is the same matrix product a lone
+    candidate of that length would get. Candidates that hold the same token
+    multiset still get their own slices, not one shared alignment: in the
+    stacked product a token's similarity can differ in its last bit with its
+    row position and the candidate's length.
     """
-    scores = np.zeros(len(candidates))
-    lengths = np.fromiter(map(len, candidates), dtype=np.intp, count=len(candidates))
-    if not anchor or not lengths.any():
-        return scores.tolist()
-    bucket_lengths = np.unique(lengths[lengths > 0]).tolist()
-    buckets = [np.flatnonzero(lengths == n) for n in bucket_lengths]
-    stacks = [
-        np.fromiter(
-            chain.from_iterable(map(candidates.__getitem__, ks.tolist())),
-            dtype=np.intp,
-            count=len(ks) * n,
-        ).reshape(len(ks), n)
-        for n, ks in zip(bucket_lengths, buckets)
-    ]
+    n, length = candidates.shape
+    if not anchor or not length:
+        return [0.0] * n
     anchor_tokens = np.array(anchor)
-    tokens = np.unique(np.concatenate([anchor_tokens, *(np.unique(stack) for stack in stacks)]))
+    tokens = np.unique(np.concatenate([anchor_tokens, candidates.ravel()]))
     vecs = np.stack([embedder.vector(t) for t in tokens.tolist()])
     unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     anch_t = unit[np.searchsorted(tokens, anchor_tokens)].T
-    n_anchor = len(anchor)
-    for ks, stack in zip(buckets, stacks):
-        length = stack.shape[1]
-        n_pairs = min(length, n_anchor)
-        length_penalty = n_pairs / max(length, n_anchor)
-        block = max(1, SCORE_BLOCK_ELEMENTS // (length * n_anchor))
-        for start in range(0, len(ks), block):
-            rows = np.searchsorted(tokens, stack[start : start + block])
-            mean_sim = _greedy_alignment_totals(unit[rows] @ anch_t) / n_pairs
-            scores[ks[start : start + block]] = (mean_sim + 1.0) / 2.0 * length_penalty
+    n_pairs = min(length, len(anchor))
+    length_penalty = n_pairs / max(length, len(anchor))
+    block = max(1, SCORE_BLOCK_ELEMENTS // (length * len(anchor)))
+    scores = np.empty(n)
+    for start in range(0, n, block):
+        rows = np.searchsorted(tokens, candidates[start : start + block])
+        mean_sim = _greedy_alignment_totals(unit[rows] @ anch_t) / n_pairs
+        scores[start : start + block] = (mean_sim + 1.0) / 2.0 * length_penalty
     return _clamp01(scores).tolist()
 
 
 def bert_style_score(candidate: Sequence, anchor: Sequence, embedder) -> float:
     """:func:`bert_style_scores` of one candidate."""
-    return bert_style_scores([candidate], anchor, embedder)[0]
+    return bert_style_scores(np.array(candidate, dtype=np.intp).reshape(1, -1), anchor, embedder)[0]
 
 
 def bert_style_metric(embedder, name: str = "bertscore") -> Metric:

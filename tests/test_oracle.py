@@ -412,12 +412,14 @@ class TestArgmaxMetric:
             name="counted",
             privileged=False,
             fn=lambda a, c: alone.append(c) or len(c) / 4,
-            batch_fn=lambda a, cs: seen.append(len(cs)) or [len(c) / 4 for c in cs],
+            batch_fn=lambda a, cs: seen.append(cs) or [len(c) / 4 for c in cs],
         )
         monkeypatch.setattr(oracle, "enumerate_sequences", lambda *args: pytest.fail("enumerated"))
         root = model.initial_state(())
         best = exact_argmax_metric(model, root, counted)
-        assert (seen, alone) == (batches, [])
+        assert ([len(cs) for cs in seen], alone) == (batches, [])
+        # Each call gets one (n, L) integer array: a level's contents share one length.
+        assert all(type(cs) is np.ndarray and cs.ndim == 2 and cs.dtype.kind == "i" for cs in seen)
         assert (best.sequence, (best.score, best.log_likelihood)) == scalar_argmax_metric(
             model, root, counted
         )
@@ -434,11 +436,27 @@ class TestArgmaxMetric:
             name="nan_at_aa",
             privileged=False,
             fn=fn,
-            batch_fn=(lambda a, cs: [fn(a, c) for c in cs]) if batched else None,
+            batch_fn=(lambda a, cs: [fn(a, tuple(c)) for c in cs]) if batched else None,
         )
         refusal = re.escape("metric 'nan_at_aa' scored candidate (0, 0) as nan")
         with pytest.raises(ContractViolation, match=refusal):
             exact_argmax_metric(model, model.initial_state(()), nan_at_aa)
+
+    @pytest.mark.parametrize(
+        "batch_fn, returned",
+        [
+            (lambda a, cs: [len(c) / 4 for c in cs][1:], 3),  # drops its first score
+            (lambda a, cs: [len(c) / 4 for c in cs] + [0.0], 5),  # appends one
+        ],
+        ids=["short", "long"],
+    )
+    def test_a_batch_result_of_the_wrong_length_is_a_contract_violation(self, batch_fn, returned):
+        # EOS is impossible before the cap, so the one scored level is the forced one, of 4.
+        model = FixedPriorModel([0.5, 0.5, 0.0], max_len=2)
+        miscounted = Metric("miscounted", False, fn=lambda a, c: len(c) / 4, batch_fn=batch_fn)
+        refusal = re.escape(f"metric 'miscounted' returned {returned} scores for a batch of 4")
+        with pytest.raises(ContractViolation, match=refusal):
+            exact_argmax_metric(model, model.initial_state(()), miscounted)
 
     def test_missing_reference_raises_before_any_scoring(self, m0):
         calls = []

@@ -160,6 +160,18 @@ def float_bits(values):
     return [float.hex(v) for v in values]
 
 
+def length_groups(candidates):
+    """The candidates grouped by length: per length, their indices and one
+    ``(n, L)`` integer array."""
+    indices = {}
+    for k, candidate in enumerate(candidates):
+        indices.setdefault(len(candidate), []).append(k)
+    return [
+        (ks, np.array([candidates[k] for k in ks], dtype=np.intp).reshape(len(ks), length))
+        for length, ks in indices.items()
+    ]
+
+
 def loop_bert_style_score(candidate, anchor, embedder):
     """Reference twin of the batched alignment: one candidate, one matched pair at a time."""
     if not candidate or not anchor:
@@ -194,19 +206,27 @@ class TestScoreBatch:
             return
         expected = [metric(anchor, c) for c in candidates]
         for cap in (block, scoring.SCORE_BLOCK_ELEMENTS):
-            # A small block cap splits every length bucket into many blocks.
+            # A small block cap splits every length group into many blocks.
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(scoring, "SCORE_BLOCK_ELEMENTS", cap)
                 scores = metric.score_batch(anchor, candidates)
+                arrays = [
+                    (ks, metric.score_batch(anchor, group))
+                    for ks, group in length_groups(candidates)
+                ]
             assert all(type(s) is float for s in scores)
             assert float_bits(scores) == float_bits(expected)
+            for ks, group_scores in arrays:
+                assert all(type(s) is float for s in group_scores)
+                assert float_bits(group_scores) == float_bits([expected[k] for k in ks])
 
     @pytest.mark.parametrize("dim", [1, 3, 8])
     @given(anchor=TOKENS, candidates=st.lists(TOKENS, max_size=30))
     def test_alignment_bitwise_equal_to_the_loop(self, dim, anchor, candidates):
         emb = SeededUnitEmbeddings(dim=dim, seed=dim)
-        expected = [loop_bert_style_score(c, anchor, emb) for c in candidates]
-        assert float_bits(scoring.bert_style_scores(candidates, anchor, emb)) == float_bits(expected)
+        for ks, group in length_groups(candidates):
+            expected = [loop_bert_style_score(candidates[k], anchor, emb) for k in ks]
+            assert float_bits(scoring.bert_style_scores(group, anchor, emb)) == float_bits(expected)
 
     def test_more_candidates_than_one_block(self):
         metric = BATCH_METRICS["bertscore"]
@@ -225,7 +245,10 @@ class TestScoreBatch:
             return bad if candidate == (2, 1) else 0.5
 
         metric = Metric(
-            "flaky", False, fn=fn, batch_fn=(lambda a, cs: [fn(a, c) for c in cs]) if batched else None
+            "flaky",
+            False,
+            fn=fn,
+            batch_fn=(lambda a, cs: [fn(a, tuple(c)) for c in cs]) if batched else None,
         )
         refusal = re.escape(f"metric 'flaky' scored candidate (2, 1) as {bad}")
         with pytest.raises(ContractViolation, match=refusal):
@@ -233,6 +256,43 @@ class TestScoreBatch:
         with pytest.raises(ContractViolation, match=refusal):
             metric.score_batch([0], [[1], [2, 1], [2, 1]])
         assert metric.score_batch([0], [[1], [2]]) == [0.5, 0.5]
+
+    @pytest.mark.parametrize(
+        "batch_fn, returned",
+        [
+            (lambda a, cs: [len(c) / 4 for c in cs][1:], 2),  # drops its first score
+            (lambda a, cs: [len(c) / 4 for c in cs] + [0.0], 4),  # appends one
+        ],
+        ids=["short", "long"],
+    )
+    def test_a_batch_result_of_the_wrong_length_is_refused(self, batch_fn, returned):
+        metric = Metric("miscounted", False, fn=lambda a, c: len(c) / 4, batch_fn=batch_fn)
+        refusal = re.escape(f"metric 'miscounted' returned {returned} scores for a batch of 3")
+        for candidates in ([[1], [2], [0]], np.array([[1], [2], [0]])):
+            with pytest.raises(ContractViolation, match=refusal):
+                metric.score_batch([0], candidates)
+
+    @pytest.mark.parametrize(
+        "candidates", [np.array([1, 2]), np.array([[0.5]]), np.zeros((1, 1, 1), int)]
+    )
+    @pytest.mark.parametrize("batched", [False, True], ids=["per_candidate", "batch_fn"])
+    def test_an_array_that_is_not_2d_integer_is_refused(self, candidates, batched):
+        batch_fn = (lambda a, cs: [0.5] * len(cs)) if batched else None
+        metric = Metric("plain", False, fn=lambda a, c: 0.5, batch_fn=batch_fn)
+        with pytest.raises(ContractViolation, match="'plain' needs a 2-D integer candidate array"):
+            metric.score_batch([0], candidates)
+
+    def test_a_list_reaches_the_batch_function_as_one_array_per_length(self):
+        seen = []
+        metric = Metric(
+            "echo",
+            False,
+            fn=lambda a, c: len(c) / 4,
+            batch_fn=lambda a, cs: seen.append(cs) or [len(c) / 4 for c in cs],
+        )
+        assert metric.score_batch([0], [(1, 2), (), [3], (4, 5)]) == [0.5, 0.0, 0.25, 0.5]
+        assert [cs.tolist() for cs in seen] == [[[]], [[3]], [[1, 2], [4, 5]]]
+        assert all(cs.dtype.kind == "i" for cs in seen)
 
     def test_without_a_batch_function_the_metric_is_called_per_candidate(self):
         seen = []
