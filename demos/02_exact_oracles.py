@@ -1,4 +1,4 @@
-"""Exact desk-scale oracles: enumeration, branch-and-bound, metric argmax.
+"""Exact desk-scale oracles: enumeration, pruned level walk, metric argmax.
 
 At toy sizes the whole space of terminated sequences can be walked, which
 gives exact ground truth to test every decoder against. Because EOS is forced
@@ -32,7 +32,7 @@ def main() -> None:
     print(f"  sum = {total:.9f}")
 
     best = exact_argmax_likelihood(model, root)
-    print(f"\nlikelihood argmax (branch-and-bound): {best.sequence} "
+    print(f"\nlikelihood argmax (pruned level walk): {best.sequence} "
           f"with probability {math.exp(best.log_likelihood):.3f}")
     print("Pruning is sound because appending tokens never increases likelihood.")
 

@@ -6,10 +6,11 @@ state is terminal once the prefix ends with the EOS token or hits the hard
 length cap. Reward exists only at terminal states and is delegated to a
 metric, which scores against the state's own reference or source
 (:func:`reward_anchor`). Decoders and the exact oracles alike start from a
-root built by ``PolicyValueModel.initial_state`` and reach every other state
-by :func:`step`, so a state's cap and reference are its instance's. Each
-output they return is a :class:`Candidate`: a terminal state and its
-log-likelihood.
+root built by ``PolicyValueModel.initial_state``. Decoders reach every other
+state by :func:`step`; the oracles walk arrays of output prefixes below the
+root and step only the state of the output they return. So a state's cap and
+reference are its instance's. Each output they return is a
+:class:`Candidate`: a terminal state and its log-likelihood.
 
 A state is validated once, when it is built. A non-terminal prefix holds no
 EOS, so :func:`step` checks only the token it appends and derives the child's
@@ -82,8 +83,8 @@ class DecodeState:
     (``harness.check_token_ids``), not on every step. ``source``, ``prefix`` and
     ``reference`` are stored as tuples whatever sequence type they are built from.
     ``terminal`` is computed when the state is built; it takes no part in
-    equality or hashing. The class has slots: the oracle holds a whole
-    enumeration level of states at once.
+    equality or hashing. The class has slots, so each of the many states a
+    search holds at once stays small.
     """
 
     source: Sequence

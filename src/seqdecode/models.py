@@ -24,8 +24,14 @@ total:
 Priors are served a batch at a time by :meth:`PolicyValueModel.priors`, the
 one home of forced EOS. The exact oracles rely on that rule: for a provider
 whose class keeps this method, they close each prefix one token short of the
-cap with EOS, at probability 1, without building its state or reading its
-prior; a provider that overrides ``priors`` is walked to its cap. A handle
+cap with EOS, at probability 1, without reading its prior; a provider that
+overrides ``priors`` is walked to its cap. The oracles read each level's
+priors off its array of output prefixes, in one
+:meth:`PolicyValueModel.prefix_priors` call, which returns ``priors`` of
+those prefixes' states bit for bit. Its default builds the states; the
+seeded table gathers its rows by each row's context instead, the fixed prior
+tiles, and a wrapped provider asks the model it wraps, each only while the
+provider keeps the base ``priors`` and its own table. A handle
 (:class:`ModelState`) carries its value, so ``evaluate_step`` answers
 absorbing handles from the handle alone and steps and evaluates only the live
 ones.
@@ -57,7 +63,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,6 +139,23 @@ def _checked_prior(row, state: DecodeState, vocab_size: int) -> np.ndarray:
     else:
         return p
     raise ContractViolation(f"prior {p.tolist()} for state {state} {problem}")
+
+
+def _method(model: PolicyValueModel, name: str):
+    """The function behind ``model.name``, or None when the instance holds its own
+    callable there."""
+    return getattr(getattr(model, name), "__func__", None)
+
+
+def _reads_table(model: PolicyValueModel, table_priors) -> bool:
+    """Whether ``model``'s priors are the base forced-EOS rule over ``table_priors``,
+    neither replaced by a subclass nor on the instance. Only then may an array
+    twin of that table serve ``prefix_priors``: a provider that changes its table
+    must not inherit a stale gather."""
+    return (
+        _method(model, "priors") is PolicyValueModel.priors
+        and _method(model, "_table_priors") is table_priors
+    )
 
 
 def apply_temperature(prior: np.ndarray, tau: float) -> np.ndarray:
@@ -222,11 +245,30 @@ class PolicyValueModel:
         free = [i for i, s in enumerate(states) if not s.terminal and len(s.prefix) < s.max_len - 1]
         if len(free) == len(states):
             return self._table_priors(states)
-        out = np.zeros((len(states), self.vocab_size))
-        out[:, self.eos_id] = 1.0
+        out = self._eos_priors(len(states))
         if free:
             out[free] = self._table_priors([states[i] for i in free])
         return out
+
+    def _eos_priors(self, n: int) -> np.ndarray:
+        """``n`` one-hot rows on EOS, the prior of a forced or terminal state."""
+        out = np.zeros((n, self.vocab_size))
+        out[:, self.eos_id] = 1.0
+        return out
+
+    def prefix_priors(self, root: DecodeState, prefixes: np.ndarray) -> np.ndarray:
+        """``priors`` of the states below ``root`` whose prefixes are the rows of
+        ``prefixes``, bit for bit; does not touch the ledger.
+
+        ``prefixes`` is an ``(n, L)`` integer array of live output prefixes of
+        one length (ids below EOS), ``root.prefix`` included, one per row, as
+        the oracles' level walk holds them. This default builds
+        each row's state from ``root``'s fields and reads ``priors``. A provider
+        whose rows depend on the prefix alone overrides it to gather them off
+        the array without building a state, but only while it keeps the base
+        ``priors`` and its own ``_table_priors`` (see :func:`_reads_table`).
+        """
+        return self.priors([replace(root, prefix=row) for row in prefixes.tolist()])
 
     def values(self, states: list[DecodeState]) -> np.ndarray:
         """Value head outputs ``(n,)``, read through the greedy-completion memo; a
@@ -368,6 +410,28 @@ class SeededTabularModel(PolicyValueModel):
             ids.append(i)
         return self._table.take(ids, axis=0)
 
+    def prefix_priors(self, root: DecodeState, prefixes: np.ndarray) -> np.ndarray:
+        """One gather from the table, with one lookup per distinct context of the
+        rows; rows at the forced length get the one-hot EOS."""
+        if not _reads_table(self, SeededTabularModel._table_priors):
+            return super().prefix_priors(root, prefixes)
+        n, length = prefixes.shape
+        if length >= root.max_len - 1:
+            return self._eos_priors(n)
+        width = min(self.context_order, length)  # a short row is its own context
+        contexts = prefixes[:, length - width :]
+        if self.vocab_size**width < 2**63:  # one base-V code per row fits in int64
+            contexts = contexts @ self.vocab_size ** np.arange(width - 1, -1, -1)
+        _, first, inverse = np.unique(contexts, axis=0, return_index=True, return_inverse=True)
+        ids = []
+        for row in first.tolist():
+            context = tuple(prefixes[row, length - width :].tolist())
+            i = self._context_ids.get(context)
+            if i is None:
+                i = self._add_row(context, replace(root, prefix=prefixes[row].tolist()))
+            ids.append(i)
+        return self._table.take(np.array(ids, dtype=np.intp)[inverse], axis=0)
+
     def _add_row(self, context: Sequence, state: DecodeState) -> int:
         rng = np.random.default_rng([self.seed, *context])
         row = _checked_prior(rng.dirichlet(np.ones(self.vocab_size)), state, self.vocab_size)
@@ -396,6 +460,15 @@ class FixedPriorModel(PolicyValueModel):
     def _table_priors(self, states: list[DecodeState]) -> np.ndarray:
         return np.tile(self._prior, (len(states), 1))
 
+    def prefix_priors(self, root: DecodeState, prefixes: np.ndarray) -> np.ndarray:
+        """The prior tiled over the rows, or the one-hot EOS at the forced length."""
+        if not _reads_table(self, FixedPriorModel._table_priors):
+            return super().prefix_priors(root, prefixes)
+        n, length = prefixes.shape
+        if length >= root.max_len - 1:
+            return self._eos_priors(n)
+        return np.tile(self._prior, (n, 1))
+
 
 class TransformedValueModel(PolicyValueModel):
     """Wraps a provider, mapping its value head through ``transform(value, state)``.
@@ -413,6 +486,14 @@ class TransformedValueModel(PolicyValueModel):
 
     def _table_priors(self, states: list[DecodeState]) -> np.ndarray:
         return self._inner._table_priors(states)
+
+    def prefix_priors(self, root: DecodeState, prefixes: np.ndarray) -> np.ndarray:
+        """The wrapped model's, when both serve the base ``priors`` over its table."""
+        if _reads_table(self, TransformedValueModel._table_priors) and (
+            _method(self._inner, "priors") is PolicyValueModel.priors
+        ):
+            return self._inner.prefix_priors(root, prefixes)
+        return super().prefix_priors(root, prefixes)
 
     def _head(self, states: list[DecodeState]) -> list[float]:
         inner = self._inner.values(states).tolist()

@@ -5,16 +5,17 @@ state, built by ``model.initial_state`` as for every decoder, so a hard guard
 refuses instances where the vocabulary and the root's remaining horizon would
 make that explosive. Reads priors directly off the model tables and never
 touches the budget ledger: these are verification tools, not decoders. One
-walker goes level by level, reading each level's priors in one
-``model.priors`` call and handing on the level's terminated outputs as one
-token array of output prefixes plus arrays of final tokens and
-log-likelihoods. Under the base forced-EOS rule of ``PolicyValueModel.priors``
-the level one token short of the cap is never built: its outputs are its
-parents' live children with EOS appended, at their own log-likelihood. The
-enumeration sorts all outputs into one list of tuples. Both argmaxes keep only
-the best so far: the metric argmax scores each level as it comes, one batch
-call per content length; the likelihood argmax scores all alike and prunes
-prefixes below the best so far.
+walker goes level by level on arrays of output prefixes: it reads each
+level's priors in one ``model.prefix_priors`` call on the level's prefix
+array, which a seeded or fixed table serves without building a state, and it
+hands on the level's terminated outputs as one token array of output prefixes
+plus arrays of final tokens and log-likelihoods. Under the base forced-EOS
+rule of ``PolicyValueModel.priors`` the level one token short of the cap is
+never read: its outputs are its parents' live children with EOS appended, at
+their own log-likelihood. The enumeration sorts all outputs into one list of
+tuples. Both argmaxes keep only the best so far: the metric argmax scores each
+level as it comes, one batch call per content length; the likelihood argmax
+scores all alike and prunes prefixes below the best so far.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ def _check_root(model: PolicyValueModel, root: DecodeState) -> None:
 def _levels(
     model: PolicyValueModel, root: DecodeState, floor=lambda: -math.inf
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Walk the tree below ``root`` breadth-first, reading each level's priors in
-    one ``model.priors`` call.
+    """Walk the tree below ``root`` breadth-first on arrays of output prefixes,
+    reading each level's priors in one ``model.prefix_priors`` call.
 
     Yields, per level, its terminated outputs as an ``(n, L)`` integer array of
     output prefixes (each output without its final token, one row per
@@ -72,22 +73,23 @@ def _levels(
     less likely than ``floor()`` is dropped; an equally likely one is kept. A
     child likelier than its prefix is a ``ContractViolation``.
 
-    A provider that keeps the base ``PolicyValueModel.priors`` forces EOS one
-    token short of the root's cap, at probability 1. Its live children of that
-    length are not stepped: the last level yields their prefix rows with EOS
-    as every final token, at their own log-likelihood, and the walk ends. A
-    provider that overrides ``priors`` has that level read like any other.
+    No state is stepped: a level is its ``(n, L)`` prefix array, and the next
+    level's array stacks each live child's parent row and token. A provider
+    that keeps the base ``PolicyValueModel.priors`` forces EOS one token short
+    of the root's cap, at probability 1. Its live children of that length are
+    not read: the last level yields their prefix rows with EOS as every final
+    token, at their own log-likelihood, and the walk ends. A provider that
+    overrides ``priors`` has that level read like any other.
     """
     _check_root(model, root)
     eos = root.eos_id
     forced = type(model).priors is PolicyValueModel.priors
-    level, log_likelihoods = [root], np.zeros(1)
-    # Row i holds level[i].prefix.
+    log_likelihoods = np.zeros(1)
     prefixes = np.array(root.prefix, dtype=np.intp).reshape(1, len(root.prefix))
-    while level:
-        priors = model.priors(level)
+    while len(prefixes):
+        priors = model.prefix_priors(root, prefixes)
         rows, tokens = np.nonzero(priors > 0.0)  # row-major: each prefix's children in token order
-        steps = np.array(list(map(math.log, priors[rows, tokens].tolist())))
+        steps = np.fromiter(map(math.log, priors[rows, tokens].tolist()), float, count=len(rows))
         if (steps > 1e-12).any():
             raise ContractViolation("likelihood must be non-increasing")
         child_lls = log_likelihoods[rows] + steps
@@ -103,7 +105,6 @@ def _levels(
             # Every live child is one token short of the cap: its prior is one-hot on EOS.
             yield prefixes, np.full(len(tokens), eos), log_likelihoods  # log 1 = 0
             return
-        level = list(map(step, map(level.__getitem__, parents.tolist()), tokens.tolist()))
 
 
 def enumerate_sequences(

@@ -211,31 +211,36 @@ def bert_style_scores(candidates: np.ndarray, anchor: Sequence, embedder) -> lis
     Per candidate: repeatedly match the globally most similar unmatched
     (candidate, anchor) token pair, average the matched similarities, rescale
     from [-1, 1] to [0, 1], and damp by min(len)/max(len) so degenerate
-    lengths cannot win. Empty inputs score 0 by convention.
+    lengths cannot win. Empty inputs score 0 by convention. A negative token
+    id is a ``ValueError`` naming it.
 
-    The rows are mapped to embedding rows by index lookups, one per block, and
-    a block's similarities are one stacked ``(N, L, d) @ (d, M)`` product, so
-    every candidate's ``(L, M)`` slice is the same matrix product a lone
-    candidate of that length would get. Candidates that hold the same token
-    multiset still get their own slices, not one shared alignment: in the
-    stacked product a token's similarity can differ in its last bit with its
-    row position and the candidate's length.
+    The unit embeddings form one table over the token ids ``0..max id``, and
+    the candidate rows index it directly. A block's similarities are one
+    stacked ``(N, L, d) @ (d, M)`` product per candidate shape, so every
+    candidate's ``(L, M)`` slice is the same matrix product a lone candidate
+    of that length would get. Candidates that hold the same token multiset
+    still get their own slices, not one shared alignment: in the stacked
+    product a token's similarity can differ in its last bit with its row
+    position and the candidate's length.
     """
     n, length = candidates.shape
     if not anchor or not length:
         return [0.0] * n
-    anchor_tokens = np.array(anchor)
-    tokens = np.unique(np.concatenate([anchor_tokens, candidates.ravel()]))
-    vecs = np.stack([embedder.vector(t) for t in tokens.tolist()])
-    unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-    anch_t = unit[np.searchsorted(tokens, anchor_tokens)].T
+    anchor_tokens = np.array(anchor, dtype=np.intp)
+    lowest = min(int(anchor_tokens.min()), int(candidates.min(initial=0)))
+    if lowest < 0:
+        raise ValueError(f"negative token id {lowest}")
+    highest = max(int(anchor_tokens.max()), int(candidates.max(initial=0)))
+    vecs = np.stack([embedder.vector(t) for t in range(highest + 1)])
+    unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)  # row t embeds token id t
+    anch_t = unit[anchor_tokens].T
     n_pairs = min(length, len(anchor))
     length_penalty = n_pairs / max(length, len(anchor))
     block = max(1, SCORE_BLOCK_ELEMENTS // (length * len(anchor)))
     scores = np.empty(n)
     for start in range(0, n, block):
-        rows = np.searchsorted(tokens, candidates[start : start + block])
-        mean_sim = _greedy_alignment_totals(unit[rows] @ anch_t) / n_pairs
+        sims = unit[candidates[start : start + block]] @ anch_t
+        mean_sim = _greedy_alignment_totals(sims) / n_pairs
         scores[start : start + block] = (mean_sim + 1.0) / 2.0 * length_penalty
     return _clamp01(scores).tolist()
 

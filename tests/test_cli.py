@@ -7,6 +7,7 @@ import pytest
 
 from seqdecode import (
     AlgorithmSpec,
+    DecodeState,
     Instance,
     MetricSpec,
     ModelSpec,
@@ -81,6 +82,24 @@ class TestOracle:
         rows = json.loads(out.read_text())
         assert [r["id"] for r in rows] == ["a", "b"]
         assert all("argmax_likelihood" in r and "argmax_metric" in r for r in rows)
+
+    def test_value_noise_leaves_the_report_alone_and_builds_no_state(
+        self, dataset_path, tmp_path, monkeypatch
+    ):
+        # The oracles read priors alone, so a noisy value head changes no byte, and
+        # the wrapped table's priors are gathered off the walk's prefix arrays.
+        flags = ("--vocab-size", 4, "--max-len", 4, "--context-order", 1, "--metric", "bertscore")
+        plain, noisy = tmp_path / "plain.json", tmp_path / "noisy.json"
+        assert run("oracle", "--dataset", dataset_path, *flags, "--out", plain) == 0
+        reads = count_calls(monkeypatch, PolicyValueModel, "priors")
+        built = count_calls(monkeypatch, DecodeState, "__post_init__")
+        noisy_flags = (*flags, "--value-noise", 0.2)
+        assert run("oracle", "--dataset", dataset_path, *noisy_flags, "--out", noisy) == 0
+        assert noisy.read_bytes() == plain.read_bytes()
+        assert reads == []
+        # Besides the two roots, a state is built only for each table row drawn, to
+        # name it should the row be refused: the empty context and the three tokens.
+        assert sorted(state.prefix for (state,) in built) == [(), (), (), (0,), (1,), (2,)]
 
 
 class TestTree:

@@ -12,9 +12,11 @@ from hypothesis import given, settings, strategies as st
 from seqdecode import (
     ConfigurationError,
     ContractViolation,
+    DecodeState,
     FixedPriorModel,
     GuardExceeded,
     Metric,
+    NoisyValueModel,
     PolicyValueModel,
     SeededTabularModel,
     SeededUnitEmbeddings,
@@ -199,34 +201,39 @@ class TestEnumeration:
             assert seqs == recursive_enumeration(model, root)
             assert all(prior[t] > 0.0 for seq, _ in seqs for t in seq[:-1])
 
-    def test_one_priors_read_per_level(self):
+    def test_one_priors_read_per_level(self, monkeypatch):
         model = SeededTabularModel(0, vocab_size=3, max_len=3, context_order=1)
-        batch_sizes = []
-        read_batch = model.priors
-        model.priors = lambda states: batch_sizes.append(len(states)) or read_batch(states)
-        model.prior = lambda state: pytest.fail("enumeration read one prefix's prior")
         twin = SeededTabularModel(0, vocab_size=3, max_len=3, context_order=1)
-        assert enumerate_sequences(model, model.initial_state(())) == recursive_enumeration(
-            twin, twin.initial_state(())
-        )
-        assert batch_sizes == [1, 2, 4]  # live prefixes per level; the forced-EOS level is not read
+        expected = recursive_enumeration(twin, twin.initial_state(()))
+        reads = count_calls(monkeypatch, model, "prefix_priors")
+        states_read = count_calls(monkeypatch, PolicyValueModel, "priors")
+        assert enumerate_sequences(model, model.initial_state(())) == expected
+        # live prefixes per level; the forced-EOS level is not read
+        assert [prefixes.shape for _root, prefixes in reads] == [(1, 0), (2, 1), (4, 2)]
+        assert states_read == []  # the table rows are gathered off the prefix arrays
 
     @pytest.mark.parametrize(
-        "model, steps, batches",
+        "model, owner, levels, built",
         [
-            # levels of 1, 2, 4 and 8 prefixes: the 8 one token short of the cap are not built
-            (SeededTabularModel(0, vocab_size=3, max_len=3, context_order=1), 2 + 4, [1, 2, 4]),
-            # overridden priors: the cap level is built and read like any other
-            (UnforcedSeeded(0, vocab_size=3, max_len=3, context_order=1), 2 + 4 + 8, [1, 2, 4, 8]),
+            # levels of 1, 2 and 4 prefixes, gathered off arrays: no state is built and
+            # no priors call is made; the 8 one token short of the cap are not read
+            (SeededTabularModel(0, 3, 3, context_order=1), PolicyValueModel, [1, 2, 4], 0),
+            # overridden priors: the default path builds and reads each level's states,
+            # the cap level's 8 too, in one priors call per level
+            (UnforcedSeeded(0, 3, 3, context_order=1), UnforcedSeeded, [1, 2, 4, 8], 15),
         ],
     )
-    def test_no_state_of_the_forced_length_is_built(self, monkeypatch, model, steps, batches):
+    def test_no_state_of_the_forced_length_is_built(self, monkeypatch, model, owner, levels, built):
         root = model.initial_state(())
         expected = recursive_enumeration(model, root)
         stepped = count_calls(monkeypatch, oracle, "step")
-        reads = count_calls(monkeypatch, model, "priors")
+        states = count_calls(monkeypatch, DecodeState, "__post_init__")
+        reads = count_calls(monkeypatch, model, "prefix_priors")
+        priors_reads = count_calls(monkeypatch, owner, "priors")
         assert enumerate_sequences(model, root) == expected
-        assert (len(stepped), [len(states) for (states,) in reads]) == (steps, batches)
+        assert [len(prefixes) for _root, prefixes in reads] == levels
+        assert (len(stepped), len(states)) == (0, built)
+        assert [len(batch) for _model, batch in priors_reads] == (levels if built else [])
 
     def test_all_sequences_end_with_eos(self, m0):
         for seq, _ in enumerate_sequences(m0, m0.initial_state(())):
@@ -542,3 +549,102 @@ class TestRootState:
         refusal = "V^horizon = 11^6 = 1771561 exceeds the enumeration guard of 1000000"
         with pytest.raises(GuardExceeded, match=re.escape(refusal)):
             oracle(model, root)
+
+
+class ReversedTable(SeededTabularModel):
+    """A seeded table with its own ``_table_priors``, each row reversed: a gather of the
+    base table would read the wrong rows, so it must be walked through its states."""
+
+    def _table_priors(self, states):
+        return super()._table_priors(states)[:, ::-1]
+
+
+# Provider kinds by whether prefix_priors gathers off the array without a priors call.
+GATHERED = {
+    "seeded": True,
+    "fixed": True,
+    "noisy": True,
+    "noisy_unforced": False,  # the wrapper forces EOS over a table whose owner does not
+    "reversed": False,
+}
+
+
+@st.composite
+def prefix_cases(draw):
+    """A provider factory, a stepped root (often with a non-empty prefix) and an ``(n, L)``
+    array of live prefixes below it, of one length up to the forced one, one token short
+    of the cap; rows are often shorter than the context order."""
+    vocab_size = draw(st.integers(2, 6))
+    horizon = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**16))
+    order = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(sorted(GATHERED)))
+    weights = np.array(draw(st.lists(st.integers(0, 3), min_size=vocab_size, max_size=vocab_size)))
+    weights[-1] += weights.sum() == 0
+
+    def build():
+        if kind == "fixed":
+            return FixedPriorModel(weights / weights.sum(), horizon)
+        if kind == "reversed":
+            return ReversedTable(seed, vocab_size, horizon, order)
+        inner = (UnforcedSeeded if kind == "noisy_unforced" else SeededTabularModel)(
+            seed, vocab_size, horizon, order
+        )
+        return inner if kind == "seeded" else NoisyValueModel(inner, 0.2, seed)
+
+    content = st.integers(0, vocab_size - 2)
+    source = tuple(draw(st.lists(content, min_size=1, max_size=3)))
+    root_prefix = draw(st.lists(content, max_size=horizon))
+    root = reduce(step, root_prefix, build().initial_state(source, source[::-1]))
+    extra = draw(st.integers(0, horizon - len(root_prefix)))
+    rows = draw(st.lists(st.lists(content, min_size=extra, max_size=extra), min_size=1, max_size=8))
+    prefixes = np.array([root_prefix + row for row in rows], dtype=np.intp)
+    return kind, build, root, prefixes.reshape(len(rows), len(root_prefix) + extra)
+
+
+class TestPrefixPriors:
+    @settings(max_examples=150, deadline=None)
+    @given(case=prefix_cases())
+    def test_bitwise_equal_to_the_priors_of_the_stepped_states(self, case):
+        kind, build, root, prefixes = case
+        states = [reduce(step, row[len(root.prefix) :], root) for row in prefixes.tolist()]
+        expected = build().priors(states)
+        model = build()
+        with pytest.MonkeyPatch.context() as mp:
+            reads = count_calls(mp, PolicyValueModel, "priors")
+            table = getattr(model, "_inner", model)
+            new_rows = count_calls(mp, table, "_add_row") if kind != "fixed" else []
+            cold = model.prefix_priors(root, prefixes)
+            warm = model.prefix_priors(root, prefixes)
+        for got in (cold, warm):
+            assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+            assert got.tobytes() == expected.tobytes()
+        assert (reads == []) == GATHERED[kind]
+        # A table miss draws its row against the state of a row holding that context.
+        for context, state in new_rows:
+            assert state in states and state.prefix[len(state.prefix) - len(context) :] == context
+
+    @pytest.mark.parametrize("context_order", [0, 1, 2])
+    def test_a_subclass_with_its_own_table_is_walked_through_its_states(
+        self, monkeypatch, context_order
+    ):
+        model = ReversedTable(5, vocab_size=3, max_len=3, context_order=context_order)
+        root = model.initial_state((0, 1))
+        expected = recursive_enumeration(model, root)
+        reads = count_calls(monkeypatch, model, "priors")
+        assert enumerate_sequences(model, root) == expected
+        assert [len(states) for (states,) in reads] == [1, 2, 4]
+
+    def test_contexts_too_long_for_an_integer_code_are_grouped_by_rows(self):
+        # 8^22 = 2^66 base-8 codes would overflow int64, so the rows themselves are grouped.
+        model = SeededTabularModel(1, vocab_size=8, max_len=24, context_order=22)
+        rng = np.random.default_rng(0)
+        root = reduce(step, rng.integers(0, 7, size=21).tolist(), model.initial_state((0,)))
+        assert enumerate_sequences(model, root) == recursive_enumeration(model, root)
+        rows = rng.integers(0, 7, size=(40, 2))
+        rows[20:] = rows[:20]  # repeated contexts share one lookup
+        prefixes = np.column_stack((np.tile(root.prefix, (40, 1)), rows))
+        states = [reduce(step, row, root) for row in rows.tolist()]
+        twin = SeededTabularModel(1, vocab_size=8, max_len=24, context_order=22)
+        expected = twin.priors(states)
+        assert model.prefix_priors(root, prefixes).tobytes() == expected.tobytes()

@@ -138,6 +138,20 @@ class TestBertStyleScore:
         emb = SeededUnitEmbeddings(dim=3, seed=0)
         assert 0.0 <= bert_style_score(tuple(x), tuple(y), emb) <= 1.0
 
+    @pytest.mark.parametrize(
+        "candidate, anchor, bad", [((0, -1), (1, 2), -1), ((0, 1), (-3, 2, -2), -3)]
+    )
+    def test_a_negative_token_id_is_refused_by_name(self, candidate, anchor, bad):
+        # Indexing the embedding table with it would silently read the last row.
+        emb = SeededUnitEmbeddings()
+        metric = bert_style_metric(emb)
+        for score in (
+            lambda: bert_style_score(candidate, anchor, emb),
+            lambda: metric.score_batch(anchor, np.array([candidate])),
+        ):
+            with pytest.raises(ValueError, match=f"negative token id {bad}"):
+                score()
+
     def test_provider_determinism(self):
         a = SeededUnitEmbeddings(dim=5, seed=11)
         b = SeededUnitEmbeddings(dim=5, seed=11)
