@@ -14,7 +14,8 @@ reference are its instance's. Each output they return is a
 
 A state is validated once, when it is built. A non-terminal prefix holds no
 EOS, so :func:`step` checks only the token it appends and derives the child's
-``terminal`` flag from that token.
+``terminal`` flag from that token; :func:`descendants` builds the states of
+prefixes the oracles' walk already knows to be live without checking them.
 """
 
 from __future__ import annotations
@@ -151,6 +152,27 @@ def step(state: DecodeState, action: int) -> DecodeState:
     _set_reference(child, state.reference)
     _set_terminal(child, action == eos_id or len(prefix) == max_len)
     return child
+
+
+def descendants(root: DecodeState, prefixes: list[list[int]]) -> list[DecodeState]:
+    """The states below ``root`` whose prefixes are ``prefixes``, built like
+    :func:`step`'s children, without re-running ``DecodeState.__post_init__``.
+
+    The caller guarantees that each prefix extends ``root.prefix`` by ids below
+    EOS, as the oracles' level walk does, and is no longer than the cap.
+    """
+    out = []
+    for prefix in prefixes:
+        prefix = tuple(prefix)
+        child = _new_state(DecodeState)
+        _set_source(child, root.source)
+        _set_prefix(child, prefix)
+        _set_max_len(child, root.max_len)
+        _set_eos_id(child, root.eos_id)
+        _set_reference(child, root.reference)
+        _set_terminal(child, len(prefix) == root.max_len)
+        out.append(child)
+    return out
 
 
 def complete(

@@ -28,10 +28,12 @@ cap with EOS, at probability 1, without reading its prior; a provider that
 overrides ``priors`` is walked to its cap. The oracles read each level's
 priors off its array of output prefixes, in one
 :meth:`PolicyValueModel.prefix_priors` call, which returns ``priors`` of
-those prefixes' states bit for bit. Its default builds the states; the
-seeded table gathers its rows by each row's context instead, the fixed prior
-tiles, and a wrapped provider asks the model it wraps, each only while the
-provider keeps the base ``priors`` and its own table. A handle
+those prefixes' states bit for bit. Under the base ``priors`` it applies the
+same forced-EOS rule to the array and takes every other row from one hook,
+``_gather_table``, which builds the rows' states by default; the seeded
+table gathers its rows by each row's context instead, and a wrapped provider
+asks the model it wraps. A gather serves only while its class also defines
+the ``_table_priors`` in use. A handle
 (:class:`ModelState`) carries its value, so ``evaluate_step`` answers
 absorbing handles from the handle alone and steps and evaluates only the live
 ones.
@@ -63,7 +65,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,6 +76,7 @@ from .mdp import (
     Sequence,
     clamp01,
     complete,
+    descendants,
     step,
     terminal_reward,
 )
@@ -141,21 +144,12 @@ def _checked_prior(row, state: DecodeState, vocab_size: int) -> np.ndarray:
     raise ContractViolation(f"prior {p.tolist()} for state {state} {problem}")
 
 
-def _method(model: PolicyValueModel, name: str):
-    """The function behind ``model.name``, or None when the instance holds its own
-    callable there."""
-    return getattr(getattr(model, name), "__func__", None)
-
-
-def _reads_table(model: PolicyValueModel, table_priors) -> bool:
-    """Whether ``model``'s priors are the base forced-EOS rule over ``table_priors``,
-    neither replaced by a subclass nor on the instance. Only then may an array
-    twin of that table serve ``prefix_priors``: a provider that changes its table
-    must not inherit a stale gather."""
-    return (
-        _method(model, "priors") is PolicyValueModel.priors
-        and _method(model, "_table_priors") is table_priors
-    )
+def _owner(model: PolicyValueModel, name: str):
+    """The class whose ``name`` serves ``model``, or ``model`` itself when the
+    instance holds its own callable there (a test spy, say)."""
+    if name in vars(model):
+        return model
+    return next(c for c in type(model).__mro__ if name in vars(c))
 
 
 def apply_temperature(prior: np.ndarray, tau: float) -> np.ndarray:
@@ -262,13 +256,31 @@ class PolicyValueModel:
 
         ``prefixes`` is an ``(n, L)`` integer array of live output prefixes of
         one length (ids below EOS), ``root.prefix`` included, one per row, as
-        the oracles' level walk holds them. This default builds
-        each row's state from ``root``'s fields and reads ``priors``. A provider
-        whose rows depend on the prefix alone overrides it to gather them off
-        the array without building a state, but only while it keeps the base
-        ``priors`` and its own ``_table_priors`` (see :func:`_reads_table`).
+        the oracles' level walk holds them. A provider that overrides
+        ``priors`` gets it called on the rows' states. Under the base
+        ``priors``, rows at the forced length get the one-hot EOS and every
+        other row comes from :meth:`_prefix_table_priors`.
         """
-        return self.priors([replace(root, prefix=row) for row in prefixes.tolist()])
+        if _owner(self, "priors") is not PolicyValueModel:
+            return self.priors(descendants(root, prefixes.tolist()))
+        n, length = prefixes.shape
+        if length >= root.max_len - 1:
+            return self._eos_priors(n)
+        return self._prefix_table_priors(root, prefixes)
+
+    def _prefix_table_priors(self, root: DecodeState, prefixes: np.ndarray) -> np.ndarray:
+        """``_table_priors`` of the rows' states, gathered off the array by
+        :meth:`_gather_table` only while the class that defines the gather also
+        defines ``_table_priors``: a provider that changes its table must not
+        inherit a stale gather."""
+        if _owner(self, "_gather_table") is _owner(self, "_table_priors"):
+            return self._gather_table(root, prefixes)
+        return PolicyValueModel._gather_table(self, root, prefixes)
+
+    def _gather_table(self, root: DecodeState, prefixes: np.ndarray) -> np.ndarray:
+        """Subclass hook: table rows of non-forced prefixes. This default builds
+        the rows' states and reads ``_table_priors``."""
+        return self._table_priors(descendants(root, prefixes.tolist()))
 
     def values(self, states: list[DecodeState]) -> np.ndarray:
         """Value head outputs ``(n,)``, read through the greedy-completion memo; a
@@ -410,27 +422,25 @@ class SeededTabularModel(PolicyValueModel):
             ids.append(i)
         return self._table.take(ids, axis=0)
 
-    def prefix_priors(self, root: DecodeState, prefixes: np.ndarray) -> np.ndarray:
-        """One gather from the table, with one lookup per distinct context of the
-        rows; rows at the forced length get the one-hot EOS."""
-        if not _reads_table(self, SeededTabularModel._table_priors):
-            return super().prefix_priors(root, prefixes)
-        n, length = prefixes.shape
-        if length >= root.max_len - 1:
-            return self._eos_priors(n)
-        width = min(self.context_order, length)  # a short row is its own context
-        contexts = prefixes[:, length - width :]
-        if self.vocab_size**width < 2**63:  # one base-V code per row fits in int64
-            contexts = contexts @ self.vocab_size ** np.arange(width - 1, -1, -1)
-        _, first, inverse = np.unique(contexts, axis=0, return_index=True, return_inverse=True)
+    def _gather_table(self, root: DecodeState, prefixes: np.ndarray) -> np.ndarray:
+        """One gather from the table, with one lookup per distinct context of the rows."""
+        length = prefixes.shape[1]
+        contexts = prefixes[:, length - min(self.context_order, length) :]  # a short row is its own
+        key = np.zeros(len(prefixes), dtype=np.intp)  # each row's context rank, one to start
+        first = key[:1]  # the first row of each rank
+        for column in contexts.T:  # refine by one column at a time, so a key stays below n * V
+            _, first, key = np.unique(
+                key * self.vocab_size + column, return_index=True, return_inverse=True
+            )
         ids = []
         for row in first.tolist():
-            context = tuple(prefixes[row, length - width :].tolist())
+            context = tuple(contexts[row].tolist())
             i = self._context_ids.get(context)
             if i is None:
-                i = self._add_row(context, replace(root, prefix=prefixes[row].tolist()))
+                (state,) = descendants(root, [prefixes[row].tolist()])
+                i = self._add_row(context, state)
             ids.append(i)
-        return self._table.take(np.array(ids, dtype=np.intp)[inverse], axis=0)
+        return self._table.take(np.array(ids, dtype=np.intp)[key], axis=0)
 
     def _add_row(self, context: Sequence, state: DecodeState) -> int:
         rng = np.random.default_rng([self.seed, *context])
@@ -460,15 +470,6 @@ class FixedPriorModel(PolicyValueModel):
     def _table_priors(self, states: list[DecodeState]) -> np.ndarray:
         return np.tile(self._prior, (len(states), 1))
 
-    def prefix_priors(self, root: DecodeState, prefixes: np.ndarray) -> np.ndarray:
-        """The prior tiled over the rows, or the one-hot EOS at the forced length."""
-        if not _reads_table(self, FixedPriorModel._table_priors):
-            return super().prefix_priors(root, prefixes)
-        n, length = prefixes.shape
-        if length >= root.max_len - 1:
-            return self._eos_priors(n)
-        return np.tile(self._prior, (n, 1))
-
 
 class TransformedValueModel(PolicyValueModel):
     """Wraps a provider, mapping its value head through ``transform(value, state)``.
@@ -487,13 +488,8 @@ class TransformedValueModel(PolicyValueModel):
     def _table_priors(self, states: list[DecodeState]) -> np.ndarray:
         return self._inner._table_priors(states)
 
-    def prefix_priors(self, root: DecodeState, prefixes: np.ndarray) -> np.ndarray:
-        """The wrapped model's, when both serve the base ``priors`` over its table."""
-        if _reads_table(self, TransformedValueModel._table_priors) and (
-            _method(self._inner, "priors") is PolicyValueModel.priors
-        ):
-            return self._inner.prefix_priors(root, prefixes)
-        return super().prefix_priors(root, prefixes)
+    def _gather_table(self, root: DecodeState, prefixes: np.ndarray) -> np.ndarray:
+        return self._inner._prefix_table_priors(root, prefixes)
 
     def _head(self, states: list[DecodeState]) -> list[float]:
         inner = self._inner.values(states).tolist()

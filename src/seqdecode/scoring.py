@@ -214,8 +214,9 @@ def bert_style_scores(candidates: np.ndarray, anchor: Sequence, embedder) -> lis
     lengths cannot win. Empty inputs score 0 by convention. A negative token
     id is a ``ValueError`` naming it.
 
-    The unit embeddings form one table over the token ids ``0..max id``, and
-    the candidate rows index it directly. A block's similarities are one
+    The ids that occur are marked in one array over ``0..max id``, only they
+    are embedded, and the candidate rows index the unit embeddings through it,
+    with no scan of the batch for distinct tokens. A block's similarities are one
     stacked ``(N, L, d) @ (d, M)`` product per candidate shape, so every
     candidate's ``(L, M)`` slice is the same matrix product a lone candidate
     of that length would get. Candidates that hold the same token multiset
@@ -231,15 +232,19 @@ def bert_style_scores(candidates: np.ndarray, anchor: Sequence, embedder) -> lis
     if lowest < 0:
         raise ValueError(f"negative token id {lowest}")
     highest = max(int(anchor_tokens.max()), int(candidates.max(initial=0)))
-    vecs = np.stack([embedder.vector(t) for t in range(highest + 1)])
-    unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)  # row t embeds token id t
-    anch_t = unit[anchor_tokens].T
+    seen = np.zeros(highest + 1, dtype=bool)
+    seen[anchor_tokens] = True
+    seen[candidates] = True
+    row_of = np.cumsum(seen) - 1  # row_of[t] is token id t's row among the ids seen
+    vecs = np.stack([embedder.vector(t) for t in np.flatnonzero(seen).tolist()])
+    unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    anch_t = unit[row_of[anchor_tokens]].T
     n_pairs = min(length, len(anchor))
     length_penalty = n_pairs / max(length, len(anchor))
     block = max(1, SCORE_BLOCK_ELEMENTS // (length * len(anchor)))
     scores = np.empty(n)
     for start in range(0, n, block):
-        sims = unit[candidates[start : start + block]] @ anch_t
+        sims = unit[row_of[candidates[start : start + block]]] @ anch_t
         mean_sim = _greedy_alignment_totals(sims) / n_pairs
         scores[start : start + block] = (mean_sim + 1.0) / 2.0 * length_penalty
     return _clamp01(scores).tolist()

@@ -32,7 +32,7 @@ from seqdecode import (
     step,
     terminal_reward,
 )
-from seqdecode import oracle
+from seqdecode import models, oracle
 
 from conftest import A, B, EOS, count_calls, make_m0
 
@@ -227,12 +227,15 @@ class TestEnumeration:
         root = model.initial_state(())
         expected = recursive_enumeration(model, root)
         stepped = count_calls(monkeypatch, oracle, "step")
-        states = count_calls(monkeypatch, DecodeState, "__post_init__")
+        checked = count_calls(monkeypatch, DecodeState, "__post_init__")
+        derived = count_calls(monkeypatch, models, "descendants")
         reads = count_calls(monkeypatch, model, "prefix_priors")
         priors_reads = count_calls(monkeypatch, owner, "priors")
         assert enumerate_sequences(model, root) == expected
         assert [len(prefixes) for _root, prefixes in reads] == levels
-        assert (len(stepped), len(states)) == (0, built)
+        # the default path builds its states unchecked, as step builds a child
+        assert (len(stepped), len(checked)) == (0, 0)
+        assert sum(len(prefixes) for _root, prefixes in derived) == built
         assert [len(batch) for _model, batch in priors_reads] == (levels if built else [])
 
     def test_all_sequences_end_with_eos(self, m0):
@@ -559,13 +562,15 @@ class ReversedTable(SeededTabularModel):
         return super()._table_priors(states)[:, ::-1]
 
 
-# Provider kinds by whether prefix_priors gathers off the array without a priors call.
+# Provider kinds by whether prefix_priors gathers table rows off the array, building a
+# state only for a table miss, or builds every non-forced row's state.
 GATHERED = {
     "seeded": True,
-    "fixed": True,
+    "fixed": False,  # its tiled prior needs no gather of its own
     "noisy": True,
-    "noisy_unforced": False,  # the wrapper forces EOS over a table whose owner does not
+    "noisy_unforced": True,  # the wrapper forces EOS over the inner table, whatever its priors
     "reversed": False,
+    "noisy_reversed": False,  # the wrapper asks its table, which is walked through its states
 }
 
 
@@ -585,12 +590,12 @@ def prefix_cases(draw):
     def build():
         if kind == "fixed":
             return FixedPriorModel(weights / weights.sum(), horizon)
-        if kind == "reversed":
-            return ReversedTable(seed, vocab_size, horizon, order)
-        inner = (UnforcedSeeded if kind == "noisy_unforced" else SeededTabularModel)(
-            seed, vocab_size, horizon, order
-        )
-        return inner if kind == "seeded" else NoisyValueModel(inner, 0.2, seed)
+        table = {
+            "noisy_unforced": UnforcedSeeded,
+            "reversed": ReversedTable,
+            "noisy_reversed": ReversedTable,
+        }.get(kind, SeededTabularModel)(seed, vocab_size, horizon, order)
+        return NoisyValueModel(table, 0.2, seed) if kind.startswith("noisy") else table
 
     content = st.integers(0, vocab_size - 2)
     source = tuple(draw(st.lists(content, min_size=1, max_size=3)))
@@ -612,6 +617,7 @@ class TestPrefixPriors:
         model = build()
         with pytest.MonkeyPatch.context() as mp:
             reads = count_calls(mp, PolicyValueModel, "priors")
+            derived = count_calls(mp, models, "descendants")
             table = getattr(model, "_inner", model)
             new_rows = count_calls(mp, table, "_add_row") if kind != "fixed" else []
             cold = model.prefix_priors(root, prefixes)
@@ -619,7 +625,10 @@ class TestPrefixPriors:
         for got in (cold, warm):
             assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
             assert got.tobytes() == expected.tobytes()
-        assert (reads == []) == GATHERED[kind]
+        assert reads == []  # each kind keeps the base priors, whose rule prefix_priors applies
+        built = sum(len(rows) for _root, rows in derived)
+        forced = prefixes.shape[1] >= root.max_len - 1
+        assert built == (len(new_rows) if forced or GATHERED[kind] else 2 * len(prefixes))
         # A table miss draws its row against the state of a row holding that context.
         for context, state in new_rows:
             assert state in states and state.prefix[len(state.prefix) - len(context) :] == context
@@ -635,8 +644,8 @@ class TestPrefixPriors:
         assert enumerate_sequences(model, root) == expected
         assert [len(states) for (states,) in reads] == [1, 2, 4]
 
-    def test_contexts_too_long_for_an_integer_code_are_grouped_by_rows(self):
-        # 8^22 = 2^66 base-8 codes would overflow int64, so the rows themselves are grouped.
+    def test_long_contexts_are_grouped_by_rows(self):
+        # 8^22 = 2^66 contexts: more than an int64 code per context could number.
         model = SeededTabularModel(1, vocab_size=8, max_len=24, context_order=22)
         rng = np.random.default_rng(0)
         root = reduce(step, rng.integers(0, 7, size=21).tolist(), model.initial_state((0,)))

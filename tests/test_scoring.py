@@ -106,6 +106,20 @@ class TestBertStyleScore:
         emb = TableEmbeddings({0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])})
         assert bert_style_score((0,), (1,), emb) == pytest.approx(0.5, abs=1e-12)
 
+    def test_only_the_ids_present_are_embedded(self):
+        # A table that knows only the ids in play scores like a full one, however
+        # large an id is, and is asked for each such id once per call.
+        big = 10**6
+        emb = TableEmbeddings({0: np.array([1.0, 0.0]), 5: np.array([0.0, 1.0]), big: [1.0, 1.0]})
+        asked = []
+        vector = emb.vector
+        emb.vector = lambda t: asked.append(t) or vector(t)
+        assert bert_style_score((5,), (0,), emb) == pytest.approx(0.5, abs=1e-12)
+        scores = bert_style_metric(emb).score_batch((0, big), np.array([[5, 0], [5, 5]]))
+        r = 2**-0.5  # similarity of the id `big` to each of the others
+        assert scores == pytest.approx([(3 + r) / 4, (2 + r) / 4], abs=1e-12)
+        assert asked == [0, 5, 0, 5, big]
+
     def test_order_insensitive_perfect_match(self):
         emb = TableEmbeddings({0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])})
         assert bert_style_score((0, 1), (1, 0), emb) == pytest.approx(1.0, abs=1e-12)
