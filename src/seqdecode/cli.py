@@ -13,6 +13,7 @@ exception is a bug and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -100,6 +101,7 @@ def _algorithm_spec(name: str, args: argparse.Namespace) -> AlgorithmSpec:
     )
 
 
+@functools.cache  # parsing leaves no state in the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="seqdecode", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

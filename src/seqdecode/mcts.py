@@ -7,8 +7,10 @@ top-A prior actions of each node are kept, with ``topk_mapping`` translating
 sparse slots back to vocabulary ids. Alongside the arrays, ``node_states``
 holds the provider's ``ModelState`` handles in node order, so each expansion
 is stepped once, by the provider, and the node count is the list's length.
-The search gathers and scatters whole rows through raveled views of the
-arrays, where (element, node) is row ``element * N + node``.
+Each array is a view of storage that holds one spare node per element, after
+its last, which is never written; the search gathers and scatters whole rows
+through the storage raveled, where (element, node) is row
+``element * (N + 1) + node``.
 Each root has its own simulation count (by default ``num_simulations``), and
 the arrays are sized by the largest. Element b retires after its count S_b:
 later simulations descend, expand and charge only the elements still active,
@@ -22,9 +24,9 @@ always picks its slot 0, and the child there is an identical terminal copy.
 Terminal nodes therefore form chains, recorded per node as ``chain_head`` (the
 chain's first node) and, on each head, ``chain_tail`` (its last). A descent
 ends at an unexplored edge or at a chain head; a chain's tail is expanded, and
-the backup updates the path and the chain's head. Every value backed into a
-chain is its one value, so the other members' statistics follow from the
-head's; the public statistics (``values``, ``visit_counts``,
+the backup updates the path, which ends at the chain's head. Every value
+backed into a chain is its one value, so the other members' statistics follow
+from the head's; the public statistics (``values``, ``visit_counts``,
 ``children_values``, ``children_visits``) settle them from their heads when
 read after a backup. Statistics and ledger charges are those of the full walk.
 An edge's visit count and value are its child's, read through ``children_index``.
@@ -41,10 +43,15 @@ detected by a zero visit count and pinned to the rescaled minimum, which
 keeps every decision invariant under affine maps of the value function.
 The arena keeps every node's UCT scores in a table, ``ArenaSearch.scores``,
 and rescores a row only where its statistics change: a new node's row is
-written when it is created, :meth:`ArenaSearch.backward` rescores the live
-nodes on the path it updates, and :meth:`ArenaSearch.expand` rescores an
-element's rows when its adaptive range moves. No statistic changes during a
-descent, so each level is a lookup in that table. Of a terminal row only a
+written when it is created, :meth:`ArenaSearch.backward` rescores the nodes
+on the path it updates, and :meth:`ArenaSearch.expand` rescores an element's
+rows when its adaptive range moves. Every rescore also writes the rows'
+entries of a descent table, ``ArenaSearch.next_node``: the child at the row's
+argmax slot, or the node itself where that slot is unexpanded or the node is
+in a chain; a new node has no child and points at itself, as every entry
+starts. No statistic changes during a descent, so each level is one gather
+from the descent table, an element that has stopped points at itself, and the
+actions at the stop are one read of the score table. Of a terminal row only a
 chain head's is read, to pick slot 0 (see :meth:`ArenaSearch.backward`). The
 search itself reads the unsettled arrays: of a chain's rows it only ever reads
 the head's.
@@ -174,45 +181,40 @@ class ArenaSearch:
         self.num_actions = model.vocab_size
         self.num_sparse_actions = a
 
+        # Each (B, N) and (B, N, A) array below is a view of storage with a spare, never
+        # written node after each element's last; the search reaches rows through the storage
+        # raveled, at element * (N + 1) + node. _row0 holds each element's node-0 row, so an
+        # unexpanded slot's -1 reads the spare row before it (see _child_statistics).
+        self._stride = n + 1
+        self._batch_range = np.arange(b)
+        self._row0 = self._batch_range * self._stride
+
         # Node statistics; the public properties of the same names settle chain members
         # first (see backward), the search itself reads these directly.
-        self._visit_counts = np.zeros((b, n), dtype=np.int64)
-        self._values = np.zeros((b, n), dtype=np.float64)
-        self.parents = np.full((b, n), -1, dtype=np.int64)
-        self.action_from_parents = np.full((b, n), -1, dtype=np.int64)
+        self._visit_counts, self._row_visits = self._node_array(0, np.int64)
+        self._values, self._row_values = self._node_array(0.0, np.float64)
+        self.parents, self._row_parents = self._node_array(-1, np.int64)
+        self.action_from_parents, self._row_actions = self._node_array(-1, np.int64)
 
-        self.topk_mapping = np.full((b, n, a), -1, dtype=np.int64)
-        self.children_index = np.full((b, n, a), -1, dtype=np.int64)
-        self.children_prior = np.zeros((b, n, a), dtype=np.float64)
-        self._stale = False  # a backup has left chain members behind their heads
-        # UCT scores of every live node's sparse actions, kept equal to uct_scores.
-        self.scores = np.zeros((b, n, a), dtype=np.float64)
+        self.topk_mapping, self._row_topk = self._node_array(-1, np.int64, a)
+        self.children_index, self._row_children = self._node_array(-1, np.int64, a)
+        self.children_prior, self._row_priors = self._node_array(0.0, np.float64, a)
+        self._stale = False  # a backup may have left chain members behind their heads
+        # UCT scores of every live node's sparse actions, kept equal to uct_scores, and the
+        # descent table written with them (see _rescore): the node a descent moves to from
+        # each node. A node has no child when it is created, so every entry starts at itself.
+        self.scores, self._row_scores = self._node_array(0.0, np.float64, a)
+        self.next_node, self._row_next = self._node_array(0, np.int64)
+        self.next_node[:] = np.arange(n)
 
         # A terminal node's only child is an absorbing copy at slot 0, so terminal nodes
         # form chains. chain_head is each node's first chain member (-1 for a live node);
         # chain_tail, read at a head, is the chain's last member.
-        self.chain_head = np.full((b, n), -1, dtype=np.int64)
-        self.chain_tail = np.full((b, n), -1, dtype=np.int64)
+        self.chain_head, self._row_heads = self._node_array(-1, np.int64)
+        self.chain_tail, self._row_tails = self._node_array(-1, np.int64)
 
         # node_states[node][b], None where element b had retired before the node was made.
         self.node_states: list[list[ModelState | None]] = []
-        self._batch_range = np.arange(b)
-
-        # Raveled views of the arrays above, so the search gathers and scatters whole rows:
-        # the row of (element, node) is element * N + node, and _row0 holds each element's
-        # node-0 row. They are views, so writes to either shape show in the other.
-        self._stride = n
-        self._row0 = self._batch_range * n
-        self._row_visits = self._visit_counts.reshape(-1)
-        self._row_values = self._values.reshape(-1)
-        self._row_parents = self.parents.reshape(-1)
-        self._row_actions = self.action_from_parents.reshape(-1)
-        self._row_heads = self.chain_head.reshape(-1)
-        self._row_tails = self.chain_tail.reshape(-1)
-        self._row_topk = self.topk_mapping.reshape(b * n, a)
-        self._row_children = self.children_index.reshape(b * n, a)
-        self._row_priors = self.children_prior.reshape(b * n, a)
-        self._row_scores = self.scores.reshape(b * n, a)
         self._activate(self._batch_range)
 
         self._rollout_charges = np.zeros(b, dtype=np.int64)
@@ -274,16 +276,19 @@ class ArenaSearch:
 
     # -------------------------------------------------------------- internals
 
+    def _node_array(self, fill, dtype, *tail: int) -> tuple[np.ndarray, np.ndarray]:
+        """A ``(B, N, *tail)`` array filled with ``fill`` and its storage's raveled rows."""
+        storage = np.full((self.batch_size, self._stride, *tail), fill, dtype=dtype)
+        return storage[:, :-1], storage.reshape(-1, *tail)
+
     def _child_statistics(
         self, row0: np.ndarray, rows: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Visit counts and values of the children of each node row, with the shape of
         ``rows`` plus ``(A,)``; ``row0`` is the node-0 row of each row's element. An
-        unexpanded slot's -1 gathers the row before ``row0`` and reads 0 and 0.0."""
-        children = self._row_children.take(rows, axis=0)
-        expanded, child_rows = children >= 0, row0[..., None] + children
-        visits = np.where(expanded, self._row_visits[child_rows], 0)
-        return visits, np.where(expanded, self._row_values[child_rows], 0.0)
+        unexpanded slot's -1 gathers the spare row before ``row0`` and reads 0 and 0.0."""
+        child_rows = row0[..., None] + self._row_children.take(rows, axis=0)
+        return self._row_visits[child_rows], self._row_values[child_rows]
 
     def uct_scores(self, elements: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """Value score + policy score of the sparse actions of each (element, node) pair.
@@ -319,21 +324,19 @@ class ArenaSearch:
         actions chosen at ``path[-1]``. Each row moves an element to a new node or, once it
         has stopped, repeats its last node (padding), so ``D`` is at most the node count. An
         element stops at the first terminal node it reaches, which is a chain head; the
-        action there is slot 0, and the chain's tail is the node to expand. The score table
-        is current, so each level is a gather and an argmax, and the descent costs what its
-        path does, not the tree size.
+        action there is slot 0, and the chain's tail is the node to expand. The descent
+        table is current, and a stopped element points at itself, so each level is one
+        gather and one compare, the stop's actions are one :meth:`uct_select_action` read,
+        and the descent costs what its path does, not the tree size.
         """
         path = np.zeros((self.allocated_nodes(), len(self._active)), dtype=np.int64)
-        node_indices, depth = path[0], 0
+        row0, node_indices, depth = self._active_row0, path[0], 0
         while True:
-            actions = self.uct_select_action(node_indices)
-            rows = self._active_row0 + node_indices
-            next_nodes = self._row_children[rows, actions]
-            stopped = (next_nodes == -1) | (self._row_heads[rows] >= 0)
-            if stopped.all():
-                return path[: depth + 1], actions
+            next_nodes = self._row_next[row0 + node_indices]
+            if not np.count_nonzero(next_nodes != node_indices):  # every element points at itself
+                return path[: depth + 1], self.uct_select_action(node_indices)
             depth += 1
-            node_indices = path[depth] = np.where(stopped, node_indices, next_nodes)
+            node_indices = path[depth] = next_nodes
 
     def expand(self, node_indices: np.ndarray, sparse_actions: np.ndarray) -> int:
         """Evaluate the selected edges of the active elements and wire the resulting nodes
@@ -370,20 +373,23 @@ class ArenaSearch:
         node = self._create_node(apply_temperature(priors, self.cfg.tau), values, child_states)
 
         low, high = self.adaptive_min[active], self.adaptive_max[active]
-        moved = active[(values < low) | (values > high)]
-        self.adaptive_min[active] = np.minimum(low, values)
-        self.adaptive_max[active] = np.maximum(high, values)
+        out = (values < low) | (values > high)
+        moved = active[out]
         if moved.size:
-            self.scores[moved, : node + 1] = self.uct_scores(moved[:, None], np.arange(node + 1))
+            self.adaptive_min[moved] = np.minimum(low, values)[out]
+            self.adaptive_max[moved] = np.maximum(high, values)[out]
+            self._rescore(moved[:, None], np.arange(node + 1))
 
         rows = row0 + node
         self._row_children[parent_rows, sparse_actions] = node
         self._row_parents[rows] = node_indices
         self._row_actions[rows] = sparse_actions
 
-        heads = np.where(terminal, np.where(parent_heads >= 0, parent_heads, node), -1)
-        self._row_heads[rows] = heads
-        self._row_tails[row0[terminal] + heads[terminal]] = node
+        terminal_rows = rows[terminal]
+        if terminal_rows.size:
+            heads = np.where(parent_heads >= 0, parent_heads, node)[terminal]
+            self._row_heads[terminal_rows] = heads
+            self._row_tails[row0[terminal] + heads] = node
         return node
 
     def _create_node(
@@ -398,7 +404,8 @@ class ArenaSearch:
         priors = tempered_priors[self._active_positions, top]
         self._row_priors[rows] = priors
         # The UCT row at one visit with no visited child, bit for bit: sqrt(1) = 1, the
-        # division is by 1, and the value score adds +0.0.
+        # division is by 1, and the value score adds +0.0. With no child, the row's descent
+        # entry is the node itself, as it starts.
         self._row_scores[rows] = self.cfg.c_puct * priors
         self._row_values[rows] = values
         self._row_visits[rows] = 1
@@ -410,36 +417,45 @@ class ArenaSearch:
         self.node_states.append(handles)
         return node
 
+    def _rescore(self, elements: np.ndarray, nodes: np.ndarray) -> None:
+        """Write the score rows of the (element, node) pairs, which broadcast as in
+        :meth:`uct_scores`, and with them their descent table entries: the child at each
+        row's argmax slot (ties go to the lower slot), or the row's own node where that slot
+        is unexpanded or the node is in a chain."""
+        scores = self.uct_scores(elements, nodes)
+        rows = elements * self._stride + nodes
+        self._row_scores[rows] = scores
+        children = self._row_children[rows, scores.argmax(axis=-1)]
+        stop = (children < 0) | (self._row_heads[rows] >= 0)
+        self._row_next[rows] = np.where(stop, nodes, children)
+
     def backward(self, path: np.ndarray, leaf: int) -> None:
-        """Propagate the leaf's value to every ancestor: :meth:`simulate`'s path, then the head
-        of the chain it ends at, if any, and rescore the live path nodes.
+        """Propagate the leaf's value to every ancestor on :meth:`simulate`'s path, and rescore
+        the path's nodes.
 
         ``leaf`` is the node expanded below ``path[-1]``, or below the tail of the chain that
-        ``path[-1]`` heads. Padding rows (a node repeating the one above it, or a leaf equal to
-        it) are masked, so each (element, ancestor) pair occurs once and fancy-indexed updates
-        apply level-by-level float operations at any depth. Every value backed into a chain is
-        its one value, so a member's statistics follow from its head's: only the head is
-        updated, and the other members are settled from it when the statistics are read. The
-        path's nodes above the chain are the only live nodes whose statistics change, so only
-        their rows are rescored. Terminal rows are rescored only when :meth:`expand` rescores
-        a moved element's table, which may read a member's unsettled statistics; slot 0 still
-        wins, since a terminal prior is one-hot EOS: slot 0's policy score is above 0, every
-        other slot scores exactly 0, and a value score is never below 0.
+        ``path[-1]`` heads. A path entry that the next row repeats (padding), or that equals
+        the leaf, is masked, so each (element, ancestor) pair occurs once and fancy-indexed
+        updates apply level-by-level float operations at any depth. Every value backed into a chain is
+        its one value, so a member's statistics follow from its head's: of a chain only the
+        head, the path's last node, is updated, and the other members are settled from it
+        when the statistics are read. Of a terminal row only a chain head's is read, and its
+        argmax is slot 0 however its statistics stand: a terminal prior is one-hot EOS, so
+        slot 0's policy score is above 0, every other slot scores exactly 0, and a value score
+        is never below 0.
         """
         active_row0 = self._active_row0
-        heads = self._row_heads[active_row0 + path[-1]]
-        at_head = heads >= 0
-        chained = np.flatnonzero(at_head)
-        steps = np.concatenate([path, np.where(at_head, path[-1], leaf)[None]])
-        moved = np.flatnonzero(steps[1:] != steps[:-1])  # raveled: depth * b + active index
-        path_i, path_nodes = moved % len(active_row0), steps[:-1].ravel()[moved]
-        row0 = active_row0[np.concatenate([path_i, chained])]
-        rows = row0 + np.concatenate([path_nodes, heads[chained]])
+        ends = np.empty_like(path)
+        ends[:-1], ends[-1] = path[1:], leaf
+        moved = (path != ends).ravel().nonzero()[0]  # raveled: depth * b + active index
+        path_i, path_nodes = moved % len(active_row0), path.ravel()[moved]
+        row0 = active_row0[path_i]
+        rows = row0 + path_nodes
         values, visits = self._row_values[rows], self._row_visits[rows]
         self._row_values[rows] = self._backup(values, visits, self._row_values[row0 + leaf])
         self._row_visits[rows] = visits + 1
-        self._stale |= bool(chained.size)
-        self._row_scores[rows[: moved.size]] = self.uct_scores(self._active[path_i], path_nodes)
+        self._stale = True
+        self._rescore(self._active[path_i], path_nodes)
 
     def _backup(
         self, values: np.ndarray, visits: np.ndarray, leaf_values: np.ndarray
@@ -496,7 +512,7 @@ class ArenaSearch:
     def _settled_edges(self) -> tuple[np.ndarray, np.ndarray]:
         self._settle()
         row0 = self._row0[:, None]
-        return self._child_statistics(row0, row0 + np.arange(self._stride))
+        return self._child_statistics(row0, row0 + np.arange(self._visit_counts.shape[1]))
 
     @property
     def evaluations(self) -> np.ndarray:

@@ -103,6 +103,21 @@ class TestOracle:
         assert sorted(rows) == [(), (0,), (1,), (2,)]
 
 
+class TestParser:
+    def test_one_parser_serves_every_call(self, dataset_path, tmp_path, monkeypatch):
+        # The parser is built once per process; one call's flags do not leak into the next.
+        parsed = []
+        monkeypatch.setattr(cli, "_cmd_decode", lambda args: parsed.append(args) or 0)
+        argv = ("decode", "--algorithm", "greedy", "--dataset", dataset_path, "--out", tmp_path)
+        assert run(*argv, "--format", "table", "--metric", "bleu") == 0
+        assert run(*argv) == 0
+        assert [(args.format, args.metric) for args in parsed] == [
+            ("table", "bleu"),
+            ("json", "occupancy"),
+        ]
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestTree:
     def test_writes_dot_file(self, dataset_path, tmp_path):
         out = tmp_path / "tree.dot"

@@ -463,13 +463,19 @@ class TestAbsorbingChains:
 
 def check_score_table(arena):
     """Assert the score-table invariant: every live node's row equals the per-row formula bit
-    for bit, and every chain head picks slot 0."""
+    for bit, and every chain head picks slot 0. Assert the descent table's: every node's next
+    node is the child at its row's argmax slot, or the node itself where that slot is
+    unexpanded or the node is in a chain."""
+    elements = np.arange(arena.batch_size)
     for node in range(arena.allocated_nodes()):
         nodes = np.full(arena.batch_size, node)
         live = arena.chain_head[:, node] < 0
         assert np.array_equal(arena.scores[live, node], per_row_scores(arena, nodes)[live]), node
         heads = arena.chain_head[:, node] == node
         assert (arena.uct_select_action(nodes)[heads] == 0).all(), node
+        child = arena.children_index[elements, node, arena.scores[:, node].argmax(axis=1)]
+        expected = np.where(live & (child >= 0), child, node)
+        assert np.array_equal(arena.next_node[:, node], expected), node
 
 
 class TestScoreTable:
