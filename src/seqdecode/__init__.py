@@ -78,14 +78,11 @@ from .scoring import (
     Metric,
     SeededUnitEmbeddings,
     bert_style_metric,
-    bert_style_score,
     bleu,
     bleu_metric,
     coverage_metric,
     multilingual_bert_style_metric,
     occupancy_metric,
-    toy_coverage,
-    toy_occupancy,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -235,9 +235,9 @@ def reward_anchor(metric: "Metric", state: DecodeState) -> Sequence:
 def terminal_reward(state: DecodeState, metric: "Metric") -> float:
     """Score a finished output against :func:`reward_anchor` of its state.
 
-    The closing EOS is excluded from the scored text, and the result is
-    clamped to [0, 1].
+    The closing EOS is excluded from the scored text; the metric returns a
+    value in [0, 1].
     """
     if not state.terminal:
         raise ContractViolation("terminal_reward() called on a non-terminal state")
-    return clamp01(metric(reward_anchor(metric, state), state.content))
+    return metric(reward_anchor(metric, state), state.content)

@@ -1,9 +1,10 @@
 """Sequence-level similarity metrics.
 
-A metric is a callable on token tuples returning a value in [0, 1]. Metrics
-are tagged ``privileged`` when they need a reference output (BLEU and the
-reference-anchored embedding score); the source-anchored variants and the toy
-diagnostics need only the source.
+A metric scores token sequences against an anchor, each with a value in
+[0, 1]; its one function scores a batch of equal-length candidates held as
+one integer array. Metrics are tagged ``privileged`` when they need a
+reference output (BLEU and the reference-anchored embedding score); the
+source-anchored variants and the toy diagnostics need only the source.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ import numpy as np
 
 from .mdp import ConfigurationError, ContractViolation, Sequence, clamp01
 
-ScoreFn = Callable[[Sequence, Sequence], float]
-BatchScoreFn = Callable[[Sequence, np.ndarray], list[float]]
-
 
 def _clamp01(scores: np.ndarray) -> np.ndarray:
     """:func:`clamp01` of every entry."""
@@ -31,7 +29,8 @@ def _by_length(candidates: list[Sequence]) -> Iterator[tuple[np.ndarray, np.ndar
     """Group ``candidates`` by length: per length, ascending, the candidates'
     indices and their tokens as one ``(n, L)`` integer array."""
     lengths = np.fromiter(map(len, candidates), dtype=np.intp, count=len(candidates))
-    for length in np.unique(lengths).tolist():
+    # Not np.unique: its first call imports numpy.ma, about 1 MB.
+    for length in sorted(set(lengths.tolist())):
         ks = np.flatnonzero(lengths == length)
         tokens = chain.from_iterable(map(candidates.__getitem__, ks.tolist()))
         group = np.fromiter(tokens, dtype=np.intp, count=len(ks) * length)
@@ -40,31 +39,33 @@ def _by_length(candidates: list[Sequence]) -> Iterator[tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class Metric:
-    """Scoring contract: ``fn(anchor, candidate) -> [0, 1]``.
+    """Scoring contract: ``fn(anchor, candidates)`` scores the ``(n, L)`` integer
+    array ``candidates``, one equal-length candidate per row, and returns ``n``
+    scores. :class:`Metric` clamps each to [0, 1].
 
     For privileged metrics the anchor is a reference output; for unprivileged
     metrics it is the source sentence.
 
-    ``score_batch(anchor, candidates)`` scores many candidates against one
-    anchor and returns one float per candidate, bitwise equal to calling the
-    metric on each in turn. The candidates are a list of token sequences or
-    one ``(n, L)`` integer array of equal-length candidates, one per row.
-    ``batch_fn``, when given, computes the scores of one ``(n, L)`` array in
-    one call and must return ``n`` of them; ``score_batch`` groups a list by
-    length and calls it once per length. Without ``batch_fn``, ``score_batch``
-    calls ``fn`` on each candidate as a tuple. A non-finite score is a
-    ``ContractViolation`` naming the metric and the candidate, and so is a
-    ``batch_fn`` result of the wrong length, naming both counts.
+    ``metric(anchor, candidate)`` scores one candidate as a batch of one.
+    ``score_batch(anchor, candidates)`` scores many against one anchor and
+    returns one float per candidate, bitwise equal to scoring each alone. The
+    candidates are a list of token sequences, which it groups by length and
+    hands to ``fn`` as one array per length, or one ``(n, L)`` integer array.
+    A non-finite score is a ``ContractViolation`` naming the metric and the
+    candidate, and so is an ``fn`` result of the wrong length, naming both
+    counts.
     """
 
     name: str
     privileged: bool
-    fn: ScoreFn = field(repr=False)
-    batch_fn: BatchScoreFn | None = field(default=None, repr=False)
+    fn: Callable[[Sequence, np.ndarray], list[float]] = field(repr=False)
 
     def __call__(self, anchor: Sequence, candidate: Sequence) -> float:
         candidate = tuple(candidate)
-        score = self.fn(tuple(anchor), candidate)
+        scores = self.fn(tuple(anchor), np.array((candidate,), dtype=np.intp))
+        if len(scores) != 1:
+            self._miscounted(len(scores), 1)
+        score = scores[0]
         if not math.isfinite(score):
             self._refuse(score, candidate)
         return clamp01(score)
@@ -77,19 +78,12 @@ class Metric:
                 f"metric {self.name!r} needs a 2-D integer candidate array, got "
                 f"{candidates.ndim}-D {candidates.dtype}"
             )
-        if self.batch_fn is None:
-            rows = candidates.tolist() if is_array else candidates
-            raw = np.array([self.fn(anchor, tuple(c)) for c in rows], dtype=float)
-        else:
-            raw = np.empty(len(candidates))
-            for ks, group in [(slice(None), candidates)] if is_array else _by_length(candidates):
-                scores = self.batch_fn(anchor, group)
-                if len(scores) != len(group):
-                    raise ContractViolation(
-                        f"metric {self.name!r} returned {len(scores)} scores for a batch "
-                        f"of {len(group)}"
-                    )
-                raw[ks] = scores
+        raw = np.empty(len(candidates))
+        for ks, group in [(slice(None), candidates)] if is_array else _by_length(candidates):
+            scores = self.fn(anchor, group)
+            if len(scores) != len(group):
+                self._miscounted(len(scores), len(group))
+            raw[ks] = scores
         finite = np.isfinite(raw)
         if not finite.all():
             k = int(np.argmin(finite))
@@ -98,6 +92,11 @@ class Metric:
 
     def _refuse(self, score, candidate: Sequence) -> None:
         raise ContractViolation(f"metric {self.name!r} scored candidate {candidate} as {score}")
+
+    def _miscounted(self, returned: int, batch: int) -> None:
+        raise ContractViolation(
+            f"metric {self.name!r} returned {returned} scores for a batch of {batch}"
+        )
 
 
 # --------------------------------------------------------------------------- BLEU
@@ -152,7 +151,7 @@ def bleu_metric(max_n: int = 4) -> Metric:
     return Metric(
         name=f"bleu{max_n}",
         privileged=True,
-        fn=lambda anchor, cand: bleu([cand], [anchor], max_n=max_n),
+        fn=lambda anchor, cands: [bleu([row], [anchor], max_n=max_n) for row in cands.tolist()],
     )
 
 
@@ -250,18 +249,12 @@ def bert_style_scores(candidates: np.ndarray, anchor: Sequence, embedder) -> lis
     return _clamp01(scores).tolist()
 
 
-def bert_style_score(candidate: Sequence, anchor: Sequence, embedder) -> float:
-    """:func:`bert_style_scores` of one candidate."""
-    return bert_style_scores(np.array(candidate, dtype=np.intp).reshape(1, -1), anchor, embedder)[0]
-
-
 def bert_style_metric(embedder, name: str = "bertscore") -> Metric:
     """Reference-anchored variant (privileged)."""
     return Metric(
         name=name,
         privileged=True,
-        fn=lambda anchor, cand: bert_style_score(cand, anchor, embedder),
-        batch_fn=lambda anchor, cands: bert_style_scores(cands, anchor, embedder),
+        fn=lambda anchor, cands: bert_style_scores(cands, anchor, embedder),
     )
 
 
@@ -270,42 +263,31 @@ def multilingual_bert_style_metric(embedder, name: str = "mlbertscore") -> Metri
     return Metric(
         name=name,
         privileged=False,
-        fn=lambda anchor, cand: bert_style_score(cand, anchor, embedder),
-        batch_fn=lambda anchor, cands: bert_style_scores(cands, anchor, embedder),
+        fn=lambda anchor, cands: bert_style_scores(cands, anchor, embedder),
     )
 
 
 # ------------------------------------------------------------------ toy metrics
 
 
-def toy_occupancy(candidate: Sequence, target: int, horizon: int) -> float:
-    """Fraction of the horizon filled with the target token."""
-    if horizon < 1:
-        raise ConfigurationError("horizon must be >= 1")
-    return clamp01(sum(1 for t in candidate if t == target) / horizon)
-
-
 def occupancy_metric(target: int, horizon: int) -> Metric:
+    """Fraction of the horizon filled with the target token, clamped to 1."""
     if horizon < 1:
         raise ConfigurationError("horizon must be >= 1")
     return Metric(
         name=f"occupancy({target},{horizon})",
         privileged=False,
-        fn=lambda _anchor, cand: toy_occupancy(cand, target, horizon),
+        fn=lambda _anchor, cands: [row.count(target) / horizon for row in cands.tolist()],
     )
-
-
-def toy_coverage(candidate: Sequence, source: Sequence) -> float:
-    """Fraction of the source's distinct tokens appearing in the candidate."""
-    source_set = set(source)
-    if not source_set:
-        raise ConfigurationError("source must be non-empty")
-    return clamp01(len(source_set & set(candidate)) / len(source_set))
 
 
 def coverage_metric() -> Metric:
-    return Metric(
-        name="coverage",
-        privileged=False,
-        fn=lambda anchor, cand: toy_coverage(cand, anchor),
-    )
+    """Fraction of the source's distinct tokens appearing in the candidate."""
+
+    def coverage(source: Sequence, candidates: np.ndarray) -> list[float]:
+        distinct = set(source)
+        if not distinct:
+            raise ConfigurationError("source must be non-empty")
+        return [len(distinct & set(row)) / len(distinct) for row in candidates.tolist()]
+
+    return Metric(name="coverage", privileged=False, fn=coverage)

@@ -532,9 +532,9 @@ class TestRolloutReuse:
         # parents are rolled out; an absorbed child gets its value back from its handle.
         calls = []
 
-        def counted(anchor, candidate):
-            calls.append(candidate)
-            return coverage_metric().fn(anchor, candidate)
+        def counted(anchor, candidates):
+            calls.extend(map(tuple, candidates.tolist()))
+            return coverage_metric().fn(anchor, candidates)
 
         metric = Metric("counted-coverage", privileged=False, fn=counted)
         cfg = SearchConfig(num_simulations=40, num_sparse_actions=3, value_source="rollout")

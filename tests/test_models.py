@@ -543,9 +543,9 @@ def counted_metric(inner):
     """``inner`` under another name, recording every scored candidate."""
     calls = []
 
-    def fn(anchor, candidate):
-        calls.append(candidate)
-        return inner.fn(anchor, candidate)
+    def fn(anchor, candidates):
+        calls.extend(map(tuple, candidates.tolist()))
+        return inner.fn(anchor, candidates)
 
     return Metric(f"counted-{inner.name}", inner.privileged, fn=fn), calls
 
@@ -652,7 +652,7 @@ class TestGreedyMemo:
     def test_non_finite_reward_names_the_metric_cold_and_warm(self):
         # The metric refuses a non-finite score itself, so none reaches the reward memo:
         # a cold walk, one that meets the completion memo and a completion hit all raise.
-        nan = Metric("nan", privileged=False, fn=lambda _anchor, _candidate: math.nan)
+        nan = Metric("nan", privileged=False, fn=lambda _anchor, cands: [math.nan] * len(cands))
         model = self._build(False, nan)
         walk = greedy_walk(model, model.initial_state((0, 1)))
         refusal = re.escape(f"metric 'nan' scored candidate {walk[-1].content} as nan")

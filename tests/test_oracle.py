@@ -312,7 +312,7 @@ class TestArgmaxLikelihood:
 
         model = PrefixPrior(vocab_size=3, max_len=2)
         root = model.initial_state(())
-        constant = Metric(name="constant", privileged=False, fn=lambda a, c: 0.5)
+        constant = Metric(name="constant", privileged=False, fn=lambda a, cs: [0.5] * len(cs))
         for best in (
             exact_argmax_likelihood(model, root),
             exact_argmax_metric(model, root, constant),
@@ -355,7 +355,7 @@ class TestArgmaxMetric:
         assert best.score == 1.0
 
     def test_constant_metric_ties_break_to_likelihood(self, m0):
-        constant = Metric(name="constant", privileged=False, fn=lambda a, c: 0.5)
+        constant = Metric(name="constant", privileged=False, fn=lambda a, cs: [0.5] * len(cs))
         root = m0.initial_state(())
         best = exact_argmax_metric(m0, root, constant)
         assert best.sequence == exact_argmax_likelihood(m0, root).sequence
@@ -364,7 +364,9 @@ class TestArgmaxMetric:
         # Content tokens A and B are equally likely, so AB, BA and BB tie on
         # likelihood and on the score; B alone is less likely.
         model = FixedPriorModel([0.4, 0.4, 0.2], max_len=2)
-        has_b = Metric(name="has_b", privileged=False, fn=lambda a, c: float(B in c))
+        has_b = Metric(
+            name="has_b", privileged=False, fn=lambda a, cs: [float(B in c) for c in cs.tolist()]
+        )
         best = exact_argmax_metric(model, model.initial_state(()), has_b)
         assert best.sequence == (A, B, EOS)
         assert best.score == 1.0
@@ -386,7 +388,7 @@ class TestArgmaxMetric:
         # (A, EOS) and (EOS,) tie on the score and on the log-likelihood, log 0.5: the
         # forced EOS is free. They are scored in different levels; the smaller wins.
         model = FixedPriorModel([0.5, 0.5], max_len=1)
-        constant = Metric(name="constant", privileged=False, fn=lambda a, c: 0.5)
+        constant = Metric(name="constant", privileged=False, fn=lambda a, cs: [0.5] * len(cs))
         best = exact_argmax_metric(model, model.initial_state(()), constant)
         assert best.sequence == (A, model.eos_id)
         assert best.log_likelihood == math.log(0.5)
@@ -417,53 +419,46 @@ class TestArgmaxMetric:
         ],
     )
     def test_one_score_batch_per_level_with_a_terminated_child(self, monkeypatch, model, batches):
-        alone, seen = [], []
+        seen = []
         counted = Metric(
             name="counted",
             privileged=False,
-            fn=lambda a, c: alone.append(c) or len(c) / 4,
-            batch_fn=lambda a, cs: seen.append(cs) or [len(c) / 4 for c in cs],
+            fn=lambda a, cs: seen.append(cs) or [len(c) / 4 for c in cs],
         )
         monkeypatch.setattr(oracle, "enumerate_sequences", lambda *args: pytest.fail("enumerated"))
         root = model.initial_state(())
         best = exact_argmax_metric(model, root, counted)
-        assert ([len(cs) for cs in seen], alone) == (batches, [])
+        assert [len(cs) for cs in seen] == batches
         # Each call gets one (n, L) integer array: a level's contents share one length.
         assert all(type(cs) is np.ndarray and cs.ndim == 2 and cs.dtype.kind == "i" for cs in seen)
         assert (best.sequence, (best.score, best.log_likelihood)) == scalar_argmax_metric(
             model, root, counted
         )
 
-    @pytest.mark.parametrize("batched", [False, True], ids=["per_candidate", "batch_fn"])
-    def test_non_finite_score_is_a_contract_violation(self, batched):
+    def test_non_finite_score_is_a_contract_violation(self):
         # NaN never compares greater, so an unchecked NaN at (A, A) would keep the
         # lead it takes, although (B,) scores 1.0.
-        def fn(anchor, candidate):
-            return math.nan if candidate == (A, A) else float(candidate == (B,))
+        def fn(anchor, candidates):
+            return [math.nan if c == [A, A] else float(c == [B]) for c in candidates.tolist()]
 
         model = FixedPriorModel([0.4, 0.4, 0.2], max_len=2)
-        nan_at_aa = Metric(
-            name="nan_at_aa",
-            privileged=False,
-            fn=fn,
-            batch_fn=(lambda a, cs: [fn(a, tuple(c)) for c in cs]) if batched else None,
-        )
+        nan_at_aa = Metric(name="nan_at_aa", privileged=False, fn=fn)
         refusal = re.escape("metric 'nan_at_aa' scored candidate (0, 0) as nan")
         with pytest.raises(ContractViolation, match=refusal):
             exact_argmax_metric(model, model.initial_state(()), nan_at_aa)
 
     @pytest.mark.parametrize(
-        "batch_fn, returned",
+        "fn, returned",
         [
             (lambda a, cs: [len(c) / 4 for c in cs][1:], 3),  # drops its first score
             (lambda a, cs: [len(c) / 4 for c in cs] + [0.0], 5),  # appends one
         ],
         ids=["short", "long"],
     )
-    def test_a_batch_result_of_the_wrong_length_is_a_contract_violation(self, batch_fn, returned):
+    def test_a_batch_result_of_the_wrong_length_is_a_contract_violation(self, fn, returned):
         # EOS is impossible before the cap, so the one scored level is the forced one, of 4.
         model = FixedPriorModel([0.5, 0.5, 0.0], max_len=2)
-        miscounted = Metric("miscounted", False, fn=lambda a, c: len(c) / 4, batch_fn=batch_fn)
+        miscounted = Metric("miscounted", False, fn=fn)
         refusal = re.escape(f"metric 'miscounted' returned {returned} scores for a batch of 4")
         with pytest.raises(ContractViolation, match=refusal):
             exact_argmax_metric(model, model.initial_state(()), miscounted)
@@ -473,8 +468,7 @@ class TestArgmaxMetric:
         needs_reference = Metric(
             name="needs_reference",
             privileged=True,
-            fn=lambda a, c: calls.append(c) or 0.0,
-            batch_fn=lambda a, cs: calls.extend(cs) or [0.0] * len(cs),
+            fn=lambda a, cs: calls.extend(cs) or [0.0] * len(cs),
         )
         with pytest.raises(ConfigurationError, match="needs_reference"):
             exact_argmax_metric(m0, m0.initial_state((A,)), needs_reference)

@@ -13,14 +13,12 @@ from seqdecode import (
     MetricSpec,
     SeededUnitEmbeddings,
     bert_style_metric,
-    bert_style_score,
     bleu,
     coverage_metric,
     occupancy_metric,
-    toy_coverage,
-    toy_occupancy,
 )
 from seqdecode import scoring
+from seqdecode.harness import METRICS
 from seqdecode.mdp import clamp01
 
 THE, CAT, IS, ON, MAT = 0, 1, 2, 3, 4
@@ -97,6 +95,11 @@ class TestBleu:
                 assert bleu([cand], [ref], max_n=max_n) == pytest.approx(expected, abs=1e-9)
 
 
+def bert_style_score(candidate, anchor, embedder):
+    """One candidate's score under ``bert_style_metric(embedder)``, a batch of one."""
+    return bert_style_metric(embedder)(anchor, candidate)
+
+
 class TestBertStyleScore:
     def test_identical_sequences_score_one(self):
         emb = SeededUnitEmbeddings(dim=6, seed=3)
@@ -160,7 +163,7 @@ class TestBertStyleScore:
         emb = SeededUnitEmbeddings()
         metric = bert_style_metric(emb)
         for score in (
-            lambda: bert_style_score(candidate, anchor, emb),
+            lambda: metric(anchor, candidate),
             lambda: metric.score_batch(anchor, np.array([candidate])),
         ):
             with pytest.raises(ValueError, match=f"negative token id {bad}"):
@@ -173,14 +176,6 @@ class TestBertStyleScore:
             assert np.array_equal(a.vector(token), b.vector(token))
 
 
-# The metrics a run can build, plus one whose table repeats a direction (tied similarities).
-BATCH_METRICS = {
-    name: MetricSpec(name=name, max_n=2).build()
-    for name in ("bertscore", "mlbertscore", "coverage", "bleu")
-}
-BATCH_METRICS["bertscore_table"] = bert_style_metric(
-    TableEmbeddings({0: [1.0, 0.0], 1: [0.0, 2.0], 2: [3.0, 0.0], 3: [-1.0, 1.0]})
-)
 TOKENS = st.lists(st.integers(0, 3), max_size=6)
 
 
@@ -221,18 +216,67 @@ def loop_bert_style_score(candidate, anchor, embedder):
     return clamp01((total / n_pairs + 1.0) / 2.0 * length_penalty)
 
 
+def toy_occupancy(candidate, target, horizon):
+    """Reference twin of ``occupancy_metric``: the fraction of the horizon filled
+    with the target token, one candidate at a time."""
+    return clamp01(sum(1 for t in candidate if t == target) / horizon)
+
+
+def toy_coverage(candidate, source):
+    """Reference twin of ``coverage_metric``: the fraction of the source's distinct
+    tokens appearing in one candidate."""
+    source_set = set(source)
+    if not source_set:
+        raise ConfigurationError("source must be non-empty")
+    return clamp01(len(source_set & set(candidate)) / len(source_set))
+
+
+def metric_and_twin(spec):
+    """The metric ``spec`` builds and its scalar twin ``twin(anchor, candidate)``."""
+    embedder = SeededUnitEmbeddings(spec.embedding_dim, spec.embedding_seed)
+    twin = {
+        "occupancy": lambda a, c: toy_occupancy(c, spec.target, spec.horizon),
+        "coverage": lambda a, c: toy_coverage(c, a),
+        "bleu": lambda a, c: bleu([c], [a], max_n=spec.max_n),
+        "bertscore": lambda a, c: loop_bert_style_score(c, a, embedder),
+        "mlbertscore": lambda a, c: loop_bert_style_score(c, a, embedder),
+    }[spec.name]
+    return spec.build(), twin
+
+
+# Every metric a run can build, BLEU at two orders, plus one whose table repeats a
+# direction (tied similarities), each with its scalar twin.
+TWINNED = {
+    "bertscore": metric_and_twin(MetricSpec(name="bertscore")),
+    "mlbertscore": metric_and_twin(MetricSpec(name="mlbertscore")),
+    "coverage": metric_and_twin(MetricSpec(name="coverage")),
+    "occupancy": metric_and_twin(MetricSpec(name="occupancy")),
+    "bleu2": metric_and_twin(MetricSpec(name="bleu", max_n=2)),
+    "bleu4": metric_and_twin(MetricSpec(name="bleu", max_n=4)),
+}
+TIED = TableEmbeddings({0: [1.0, 0.0], 1: [0.0, 2.0], 2: [3.0, 0.0], 3: [-1.0, 1.0]})
+TWINNED["bertscore_table"] = (
+    bert_style_metric(TIED),
+    lambda a, c: loop_bert_style_score(c, a, TIED),
+)
+
+
 class TestScoreBatch:
-    @pytest.mark.parametrize("name", sorted(BATCH_METRICS))
+    @pytest.mark.parametrize("name", sorted(TWINNED))
     @given(anchor=TOKENS, candidates=st.lists(TOKENS, max_size=30), block=st.sampled_from([1, 7]))
-    def test_bitwise_equal_to_the_scalar_path(self, name, anchor, candidates, block):
-        metric = BATCH_METRICS[name]
+    def test_bitwise_equal_to_the_scalar_twin(self, name, anchor, candidates, block):
+        metric, twin = TWINNED[name]
         if name == "coverage" and not anchor:
-            # Coverage has no empty-source score; both paths refuse it alike.
-            for score in (lambda: metric(anchor, ()), lambda: metric.score_batch(anchor, [()])):
-                with pytest.raises(ConfigurationError):
+            # Coverage has no empty-source score; the metric refuses it as its twin does.
+            for score in (
+                lambda: twin(anchor, ()),
+                lambda: metric(anchor, ()),
+                lambda: metric.score_batch(anchor, [()]),
+            ):
+                with pytest.raises(ConfigurationError, match="source must be non-empty"):
                     score()
             return
-        expected = [metric(anchor, c) for c in candidates]
+        expected = [twin(anchor, tuple(c)) for c in candidates]
         for cap in (block, scoring.SCORE_BLOCK_ELEMENTS):
             # A small block cap splits every length group into many blocks.
             with pytest.MonkeyPatch.context() as mp:
@@ -256,8 +300,17 @@ class TestScoreBatch:
             expected = [loop_bert_style_score(candidates[k], anchor, emb) for k in ks]
             assert float_bits(scoring.bert_style_scores(group, anchor, emb)) == float_bits(expected)
 
+    @pytest.mark.parametrize("name", METRICS)
+    @given(anchor=st.lists(st.integers(0, 3), min_size=1, max_size=6), candidate=TOKENS)
+    def test_a_call_is_a_batch_of_one(self, name, anchor, candidate):
+        metric = MetricSpec(name=name).build()
+        for c in (candidate, ()):
+            score = metric(anchor, c)
+            assert type(score) is float
+            assert float_bits([score]) == float_bits(metric.score_batch(anchor, [c]))
+
     def test_more_candidates_than_one_block(self):
-        metric = BATCH_METRICS["bertscore"]
+        metric, _ = TWINNED["bertscore"]
         rng = np.random.default_rng(4)
         anchor = tuple(rng.integers(0, 6, size=6).tolist())
         per_block = scoring.SCORE_BLOCK_ELEMENTS // (6 * 6)
@@ -267,17 +320,11 @@ class TestScoreBatch:
         assert float_bits(metric.score_batch(anchor, candidates)) == float_bits(expected)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("batched", [False, True], ids=["per_candidate", "batch_fn"])
-    def test_a_non_finite_score_is_refused_by_name(self, bad, batched):
-        def fn(anchor, candidate):
-            return bad if candidate == (2, 1) else 0.5
+    def test_a_non_finite_score_is_refused_by_name(self, bad):
+        def fn(anchor, candidates):
+            return [bad if row == [2, 1] else 0.5 for row in candidates.tolist()]
 
-        metric = Metric(
-            "flaky",
-            False,
-            fn=fn,
-            batch_fn=(lambda a, cs: [fn(a, tuple(c)) for c in cs]) if batched else None,
-        )
+        metric = Metric("flaky", False, fn=fn)
         refusal = re.escape(f"metric 'flaky' scored candidate (2, 1) as {bad}")
         with pytest.raises(ContractViolation, match=refusal):
             metric([0], [2, 1])
@@ -286,62 +333,57 @@ class TestScoreBatch:
         assert metric.score_batch([0], [[1], [2]]) == [0.5, 0.5]
 
     @pytest.mark.parametrize(
-        "batch_fn, returned",
+        "fn, extra",
         [
-            (lambda a, cs: [len(c) / 4 for c in cs][1:], 2),  # drops its first score
-            (lambda a, cs: [len(c) / 4 for c in cs] + [0.0], 4),  # appends one
+            (lambda a, cs: [len(c) / 4 for c in cs][1:], -1),  # drops its first score
+            (lambda a, cs: [len(c) / 4 for c in cs] + [0.0], 1),  # appends one
         ],
         ids=["short", "long"],
     )
-    def test_a_batch_result_of_the_wrong_length_is_refused(self, batch_fn, returned):
-        metric = Metric("miscounted", False, fn=lambda a, c: len(c) / 4, batch_fn=batch_fn)
-        refusal = re.escape(f"metric 'miscounted' returned {returned} scores for a batch of 3")
+    def test_a_batch_result_of_the_wrong_length_is_refused(self, fn, extra):
+        metric = Metric("miscounted", False, fn=fn)
+
+        def refusal(n):
+            return re.escape(f"metric 'miscounted' returned {n + extra} scores for a batch of {n}")
+
+        with pytest.raises(ContractViolation, match=refusal(1)):
+            metric([0], [1])
         for candidates in ([[1], [2], [0]], np.array([[1], [2], [0]])):
-            with pytest.raises(ContractViolation, match=refusal):
+            with pytest.raises(ContractViolation, match=refusal(3)):
                 metric.score_batch([0], candidates)
 
     @pytest.mark.parametrize(
         "candidates", [np.array([1, 2]), np.array([[0.5]]), np.zeros((1, 1, 1), int)]
     )
-    @pytest.mark.parametrize("batched", [False, True], ids=["per_candidate", "batch_fn"])
-    def test_an_array_that_is_not_2d_integer_is_refused(self, candidates, batched):
-        batch_fn = (lambda a, cs: [0.5] * len(cs)) if batched else None
-        metric = Metric("plain", False, fn=lambda a, c: 0.5, batch_fn=batch_fn)
+    def test_an_array_that_is_not_2d_integer_is_refused(self, candidates):
+        metric = Metric("plain", False, fn=lambda a, cs: [0.5] * len(cs))
         with pytest.raises(ContractViolation, match="'plain' needs a 2-D integer candidate array"):
             metric.score_batch([0], candidates)
 
     def test_a_list_reaches_the_batch_function_as_one_array_per_length(self):
         seen = []
-        metric = Metric(
-            "echo",
-            False,
-            fn=lambda a, c: len(c) / 4,
-            batch_fn=lambda a, cs: seen.append(cs) or [len(c) / 4 for c in cs],
-        )
+        metric = Metric("echo", False, fn=lambda a, cs: seen.append(cs) or [len(c) / 4 for c in cs])
         assert metric.score_batch([0], [(1, 2), (), [3], (4, 5)]) == [0.5, 0.0, 0.25, 0.5]
-        assert [cs.tolist() for cs in seen] == [[[]], [[3]], [[1, 2], [4, 5]]]
+        assert metric([0], (6, 7)) == 0.5  # a call is one (1, L) array
+        assert [cs.tolist() for cs in seen] == [[[]], [[3]], [[1, 2], [4, 5]], [[6, 7]]]
         assert all(cs.dtype.kind == "i" for cs in seen)
-
-    def test_without_a_batch_function_the_metric_is_called_per_candidate(self):
-        seen = []
-        metric = Metric("echo", False, fn=lambda a, c: seen.append((a, c)) or len(c) / 2)
-        assert metric.score_batch([0], [[1], [], [1, 2, 3]]) == [0.5, 0.0, 1.0]
-        assert seen == [((0,), (1,)), ((0,), ()), ((0,), (1, 2, 3))]
 
 
 class TestToyMetrics:
     def test_occupancy(self):
-        assert toy_occupancy((0, 0, 0), 0, 3) == 1.0
-        assert toy_occupancy((), 0, 3) == 0.0
-        assert toy_occupancy((1, 0), 0, 3) == pytest.approx(1 / 3)
-        assert toy_occupancy((0,) * 9, 0, 3) == 1.0  # clamped
+        occ = occupancy_metric(0, 3)
+        assert occ((), (0, 0, 0)) == 1.0
+        assert occ((), ()) == 0.0
+        assert occ((), (1, 0)) == pytest.approx(1 / 3)
+        assert occ((), (0,) * 9) == 1.0  # clamped
 
     def test_coverage(self):
-        assert toy_coverage((0, 1, 5), (0, 1)) == 1.0
-        assert toy_coverage((4, 5), (0, 1)) == 0.0
-        assert toy_coverage((0, 0, 0), (0, 1)) == 0.5
+        cov = coverage_metric()
+        assert cov((0, 1), (0, 1, 5)) == 1.0
+        assert cov((0, 1), (4, 5)) == 0.0
+        assert cov((0, 1), (0, 0, 0)) == 0.5
         with pytest.raises(ValueError):
-            toy_coverage((0,), ())
+            cov((), (0,))
 
     def test_metric_wrappers_clamp_and_tag(self):
         occ = occupancy_metric(0, 2)
@@ -352,4 +394,4 @@ class TestToyMetrics:
 
     @given(st.lists(st.integers(0, 4), max_size=8))
     def test_occupancy_range(self, tokens):
-        assert 0.0 <= toy_occupancy(tuple(tokens), 0, 3) <= 1.0
+        assert 0.0 <= occupancy_metric(0, 3)((), tokens) <= 1.0
