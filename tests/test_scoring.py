@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -367,6 +368,10 @@ class TestScoreBatch:
         assert metric([0], (6, 7)) == 0.5  # a call is one (1, L) array
         assert [cs.tolist() for cs in seen] == [[[]], [[3]], [[1, 2], [4, 5]], [[6, 7]]]
         assert all(cs.dtype.kind == "i" for cs in seen)
+
+    def test_a_metric_is_a_name_a_flag_and_one_function(self):
+        assert [f.name for f in dataclasses.fields(Metric)] == ["name", "privileged", "fn"]
+        assert all(type(MetricSpec(name=name).build()) is Metric for name in METRICS)
 
 
 class TestToyMetrics:
