@@ -24,11 +24,16 @@ always picks its slot 0, and the child there is an identical terminal copy.
 Terminal nodes therefore form chains, recorded per node as ``chain_head`` (the
 chain's first node) and, on each head, ``chain_tail`` (its last). A descent
 ends at an unexplored edge or at a chain head; a chain's tail is expanded, and
-the backup updates the path, which ends at the chain's head. Every value
-backed into a chain is its one value, so the other members' statistics follow
-from the head's; the public statistics (``values``, ``visit_counts``,
-``children_values``, ``children_visits``) settle them from their heads when
-read after a backup. Statistics and ledger charges are those of the full walk.
+the backup updates the path, which ends at the chain's head. A round in which
+every active descent ends at a chain head is an absorbing round: each new node
+is its chain's absorbing copy, so its rows are the arena's one absorbing row,
+computed once from a one-hot EOS prior with the calls any new node's row
+takes, and the round skips the adaptive-range test, since each absorbed value
+is its chain's one value, which the range took in when the chain's head was
+created. Every value backed into a chain is its one value, so the other
+members' statistics follow from the head's; the public statistics
+(``values``, ``visit_counts``, ``children_values``, ``children_visits``)
+settle them from their heads when read after a backup. Statistics and ledger charges are those of the full walk.
 An edge's visit count and value are its child's, read through ``children_index``.
 An arena is built from its roots and runs one search. Rollout values
 are batched greedy completions (:func:`.models.rollout_value`), each scored
@@ -217,6 +222,11 @@ class ArenaSearch:
         self.node_states: list[list[ModelState | None]] = []
         self._activate(self._batch_range)
 
+        # The rows of every absorbing copy: a terminal node's prior is one-hot EOS.
+        eos = np.zeros((1, model.vocab_size))
+        eos[0, model.eos_id] = 1.0
+        self._absorbing_row = self._node_row(apply_temperature(eos, cfg.tau))
+
         self._rollout_charges = np.zeros(b, dtype=np.int64)
         priors, values, handles = model.evaluate_root(root_states)
         if cfg.value_source == "rollout":
@@ -225,7 +235,7 @@ class ArenaSearch:
         self._tempered_root = apply_temperature(priors, cfg.tau)
         self.adaptive_min = values.astype(np.float64).copy()
         self.adaptive_max = values.astype(np.float64) + 1e-6
-        self._create_node(self._tempered_root, values, handles)
+        self._create_node(self._node_row(self._tempered_root), values, handles)
 
     # -------------------------------------------------------------- lifecycle
 
@@ -247,9 +257,9 @@ class ArenaSearch:
         if done in self._retirements:
             self._activate(self._retirements[done])
         path, actions = self.simulate()
-        heads = self._row_heads[self._active_row0 + path[-1]]
-        tails = self._row_tails[self._active_row0 + heads]
-        leaf = self.expand(np.where(heads >= 0, tails, path[-1]), actions)
+        # A descent stops at a live node, whose chain_tail is -1, or at a chain head.
+        tails = self._row_tails[self._active_row0 + path[-1]]
+        leaf = self.expand(np.where(tails >= 0, tails, path[-1]), actions)
         self.backward(path, leaf)
 
     def _activate(self, elements: np.ndarray) -> None:
@@ -257,7 +267,6 @@ class ArenaSearch:
         self._active = elements
         self._active_row0 = self._row0[elements]
         self._active_list = elements.tolist()
-        self._active_positions = np.arange(elements.size)[:, None]
 
     def result(self) -> SearchResult:
         # A root child is never a chain member, so the unsettled statistics are its own.
@@ -298,9 +307,16 @@ class ArenaSearch:
         """
         row0 = elements * self._stride
         rows = row0 + nodes
+        return self._row_uct_scores(elements, row0, rows, self._row_visits[rows])
+
+    def _row_uct_scores(
+        self, elements: np.ndarray, row0: np.ndarray, rows: np.ndarray, visits: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`uct_scores` of node rows ``rows`` of ``elements``, whose node-0 rows are
+        ``row0`` and whose visit counts are ``visits``."""
         child_visits, child_values = self._child_statistics(row0, rows)
         policy_score = (
-            np.sqrt(self._row_visits[rows])[..., None]
+            np.sqrt(visits)[..., None]
             * self.cfg.c_puct
             * self._row_priors.take(rows, axis=0)
             / (child_visits + 1)
@@ -349,6 +365,10 @@ class ArenaSearch:
         live parents are rolled out, and each new handle carries its rollout
         value, so an absorbed child gets that value back from the provider.
         When a value moves an element's adaptive range, its rows are rescored.
+        In an absorbing round, where every parent is in a chain, the new nodes
+        are absorbing copies: their rows are the arena's one absorbing row, and
+        no value can move a range, since each is its chain's value, which the
+        range took in when the chain's head was created.
         """
         active, row0 = self._active, self._active_row0
         parent_states = [
@@ -356,29 +376,37 @@ class ArenaSearch:
         ]
         parent_rows = row0 + node_indices
         dense_actions = self._row_topk[parent_rows, sparse_actions]
+        parent_heads = self._row_heads[parent_rows]
 
         priors, values, child_states, terminal = self.model.evaluate_step(
             parent_states, dense_actions.tolist()
         )
-        parent_heads = self._row_heads[parent_rows]
-        if self.cfg.value_source == "rollout":
-            fresh = np.flatnonzero(parent_heads < 0)
-            values[fresh], charges = rollout_value(
-                self.model, [child_states[i].state for i in fresh.tolist()], self.metric
-            )
-            self._rollout_charges[active[fresh]] += charges
-            for i in fresh.tolist():
-                child_states[i] = ModelState(child_states[i].state, float(values[i]))
+        if not np.count_nonzero(parent_heads < 0):  # an absorbing round
+            node = self._create_node(self._absorbing_row, values, child_states)
+            # Every new node is terminal, a copy in its parent's chain.
+            terminal, heads = slice(None), parent_heads
+        else:
+            if self.cfg.value_source == "rollout":
+                fresh = np.flatnonzero(parent_heads < 0)
+                values[fresh], charges = rollout_value(
+                    self.model, [child_states[i].state for i in fresh.tolist()], self.metric
+                )
+                self._rollout_charges[active[fresh]] += charges
+                for i in fresh.tolist():
+                    child_states[i] = ModelState(child_states[i].state, float(values[i]))
+            row = self._node_row(apply_temperature(priors, self.cfg.tau))
+            node = self._create_node(row, values, child_states)
+            heads = np.where(parent_heads >= 0, parent_heads, node)
 
-        node = self._create_node(apply_temperature(priors, self.cfg.tau), values, child_states)
-
-        low, high = self.adaptive_min[active], self.adaptive_max[active]
-        out = (values < low) | (values > high)
-        moved = active[out]
-        if moved.size:
-            self.adaptive_min[moved] = np.minimum(low, values)[out]
-            self.adaptive_max[moved] = np.maximum(high, values)[out]
-            self._rescore(moved[:, None], np.arange(node + 1))
+            low, high = self.adaptive_min[active], self.adaptive_max[active]
+            out = (values < low) | (values > high)
+            moved = active[out]
+            if moved.size:
+                self.adaptive_min[moved] = np.minimum(low, values)[out]
+                self.adaptive_max[moved] = np.maximum(high, values)[out]
+                moved_row0 = moved[:, None] * self._stride
+                moved_rows = moved_row0 + np.arange(node + 1)
+                self._rescore(moved[:, None], moved_row0, moved_rows, self._row_visits[moved_rows])
 
         rows = row0 + node
         self._row_children[parent_rows, sparse_actions] = node
@@ -387,26 +415,29 @@ class ArenaSearch:
 
         terminal_rows = rows[terminal]
         if terminal_rows.size:
-            heads = np.where(parent_heads >= 0, parent_heads, node)[terminal]
+            heads = heads[terminal]
             self._row_heads[terminal_rows] = heads
             self._row_tails[row0[terminal] + heads] = node
         return node
 
-    def _create_node(
-        self, tempered_priors: np.ndarray, values: np.ndarray, handles: list[ModelState]
-    ) -> int:
-        """Install one node, the next index, for each active element."""
+    def _node_row(self, tempered_priors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The top-A mapping, stored priors and UCT scores of new nodes with these tempered
+        priors, one row each."""
+        top = top_actions(tempered_priors, self.num_sparse_actions)
+        # Truncated priors are stored as-is, without renormalization.
+        priors = tempered_priors[np.arange(len(top))[:, None], top]
+        # The UCT row at one visit with no visited child, bit for bit: sqrt(1) = 1, the
+        # division is by 1, and the value score adds +0.0.
+        return top, priors, self.cfg.c_puct * priors
+
+    def _create_node(self, row: tuple, values: np.ndarray, handles: list[ModelState]) -> int:
+        """Install one node, the next index, for each active element, with the top-A
+        mapping, priors and scores of ``row`` (see :meth:`_node_row`), one row per element
+        or one row for all. With no child, a new row's descent entry is the node itself, as
+        it starts."""
         node = len(self.node_states)
         rows = self._active_row0 + node
-        top = top_actions(tempered_priors, self.num_sparse_actions)
-        self._row_topk[rows] = top
-        # Truncated priors are stored as-is, without renormalization.
-        priors = tempered_priors[self._active_positions, top]
-        self._row_priors[rows] = priors
-        # The UCT row at one visit with no visited child, bit for bit: sqrt(1) = 1, the
-        # division is by 1, and the value score adds +0.0. With no child, the row's descent
-        # entry is the node itself, as it starts.
-        self._row_scores[rows] = self.cfg.c_puct * priors
+        self._row_topk[rows], self._row_priors[rows], self._row_scores[rows] = row
         self._row_values[rows] = values
         self._row_visits[rows] = 1
         if len(handles) < self.batch_size:
@@ -417,17 +448,19 @@ class ArenaSearch:
         self.node_states.append(handles)
         return node
 
-    def _rescore(self, elements: np.ndarray, nodes: np.ndarray) -> None:
-        """Write the score rows of the (element, node) pairs, which broadcast as in
-        :meth:`uct_scores`, and with them their descent table entries: the child at each
-        row's argmax slot (ties go to the lower slot), or the row's own node where that slot
-        is unexpanded or the node is in a chain."""
-        scores = self.uct_scores(elements, nodes)
-        rows = elements * self._stride + nodes
+    def _rescore(
+        self, elements: np.ndarray, row0: np.ndarray, rows: np.ndarray, visits: np.ndarray
+    ) -> None:
+        """Write the score rows ``rows`` of ``elements``, whose node-0 rows are ``row0`` and
+        whose visit counts are ``visits`` (see :meth:`_row_uct_scores`), and with them their
+        descent table entries: the child at each row's argmax slot (ties go to the lower
+        slot), or the row's own node where that slot is unexpanded or the node is in a
+        chain."""
+        scores = self._row_uct_scores(elements, row0, rows, visits)
         self._row_scores[rows] = scores
         children = self._row_children[rows, scores.argmax(axis=-1)]
         stop = (children < 0) | (self._row_heads[rows] >= 0)
-        self._row_next[rows] = np.where(stop, nodes, children)
+        self._row_next[rows] = np.where(stop, rows - row0, children)
 
     def backward(self, path: np.ndarray, leaf: int) -> None:
         """Propagate the leaf's value to every ancestor on :meth:`simulate`'s path, and rescore
@@ -436,7 +469,9 @@ class ArenaSearch:
         ``leaf`` is the node expanded below ``path[-1]``, or below the tail of the chain that
         ``path[-1]`` heads. A path entry that the next row repeats (padding), or that equals
         the leaf, is masked, so each (element, ancestor) pair occurs once and fancy-indexed
-        updates apply level-by-level float operations at any depth. Every value backed into a chain is
+        updates apply level-by-level float operations at any depth. The path's rows, their
+        node-0 rows and their new visit counts are gathered once, for the update, and the
+        rescore scores those rows from them in one pass. Every value backed into a chain is
         its one value, so a member's statistics follow from its head's: of a chain only the
         head, the path's last node, is updated, and the other members are settled from it
         when the statistics are read. Of a terminal row only a chain head's is read, and its
@@ -453,9 +488,9 @@ class ArenaSearch:
         rows = row0 + path_nodes
         values, visits = self._row_values[rows], self._row_visits[rows]
         self._row_values[rows] = self._backup(values, visits, self._row_values[row0 + leaf])
-        self._row_visits[rows] = visits + 1
+        self._row_visits[rows] = visits = visits + 1
         self._stale = True
-        self._rescore(self._active[path_i], path_nodes)
+        self._rescore(self._active[path_i], row0, rows, visits)
 
     def _backup(
         self, values: np.ndarray, visits: np.ndarray, leaf_values: np.ndarray

@@ -363,8 +363,9 @@ class PolicyValueModel:
 
         Terminal handles absorb: the action is ignored, and the same handle
         comes back with its value and a one-hot EOS prior, without a step or
-        a value-head call. Only live handles are stepped and evaluated, but
-        every handle is charged as one evaluation.
+        a value-head call. Only live handles are stepped and evaluated, and
+        with no live handle the value head is not called at all, but every
+        handle is charged as one evaluation.
         """
         if len(model_states) != len(actions):
             raise ValueError("one action required per model state")
@@ -372,9 +373,10 @@ class PolicyValueModel:
             raise ValueError("empty batch")
         handles = list(model_states)
         live = [i for i, ms in enumerate(model_states) if not ms.state.terminal]
-        stepped = [step(model_states[i].state, int(actions[i])) for i in live]
-        for i, s, v in zip(live, stepped, self.values(stepped).tolist()):
-            handles[i] = ModelState(s, v)
+        if live:
+            stepped = [step(model_states[i].state, int(actions[i])) for i in live]
+            for i, s, v in zip(live, stepped, self.values(stepped).tolist()):
+                handles[i] = ModelState(s, v)
         states = [ms.state for ms in handles]
         priors = self.priors(states)
         values = np.array([ms.value for ms in handles])

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Iterator
 
 import numpy as np
@@ -25,16 +24,14 @@ def _clamp01(scores: np.ndarray) -> np.ndarray:
     return np.where(scores < 0.0, 0.0, np.where(scores > 1.0, 1.0, scores))
 
 
-def _by_length(candidates: list[Sequence]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _by_length(candidates: list[Sequence]) -> Iterator[tuple[np.ndarray, list[Sequence]]]:
     """Group ``candidates`` by length: per length, ascending, the candidates'
-    indices and their tokens as one ``(n, L)`` integer array."""
+    indices and the candidates."""
     lengths = np.fromiter(map(len, candidates), dtype=np.intp, count=len(candidates))
     # Not np.unique: its first call imports numpy.ma, about 1 MB.
     for length in sorted(set(lengths.tolist())):
         ks = np.flatnonzero(lengths == length)
-        tokens = chain.from_iterable(map(candidates.__getitem__, ks.tolist()))
-        group = np.fromiter(tokens, dtype=np.intp, count=len(ks) * length)
-        yield ks, group.reshape(len(ks), length)
+        yield ks, list(map(candidates.__getitem__, ks.tolist()))
 
 
 @dataclass(frozen=True)
@@ -51,9 +48,11 @@ class Metric:
     returns one float per candidate, bitwise equal to scoring each alone. The
     candidates are a list of token sequences, which it groups by length and
     hands to ``fn`` as one array per length, or one ``(n, L)`` integer array.
-    A non-finite score is a ``ContractViolation`` naming the metric and the
-    candidate, and so is an ``fn`` result of the wrong length, naming both
-    counts.
+    A candidate array that is not 2-D integer is a ``ContractViolation`` naming
+    the metric, and so is a candidate, or a list of them, whose tokens make no
+    such array (a float, a string or a bool token). A non-finite score is a
+    ``ContractViolation`` naming the metric and the candidate, and so is an
+    ``fn`` result of the wrong length, naming both counts.
     """
 
     name: str
@@ -62,7 +61,7 @@ class Metric:
 
     def __call__(self, anchor: Sequence, candidate: Sequence) -> float:
         candidate = tuple(candidate)
-        scores = self.fn(tuple(anchor), np.array((candidate,), dtype=np.intp))
+        scores = self.fn(tuple(anchor), self._token_array([candidate]))
         if len(scores) != 1:
             self._miscounted(len(scores), 1)
         score = scores[0]
@@ -72,14 +71,13 @@ class Metric:
 
     def score_batch(self, anchor: Sequence, candidates: list[Sequence] | np.ndarray) -> list[float]:
         anchor = tuple(anchor)
-        is_array = isinstance(candidates, np.ndarray)
-        if is_array and (candidates.ndim != 2 or candidates.dtype.kind not in "iu"):
-            raise ContractViolation(
-                f"metric {self.name!r} needs a 2-D integer candidate array, got "
-                f"{candidates.ndim}-D {candidates.dtype}"
-            )
+        if isinstance(candidates, np.ndarray):
+            self._check_array(candidates)
+            groups = [(slice(None), candidates)]
+        else:
+            groups = ((ks, self._token_array(group)) for ks, group in _by_length(candidates))
         raw = np.empty(len(candidates))
-        for ks, group in [(slice(None), candidates)] if is_array else _by_length(candidates):
+        for ks, group in groups:
             scores = self.fn(anchor, group)
             if len(scores) != len(group):
                 self._miscounted(len(scores), len(group))
@@ -89,6 +87,23 @@ class Metric:
             k = int(np.argmin(finite))
             self._refuse(float(raw[k]), tuple(int(t) for t in candidates[k]))
         return _clamp01(raw).tolist()
+
+    def _check_array(self, candidates: np.ndarray) -> None:
+        if candidates.ndim != 2 or candidates.dtype.kind not in "iu":
+            raise ContractViolation(
+                f"metric {self.name!r} needs a 2-D integer candidate array, got "
+                f"{candidates.ndim}-D {candidates.dtype}"
+            )
+
+    def _token_array(self, candidates: list[Sequence]) -> np.ndarray:
+        """Equal-length candidates as one ``(n, L)`` ``intp`` array. Their tokens must make
+        a 2-D integer array, as an array argument must: a float, a string or a bool token is
+        refused, not truncated. Candidates with no token make an empty ``intp`` array."""
+        if not len(candidates[0]):
+            return np.empty((len(candidates), 0), dtype=np.intp)
+        tokens = np.array(candidates)
+        self._check_array(tokens)
+        return tokens.astype(np.intp, copy=False)
 
     def _refuse(self, score, candidate: Sequence) -> None:
         raise ContractViolation(f"metric {self.name!r} scored candidate {candidate} as {score}")

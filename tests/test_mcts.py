@@ -14,9 +14,11 @@ from seqdecode import (
     ContractViolation,
     FixedPriorModel,
     Metric,
+    ModelState,
     SearchConfig,
     SeededTabularModel,
     VgbsConfig,
+    apply_temperature,
     bleu_metric,
     coverage_metric,
     decode_mcts,
@@ -25,9 +27,10 @@ from seqdecode import (
     select_root_action,
     step,
 )
+from seqdecode import mcts
 from seqdecode.mcts import BACKUP_RULES, VALUE_SOURCES
 
-from conftest import A, B, EOS, make_m0
+from conftest import A, B, EOS, count_calls, make_m0
 from twin import RecursiveSearch
 
 
@@ -471,9 +474,10 @@ def check_score_table(arena):
         nodes = np.full(arena.batch_size, node)
         live = arena.chain_head[:, node] < 0
         assert np.array_equal(arena.scores[live, node], per_row_scores(arena, nodes)[live]), node
-        heads = arena.chain_head[:, node] == node
-        assert (arena.uct_select_action(nodes)[heads] == 0).all(), node
-        child = arena.children_index[elements, node, arena.scores[:, node].argmax(axis=1)]
+        # Read from the table, not uct_select_action, which reads only the active elements.
+        picks = arena.scores[:, node].argmax(axis=1)
+        assert (picks[arena.chain_head[:, node] == node] == 0).all(), node
+        child = arena.children_index[elements, node, picks]
         expected = np.where(live & (child >= 0), child, node)
         assert np.array_equal(arena.next_node[:, node], expected), node
 
@@ -940,6 +944,79 @@ class TestPerRootCounts:
         with pytest.raises(ValueError, match=message):
             decode_mcts(model, roots, cfg, simulation_counts=counts)
         assert model.ledger.snapshot() == (0, 0)
+
+
+class TestAbsorbingRounds:
+    """Rounds where every active descent ends at a chain head write the arena's precomputed
+    absorbing row and skip the range test; they must leave what the general path leaves."""
+
+    @pytest.mark.parametrize("counts", [(30,), (30, 7, 18)], ids=["one", "retiring"])
+    @pytest.mark.parametrize("backup", BACKUP_RULES)
+    @pytest.mark.parametrize("value_source", VALUE_SOURCES)
+    def test_mostly_absorbing_searches_match_the_twin(
+        self, counts, backup, value_source, monkeypatch
+    ):
+        # V=3 at content horizon 1: each tree has five live-parent edges, so most rounds
+        # absorb, and with per-root counts the elements retire at different rounds.
+        metric = coverage_metric()
+
+        def model():
+            return SeededTabularModel(7, 3, 1, context_order=1, value_metric=metric)
+
+        probe = model()
+        roots = [probe.initial_state(src) for src in [(0, 1), (1,), (1, 0, 1)][: len(counts)]]
+        cfg = SearchConfig(
+            num_simulations=1, num_sparse_actions=3, backup=backup, value_source=value_source
+        )
+        rows_made = count_calls(monkeypatch, mcts, "top_actions")
+        arena = ArenaSearch(model(), roots, cfg, metric=metric, simulation_counts=counts)
+        assert len(rows_made) == 2  # the absorbing row and the roots' rows
+        twins = []
+        for root, count in zip(roots, counts):
+            twins.append(RecursiveSearch(model(), replace(cfg, num_simulations=count), metric))
+            twins[-1].begin(root)
+        absorbing = 0
+        for sim in range(max(counts)):
+            active = [b for b, count in enumerate(counts) if sim < count]
+            arena.step_simulation()
+            node = sim + 1
+            parents = arena.parents[active, node]
+            absorbing += bool((arena.chain_head[active, parents] >= 0).all())
+            assert len(rows_made) == 2 + sim + 1 - absorbing, sim
+            check_score_table(arena)
+            for b in active:
+                twins[b].step_simulation()
+                for name, expected in twin_arrays(twins[b]).items():
+                    assert np.array_equal(getattr(arena, name)[b, : node + 1], expected), (
+                        name, b, sim,
+                    )  # fmt: skip
+        assert absorbing >= 20
+
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("c_puct", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("vocab, num_sparse_actions", [(2, 1), (3, 3), (5, 2), (5, 5)])
+    def test_the_absorbing_row_is_a_terminal_node_row(self, tau, c_puct, vocab, num_sparse_actions):
+        model = SeededTabularModel(1, vocab, 2, context_order=1)
+        root = model.initial_state((0,))
+        cfg = SearchConfig(
+            num_simulations=20, num_sparse_actions=num_sparse_actions, c_puct=c_puct, tau=tau
+        )
+        arena = ArenaSearch(model, [root], cfg)
+        row = [a.tobytes() for a in arena._absorbing_row]
+        # What the general path writes for a terminal handle, from the model's own prior.
+        terminal = ModelState(step(root, vocab - 1), 0.5)
+        priors, values, handles, _ = model.evaluate_step([terminal], [0])
+        node = arena._create_node(arena._node_row(apply_temperature(priors, tau)), values, handles)
+        written = (arena.topk_mapping, arena.children_prior, arena.scores)
+        assert [a[0, node].tobytes() for a in written] == row
+        # Every terminal node of a search, chain head or absorbing copy, holds its mapping and
+        # priors; a score row changes once the node is rescored.
+        arena = ArenaSearch(SeededTabularModel(1, vocab, 2, context_order=1), [root], cfg)
+        arena.run()
+        terminal_nodes = np.flatnonzero(arena.chain_head[0] >= 0).tolist()
+        assert len(terminal_nodes) > 1
+        for array, want in zip((arena.topk_mapping, arena.children_prior), row):
+            assert all(array[0, n].tobytes() == want for n in terminal_nodes)
 
 
 class TestRootSelection:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import seqdecode.cli  # noqa: F401  (the bench tracer wraps cli.main)
 from seqdecode import (
@@ -248,6 +248,7 @@ class TestMaskedStep:
             max_size=12,
         ),
     )
+    @example("seeded1", 0, [([3], 0), ([0, 3], 2), ([0, 0, 0, 0], 1)])  # every handle terminal
     @settings(max_examples=80, deadline=None)
     def test_masked_step_equals_the_per_handle_loop(self, kind, seed, rows):
         metric = coverage_metric()
@@ -278,6 +279,25 @@ class TestMaskedStep:
         for batch in (states, want_states):
             one_by_one = np.stack([twin.priors([s])[0] for s in batch])
             assert np.array_equal(model.priors(batch), one_by_one)
+
+
+    def test_an_all_terminal_batch_charges_every_handle_without_the_value_head(self):
+        class HeadlessModel(SeededTabularModel):
+            def _head(self, states):
+                raise AssertionError("value head called")
+
+        model = HeadlessModel(0, V4, 3, 1)
+        root = model.initial_state((0, 1))
+        finished = [step(root, V4 - 1), step(step(root, 0), V4 - 1)]
+        handles = [ModelState(s, v) for s, v in zip(finished + finished[:1], (0.5, -1.0, 2.0))]
+        priors, values, next_handles, terminal = model.evaluate_step(handles, [0, 1, 2])
+        assert model.ledger.evaluations == 3
+        assert all(new is old for new, old in zip(next_handles, handles))
+        assert values.tolist() == [0.5, -1.0, 2.0]
+        assert terminal.tolist() == [True] * 3
+        assert np.array_equal(priors, np.eye(V4)[[V4 - 1] * 3])
+        with pytest.raises(AssertionError, match="value head called"):
+            model.evaluate_step([*handles, ModelState(root, 0.0)], [0, 1, 2, 0])
 
 
 class TestBatchedValues:

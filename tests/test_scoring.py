@@ -354,12 +354,31 @@ class TestScoreBatch:
                 metric.score_batch([0], candidates)
 
     @pytest.mark.parametrize(
-        "candidates", [np.array([1, 2]), np.array([[0.5]]), np.zeros((1, 1, 1), int)]
+        "candidates",
+        [
+            np.array([1, 2]),
+            np.array([[0.5]]),
+            np.zeros((1, 1, 1), int),
+            # Lists whose first candidate's tokens make no integer array: refused, not
+            # truncated, beside integer candidates of the same and of other lengths.
+            [(1.5,)],
+            [("3",), (1,)],
+            [(True,), (1, 2)],
+            [(0, 2.0), (1, 2)],
+            [((1, 2),)],
+        ],
     )
     def test_an_array_that_is_not_2d_integer_is_refused(self, candidates):
         metric = Metric("plain", False, fn=lambda a, cs: [0.5] * len(cs))
-        with pytest.raises(ContractViolation, match="'plain' needs a 2-D integer candidate array"):
+        refusal = "'plain' needs a 2-D integer candidate array"
+        with pytest.raises(ContractViolation, match=refusal):
             metric.score_batch([0], candidates)
+        if isinstance(candidates, list):
+            with pytest.raises(ContractViolation, match=refusal):
+                metric([0], candidates[0])
+            with pytest.raises(ContractViolation, match=refusal.replace("plain", "coverage")):
+                coverage_metric()((1, 2, 3), candidates[0])
+        assert metric.score_batch([0], [(), (1,)]) == [metric([0], ()), metric([0], (1,))]
 
     def test_a_list_reaches_the_batch_function_as_one_array_per_length(self):
         seen = []
