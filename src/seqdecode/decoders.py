@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -75,32 +76,34 @@ def beam_search(model: PolicyValueModel, state: DecodeState, cfg: BeamConfig) ->
     Each live prefix proposes its top-k continuations; the pool of finished
     hypotheses plus live expansions is ranked by
     ``(6/(t+5))^theta * log pi`` (t counts emitted tokens including EOS) and
-    the best k survive. Returns the best finished hypothesis.
+    the best k survive. A proposed continuation is held as its parent and token
+    until it survives, so only the k survivors are stepped. Returns the best
+    finished hypothesis.
     """
     if state.terminal:
         raise ContractViolation("beam_search() needs a non-terminal state")
-    beam = [(state, 0.0)]  # (state, log_likelihood) hypotheses
+    beam = [(0.0, state, 0.0)]  # (rank, state, log_likelihood) hypotheses
     width = min(cfg.k, model.vocab_size)
 
-    def rank(h: tuple[DecodeState, float]) -> float:
-        return length_normalizer(len(h[0].prefix), cfg.theta) * h[1]
-
     for _ in range(state.max_len - len(state.prefix)):
-        live = [h for h in beam if not h[0].terminal]
+        live = [h for h in beam if not h[1].terminal]
         if not live:
             break
-        pool = [h for h in beam if h[0].terminal]
-        priors = model.evaluate_policy([s for s, _ in live])
-        for (s, log_likelihood), prior, top in zip(live, priors, top_actions(priors, width)):
+        # (rank, parent, action, log_likelihood); a finished hypothesis has no action.
+        pool = [(key, s, None, ll) for key, s, ll in beam if s.terminal]
+        priors = model.evaluate_policy([s for _, s, _ in live])
+        for (_, s, log_likelihood), prior, top in zip(live, priors, top_actions(priors, width)):
+            normalizer = length_normalizer(len(s.prefix) + 1, cfg.theta)
             for a in top.tolist():
                 if prior[a] > 0.0:
-                    pool.append((step(s, a), log_likelihood + math.log(prior[a])))
-        pool.sort(key=rank, reverse=True)  # stable: earlier pool entries win ties
-        beam = pool[: cfg.k]
+                    ll = log_likelihood + math.log(prior[a])
+                    pool.append((normalizer * ll, s, a, ll))
+        pool.sort(key=itemgetter(0), reverse=True)  # stable: earlier pool entries win ties
+        beam = [(key, s if a is None else step(s, a), ll) for key, s, a, ll in pool[: cfg.k]]
         model.ledger.charge_tokens(1)
 
-    best = max((h for h in beam if h[0].terminal), key=rank)
-    return Candidate(best[0], best[1], score=rank(best))
+    best = max((h for h in beam if h[1].terminal), key=itemgetter(0))
+    return Candidate(best[1], best[2], score=best[0])
 
 
 # -------------------------------------------------- value-guided beam search
@@ -196,7 +199,8 @@ def sample_sequences(
     check_integer("pool size n", n, 1)
     if state.terminal:
         raise ContractViolation("sample_sequences() needs a non-terminal state")
-    rngs = [np.random.default_rng([seed, i]) for i in range(n)]
+    # The stream of np.random.default_rng([seed, i]), built without default_rng's dispatch.
+    rngs = [np.random.Generator(np.random.PCG64([seed, i])) for i in range(n)]
 
     def policy(indices: list[int], states: list[DecodeState]):
         priors = model.evaluate_policy(states)

@@ -39,7 +39,9 @@ An arena is built from its roots and runs one search. Rollout values
 are batched greedy completions (:func:`.models.rollout_value`), each scored
 against its root state's own reference, so a search holds no per-element
 data beyond its root states and simulation counts; :func:`decode_mcts` is one
-arena per round as an :func:`.mdp.complete` policy.
+arena per round as an :func:`.mdp.complete` policy, over the roots whose
+search is not decided in advance (a root one token short of its cap under the
+base forced-EOS rule can only pick EOS).
 
 Selection uses the prior-weighted UCT rule with the node's own visit count
 under the square root, and rescales exploitation values into [0, 1] via the
@@ -82,7 +84,14 @@ from .mdp import (
     complete,
     is_integer,
 )
-from .models import ModelState, PolicyValueModel, apply_temperature, rollout_value, top_actions
+from .models import (
+    ModelState,
+    PolicyValueModel,
+    apply_temperature,
+    forces_eos,
+    rollout_value,
+    top_actions,
+)
 from .scoring import Metric
 
 BACKUP_RULES = ("average", "max")
@@ -134,6 +143,28 @@ def checked_simulation_counts(
     return np.array(counts, dtype=np.int64)
 
 
+def check_search(
+    model: PolicyValueModel,
+    root_states: list[DecodeState],
+    cfg: SearchConfig,
+    metric: Metric | None = None,
+    simulation_counts: Iterable[int] | None = None,
+) -> np.ndarray:
+    """The refusals a search makes before it evaluates anything: an empty batch, bad
+    simulation counts, more sparse actions than tokens, a rollout value source without a
+    metric, and a terminal root. Returns the roots' simulation counts."""
+    if not root_states:
+        raise ValueError("empty batch")
+    counts = checked_simulation_counts(simulation_counts, len(root_states), cfg)
+    if cfg.num_sparse_actions > model.vocab_size:
+        raise ValueError("num_sparse_actions must not exceed the vocabulary size")
+    if cfg.value_source == "rollout" and metric is None:
+        raise ValueError("rollout value source needs a metric")
+    if any(s.terminal for s in root_states):
+        raise ContractViolation("search roots must be non-terminal")
+    return counts
+
+
 @dataclass
 class SearchResult:
     """Root statistics of a finished search, scattered back to dense actions."""
@@ -160,15 +191,7 @@ class ArenaSearch:
         ``simulation_counts`` holds one simulation count per root; by default every
         root gets ``cfg.num_simulations``.
         """
-        if not root_states:
-            raise ValueError("empty batch")
-        counts = checked_simulation_counts(simulation_counts, len(root_states), cfg)
-        if cfg.num_sparse_actions > model.vocab_size:
-            raise ValueError("num_sparse_actions must not exceed the vocabulary size")
-        if cfg.value_source == "rollout" and metric is None:
-            raise ValueError("rollout value source needs a metric")
-        if any(s.terminal for s in root_states):
-            raise ContractViolation("search roots must be non-terminal")
+        counts = check_search(model, root_states, cfg, metric, simulation_counts)
         self.model = model
         self.cfg = cfg
         self.metric = metric
@@ -599,6 +622,37 @@ def select_root_action(
     return actions.astype(np.int64)
 
 
+def _charge_decided(
+    model: PolicyValueModel,
+    roots: list[DecodeState],
+    counts: np.ndarray,
+    cfg: SearchConfig,
+    metric: Metric | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Charge decided roots what their searches would, through the provider, and return
+    their raw root priors and each root's evaluations.
+
+    A decided root's only positive tempered prior is EOS, so its first simulation
+    steps it to EOS and every later one is absorbing at that terminal child: one
+    ``evaluate_root`` over the roots (and, in rollout mode, one ``rollout_value``,
+    their one EOS step; the terminal child's rollout charges nothing), one
+    ``evaluate_step`` stepping each root with S_b >= 1 to EOS, and one over S_b - 1
+    absorbing copies of each child.
+    """
+    priors, _, handles = model.evaluate_root(roots)
+    charges = 1 + counts
+    if cfg.value_source == "rollout":
+        charges = charges + rollout_value(model, roots, metric)[1]
+    searched = [(h, s) for h, s in zip(handles, counts.tolist()) if s > 0]
+    if searched:
+        root_handles = [h for h, _ in searched]
+        _, _, children, _ = model.evaluate_step(root_handles, [model.eos_id] * len(searched))
+        copies = [c for c, (_, s) in zip(children, searched) for _ in range(s - 1)]
+        if copies:
+            model.evaluate_step(copies, [model.eos_id] * len(copies))
+    return priors, charges
+
+
 def decode_mcts(
     model: PolicyValueModel,
     states: list[DecodeState],
@@ -616,23 +670,48 @@ def decode_mcts(
     fixed while the rest continue; element b is charged ``S_b + 1``
     evaluations for every token it emits (plus its rollout steps in rollout
     mode), and its candidate's ``evaluations`` is that charge.
+
+    A live root one token short of its cap, under a provider that keeps the
+    base forced-EOS rule (:func:`.models.forces_eos`), is decided: its
+    tempered prior is one-hot EOS, so every search there picks EOS, at raw
+    prior 1. A round runs its arena over the undecided roots only, after the
+    refusals an arena makes up front (:func:`check_search`) over all of them;
+    a decided root commits EOS and is charged through the provider what its
+    search would charge (see :func:`_charge_decided`).
     """
     if not states:
         raise ValueError("empty batch")
     counts = checked_simulation_counts(simulation_counts, len(states), cfg)
     evaluations = np.zeros(len(states), dtype=np.int64)
+    forced = forces_eos(model)
 
     def search(indices: list[int], live: list[DecodeState]):
-        arena = ArenaSearch(model, live, cfg, metric, counts[indices])
-        result = arena.run()
-        evaluations[indices] += arena.evaluations
-        actions = select_root_action(
-            result.dense_visit_counts,
-            result.dense_root_values,
-            cfg.root_selection,
-            fallback_priors=result.tempered_root_priors,
-        )
-        return result.root_priors, actions
+        live_counts = check_search(model, live, cfg, metric, counts[indices])
+        elements = np.array(indices)
+        decided = np.array([forced and len(s.prefix) == s.max_len - 1 for s in live])
+        priors = np.empty((len(live), model.vocab_size))
+        actions = np.full(len(live), model.eos_id, dtype=np.int64)
+        if decided.any():
+            rows = np.flatnonzero(decided)
+            priors[rows], charges = _charge_decided(
+                model, [live[i] for i in rows.tolist()], live_counts[rows], cfg, metric
+            )
+            evaluations[elements[rows]] += charges
+        if not decided.all():
+            rows = np.flatnonzero(~decided)
+            arena = ArenaSearch(
+                model, [live[i] for i in rows.tolist()], cfg, metric, live_counts[rows]
+            )
+            result = arena.run()
+            evaluations[elements[rows]] += arena.evaluations
+            priors[rows] = result.root_priors
+            actions[rows] = select_root_action(
+                result.dense_visit_counts,
+                result.dense_root_values,
+                cfg.root_selection,
+                fallback_priors=result.tempered_root_priors,
+            )
+        return priors, actions
 
     finals, log_likelihoods = complete(states, search)
     model.ledger.charge_tokens(sum(len(f.prefix) - len(s.prefix) for f, s in zip(finals, states)))

@@ -22,10 +22,14 @@ total:
   lockstep batched loops can keep running past finished elements.
 
 Priors are served a batch at a time by :meth:`PolicyValueModel.priors`, the
-one home of forced EOS. The exact oracles rely on that rule: for a provider
-whose class keeps this method, they close each prefix one token short of the
-cap with EOS, at probability 1, without reading its prior; a provider that
-overrides ``priors`` is walked to its cap. The oracles read each level's
+one home of forced EOS. One predicate, :func:`forces_eos`, says whether a
+provider keeps that rule: neither its class nor the instance overrides
+``priors``. Three users rely on it: :meth:`PolicyValueModel.prefix_priors`
+applies the rule to prefix arrays; the exact oracles close each prefix one
+token short of the cap with EOS, at probability 1, without reading its prior,
+and walk a provider that overrides ``priors`` to its cap; and
+:func:`.mcts.decode_mcts` commits EOS at such a prefix without a search,
+charging what the search would. The oracles read each level's
 priors off its array of output prefixes, in one
 :meth:`PolicyValueModel.prefix_priors` call, which returns ``priors`` of
 those prefixes' states bit for bit. Under the base ``priors`` it applies the
@@ -152,6 +156,13 @@ def _owner(model: PolicyValueModel, name: str):
     return next(c for c in type(model).__mro__ if name in vars(c))
 
 
+def forces_eos(model: PolicyValueModel) -> bool:
+    """Whether ``model`` serves the base forced-EOS rule: no class or instance
+    overrides :meth:`PolicyValueModel.priors`, so every live state one token short
+    of its cap gets a one-hot EOS prior."""
+    return _owner(model, "priors") is PolicyValueModel
+
+
 def apply_temperature(prior: np.ndarray, tau: float) -> np.ndarray:
     """Renormalized tempered distribution ``p^(1/tau) / sum``, row by row.
 
@@ -261,7 +272,7 @@ class PolicyValueModel:
         ``priors``, rows at the forced length get the one-hot EOS and every
         other row comes from :meth:`_prefix_table_priors`.
         """
-        if _owner(self, "priors") is not PolicyValueModel:
+        if not forces_eos(self):
             return self.priors(descendants(root, prefixes.tolist()))
         n, length = prefixes.shape
         if length >= root.max_len - 1:

@@ -10,7 +10,7 @@ level's priors in one ``model.prefix_priors`` call on the level's prefix
 array, which a seeded or fixed table serves without building a state, and it
 hands on the level's terminated outputs as one token array of output prefixes
 plus arrays of final tokens and log-likelihoods. Under the base forced-EOS
-rule of ``PolicyValueModel.priors`` the level one token short of the cap is
+rule (:func:`.models.forces_eos`) the level one token short of the cap is
 never read: its outputs are its parents' live children with EOS appended, at
 their own log-likelihood. The enumeration sorts all outputs into one list of
 tuples. Both argmaxes keep only the best so far: the metric argmax scores each
@@ -37,7 +37,7 @@ from .mdp import (
     reward_anchor,
     step,
 )
-from .models import PolicyValueModel
+from .models import PolicyValueModel, forces_eos
 from .scoring import Metric
 
 ENUMERATION_GUARD = 1_000_000
@@ -75,15 +75,16 @@ def _levels(
 
     No state is stepped: a level is its ``(n, L)`` prefix array, and the next
     level's array stacks each live child's parent row and token. A provider
-    that keeps the base ``PolicyValueModel.priors`` forces EOS one token short
-    of the root's cap, at probability 1. Its live children of that length are
-    not read: the last level yields their prefix rows with EOS as every final
-    token, at their own log-likelihood, and the walk ends. A provider that
-    overrides ``priors`` has that level read like any other.
+    that keeps the base forced-EOS rule (:func:`.models.forces_eos`) forces EOS
+    one token short of the root's cap, at probability 1. Its live children of
+    that length are not read: the last level yields their prefix rows with EOS
+    as every final token, at their own log-likelihood, and the walk ends. A
+    provider whose class or instance overrides ``priors`` has that level read
+    like any other.
     """
     _check_root(model, root)
     eos = root.eos_id
-    forced = type(model).priors is PolicyValueModel.priors
+    forced = forces_eos(model)
     log_likelihoods = np.zeros(1)
     prefixes = np.array(root.prefix, dtype=np.intp).reshape(1, len(root.prefix))
     while len(prefixes):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterator
 
 import numpy as np
@@ -34,6 +35,9 @@ def _by_length(candidates: list[Sequence]) -> Iterator[tuple[np.ndarray, list[Se
         yield ks, list(map(candidates.__getitem__, ks.tolist()))
 
 
+_BOOL_TYPES = {bool, np.bool_}
+
+
 @dataclass(frozen=True)
 class Metric:
     """Scoring contract: ``fn(anchor, candidates)`` scores the ``(n, L)`` integer
@@ -50,7 +54,10 @@ class Metric:
     hands to ``fn`` as one array per length, or one ``(n, L)`` integer array.
     A candidate array that is not 2-D integer is a ``ContractViolation`` naming
     the metric, and so is a candidate, or a list of them, whose tokens make no
-    such array (a float, a string or a bool token). A non-finite score is a
+    such array (a float, a string or a bool token, or nested tokens). numpy
+    upcasts a bool beside an integer, so a list is refused if it holds any bool
+    token; a single call does not look at each token, and refuses a bool only
+    when every token of its candidate is one. A non-finite score is a
     ``ContractViolation`` naming the metric and the candidate, and so is an
     ``fn`` result of the wrong length, naming both counts.
     """
@@ -75,6 +82,9 @@ class Metric:
             self._check_array(candidates)
             groups = [(slice(None), candidates)]
         else:
+            # numpy would upcast a bool token beside an integer one, so the list is looked at.
+            if _BOOL_TYPES.intersection(map(type, chain.from_iterable(candidates))):
+                self._refuse_tokens("a bool token")
             groups = ((ks, self._token_array(group)) for ks, group in _by_length(candidates))
         raw = np.empty(len(candidates))
         for ks, group in groups:
@@ -90,18 +100,24 @@ class Metric:
 
     def _check_array(self, candidates: np.ndarray) -> None:
         if candidates.ndim != 2 or candidates.dtype.kind not in "iu":
-            raise ContractViolation(
-                f"metric {self.name!r} needs a 2-D integer candidate array, got "
-                f"{candidates.ndim}-D {candidates.dtype}"
-            )
+            self._refuse_tokens(f"{candidates.ndim}-D {candidates.dtype}")
+
+    def _refuse_tokens(self, got: str) -> None:
+        raise ContractViolation(
+            f"metric {self.name!r} needs a 2-D integer candidate array, got {got}"
+        )
 
     def _token_array(self, candidates: list[Sequence]) -> np.ndarray:
         """Equal-length candidates as one ``(n, L)`` ``intp`` array. Their tokens must make
-        a 2-D integer array, as an array argument must: a float, a string or a bool token is
-        refused, not truncated. Candidates with no token make an empty ``intp`` array."""
+        a 2-D integer array, as an array argument must: a float or a string token, tokens
+        that are all bool, and nested tokens, also beside flat ones, are refused, not
+        truncated. Candidates with no token make an empty ``intp`` array."""
         if not len(candidates[0]):
             return np.empty((len(candidates), 0), dtype=np.intp)
-        tokens = np.array(candidates)
+        try:
+            tokens = np.array(candidates)
+        except ValueError:  # an inhomogeneous shape: nested tokens beside flat ones
+            self._refuse_tokens("tokens of mixed shapes")
         self._check_array(tokens)
         return tokens.astype(np.intp, copy=False)
 

@@ -30,6 +30,7 @@ from seqdecode import (
     terminal_reward,
     value_guided_beam_search,
 )
+from seqdecode import decoders
 from seqdecode.decoders import inverse_cdf_draws, vgbs_score
 
 from conftest import A, B, EOS, M0_MAX_LEN, M0_PRIOR, count_calls, make_m0
@@ -73,6 +74,24 @@ class TestBeamSearch:
         evaluations, tokens = m0.ledger.snapshot()
         assert tokens == 4  # one charge per emitted position
         assert evaluations <= 2 * tokens
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_only_the_kept_hypotheses_are_stepped(self, monkeypatch, k):
+        model = SeededTabularModel(3, vocab_size=6, max_len=4, context_order=1)
+        twin = SeededTabularModel(3, vocab_size=6, max_len=4, context_order=1)
+        expected = beam_search(twin, twin.initial_state((0, 1)), BeamConfig(k=k, theta=0.6))
+        events = []  # one "level" per policy call, one "step" per state stepped
+        real_step = decoders.step
+        monkeypatch.setattr(decoders, "step", lambda s, a: events.append("step") or real_step(s, a))
+        real_policy = model.evaluate_policy
+        monkeypatch.setattr(
+            model, "evaluate_policy", lambda states: events.append("level") or real_policy(states)
+        )
+        got = beam_search(model, model.initial_state((0, 1)), BeamConfig(k=k, theta=0.6))
+        assert got == expected
+        assert model.ledger.snapshot() == twin.ledger.snapshot()
+        steps = [level.count("step") for level in " ".join(events).split("level")[1:]]
+        assert max(steps) == k  # at most k per level, and a full level steps k
 
 
 def reference_length_averaged_beam(model, state, k):

@@ -81,3 +81,19 @@ def test_no_function_calls_itself(module):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = [f"{module}.py:{call.lineno}: {fn.name}" for fn, call in _self_calls(tree)]
     assert not found, f"recursive calls: {found}"
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_forced_eos_is_asked_of_models_forces_eos(module):
+    # One predicate says whether a provider keeps the base forced-EOS rule; no module
+    # compares against the base method itself.
+    path = PACKAGE / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [
+        f"{module}.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "priors"
+        and getattr(node.value, "id", None) == "PolicyValueModel"
+    ]
+    assert not found, f"reads of PolicyValueModel.priors: {found}"

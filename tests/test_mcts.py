@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from seqdecode import (
 )
 from seqdecode import mcts
 from seqdecode.mcts import BACKUP_RULES, VALUE_SOURCES
+from seqdecode.models import forces_eos
 
 from conftest import A, B, EOS, count_calls, make_m0
 from twin import RecursiveSearch
@@ -1201,6 +1203,88 @@ class TestDecodeMcts:
             assert c.sequence[-1] == EOS or len(c.sequence) == short.max_len + 1
 
 
+class UndecidedSeeded(SeededTabularModel):
+    """The base priors, served through an override: ``decode_mcts`` decides none of its
+    forced positions in advance, and runs an arena at each one."""
+
+    def priors(self, states):
+        return super().priors(states)
+
+
+@st.composite
+def decided_cases(draw):
+    """A seeded provider, 1-4 live roots at drawn prefix lengths (one token short of the
+    cap among them), per-root simulation counts with 0 among them, and a search config."""
+    vocab = draw(st.integers(2, 5))
+    horizon = draw(st.integers(1, 3))
+    content = st.integers(0, vocab - 2)
+    batch = draw(st.integers(1, 4))
+    roots = [
+        (tuple(draw(st.lists(content, min_size=1, max_size=3))),
+         tuple(draw(st.lists(content, max_size=horizon))))
+        for _ in range(batch)
+    ]  # fmt: skip
+    counts = draw(st.lists(st.integers(0, 8), min_size=batch, max_size=batch))
+    cfg = SearchConfig(
+        num_sparse_actions=draw(st.integers(1, vocab)),
+        c_puct=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        tau=draw(st.sampled_from([0.7, 1.0])),
+        backup=draw(st.sampled_from(BACKUP_RULES)),
+        root_selection=draw(st.sampled_from(mcts.ROOT_SELECTIONS)),
+        value_source=draw(st.sampled_from(VALUE_SOURCES)),
+    )
+    return draw(st.integers(0, 2**16)), vocab, horizon, roots, counts, cfg
+
+
+class TestDecidedPositions:
+    """A live root one token short of its cap, under the base forced-EOS rule, is decided:
+    ``decode_mcts`` commits EOS there without an arena and charges what one would."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(decided_cases())
+    def test_outputs_and_charges_match_an_arena_at_every_position(self, case):
+        seed, vocab, horizon, roots, counts, cfg = case
+        assert forces_eos(SeededTabularModel(0, 2, 1)) and not forces_eos(UndecidedSeeded(0, 2, 1))
+        metric = coverage_metric()
+        runs = []
+        for cls in (SeededTabularModel, UndecidedSeeded):
+            model = cls(seed, vocab, horizon, context_order=1, value_metric=metric)
+            states = [reduce(step, p, model.initial_state(s)) for s, p in roots]
+            out = decode_mcts(model, states, cfg, metric=metric, simulation_counts=counts)
+            runs.append((
+                [(c.sequence, c.log_likelihood.hex(), c.evaluations) for c in out],
+                model.ledger.snapshot(),
+            ))  # fmt: skip
+        assert runs[0] == runs[1]
+
+    def test_decided_roots_build_no_arena_and_keep_its_refusals(self, monkeypatch):
+        built = count_calls(monkeypatch, mcts, "ArenaSearch")
+        metric = coverage_metric()
+        model = SeededTabularModel(0, 4, 2, context_order=1, value_metric=metric)
+        roots = [reduce(step, p, model.initial_state((0, 1))) for p in [(0, 2), (2, 2), (1, 0)]]
+        counts = [0, 1, 5]
+        refusals = [
+            (ValueError, "num_sparse_actions", SearchConfig(num_sparse_actions=5), metric, counts),
+            (ValueError, "needs a metric", SearchConfig(value_source="rollout"), None, counts),
+            (ValueError, "simulation count", SearchConfig(), metric, [1, -1, 2]),
+        ]
+        for error, match, cfg, m, c in refusals:
+            with pytest.raises(error, match=match):
+                decode_mcts(model, roots, cfg, metric=m, simulation_counts=c)
+        with pytest.raises(ContractViolation, match="non-terminal"):
+            mcts.check_search(model, [step(roots[0], model.eos_id)], SearchConfig())
+        assert model.ledger.snapshot() == (0, 0)
+
+        cfg = SearchConfig(num_sparse_actions=2, value_source="rollout")
+        out = decode_mcts(model, roots, cfg, metric=metric, simulation_counts=counts)
+        assert built == []
+        assert [c.sequence for c in out] == [r.prefix + (model.eos_id,) for r in roots]
+        assert [c.log_likelihood for c in out] == [0.0] * 3
+        # Each root, its simulations and its one EOS rollout step.
+        assert [c.evaluations for c in out] == [1 + s + 1 for s in counts]
+        assert model.ledger.snapshot() == (sum(c.evaluations for c in out), 3)
+
+
 def rollout_closed_form(arena, horizon):
     """Evaluations an arena charges in rollout mode when every greedy completion runs to the
     cap: one per node, plus ``horizon + 1 - len(prefix)`` greedy steps per live node."""
@@ -1243,7 +1327,11 @@ class TestRolloutLedger:
         model = make_m0(value_metric=occupancy_a3)
         cfg = SearchConfig(num_simulations=6, num_sparse_actions=3, value_source="rollout")
         states = [model.initial_state(()), model.initial_state((A,))]
-        decode_mcts(model, states, cfg, metric=occupancy_a3)
+        out = decode_mcts(model, states, cfg, metric=occupancy_a3)
         assert len(arenas) >= 2
+        # An output that reaches the cap passed one decided position, one token short of
+        # it, which runs no arena: its root, its S simulations and its one EOS rollout step.
+        decided = sum(len(c.sequence) == c.state.max_len for c in out)
+        assert decided >= 1
         expected = sum(rollout_closed_form(arena, model.max_len) for arena in arenas)
-        assert model.ledger.evaluations == expected
+        assert model.ledger.evaluations == expected + decided * (cfg.num_simulations + 1 + 1)

@@ -343,9 +343,10 @@ class TestArgmaxLikelihood:
         ],
     )
     def test_one_priors_read_per_walked_level(self, monkeypatch, model, batches):
-        reads = count_calls(monkeypatch, model, "priors")
+        # A spy on the instance's priors would override them; the walk reads prefix_priors.
+        reads = count_calls(monkeypatch, model, "prefix_priors")
         exact_argmax_likelihood(model, model.initial_state(()))
-        assert [len(states) for (states,) in reads] == batches
+        assert [len(prefixes) for _root, prefixes in reads] == batches
 
 
 class TestArgmaxMetric:
@@ -634,9 +635,22 @@ class TestPrefixPriors:
         model = ReversedTable(5, vocab_size=3, max_len=3, context_order=context_order)
         root = model.initial_state((0, 1))
         expected = recursive_enumeration(model, root)
-        reads = count_calls(monkeypatch, model, "priors")
+        # A spy on the instance's priors would override them, so the table is spied on.
+        reads = count_calls(monkeypatch, model, "_table_priors")
         assert enumerate_sequences(model, root) == expected
         assert [len(states) for (states,) in reads] == [1, 2, 4]
+
+    def test_an_instance_with_its_own_priors_is_walked_to_its_cap(self):
+        # The instance's priors never force EOS: (0, 0, EOS) is 0.5 * 0.5 * 0.2, not 0.25.
+        model = FixedPriorModel([0.5, 0.3, 0.2], 2)
+        model.priors = lambda states: np.tile([0.5, 0.3, 0.2], (len(states), 1))
+        assert not models.forces_eos(model)
+        assert models.forces_eos(FixedPriorModel([0.5, 0.3, 0.2], 2))
+        assert not models.forces_eos(UnforcedSeeded(0, 3, 2))
+        root = model.initial_state(())
+        walked = enumerate_sequences(model, root)
+        assert walked == recursive_enumeration(model, root)
+        assert dict(walked)[(0, 0, EOS)] == math.log(0.5) + math.log(0.5) + math.log(0.2)
 
     def test_long_contexts_are_grouped_by_rows(self):
         # 8^22 = 2^66 contexts: more than an int64 code per context could number.

@@ -366,6 +366,10 @@ class TestScoreBatch:
             [(True,), (1, 2)],
             [(0, 2.0), (1, 2)],
             [((1, 2),)],
+            # Beside an integer candidate of the same length: numpy would upcast the bool
+            # and fail on the nested tokens by shape.
+            [(True,), (1,)],
+            [((1, 2),), (1,)],
         ],
     )
     def test_an_array_that_is_not_2d_integer_is_refused(self, candidates):
