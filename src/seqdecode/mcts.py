@@ -40,8 +40,8 @@ are batched greedy completions (:func:`.models.rollout_value`), each scored
 against its root state's own reference, so a search holds no per-element
 data beyond its root states and simulation counts; :func:`decode_mcts` is one
 arena per round as an :func:`.mdp.complete` policy, over the roots whose
-search is not decided in advance (a root one token short of its cap under the
-base forced-EOS rule can only pick EOS).
+search is not decided in advance (every provider forces EOS, so a root one
+token short of its cap can only pick EOS).
 
 Selection uses the prior-weighted UCT rule with the node's own visit count
 under the square root, and rescales exploitation values into [0, 1] via the
@@ -88,7 +88,6 @@ from .models import (
     ModelState,
     PolicyValueModel,
     apply_temperature,
-    forces_eos,
     rollout_value,
     top_actions,
 )
@@ -671,24 +670,22 @@ def decode_mcts(
     evaluations for every token it emits (plus its rollout steps in rollout
     mode), and its candidate's ``evaluations`` is that charge.
 
-    A live root one token short of its cap, under a provider that keeps the
-    base forced-EOS rule (:func:`.models.forces_eos`), is decided: its
-    tempered prior is one-hot EOS, so every search there picks EOS, at raw
-    prior 1. A round runs its arena over the undecided roots only, after the
-    refusals an arena makes up front (:func:`check_search`) over all of them;
-    a decided root commits EOS and is charged through the provider what its
-    search would charge (see :func:`_charge_decided`).
+    A live root one token short of its cap is decided: every provider forces
+    EOS there, so its tempered prior is one-hot EOS and every search there
+    picks EOS, at raw prior 1. A round runs its arena over the undecided roots
+    only, after the refusals an arena makes up front (:func:`check_search`)
+    over all of them; a decided root commits EOS and is charged through the
+    provider what its search would charge (see :func:`_charge_decided`).
     """
     if not states:
         raise ValueError("empty batch")
     counts = checked_simulation_counts(simulation_counts, len(states), cfg)
     evaluations = np.zeros(len(states), dtype=np.int64)
-    forced = forces_eos(model)
 
     def search(indices: list[int], live: list[DecodeState]):
         live_counts = check_search(model, live, cfg, metric, counts[indices])
         elements = np.array(indices)
-        decided = np.array([forced and len(s.prefix) == s.max_len - 1 for s in live])
+        decided = np.array([len(s.prefix) == s.max_len - 1 for s in live])
         priors = np.empty((len(live), model.vocab_size))
         actions = np.full(len(live), model.eos_id, dtype=np.int64)
         if decided.any():

@@ -22,22 +22,18 @@ total:
   lockstep batched loops can keep running past finished elements.
 
 Priors are served a batch at a time by :meth:`PolicyValueModel.priors`, the
-one home of forced EOS. One predicate, :func:`forces_eos`, says whether a
-provider keeps that rule: neither its class nor the instance overrides
-``priors``. Three users rely on it: :meth:`PolicyValueModel.prefix_priors`
-applies the rule to prefix arrays; the exact oracles close each prefix one
-token short of the cap with EOS, at probability 1, without reading its prior,
-and walk a provider that overrides ``priors`` to its cap; and
-:func:`.mcts.decode_mcts` commits EOS at such a prefix without a search,
-charging what the search would. The oracles read each level's
+one home of forced EOS, and every provider keeps that rule: a provider
+supplies its table, never ``priors`` itself (the contract is stated on
+:class:`PolicyValueModel`). Two users rely on it: the exact oracles close each
+prefix one token short of the cap with EOS, at probability 1, without reading
+its prior; and :func:`.mcts.decode_mcts` commits EOS at such a prefix without
+a search, charging what the search would. The oracles read each level's
 priors off its array of output prefixes, in one
 :meth:`PolicyValueModel.prefix_priors` call, which returns ``priors`` of
-those prefixes' states bit for bit. Under the base ``priors`` it applies the
-same forced-EOS rule to the array and takes every other row from one hook,
-``_gather_table``, which builds the rows' states by default; the seeded
-table gathers its rows by each row's context instead, and a wrapped provider
-asks the model it wraps. A gather serves only while its class also defines
-the ``_table_priors`` in use. A handle
+those prefixes' states bit for bit. It applies the same forced-EOS rule to
+the array and takes every other row from one hook, ``_gather_table``, which
+builds the rows' states by default; the seeded table gathers its rows by each
+row's context instead, and a wrapped provider asks the model it wraps. A handle
 (:class:`ModelState`) carries its value, so ``evaluate_step`` answers
 absorbing handles from the handle alone and steps and evaluates only the live
 ones.
@@ -148,21 +144,6 @@ def _checked_prior(row, state: DecodeState, vocab_size: int) -> np.ndarray:
     raise ContractViolation(f"prior {p.tolist()} for state {state} {problem}")
 
 
-def _owner(model: PolicyValueModel, name: str):
-    """The class whose ``name`` serves ``model``, or ``model`` itself when the
-    instance holds its own callable there (a test spy, say)."""
-    if name in vars(model):
-        return model
-    return next(c for c in type(model).__mro__ if name in vars(c))
-
-
-def forces_eos(model: PolicyValueModel) -> bool:
-    """Whether ``model`` serves the base forced-EOS rule: no class or instance
-    overrides :meth:`PolicyValueModel.priors`, so every live state one token short
-    of its cap gets a one-hot EOS prior."""
-    return _owner(model, "priors") is PolicyValueModel
-
-
 def apply_temperature(prior: np.ndarray, tau: float) -> np.ndarray:
     """Renormalized tempered distribution ``p^(1/tau) / sum``, row by row.
 
@@ -197,11 +178,17 @@ class PolicyValueModel:
 
     Subclasses supply the prior of non-forced states: ``_table_priors(states)``
     for a batch, or ``_table_prior(state)`` for one state, which the default
-    ``_table_priors`` stacks and checks. The value head (:meth:`values`) is the
-    score of the memoized greedy completion (:meth:`greedy_rewards`) under
-    ``value_metric`` (0.0 when no metric is set), against the state's own
-    reference; it is part of the forward pass and costs nothing beyond the
-    evaluation that produced it.
+    ``_table_priors`` stacks and checks. :meth:`priors` and
+    :meth:`prefix_priors` are not hooks: every provider serves forced EOS
+    through them, and no subclass overrides either. A class that overrides
+    ``_table_priors`` and inherits a ``_gather_table`` other than this class's,
+    which builds the rows' states, also overrides ``_gather_table``, so a
+    gather never reads a table its class does not serve.
+
+    The value head (:meth:`values`) is the score of the memoized greedy
+    completion (:meth:`greedy_rewards`) under ``value_metric`` (0.0 when no
+    metric is set), against the state's own reference; it is part of the
+    forward pass and costs nothing beyond the evaluation that produced it.
     """
 
     def __init__(
@@ -267,30 +254,17 @@ class PolicyValueModel:
 
         ``prefixes`` is an ``(n, L)`` integer array of live output prefixes of
         one length (ids below EOS), ``root.prefix`` included, one per row, as
-        the oracles' level walk holds them. A provider that overrides
-        ``priors`` gets it called on the rows' states. Under the base
-        ``priors``, rows at the forced length get the one-hot EOS and every
-        other row comes from :meth:`_prefix_table_priors`.
+        the oracles' level walk holds them. Rows at the forced length get the
+        one-hot EOS; every other row comes from :meth:`_gather_table`.
         """
-        if not forces_eos(self):
-            return self.priors(descendants(root, prefixes.tolist()))
         n, length = prefixes.shape
         if length >= root.max_len - 1:
             return self._eos_priors(n)
-        return self._prefix_table_priors(root, prefixes)
-
-    def _prefix_table_priors(self, root: DecodeState, prefixes: np.ndarray) -> np.ndarray:
-        """``_table_priors`` of the rows' states, gathered off the array by
-        :meth:`_gather_table` only while the class that defines the gather also
-        defines ``_table_priors``: a provider that changes its table must not
-        inherit a stale gather."""
-        if _owner(self, "_gather_table") is _owner(self, "_table_priors"):
-            return self._gather_table(root, prefixes)
-        return PolicyValueModel._gather_table(self, root, prefixes)
+        return self._gather_table(root, prefixes)
 
     def _gather_table(self, root: DecodeState, prefixes: np.ndarray) -> np.ndarray:
-        """Subclass hook: table rows of non-forced prefixes. This default builds
-        the rows' states and reads ``_table_priors``."""
+        """``_table_priors`` of the rows' states, for non-forced prefixes. This
+        default builds those states and reads the table of any class."""
         return self._table_priors(descendants(root, prefixes.tolist()))
 
     def values(self, states: list[DecodeState]) -> np.ndarray:
@@ -502,7 +476,7 @@ class TransformedValueModel(PolicyValueModel):
         return self._inner._table_priors(states)
 
     def _gather_table(self, root: DecodeState, prefixes: np.ndarray) -> np.ndarray:
-        return self._inner._prefix_table_priors(root, prefixes)
+        return self._inner._gather_table(root, prefixes)
 
     def _head(self, states: list[DecodeState]) -> list[float]:
         inner = self._inner.values(states).tolist()

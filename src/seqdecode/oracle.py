@@ -7,15 +7,15 @@ make that explosive. Reads priors directly off the model tables and never
 touches the budget ledger: these are verification tools, not decoders. One
 walker goes level by level on arrays of output prefixes: it reads each
 level's priors in one ``model.prefix_priors`` call on the level's prefix
-array, which a seeded or fixed table serves without building a state, and it
-hands on the level's terminated outputs as one token array of output prefixes
-plus arrays of final tokens and log-likelihoods. Under the base forced-EOS
-rule (:func:`.models.forces_eos`) the level one token short of the cap is
-never read: its outputs are its parents' live children with EOS appended, at
-their own log-likelihood. The enumeration sorts all outputs into one list of
-tuples. Both argmaxes keep only the best so far: the metric argmax scores each
-level as it comes, one batch call per content length; the likelihood argmax
-scores all alike and prunes prefixes below the best so far.
+array, which a seeded or fixed table serves without building a state. Every
+provider forces EOS one token short of the cap, so every output ends with
+EOS, and the walker hands on a level's terminated outputs as one token array
+of their prefixes plus an array of log-likelihoods. The level one token short
+of the cap is never read: its outputs are its parents' live children with EOS
+appended, at their own log-likelihood. The enumeration sorts all outputs into
+one list of tuples. Both argmaxes keep only the best so far: the metric
+argmax scores each level as it comes, one batch call per level; the
+likelihood argmax scores all alike and prunes prefixes below the best so far.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .mdp import (
     reward_anchor,
     step,
 )
-from .models import PolicyValueModel, forces_eos
+from .models import PolicyValueModel
 from .scoring import Metric
 
 ENUMERATION_GUARD = 1_000_000
@@ -61,51 +61,46 @@ def _check_root(model: PolicyValueModel, root: DecodeState) -> None:
 
 def _levels(
     model: PolicyValueModel, root: DecodeState, floor=lambda: -math.inf
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Walk the tree below ``root`` breadth-first on arrays of output prefixes,
     reading each level's priors in one ``model.prefix_priors`` call.
 
     Yields, per level, its terminated outputs as an ``(n, L)`` integer array of
-    output prefixes (each output without its final token, one row per
-    output), and arrays of the ``n`` final tokens and exact log-likelihoods,
-    in token order; every output of one level has the same length. A level
-    with no terminated output yields ``n = 0``. After each yield, a live child
+    output prefixes (each output without its closing EOS, one row per
+    output), and an array of their ``n`` exact log-likelihoods, in token
+    order; every output of one level has the same length. A level with no
+    terminated output yields ``n = 0``. After each yield, a live child
     less likely than ``floor()`` is dropped; an equally likely one is kept. A
     child likelier than its prefix is a ``ContractViolation``.
 
     No state is stepped: a level is its ``(n, L)`` prefix array, and the next
-    level's array stacks each live child's parent row and token. A provider
-    that keeps the base forced-EOS rule (:func:`.models.forces_eos`) forces EOS
-    one token short of the root's cap, at probability 1. Its live children of
-    that length are not read: the last level yields their prefix rows with EOS
-    as every final token, at their own log-likelihood, and the walk ends. A
-    provider whose class or instance overrides ``priors`` has that level read
-    like any other.
+    level's array stacks each live child's parent row and token. Every
+    provider forces EOS one token short of the root's cap, at probability 1,
+    so every output ends with EOS. A level of that length is not read: it
+    yields its prefix rows, each closed by EOS at its own log-likelihood, and
+    the walk ends.
     """
     _check_root(model, root)
     eos = root.eos_id
-    forced = forces_eos(model)
     log_likelihoods = np.zeros(1)
     prefixes = np.array(root.prefix, dtype=np.intp).reshape(1, len(root.prefix))
     while len(prefixes):
+        if prefixes.shape[1] == root.max_len - 1:
+            # A level's prefixes share one length: one token short of the cap, every
+            # prior is one-hot on EOS.
+            yield prefixes, log_likelihoods  # log 1 = 0
+            return
         priors = model.prefix_priors(root, prefixes)
         rows, tokens = np.nonzero(priors > 0.0)  # row-major: each prefix's children in token order
         steps = np.fromiter(map(math.log, priors[rows, tokens].tolist()), float, count=len(rows))
         if (steps > 1e-12).any():
             raise ContractViolation("likelihood must be non-increasing")
         child_lls = log_likelihoods[rows] + steps
-        # A level's prefixes share one length; at the cap every child ends.
-        length = prefixes.shape[1] + 1
-        ended = (tokens == eos) | (length == root.max_len)
-        yield prefixes[rows[ended]], tokens[ended], child_lls[ended]
+        ended = tokens == eos
+        yield prefixes[rows[ended]], child_lls[ended]
         live = ~ended & (child_lls >= floor())
-        parents = rows[live]
-        prefixes = np.column_stack((prefixes[parents], tokens[live]))
-        tokens, log_likelihoods = tokens[live], child_lls[live]
-        if forced and length + 1 == root.max_len:
-            # Every live child is one token short of the cap: its prior is one-hot on EOS.
-            yield prefixes, np.full(len(tokens), eos), log_likelihoods  # log 1 = 0
-            return
+        prefixes = np.column_stack((prefixes[rows[live]], tokens[live]))
+        log_likelihoods = child_lls[live]
 
 
 def enumerate_sequences(
@@ -115,12 +110,12 @@ def enumerate_sequences(
     lexicographic token order.
 
     No terminated sequence is a prefix of another, so this is also the
-    depth-first order. Under the forced-EOS convention the returned
+    depth-first order. Since every provider forces EOS, the returned
     probabilities sum to 1.
     """
     out: list[tuple[Sequence, float]] = []
-    for prefixes, tokens, log_likelihoods in _levels(model, root):
-        outputs = np.column_stack((prefixes, tokens)).tolist()
+    for prefixes, log_likelihoods in _levels(model, root):
+        outputs = np.column_stack((prefixes, np.full(len(prefixes), root.eos_id))).tolist()
         out.extend(zip(map(tuple, outputs), log_likelihoods.tolist()))
     out.sort(key=itemgetter(0))
     return out
@@ -129,8 +124,8 @@ def enumerate_sequences(
 def _argmax(model: PolicyValueModel, root: DecodeState, score_level, prune: bool) -> Candidate:
     """The terminated sequence below ``root`` with the best (score, log-likelihood) key.
 
-    ``score_level(prefixes, tokens)`` scores one level's outputs, given as the
-    walker yields them, as an array. The first best key in token order wins a
+    ``score_level(prefixes)`` scores one level's outputs, given by their prefix
+    rows as the walker yields them, as an array. The first best key in token order wins a
     level; an equal key across levels goes to the smaller sequence. ``prune``
     (sound for a constant score only) drops prefixes less likely than the best
     output so far. Only the winner becomes a tuple, and its state is stepped
@@ -141,15 +136,15 @@ def _argmax(model: PolicyValueModel, root: DecodeState, score_level, prune: bool
     def floor() -> float:
         return best[0][1] if prune and best else -math.inf
 
-    for prefixes, tokens, log_likelihoods in _levels(model, root, floor):
-        if not len(tokens):
+    for prefixes, log_likelihoods in _levels(model, root, floor):
+        if not len(prefixes):
             continue
-        scores = score_level(prefixes, tokens)
+        scores = score_level(prefixes)
         top = np.flatnonzero(scores == scores.max())
         # argmax keeps the first of equal log-likelihoods: a level is in token order.
         i = top[np.argmax(log_likelihoods[top])]
         key = (float(scores[i]), float(log_likelihoods[i]))
-        sequence = tuple(prefixes[i].tolist() + [tokens[i].item()])
+        sequence = tuple(prefixes[i].tolist() + [root.eos_id])
         if best is None or key > best[0] or (key == best[0] and sequence < best[1]):
             best = (key, sequence)
     (score, log_likelihood), sequence = best
@@ -161,7 +156,7 @@ def exact_argmax_likelihood(model: PolicyValueModel, root: DecodeState) -> Candi
     """Global likelihood argmax below ``root``: the level walk, pruned below the best
     output so far, since appending tokens can only lower a likelihood. Equal
     likelihoods break to the lexicographically smaller sequence."""
-    best = _argmax(model, root, lambda _prefixes, tokens: np.zeros(len(tokens)), prune=True)
+    best = _argmax(model, root, lambda prefixes: np.zeros(len(prefixes)), prune=True)
     return replace(best, score=None)
 
 
@@ -169,24 +164,12 @@ def exact_argmax_metric(model: PolicyValueModel, root: DecodeState, metric: Metr
     """Metric argmax over every terminated sequence below ``root``.
 
     Each level's outputs are scored against the root's reward anchor as the
-    walk reaches them, in one ``metric.score_batch`` call per content length,
-    each handed one ``(n, L)`` token array. An EOS-ended output's content is
-    its prefix row, so a level has one content length, except at the cap of a
-    provider that overrides ``priors``, where an output cut off without EOS
-    keeps its last token. Ties prefer higher likelihood, then the
+    walk reaches them, in one ``metric.score_batch`` call per level, handed
+    the level's ``(n, L)`` array of prefix rows: every output ends with EOS,
+    so its content is its prefix row. Ties prefer higher likelihood, then the
     lexicographically smaller token sequence.
     """
     anchor = reward_anchor(metric, root)
-    eos = model.eos_id
-
-    def score_level(prefixes: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-        cut = tokens != eos
-        if not cut.any():
-            return np.array(metric.score_batch(anchor, prefixes))
-        scores = np.empty(len(tokens))
-        if not cut.all():
-            scores[~cut] = metric.score_batch(anchor, prefixes[~cut])
-        scores[cut] = metric.score_batch(anchor, np.column_stack((prefixes[cut], tokens[cut])))
-        return scores
-
-    return _argmax(model, root, score_level, prune=False)
+    return _argmax(
+        model, root, lambda prefixes: np.array(metric.score_batch(anchor, prefixes)), prune=False
+    )

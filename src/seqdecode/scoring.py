@@ -55,9 +55,8 @@ class Metric:
     A candidate array that is not 2-D integer is a ``ContractViolation`` naming
     the metric, and so is a candidate, or a list of them, whose tokens make no
     such array (a float, a string or a bool token, or nested tokens). numpy
-    upcasts a bool beside an integer, so a list is refused if it holds any bool
-    token; a single call does not look at each token, and refuses a bool only
-    when every token of its candidate is one. A non-finite score is a
+    upcasts a bool beside an integer, so a candidate, or a list of them, is
+    refused if it holds any bool token. A non-finite score is a
     ``ContractViolation`` naming the metric and the candidate, and so is an
     ``fn`` result of the wrong length, naming both counts.
     """
@@ -68,6 +67,7 @@ class Metric:
 
     def __call__(self, anchor: Sequence, candidate: Sequence) -> float:
         candidate = tuple(candidate)
+        self._refuse_bools(candidate)
         scores = self.fn(tuple(anchor), self._token_array([candidate]))
         if len(scores) != 1:
             self._miscounted(len(scores), 1)
@@ -82,9 +82,7 @@ class Metric:
             self._check_array(candidates)
             groups = [(slice(None), candidates)]
         else:
-            # numpy would upcast a bool token beside an integer one, so the list is looked at.
-            if _BOOL_TYPES.intersection(map(type, chain.from_iterable(candidates))):
-                self._refuse_tokens("a bool token")
+            self._refuse_bools(chain.from_iterable(candidates))
             groups = ((ks, self._token_array(group)) for ks, group in _by_length(candidates))
         raw = np.empty(len(candidates))
         for ks, group in groups:
@@ -101,6 +99,11 @@ class Metric:
     def _check_array(self, candidates: np.ndarray) -> None:
         if candidates.ndim != 2 or candidates.dtype.kind not in "iu":
             self._refuse_tokens(f"{candidates.ndim}-D {candidates.dtype}")
+
+    def _refuse_bools(self, tokens) -> None:
+        """Refuse any bool among ``tokens``: numpy would upcast it beside an integer."""
+        if _BOOL_TYPES.intersection(map(type, tokens)):
+            self._refuse_tokens("a bool token")
 
     def _refuse_tokens(self, got: str) -> None:
         raise ContractViolation(

@@ -2,7 +2,8 @@
 
 Every relative import sits at module level, so a module's dependencies can be
 read off its header. Imports under ``if TYPE_CHECKING:`` are annotations only
-and are exempt.
+and are exempt. The providers' class layering keeps the ``PolicyValueModel``
+contract: forced EOS is served by the base class alone.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import seqdecode
+from seqdecode import models
+from seqdecode.models import PolicyValueModel
 
 LAYERS = ("mdp", "scoring", "models", "decoders", "mcts", "oracle", "harness", "cli")
 PACKAGE = Path(seqdecode.__file__).parent
@@ -83,17 +86,21 @@ def test_no_function_calls_itself(module):
     assert not found, f"recursive calls: {found}"
 
 
-@pytest.mark.parametrize("module", LAYERS)
-def test_forced_eos_is_asked_of_models_forces_eos(module):
-    # One predicate says whether a provider keeps the base forced-EOS rule; no module
-    # compares against the base method itself.
-    path = PACKAGE / f"{module}.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    found = [
-        f"{module}.py:{node.lineno}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        and node.attr == "priors"
-        and getattr(node.value, "id", None) == "PolicyValueModel"
-    ]
-    assert not found, f"reads of PolicyValueModel.priors: {found}"
+def _supplier(cls: type, name: str) -> type:
+    """The class in ``cls``'s method resolution order that defines ``name``."""
+    return next(c for c in cls.__mro__ if name in vars(c))
+
+
+PROVIDERS = [
+    c for c in vars(models).values() if isinstance(c, type) and issubclass(c, PolicyValueModel)
+]
+
+
+@pytest.mark.parametrize("provider", PROVIDERS, ids=lambda c: c.__name__)
+def test_every_provider_serves_forced_eos_and_gathers_its_own_table(provider):
+    # Forced EOS is the base rule, not a hook: no provider serves its own priors.
+    assert _supplier(provider, "priors") is PolicyValueModel
+    assert _supplier(provider, "prefix_priors") is PolicyValueModel
+    # A gather reads the table of the class that defines it; the base one builds states.
+    gather = _supplier(provider, "_gather_table")
+    assert gather in (PolicyValueModel, _supplier(provider, "_table_priors"))

@@ -30,10 +30,9 @@ from seqdecode import (
 )
 from seqdecode import mcts
 from seqdecode.mcts import BACKUP_RULES, VALUE_SOURCES
-from seqdecode.models import forces_eos
 
 from conftest import A, B, EOS, count_calls, make_m0
-from twin import RecursiveSearch
+from twin import RecursiveSearch, arena_decode
 
 
 def fresh_arena(model, batch=1, **cfg_kwargs):
@@ -1203,14 +1202,6 @@ class TestDecodeMcts:
             assert c.sequence[-1] == EOS or len(c.sequence) == short.max_len + 1
 
 
-class UndecidedSeeded(SeededTabularModel):
-    """The base priors, served through an override: ``decode_mcts`` decides none of its
-    forced positions in advance, and runs an arena at each one."""
-
-    def priors(self, states):
-        return super().priors(states)
-
-
 @st.composite
 def decided_cases(draw):
     """A seeded provider, 1-4 live roots at drawn prefix lengths (one token short of the
@@ -1237,20 +1228,19 @@ def decided_cases(draw):
 
 
 class TestDecidedPositions:
-    """A live root one token short of its cap, under the base forced-EOS rule, is decided:
-    ``decode_mcts`` commits EOS there without an arena and charges what one would."""
+    """A live root one token short of its cap is decided: ``decode_mcts`` commits EOS
+    there without an arena and charges what one would."""
 
     @settings(max_examples=60, deadline=None)
     @given(decided_cases())
     def test_outputs_and_charges_match_an_arena_at_every_position(self, case):
         seed, vocab, horizon, roots, counts, cfg = case
-        assert forces_eos(SeededTabularModel(0, 2, 1)) and not forces_eos(UndecidedSeeded(0, 2, 1))
         metric = coverage_metric()
         runs = []
-        for cls in (SeededTabularModel, UndecidedSeeded):
-            model = cls(seed, vocab, horizon, context_order=1, value_metric=metric)
+        for decode in (decode_mcts, arena_decode):
+            model = SeededTabularModel(seed, vocab, horizon, context_order=1, value_metric=metric)
             states = [reduce(step, p, model.initial_state(s)) for s, p in roots]
-            out = decode_mcts(model, states, cfg, metric=metric, simulation_counts=counts)
+            out = decode(model, states, cfg, metric, simulation_counts=counts)
             runs.append((
                 [(c.sequence, c.log_likelihood.hex(), c.evaluations) for c in out],
                 model.ledger.snapshot(),

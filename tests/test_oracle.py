@@ -81,21 +81,12 @@ def float_bits(values):
     return [float(v).hex() for v in values]
 
 
-class UnforcedSeeded(SeededTabularModel):
-    """A seeded table that overrides ``priors``: the token at the cap is drawn from
-    the table, not forced to EOS, so the oracles walk its cap level like any other."""
-
-    def priors(self, states):
-        return self._table_priors(states)
-
-
 @st.composite
 def seeded_oracle_cases(draw):
-    """A seeded model, with the base forced EOS or with ``priors`` overridden, a root
-    below it and a metric drawn from the five the CLI offers."""
+    """A seeded model, a root below it and a metric drawn from the five the CLI offers."""
     vocab_size = draw(st.integers(2, 5))
     content = st.integers(0, vocab_size - 2)
-    model = draw(st.sampled_from([SeededTabularModel, UnforcedSeeded]))(
+    model = SeededTabularModel(
         draw(st.integers(0, 2**16)), vocab_size, max_len=4, context_order=draw(st.integers(0, 2))
     )
     source = tuple(draw(st.lists(content, min_size=1, max_size=4)))
@@ -119,14 +110,13 @@ def seeded_oracle_cases(draw):
 
 @st.composite
 def likelihood_cases(draw):
-    """A model and a root below it: a seeded table, with the base forced EOS or with
-    ``priors`` overridden, a fixed prior with zero-probability tokens, or a uniform
-    prior that gives EOS nothing before the cap."""
+    """A model and a root below it: a seeded table, a fixed prior with zero-probability
+    tokens, or a uniform prior that gives EOS nothing before the cap."""
     vocab_size = draw(st.integers(2, 5))
     horizon = draw(st.integers(0, 4))
-    kind = draw(st.sampled_from(["seeded", "unforced", "zeros", "eos_free"]))
-    if kind in ("seeded", "unforced"):
-        model = (SeededTabularModel if kind == "seeded" else UnforcedSeeded)(
+    kind = draw(st.sampled_from(["seeded", "zeros", "eos_free"]))
+    if kind == "seeded":
+        model = SeededTabularModel(
             draw(st.integers(0, 2**16)), vocab_size, 4, context_order=draw(st.integers(0, 2))
         )
     elif kind == "zeros":
@@ -212,31 +202,20 @@ class TestEnumeration:
         assert [prefixes.shape for _root, prefixes in reads] == [(1, 0), (2, 1), (4, 2)]
         assert states_read == []  # the table rows are gathered off the prefix arrays
 
-    @pytest.mark.parametrize(
-        "model, owner, levels, built",
-        [
-            # levels of 1, 2 and 4 prefixes, gathered off arrays: no state is built and
-            # no priors call is made; the 8 one token short of the cap are not read
-            (SeededTabularModel(0, 3, 3, context_order=1), PolicyValueModel, [1, 2, 4], 0),
-            # overridden priors: the default path builds and reads each level's states,
-            # the cap level's 8 too, in one priors call per level
-            (UnforcedSeeded(0, 3, 3, context_order=1), UnforcedSeeded, [1, 2, 4, 8], 15),
-        ],
-    )
-    def test_no_state_of_the_forced_length_is_built(self, monkeypatch, model, owner, levels, built):
+    def test_no_state_of_the_forced_length_is_built(self, monkeypatch):
+        model = SeededTabularModel(0, 3, 3, context_order=1)
         root = model.initial_state(())
         expected = recursive_enumeration(model, root)
         stepped = count_calls(monkeypatch, oracle, "step")
         checked = count_calls(monkeypatch, DecodeState, "__post_init__")
         derived = count_calls(monkeypatch, models, "descendants")
         reads = count_calls(monkeypatch, model, "prefix_priors")
-        priors_reads = count_calls(monkeypatch, owner, "priors")
+        priors_reads = count_calls(monkeypatch, PolicyValueModel, "priors")
         assert enumerate_sequences(model, root) == expected
-        assert [len(prefixes) for _root, prefixes in reads] == levels
-        # the default path builds its states unchecked, as step builds a child
-        assert (len(stepped), len(checked)) == (0, 0)
-        assert sum(len(prefixes) for _root, prefixes in derived) == built
-        assert [len(batch) for _model, batch in priors_reads] == (levels if built else [])
+        # levels of 1, 2 and 4 prefixes, gathered off arrays: no state is built and
+        # no priors call is made; the 8 one token short of the cap are not read
+        assert [len(prefixes) for _root, prefixes in reads] == [1, 2, 4]
+        assert (len(stepped), len(checked), len(derived), len(priors_reads)) == (0, 0, 0, 0)
 
     def test_all_sequences_end_with_eos(self, m0):
         for seq, _ in enumerate_sequences(m0, m0.initial_state(())):
@@ -394,22 +373,6 @@ class TestArgmaxMetric:
         assert best.sequence == (A, model.eos_id)
         assert best.log_likelihood == math.log(0.5)
 
-    def test_outputs_cut_off_by_the_cap_keep_their_last_token(self):
-        # A model that leaves the token at the cap free: an output that ends there
-        # without EOS is scored on every token it holds.
-        class Unforced(FixedPriorModel):
-            def priors(self, states):
-                return self._table_priors(states)
-
-        model = Unforced([0.45, 0.45, 0.1], max_len=1)
-        root = model.initial_state((A, B))
-        best = exact_argmax_metric(model, root, coverage_metric())
-        assert best.sequence == (A, B)
-        assert (best.sequence, (best.score, best.log_likelihood)) == scalar_argmax_metric(
-            model, root, coverage_metric()
-        )
-        assert enumerate_sequences(model, root) == recursive_enumeration(model, root)
-
     @pytest.mark.parametrize(
         "model, batches",
         [
@@ -549,23 +512,12 @@ class TestRootState:
             oracle(model, root)
 
 
-class ReversedTable(SeededTabularModel):
-    """A seeded table with its own ``_table_priors``, each row reversed: a gather of the
-    base table would read the wrong rows, so it must be walked through its states."""
-
-    def _table_priors(self, states):
-        return super()._table_priors(states)[:, ::-1]
-
-
 # Provider kinds by whether prefix_priors gathers table rows off the array, building a
 # state only for a table miss, or builds every non-forced row's state.
 GATHERED = {
     "seeded": True,
     "fixed": False,  # its tiled prior needs no gather of its own
     "noisy": True,
-    "noisy_unforced": True,  # the wrapper forces EOS over the inner table, whatever its priors
-    "reversed": False,
-    "noisy_reversed": False,  # the wrapper asks its table, which is walked through its states
 }
 
 
@@ -585,12 +537,8 @@ def prefix_cases(draw):
     def build():
         if kind == "fixed":
             return FixedPriorModel(weights / weights.sum(), horizon)
-        table = {
-            "noisy_unforced": UnforcedSeeded,
-            "reversed": ReversedTable,
-            "noisy_reversed": ReversedTable,
-        }.get(kind, SeededTabularModel)(seed, vocab_size, horizon, order)
-        return NoisyValueModel(table, 0.2, seed) if kind.startswith("noisy") else table
+        table = SeededTabularModel(seed, vocab_size, horizon, order)
+        return NoisyValueModel(table, 0.2, seed) if kind == "noisy" else table
 
     content = st.integers(0, vocab_size - 2)
     source = tuple(draw(st.lists(content, min_size=1, max_size=3)))
@@ -620,37 +568,13 @@ class TestPrefixPriors:
         for got in (cold, warm):
             assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
             assert got.tobytes() == expected.tobytes()
-        assert reads == []  # each kind keeps the base priors, whose rule prefix_priors applies
+        assert reads == []  # prefix_priors applies the forced-EOS rule itself
         built = sum(len(rows) for _root, rows in derived)
         forced = prefixes.shape[1] >= root.max_len - 1
         assert built == (len(new_rows) if forced or GATHERED[kind] else 2 * len(prefixes))
         # A table miss draws its row against the state of a row holding that context.
         for context, state in new_rows:
             assert state in states and state.prefix[len(state.prefix) - len(context) :] == context
-
-    @pytest.mark.parametrize("context_order", [0, 1, 2])
-    def test_a_subclass_with_its_own_table_is_walked_through_its_states(
-        self, monkeypatch, context_order
-    ):
-        model = ReversedTable(5, vocab_size=3, max_len=3, context_order=context_order)
-        root = model.initial_state((0, 1))
-        expected = recursive_enumeration(model, root)
-        # A spy on the instance's priors would override them, so the table is spied on.
-        reads = count_calls(monkeypatch, model, "_table_priors")
-        assert enumerate_sequences(model, root) == expected
-        assert [len(states) for (states,) in reads] == [1, 2, 4]
-
-    def test_an_instance_with_its_own_priors_is_walked_to_its_cap(self):
-        # The instance's priors never force EOS: (0, 0, EOS) is 0.5 * 0.5 * 0.2, not 0.25.
-        model = FixedPriorModel([0.5, 0.3, 0.2], 2)
-        model.priors = lambda states: np.tile([0.5, 0.3, 0.2], (len(states), 1))
-        assert not models.forces_eos(model)
-        assert models.forces_eos(FixedPriorModel([0.5, 0.3, 0.2], 2))
-        assert not models.forces_eos(UnforcedSeeded(0, 3, 2))
-        root = model.initial_state(())
-        walked = enumerate_sequences(model, root)
-        assert walked == recursive_enumeration(model, root)
-        assert dict(walked)[(0, 0, EOS)] == math.log(0.5) + math.log(0.5) + math.log(0.2)
 
     def test_long_contexts_are_grouped_by_rows(self):
         # 8^22 = 2^66 contexts: more than an int64 code per context could number.

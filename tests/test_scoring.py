@@ -370,6 +370,8 @@ class TestScoreBatch:
             # and fail on the nested tokens by shape.
             [(True,), (1,)],
             [((1, 2),), (1,)],
+            # A bool beside an integer in one candidate: numpy would upcast the bool.
+            [(True, 1)],
         ],
     )
     def test_an_array_that_is_not_2d_integer_is_refused(self, candidates):

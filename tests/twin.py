@@ -5,6 +5,9 @@ root state. It mirrors the arena operation by operation (same selection
 formula, same backup arithmetic, same sparse-action ordering), so the two
 must agree exactly after every simulation. The tests run it beside the arena
 as a differential oracle; it is not part of the library.
+
+``arena_decode`` is the plain twin of :func:`seqdecode.decode_mcts`: one arena
+over every live root at every position, with no position decided in advance.
 """
 
 from __future__ import annotations
@@ -15,13 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from seqdecode import (
+    ArenaSearch,
+    Candidate,
     ContractViolation,
     DecodeState,
     Metric,
     PolicyValueModel,
     SearchConfig,
     apply_temperature,
+    complete,
     rollout_value,
+    select_root_action,
     step,
 )
 
@@ -159,3 +166,37 @@ class RecursiveSearch:
 
     def node_values(self) -> np.ndarray:
         return np.array([n.value for n in self.nodes])
+
+
+def arena_decode(
+    model: PolicyValueModel,
+    states: list[DecodeState],
+    cfg: SearchConfig,
+    metric: Metric | None,
+    simulation_counts: list[int],
+) -> list[Candidate]:
+    """Reference ``decode_mcts``: each ``complete`` round runs one arena over every live
+    root, one token short of its cap or not, and commits its selected root actions.
+    Element b's ``evaluations`` sums what the arenas charge it, and the ledger is charged
+    the emitted tokens."""
+    counts = np.array(simulation_counts)
+    evaluations = np.zeros(len(states), dtype=np.int64)
+
+    def search(indices: list[int], live: list[DecodeState]):
+        arena = ArenaSearch(model, live, cfg, metric, counts[indices])
+        result = arena.run()
+        evaluations[indices] += arena.evaluations
+        actions = select_root_action(
+            result.dense_visit_counts,
+            result.dense_root_values,
+            cfg.root_selection,
+            fallback_priors=result.tempered_root_priors,
+        )
+        return result.root_priors, actions
+
+    finals, log_likelihoods = complete(states, search)
+    model.ledger.charge_tokens(sum(len(f.prefix) - len(s.prefix) for f, s in zip(finals, states)))
+    return [
+        Candidate(s, ll, evaluations=e)
+        for s, ll, e in zip(finals, log_likelihoods, evaluations.tolist())
+    ]
