@@ -104,3 +104,20 @@ def test_every_provider_serves_forced_eos_and_gathers_its_own_table(provider):
     # A gather reads the table of the class that defines it; the base one builds states.
     gather = _supplier(provider, "_gather_table")
     assert gather in (PolicyValueModel, _supplier(provider, "_table_priors"))
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_no_class_but_the_base_defines_priors(module):
+    # The runtime check above sees the classes of models.py; no module defines another
+    # class that serves its own priors either.
+    path = PACKAGE / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [
+        f"{module}.py:{item.lineno}: {cls.name}.{item.name}"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and (module, cls.name) != ("models", "PolicyValueModel")
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and item.name in ("priors", "prefix_priors")
+    ]
+    assert not found, f"priors served outside PolicyValueModel: {found}"

@@ -81,6 +81,17 @@ def float_bits(values):
     return [float(v).hex() for v in values]
 
 
+class ReversedTable(SeededTabularModel):
+    """A seeded table with its own ``_table_priors``, each row reversed. The seeded
+    gather reads the base table's rows, so, as the provider contract asks, the class
+    also sets its own ``_gather_table``: the default one, which builds the rows' states."""
+
+    def _table_priors(self, states):
+        return super()._table_priors(states)[:, ::-1]
+
+    _gather_table = PolicyValueModel._gather_table
+
+
 @st.composite
 def seeded_oracle_cases(draw):
     """A seeded model, a root below it and a metric drawn from the five the CLI offers."""
@@ -202,20 +213,41 @@ class TestEnumeration:
         assert [prefixes.shape for _root, prefixes in reads] == [(1, 0), (2, 1), (4, 2)]
         assert states_read == []  # the table rows are gathered off the prefix arrays
 
-    def test_no_state_of_the_forced_length_is_built(self, monkeypatch):
-        model = SeededTabularModel(0, 3, 3, context_order=1)
+    @pytest.mark.parametrize(
+        "model, built",
+        [
+            # levels gathered off the arrays of a filled table: no state is built
+            (SeededTabularModel(0, 3, 3, context_order=1), 0),
+            (NoisyValueModel(SeededTabularModel(0, 3, 3, context_order=1), 0.2, 0), 0),
+            # the default gather builds each read level's 1 + 2 + 4 states, and no more
+            (FixedPriorModel([0.5, 0.3, 0.2], 3), 7),
+            (ReversedTable(0, 3, 3, context_order=1), 7),
+        ],
+        ids=["seeded", "noisy", "fixed", "reversed"],
+    )
+    def test_no_state_of_the_forced_length_is_built(self, monkeypatch, model, built):
         root = model.initial_state(())
-        expected = recursive_enumeration(model, root)
+        expected = recursive_enumeration(model, root)  # fills a seeded table
         stepped = count_calls(monkeypatch, oracle, "step")
         checked = count_calls(monkeypatch, DecodeState, "__post_init__")
         derived = count_calls(monkeypatch, models, "descendants")
         reads = count_calls(monkeypatch, model, "prefix_priors")
         priors_reads = count_calls(monkeypatch, PolicyValueModel, "priors")
         assert enumerate_sequences(model, root) == expected
-        # levels of 1, 2 and 4 prefixes, gathered off arrays: no state is built and
-        # no priors call is made; the 8 one token short of the cap are not read
+        # levels of 1, 2 and 4 prefixes, with no priors call; the 8 one token short of
+        # the cap are not read, and the default path builds its states unchecked
         assert [len(prefixes) for _root, prefixes in reads] == [1, 2, 4]
-        assert (len(stepped), len(checked), len(derived), len(priors_reads)) == (0, 0, 0, 0)
+        assert (len(stepped), len(checked), len(priors_reads)) == (0, 0, 0)
+        assert sum(len(prefixes) for _root, prefixes in derived) == built
+
+    def test_the_token_one_short_of_the_cap_is_eos_at_probability_one(self):
+        # (0, 0, EOS) is 0.5 * 0.5 * 1: the forced EOS is free, not drawn at 0.2.
+        model = FixedPriorModel([0.5, 0.3, 0.2], 2)
+        root = model.initial_state(())
+        walked = enumerate_sequences(model, root)
+        assert walked == recursive_enumeration(model, root)
+        assert dict(walked)[(0, 0, EOS)] == math.log(0.5) + math.log(0.5)
+        assert sum(math.exp(ll) for _seq, ll in walked) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_sequences_end_with_eos(self, m0):
         for seq, _ in enumerate_sequences(m0, m0.initial_state(())):
@@ -373,6 +405,18 @@ class TestArgmaxMetric:
         assert best.sequence == (A, model.eos_id)
         assert best.log_likelihood == math.log(0.5)
 
+    def test_outputs_that_reach_the_cap_end_with_a_free_eos(self):
+        # No output is cut off at the cap: (A, EOS) and (B, EOS) tie at log 0.45, the
+        # forced EOS costing nothing, and the smaller one wins.
+        model = FixedPriorModel([0.45, 0.45, 0.1], max_len=1)
+        root = model.initial_state((A, B))
+        best = exact_argmax_metric(model, root, coverage_metric())
+        assert (best.sequence, best.log_likelihood) == ((A, EOS), math.log(0.45))
+        assert (best.sequence, (best.score, best.log_likelihood)) == scalar_argmax_metric(
+            model, root, coverage_metric()
+        )
+        assert enumerate_sequences(model, root) == recursive_enumeration(model, root)
+
     @pytest.mark.parametrize(
         "model, batches",
         [
@@ -518,6 +562,8 @@ GATHERED = {
     "seeded": True,
     "fixed": False,  # its tiled prior needs no gather of its own
     "noisy": True,
+    "reversed": False,
+    "noisy_reversed": False,  # the wrapper asks its table, which builds the states
 }
 
 
@@ -537,8 +583,9 @@ def prefix_cases(draw):
     def build():
         if kind == "fixed":
             return FixedPriorModel(weights / weights.sum(), horizon)
-        table = SeededTabularModel(seed, vocab_size, horizon, order)
-        return NoisyValueModel(table, 0.2, seed) if kind == "noisy" else table
+        cls = ReversedTable if kind.endswith("reversed") else SeededTabularModel
+        table = cls(seed, vocab_size, horizon, order)
+        return NoisyValueModel(table, 0.2, seed) if kind.startswith("noisy") else table
 
     content = st.integers(0, vocab_size - 2)
     source = tuple(draw(st.lists(content, min_size=1, max_size=3)))
@@ -575,6 +622,21 @@ class TestPrefixPriors:
         # A table miss draws its row against the state of a row holding that context.
         for context, state in new_rows:
             assert state in states and state.prefix[len(state.prefix) - len(context) :] == context
+
+    @pytest.mark.parametrize("context_order", [0, 1, 2])
+    def test_a_subclass_with_its_own_table_is_walked_through_its_states(
+        self, monkeypatch, context_order
+    ):
+        model = ReversedTable(5, vocab_size=3, max_len=3, context_order=context_order)
+        root = model.initial_state((0, 1))
+        expected = recursive_enumeration(model, root)
+        reads = count_calls(monkeypatch, model, "_table_priors")
+        assert enumerate_sequences(model, root) == expected
+        assert [len(states) for (states,) in reads] == [1, 2, 4]
+        # The seeded gather would serve the unreversed rows of the same prefixes.
+        prefixes = np.array([[0], [1]], dtype=np.intp)
+        unreversed = SeededTabularModel._gather_table(model, root, prefixes)
+        assert np.array_equal(model.prefix_priors(root, prefixes), unreversed[:, ::-1])
 
     def test_long_contexts_are_grouped_by_rows(self):
         # 8^22 = 2^66 contexts: more than an int64 code per context could number.
