@@ -33,8 +33,8 @@ from .decoders import (
     sample_sequences,
     value_guided_beam_search,
 )
-from .mcts import ArenaSearch, SearchConfig, decode_mcts
-from .mdp import Candidate, ConfigurationError, DecodeState, Sequence, terminal_reward
+from .mcts import VALUE_SOURCES, ArenaSearch, SearchConfig, decode_mcts
+from .mdp import Candidate, ConfigurationError, DecodeState, Sequence, is_integer, terminal_reward
 from .models import ModelSpec, PolicyValueModel, model_value_fn, rollout_value_fn
 from .scoring import (
     Metric,
@@ -116,6 +116,10 @@ class AlgorithmSpec:
     def __post_init__(self) -> None:
         if self.name not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {self.name!r} (choose from {ALGORITHMS})")
+        if self.value_source not in VALUE_SOURCES:
+            raise ConfigurationError(
+                f"unknown value source {self.value_source!r} (choose from {VALUE_SOURCES})"
+            )
 
     def uses_score_directly(self) -> bool:
         return self.name == "sample_rerank" or (
@@ -391,9 +395,11 @@ def validate_run_config(
     model = cfg.model.build(metric)
     check_token_ids(model.vocab_size, dataset)
     # EOS is stripped before scoring, so only a content id can ever be counted.
-    if cfg.metric.name == "occupancy" and not 0 <= cfg.metric.target <= model.vocab_size - 2:
+    target = cfg.metric.target
+    content = is_integer(target) and 0 <= target <= model.vocab_size - 2
+    if cfg.metric.name == "occupancy" and not content:
         raise ConfigurationError(
-            f"occupancy target {cfg.metric.target} is not a content token id "
+            f"occupancy target {target!r} is not a content token id "
             f"(0..{model.vocab_size - 2} at vocabulary size {model.vocab_size})"
         )
     # Coverage is a share of the source's distinct tokens, its closing EOS not counted.
@@ -493,7 +499,7 @@ def export_tree(arena: ArenaSearch, path: str | Path) -> None:
         lines.append(f'  n{i} [label="{label}"];')
     for i in range(1, n_nodes):
         parent = int(arena.parents[b, i])
-        sparse = int(arena.action_from_parents[b, i])
+        sparse = arena.node_slot(b, i)
         prior = float(arena.children_prior[b, parent, sparse])
         lines.append(f'  n{parent} -> n{i} [label="{prior:.4f}"];')
     lines.append("}")

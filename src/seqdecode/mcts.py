@@ -221,7 +221,6 @@ class ArenaSearch:
         self._visit_counts, self._row_visits = self._node_array(0, np.int64)
         self._values, self._row_values = self._node_array(0.0, np.float64)
         self.parents, self._row_parents = self._node_array(-1, np.int64)
-        self.action_from_parents, self._row_actions = self._node_array(-1, np.int64)
 
         self.topk_mapping, self._row_topk = self._node_array(-1, np.int64, a)
         self.children_index, self._row_children = self._node_array(-1, np.int64, a)
@@ -433,7 +432,6 @@ class ArenaSearch:
         rows = row0 + node
         self._row_children[parent_rows, sparse_actions] = node
         self._row_parents[rows] = node_indices
-        self._row_actions[rows] = sparse_actions
 
         terminal_rows = rows[terminal]
         if terminal_rows.size:
@@ -584,13 +582,17 @@ class ArenaSearch:
     def allocated_nodes(self) -> int:
         return len(self.node_states)
 
+    def node_slot(self, b: int, node_index: int) -> int:
+        """The sparse action of a node's parent that holds the node; not for the root."""
+        parent = self.parents[b, node_index]
+        return int(np.flatnonzero(self.children_index[b, parent] == node_index)[0])
+
     def node_token(self, b: int, node_index: int) -> int | None:
         """Vocabulary id of the edge into a node, or None for the root."""
         parent = int(self.parents[b, node_index])
         if parent < 0:
             return None
-        sparse = int(self.action_from_parents[b, node_index])
-        return int(self.topk_mapping[b, parent, sparse])
+        return int(self.topk_mapping[b, parent, self.node_slot(b, node_index)])
 
 
 def select_root_action(

@@ -12,10 +12,10 @@ root and step only the state of the output they return. So a state's cap and
 reference are its instance's. Each output they return is a
 :class:`Candidate`: a terminal state and its log-likelihood.
 
-A state is validated once, when it is built. A non-terminal prefix holds no
-EOS, so :func:`step` checks only the token it appends and derives the child's
-``terminal`` flag from that token; :func:`descendants` builds the states of
-prefixes the oracles' walk already knows to be live without checking them.
+A state is validated once, when it is built, and ``DecodeState(...)`` and
+:func:`step` are its only builders. A non-terminal prefix holds no EOS, so
+:func:`step` checks only the token it appends and derives the child's
+``terminal`` flag from that token.
 """
 
 from __future__ import annotations
@@ -46,10 +46,12 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def check_integer(name: str, value, least: int) -> None:
-    """A ``ConfigurationError`` naming ``name`` unless ``value`` is an integer >= ``least``."""
-    if not is_integer(value) or value < least:
-        raise ConfigurationError(f"{name} must be an integer >= {least}, not {value!r}")
+def check_integer(name: str, value, least: int | None = None) -> None:
+    """A ``ConfigurationError`` naming ``name`` unless ``value`` is an integer, and one
+    >= ``least`` when that is given."""
+    if not is_integer(value) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigurationError(f"{name} must be an integer{bound}, not {value!r}")
 
 
 def clamp01(x: float) -> float:
@@ -152,27 +154,6 @@ def step(state: DecodeState, action: int) -> DecodeState:
     _set_reference(child, state.reference)
     _set_terminal(child, action == eos_id or len(prefix) == max_len)
     return child
-
-
-def descendants(root: DecodeState, prefixes: list[list[int]]) -> list[DecodeState]:
-    """The states below ``root`` whose prefixes are ``prefixes``, built like
-    :func:`step`'s children, without re-running ``DecodeState.__post_init__``.
-
-    The caller guarantees that each prefix extends ``root.prefix`` by ids below
-    EOS, as the oracles' level walk does, and is no longer than the cap.
-    """
-    out = []
-    for prefix in prefixes:
-        prefix = tuple(prefix)
-        child = _new_state(DecodeState)
-        _set_source(child, root.source)
-        _set_prefix(child, prefix)
-        _set_max_len(child, root.max_len)
-        _set_eos_id(child, root.eos_id)
-        _set_reference(child, root.reference)
-        _set_terminal(child, len(prefix) == root.max_len)
-        out.append(child)
-    return out
 
 
 def complete(

@@ -27,16 +27,15 @@ supplies its table, never ``priors`` itself (the contract is stated on
 :class:`PolicyValueModel`). Two users rely on it: the exact oracles close each
 prefix one token short of the cap with EOS, at probability 1, without reading
 its prior; and :func:`.mcts.decode_mcts` commits EOS at such a prefix without
-a search, charging what the search would. The oracles read each level's
-priors off its array of output prefixes, in one
+a search, charging what the search would. The oracles read every other
+level's priors off its array of output prefixes, in one
 :meth:`PolicyValueModel.prefix_priors` call, which returns ``priors`` of
-those prefixes' states bit for bit. It applies the same forced-EOS rule to
-the array and takes every other row from one hook, ``_gather_table``, which
-builds the rows' states by default; the seeded table gathers its rows by each
-row's context instead, and a wrapped provider asks the model it wraps. A handle
-(:class:`ModelState`) carries its value, so ``evaluate_step`` answers
-absorbing handles from the handle alone and steps and evaluates only the live
-ones.
+those prefixes' states bit for bit. It is the one array hook: by default it
+builds the rows' states and reads their table; the seeded table gathers its
+rows by each row's context instead, and a wrapped provider asks the model it
+wraps. A handle (:class:`ModelState`) carries its value, so ``evaluate_step``
+answers absorbing handles from the handle alone and steps and evaluates only
+the live ones.
 
 A :class:`ModelSpec` holds everything that builds a provider, and its
 ``build`` is the one construction rule; :func:`make_seeded_model` is its
@@ -65,7 +64,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,9 +73,9 @@ from .mdp import (
     ContractViolation,
     DecodeState,
     Sequence,
+    check_integer,
     clamp01,
     complete,
-    descendants,
     step,
     terminal_reward,
 )
@@ -178,12 +177,15 @@ class PolicyValueModel:
 
     Subclasses supply the prior of non-forced states: ``_table_priors(states)``
     for a batch, or ``_table_prior(state)`` for one state, which the default
-    ``_table_priors`` stacks and checks. :meth:`priors` and
-    :meth:`prefix_priors` are not hooks: every provider serves forced EOS
-    through them, and no subclass overrides either. A class that overrides
-    ``_table_priors`` and inherits a ``_gather_table`` other than this class's,
-    which builds the rows' states, also overrides ``_gather_table``, so a
-    gather never reads a table its class does not serve.
+    ``_table_priors`` stacks and checks. :meth:`priors` is not a hook: every
+    provider serves forced EOS through it, and no subclass overrides it.
+    :meth:`prefix_priors` is the one array hook, for prefixes short of the
+    forced length: this class's builds the rows' states and reads
+    ``_table_priors``, and a class may gather the rows off its own table
+    instead. A class that overrides ``_table_priors`` and inherits a
+    ``prefix_priors`` other than this class's also overrides
+    ``prefix_priors``, so a gather never reads a table its class does not
+    serve.
 
     The value head (:meth:`values`) is the score of the memoized greedy
     completion (:meth:`greedy_rewards`) under ``value_metric`` (0.0 when no
@@ -198,10 +200,8 @@ class PolicyValueModel:
         value_metric: Metric | None = None,
         ledger: BudgetLedger | None = None,
     ):
-        if vocab_size < 2:
-            raise ConfigurationError("vocab_size must be >= 2 (one content token plus EOS)")
-        if max_len < 1:
-            raise ConfigurationError("max_len must be >= 1")
+        check_integer("vocab_size", vocab_size, 2)  # one content token plus EOS
+        check_integer("max_len", max_len, 1)
         self.vocab_size = vocab_size
         self.max_len = max_len  # content horizon, excludes the closing EOS
         self.eos_id = vocab_size - 1
@@ -237,15 +237,10 @@ class PolicyValueModel:
         free = [i for i, s in enumerate(states) if not s.terminal and len(s.prefix) < s.max_len - 1]
         if len(free) == len(states):
             return self._table_priors(states)
-        out = self._eos_priors(len(states))
+        out = np.zeros((len(states), self.vocab_size))  # a forced or terminal row: EOS
+        out[:, self.eos_id] = 1.0
         if free:
             out[free] = self._table_priors([states[i] for i in free])
-        return out
-
-    def _eos_priors(self, n: int) -> np.ndarray:
-        """``n`` one-hot rows on EOS, the prior of a forced or terminal state."""
-        out = np.zeros((n, self.vocab_size))
-        out[:, self.eos_id] = 1.0
         return out
 
     def prefix_priors(self, root: DecodeState, prefixes: np.ndarray) -> np.ndarray:
@@ -253,19 +248,12 @@ class PolicyValueModel:
         ``prefixes``, bit for bit; does not touch the ledger.
 
         ``prefixes`` is an ``(n, L)`` integer array of live output prefixes of
-        one length (ids below EOS), ``root.prefix`` included, one per row, as
-        the oracles' level walk holds them. Rows at the forced length get the
-        one-hot EOS; every other row comes from :meth:`_gather_table`.
+        one length short of the forced one (``L < root.max_len - 1``, ids below
+        EOS), ``root.prefix`` included, one per row, as the oracles' level walk
+        holds them; so every row is a table row. This default builds each
+        row's state, checked, and reads ``_table_priors``.
         """
-        n, length = prefixes.shape
-        if length >= root.max_len - 1:
-            return self._eos_priors(n)
-        return self._gather_table(root, prefixes)
-
-    def _gather_table(self, root: DecodeState, prefixes: np.ndarray) -> np.ndarray:
-        """``_table_priors`` of the rows' states, for non-forced prefixes. This
-        default builds those states and reads the table of any class."""
-        return self._table_priors(descendants(root, prefixes.tolist()))
+        return self._table_priors([replace(root, prefix=row) for row in prefixes.tolist()])
 
     def values(self, states: list[DecodeState]) -> np.ndarray:
         """Value head outputs ``(n,)``, read through the greedy-completion memo; a
@@ -389,8 +377,8 @@ class SeededTabularModel(PolicyValueModel):
         value_metric: Metric | None = None,
     ):
         super().__init__(vocab_size, max_len, value_metric)
-        if context_order < 0:
-            raise ConfigurationError("context_order must be >= 0")
+        check_integer("context_order", context_order, 0)
+        check_integer("model seed", seed)
         if seed < 0:
             raise ConfigurationError(f"model seed must be >= 0, got {seed}")
         self.seed = seed
@@ -409,8 +397,9 @@ class SeededTabularModel(PolicyValueModel):
             ids.append(i)
         return self._table.take(ids, axis=0)
 
-    def _gather_table(self, root: DecodeState, prefixes: np.ndarray) -> np.ndarray:
-        """One gather from the table, with one lookup per distinct context of the rows."""
+    def prefix_priors(self, root: DecodeState, prefixes: np.ndarray) -> np.ndarray:
+        """One gather from the table, with one lookup per distinct context of the rows; a
+        state is built, checked, only for a context the table misses."""
         length = prefixes.shape[1]
         contexts = prefixes[:, length - min(self.context_order, length) :]  # a short row is its own
         key = np.zeros(len(prefixes), dtype=np.intp)  # each row's context rank, one to start
@@ -424,8 +413,7 @@ class SeededTabularModel(PolicyValueModel):
             context = tuple(contexts[row].tolist())
             i = self._context_ids.get(context)
             if i is None:
-                (state,) = descendants(root, [prefixes[row].tolist()])
-                i = self._add_row(context, state)
+                i = self._add_row(context, replace(root, prefix=prefixes[row].tolist()))
             ids.append(i)
         return self._table.take(np.array(ids, dtype=np.intp)[key], axis=0)
 
@@ -475,8 +463,8 @@ class TransformedValueModel(PolicyValueModel):
     def _table_priors(self, states: list[DecodeState]) -> np.ndarray:
         return self._inner._table_priors(states)
 
-    def _gather_table(self, root: DecodeState, prefixes: np.ndarray) -> np.ndarray:
-        return self._inner._gather_table(root, prefixes)
+    def prefix_priors(self, root: DecodeState, prefixes: np.ndarray) -> np.ndarray:
+        return self._inner.prefix_priors(root, prefixes)
 
     def _head(self, states: list[DecodeState]) -> list[float]:
         inner = self._inner.values(states).tolist()

@@ -7,12 +7,14 @@ make that explosive. Reads priors directly off the model tables and never
 touches the budget ledger: these are verification tools, not decoders. One
 walker goes level by level on arrays of output prefixes: it reads each
 level's priors in one ``model.prefix_priors`` call on the level's prefix
-array, which a seeded or fixed table serves without building a state. Every
-provider forces EOS one token short of the cap, so every output ends with
-EOS, and the walker hands on a level's terminated outputs as one token array
-of their prefixes plus an array of log-likelihoods. The level one token short
-of the cap is never read: its outputs are its parents' live children with EOS
-appended, at their own log-likelihood. The enumeration sorts all outputs into
+array. The seeded table serves it off its own rows, building a state only
+for a context it has not drawn yet; the default builds each row's state.
+Every provider forces EOS one token short of the cap, so every output ends
+with EOS, and the walker hands on a level's terminated outputs as one token
+array of their prefixes plus an array of log-likelihoods. The level one
+token short of the cap is never read, so no ``prefix_priors`` call asks for
+a forced row: its outputs are its parents' live children with EOS appended,
+at their own log-likelihood. The enumeration sorts all outputs into
 one list of tuples. Both argmaxes keep only the best so far: the metric
 argmax scores each level as it comes, one batch call per level; the
 likelihood argmax scores all alike and prunes prefixes below the best so far.

@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .mdp import ConfigurationError, ContractViolation, Sequence, clamp01
+from .mdp import ConfigurationError, ContractViolation, Sequence, check_integer, clamp01
 
 
 def _clamp01(scores: np.ndarray) -> np.ndarray:
@@ -180,6 +180,7 @@ def bleu(
 
 
 def bleu_metric(max_n: int = 4) -> Metric:
+    check_integer("max_n", max_n)
     if max_n < 1:
         raise ConfigurationError("max_n must be >= 1")
     return Metric(
@@ -196,8 +197,8 @@ class SeededUnitEmbeddings:
     """Deterministic per-token unit vectors, derived independently per token."""
 
     def __init__(self, dim: int = 8, seed: int = 0):
-        if dim < 1:
-            raise ConfigurationError("dim must be positive")
+        check_integer("dim", dim, 1)
+        check_integer("embedding seed", seed)
         if seed < 0:
             raise ConfigurationError(f"embedding seed must be >= 0, got {seed}")
         self.dim = dim
@@ -283,19 +284,19 @@ def bert_style_scores(candidates: np.ndarray, anchor: Sequence, embedder) -> lis
     return _clamp01(scores).tolist()
 
 
-def bert_style_metric(embedder, name: str = "bertscore") -> Metric:
+def bert_style_metric(embedder) -> Metric:
     """Reference-anchored variant (privileged)."""
     return Metric(
-        name=name,
+        name="bertscore",
         privileged=True,
         fn=lambda anchor, cands: bert_style_scores(cands, anchor, embedder),
     )
 
 
-def multilingual_bert_style_metric(embedder, name: str = "mlbertscore") -> Metric:
+def multilingual_bert_style_metric(embedder) -> Metric:
     """Source-anchored variant (unprivileged): score candidates against the source."""
     return Metric(
-        name=name,
+        name="mlbertscore",
         privileged=False,
         fn=lambda anchor, cands: bert_style_scores(cands, anchor, embedder),
     )
@@ -306,6 +307,7 @@ def multilingual_bert_style_metric(embedder, name: str = "mlbertscore") -> Metri
 
 def occupancy_metric(target: int, horizon: int) -> Metric:
     """Fraction of the horizon filled with the target token, clamped to 1."""
+    check_integer("horizon", horizon)
     if horizon < 1:
         raise ConfigurationError("horizon must be >= 1")
     return Metric(

@@ -14,7 +14,7 @@ from seqdecode import (
     PolicyValueModel,
     save_dataset,
 )
-from seqdecode import cli, harness, models
+from seqdecode import cli, harness
 from seqdecode.cli import main
 
 from conftest import count_calls
@@ -92,15 +92,16 @@ class TestOracle:
         plain, noisy = tmp_path / "plain.json", tmp_path / "noisy.json"
         assert run("oracle", "--dataset", dataset_path, *flags, "--out", plain) == 0
         reads = count_calls(monkeypatch, PolicyValueModel, "priors")
-        built = count_calls(monkeypatch, models, "descendants")
+        roots = count_calls(monkeypatch, PolicyValueModel, "initial_state")
+        built = count_calls(monkeypatch, DecodeState, "__post_init__")
         noisy_flags = (*flags, "--value-noise", 0.2)
         assert run("oracle", "--dataset", dataset_path, *noisy_flags, "--out", noisy) == 0
         assert noisy.read_bytes() == plain.read_bytes()
         assert reads == []
-        # A state below a root is built only for each table row drawn, to name it
-        # should the row be refused: the empty context and the three tokens.
-        rows = [tuple(row) for _root, prefixes in built for row in prefixes]
-        assert sorted(rows) == [(), (0,), (1,), (2,)]
+        # Besides the roots, a state is built, checked, only for each table row drawn, to
+        # name it should the row be refused: the empty context and the three tokens.
+        rows = sorted(state.prefix for (state,) in built)
+        assert rows == sorted([()] * len(roots) + [(), (0,), (1,), (2,)])
 
 
 class TestParser:

@@ -228,18 +228,51 @@ class TestRunExperiment:
             (("greedy", "beam", "mcts"), {"c_puct": 0.0}),
             (("greedy", "vgbs"), {"alpha": 2.0}),
             (("greedy", "sample_rerank"), {"tau": 0.0}),
+            (("vgbs",), {"value_source": "rolout"}),
         ],
     )
     def test_cell_config_errors_raise_before_any_decode(self, monkeypatch, algorithms, option):
         decoded = count_calls(monkeypatch, PolicyValueModel, "initial_state")
-        cfg = RunConfig(
-            model=M0_SPEC,
-            metric=OCC,
-            algorithms=tuple(AlgorithmSpec(name, **option) for name in algorithms),
-            budgets=(1, 2),
-        )
         with pytest.raises(ConfigurationError):
+            cfg = RunConfig(
+                model=M0_SPEC,
+                metric=OCC,
+                algorithms=tuple(AlgorithmSpec(name, **option) for name in algorithms),
+                budgets=(1, 2),
+            )
             run_experiment(cfg, m0_dataset(2))
+        assert decoded == []
+
+    @pytest.mark.parametrize(
+        "model, metric, field",
+        [
+            (ModelSpec(vocab_size=4.0), OCC, "vocab_size"),
+            (ModelSpec(max_len=2.5), OCC, "max_len"),
+            (ModelSpec(max_len=True), OCC, "max_len"),
+            (ModelSpec(context_order=1.5), OCC, "context_order"),
+            (ModelSpec(seed=1.5), OCC, "model seed"),
+            (ModelSpec(seed=True), OCC, "model seed"),
+            (ModelSpec(), MetricSpec("occupancy", target=0.5), "occupancy target"),
+            (ModelSpec(), MetricSpec("occupancy", horizon=2.5), "horizon"),
+            (ModelSpec(), MetricSpec("bleu", max_n=2.5), "max_n"),
+            (ModelSpec(), MetricSpec("bertscore", embedding_dim=2.5), "dim"),
+            (ModelSpec(), MetricSpec("mlbertscore", embedding_seed=1.5), "embedding seed"),
+        ],
+        ids=[
+            "vocab_size=4.0", "max_len=2.5", "max_len=True", "context_order=1.5", "seed=1.5",
+            "seed=True", "target=0.5", "horizon=2.5", "max_n=2.5", "embedding_dim=2.5",
+            "embedding_seed=1.5",
+        ],
+    )
+    def test_non_integer_spec_fields_raise_before_any_decode(
+        self, monkeypatch, model, metric, field
+    ):
+        # A bool is not an integer, nor is a float of integral value.
+        decoded = count_calls(monkeypatch, PolicyValueModel, "initial_state")
+        cfg = RunConfig(model=model, metric=metric, algorithms=(AlgorithmSpec("greedy"),))
+        dataset = [Instance("a", (0, 1), reference=(0, 1))]
+        with pytest.raises(ConfigurationError, match=f"^{field} "):
+            run_experiment(cfg, dataset)
         assert decoded == []
 
     def test_negative_value_noise_rejected(self):

@@ -100,9 +100,9 @@ PROVIDERS = [
 def test_every_provider_serves_forced_eos_and_gathers_its_own_table(provider):
     # Forced EOS is the base rule, not a hook: no provider serves its own priors.
     assert _supplier(provider, "priors") is PolicyValueModel
-    assert _supplier(provider, "prefix_priors") is PolicyValueModel
-    # A gather reads the table of the class that defines it; the base one builds states.
-    gather = _supplier(provider, "_gather_table")
+    # The array hook reads the table of the class that defines it; the base one builds
+    # the rows' states.
+    gather = _supplier(provider, "prefix_priors")
     assert gather in (PolicyValueModel, _supplier(provider, "_table_priors"))
 
 
@@ -118,6 +118,6 @@ def test_no_class_but_the_base_defines_priors(module):
         if isinstance(cls, ast.ClassDef) and (module, cls.name) != ("models", "PolicyValueModel")
         for item in cls.body
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and item.name in ("priors", "prefix_priors")
+        and item.name == "priors"
     ]
     assert not found, f"priors served outside PolicyValueModel: {found}"

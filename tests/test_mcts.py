@@ -257,8 +257,7 @@ class TestExpandAndBackward:
         # expands node 2 under sparse action 1; element 1 descended 0 -> 1 and
         # expands node 2 under node 1's sparse action 1.
         arena = fresh_arena(m0, batch=2, num_simulations=2, backup=backup)
-        arena.parents[:, 1], arena.action_from_parents[:, 1] = 0, 0
-        arena.parents[:, 2], arena.action_from_parents[:, 2] = [0, 1], 1
+        arena.parents[:, 1], arena.parents[:, 2] = 0, [0, 1]
         arena.children_index[:, 0, 0] = 1
         arena.children_index[[0, 1], [0, 1], 1] = 2
         arena.values[0, :3], arena.visit_counts[0, :3] = [0.5, 0.9, 0.8], [2, 1, 1]
@@ -787,7 +786,6 @@ ARENA_ARRAYS = {
     "visit_counts": 0,
     "values": 0.0,
     "parents": -1,
-    "action_from_parents": -1,
     "topk_mapping": -1,
     "children_index": -1,
     "children_prior": 0.0,

@@ -32,7 +32,7 @@ from seqdecode import (
     step,
     terminal_reward,
 )
-from seqdecode import models, oracle
+from seqdecode import oracle
 
 from conftest import A, B, EOS, count_calls, make_m0
 
@@ -84,12 +84,12 @@ def float_bits(values):
 class ReversedTable(SeededTabularModel):
     """A seeded table with its own ``_table_priors``, each row reversed. The seeded
     gather reads the base table's rows, so, as the provider contract asks, the class
-    also sets its own ``_gather_table``: the default one, which builds the rows' states."""
+    also sets its own ``prefix_priors``: the default one, which builds the rows' states."""
 
     def _table_priors(self, states):
         return super()._table_priors(states)[:, ::-1]
 
-    _gather_table = PolicyValueModel._gather_table
+    prefix_priors = PolicyValueModel.prefix_priors
 
 
 @st.composite
@@ -230,15 +230,15 @@ class TestEnumeration:
         expected = recursive_enumeration(model, root)  # fills a seeded table
         stepped = count_calls(monkeypatch, oracle, "step")
         checked = count_calls(monkeypatch, DecodeState, "__post_init__")
-        derived = count_calls(monkeypatch, models, "descendants")
         reads = count_calls(monkeypatch, model, "prefix_priors")
         priors_reads = count_calls(monkeypatch, PolicyValueModel, "priors")
         assert enumerate_sequences(model, root) == expected
         # levels of 1, 2 and 4 prefixes, with no priors call; the 8 one token short of
-        # the cap are not read, and the default path builds its states unchecked
+        # the cap are not read, and the default path builds the read levels' states checked
         assert [len(prefixes) for _root, prefixes in reads] == [1, 2, 4]
-        assert (len(stepped), len(checked), len(priors_reads)) == (0, 0, 0)
-        assert sum(len(prefixes) for _root, prefixes in derived) == built
+        assert (len(stepped), len(priors_reads)) == (0, 0)
+        assert len(checked) == built
+        assert all(len(state.prefix) < root.max_len - 1 for (state,) in checked)
 
     def test_the_token_one_short_of_the_cap_is_eos_at_probability_one(self):
         # (0, 0, EOS) is 0.5 * 0.5 * 1: the forced EOS is free, not drawn at 0.2.
@@ -335,9 +335,14 @@ class TestArgmaxLikelihood:
     @given(case=likelihood_cases())
     def test_matches_the_enumeration_argmax_bit_for_bit(self, case):
         model, root = case
-        best = exact_argmax_likelihood(model, root)
+        with pytest.MonkeyPatch.context() as mp:
+            reads = count_calls(mp, model, "prefix_priors")
+            best = exact_argmax_likelihood(model, root)
+            walked = enumerate_sequences(model, root)
         enumeration = recursive_enumeration(model, root)
-        assert enumerate_sequences(model, root) == enumeration
+        assert walked == enumeration
+        # The walk never asks prefix_priors for a row of the forced length.
+        assert all(prefixes.shape[1] < root.max_len - 1 for _root, prefixes in reads)
         # max keeps the first maximum, and the enumeration is in lexicographic order.
         sequence, log_likelihood = max(enumeration, key=lambda item: item[1])
         assert best.sequence == sequence
@@ -557,7 +562,7 @@ class TestRootState:
 
 
 # Provider kinds by whether prefix_priors gathers table rows off the array, building a
-# state only for a table miss, or builds every non-forced row's state.
+# state only for a table miss, or builds every row's state.
 GATHERED = {
     "seeded": True,
     "fixed": False,  # its tiled prior needs no gather of its own
@@ -570,8 +575,9 @@ GATHERED = {
 @st.composite
 def prefix_cases(draw):
     """A provider factory, a stepped root (often with a non-empty prefix) and an ``(n, L)``
-    array of live prefixes below it, of one length up to the forced one, one token short
-    of the cap; rows are often shorter than the context order."""
+    array of live prefixes below it, of one length short of the forced one (one token
+    short of the cap), as the level walk asks; rows are often shorter than the context
+    order."""
     vocab_size = draw(st.integers(2, 6))
     horizon = draw(st.integers(1, 5))
     seed = draw(st.integers(0, 2**16))
@@ -589,9 +595,9 @@ def prefix_cases(draw):
 
     content = st.integers(0, vocab_size - 2)
     source = tuple(draw(st.lists(content, min_size=1, max_size=3)))
-    root_prefix = draw(st.lists(content, max_size=horizon))
+    root_prefix = draw(st.lists(content, max_size=horizon - 1))
     root = reduce(step, root_prefix, build().initial_state(source, source[::-1]))
-    extra = draw(st.integers(0, horizon - len(root_prefix)))
+    extra = draw(st.integers(0, horizon - 1 - len(root_prefix)))
     rows = draw(st.lists(st.lists(content, min_size=extra, max_size=extra), min_size=1, max_size=8))
     prefixes = np.array([root_prefix + row for row in rows], dtype=np.intp)
     return kind, build, root, prefixes.reshape(len(rows), len(root_prefix) + extra)
@@ -607,7 +613,7 @@ class TestPrefixPriors:
         model = build()
         with pytest.MonkeyPatch.context() as mp:
             reads = count_calls(mp, PolicyValueModel, "priors")
-            derived = count_calls(mp, models, "descendants")
+            built = count_calls(mp, DecodeState, "__post_init__")
             table = getattr(model, "_inner", model)
             new_rows = count_calls(mp, table, "_add_row") if kind != "fixed" else []
             cold = model.prefix_priors(root, prefixes)
@@ -615,10 +621,9 @@ class TestPrefixPriors:
         for got in (cold, warm):
             assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
             assert got.tobytes() == expected.tobytes()
-        assert reads == []  # prefix_priors applies the forced-EOS rule itself
-        built = sum(len(rows) for _root, rows in derived)
-        forced = prefixes.shape[1] >= root.max_len - 1
-        assert built == (len(new_rows) if forced or GATHERED[kind] else 2 * len(prefixes))
+        assert reads == []  # prefix_priors reads the table rows without priors
+        # Every state built below the root is built checked, one per row or per table miss.
+        assert len(built) == (len(new_rows) if GATHERED[kind] else 2 * len(prefixes))
         # A table miss draws its row against the state of a row holding that context.
         for context, state in new_rows:
             assert state in states and state.prefix[len(state.prefix) - len(context) :] == context
@@ -635,7 +640,7 @@ class TestPrefixPriors:
         assert [len(states) for (states,) in reads] == [1, 2, 4]
         # The seeded gather would serve the unreversed rows of the same prefixes.
         prefixes = np.array([[0], [1]], dtype=np.intp)
-        unreversed = SeededTabularModel._gather_table(model, root, prefixes)
+        unreversed = SeededTabularModel.prefix_priors(model, root, prefixes)
         assert np.array_equal(model.prefix_priors(root, prefixes), unreversed[:, ::-1])
 
     def test_long_contexts_are_grouped_by_rows(self):
