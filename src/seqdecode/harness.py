@@ -34,7 +34,15 @@ from .decoders import (
     value_guided_beam_search,
 )
 from .mcts import VALUE_SOURCES, ArenaSearch, SearchConfig, decode_mcts
-from .mdp import Candidate, ConfigurationError, DecodeState, Sequence, is_integer, terminal_reward
+from .mdp import (
+    Candidate,
+    ConfigurationError,
+    DecodeState,
+    Sequence,
+    check_integer,
+    is_integer,
+    terminal_reward,
+)
 from .models import ModelSpec, PolicyValueModel, model_value_fn, rollout_value_fn
 from .scoring import (
     Metric,
@@ -384,6 +392,7 @@ def validate_run_config(
     Returns the run's one model, its metric, and each algorithm with the decoder
     of its cells at the run's budgets. Building the model checks its spec.
     """
+    check_integer("seed", cfg.seed)
     for budget in cfg.budgets:
         check_budget(budget)
     names = [algo.name for algo in cfg.algorithms]

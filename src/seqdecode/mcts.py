@@ -41,7 +41,15 @@ against its root state's own reference, so a search holds no per-element
 data beyond its root states and simulation counts; :func:`decode_mcts` is one
 arena per round as an :func:`.mdp.complete` policy, over the roots whose
 search is not decided in advance (every provider forces EOS, so a root one
-token short of its cap can only pick EOS).
+token short of its cap can only pick EOS). Under ``visit_count`` root selection
+with model values, where the pick reads visit counts alone and a simulation
+costs one evaluation, :func:`decode_mcts` steps the arena itself and retires
+an element (:meth:`ArenaSearch.retire`) once its pick is settled: each
+simulation adds one visit to one root child, so a pick that leads every rival
+by at least the simulations left (:meth:`ArenaSearch.pick_margins`) cannot
+change. A settled element's skipped simulations, like a decided root's, are
+charged through one replay (``_charge_absorbed``): the root handle stepped to
+EOS, then absorbing copies of that child.
 
 Selection uses the prior-weighted UCT rule with the node's own visit count
 under the square root, and rescales exploitation values into [0, 1] via the
@@ -196,12 +204,7 @@ class ArenaSearch:
         self.metric = metric
 
         self.simulation_counts = counts
-        self._most = int(counts.max())
-        # Once d simulations are done, the elements whose count is d retire: _retirements[d]
-        # holds the elements still active after them.
-        self._retirements = {
-            d: np.flatnonzero(counts > d) for d in set(counts.tolist()) if d < self._most
-        }
+        self._schedule()
 
         b, n, a = len(root_states), self._most + 1, cfg.num_sparse_actions
         self.batch_size = b
@@ -283,6 +286,22 @@ class ArenaSearch:
         leaf = self.expand(np.where(tails >= 0, tails, path[-1]), actions)
         self.backward(path, leaf)
 
+    def retire(self, elements: np.ndarray) -> None:
+        """Lower the simulation counts of active ``elements`` to the simulations done, so
+        they retire before the next simulation; once every element has retired, the
+        search is finished."""
+        self.simulation_counts[elements] = self.allocated_nodes() - 1
+        self._schedule()
+
+    def _schedule(self) -> None:
+        """Read the retirements off the simulation counts: once d simulations are done, the
+        elements whose count is d retire, and _retirements[d] holds those still active."""
+        counts = self.simulation_counts
+        self._most = int(counts.max())
+        self._retirements = {
+            d: np.flatnonzero(counts > d) for d in set(counts.tolist()) if d < self._most
+        }
+
     def _activate(self, elements: np.ndarray) -> None:
         """Make ``elements`` the ones that simulations descend, expand and charge."""
         self._active = elements
@@ -303,6 +322,21 @@ class ArenaSearch:
             root_priors=self._root_priors.copy(),
             tempered_root_priors=self._tempered_root.copy(),
         )
+
+    def pick_margins(self, elements: np.ndarray) -> np.ndarray:
+        """How far the visit-count pick of each of ``elements`` leads the root's other sparse
+        actions: ``c* - max(c_x + [token_x < token*])``, where ``*`` is the most visited root
+        child, ties going to the lower token id as in :func:`select_root_action`; ``c*``
+        with no other action."""
+        row0 = self._row0[elements]
+        visits, _ = self._child_statistics(row0, row0)
+        tokens = self._row_topk[row0]
+        rows = np.arange(len(elements))
+        pick = (visits * self.num_actions - tokens).argmax(axis=1)
+        lead = visits[rows, pick]
+        rivals = visits + (tokens < tokens[rows, pick][:, None])
+        rivals[rows, pick] = 0
+        return lead - rivals.max(axis=1)
 
     # -------------------------------------------------------------- internals
 
@@ -623,6 +657,21 @@ def select_root_action(
     return actions.astype(np.int64)
 
 
+def _charge_absorbed(
+    model: PolicyValueModel, handles: list[ModelState], counts: list[int]
+) -> None:
+    """Charge through the provider ``counts[i]`` simulations at ``handles[i]`` that each end
+    at its EOS child: one ``evaluate_step`` stepping each handle with a positive count to
+    EOS, and one over ``counts[i] - 1`` absorbing copies of each child."""
+    searched = [(h, s) for h, s in zip(handles, counts) if s > 0]
+    if searched:
+        root_handles = [h for h, _ in searched]
+        _, _, children, _ = model.evaluate_step(root_handles, [model.eos_id] * len(searched))
+        copies = [c for c, (_, s) in zip(children, searched) for _ in range(s - 1)]
+        if copies:
+            model.evaluate_step(copies, [model.eos_id] * len(copies))
+
+
 def _charge_decided(
     model: PolicyValueModel,
     roots: list[DecodeState],
@@ -636,22 +685,46 @@ def _charge_decided(
     A decided root's only positive tempered prior is EOS, so its first simulation
     steps it to EOS and every later one is absorbing at that terminal child: one
     ``evaluate_root`` over the roots (and, in rollout mode, one ``rollout_value``,
-    their one EOS step; the terminal child's rollout charges nothing), one
-    ``evaluate_step`` stepping each root with S_b >= 1 to EOS, and one over S_b - 1
-    absorbing copies of each child.
+    their one EOS step; the terminal child's rollout charges nothing), then its S_b
+    simulations (see :func:`_charge_absorbed`).
     """
     priors, _, handles = model.evaluate_root(roots)
     charges = 1 + counts
     if cfg.value_source == "rollout":
         charges = charges + rollout_value(model, roots, metric)[1]
-    searched = [(h, s) for h, s in zip(handles, counts.tolist()) if s > 0]
-    if searched:
-        root_handles = [h for h, _ in searched]
-        _, _, children, _ = model.evaluate_step(root_handles, [model.eos_id] * len(searched))
-        copies = [c for c, (_, s) in zip(children, searched) for _ in range(s - 1)]
-        if copies:
-            model.evaluate_step(copies, [model.eos_id] * len(copies))
+    _charge_absorbed(model, handles, counts.tolist())
     return priors, charges
+
+
+def _search_until_settled(arena: ArenaSearch) -> np.ndarray:
+    """Run a visit-count search, retiring each element once its pick is settled, and return
+    each element's skipped simulations.
+
+    Each simulation adds one visit to one root child, so an element whose pick leads by
+    :meth:`ArenaSearch.pick_margins` at least its R simulations left keeps that pick.
+    The lead is at most the d simulations done, so no element settles before half its
+    count; the deficit R - margin falls by at most 2 per simulation, so an unsettled
+    element is checked again after ``ceil(deficit / 2)`` more.
+    """
+    counts = arena.simulation_counts.copy()
+    most = int(counts.max())
+    check_at = np.where(counts > 1, (counts + 1) // 2, most)
+    next_check = int(check_at.min())
+    for done in range(most):
+        if done == next_check:
+            due = np.flatnonzero(check_at == done)
+            left = counts[due] - done
+            deficit = left - arena.pick_margins(due)
+            settled = deficit <= 0
+            if settled.any():
+                arena.retire(due[settled])
+                if not np.count_nonzero(arena.simulation_counts > done):
+                    break
+            again = done + (deficit + 1) // 2
+            check_at[due] = np.where(~settled & (again < counts[due]), again, most)
+            next_check = int(check_at.min())
+        arena.step_simulation()
+    return counts - arena.simulation_counts
 
 
 def decode_mcts(
@@ -678,6 +751,13 @@ def decode_mcts(
     only, after the refusals an arena makes up front (:func:`check_search`)
     over all of them; a decided root commits EOS and is charged through the
     provider what its search would charge (see :func:`_charge_decided`).
+
+    With ``visit_count`` root selection and ``model`` values, an element retires
+    from its arena once its pick is settled (:func:`_search_until_settled`), and
+    its R skipped simulations are charged through the replay a decided root's
+    take (:func:`_charge_absorbed`): one step of the root handle to EOS and R - 1
+    absorbing copies. Outputs, ``evaluations`` and the ledger are those of the
+    full search. Other settings run every simulation.
     """
     if not states:
         raise ValueError("empty batch")
@@ -701,8 +781,14 @@ def decode_mcts(
             arena = ArenaSearch(
                 model, [live[i] for i in rows.tolist()], cfg, metric, live_counts[rows]
             )
-            result = arena.run()
-            evaluations[elements[rows]] += arena.evaluations
+            if cfg.root_selection == "visit_count" and cfg.value_source == "model":
+                skipped = _search_until_settled(arena)
+                _charge_absorbed(model, arena.node_states[0], skipped.tolist())
+                result = arena.result()
+            else:
+                skipped = 0
+                result = arena.run()
+            evaluations[elements[rows]] += arena.evaluations + skipped
             priors[rows] = result.root_priors
             actions[rows] = select_root_action(
                 result.dense_visit_counts,

@@ -477,6 +477,7 @@ class NoisyValueModel(TransformedValueModel):
     def __init__(self, inner: PolicyValueModel, amplitude: float, seed: int = 0):
         if not (math.isfinite(amplitude) and amplitude >= 0):
             raise ConfigurationError("amplitude must be finite and >= 0")
+        check_integer("model seed", seed)
 
         def perturb(value: float, state: DecodeState) -> float:
             payload = repr((seed, state.source, state.prefix)).encode()

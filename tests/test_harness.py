@@ -244,32 +244,36 @@ class TestRunExperiment:
         assert decoded == []
 
     @pytest.mark.parametrize(
-        "model, metric, field",
+        "model, metric, seed, field",
         [
-            (ModelSpec(vocab_size=4.0), OCC, "vocab_size"),
-            (ModelSpec(max_len=2.5), OCC, "max_len"),
-            (ModelSpec(max_len=True), OCC, "max_len"),
-            (ModelSpec(context_order=1.5), OCC, "context_order"),
-            (ModelSpec(seed=1.5), OCC, "model seed"),
-            (ModelSpec(seed=True), OCC, "model seed"),
-            (ModelSpec(), MetricSpec("occupancy", target=0.5), "occupancy target"),
-            (ModelSpec(), MetricSpec("occupancy", horizon=2.5), "horizon"),
-            (ModelSpec(), MetricSpec("bleu", max_n=2.5), "max_n"),
-            (ModelSpec(), MetricSpec("bertscore", embedding_dim=2.5), "dim"),
-            (ModelSpec(), MetricSpec("mlbertscore", embedding_seed=1.5), "embedding seed"),
+            (ModelSpec(vocab_size=4.0), OCC, 0, "vocab_size"),
+            (ModelSpec(max_len=2.5), OCC, 0, "max_len"),
+            (ModelSpec(max_len=True), OCC, 0, "max_len"),
+            (ModelSpec(context_order=1.5), OCC, 0, "context_order"),
+            (ModelSpec(seed=1.5), OCC, 0, "model seed"),
+            (ModelSpec(seed=True), OCC, 0, "model seed"),
+            (ModelSpec(prior=M0_PRIOR, seed=1.5, value_noise=0.1), OCC, 0, "model seed"),
+            (ModelSpec(), MetricSpec("occupancy", target=0.5), 0, "occupancy target"),
+            (ModelSpec(), MetricSpec("occupancy", horizon=2.5), 0, "horizon"),
+            (ModelSpec(), MetricSpec("bleu", max_n=2.5), 0, "max_n"),
+            (ModelSpec(), MetricSpec("bertscore", embedding_dim=2.5), 0, "dim"),
+            (ModelSpec(), MetricSpec("mlbertscore", embedding_seed=1.5), 0, "embedding seed"),
+            (ModelSpec(), OCC, 1.5, "seed"),
         ],
         ids=[
             "vocab_size=4.0", "max_len=2.5", "max_len=True", "context_order=1.5", "seed=1.5",
-            "seed=True", "target=0.5", "horizon=2.5", "max_n=2.5", "embedding_dim=2.5",
-            "embedding_seed=1.5",
+            "seed=True", "prior-seed=1.5", "target=0.5", "horizon=2.5", "max_n=2.5",
+            "embedding_dim=2.5", "embedding_seed=1.5", "run-seed=1.5",
         ],
     )
     def test_non_integer_spec_fields_raise_before_any_decode(
-        self, monkeypatch, model, metric, field
+        self, monkeypatch, model, metric, seed, field
     ):
         # A bool is not an integer, nor is a float of integral value.
         decoded = count_calls(monkeypatch, PolicyValueModel, "initial_state")
-        cfg = RunConfig(model=model, metric=metric, algorithms=(AlgorithmSpec("greedy"),))
+        cfg = RunConfig(
+            model=model, metric=metric, algorithms=(AlgorithmSpec("greedy"),), seed=seed
+        )
         dataset = [Instance("a", (0, 1), reference=(0, 1))]
         with pytest.raises(ConfigurationError, match=f"^{field} "):
             run_experiment(cfg, dataset)

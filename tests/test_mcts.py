@@ -1203,7 +1203,8 @@ class TestDecodeMcts:
 @st.composite
 def decided_cases(draw):
     """A seeded provider, 1-4 live roots at drawn prefix lengths (one token short of the
-    cap among them), per-root simulation counts with 0 among them, and a search config."""
+    cap among them), per-root simulation counts with 0 among them and counts at which
+    visit-count picks settle, and a search config."""
     vocab = draw(st.integers(2, 5))
     horizon = draw(st.integers(1, 3))
     content = st.integers(0, vocab - 2)
@@ -1213,7 +1214,7 @@ def decided_cases(draw):
          tuple(draw(st.lists(content, max_size=horizon))))
         for _ in range(batch)
     ]  # fmt: skip
-    counts = draw(st.lists(st.integers(0, 8), min_size=batch, max_size=batch))
+    counts = draw(st.lists(st.integers(0, 40), min_size=batch, max_size=batch))
     cfg = SearchConfig(
         num_sparse_actions=draw(st.integers(1, vocab)),
         c_puct=draw(st.sampled_from([0.5, 1.0, 2.0])),
@@ -1227,7 +1228,9 @@ def decided_cases(draw):
 
 class TestDecidedPositions:
     """A live root one token short of its cap is decided: ``decode_mcts`` commits EOS
-    there without an arena and charges what one would."""
+    there without an arena and charges what one would. Under visit-count selection with
+    model values, an element whose pick is settled retires from its arena and is charged
+    what its full search would be."""
 
     @settings(max_examples=60, deadline=None)
     @given(decided_cases())
@@ -1271,6 +1274,82 @@ class TestDecidedPositions:
         # Each root, its simulations and its one EOS rollout step.
         assert [c.evaluations for c in out] == [1 + s + 1 for s in counts]
         assert model.ledger.snapshot() == (sum(c.evaluations for c in out), 3)
+
+
+class TestSettlement:
+    """Under ``visit_count`` selection with model values, ``decode_mcts`` retires an element
+    once no rival root child can catch its pick in the simulations left."""
+
+    @pytest.mark.parametrize("num_sparse_actions, settled_at", [(3, 6), (1, 5)])
+    def test_hand_checked_settlement(
+        self, monkeypatch, occupancy_a3, num_sparse_actions, settled_at
+    ):
+        # m0 below the root (A, A) at S = 10. No pick settles before half its count, so the
+        # first check is after 5 simulations, where A, B and EOS hold 4, 1 and 0 visits:
+        # A leads by 4 - 1 = 3 of the 5 left, a deficit of 2, so the next check comes
+        # ceil(2 / 2) = 1 simulation later, at 5, 1 and 0 visits: a lead of 4, the 4 left.
+        # With one sparse action A has no rival and settles at the first check.
+        steps = count_calls(monkeypatch, ArenaSearch, "step_simulation")
+        retired = count_calls(monkeypatch, ArenaSearch, "retire")
+        model = make_m0(value_metric=occupancy_a3)
+        cfg = SearchConfig(num_simulations=10, num_sparse_actions=num_sparse_actions)
+        out = decode_mcts(model, [step(step(model.initial_state(()), A), A)], cfg)
+        assert len(steps) == settled_at
+        assert [arena.simulation_counts.tolist() for arena, _ in retired] == [[settled_at]]
+        # The second position is one token short of the cap: decided, with no arena.
+        assert out[0].sequence == (A, A, A, EOS)
+        assert out[0].evaluations == 2 * (10 + 1)
+        assert model.ledger.snapshot() == (2 * (10 + 1), 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(2, 5), st.integers(1, 5), st.integers(1, 12))
+    def test_margin_is_the_most_visits_a_rival_can_take_without_changing_the_pick(
+        self, seed, vocab, num_sparse_actions, sims
+    ):
+        model = SeededTabularModel(seed, vocab, 3, context_order=1, value_metric=coverage_metric())
+        roots = [model.initial_state((t,)) for t in range(vocab - 1)]
+        cfg = SearchConfig(num_simulations=sims, num_sparse_actions=min(num_sparse_actions, vocab))
+        arena = ArenaSearch(model, roots, cfg)
+        result = arena.run()
+        margins = arena.pick_margins(np.arange(len(roots)))
+        for b, margin in enumerate(margins.tolist()):
+            counts = result.dense_visit_counts[b : b + 1]
+            pick = select_root_action(counts, result.dense_root_values[b : b + 1], "visit_count")
+            rivals = [x for x in arena.topk_mapping[b, 0].tolist() if x != pick[0]]
+
+            def keeps_pick(visits: int) -> bool:
+                # Every rival given ``visits`` more visits still loses to the pick.
+                for x in rivals:
+                    more = counts.copy()
+                    more[0, x] += visits
+                    if select_root_action(more, more, "visit_count")[0] != pick[0]:
+                        return False
+                return True
+
+            assert keeps_pick(margin)
+            assert not rivals or not keeps_pick(margin + 1)
+            assert rivals or margin == counts.max()
+
+    @pytest.mark.parametrize(
+        "root_selection, value_source",
+        [("max_value", "model"), ("visit_count", "rollout"), ("max_value", "rollout")],
+    )
+    def test_other_settings_run_every_simulation(
+        self, monkeypatch, occupancy_a3, root_selection, value_source
+    ):
+        # The search that settles after 6 of its 10 simulations above.
+        steps = count_calls(monkeypatch, ArenaSearch, "step_simulation")
+        retired = count_calls(monkeypatch, ArenaSearch, "retire")
+        model = make_m0(value_metric=occupancy_a3)
+        cfg = SearchConfig(
+            num_simulations=10,
+            num_sparse_actions=3,
+            root_selection=root_selection,
+            value_source=value_source,
+        )
+        decode_mcts(model, [step(step(model.initial_state(()), A), A)], cfg, occupancy_a3)
+        assert len(steps) == 10
+        assert retired == []
 
 
 def rollout_closed_form(arena, horizon):

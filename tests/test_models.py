@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import seqdecode.cli  # noqa: F401  (the bench tracer wraps cli.main)
 from seqdecode import (
+    ArenaSearch,
     ConfigurationError,
     ContractViolation,
     FixedPriorModel,
@@ -359,8 +360,9 @@ class TestTracerBoundary:
                 assert (name in vars(cls)) == (cls is models.PolicyValueModel), (cls, name)
         assert "state" in {f.name for f in fields(ModelState)}
 
-    def test_traced_search_counts_every_charged_handle(self):
+    def test_traced_search_counts_every_charged_handle(self, monkeypatch):
         tracer_module = load_bench_tracer()
+        retired = count_calls(monkeypatch, ArenaSearch, "retire")
         cfg = SearchConfig(num_simulations=8, num_sparse_actions=2)
 
         def run():
@@ -376,6 +378,8 @@ class TestTracerBoundary:
         finally:
             tracer.uninstall()
         assert traced == untraced
+        # Some element settled, so the ledger includes its replayed simulations.
+        assert any(len(elements) for _, elements in retired)
         counts = tracer.counts
         charged = counts["models.evaluate_root.states"] + counts["models.evaluate_step.states"]
         assert charged == untraced[1][0]
