@@ -704,21 +704,22 @@ def _search_until_settled(arena: ArenaSearch) -> np.ndarray:
     :meth:`ArenaSearch.pick_margins` at least its R simulations left keeps that pick.
     The lead is at most the d simulations done, so no element settles before half its
     count; the deficit R - margin falls by at most 2 per simulation, so an unsettled
-    element is checked again after ``ceil(deficit / 2)`` more.
+    element is checked again after ``ceil(deficit / 2)`` more. The search runs until
+    the largest count still standing is reached.
     """
     counts = arena.simulation_counts.copy()
     most = int(counts.max())
     check_at = np.where(counts > 1, (counts + 1) // 2, most)
     next_check = int(check_at.min())
-    for done in range(most):
+    while (done := arena.allocated_nodes() - 1) < most:
         if done == next_check:
             due = np.flatnonzero(check_at == done)
-            left = counts[due] - done
-            deficit = left - arena.pick_margins(due)
+            deficit = counts[due] - done - arena.pick_margins(due)
             settled = deficit <= 0
             if settled.any():
                 arena.retire(due[settled])
-                if not np.count_nonzero(arena.simulation_counts > done):
+                most = int(arena.simulation_counts.max())
+                if done == most:
                     break
             again = done + (deficit + 1) // 2
             check_at[due] = np.where(~settled & (again < counts[due]), again, most)

@@ -6,7 +6,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqdecode import (
     ArenaSearch,
@@ -1234,6 +1234,8 @@ class TestDecidedPositions:
 
     @settings(max_examples=60, deadline=None)
     @given(decided_cases())
+    # The element at count 10 settles after 6 simulations; the one at 8 never does.
+    @example((6, 3, 2, [((0,), ()), ((1,), ())], [10, 8], SearchConfig(num_sparse_actions=3)))
     def test_outputs_and_charges_match_an_arena_at_every_position(self, case):
         seed, vocab, horizon, roots, counts, cfg = case
         metric = coverage_metric()
@@ -1300,6 +1302,31 @@ class TestSettlement:
         assert out[0].sequence == (A, A, A, EOS)
         assert out[0].evaluations == 2 * (10 + 1)
         assert model.ledger.snapshot() == (2 * (10 + 1), 2)
+
+    def test_a_search_runs_on_after_its_largest_count_settles(self, monkeypatch):
+        metric = coverage_metric()
+
+        def run(decode):
+            model = SeededTabularModel(6, 3, 2, context_order=1, value_metric=metric)
+            roots = [model.initial_state((0,)), model.initial_state((1,))]
+            out = decode(model, roots, SearchConfig(num_sparse_actions=3), metric, [10, 8])
+            return (
+                [(c.sequence, c.log_likelihood.hex(), c.evaluations) for c in out],
+                model.ledger.snapshot(),
+            )
+
+        reference = run(arena_decode)
+        steps = count_calls(monkeypatch, ArenaSearch, "step_simulation")
+        retired = count_calls(monkeypatch, ArenaSearch, "retire")
+        assert run(decode_mcts) == reference
+        # Two roots at counts 10 and 8: the first arena retires the 10 after 6 simulations
+        # and still runs the 8 to its end; at the second position neither settles.
+        assert [(arena.simulation_counts.tolist(), e.tolist()) for arena, e in retired] == [
+            ([6, 8], [0])
+        ]
+        arenas = list(dict.fromkeys(arena for arena, in steps))
+        assert [sum(a is arena for a, in steps) for arena in arenas] == [8, 10]
+        assert [e for _, _, e in reference[0]] == [3 * (10 + 1), 3 * (8 + 1)]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**16), st.integers(2, 5), st.integers(1, 5), st.integers(1, 12))
