@@ -338,11 +338,17 @@ def vgbs_width_for_budget(budget: int) -> int:
 
 
 def check_token_ids(vocab_size: int, dataset: list[Instance]) -> None:
-    """Reject source or reference ids outside the vocabulary, and sources or references
-    with EOS (the last id) before their final token."""
+    """Reject source or reference ids that are not integers (a bool or a float among them),
+    are negative or lie outside the vocabulary, and sources or references with EOS (the
+    last id) before their final token."""
     for inst in dataset:
         for name, tokens in (("source", inst.source), ("reference", inst.reference or ())):
             for t in tokens:
+                if not is_integer(t) or t < 0:
+                    raise ConfigurationError(
+                        f"instance {inst.id!r}: {name} token id {t!r} is not a non-negative "
+                        "integer"
+                    )
                 if t >= vocab_size:
                     raise ConfigurationError(
                         f"instance {inst.id!r}: {name} token id {t} is outside the "
@@ -376,8 +382,9 @@ def check_references(metric: Metric, dataset: list[Instance]) -> None:
 
 
 def check_budget(budget: int, name: str = "budget", least: int = 1) -> None:
-    """Reject a budget below ``least`` or above ``BUDGET_GUARD``; ``name`` is what the message
-    calls it."""
+    """Reject a budget that is not an integer (a bool or a float among them), or is below
+    ``least`` or above ``BUDGET_GUARD``; ``name`` is what the message calls it."""
+    check_integer(name, budget)
     if budget < least:
         raise ConfigurationError(f"{name} must be >= {least}, not {budget}")
     if budget > BUDGET_GUARD:

@@ -39,17 +39,18 @@ An arena is built from its roots and runs one search. Rollout values
 are batched greedy completions (:func:`.models.rollout_value`), each scored
 against its root state's own reference, so a search holds no per-element
 data beyond its root states and simulation counts; :func:`decode_mcts` is one
-arena per round as an :func:`.mdp.complete` policy, over the roots whose
-search is not decided in advance (every provider forces EOS, so a root one
-token short of its cap can only pick EOS). Under ``visit_count`` root selection
-with model values, where the pick reads visit counts alone and a simulation
-costs one evaluation, :func:`decode_mcts` steps the arena itself and retires
-an element (:meth:`ArenaSearch.retire`) once its pick is settled: each
-simulation adds one visit to one root child, so a pick that leads every rival
-by at least the simulations left (:meth:`ArenaSearch.pick_margins`) cannot
-change. A settled element's skipped simulations, like a decided root's, are
-charged through one replay (``_charge_absorbed``): the root handle stepped to
-EOS, then absorbing copies of that child.
+arena per round as an :func:`.mdp.complete` policy, over every live root.
+An element whose pick is settled stops simulating: each of its skipped
+simulations is charged through one replay (``_charge_absorbed``), the root
+handle stepped to EOS, then absorbing copies of that child. A root one token
+short of its cap is settled before its first simulation (every provider forces
+EOS, so it can only pick EOS) and enters the arena at simulation count 0.
+Under ``visit_count`` root selection with model values, where the pick reads
+visit counts alone and a simulation costs one evaluation, :func:`decode_mcts`
+steps the arena itself and retires an element (:meth:`ArenaSearch.retire`)
+once its pick is settled: each simulation adds one visit to one root child, so
+a pick that leads every rival by at least the simulations left
+(:meth:`ArenaSearch.pick_margins`) cannot change.
 
 Selection uses the prior-weighted UCT rule with the node's own visit count
 under the square root, and rescales exploitation values into [0, 1] via the
@@ -150,28 +151,6 @@ def checked_simulation_counts(
     return np.array(counts, dtype=np.int64)
 
 
-def check_search(
-    model: PolicyValueModel,
-    root_states: list[DecodeState],
-    cfg: SearchConfig,
-    metric: Metric | None = None,
-    simulation_counts: Iterable[int] | None = None,
-) -> np.ndarray:
-    """The refusals a search makes before it evaluates anything: an empty batch, bad
-    simulation counts, more sparse actions than tokens, a rollout value source without a
-    metric, and a terminal root. Returns the roots' simulation counts."""
-    if not root_states:
-        raise ValueError("empty batch")
-    counts = checked_simulation_counts(simulation_counts, len(root_states), cfg)
-    if cfg.num_sparse_actions > model.vocab_size:
-        raise ValueError("num_sparse_actions must not exceed the vocabulary size")
-    if cfg.value_source == "rollout" and metric is None:
-        raise ValueError("rollout value source needs a metric")
-    if any(s.terminal for s in root_states):
-        raise ContractViolation("search roots must be non-terminal")
-    return counts
-
-
 @dataclass
 class SearchResult:
     """Root statistics of a finished search, scattered back to dense actions."""
@@ -196,9 +175,19 @@ class ArenaSearch:
         """Evaluate the roots and install them as node 0.
 
         ``simulation_counts`` holds one simulation count per root; by default every
-        root gets ``cfg.num_simulations``.
+        root gets ``cfg.num_simulations``. An empty batch, bad simulation counts, more
+        sparse actions than tokens, a rollout value source without a metric and a
+        terminal root are refused before anything is evaluated.
         """
-        counts = check_search(model, root_states, cfg, metric, simulation_counts)
+        if not root_states:
+            raise ValueError("empty batch")
+        counts = checked_simulation_counts(simulation_counts, len(root_states), cfg)
+        if cfg.num_sparse_actions > model.vocab_size:
+            raise ValueError("num_sparse_actions must not exceed the vocabulary size")
+        if cfg.value_source == "rollout" and metric is None:
+            raise ValueError("rollout value source needs a metric")
+        if any(s.terminal for s in root_states):
+            raise ContractViolation("search roots must be non-terminal")
         self.model = model
         self.cfg = cfg
         self.metric = metric
@@ -672,33 +661,8 @@ def _charge_absorbed(
             model.evaluate_step(copies, [model.eos_id] * len(copies))
 
 
-def _charge_decided(
-    model: PolicyValueModel,
-    roots: list[DecodeState],
-    counts: np.ndarray,
-    cfg: SearchConfig,
-    metric: Metric | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Charge decided roots what their searches would, through the provider, and return
-    their raw root priors and each root's evaluations.
-
-    A decided root's only positive tempered prior is EOS, so its first simulation
-    steps it to EOS and every later one is absorbing at that terminal child: one
-    ``evaluate_root`` over the roots (and, in rollout mode, one ``rollout_value``,
-    their one EOS step; the terminal child's rollout charges nothing), then its S_b
-    simulations (see :func:`_charge_absorbed`).
-    """
-    priors, _, handles = model.evaluate_root(roots)
-    charges = 1 + counts
-    if cfg.value_source == "rollout":
-        charges = charges + rollout_value(model, roots, metric)[1]
-    _charge_absorbed(model, handles, counts.tolist())
-    return priors, charges
-
-
-def _search_until_settled(arena: ArenaSearch) -> np.ndarray:
-    """Run a visit-count search, retiring each element once its pick is settled, and return
-    each element's skipped simulations.
+def _search_until_settled(arena: ArenaSearch) -> None:
+    """Run a visit-count search, retiring each element once its pick is settled.
 
     Each simulation adds one visit to one root child, so an element whose pick leads by
     :meth:`ArenaSearch.pick_margins` at least its R simulations left keeps that pick.
@@ -725,7 +689,6 @@ def _search_until_settled(arena: ArenaSearch) -> np.ndarray:
             check_at[due] = np.where(~settled & (again < counts[due]), again, most)
             next_check = int(check_at.min())
         arena.step_simulation()
-    return counts - arena.simulation_counts
 
 
 def decode_mcts(
@@ -748,17 +711,16 @@ def decode_mcts(
 
     A live root one token short of its cap is decided: every provider forces
     EOS there, so its tempered prior is one-hot EOS and every search there
-    picks EOS, at raw prior 1. A round runs its arena over the undecided roots
-    only, after the refusals an arena makes up front (:func:`check_search`)
-    over all of them; a decided root commits EOS and is charged through the
-    provider what its search would charge (see :func:`_charge_decided`).
-
-    With ``visit_count`` root selection and ``model`` values, an element retires
-    from its arena once its pick is settled (:func:`_search_until_settled`), and
-    its R skipped simulations are charged through the replay a decided root's
-    take (:func:`_charge_absorbed`): one step of the root handle to EOS and R - 1
+    picks EOS, at raw prior 1. It is an element settled before its first
+    simulation: it enters the round's arena at simulation count 0, where
+    :func:`select_root_action` falls back to that prior. With ``visit_count``
+    root selection and ``model`` values, an element also retires from its
+    arena once its pick is settled (:func:`_search_until_settled`); other
+    settings run every simulation of an undecided root. Each element's R
+    skipped simulations are charged through the provider by one replay
+    (:func:`_charge_absorbed`): one step of the root handle to EOS and R - 1
     absorbing copies. Outputs, ``evaluations`` and the ledger are those of the
-    full search. Other settings run every simulation.
+    full search.
     """
     if not states:
         raise ValueError("empty batch")
@@ -766,38 +728,24 @@ def decode_mcts(
     evaluations = np.zeros(len(states), dtype=np.int64)
 
     def search(indices: list[int], live: list[DecodeState]):
-        live_counts = check_search(model, live, cfg, metric, counts[indices])
-        elements = np.array(indices)
+        live_counts = counts[indices]
         decided = np.array([len(s.prefix) == s.max_len - 1 for s in live])
-        priors = np.empty((len(live), model.vocab_size))
-        actions = np.full(len(live), model.eos_id, dtype=np.int64)
-        if decided.any():
-            rows = np.flatnonzero(decided)
-            priors[rows], charges = _charge_decided(
-                model, [live[i] for i in rows.tolist()], live_counts[rows], cfg, metric
-            )
-            evaluations[elements[rows]] += charges
-        if not decided.all():
-            rows = np.flatnonzero(~decided)
-            arena = ArenaSearch(
-                model, [live[i] for i in rows.tolist()], cfg, metric, live_counts[rows]
-            )
-            if cfg.root_selection == "visit_count" and cfg.value_source == "model":
-                skipped = _search_until_settled(arena)
-                _charge_absorbed(model, arena.node_states[0], skipped.tolist())
-                result = arena.result()
-            else:
-                skipped = 0
-                result = arena.run()
-            evaluations[elements[rows]] += arena.evaluations + skipped
-            priors[rows] = result.root_priors
-            actions[rows] = select_root_action(
-                result.dense_visit_counts,
-                result.dense_root_values,
-                cfg.root_selection,
-                fallback_priors=result.tempered_root_priors,
-            )
-        return priors, actions
+        arena = ArenaSearch(model, live, cfg, metric, np.where(decided, 0, live_counts))
+        if cfg.root_selection == "visit_count" and cfg.value_source == "model":
+            _search_until_settled(arena)
+            result = arena.result()
+        else:
+            result = arena.run()
+        skipped = live_counts - arena.simulation_counts
+        _charge_absorbed(model, arena.node_states[0], skipped.tolist())
+        evaluations[indices] += arena.evaluations + skipped
+        actions = select_root_action(
+            result.dense_visit_counts,
+            result.dense_root_values,
+            cfg.root_selection,
+            fallback_priors=result.tempered_root_priors,
+        )
+        return result.root_priors, actions
 
     finals, log_likelihoods = complete(states, search)
     model.ledger.charge_tokens(sum(len(f.prefix) - len(s.prefix) for f, s in zip(finals, states)))

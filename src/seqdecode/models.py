@@ -26,8 +26,10 @@ one home of forced EOS, and every provider keeps that rule: a provider
 supplies its table, never ``priors`` itself (the contract is stated on
 :class:`PolicyValueModel`). Two users rely on it: the exact oracles close each
 prefix one token short of the cap with EOS, at probability 1, without reading
-its prior; and :func:`.mcts.decode_mcts` commits EOS at such a prefix without
-a search, charging what the search would. The oracles read every other
+its prior; and :func:`.mcts.decode_mcts` puts such a prefix in its round's
+arena at simulation count 0, an element settled before its first simulation:
+its pick falls back to that one-hot prior, and its skipped simulations are
+charged by the replay a settled element's take. The oracles read every other
 level's priors off its array of output prefixes, in one
 :meth:`PolicyValueModel.prefix_priors` call, which returns ``priors`` of
 those prefixes' states bit for bit. It is the one array hook: by default it

@@ -279,6 +279,32 @@ class TestRunExperiment:
             run_experiment(cfg, dataset)
         assert decoded == []
 
+    @pytest.mark.parametrize("algorithm", ["greedy", "vgbs", "sample_rerank", "mcts"])
+    @pytest.mark.parametrize("budgets", [(1.5,), (True,), (1, 2.0)], ids=["1.5", "True", "2.0"])
+    def test_non_integer_budgets_raise_before_any_decode(self, monkeypatch, algorithm, budgets):
+        decoded = count_calls(monkeypatch, PolicyValueModel, "initial_state")
+        cfg = RunConfig(algorithms=(AlgorithmSpec(algorithm),), budgets=budgets)
+        with pytest.raises(ConfigurationError, match="^budget must be an integer, not "):
+            run_experiment(cfg, [Instance("a", (0, 1))])
+        assert decoded == []
+
+    @pytest.mark.parametrize(
+        "source, reference, message",
+        [
+            ((-1,), None, "'b': source token id -1 is not"),
+            ((True, 1), None, "'b': source token id True is not"),
+            ((1.0, 1), None, "'b': source token id 1.0 is not"),
+            ((0, 1), (0, -2), "'b': reference token id -2 is not"),
+        ],
+        ids=["negative", "bool", "float", "negative-reference"],
+    )
+    def test_bad_token_ids_raise_before_any_decode(self, monkeypatch, source, reference, message):
+        decoded = count_calls(monkeypatch, PolicyValueModel, "initial_state")
+        dataset = [Instance("a", (0, 1)), Instance("b", source, reference=reference)]
+        with pytest.raises(ConfigurationError, match=message):
+            run_experiment(RunConfig(), dataset)
+        assert decoded == []
+
     def test_negative_value_noise_rejected(self):
         # A fixed prior takes the model-building branch that the CLI test does not reach.
         cfg = RunConfig(model=ModelSpec(prior=M0_PRIOR, value_noise=-0.5), metric=OCC)

@@ -1227,10 +1227,10 @@ def decided_cases(draw):
 
 
 class TestDecidedPositions:
-    """A live root one token short of its cap is decided: ``decode_mcts`` commits EOS
-    there without an arena and charges what one would. Under visit-count selection with
-    model values, an element whose pick is settled retires from its arena and is charged
-    what its full search would be."""
+    """A live root one token short of its cap is decided: ``decode_mcts`` puts it in the
+    round's arena at simulation count 0, commits EOS there and charges what its full search
+    would. Under visit-count selection with model values, an element whose pick is settled
+    retires from its arena and is charged what its full search would be."""
 
     @settings(max_examples=60, deadline=None)
     @given(decided_cases())
@@ -1250,8 +1250,9 @@ class TestDecidedPositions:
             ))  # fmt: skip
         assert runs[0] == runs[1]
 
-    def test_decided_roots_build_no_arena_and_keep_its_refusals(self, monkeypatch):
+    def test_decided_roots_run_no_simulation_and_keep_the_arena_refusals(self, monkeypatch):
         built = count_calls(monkeypatch, mcts, "ArenaSearch")
+        steps = count_calls(monkeypatch, ArenaSearch, "step_simulation")
         metric = coverage_metric()
         model = SeededTabularModel(0, 4, 2, context_order=1, value_metric=metric)
         roots = [reduce(step, p, model.initial_state((0, 1))) for p in [(0, 2), (2, 2), (1, 0)]]
@@ -1265,12 +1266,15 @@ class TestDecidedPositions:
             with pytest.raises(error, match=match):
                 decode_mcts(model, roots, cfg, metric=m, simulation_counts=c)
         with pytest.raises(ContractViolation, match="non-terminal"):
-            mcts.check_search(model, [step(roots[0], model.eos_id)], SearchConfig())
+            ArenaSearch(model, [step(roots[0], model.eos_id)], SearchConfig())
         assert model.ledger.snapshot() == (0, 0)
 
+        built.clear()
         cfg = SearchConfig(num_sparse_actions=2, value_source="rollout")
         out = decode_mcts(model, roots, cfg, metric=metric, simulation_counts=counts)
-        assert built == []
+        # Every root is decided: one round, one arena over all three, and no simulation.
+        assert len(built) == 1
+        assert steps == []
         assert [c.sequence for c in out] == [r.prefix + (model.eos_id,) for r in roots]
         assert [c.log_likelihood for c in out] == [0.0] * 3
         # Each root, its simulations and its one EOS rollout step.
@@ -1298,7 +1302,7 @@ class TestSettlement:
         out = decode_mcts(model, [step(step(model.initial_state(()), A), A)], cfg)
         assert len(steps) == settled_at
         assert [arena.simulation_counts.tolist() for arena, _ in retired] == [[settled_at]]
-        # The second position is one token short of the cap: decided, with no arena.
+        # The second position is one token short of the cap: decided, at count 0 in its arena.
         assert out[0].sequence == (A, A, A, EOS)
         assert out[0].evaluations == 2 * (10 + 1)
         assert model.ledger.snapshot() == (2 * (10 + 1), 2)
@@ -1424,8 +1428,9 @@ class TestRolloutLedger:
         out = decode_mcts(model, states, cfg, metric=occupancy_a3)
         assert len(arenas) >= 2
         # An output that reaches the cap passed one decided position, one token short of
-        # it, which runs no arena: its root, its S simulations and its one EOS rollout step.
+        # it, which its arena holds at count 0: the closed form counts its root and its one
+        # EOS rollout step, and its S skipped simulations are replayed.
         decided = sum(len(c.sequence) == c.state.max_len for c in out)
         assert decided >= 1
         expected = sum(rollout_closed_form(arena, model.max_len) for arena in arenas)
-        assert model.ledger.evaluations == expected + decided * (cfg.num_simulations + 1 + 1)
+        assert model.ledger.evaluations == expected + decided * cfg.num_simulations
