@@ -5,7 +5,8 @@ statistic in flat (batch, node) and (batch, node, sparse-action) arrays so a
 whole batch advances in lockstep, plus one node-ordered list of the provider's
 state handles (``node_states[node][b]``). An arena is built from its root
 states and searches once; the next search needs a fresh one. An edge's visit
-count and value are read off its child node, so each is stored once. The
+count and value are read off its child node, so each is stored once, and the
+search's pick is read off the root's sparse row (``root_actions``). The
 search tree can be exported as DOT for inspection. The arena arithmetic is
 cross-checked against a plain recursive twin after every simulation in the
 test suite (``tests/twin.py``, acceptance criterion 4).
@@ -37,13 +38,16 @@ def main() -> None:
                        backup="max", root_selection="max_value", value_source="rollout")
     model = fresh_model()
     arena = ArenaSearch(model, [model.initial_state(())], cfg, METRIC)
-    result = arena.run()
+    arena.run()
 
     print("after 8 simulations:")
     print(f"  allocated nodes          : {arena.allocated_nodes()} (root + one per simulation)")
-    print(f"  root visit counts (dense): {result.dense_visit_counts[0]}")
-    values = np.where(result.dense_visit_counts[0] > 0, result.dense_root_values[0], np.nan)
+    visits = arena.children_visits[0, 0]
+    print(f"  root sparse tokens       : {arena.topk_mapping[0, 0]} (top-A tempered prior first)")
+    print(f"  root child visit counts  : {visits}")
+    values = np.where(visits > 0, arena.children_values[0, 0], np.nan)
     print(f"  root child values        : {np.array2string(values, precision=3)}")
+    print(f"  root pick                : token {arena.root_actions()[0]} ({cfg.root_selection})")
     print(f"  adaptive value range     : [{arena.adaptive_min[0]:.3f}, {arena.adaptive_max[0]:.3f}]")
     terminal = sum(handles[0].state.terminal for handles in arena.node_states)
     print(f"  terminal nodes           : {terminal} (children of a terminal node repeat its state)")

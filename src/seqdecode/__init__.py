@@ -34,13 +34,7 @@ from .harness import (
     stable_cell_seed,
     vgbs_width_for_budget,
 )
-from .mcts import (
-    ArenaSearch,
-    SearchConfig,
-    SearchResult,
-    decode_mcts,
-    select_root_action,
-)
+from .mcts import ArenaSearch, SearchConfig, decode_mcts
 from .mdp import (
     Candidate,
     ConfigurationError,

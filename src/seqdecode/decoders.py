@@ -16,10 +16,10 @@ import numpy as np
 
 from .mdp import (
     Candidate,
-    ConfigurationError,
     ContractViolation,
     DecodeState,
     check_integer,
+    check_real,
     complete,
     reward_anchor,
     step,
@@ -35,8 +35,7 @@ class BeamConfig:
 
     def __post_init__(self) -> None:
         check_integer("beam size k", self.k, 1)
-        if not (math.isfinite(self.theta) and self.theta >= 0):
-            raise ConfigurationError("theta must be finite and >= 0")
+        check_real("theta", self.theta, 0)
 
 
 @dataclass(frozen=True)
@@ -46,8 +45,7 @@ class VgbsConfig:
 
     def __post_init__(self) -> None:
         check_integer("beam size k", self.k, 1)
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigurationError("alpha must lie in [0, 1]")
+        check_real("alpha", self.alpha, 0, 1)
 
 
 def length_normalizer(t: int, theta: float) -> float:

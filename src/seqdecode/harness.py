@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -40,6 +39,7 @@ from .mdp import (
     DecodeState,
     Sequence,
     check_integer,
+    check_real,
     is_integer,
     terminal_reward,
 )
@@ -201,8 +201,7 @@ class AlgorithmSpec:
             else:
                 value_fn = model_value_fn(model)
             return lambda state, _seed: value_guided_beam_search(model, value_fn, state, vgbs_cfg)
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ConfigurationError("temperature must be finite and > 0")
+        check_real("temperature", self.tau, 0, strict=True)
 
         def sample_rerank(state: DecodeState, cell_seed: int) -> Candidate:
             pool = sample_sequences(model, state, n=budget, tau=self.tau, seed=cell_seed)
@@ -337,6 +336,18 @@ def vgbs_width_for_budget(budget: int) -> int:
     return k
 
 
+def check_instance_ids(dataset: list[Instance]) -> None:
+    """Reject an instance id that is not a string or is given twice: ids name report rows
+    and seed cells, and a run sorts instances by id."""
+    seen: set[str] = set()
+    for inst in dataset:
+        if not isinstance(inst.id, str):
+            raise ConfigurationError(f"instance id {inst.id!r} is not a string")
+        if inst.id in seen:
+            raise ConfigurationError(f"instance id {inst.id!r} is given twice")
+        seen.add(inst.id)
+
+
 def check_token_ids(vocab_size: int, dataset: list[Instance]) -> None:
     """Reject source or reference ids that are not integers (a bool or a float among them),
     are negative or lie outside the vocabulary, and sources or references with EOS (the
@@ -400,6 +411,7 @@ def validate_run_config(
     of its cells at the run's budgets. Building the model checks its spec.
     """
     check_integer("seed", cfg.seed)
+    check_instance_ids(dataset)
     for budget in cfg.budgets:
         check_budget(budget)
     names = [algo.name for algo in cfg.algorithms]

@@ -39,7 +39,9 @@ An arena is built from its roots and runs one search. Rollout values
 are batched greedy completions (:func:`.models.rollout_value`), each scored
 against its root state's own reference, so a search holds no per-element
 data beyond its root states and simulation counts; :func:`decode_mcts` is one
-arena per round as an :func:`.mdp.complete` policy, over every live root.
+arena per round as an :func:`.mdp.complete` policy, over every live root, which
+commits each root's pick (:meth:`ArenaSearch.root_actions`), read off the root's
+sparse row, and scores it by the root's raw prior (``ArenaSearch.root_priors``).
 An element whose pick is settled stops simulating: each of its skipped
 simulations is charged through one replay (``_charge_absorbed``), the root
 handle stepped to EOS, then absorbing copies of that child. A root one token
@@ -78,7 +80,6 @@ after every simulation.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -90,6 +91,7 @@ from .mdp import (
     ContractViolation,
     DecodeState,
     check_integer,
+    check_real,
     complete,
     is_integer,
 )
@@ -120,10 +122,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         check_integer("num_simulations", self.num_simulations, 0)
         check_integer("num_sparse_actions", self.num_sparse_actions, 1)
-        if not (math.isfinite(self.c_puct) and self.c_puct > 0):
-            raise ConfigurationError("c_puct must be finite and > 0")
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ConfigurationError("tau must be finite and > 0")
+        check_real("c_puct", self.c_puct, 0, strict=True)
+        check_real("tau", self.tau, 0, strict=True)
         if self.backup not in BACKUP_RULES:
             raise ConfigurationError(f"backup must be one of {BACKUP_RULES}")
         if self.root_selection not in ROOT_SELECTIONS:
@@ -149,16 +149,6 @@ def checked_simulation_counts(
                 f"element {b}: simulation count {count!r} is not a non-negative integer"
             )
     return np.array(counts, dtype=np.int64)
-
-
-@dataclass
-class SearchResult:
-    """Root statistics of a finished search, scattered back to dense actions."""
-
-    dense_visit_counts: np.ndarray  # (B, V) int
-    dense_root_values: np.ndarray  # (B, V) float, valid where counts > 0
-    root_priors: np.ndarray  # (B, V) raw (untempered) root priors
-    tempered_root_priors: np.ndarray  # (B, V)
 
 
 class ArenaSearch:
@@ -244,19 +234,17 @@ class ArenaSearch:
         priors, values, handles = model.evaluate_root(root_states)
         if cfg.value_source == "rollout":
             values, self._rollout_charges = rollout_value(model, root_states, metric)
-        self._root_priors = priors
-        self._tempered_root = apply_temperature(priors, cfg.tau)
+        self.root_priors = priors  # (B, V) raw, untempered: what decode_mcts scores tokens by
         self.adaptive_min = values.astype(np.float64).copy()
         self.adaptive_max = values.astype(np.float64) + 1e-6
-        self._create_node(self._node_row(self._tempered_root), values, handles)
+        self._create_node(self._node_row(apply_temperature(priors, cfg.tau)), values, handles)
 
     # -------------------------------------------------------------- lifecycle
 
-    def run(self) -> SearchResult:
-        """Full search: each root's simulation count, then the root statistics."""
+    def run(self) -> None:
+        """Full search: each root's simulation count."""
         for _ in range(self._most):
             self.step_simulation()
-        return self.result()
 
     def step_simulation(self) -> None:
         """One simulate / expand / backward round for every element still active.
@@ -297,35 +285,46 @@ class ArenaSearch:
         self._active_row0 = self._row0[elements]
         self._active_list = elements.tolist()
 
-    def result(self) -> SearchResult:
-        # A root child is never a chain member, so the unsettled statistics are its own.
-        visits, values = self._child_statistics(self._row0, self._row0)
-        dense_counts = np.zeros((self.batch_size, self.num_actions), dtype=np.int64)
-        dense_values = np.zeros((self.batch_size, self.num_actions), dtype=np.float64)
-        mapping = self.topk_mapping[:, 0, :]
-        dense_counts[self._batch_range[:, None], mapping] = visits
-        dense_values[self._batch_range[:, None], mapping] = values
-        return SearchResult(
-            dense_visit_counts=dense_counts,
-            dense_root_values=dense_values,
-            root_priors=self._root_priors.copy(),
-            tempered_root_priors=self._tempered_root.copy(),
-        )
+    def root_actions(self) -> np.ndarray:
+        """(B,) vocabulary id each element commits, read off its root's sparse row: under
+        ``visit_count`` the most visited child, under ``max_value`` the visited child of best
+        value, ties going to the lower token id. With no visited child it is slot 0, the
+        top tempered prior."""
+        slots, _, tokens = self._root_pick(self._row0, self.cfg.root_selection)
+        return tokens[self._batch_range, slots]
 
     def pick_margins(self, elements: np.ndarray) -> np.ndarray:
         """How far the visit-count pick of each of ``elements`` leads the root's other sparse
         actions: ``c* - max(c_x + [token_x < token*])``, where ``*`` is the most visited root
-        child, ties going to the lower token id as in :func:`select_root_action`; ``c*``
-        with no other action."""
-        row0 = self._row0[elements]
-        visits, _ = self._child_statistics(row0, row0)
-        tokens = self._row_topk[row0]
+        child, ties going to the lower token id as in :meth:`root_actions`; ``c*`` with no
+        other action."""
+        pick, visits, tokens = self._root_pick(self._row0[elements], "visit_count")
         rows = np.arange(len(elements))
-        pick = (visits * self.num_actions - tokens).argmax(axis=1)
         lead = visits[rows, pick]
         rivals = visits + (tokens < tokens[rows, pick][:, None])
         rivals[rows, pick] = 0
         return lead - rivals.max(axis=1)
+
+    def _root_pick(
+        self, row0: np.ndarray, selection: str
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The picked slot of the roots at node-0 rows ``row0`` under root ``selection``, with
+        the roots' child visit counts and sparse tokens, ``(n, A)`` each. Of the children with
+        the best key, the visit count or, among visited children, the value, the pick is the
+        lowest token; with no visited child it is slot 0. A root child is never a chain
+        member, so its unsettled statistics are its own."""
+        visits, values = self._child_statistics(row0, row0)
+        tokens = self._row_topk[row0]
+        visited = visits > 0
+        if selection == "visit_count":
+            # Most visits, then the lowest token, as one key; an unvisited child keys 0,
+            # below every visited one, so with none visited the first maximum is slot 0.
+            key = np.where(visited, visits * self.num_actions - tokens, 0)
+            return key.argmax(axis=1), visits, tokens
+        key = np.where(visited, values, -np.inf)
+        best = key == key.max(axis=1, keepdims=True)
+        pick = np.where(best, tokens, self.num_actions).argmin(axis=1)
+        return np.where(visited.any(axis=1), pick, 0), visits, tokens
 
     # -------------------------------------------------------------- internals
 
@@ -618,34 +617,6 @@ class ArenaSearch:
         return int(self.topk_mapping[b, parent, self.node_slot(b, node_index)])
 
 
-def select_root_action(
-    dense_counts: np.ndarray,
-    dense_values: np.ndarray,
-    mode: str,
-    fallback_priors: np.ndarray | None = None,
-) -> np.ndarray:
-    """Pick one vocabulary action per element from root statistics.
-
-    ``visit_count`` takes the most visited child, ``max_value`` the visited
-    child with the best aggregated value; ties go to the lower token id. With
-    no visited child (a zero-simulation search) the argmax of the tempered
-    root prior is used instead.
-    """
-    if mode not in ROOT_SELECTIONS:
-        raise ValueError(f"unknown root selection {mode!r}")
-    visited = dense_counts > 0
-    if mode == "visit_count":
-        actions = np.argmax(dense_counts, axis=1)
-    else:
-        actions = np.argmax(np.where(visited, dense_values, -np.inf), axis=1)
-    unvisited = ~visited.any(axis=1)
-    if unvisited.any():
-        if fallback_priors is None:
-            raise ValueError("no visited root child and no fallback prior")
-        actions = np.where(unvisited, np.argmax(fallback_priors, axis=1), actions)
-    return actions.astype(np.int64)
-
-
 def _charge_absorbed(
     model: PolicyValueModel, handles: list[ModelState], counts: list[int]
 ) -> None:
@@ -713,7 +684,8 @@ def decode_mcts(
     EOS there, so its tempered prior is one-hot EOS and every search there
     picks EOS, at raw prior 1. It is an element settled before its first
     simulation: it enters the round's arena at simulation count 0, where
-    :func:`select_root_action` falls back to that prior. With ``visit_count``
+    :meth:`ArenaSearch.root_actions` picks slot 0, the top of that prior, which
+    is EOS. With ``visit_count``
     root selection and ``model`` values, an element also retires from its
     arena once its pick is settled (:func:`_search_until_settled`); other
     settings run every simulation of an undecided root. Each element's R
@@ -733,19 +705,12 @@ def decode_mcts(
         arena = ArenaSearch(model, live, cfg, metric, np.where(decided, 0, live_counts))
         if cfg.root_selection == "visit_count" and cfg.value_source == "model":
             _search_until_settled(arena)
-            result = arena.result()
         else:
-            result = arena.run()
+            arena.run()
         skipped = live_counts - arena.simulation_counts
         _charge_absorbed(model, arena.node_states[0], skipped.tolist())
         evaluations[indices] += arena.evaluations + skipped
-        actions = select_root_action(
-            result.dense_visit_counts,
-            result.dense_root_values,
-            cfg.root_selection,
-            fallback_priors=result.tempered_root_priors,
-        )
-        return result.root_priors, actions
+        return arena.root_priors, arena.root_actions()
 
     finals, log_likelihoods = complete(states, search)
     model.ledger.charge_tokens(sum(len(f.prefix) - len(s.prefix) for f, s in zip(finals, states)))

@@ -54,6 +54,22 @@ def check_integer(name: str, value, least: int | None = None) -> None:
         raise ConfigurationError(f"{name} must be an integer{bound}, not {value!r}")
 
 
+def check_real(
+    name: str, value, least: float, most: float | None = None, *, strict: bool = False
+) -> None:
+    """A ``ConfigurationError`` naming ``name`` unless ``value`` is a finite real number (a
+    bool is not one) >= ``least``, or > ``least`` when ``strict``, and <= ``most`` when that
+    is given."""
+    # The exact-type test spares the common case the slower abstract-class check.
+    real = type(value) in (float, int) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    )
+    above = real and math.isfinite(value) and (value > least if strict else value >= least)
+    if not (above and (most is None or value <= most)):
+        bound = f"in [{least}, {most}]" if most is not None else f"{'>' if strict else '>='} {least}"
+        raise ConfigurationError(f"{name} must be a finite number {bound}, not {value!r}")
+
+
 def clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else float(x)
 

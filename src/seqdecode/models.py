@@ -28,8 +28,8 @@ supplies its table, never ``priors`` itself (the contract is stated on
 prefix one token short of the cap with EOS, at probability 1, without reading
 its prior; and :func:`.mcts.decode_mcts` puts such a prefix in its round's
 arena at simulation count 0, an element settled before its first simulation:
-its pick falls back to that one-hot prior, and its skipped simulations are
-charged by the replay a settled element's take. The oracles read every other
+its pick is its root's slot 0, the top of that one-hot prior, and its skipped
+simulations are charged by the replay a settled element's take. The oracles read every other
 level's priors off its array of output prefixes, in one
 :meth:`PolicyValueModel.prefix_priors` call, which returns ``priors`` of
 those prefixes' states bit for bit. It is the one array hook: by default it
@@ -76,6 +76,7 @@ from .mdp import (
     DecodeState,
     Sequence,
     check_integer,
+    check_real,
     clamp01,
     complete,
     step,
@@ -153,8 +154,7 @@ def apply_temperature(prior: np.ndarray, tau: float) -> np.ndarray:
     callers wanting the greedy limit should take an argmax instead of passing
     tau -> 0.
     """
-    if not (math.isfinite(tau) and tau > 0):
-        raise ConfigurationError("temperature must be finite and > 0")
+    check_real("temperature", tau, 0, strict=True)
     p = np.asarray(prior, dtype=float)
     if p.ndim not in (1, 2) or p.size == 0:
         raise ValueError("prior must be a non-empty vector or batch of vectors")
@@ -477,8 +477,7 @@ class NoisyValueModel(TransformedValueModel):
     """Emulates an imperfect value network: seeded per-state noise, clamped to [0, 1]."""
 
     def __init__(self, inner: PolicyValueModel, amplitude: float, seed: int = 0):
-        if not (math.isfinite(amplitude) and amplitude >= 0):
-            raise ConfigurationError("amplitude must be finite and >= 0")
+        check_real("amplitude", amplitude, 0)
         check_integer("model seed", seed)
 
         def perturb(value: float, state: DecodeState) -> float:

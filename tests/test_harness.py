@@ -229,11 +229,18 @@ class TestRunExperiment:
             (("greedy", "vgbs"), {"alpha": 2.0}),
             (("greedy", "sample_rerank"), {"tau": 0.0}),
             (("vgbs",), {"value_source": "rolout"}),
+            # A bool or a non-number is not a real setting, though True == 1.0.
+            (("greedy", "beam"), {"theta": "1"}),
+            (("greedy", "beam"), {"theta": True}),
+            (("greedy", "mcts"), {"c_puct": True}),
+            (("greedy", "mcts"), {"tau": True}),
+            (("greedy", "sample_rerank"), {"tau": True}),
+            (("greedy", "vgbs"), {"alpha": True}),
         ],
     )
     def test_cell_config_errors_raise_before_any_decode(self, monkeypatch, algorithms, option):
         decoded = count_calls(monkeypatch, PolicyValueModel, "initial_state")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=f"^(unknown|{'|'.join(option)}|temperature) "):
             cfg = RunConfig(
                 model=M0_SPEC,
                 metric=OCC,
@@ -259,11 +266,14 @@ class TestRunExperiment:
             (ModelSpec(), MetricSpec("bertscore", embedding_dim=2.5), 0, "dim"),
             (ModelSpec(), MetricSpec("mlbertscore", embedding_seed=1.5), 0, "embedding seed"),
             (ModelSpec(), OCC, 1.5, "seed"),
+            (ModelSpec(value_noise=True), OCC, 0, "amplitude"),
+            (ModelSpec(prior=M0_PRIOR, value_noise=True), OCC, 0, "amplitude"),
         ],
         ids=[
             "vocab_size=4.0", "max_len=2.5", "max_len=True", "context_order=1.5", "seed=1.5",
             "seed=True", "prior-seed=1.5", "target=0.5", "horizon=2.5", "max_n=2.5",
-            "embedding_dim=2.5", "embedding_seed=1.5", "run-seed=1.5",
+            "embedding_dim=2.5", "embedding_seed=1.5", "run-seed=1.5", "value_noise=True",
+            "prior-value_noise=True",
         ],
     )
     def test_non_integer_spec_fields_raise_before_any_decode(
@@ -289,18 +299,25 @@ class TestRunExperiment:
         assert decoded == []
 
     @pytest.mark.parametrize(
-        "source, reference, message",
+        "instance_id, source, reference, message",
         [
-            ((-1,), None, "'b': source token id -1 is not"),
-            ((True, 1), None, "'b': source token id True is not"),
-            ((1.0, 1), None, "'b': source token id 1.0 is not"),
-            ((0, 1), (0, -2), "'b': reference token id -2 is not"),
+            ("b", (-1,), None, "'b': source token id -1 is not"),
+            ("b", (True, 1), None, "'b': source token id True is not"),
+            ("b", (1.0, 1), None, "'b': source token id 1.0 is not"),
+            ("b", (0, 1), (0, -2), "'b': reference token id -2 is not"),
+            ("a", (1, 0), None, "instance id 'a' is given twice"),
+            (1, (1, 0), None, "instance id 1 is not a string"),
+            (b"b", (1, 0), None, "instance id b'b' is not a string"),
         ],
-        ids=["negative", "bool", "float", "negative-reference"],
+        ids=[
+            "negative", "bool", "float", "negative-reference", "duplicate-id", "int-id", "bytes-id"
+        ],
     )
-    def test_bad_token_ids_raise_before_any_decode(self, monkeypatch, source, reference, message):
+    def test_bad_instances_raise_before_any_decode(
+        self, monkeypatch, instance_id, source, reference, message
+    ):
         decoded = count_calls(monkeypatch, PolicyValueModel, "initial_state")
-        dataset = [Instance("a", (0, 1)), Instance("b", source, reference=reference)]
+        dataset = [Instance("a", (0, 1)), Instance(instance_id, source, reference=reference)]
         with pytest.raises(ConfigurationError, match=message):
             run_experiment(RunConfig(), dataset)
         assert decoded == []

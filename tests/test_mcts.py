@@ -25,11 +25,10 @@ from seqdecode import (
     decode_mcts,
     exact_argmax_metric,
     greedy_decode,
-    select_root_action,
     step,
 )
 from seqdecode import mcts
-from seqdecode.mcts import BACKUP_RULES, VALUE_SOURCES
+from seqdecode.mcts import BACKUP_RULES, ROOT_SELECTIONS, VALUE_SOURCES
 
 from conftest import A, B, EOS, count_calls, make_m0
 from twin import RecursiveSearch, arena_decode
@@ -100,6 +99,17 @@ def random_statistics(rng, arena):
     arena.visit_counts[:] = rng.integers(1, 8, size=shape[:2])
     arena.adaptive_min[:] = rng.normal(size=b)
     arena.adaptive_max[:] = arena.adaptive_min + rng.choice([1e-6, rng.random(), 3.0], size=b)
+
+
+def dense_root(arena):
+    """Each root's child visit counts and values scattered to dense ``(B, V)`` arrays by token
+    id, 0 where a token has no sparse slot or its child is unexpanded."""
+    rows, mapping = np.arange(arena.batch_size)[:, None], arena.topk_mapping[:, 0]
+    counts = np.zeros((arena.batch_size, arena.num_actions), dtype=np.int64)
+    values = np.zeros((arena.batch_size, arena.num_actions))
+    counts[rows, mapping] = arena.children_visits[:, 0]
+    values[rows, mapping] = arena.children_values[:, 0]
+    return counts, values
 
 
 class TestConfig:
@@ -428,13 +438,21 @@ class TestAbsorbingChains:
     @pytest.mark.parametrize("provider", PROVIDERS)
     @pytest.mark.parametrize("backup", BACKUP_RULES)
     @pytest.mark.parametrize("value_source", VALUE_SOURCES)
-    def test_reading_statistics_mid_search_changes_nothing(self, provider, backup, value_source):
+    @pytest.mark.parametrize("root_selection", ROOT_SELECTIONS)
+    def test_reading_statistics_mid_search_changes_nothing(
+        self, provider, backup, value_source, root_selection
+    ):
         # Reading the statistics settles every chain from its head. One arena is read after
-        # every simulation, its lockstep twin only at the end: the search itself never reads a
-        # chain member the backup left behind its head.
+        # every simulation, its lockstep twin only at the end, bar its root picks, which are
+        # read off the root row without settling: the search itself never reads a chain
+        # member the backup left behind its head.
         metric = coverage_metric()
         cfg = SearchConfig(
-            num_simulations=30, num_sparse_actions=3, backup=backup, value_source=value_source
+            num_simulations=30,
+            num_sparse_actions=3,
+            backup=backup,
+            value_source=value_source,
+            root_selection=root_selection,
         )
         arenas = []
         for _ in range(2):
@@ -445,14 +463,13 @@ class TestAbsorbingChains:
             for arena in arenas:
                 arena.step_simulation()
             read.values  # the read settles every chain
-            got, want = read.result(), unread.result()
-            for name in vars(want):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), (name, sim)
+            assert np.array_equal(read.root_actions(), unread.root_actions()), sim
             assert np.array_equal(read.children_index, unread.children_index), sim
             assert np.array_equal(read.parents, unread.parents), sim
             live = unread.chain_head < 0
             assert np.array_equal(read.scores[live], unread.scores[live]), sim
         assert read.model.ledger.snapshot() == unread.model.ledger.snapshot()
+        assert np.array_equal(read.root_priors, unread.root_priors)
         for name in ("values", "visit_counts", "children_values", "children_visits"):
             assert np.array_equal(getattr(read, name), getattr(unread, name)), name
         heads = [read.chain_head[b][read.chain_head[b] >= 0] for b in range(3)]
@@ -582,13 +599,16 @@ class TestRolloutReuse:
 class TestSearchInvariants:
     def test_zero_simulations_yield_zero_counts(self, occupancy_a3):
         model = make_m0(value_metric=occupancy_a3)
-        result = fresh_arena(model, num_simulations=0).run()
-        assert result.dense_visit_counts.sum() == 0
+        arena = fresh_arena(model, num_simulations=0)
+        arena.run()
+        assert arena.children_visits[:, 0].sum() == 0
+        assert arena.root_actions().tolist() == arena.topk_mapping[:, 0, 0].tolist()
 
     def test_simulation_count_reaches_root(self, occupancy_a3):
         model = make_m0(value_metric=occupancy_a3)
-        result = fresh_arena(model, num_simulations=3, num_sparse_actions=3).run()
-        assert result.dense_visit_counts[0].sum() == 3
+        arena = fresh_arena(model, num_simulations=3, num_sparse_actions=3)
+        arena.run()
+        assert arena.children_visits[0, 0].sum() == 3
 
     def test_node_and_visit_conservation(self, occupancy_a3):
         for seed in range(5):
@@ -615,10 +635,12 @@ class TestSearchInvariants:
             root_selection="max_value",
             value_source="rollout",
         )
-        result = ArenaSearch(model, [model.initial_state(())], cfg, metric=occupancy_a3).run()
-        visited = result.dense_visit_counts[0] > 0
-        values = np.where(visited, result.dense_root_values[0], -np.inf)
-        assert int(np.argmax(values)) == A
+        arena = ArenaSearch(model, [model.initial_state(())], cfg, metric=occupancy_a3)
+        arena.run()
+        visited = arena.children_visits[0, 0] > 0
+        values = np.where(visited, arena.children_values[0, 0], -np.inf)
+        assert arena.topk_mapping[0, 0, np.argmax(values)] == A
+        assert arena.root_actions().tolist() == [A]
 
     def test_max_backup_values_monotone(self, occupancy_a3):
         model = make_m0(value_metric=occupancy_a3)
@@ -865,13 +887,11 @@ class TestPerRootCounts:
                 assert arena.adaptive_min[b] == solos[b].adaptive_min[0], (b, sim)
                 assert arena.adaptive_max[b] == solos[b].adaptive_max[0], (b, sim)
                 assert arena.node_states[n - 1][b] == solos[b].node_states[n - 1][0], (b, sim)
+                assert arena.root_actions()[b] == solos[b].root_actions()[0], (b, sim)
         assert all(arena.node_states[node][0] is None for node in range(2, max(counts) + 1))
 
-        result = arena.result()
         for b, solo in enumerate(solos):
-            want = solo.result()
-            for field in ("dense_visit_counts", "dense_root_values", "root_priors"):
-                assert np.array_equal(getattr(result, field)[b], getattr(want, field)[0]), field
+            assert np.array_equal(arena.root_priors[b], solo.root_priors[0]), b
         charges = [solo.model.ledger.evaluations for solo in solos]
         assert arena.evaluations.tolist() == charges
         assert arena_model.ledger.evaluations == sum(charges)
@@ -901,9 +921,10 @@ class TestPerRootCounts:
         model = make_m0(value_metric=occupancy_a3)
         cfg = SearchConfig(num_simulations=5, num_sparse_actions=3)
         arena = ArenaSearch(model, [model.initial_state(())] * 2, cfg, simulation_counts=[0, 2])
-        result = arena.run()
+        arena.run()
         assert arena.allocated_nodes() == 3
-        assert result.dense_visit_counts.sum(axis=1).tolist() == [0, 2]
+        assert arena.children_visits[:, 0].sum(axis=1).tolist() == [0, 2]
+        assert arena.root_actions()[0] == arena.topk_mapping[0, 0, 0]
         assert arena.evaluations.tolist() == [1, 3] and model.ledger.evaluations == 4
         with pytest.raises(ContractViolation, match="simulation budget exhausted"):
             arena.step_simulation()
@@ -1018,22 +1039,28 @@ class TestAbsorbingRounds:
             assert all(array[0, n].tobytes() == want for n in terminal_nodes)
 
 
+@st.composite
+def searched_root_cases(draw):
+    """A seed, vocabulary, 1-4 roots as (source, prefix) pairs, prefixes up to one token
+    short of the cap of 3, a search config with ``tau`` off 1, and per-root simulation counts
+    from 0 to 12."""
+    vocab = draw(st.integers(2, 5))
+    content = st.lists(st.integers(0, vocab - 2), min_size=1, max_size=3)
+    prefix = st.lists(st.integers(0, vocab - 2), max_size=2)
+    roots = draw(st.lists(st.tuples(content, prefix), min_size=1, max_size=4))
+    cfg = SearchConfig(
+        num_sparse_actions=draw(st.integers(1, vocab)),
+        c_puct=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        tau=draw(st.sampled_from([0.5, 0.8, 2.0])),
+        backup=draw(st.sampled_from(BACKUP_RULES)),
+        root_selection=draw(st.sampled_from(ROOT_SELECTIONS)),
+        value_source=draw(st.sampled_from(VALUE_SOURCES)),
+    )
+    counts = draw(st.lists(st.integers(0, 12), min_size=len(roots), max_size=len(roots)))
+    return draw(st.integers(0, 2**16)), vocab, roots, cfg, counts
+
+
 class TestRootSelection:
-    def test_visit_count_mode(self):
-        counts = np.array([[5, 3, 0]])
-        values = np.zeros((1, 3))
-        assert select_root_action(counts, values, "visit_count")[0] == 0
-
-    def test_max_value_mode_excludes_unvisited(self):
-        counts = np.array([[1, 2, 0]])
-        values = np.array([[0.2, 0.9, 5.0]])
-        assert select_root_action(counts, values, "max_value")[0] == 1
-
-    def test_tie_breaks_to_lowest_id(self):
-        counts = np.array([[4, 4, 0]])
-        values = np.zeros((1, 3))
-        assert select_root_action(counts, values, "visit_count")[0] == 0
-
     @staticmethod
     def _loop_reference(dense_counts, dense_values, mode, fallback_priors=None):
         actions = np.zeros(dense_counts.shape[0], dtype=np.int64)
@@ -1049,29 +1076,80 @@ class TestRootSelection:
                 actions[b] = int(np.argmax(np.where(visited, dense_values[b], -np.inf)))
         return actions
 
-    def test_matches_per_row_loop_on_random_batches(self):
+    @staticmethod
+    def _filled(mode, mapping, visits, values=None, vocab=3):
+        """An arena over a uniform prior whose root rows are hand-filled: sparse tokens
+        ``mapping`` and, at each slot, a child with these visits and values, unexpanded where
+        it has none."""
+        mapping, visits = np.atleast_2d(mapping), np.atleast_2d(visits)
+        batch, a = mapping.shape
+        model = FixedPriorModel(np.full(vocab, 1 / vocab), 3)
+        cfg = SearchConfig(num_simulations=a, num_sparse_actions=a, root_selection=mode)
+        arena = ArenaSearch(model, [model.initial_state(())] * batch, cfg)
+        arena.topk_mapping[:, 0] = mapping
+        arena.children_index[:, 0] = np.where(visits > 0, np.arange(1, a + 1), -1)
+        arena.visit_counts[:, 1:] = visits
+        arena.values[:, 1:] = 0.0 if values is None else values
+        return arena
+
+    # Sparse slots hold the tokens out of token order: EOS, then A, then B.
+    MAPPING = [EOS, A, B]
+
+    def test_visit_count_mode(self):
+        assert self._filled("visit_count", self.MAPPING, [3, 5, 0]).root_actions().tolist() == [A]
+
+    def test_max_value_mode_excludes_unvisited(self):
+        # The unexpanded slot reads value 0.0, above every visited child's.
+        arena = self._filled("max_value", self.MAPPING, [1, 2, 0], [-0.9, -0.2, 0.0])
+        assert arena.root_actions().tolist() == [A]
+
+    @pytest.mark.parametrize("mode", ROOT_SELECTIONS)
+    def test_tie_breaks_to_lowest_id(self, mode):
+        # EOS at slot 0 and A at slot 1 tie in visits and value; the lower token wins.
+        arena = self._filled(mode, self.MAPPING, [4, 4, 2], [0.5, 0.5, 0.1])
+        assert arena.root_actions().tolist() == [A]
+
+    @pytest.mark.parametrize("mode", ROOT_SELECTIONS)
+    def test_no_visited_child_picks_slot_0(self, mode):
+        # Slot 0 holds the top tempered prior, whatever its token id.
+        assert self._filled(mode, self.MAPPING, [0, 0, 0]).root_actions().tolist() == [EOS]
+
+    def test_matches_per_row_loop_on_hand_filled_rows(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             batch, vocab = rng.integers(1, 6), rng.integers(2, 6)
-            # Small integer ranges force ties in counts, values and priors.
-            counts = rng.integers(0, 3, size=(batch, vocab)) * (rng.random((batch, 1)) < 0.7)
-            values = rng.integers(-2, 3, size=(batch, vocab)) / 2.0
-            priors = rng.integers(1, 4, size=(batch, vocab)) / 10.0
-            for mode in ("visit_count", "max_value"):
-                want = self._loop_reference(counts, values, mode, priors)
-                got = select_root_action(counts, values, mode, fallback_priors=priors)
-                assert got.dtype == np.int64 and np.array_equal(got, want)
-                if (counts == 0).all(axis=1).any():
-                    with pytest.raises(ValueError):
-                        select_root_action(counts, values, mode)
-                else:
-                    assert np.array_equal(select_root_action(counts, values, mode), want)
+            a = int(rng.integers(1, vocab + 1))
+            mapping = np.stack([rng.permutation(vocab)[:a] for _ in range(batch)])
+            # Small integer ranges force ties in counts and values.
+            visits = rng.integers(0, 3, size=(batch, a)) * (rng.random((batch, 1)) < 0.7)
+            values = rng.integers(-2, 3, size=(batch, a)) / 2.0
+            slot0 = np.zeros((batch, vocab))
+            slot0[np.arange(batch), mapping[:, 0]] = 1.0
+            for mode in ROOT_SELECTIONS:
+                arena = self._filled(mode, mapping, visits, values, vocab)
+                counts, dense_values = dense_root(arena)
+                want = self._loop_reference(counts, dense_values, mode, slot0)
+                assert np.array_equal(arena.root_actions(), want)
 
     def test_zero_simulation_fallback(self):
-        counts = np.zeros((1, 3), dtype=int)
-        values = np.zeros((1, 3))
-        prior = np.array([[0.3, 0.5, 0.2]])
-        assert select_root_action(counts, values, "visit_count", fallback_priors=prior)[0] == 1
+        model = FixedPriorModel([0.3, 0.5, 0.2], 3)
+        cfg = SearchConfig(num_simulations=0, num_sparse_actions=3, tau=2.0)
+        assert ArenaSearch(model, [model.initial_state(())], cfg).root_actions().tolist() == [1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(searched_root_cases())
+    def test_matches_per_row_loop_on_searched_arenas(self, case):
+        seed, vocab, sources, cfg, counts = case
+        metric = coverage_metric()
+        model = SeededTabularModel(seed, vocab, 3, context_order=1, value_metric=metric)
+        roots = [reduce(step, prefix, model.initial_state(tuple(src))) for src, prefix in sources]
+        arena = ArenaSearch(model, roots, cfg, metric=metric, simulation_counts=counts)
+        arena.run()
+        counts, values = dense_root(arena)
+        tempered = apply_temperature(arena.root_priors, cfg.tau)
+        want = self._loop_reference(counts, values, cfg.root_selection, tempered)
+        got = arena.root_actions()
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 class TestDecodeMcts:
@@ -1220,7 +1298,7 @@ def decided_cases(draw):
         c_puct=draw(st.sampled_from([0.5, 1.0, 2.0])),
         tau=draw(st.sampled_from([0.7, 1.0])),
         backup=draw(st.sampled_from(BACKUP_RULES)),
-        root_selection=draw(st.sampled_from(mcts.ROOT_SELECTIONS)),
+        root_selection=draw(st.sampled_from(ROOT_SELECTIONS)),
         value_source=draw(st.sampled_from(VALUE_SOURCES)),
     )
     return draw(st.integers(0, 2**16)), vocab, horizon, roots, counts, cfg
@@ -1341,19 +1419,22 @@ class TestSettlement:
         roots = [model.initial_state((t,)) for t in range(vocab - 1)]
         cfg = SearchConfig(num_simulations=sims, num_sparse_actions=min(num_sparse_actions, vocab))
         arena = ArenaSearch(model, roots, cfg)
-        result = arena.run()
+        arena.run()
         margins = arena.pick_margins(np.arange(len(roots)))
+        dense_counts, _ = dense_root(arena)
+        pick_of = TestRootSelection._loop_reference
         for b, margin in enumerate(margins.tolist()):
-            counts = result.dense_visit_counts[b : b + 1]
-            pick = select_root_action(counts, result.dense_root_values[b : b + 1], "visit_count")
-            rivals = [x for x in arena.topk_mapping[b, 0].tolist() if x != pick[0]]
+            counts = dense_counts[b : b + 1]
+            pick = arena.root_actions()[b]
+            assert pick_of(counts, counts, "visit_count")[0] == pick
+            rivals = [x for x in arena.topk_mapping[b, 0].tolist() if x != pick]
 
             def keeps_pick(visits: int) -> bool:
                 # Every rival given ``visits`` more visits still loses to the pick.
                 for x in rivals:
                     more = counts.copy()
                     more[0, x] += visits
-                    if select_root_action(more, more, "visit_count")[0] != pick[0]:
+                    if pick_of(more, more, "visit_count")[0] != pick:
                         return False
                 return True
 

@@ -28,7 +28,6 @@ from seqdecode import (
     apply_temperature,
     complete,
     rollout_value,
-    select_root_action,
     step,
 )
 
@@ -184,15 +183,9 @@ def arena_decode(
 
     def search(indices: list[int], live: list[DecodeState]):
         arena = ArenaSearch(model, live, cfg, metric, counts[indices])
-        result = arena.run()
+        arena.run()
         evaluations[indices] += arena.evaluations
-        actions = select_root_action(
-            result.dense_visit_counts,
-            result.dense_root_values,
-            cfg.root_selection,
-            fallback_priors=result.tempered_root_priors,
-        )
-        return result.root_priors, actions
+        return arena.root_priors, arena.root_actions()
 
     finals, log_likelihoods = complete(states, search)
     model.ledger.charge_tokens(sum(len(f.prefix) - len(s.prefix) for f, s in zip(finals, states)))
