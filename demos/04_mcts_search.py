@@ -2,9 +2,12 @@
 
 One search builds a tree for a single output position. The arena keeps every
 statistic in flat (batch, node) and (batch, node, sparse-action) arrays so a
-whole batch advances in lockstep, plus one node-ordered list of the provider's
-state handles (``node_states[node][b]``). An arena is built from its root
-states and searches once; the next search needs a fresh one. An edge's visit
+whole batch advances in lockstep, the provider's state handles among them
+(``node_states[b, node]``). A descent that stops at a terminal node makes no
+node: it backs up the node's own value, adding one visit, so an element's
+node count (``node_counts[b]``) is its root plus one per simulation that
+stopped at a live node. An arena is built from its root states and searches
+once; the next search needs a fresh one. An edge's visit
 count and value are read off its child node, so each is stored once, and the
 search's pick is read off the root's sparse row (``root_actions``). The
 search tree can be exported as DOT for inspection. The arena arithmetic is
@@ -41,7 +44,7 @@ def main() -> None:
     arena.run()
 
     print("after 8 simulations:")
-    print(f"  allocated nodes          : {arena.allocated_nodes()} (root + one per simulation)")
+    print(f"  node counts              : {arena.node_counts} (root + one per live stop)")
     visits = arena.children_visits[0, 0]
     print(f"  root sparse tokens       : {arena.topk_mapping[0, 0]} (top-A tempered prior first)")
     print(f"  root child visit counts  : {visits}")
@@ -49,8 +52,10 @@ def main() -> None:
     print(f"  root child values        : {np.array2string(values, precision=3)}")
     print(f"  root pick                : token {arena.root_actions()[0]} ({cfg.root_selection})")
     print(f"  adaptive value range     : [{arena.adaptive_min[0]:.3f}, {arena.adaptive_max[0]:.3f}]")
-    terminal = sum(handles[0].state.terminal for handles in arena.node_states)
-    print(f"  terminal nodes           : {terminal} (children of a terminal node repeat its state)")
+    terminal = np.flatnonzero(arena.terminal[0]).tolist()
+    visits = arena.visit_counts[0, terminal].tolist()
+    print(f"  terminal nodes           : {terminal}, visits {visits} (no children; one visit "
+          "when made, one per stop)")
 
     dot_path = Path("mcts_tree.dot")
     export_tree(arena, dot_path)

@@ -518,7 +518,7 @@ def export_tree(arena: ArenaSearch, path: str | Path) -> None:
     """
     b = 0
     lines = ["digraph mcts {", "  node [shape=box];"]
-    n_nodes = arena.allocated_nodes()
+    n_nodes = int(arena.node_counts[b])
     for i in range(n_nodes):
         token = arena.node_token(b, i)
         label = "root" if token is None else f"token {token}"

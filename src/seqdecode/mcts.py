@@ -2,11 +2,11 @@
 
 One search builds a tree per batch element for a single output position.
 Storage is indexed by (batch, node) and (batch, node, sparse action): node i
-is the i-th node expanded for that element, node 0 is the root, and only the
-top-A prior actions of each node are kept, with ``topk_mapping`` translating
-sparse slots back to vocabulary ids. Alongside the arrays, ``node_states``
-holds the provider's ``ModelState`` handles in node order, so each expansion
-is stepped once, by the provider, and the node count is the list's length.
+is the i-th node element b made, node 0 is the root, and only the top-A prior
+actions of each node are kept, with ``topk_mapping`` translating sparse slots
+back to vocabulary ids. ``node_states[b, node]`` holds the provider's
+``ModelState`` handle of each node, so each expansion is stepped once, by the
+provider, and ``node_counts[b]`` is element b's node count.
 Each array is a view of storage that holds one spare node per element, after
 its last, which is never written; the search gathers and scatters whole rows
 through the storage raveled, where (element, node) is row
@@ -14,26 +14,17 @@ through the storage raveled, where (element, node) is row
 Each root has its own simulation count (by default ``num_simulations``), and
 the arrays are sized by the largest. Element b retires after its count S_b:
 later simulations descend, expand and charge only the elements still active,
-so b's tree holds nodes 0..S_b, exactly the tree a search of b alone at S_b
-simulations builds. The arena tallies what it charges each element
-(``ArenaSearch.evaluations``).
+so b's tree is exactly the tree a search of b alone at S_b simulations builds.
+The arena tallies what it charges each element (``ArenaSearch.evaluations``).
 A simulation records its descent as a ``(depth, active)`` path; an element that
 stops early repeats its last node, and the backup masks those padding rows.
-Terminal nodes absorb: a terminal node's tempered prior is one-hot EOS, so UCT
-always picks its slot 0, and the child there is an identical terminal copy.
-Terminal nodes therefore form chains, recorded per node as ``chain_head`` (the
-chain's first node) and, on each head, ``chain_tail`` (its last). A descent
-ends at an unexplored edge or at a chain head; a chain's tail is expanded, and
-the backup updates the path, which ends at the chain's head. A round in which
-every active descent ends at a chain head is an absorbing round: each new node
-is its chain's absorbing copy, so its rows are the arena's one absorbing row,
-computed once from a one-hot EOS prior with the calls any new node's row
-takes, and the round skips the adaptive-range test, since each absorbed value
-is its chain's one value, which the range took in when the chain's head was
-created. Every value backed into a chain is its one value, so the other
-members' statistics follow from the head's; the public statistics
-(``values``, ``visit_counts``, ``children_values``, ``children_visits``)
-settle them from their heads when read after a backup. Statistics and ledger charges are those of the full walk.
+A descent stops at a node whose selected slot is unexpanded. At a live node
+that slot's child is made and its value backed up. A terminal node has no
+child, as EOS ends the episode: a descent that stops there makes no node, its
+handle is stepped once, which absorbs and charges one evaluation, and the
+handle's own value is backed up into the terminal node and every ancestor
+(as in MCTS-Solver). An element therefore makes one node per simulation that
+stops at a live node, and elements make nodes at their own rates.
 An edge's visit count and value are its child's, read through ``children_index``.
 An arena is built from its roots and runs one search. Rollout values
 are batched greedy completions (:func:`.models.rollout_value`), each scored
@@ -44,9 +35,10 @@ commits each root's pick (:meth:`ArenaSearch.root_actions`), read off the root's
 sparse row, and scores it by the root's raw prior (``ArenaSearch.root_priors``).
 An element whose pick is settled stops simulating: each of its skipped
 simulations is charged through one replay (``_charge_absorbed``), the root
-handle stepped to EOS, then absorbing copies of that child. A root one token
-short of its cap is settled before its first simulation (every provider forces
-EOS, so it can only pick EOS) and enters the arena at simulation count 0.
+handle stepped to EOS, then one absorbing visit to that child per further
+simulation. A root one token short of its cap is settled before its first
+simulation (every provider forces EOS, so it can only pick EOS) and enters the
+arena at simulation count 0.
 Under ``visit_count`` root selection with model values, where the pick reads
 visit counts alone and a simulation costs one evaluation, :func:`decode_mcts`
 steps the arena itself and retires an element (:meth:`ArenaSearch.retire`)
@@ -65,14 +57,11 @@ written when it is created, :meth:`ArenaSearch.backward` rescores the nodes
 on the path it updates, and :meth:`ArenaSearch.expand` rescores an element's
 rows when its adaptive range moves. Every rescore also writes the rows'
 entries of a descent table, ``ArenaSearch.next_node``: the child at the row's
-argmax slot, or the node itself where that slot is unexpanded or the node is
-in a chain; a new node has no child and points at itself, as every entry
-starts. No statistic changes during a descent, so each level is one gather
-from the descent table, an element that has stopped points at itself, and the
-actions at the stop are one read of the score table. Of a terminal row only a
-chain head's is read, to pick slot 0 (see :meth:`ArenaSearch.backward`). The
-search itself reads the unsettled arrays: of a chain's rows it only ever reads
-the head's.
+argmax slot, or the node itself where that slot is unexpanded, as it always is
+at a terminal node; a new node has no child and points at itself, as every
+entry starts. No statistic changes during a descent, so each level is one
+gather from the descent table, an element that has stopped points at itself,
+and the actions at the stop are one read of the score table.
 
 The tests check the arena against a plain recursive twin (``tests/twin.py``)
 after every simulation.
@@ -198,37 +187,26 @@ class ArenaSearch:
         self._batch_range = np.arange(b)
         self._row0 = self._batch_range * self._stride
 
-        # Node statistics; the public properties of the same names settle chain members
-        # first (see backward), the search itself reads these directly.
-        self._visit_counts, self._row_visits = self._node_array(0, np.int64)
-        self._values, self._row_values = self._node_array(0.0, np.float64)
+        self.visit_counts, self._row_visits = self._node_array(0, np.int64)
+        self.values, self._row_values = self._node_array(0.0, np.float64)
         self.parents, self._row_parents = self._node_array(-1, np.int64)
+        self.terminal, self._row_terminal = self._node_array(False, bool)
+        self.node_states, self._row_states = self._node_array(None, object)  # the handles
 
         self.topk_mapping, self._row_topk = self._node_array(-1, np.int64, a)
         self.children_index, self._row_children = self._node_array(-1, np.int64, a)
         self.children_prior, self._row_priors = self._node_array(0.0, np.float64, a)
-        self._stale = False  # a backup may have left chain members behind their heads
-        # UCT scores of every live node's sparse actions, kept equal to uct_scores, and the
+        # UCT scores of every node's sparse actions, kept equal to uct_scores, and the
         # descent table written with them (see _rescore): the node a descent moves to from
         # each node. A node has no child when it is created, so every entry starts at itself.
         self.scores, self._row_scores = self._node_array(0.0, np.float64, a)
         self.next_node, self._row_next = self._node_array(0, np.int64)
         self.next_node[:] = np.arange(n)
 
-        # A terminal node's only child is an absorbing copy at slot 0, so terminal nodes
-        # form chains. chain_head is each node's first chain member (-1 for a live node);
-        # chain_tail, read at a head, is the chain's last member.
-        self.chain_head, self._row_heads = self._node_array(-1, np.int64)
-        self.chain_tail, self._row_tails = self._node_array(-1, np.int64)
-
-        # node_states[node][b], None where element b had retired before the node was made.
-        self.node_states: list[list[ModelState | None]] = []
+        # Each element's nodes: its root and one per simulation that stopped at a live node.
+        self.node_counts = np.zeros(b, dtype=np.int64)
+        self.simulations_done = 0
         self._activate(self._batch_range)
-
-        # The rows of every absorbing copy: a terminal node's prior is one-hot EOS.
-        eos = np.zeros((1, model.vocab_size))
-        eos[0, model.eos_id] = 1.0
-        self._absorbing_row = self._node_row(apply_temperature(eos, cfg.tau))
 
         self._rollout_charges = np.zeros(b, dtype=np.int64)
         priors, values, handles = model.evaluate_root(root_states)
@@ -237,7 +215,7 @@ class ArenaSearch:
         self.root_priors = priors  # (B, V) raw, untempered: what decode_mcts scores tokens by
         self.adaptive_min = values.astype(np.float64).copy()
         self.adaptive_max = values.astype(np.float64) + 1e-6
-        self._create_node(self._node_row(apply_temperature(priors, cfg.tau)), values, handles)
+        self._create_nodes(self._batch_range, priors, values, handles, False)
 
     # -------------------------------------------------------------- lifecycle
 
@@ -247,27 +225,22 @@ class ArenaSearch:
             self.step_simulation()
 
     def step_simulation(self) -> None:
-        """One simulate / expand / backward round for every element still active.
-
-        The elements whose simulation count is reached retire first. A descent that
-        ends at a chain head expands the chain's tail, at slot 0.
-        """
-        done = self.allocated_nodes() - 1
+        """One simulate / expand / backward round for every element still active; the
+        elements whose simulation count is reached retire first."""
+        done = self.simulations_done
         if done >= self._most:
             raise ContractViolation("simulation budget exhausted")
         if done in self._retirements:
             self._activate(self._retirements[done])
         path, actions = self.simulate()
-        # A descent stops at a live node, whose chain_tail is -1, or at a chain head.
-        tails = self._row_tails[self._active_row0 + path[-1]]
-        leaf = self.expand(np.where(tails >= 0, tails, path[-1]), actions)
-        self.backward(path, leaf)
+        self.backward(path, self.expand(path[-1], actions))
+        self.simulations_done += 1
 
     def retire(self, elements: np.ndarray) -> None:
         """Lower the simulation counts of active ``elements`` to the simulations done, so
         they retire before the next simulation; once every element has retired, the
         search is finished."""
-        self.simulation_counts[elements] = self.allocated_nodes() - 1
+        self.simulation_counts[elements] = self.simulations_done
         self._schedule()
 
     def _schedule(self) -> None:
@@ -283,7 +256,6 @@ class ArenaSearch:
         """Make ``elements`` the ones that simulations descend, expand and charge."""
         self._active = elements
         self._active_row0 = self._row0[elements]
-        self._active_list = elements.tolist()
 
     def root_actions(self) -> np.ndarray:
         """(B,) vocabulary id each element commits, read off its root's sparse row: under
@@ -311,8 +283,7 @@ class ArenaSearch:
         """The picked slot of the roots at node-0 rows ``row0`` under root ``selection``, with
         the roots' child visit counts and sparse tokens, ``(n, A)`` each. Of the children with
         the best key, the visit count or, among visited children, the value, the pick is the
-        lowest token; with no visited child it is slot 0. A root child is never a chain
-        member, so its unsettled statistics are its own."""
+        lowest token; with no visited child it is slot 0."""
         visits, values = self._child_statistics(row0, row0)
         tokens = self._row_topk[row0]
         visited = visits > 0
@@ -376,19 +347,17 @@ class ArenaSearch:
         return self._row_scores.take(self._active_row0 + node_indices, axis=0).argmax(axis=1)
 
     def simulate(self) -> tuple[np.ndarray, np.ndarray]:
-        """Descend in lockstep until every active element sits on an unexplored edge or a
-        chain head.
+        """Descend in lockstep until every active element sits on an unexplored edge.
 
         Returns the ``(D, b)`` path over the ``b`` active elements, root first, and the
         actions chosen at ``path[-1]``. Each row moves an element to a new node or, once it
-        has stopped, repeats its last node (padding), so ``D`` is at most the node count. An
-        element stops at the first terminal node it reaches, which is a chain head; the
-        action there is slot 0, and the chain's tail is the node to expand. The descent
+        has stopped, repeats its last node (padding), so ``D`` is at most the node count. A
+        terminal node has no child, so a descent that reaches one stops there. The descent
         table is current, and a stopped element points at itself, so each level is one
         gather and one compare, the stop's actions are one :meth:`uct_select_action` read,
         and the descent costs what its path does, not the tree size.
         """
-        path = np.zeros((self.allocated_nodes(), len(self._active)), dtype=np.int64)
+        path = np.zeros((self.node_counts.max(), len(self._active)), dtype=np.int64)
         row0, node_indices, depth = self._active_row0, path[0], 0
         while True:
             next_nodes = self._row_next[row0 + node_indices]
@@ -397,98 +366,79 @@ class ArenaSearch:
             depth += 1
             node_indices = path[depth] = next_nodes
 
-    def expand(self, node_indices: np.ndarray, sparse_actions: np.ndarray) -> int:
-        """Evaluate the selected edges of the active elements and wire the resulting nodes
-        into the tree.
+    def expand(self, node_indices: np.ndarray, sparse_actions: np.ndarray) -> np.ndarray:
+        """Evaluate the selected edges of the active elements, wire the nodes they make into
+        the tree, and return the value each element backs up.
 
-        The provider steps each parent handle (terminal handles absorb); the
-        new node gets the same index in every active element's tree, which is returned.
-        A terminal new node heads a chain below a live parent, or becomes the
-        tail of its terminal parent's chain. In rollout mode only children of
-        live parents are rolled out, and each new handle carries its rollout
-        value, so an absorbed child gets that value back from the provider.
-        When a value moves an element's adaptive range, its rows are rescored.
-        In an absorbing round, where every parent is in a chain, the new nodes
-        are absorbing copies: their rows are the arena's one absorbing row, and
-        no value can move a range, since each is its chain's value, which the
-        range took in when the chain's head was created.
+        The provider steps each handle once. Below a live node the selected slot's child
+        is made, each element's next node, and its value is backed up. A terminal node
+        makes no node: its handle absorbs (the action is ignored) and comes back with its
+        own value, which is backed up. In rollout mode only the new nodes are rolled out,
+        and each new handle carries its rollout value, so a terminal node's handle gives
+        that value back. When a new node's value moves an element's adaptive range, the
+        element's rows are rescored; a terminal node's value cannot, since the range took
+        it in when the node was made.
         """
-        active, row0 = self._active, self._active_row0
-        parent_states = [
-            self.node_states[n][b] for b, n in zip(self._active_list, node_indices.tolist())
-        ]
-        parent_rows = row0 + node_indices
-        dense_actions = self._row_topk[parent_rows, sparse_actions]
-        parent_heads = self._row_heads[parent_rows]
-
+        parent_rows = self._active_row0 + node_indices
         priors, values, child_states, terminal = self.model.evaluate_step(
-            parent_states, dense_actions.tolist()
+            self._row_states[parent_rows].tolist(),
+            self._row_topk[parent_rows, sparse_actions].tolist(),
         )
-        if not np.count_nonzero(parent_heads < 0):  # an absorbing round
-            node = self._create_node(self._absorbing_row, values, child_states)
-            # Every new node is terminal, a copy in its parent's chain.
-            terminal, heads = slice(None), parent_heads
-        else:
-            if self.cfg.value_source == "rollout":
-                fresh = np.flatnonzero(parent_heads < 0)
-                values[fresh], charges = rollout_value(
-                    self.model, [child_states[i].state for i in fresh.tolist()], self.metric
-                )
-                self._rollout_charges[active[fresh]] += charges
-                for i in fresh.tolist():
-                    child_states[i] = ModelState(child_states[i].state, float(values[i]))
-            row = self._node_row(apply_temperature(priors, self.cfg.tau))
-            node = self._create_node(row, values, child_states)
-            heads = np.where(parent_heads >= 0, parent_heads, node)
+        live = np.flatnonzero(~self._row_terminal[parent_rows])
+        if not live.size:
+            return values
+        elements, parent_rows = self._active[live], parent_rows[live]
+        handles = [child_states[i] for i in live.tolist()]
+        if self.cfg.value_source == "rollout":
+            values[live], charges = rollout_value(
+                self.model, [h.state for h in handles], self.metric
+            )
+            self._rollout_charges[elements] += charges
+            handles = [ModelState(h.state, v) for h, v in zip(handles, values[live].tolist())]
+        new_values = values[live]
+        nodes = self._create_nodes(elements, priors[live], new_values, handles, terminal[live])
+        self._row_children[parent_rows, sparse_actions[live]] = nodes
+        self._row_parents[self._row0[elements] + nodes] = node_indices[live]
 
-            low, high = self.adaptive_min[active], self.adaptive_max[active]
-            out = (values < low) | (values > high)
-            moved = active[out]
-            if moved.size:
-                self.adaptive_min[moved] = np.minimum(low, values)[out]
-                self.adaptive_max[moved] = np.maximum(high, values)[out]
-                moved_row0 = moved[:, None] * self._stride
-                moved_rows = moved_row0 + np.arange(node + 1)
-                self._rescore(moved[:, None], moved_row0, moved_rows, self._row_visits[moved_rows])
+        low, high = self.adaptive_min[elements], self.adaptive_max[elements]
+        out = (new_values < low) | (new_values > high)
+        moved = elements[out]
+        if moved.size:
+            self.adaptive_min[moved] = np.minimum(low, new_values)[out]
+            self.adaptive_max[moved] = np.maximum(high, new_values)[out]
+            # Rows past an element's last node rescore to what they hold: no visit, no score.
+            moved_row0 = moved[:, None] * self._stride
+            moved_rows = moved_row0 + np.arange(self.node_counts[moved].max())
+            self._rescore(moved[:, None], moved_row0, moved_rows, self._row_visits[moved_rows])
+        return values
 
-        rows = row0 + node
-        self._row_children[parent_rows, sparse_actions] = node
-        self._row_parents[rows] = node_indices
-
-        terminal_rows = rows[terminal]
-        if terminal_rows.size:
-            heads = heads[terminal]
-            self._row_heads[terminal_rows] = heads
-            self._row_tails[row0[terminal] + heads] = node
-        return node
-
-    def _node_row(self, tempered_priors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The top-A mapping, stored priors and UCT scores of new nodes with these tempered
-        priors, one row each."""
-        top = top_actions(tempered_priors, self.num_sparse_actions)
+    def _create_nodes(
+        self,
+        elements: np.ndarray,
+        priors: np.ndarray,
+        values: np.ndarray,
+        handles: list[ModelState],
+        terminal: np.ndarray | bool,
+    ) -> np.ndarray:
+        """Install the next node of each of ``elements``, one visit each, from the provider's
+        raw ``priors``, ``values``, ``handles`` and ``terminal`` flags; return the nodes. With
+        no child, a new row's descent entry is the node itself, as it starts."""
+        nodes = self.node_counts[elements]
+        self.node_counts[elements] += 1
+        rows = self._row0[elements] + nodes
+        tempered = apply_temperature(priors, self.cfg.tau)
+        top = top_actions(tempered, self.num_sparse_actions)
         # Truncated priors are stored as-is, without renormalization.
-        priors = tempered_priors[np.arange(len(top))[:, None], top]
+        kept = tempered[np.arange(len(top))[:, None], top]
+        self._row_topk[rows], self._row_priors[rows] = top, kept
         # The UCT row at one visit with no visited child, bit for bit: sqrt(1) = 1, the
         # division is by 1, and the value score adds +0.0.
-        return top, priors, self.cfg.c_puct * priors
-
-    def _create_node(self, row: tuple, values: np.ndarray, handles: list[ModelState]) -> int:
-        """Install one node, the next index, for each active element, with the top-A
-        mapping, priors and scores of ``row`` (see :meth:`_node_row`), one row per element
-        or one row for all. With no child, a new row's descent entry is the node itself, as
-        it starts."""
-        node = len(self.node_states)
-        rows = self._active_row0 + node
-        self._row_topk[rows], self._row_priors[rows], self._row_scores[rows] = row
+        self._row_scores[rows] = self.cfg.c_puct * kept
         self._row_values[rows] = values
         self._row_visits[rows] = 1
-        if len(handles) < self.batch_size:
-            spread: list[ModelState | None] = [None] * self.batch_size
-            for b, handle in zip(self._active_list, handles):
-                spread[b] = handle
-            handles = spread
-        self.node_states.append(handles)
-        return node
+        self._row_terminal[rows] = terminal
+        self._row_states[rows] = handles
+        return nodes
 
     def _rescore(
         self, elements: np.ndarray, row0: np.ndarray, rows: np.ndarray, visits: np.ndarray
@@ -496,42 +446,33 @@ class ArenaSearch:
         """Write the score rows ``rows`` of ``elements``, whose node-0 rows are ``row0`` and
         whose visit counts are ``visits`` (see :meth:`_row_uct_scores`), and with them their
         descent table entries: the child at each row's argmax slot (ties go to the lower
-        slot), or the row's own node where that slot is unexpanded or the node is in a
-        chain."""
+        slot), or the row's own node where that slot is unexpanded."""
         scores = self._row_uct_scores(elements, row0, rows, visits)
         self._row_scores[rows] = scores
         children = self._row_children[rows, scores.argmax(axis=-1)]
-        stop = (children < 0) | (self._row_heads[rows] >= 0)
-        self._row_next[rows] = np.where(stop, rows - row0, children)
+        self._row_next[rows] = np.where(children < 0, rows - row0, children)
 
-    def backward(self, path: np.ndarray, leaf: int) -> None:
-        """Propagate the leaf's value to every ancestor on :meth:`simulate`'s path, and rescore
-        the path's nodes.
+    def backward(self, path: np.ndarray, leaf_values: np.ndarray) -> None:
+        """Back each active element's leaf value into every node on :meth:`simulate`'s path,
+        and rescore the path's nodes.
 
-        ``leaf`` is the node expanded below ``path[-1]``, or below the tail of the chain that
-        ``path[-1]`` heads. A path entry that the next row repeats (padding), or that equals
-        the leaf, is masked, so each (element, ancestor) pair occurs once and fancy-indexed
-        updates apply level-by-level float operations at any depth. The path's rows, their
-        node-0 rows and their new visit counts are gathered once, for the update, and the
-        rescore scores those rows from them in one pass. Every value backed into a chain is
-        its one value, so a member's statistics follow from its head's: of a chain only the
-        head, the path's last node, is updated, and the other members are settled from it
-        when the statistics are read. Of a terminal row only a chain head's is read, and its
-        argmax is slot 0 however its statistics stand: a terminal prior is one-hot EOS, so
-        slot 0's policy score is above 0, every other slot scores exactly 0, and a value score
-        is never below 0.
+        The path ends at the node the descent stopped at: the parent of the node
+        :meth:`expand` made, or a terminal node, which takes its own value once more. A path
+        entry that the next row repeats (padding) is masked, so each (element, node) pair
+        occurs once and fancy-indexed updates apply level-by-level float operations at any
+        depth. The path's rows, their node-0 rows and their new visit counts are gathered
+        once, for the update, and the rescore scores those rows from them in one pass.
         """
         active_row0 = self._active_row0
-        ends = np.empty_like(path)
-        ends[:-1], ends[-1] = path[1:], leaf
-        moved = (path != ends).ravel().nonzero()[0]  # raveled: depth * b + active index
+        moved = np.ones(path.shape, dtype=bool)
+        moved[:-1] = path[:-1] != path[1:]
+        moved = moved.ravel().nonzero()[0]  # raveled: depth * b + active index
         path_i, path_nodes = moved % len(active_row0), path.ravel()[moved]
         row0 = active_row0[path_i]
         rows = row0 + path_nodes
         values, visits = self._row_values[rows], self._row_visits[rows]
-        self._row_values[rows] = self._backup(values, visits, self._row_values[row0 + leaf])
+        self._row_values[rows] = self._backup(values, visits, leaf_values[path_i])
         self._row_visits[rows] = visits = visits + 1
-        self._stale = True
         self._rescore(self._active[path_i], row0, rows, visits)
 
     def _backup(
@@ -543,66 +484,28 @@ class ArenaSearch:
             return (values * visits + leaf_values) / (visits + 1)
         return np.maximum(values, leaf_values)
 
-    def _settle(self) -> None:
-        """Give each chain member below its head the statistics per-member backups would have,
-        once per read after a backup: in a chain of L members (L is the head's visit count),
-        member i (the head is member 0) has L - i visits and the value they leave. The values
-        are replayed with :meth:`_backup`, bit for bit."""
-        if not self._stale:
-            return
-        self._stale = False
-        b, heads = np.nonzero(self.chain_tail >= 0)
-        nodes = self.chain_tail[b, heads]
-        # Walk each chain up from its tail, which holds the chain's one value at one visit.
-        v = x = self._values[b, nodes]
-        visits = np.ones_like(nodes)
-        while (members := nodes != heads).any():
-            b, heads, nodes, v, x, visits = (a[members] for a in (b, heads, nodes, v, x, visits))
-            self._values[b, nodes], self._visit_counts[b, nodes] = x, visits
-            nodes, x = self.parents[b, nodes], self._backup(x, visits, v)
-            visits = visits + 1
-
     # ------------------------------------------------------------- statistics
-
-    @property
-    def values(self) -> np.ndarray:
-        """(B, N) backed-up value of each node."""
-        self._settle()
-        return self._values
-
-    @property
-    def visit_counts(self) -> np.ndarray:
-        """(B, N) visit count of each node."""
-        self._settle()
-        return self._visit_counts
 
     @property
     def children_values(self) -> np.ndarray:
         """(B, N, A) value of each node's child at each sparse action; a fresh array."""
-        return self._settled_edges()[1]
+        row0 = self._row0[:, None]
+        return self._child_statistics(row0, row0 + np.arange(self.values.shape[1]))[1]
 
     @property
     def children_visits(self) -> np.ndarray:
         """(B, N, A) visit count of each node's child at each sparse action; a fresh array."""
-        return self._settled_edges()[0]
-
-    def _settled_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        self._settle()
         row0 = self._row0[:, None]
-        return self._child_statistics(row0, row0 + np.arange(self._visit_counts.shape[1]))
+        return self._child_statistics(row0, row0 + np.arange(self.values.shape[1]))[0]
 
     @property
     def evaluations(self) -> np.ndarray:
-        """(B,) evaluations charged for each element so far: its root, one per node it
-        expanded, and the steps of its rollouts. They sum to what the search has charged
+        """(B,) evaluations charged for each element so far: its root, one per simulation
+        it ran, and the steps of its rollouts. They sum to what the search has charged
         the ledger."""
-        expanded = np.minimum(self.simulation_counts, self.allocated_nodes() - 1)
-        return 1 + expanded + self._rollout_charges
+        return 1 + np.minimum(self.simulation_counts, self.simulations_done) + self._rollout_charges
 
     # ------------------------------------------------------------- inspection
-
-    def allocated_nodes(self) -> int:
-        return len(self.node_states)
 
     def node_slot(self, b: int, node_index: int) -> int:
         """The sparse action of a node's parent that holds the node; not for the root."""
@@ -621,15 +524,16 @@ def _charge_absorbed(
     model: PolicyValueModel, handles: list[ModelState], counts: list[int]
 ) -> None:
     """Charge through the provider ``counts[i]`` simulations at ``handles[i]`` that each end
-    at its EOS child: one ``evaluate_step`` stepping each handle with a positive count to
-    EOS, and one over ``counts[i] - 1`` absorbing copies of each child."""
+    at its EOS child, as a search charges them: one ``evaluate_step`` stepping each handle
+    with a positive count to EOS, and one stepping each of those terminal children
+    ``counts[i] - 1`` times, which absorbs."""
     searched = [(h, s) for h, s in zip(handles, counts) if s > 0]
     if searched:
         root_handles = [h for h, _ in searched]
         _, _, children, _ = model.evaluate_step(root_handles, [model.eos_id] * len(searched))
-        copies = [c for c, (_, s) in zip(children, searched) for _ in range(s - 1)]
-        if copies:
-            model.evaluate_step(copies, [model.eos_id] * len(copies))
+        visits = [c for c, (_, s) in zip(children, searched) for _ in range(s - 1)]
+        if visits:
+            model.evaluate_step(visits, [model.eos_id] * len(visits))
 
 
 def _search_until_settled(arena: ArenaSearch) -> None:
@@ -646,7 +550,7 @@ def _search_until_settled(arena: ArenaSearch) -> None:
     most = int(counts.max())
     check_at = np.where(counts > 1, (counts + 1) // 2, most)
     next_check = int(check_at.min())
-    while (done := arena.allocated_nodes() - 1) < most:
+    while (done := arena.simulations_done) < most:
         if done == next_check:
             due = np.flatnonzero(check_at == done)
             deficit = counts[due] - done - arena.pick_margins(due)
@@ -691,8 +595,8 @@ def decode_mcts(
     settings run every simulation of an undecided root. Each element's R
     skipped simulations are charged through the provider by one replay
     (:func:`_charge_absorbed`): one step of the root handle to EOS and R - 1
-    absorbing copies. Outputs, ``evaluations`` and the ledger are those of the
-    full search.
+    absorbing steps of that terminal child. Outputs, ``evaluations`` and the
+    ledger are those of the full search.
     """
     if not states:
         raise ValueError("empty batch")
@@ -708,7 +612,7 @@ def decode_mcts(
         else:
             arena.run()
         skipped = live_counts - arena.simulation_counts
-        _charge_absorbed(model, arena.node_states[0], skipped.tolist())
+        _charge_absorbed(model, arena.node_states[:, 0].tolist(), skipped.tolist())
         evaluations[indices] += arena.evaluations + skipped
         return arena.root_priors, arena.root_actions()
 

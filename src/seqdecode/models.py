@@ -508,6 +508,7 @@ class ModelSpec:
         The provider constructors hold every rule a spec must meet, so building
         one is also how a spec is checked before anything is decoded.
         """
+        check_real("value_noise", self.value_noise, 0)
         if self.prior is not None:
             model: PolicyValueModel = FixedPriorModel(self.prior, self.max_len, value_metric)
         else:

@@ -128,7 +128,8 @@ def test_criterion_04_arena_matches_recursive_reference():
         for sim in range(cfg.num_simulations):
             arena.step_simulation()
             reference.step_simulation()
-            n = sim + 2
+            n = arena.node_counts[0]
+            assert n == len(reference.nodes), (i, sim)
             assert np.array_equal(arena.visit_counts[0, :n], reference.visit_counts()), (i, sim)
             assert np.allclose(arena.values[0, :n], reference.node_values(), atol=1e-9), (i, sim)
         pairs += 1

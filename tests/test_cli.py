@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -141,16 +142,16 @@ class TestTree:
         "flags, digest",
         [
             (("--simulations", 60),
-             "d4db5f4ecf3bf951cfcff3d97afc3b1f913503802267edfd881f641ed3928090"),
+             "f471eeba73687b0b9a13842d451616d4da78a550de18b26e16ceabd7dda9dd41"),
             (("--simulations", 80, "--backup", "max"),
-             "18ca023829ea98e255decea1f784ab234a38b927976a7600c1ddafeecd10bc4a"),
+             "c5673303a3dab32f8769a14301eaff9a270e81add55b297655d71e5e98880148"),
             (("--simulations", 40, "--value-source", "rollout"),
-             "97ed8b29033cd6a71148c0de2c2395ebe1904bc029485948268a0b5cebe2d3e0"),
+             "d647b5faf194b7e57e6cd566af9b89b1b5297e640b7cbc4140366dcef5d93b56"),
             (("--simulations", 300),
-             "a631f55d7322ce9951b6065998422eb8d7d2f5c0fcbc100eaf376202eaba4f7c"),
+             "54ce94afc6a23a40271f61ac94d8d167ae630e3aa395932e6607713ee0365093"),
             (("--simulations", 120, "--instance-id", "b", "--c-puct", 0.3,
               "--root-selection", "max_value"),
-             "f9786276d8524a26f67861b046e581898ba9168fe4921bc2fece6b8eca1afe33"),
+             "fe4f2b3c012459658af4bc5eecbc2865244829a54029481a7c7706cbd2eddfa7"),
         ],
         ids=["average", "max", "rollout", "deep", "instance-b"],
     )
@@ -169,6 +170,11 @@ class TestTree:
         )
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        # EOS (id 7 of V=8) ends the episode: no edge leaves a node entered by it.
+        text = out.read_text()
+        terminal = set(re.findall(r'  (n\d+) \[label="token 7\\n', text))
+        sources = re.findall(r"  (n\d+) -> n\d+", text)
+        assert terminal and sources and terminal.isdisjoint(sources)
 
 
 class TestModelConstruction:

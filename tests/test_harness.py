@@ -266,14 +266,15 @@ class TestRunExperiment:
             (ModelSpec(), MetricSpec("bertscore", embedding_dim=2.5), 0, "dim"),
             (ModelSpec(), MetricSpec("mlbertscore", embedding_seed=1.5), 0, "embedding seed"),
             (ModelSpec(), OCC, 1.5, "seed"),
-            (ModelSpec(value_noise=True), OCC, 0, "amplitude"),
-            (ModelSpec(prior=M0_PRIOR, value_noise=True), OCC, 0, "amplitude"),
+            (ModelSpec(value_noise=True), OCC, 0, "value_noise"),
+            (ModelSpec(value_noise=False), OCC, 0, "value_noise"),
+            (ModelSpec(prior=M0_PRIOR, value_noise=True), OCC, 0, "value_noise"),
         ],
         ids=[
             "vocab_size=4.0", "max_len=2.5", "max_len=True", "context_order=1.5", "seed=1.5",
             "seed=True", "prior-seed=1.5", "target=0.5", "horizon=2.5", "max_n=2.5",
             "embedding_dim=2.5", "embedding_seed=1.5", "run-seed=1.5", "value_noise=True",
-            "prior-value_noise=True",
+            "value_noise=False", "prior-value_noise=True",
         ],
     )
     def test_non_integer_spec_fields_raise_before_any_decode(
@@ -325,7 +326,7 @@ class TestRunExperiment:
     def test_negative_value_noise_rejected(self):
         # A fixed prior takes the model-building branch that the CLI test does not reach.
         cfg = RunConfig(model=ModelSpec(prior=M0_PRIOR, value_noise=-0.5), metric=OCC)
-        with pytest.raises(ConfigurationError, match="amplitude"):
+        with pytest.raises(ConfigurationError, match="^value_noise must be a finite number >= 0"):
             run_experiment(cfg, m0_dataset(1))
 
     def test_fixed_prior_accepts_a_negative_seed(self):

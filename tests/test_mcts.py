@@ -15,7 +15,7 @@ from seqdecode import (
     ContractViolation,
     FixedPriorModel,
     Metric,
-    ModelState,
+    NoisyValueModel,
     SearchConfig,
     SeededTabularModel,
     VgbsConfig,
@@ -26,6 +26,7 @@ from seqdecode import (
     exact_argmax_metric,
     greedy_decode,
     step,
+    top_actions,
 )
 from seqdecode import mcts
 from seqdecode.mcts import BACKUP_RULES, ROOT_SELECTIONS, VALUE_SOURCES
@@ -80,7 +81,7 @@ def level_by_level_descent(arena):
     while True:
         actions = np.argmax(per_row_scores(arena, nodes), axis=1)
         next_nodes = arena.children_index[rows, nodes, actions]
-        states = [arena.node_states[n][b].state for b, n in enumerate(nodes)]
+        states = [arena.node_states[b, n].state for b, n in enumerate(nodes)]
         stopped = (next_nodes == -1) | np.array([s.terminal for s in states])
         if stopped.all():
             return np.array(path), actions
@@ -148,7 +149,7 @@ class TestResetTree:
     def test_fresh_arena_has_unexplored_children(self, m0):
         # A fresh arena holds its root alone.
         arena = fresh_arena(m0)
-        assert arena.allocated_nodes() == 1
+        assert arena.node_counts.tolist() == [1]
         assert (arena.children_index == -1).all()
         assert (arena.topk_mapping[:, 1:] == -1).all()
 
@@ -258,7 +259,7 @@ class TestExpandAndBackward:
         arena = fresh_arena(make_m0(value_metric=occupancy_a3), num_simulations=1)
         arena.step_simulation()
         assert arena.visit_counts[0, 1] == 1
-        assert arena.values[0, 1] == arena.model.values([arena.node_states[1][0].state])[0]
+        assert arena.values[0, 1] == arena.model.values([arena.node_states[0, 1].state])[0]
         assert arena.parents[0, 1] == 0
         assert node_depth(arena, 0, 1) == 1
 
@@ -274,7 +275,7 @@ class TestExpandAndBackward:
         arena.values[1, :3], arena.visit_counts[1, :3] = [0.2, 0.4, 1.0], [3, 1, 1]
         # backward rescores the path, which divides by the adaptive span; a search's is never 0.
         arena.adaptive_min[:], arena.adaptive_max[:] = 0.0, 1.0
-        arena.backward(np.array([[0, 0], [0, 1]]), 2)
+        arena.backward(np.array([[0, 0], [0, 1]]), arena.values[:, 2].copy())
         return arena
 
     def test_average_backup_arithmetic(self, m0):
@@ -298,31 +299,32 @@ class TestExpandAndBackward:
         assert arena.visit_counts[:, :3].tolist() == [[3, 1, 1], [4, 2, 1]]
         assert arena.children_values[1, 0, 0] == 1.0
 
-    def test_root_leaf_is_masked(self, m0):
-        # A path holding only the root, with the root as leaf, changes nothing.
+    def test_a_root_stop_backs_up_into_the_root(self, m0):
+        # A path holding only the root is no padding: the leaf value goes into the root.
         arena = fresh_arena(m0)
         arena.values[0, 0] = 0.4
         arena.visit_counts[0, 0] = 1
-        arena.backward(np.zeros((1, 1), dtype=np.int64), 0)
-        assert arena.values[0, 0] == 0.4
-        assert arena.visit_counts[0, 0] == 1
+        arena.adaptive_min[0], arena.adaptive_max[0] = 0.0, 1.0
+        arena.backward(np.zeros((1, 1), dtype=np.int64), np.array([0.8]))
+        assert arena.values[0, 0] == pytest.approx(0.6, abs=1e-12)  # (0.4 * 1 + 0.8) / 2
+        assert arena.visit_counts[0, 0] == 2
         assert (arena.children_visits == 0).all()
 
-    def test_expansion_past_terminal_is_absorbing(self, occupancy_a3):
-        # EOS-dominated prior: the first expansion lands on a terminal node and
-        # later simulations expand absorbing children below it.
+    def test_a_terminal_stop_makes_no_node(self, occupancy_a3):
+        # EOS-dominated prior: the first expansion lands on a terminal node and later
+        # simulations stop there. Each steps the node's handle once, which absorbs, and backs
+        # up its own value; no node is made.
         model = FixedPriorModel([0.05, 0.05, 0.9], 3, value_metric=occupancy_a3)
         arena = fresh_arena(model, num_simulations=3, num_sparse_actions=3, c_puct=0.1)
         arena.run()
-        states = [arena.node_states[i][0].state for i in range(4)]
-        terminal_nodes = [i for i in range(4) if states[i].terminal]
-        assert terminal_nodes, "expected at least one terminal expansion"
-        first = terminal_nodes[0]
-        children = [i for i in range(4) if arena.parents[0, i] == first]
-        if children:
-            child = children[0]
-            assert states[child].terminal
-            assert states[child] == states[first]
+        assert arena.node_counts.tolist() == [2]
+        assert arena.topk_mapping[0, 0, 0] == EOS and arena.children_index[0, 0, 0] == 1
+        assert arena.terminal[0, :2].tolist() == [False, True]
+        assert arena.node_states[0, 1].state == step(model.initial_state(()), EOS)
+        assert (arena.children_index[0, 1] == -1).all()
+        assert arena.visit_counts[0, :2].tolist() == [4, 3]
+        assert arena.values[0, 1] == arena.node_states[0, 1].value
+        assert model.ledger.evaluations == 4
 
 
 class TestSimulate:
@@ -340,7 +342,7 @@ class TestSimulate:
             model, num_simulations=8, num_sparse_actions=3, c_puct=0.5, backup="max"
         )
         arena.run()
-        depths = [node_depth(arena, 0, i) for i in range(arena.allocated_nodes())]
+        depths = [node_depth(arena, 0, i) for i in range(arena.node_counts[0])]
         assert max(depths) >= 2
 
     @pytest.mark.parametrize("backup", BACKUP_RULES)
@@ -373,35 +375,26 @@ class TestSimulate:
                 arena.step_simulation()
 
 
-def check_chains(arena):
-    """Assert the chain invariants of every element's tree, from node states and parent links."""
-    n = arena.allocated_nodes()
+def check_terminal_nodes(arena):
+    """Assert the node invariants of every element's tree, from node states and parent links:
+    each of an element's nodes holds the handle its edge leads to, ``terminal`` flags the
+    terminal ones, and a terminal node has no child and points the descent at itself. Past
+    an element's last node no handle is held."""
     for b in range(arena.batch_size):
-        states = [arena.node_states[i][b].state for i in range(n)]
-        for i in range(n):
-            if not states[i].terminal:
-                assert arena.chain_head[b, i] == -1 and arena.chain_tail[b, i] == -1, (b, i)
-                continue
-            # A terminal node's only child sits at sparse slot 0.
-            assert (arena.children_index[b, i, 1:] == -1).all(), (b, i)
-            head = int(arena.chain_head[b, i])
-            assert states[head].terminal and not states[int(arena.parents[b, head])].terminal
-            member = i
-            while member != head:
-                member = int(arena.parents[b, member])
-                assert states[member].terminal, (b, i)
-            assert states[i] == states[head], (b, i)
-            if head != i:
-                assert arena.chain_tail[b, i] == -1, (b, i)
-                continue
-            tail = i
-            while arena.children_index[b, tail, 0] != -1:
-                tail = int(arena.children_index[b, tail, 0])
-            assert arena.chain_tail[b, i] == tail, (b, i)
-            assert (arena.children_index[b, tail] == -1).all(), (b, i)
+        n = int(arena.node_counts[b])
+        states = [arena.node_states[b, i].state for i in range(n)]
+        assert arena.terminal[b, :n].tolist() == [s.terminal for s in states], b
+        assert not arena.terminal[b, n:].any() and all(h is None for h in arena.node_states[b, n:])
+        for i in range(1, n):
+            parent = int(arena.parents[b, i])
+            assert not states[parent].terminal, (b, i)
+            assert states[i] == step(states[parent], arena.node_token(b, i)), (b, i)
+            if states[i].terminal:
+                assert (arena.children_index[b, i] == -1).all(), (b, i)
+                assert arena.next_node[b, i] == i, (b, i)
 
 
-class TestAbsorbingChains:
+class TestTerminalNodes:
     PROVIDERS = {
         "seeded-order-0": lambda metric: SeededTabularModel(3, 5, 3, 0, value_metric=metric),
         "seeded-order-1": lambda metric: SeededTabularModel(3, 5, 3, 1, value_metric=metric),
@@ -409,23 +402,6 @@ class TestAbsorbingChains:
             [0.05, 0.05, 0.05, 0.05, 0.8], 3, value_metric=metric
         ),
     }
-
-    @pytest.mark.parametrize("provider", PROVIDERS)
-    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("num_sparse_actions", [1, 3])
-    def test_chains_agree_with_node_states(self, provider, tau, num_sparse_actions):
-        metric = coverage_metric()
-        model = self.PROVIDERS[provider](metric)
-        cfg = SearchConfig(num_simulations=30, num_sparse_actions=num_sparse_actions, tau=tau)
-        roots = [
-            model.initial_state((0, 1)),
-            step(model.initial_state((2,)), 1),
-            step(step(model.initial_state((3,)), 0), 2),
-        ]
-        arena = ArenaSearch(model, roots, cfg, metric=metric)
-        arena.run()
-        assert (arena.chain_head >= 0).any()
-        check_chains(arena)
 
     @staticmethod
     def _roots(model):
@@ -436,16 +412,26 @@ class TestAbsorbingChains:
         ]
 
     @pytest.mark.parametrize("provider", PROVIDERS)
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("num_sparse_actions", [1, 3])
+    def test_terminal_flags_agree_with_node_states(self, provider, tau, num_sparse_actions):
+        metric = coverage_metric()
+        model = self.PROVIDERS[provider](metric)
+        cfg = SearchConfig(num_simulations=30, num_sparse_actions=num_sparse_actions, tau=tau)
+        arena = ArenaSearch(model, self._roots(model), cfg, metric=metric)
+        arena.run()
+        assert arena.terminal.any()
+        check_terminal_nodes(arena)
+
+    @pytest.mark.parametrize("provider", PROVIDERS)
     @pytest.mark.parametrize("backup", BACKUP_RULES)
     @pytest.mark.parametrize("value_source", VALUE_SOURCES)
     @pytest.mark.parametrize("root_selection", ROOT_SELECTIONS)
     def test_reading_statistics_mid_search_changes_nothing(
         self, provider, backup, value_source, root_selection
     ):
-        # Reading the statistics settles every chain from its head. One arena is read after
-        # every simulation, its lockstep twin only at the end, bar its root picks, which are
-        # read off the root row without settling: the search itself never reads a chain
-        # member the backup left behind its head.
+        # One arena has every public statistic read after every simulation, its lockstep
+        # twin only at the end: looking changes no result.
         metric = coverage_metric()
         cfg = SearchConfig(
             num_simulations=30,
@@ -459,44 +445,100 @@ class TestAbsorbingChains:
             model = self.PROVIDERS[provider](metric)
             arenas.append(ArenaSearch(model, self._roots(model), cfg, metric=metric))
         read, unread = arenas
+        elements = np.arange(3)
         for sim in range(cfg.num_simulations):
             for arena in arenas:
                 arena.step_simulation()
-            read.values  # the read settles every chain
-            assert np.array_equal(read.root_actions(), unread.root_actions()), sim
-            assert np.array_equal(read.children_index, unread.children_index), sim
-            assert np.array_equal(read.parents, unread.parents), sim
-            live = unread.chain_head < 0
-            assert np.array_equal(read.scores[live], unread.scores[live]), sim
+            read.children_values, read.children_visits, read.evaluations
+            read.root_actions(), read.pick_margins(elements)
+            read.uct_scores(elements[:, None], np.arange(read.node_counts.max()))
         assert read.model.ledger.snapshot() == unread.model.ledger.snapshot()
-        assert np.array_equal(read.root_priors, unread.root_priors)
-        for name in ("values", "visit_counts", "children_values", "children_visits"):
+        assert np.array_equal(read.root_actions(), unread.root_actions())
+        assert np.array_equal(read.node_counts, unread.node_counts)
+        for name in (*ARENA_ARRAYS, "next_node", "node_states"):
             assert np.array_equal(getattr(read, name), getattr(unread, name)), name
-        heads = [read.chain_head[b][read.chain_head[b] >= 0] for b in range(3)]
-        assert max(np.bincount(h).max() for h in heads if h.size) >= 2
-        for arena in arenas:
-            for node in range(arena.allocated_nodes()):
-                at_head = arena.chain_head[:, node] == node
-                picks = arena.uct_select_action(np.full(arena.batch_size, node))
-                assert (picks[at_head] == 0).all(), node
+
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("c_puct", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("vocab, num_sparse_actions", [(2, 1), (3, 3), (5, 2), (5, 5)])
+    def test_terminal_nodes_hold_the_eos_row(self, tau, c_puct, vocab, num_sparse_actions):
+        # A terminal node's prior is one-hot EOS: every terminal node of a search holds the
+        # mapping and priors made from it, and its score row picks slot 0, the EOS edge, which
+        # is the action its absorbing handle is stepped with.
+        model = SeededTabularModel(1, vocab, 2, context_order=1)
+        cfg = SearchConfig(
+            num_simulations=20, num_sparse_actions=num_sparse_actions, c_puct=c_puct, tau=tau
+        )
+        arena = ArenaSearch(model, [model.initial_state((0,))], cfg)
+        arena.run()
+        eos = np.zeros((1, vocab))
+        eos[0, model.eos_id] = 1.0
+        tempered = apply_temperature(eos, tau)
+        top = top_actions(tempered, num_sparse_actions)
+        terminal_nodes = np.flatnonzero(arena.terminal[0])
+        assert terminal_nodes.size and terminal_stops(arena)[0] > 0
+        assert top[0, 0] == model.eos_id
+        for n in terminal_nodes.tolist():
+            assert arena.topk_mapping[0, n].tobytes() == top[0].tobytes(), n
+            assert arena.children_prior[0, n].tobytes() == tempered[0, top[0]].tobytes(), n
+            assert arena.scores[0, n].argmax() == 0, n
+
+    def test_hand_checked_conservation(self, occupancy_a3):
+        # V=3 with EOS at prior 0.7, two elements in one arena at counts 3 and 7. Element 0
+        # (root "") makes its EOS child, then stops there twice. Element 1 (root "A") makes
+        # its EOS child and stops there twice; then A's policy score 2 * 0.2 beats EOS's
+        # 2 * 0.7 / 4, so it makes "AA", which is one token short of the cap and makes its
+        # forced EOS child, and stops there twice.
+        model = FixedPriorModel([0.2, 0.1, 0.7], 3, value_metric=occupancy_a3)
+        roots = [model.initial_state(()), step(model.initial_state(()), A)]
+        cfg = SearchConfig(num_simulations=1, num_sparse_actions=3)
+        arena = ArenaSearch(model, roots, cfg, simulation_counts=[3, 7])
+        stops, expand = [[], []], arena.expand
+
+        def recording_expand(nodes, actions):  # the node each active descent stopped at
+            for b, node in zip(arena._active.tolist(), nodes.tolist()):
+                stops[b].append(node)
+            return expand(nodes, actions)
+
+        arena.expand = recording_expand
+        arena.run()
+        assert stops == [[0, 1, 1], [0, 1, 1, 0, 2, 3, 3]]
+        # One node per simulation that stopped at a live node, besides the root.
+        assert arena.node_counts.tolist() == [2, 4]
+        for b in range(2):
+            live = sum(not arena.terminal[b, node] for node in stops[b])
+            assert arena.node_counts[b] == 1 + live, b
+        assert arena.terminal[0, :2].tolist() == [False, True]
+        assert arena.terminal[1, :4].tolist() == [False, True, False, True]
+        assert [arena.node_token(1, i) for i in range(1, 4)] == [EOS, A, EOS]
+        # The root takes every simulation; a terminal node has no child, and takes one visit
+        # when made and one per descent that stopped at it.
+        assert arena.visit_counts[:, 0].tolist() == [4, 8]
+        assert arena.visit_counts[1, :4].tolist() == [8, 3, 4, 3]
+        for b, node in np.argwhere(arena.terminal).tolist():
+            assert (arena.children_index[b, node] == -1).all(), (b, node)
+            assert arena.visit_counts[b, node] - 1 == stops[b].count(node), (b, node)
+        # Occupancy of A: "A<EOS>" is worth 1/3, "AA" and "AA<EOS>" 2/3, so the root of
+        # element 1 averages 1/3 four times and 2/3 four times.
+        assert arena.values[1, 0] == pytest.approx(0.5, abs=1e-12)
+        assert arena.evaluations.tolist() == [4, 8]
+        assert model.ledger.evaluations == 12
 
 
 def check_score_table(arena):
-    """Assert the score-table invariant: every live node's row equals the per-row formula bit
-    for bit, and every chain head picks slot 0. Assert the descent table's: every node's next
-    node is the child at its row's argmax slot, or the node itself where that slot is
-    unexpanded or the node is in a chain."""
+    """Assert the score-table invariant: every node's row equals the per-row formula bit for
+    bit, and every terminal node picks slot 0, its EOS edge. Assert the descent table's:
+    every node's next node is the child at its row's argmax slot, or the node itself where
+    that slot is unexpanded."""
     elements = np.arange(arena.batch_size)
-    for node in range(arena.allocated_nodes()):
+    for node in range(arena.node_counts.max()):
         nodes = np.full(arena.batch_size, node)
-        live = arena.chain_head[:, node] < 0
-        assert np.array_equal(arena.scores[live, node], per_row_scores(arena, nodes)[live]), node
+        assert np.array_equal(arena.scores[:, node], per_row_scores(arena, nodes)), node
         # Read from the table, not uct_select_action, which reads only the active elements.
         picks = arena.scores[:, node].argmax(axis=1)
-        assert (picks[arena.chain_head[:, node] == node] == 0).all(), node
+        assert (picks[arena.terminal[:, node]] == 0).all(), node
         child = arena.children_index[elements, node, picks]
-        expected = np.where(live & (child >= 0), child, node)
-        assert np.array_equal(arena.next_node[:, node], expected), node
+        assert np.array_equal(arena.next_node[:, node], np.where(child >= 0, child, node)), node
 
 
 class TestScoreTable:
@@ -520,7 +562,7 @@ class TestScoreTable:
             check_score_table(arena)
             if ((low != arena.adaptive_min) | (high != arena.adaptive_max)).any():
                 moves.append(sim)
-        assert (arena.chain_head >= 0).any()
+        assert arena.terminal.any()
         return moves
 
     @pytest.mark.parametrize("batch", [1, 3])
@@ -548,9 +590,9 @@ class TestScoreTable:
 
 
 class TestRolloutReuse:
-    def test_absorbed_children_carry_their_rollout_value(self):
-        # An EOS-heavy prior sends most expansions below terminal nodes. Only children of live
-        # parents are rolled out; an absorbed child gets its value back from its handle.
+    def test_terminal_nodes_give_back_their_rollout_value(self):
+        # An EOS-heavy prior sends most simulations to terminal nodes. Only new nodes are
+        # rolled out; a terminal node's handle gives back the rollout value it was made with.
         calls = []
 
         def counted(anchor, candidates):
@@ -571,29 +613,26 @@ class TestRolloutReuse:
             twin = RecursiveSearch(model(), cfg, metric=coverage_metric())
             twin.begin(root)
             twins.append(twin)
-        created = [arena.values[:, 0].copy()]
+        created = {(b, 0): v for b, v in enumerate(arena.values[:, 0].tolist())}
         for sim in range(cfg.num_simulations):
+            counts = arena.node_counts.copy()
             arena.step_simulation()
-            created.append(arena.values[:, sim + 1].copy())
             for b, twin in enumerate(twins):
+                # A new node is off the path it was made below, so it holds its own value.
+                for n in range(counts[b], arena.node_counts[b]):
+                    created[b, n] = arena.values[b, n]
                 twin.step_simulation()
                 for name, expected in twin_arrays(twin).items():
-                    got = getattr(arena, name)[b, : sim + 2]
+                    got = getattr(arena, name)[b, : arena.node_counts[b]]
                     assert np.array_equal(got, expected), (name, b, sim)
 
-        batch, nodes = len(roots), range(1, arena.allocated_nodes())
-        fresh = sum(
-            int(arena.chain_head[b, arena.parents[b, n]] < 0) for b in range(batch) for n in nodes
-        )
-        assert len(calls) <= batch + fresh < batch * arena.allocated_nodes()
-        terminal = 0
-        for b in range(batch):
-            for n in nodes:
-                handle = arena.node_states[n][b]
-                if handle.state.terminal:
-                    terminal += 1
-                    assert handle.value == created[n][b], (b, n)
-        assert terminal > batch * arena.allocated_nodes() // 2
+        nodes = int(arena.node_counts.sum())
+        assert len(calls) <= nodes < len(roots) * (1 + cfg.num_simulations)
+        stops = 0
+        for b, n in np.argwhere(arena.terminal).tolist():
+            assert arena.node_states[b, n].value == created[b, n], (b, n)
+            stops += arena.visit_counts[b, n] - 1
+        assert stops > len(roots) * cfg.num_simulations // 2
 
 
 class TestSearchInvariants:
@@ -618,11 +657,12 @@ class TestSearchInvariants:
             sims = 12
             arena = fresh_arena(model, num_simulations=sims, num_sparse_actions=3, c_puct=2.0)
             arena.run()
-            assert arena.allocated_nodes() == sims + 1
-            for i in range(1, sims + 1):
+            # Each simulation makes a node or stops at a terminal node, which takes a visit.
+            n = arena.node_counts[0]
+            assert n + terminal_stops(arena)[0] == sims + 1
+            for i in range(1, n):
                 assert arena.parents[0, i] < i
-                expanded = (arena.children_index[0, i] >= 0).any()
-                if expanded:
+                if not arena.terminal[0, i]:
                     assert arena.visit_counts[0, i] == 1 + arena.children_visits[0, i].sum()
             assert arena.children_visits[0, 0].sum() == sims
 
@@ -676,6 +716,12 @@ def batched_twin_cases(draw):
     return draw(st.integers(0, 2**16)), vocab, roots, cfg
 
 
+def terminal_stops(arena):
+    """(B,) descents that stopped at a terminal node: each terminal node's visits past the one
+    it was made with."""
+    return np.where(arena.terminal, arena.visit_counts - 1, 0).sum(axis=1)
+
+
 def twin_arrays(ref):
     """The twin's nodes as arena-layout arrays, in node order."""
     index = {id(node): i for i, node in enumerate(ref.nodes)}
@@ -713,7 +759,8 @@ class TestDifferential:
             arena.step_simulation()
             for b, ref in enumerate(refs):
                 ref.step_simulation()
-                n = sim + 2
+                n = arena.node_counts[b]
+                assert n == len(ref.nodes), (seed, sim)
                 assert np.array_equal(arena.visit_counts[b, :n], ref.visit_counts()), (seed, sim)
                 assert np.allclose(arena.values[b, :n], ref.node_values(), atol=1e-9), (seed, sim)
 
@@ -756,19 +803,26 @@ class TestDifferential:
             for b, twin in enumerate(twins):
                 twin.step_simulation()
                 for name, expected in twin_arrays(twin).items():
-                    got = getattr(arena, name)[b, : sim + 2]
+                    got = getattr(arena, name)[b, : arena.node_counts[b]]
                     assert np.array_equal(got, expected), (name, b, sim)
 
     @pytest.mark.parametrize("backup", BACKUP_RULES)
-    @pytest.mark.parametrize("value_source", VALUE_SOURCES)
-    def test_long_absorbing_chains_match_the_twin(self, occupancy_a3, backup, value_source):
-        # An EOS-dominated prior sends most simulations down chains of absorbing copies. The
-        # arena stops each descent at the chain's head, within the horizon, while the chains
-        # grow far below it, and must still match the twin, which walks every chain.
+    @pytest.mark.parametrize(
+        "value_source, noise_seed",  # rollout values never read the value head
+        [("model", None), ("rollout", None), *(("model", seed) for seed in range(5))],
+    )
+    def test_long_absorbing_chains_match_the_twin(
+        self, occupancy_a3, backup, value_source, noise_seed
+    ):
+        # An EOS-dominated prior sends most simulations to terminal nodes, many times to each.
+        # Each descent stops within the horizon, and the arena must match the twin. Noisy
+        # values are not dyadic, so (v * k + v) / (k + 1) need not give back v: a terminal
+        # node that backed up anything but its handle's own value would show here.
         max_len = 3
 
         def model():
-            return FixedPriorModel([0.05, 0.05, 0.9], max_len, value_metric=occupancy_a3)
+            inner = FixedPriorModel([0.05, 0.05, 0.9], max_len, value_metric=occupancy_a3)
+            return inner if noise_seed is None else NoisyValueModel(inner, 0.3, noise_seed)
 
         cfg = SearchConfig(
             num_simulations=48, num_sparse_actions=3, backup=backup, value_source=value_source
@@ -788,12 +842,10 @@ class TestDifferential:
             for b, twin in enumerate(twins):
                 twin.step_simulation()
                 for name, expected in twin_arrays(twin).items():
-                    got = getattr(arena, name)[b, : sim + 2]
+                    got = getattr(arena, name)[b, : arena.node_counts[b]]
                     assert np.array_equal(got, expected), (name, b, sim)
-        elements, nodes = range(len(roots)), range(arena.allocated_nodes())
-        heads = [arena.chain_head[b][arena.chain_head[b] >= 0] for b in elements]
-        assert max(np.bincount(h).max() for h in heads) >= 10
-        assert max(node_depth(arena, b, i) for b in elements for i in nodes) > max_len + 2
+        assert (arena.visit_counts[arena.terminal] - 1).max() >= 10
+        assert terminal_stops(arena).sum() > len(roots) * cfg.num_simulations // 2
 
     def test_rollout_value_source(self):
         metric = coverage_metric()
@@ -814,8 +866,7 @@ ARENA_ARRAYS = {
     "children_values": 0.0,
     "children_visits": 0,
     "scores": 0.0,
-    "chain_head": -1,
-    "chain_tail": -1,
+    "terminal": False,
 }
 
 
@@ -823,7 +874,7 @@ def counted_roots(provider, distinct):
     """A model factory and four roots for a per-root count arena: one root repeated, or four
     roots with distinct sources and prefix lengths."""
     metric = coverage_metric()
-    if provider == "eos_heavy":  # most expansions land in absorbing chains
+    if provider == "eos_heavy":  # most descents stop at terminal nodes
 
         def model():
             return FixedPriorModel([0.1, 0.1, 0.1, 0.7], 3, value_metric=metric)
@@ -877,7 +928,8 @@ class TestPerRootCounts:
                 if sim < count:
                     solos[b].step_simulation()
                     twins[b].step_simulation()
-                n = min(sim + 1, count) + 1  # element b's node count
+                n = arena.node_counts[b]
+                assert n == solos[b].node_counts[0], (b, sim)
                 for name, fill in ARENA_ARRAYS.items():
                     got, solo = getattr(arena, name)[b], getattr(solos[b], name)[0]
                     assert np.array_equal(got[:n], solo[:n]), (name, b, sim)
@@ -886,9 +938,9 @@ class TestPerRootCounts:
                     assert np.array_equal(getattr(arena, name)[b, :n], expected), (name, b, sim)
                 assert arena.adaptive_min[b] == solos[b].adaptive_min[0], (b, sim)
                 assert arena.adaptive_max[b] == solos[b].adaptive_max[0], (b, sim)
-                assert arena.node_states[n - 1][b] == solos[b].node_states[n - 1][0], (b, sim)
+                assert np.array_equal(arena.node_states[b, :n], solos[b].node_states[0, :n])
+                assert all(h is None for h in arena.node_states[b, n:]), (b, sim)
                 assert arena.root_actions()[b] == solos[b].root_actions()[0], (b, sim)
-        assert all(arena.node_states[node][0] is None for node in range(2, max(counts) + 1))
 
         for b, solo in enumerate(solos):
             assert np.array_equal(arena.root_priors[b], solo.root_priors[0]), b
@@ -922,7 +974,7 @@ class TestPerRootCounts:
         cfg = SearchConfig(num_simulations=5, num_sparse_actions=3)
         arena = ArenaSearch(model, [model.initial_state(())] * 2, cfg, simulation_counts=[0, 2])
         arena.run()
-        assert arena.allocated_nodes() == 3
+        assert arena.simulations_done == 2 and arena.node_counts.tolist() == [1, 3]
         assert arena.children_visits[:, 0].sum(axis=1).tolist() == [0, 2]
         assert arena.root_actions()[0] == arena.topk_mapping[0, 0, 0]
         assert arena.evaluations.tolist() == [1, 3] and model.ledger.evaluations == 4
@@ -967,8 +1019,8 @@ class TestPerRootCounts:
 
 
 class TestAbsorbingRounds:
-    """Rounds where every active descent ends at a chain head write the arena's precomputed
-    absorbing row and skip the range test; they must leave what the general path leaves."""
+    """Rounds where every active descent stops at a terminal node make no node, so they
+    compute no node row and test no adaptive range; they must leave what the twin leaves."""
 
     @pytest.mark.parametrize("counts", [(30,), (30, 7, 18)], ids=["one", "retiring"])
     @pytest.mark.parametrize("backup", BACKUP_RULES)
@@ -990,7 +1042,7 @@ class TestAbsorbingRounds:
         )
         rows_made = count_calls(monkeypatch, mcts, "top_actions")
         arena = ArenaSearch(model(), roots, cfg, metric=metric, simulation_counts=counts)
-        assert len(rows_made) == 2  # the absorbing row and the roots' rows
+        assert len(rows_made) == 1  # the roots' rows
         twins = []
         for root, count in zip(roots, counts):
             twins.append(RecursiveSearch(model(), replace(cfg, num_simulations=count), metric))
@@ -998,45 +1050,17 @@ class TestAbsorbingRounds:
         absorbing = 0
         for sim in range(max(counts)):
             active = [b for b, count in enumerate(counts) if sim < count]
+            made = arena.node_counts.sum()
             arena.step_simulation()
-            node = sim + 1
-            parents = arena.parents[active, node]
-            absorbing += bool((arena.chain_head[active, parents] >= 0).all())
-            assert len(rows_made) == 2 + sim + 1 - absorbing, sim
+            absorbing += bool(arena.node_counts.sum() == made)
+            assert len(rows_made) == 1 + sim + 1 - absorbing, sim
             check_score_table(arena)
             for b in active:
                 twins[b].step_simulation()
                 for name, expected in twin_arrays(twins[b]).items():
-                    assert np.array_equal(getattr(arena, name)[b, : node + 1], expected), (
-                        name, b, sim,
-                    )  # fmt: skip
+                    got = getattr(arena, name)[b, : arena.node_counts[b]]
+                    assert np.array_equal(got, expected), (name, b, sim)
         assert absorbing >= 20
-
-    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("c_puct", [0.3, 1.0, 2.5])
-    @pytest.mark.parametrize("vocab, num_sparse_actions", [(2, 1), (3, 3), (5, 2), (5, 5)])
-    def test_the_absorbing_row_is_a_terminal_node_row(self, tau, c_puct, vocab, num_sparse_actions):
-        model = SeededTabularModel(1, vocab, 2, context_order=1)
-        root = model.initial_state((0,))
-        cfg = SearchConfig(
-            num_simulations=20, num_sparse_actions=num_sparse_actions, c_puct=c_puct, tau=tau
-        )
-        arena = ArenaSearch(model, [root], cfg)
-        row = [a.tobytes() for a in arena._absorbing_row]
-        # What the general path writes for a terminal handle, from the model's own prior.
-        terminal = ModelState(step(root, vocab - 1), 0.5)
-        priors, values, handles, _ = model.evaluate_step([terminal], [0])
-        node = arena._create_node(arena._node_row(apply_temperature(priors, tau)), values, handles)
-        written = (arena.topk_mapping, arena.children_prior, arena.scores)
-        assert [a[0, node].tobytes() for a in written] == row
-        # Every terminal node of a search, chain head or absorbing copy, holds its mapping and
-        # priors; a score row changes once the node is rescored.
-        arena = ArenaSearch(SeededTabularModel(1, vocab, 2, context_order=1), [root], cfg)
-        arena.run()
-        terminal_nodes = np.flatnonzero(arena.chain_head[0] >= 0).tolist()
-        assert len(terminal_nodes) > 1
-        for array, want in zip((arena.topk_mapping, arena.children_prior), row):
-            assert all(array[0, n].tobytes() == want for n in terminal_nodes)
 
 
 @st.composite
@@ -1466,12 +1490,14 @@ class TestSettlement:
 
 def rollout_closed_form(arena, horizon):
     """Evaluations an arena charges in rollout mode when every greedy completion runs to the
-    cap: one per node, plus ``horizon + 1 - len(prefix)`` greedy steps per live node."""
+    cap: one per node and one per descent that stopped at a terminal node, so a terminal
+    node's visits, plus ``horizon + 1 - len(prefix)`` greedy steps per live node."""
     return sum(
-        1 + (0 if ms.state.terminal else horizon + 1 - len(ms.state.prefix))
-        for handles in arena.node_states
-        for ms in handles
-    )
+        int(arena.visit_counts[b, n]) if ms.state.terminal
+        else 1 + horizon + 1 - len(ms.state.prefix)
+        for (b, n), ms in np.ndenumerate(arena.node_states)
+        if ms is not None
+    )  # fmt: skip
 
 
 class TestRolloutLedger:
@@ -1488,7 +1514,7 @@ class TestRolloutLedger:
             roots = [model.initial_state(()), step(model.initial_state(()), B)]
             arena = ArenaSearch(model, roots, cfg, metric=occupancy_a3)
             arena.run()
-            assert arena.allocated_nodes() == sims + 1
+            assert (arena.node_counts + terminal_stops(arena) == sims + 1).all()
             expected = rollout_closed_form(arena, model.max_len)
             assert model.ledger.evaluations == expected, (sims, num_sparse, backup)
 

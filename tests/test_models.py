@@ -763,7 +763,9 @@ class TestSeededFactory:
         assert np.array_equal(noisy.priors([s])[0], clean.priors([s])[0])
 
     def test_negative_noise_rejected_and_zero_noise_unwrapped(self):
-        with pytest.raises(ConfigurationError, match="amplitude"):
+        with pytest.raises(ConfigurationError, match="^value_noise must be a finite number >= 0"):
             make_seeded_model(seed=4, vocab_size=3, max_len=3, value_noise=-0.1)
+        with pytest.raises(ConfigurationError, match="^amplitude must be a finite number >= 0"):
+            NoisyValueModel(SeededTabularModel(4, 3, 3), -0.1)
         plain = make_seeded_model(seed=4, vocab_size=3, max_len=3, value_noise=0.0)
         assert type(plain) is SeededTabularModel

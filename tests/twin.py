@@ -130,35 +130,35 @@ class RecursiveSearch:
         priors, values, next_model_states, _ = self.model.evaluate_step(
             [node.model_state], [dense_action]
         )
-        if node.decode_state.terminal:
-            child_state = node.decode_state
-        else:
-            child_state = step(node.decode_state, dense_action)
-        value = float(values[0])
+        # EOS ended the episode at a terminal node: it makes no child, its handle absorbs,
+        # and the node backs up its handle's own value.
+        terminal = node.decode_state.terminal
+        state = node.decode_state if terminal else step(node.decode_state, dense_action)
+        leaf_value = float(values[0])
         if self.cfg.value_source == "rollout":
-            value = self._rollout(child_state)
+            leaf_value = self._rollout(state)
+        leaf = None
+        if not terminal:
+            leaf = self._make_node(priors[0], leaf_value, next_model_states[0], state)
+            leaf.parent = node
+            leaf.action_from_parent = action
+            node.children[action] = leaf
+            self.adaptive_min = min(self.adaptive_min, leaf_value)
+            self.adaptive_max = max(self.adaptive_max, leaf_value)
 
-        leaf = self._make_node(priors[0], value, next_model_states[0], child_state)
-        leaf.parent = node
-        leaf.action_from_parent = action
-        node.children[action] = leaf
-
-        self.adaptive_min = min(self.adaptive_min, value)
-        self.adaptive_max = max(self.adaptive_max, value)
-
-        # Backward pass: push the leaf value to every ancestor.
-        leaf_value = leaf.value
+        # Backward pass: push the leaf value into the node the descent stopped at and
+        # every ancestor.
         child = leaf
-        while child.parent is not None:
-            parent = child.parent
+        while node is not None:
             if self.cfg.backup == "average":
-                parent.value = (parent.value * parent.visits + leaf_value) / (parent.visits + 1)
+                node.value = (node.value * node.visits + leaf_value) / (node.visits + 1)
             else:
-                parent.value = max(parent.value, leaf_value)
-            parent.visits += 1
-            parent.child_values[child.action_from_parent] = child.value
-            parent.child_visits[child.action_from_parent] += 1
-            child = parent
+                node.value = max(node.value, leaf_value)
+            node.visits += 1
+            if child is not None:
+                node.child_values[child.action_from_parent] = child.value
+                node.child_visits[child.action_from_parent] += 1
+            child, node = node, node.parent
 
     def visit_counts(self) -> np.ndarray:
         return np.array([n.visits for n in self.nodes], dtype=np.int64)
