@@ -195,6 +195,7 @@ def sample_sequences(
     ``Generator.choice(V, p=tempered_row / tempered_row.sum())``.
     """
     check_integer("pool size n", n, 1)
+    check_real("temperature", tau, 0, strict=True)
     if state.terminal:
         raise ContractViolation("sample_sequences() needs a non-terminal state")
     # The stream of np.random.default_rng([seed, i]), built without default_rng's dispatch.

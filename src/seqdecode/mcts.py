@@ -5,8 +5,8 @@ Storage is indexed by (batch, node) and (batch, node, sparse action): node i
 is the i-th node element b made, node 0 is the root, and only the top-A prior
 actions of each node are kept, with ``topk_mapping`` translating sparse slots
 back to vocabulary ids. ``node_states[b, node]`` holds the provider's
-``ModelState`` handle of each node, so each expansion is stepped once, by the
-provider, and ``node_counts[b]`` is element b's node count.
+``ModelState`` handle of each node, so each expansion below a live node is
+stepped once, by the provider, and ``node_counts[b]`` is element b's node count.
 Each array is a view of storage that holds one spare node per element, after
 its last, which is never written; the search gathers and scatters whole rows
 through the storage raveled, where (element, node) is row
@@ -20,11 +20,13 @@ A simulation records its descent as a ``(depth, active)`` path; an element that
 stops early repeats its last node, and the backup masks those padding rows.
 A descent stops at a node whose selected slot is unexpanded. At a live node
 that slot's child is made and its value backed up. A terminal node has no
-child, as EOS ends the episode: a descent that stops there makes no node, its
-handle is stepped once, which absorbs and charges one evaluation, and the
-handle's own value is backed up into the terminal node and every ancestor
-(as in MCTS-Solver). An element therefore makes one node per simulation that
-stops at a live node, and elements make nodes at their own rates.
+child, as EOS ends the episode: a descent that stops there makes no node and
+calls no provider. Its handle's value is backed up into the terminal node and
+every ancestor (as in MCTS-Solver), and the stop is charged on the ledger as
+one evaluation. An element therefore makes one node per simulation that stops
+at a live node, and elements make nodes at their own rates. A charge that
+computes nothing goes straight to the ledger: the provider only ever steps a
+live handle.
 An edge's visit count and value are its child's, read through ``children_index``.
 An arena is built from its roots and runs one search. Rollout values
 are batched greedy completions (:func:`.models.rollout_value`), each scored
@@ -33,12 +35,11 @@ data beyond its root states and simulation counts; :func:`decode_mcts` is one
 arena per round as an :func:`.mdp.complete` policy, over every live root, which
 commits each root's pick (:meth:`ArenaSearch.root_actions`), read off the root's
 sparse row, and scores it by the root's raw prior (``ArenaSearch.root_priors``).
-An element whose pick is settled stops simulating: each of its skipped
-simulations is charged through one replay (``_charge_absorbed``), the root
-handle stepped to EOS, then one absorbing visit to that child per further
-simulation. A root one token short of its cap is settled before its first
-simulation (every provider forces EOS, so it can only pick EOS) and enters the
-arena at simulation count 0.
+An element whose pick is settled stops simulating, and its skipped
+simulations are charged on the ledger, one evaluation each. A root one token
+short of its cap is settled before its first simulation (every provider
+forces EOS, so it can only pick EOS) and enters the arena at simulation
+count 0.
 Under ``visit_count`` root selection with model values, where the pick reads
 visit counts alone and a simulation costs one evaluation, :func:`decode_mcts`
 steps the arena itself and retires an element (:meth:`ArenaSearch.retire`)
@@ -370,34 +371,36 @@ class ArenaSearch:
         """Evaluate the selected edges of the active elements, wire the nodes they make into
         the tree, and return the value each element backs up.
 
-        The provider steps each handle once. Below a live node the selected slot's child
-        is made, each element's next node, and its value is backed up. A terminal node
-        makes no node: its handle absorbs (the action is ignored) and comes back with its
-        own value, which is backed up. In rollout mode only the new nodes are rolled out,
-        and each new handle carries its rollout value, so a terminal node's handle gives
-        that value back. When a new node's value moves an element's adaptive range, the
-        element's rows are rescored; a terminal node's value cannot, since the range took
-        it in when the node was made.
+        Below a live node the provider steps the node's handle once: the selected slot's
+        child is made, each element's next node, and its value is backed up. A terminal
+        node makes no node and calls no provider: EOS ended the episode, so the node backs
+        up its handle's value, and the ledger is charged one evaluation for the stop. In
+        rollout mode only the new nodes are rolled out, and each new handle carries its
+        rollout value, so a terminal node's handle holds that value. When a new node's value
+        moves an element's adaptive range, the element's rows are rescored; a terminal
+        node's value cannot, since the range took it in when the node was made.
         """
         parent_rows = self._active_row0 + node_indices
-        priors, values, child_states, terminal = self.model.evaluate_step(
-            self._row_states[parent_rows].tolist(),
-            self._row_topk[parent_rows, sparse_actions].tolist(),
-        )
-        live = np.flatnonzero(~self._row_terminal[parent_rows])
+        stopped = self._row_terminal[parent_rows]
+        values = np.empty(len(parent_rows))
+        if stopped.any():
+            stops = self._row_states[parent_rows[stopped]].tolist()
+            values[stopped] = [h.value for h in stops]
+            self.model.ledger.charge_evaluations(len(stops))
+        live = np.flatnonzero(~stopped)
         if not live.size:
             return values
-        elements, parent_rows = self._active[live], parent_rows[live]
-        handles = [child_states[i] for i in live.tolist()]
+        elements, parent_rows, actions = self._active[live], parent_rows[live], sparse_actions[live]
+        priors, new_values, handles, terminal = self.model.evaluate_step(
+            self._row_states[parent_rows].tolist(), self._row_topk[parent_rows, actions].tolist()
+        )
         if self.cfg.value_source == "rollout":
-            values[live], charges = rollout_value(
-                self.model, [h.state for h in handles], self.metric
-            )
+            new_values, charges = rollout_value(self.model, [h.state for h in handles], self.metric)
             self._rollout_charges[elements] += charges
-            handles = [ModelState(h.state, v) for h, v in zip(handles, values[live].tolist())]
-        new_values = values[live]
-        nodes = self._create_nodes(elements, priors[live], new_values, handles, terminal[live])
-        self._row_children[parent_rows, sparse_actions[live]] = nodes
+            handles = [ModelState(h.state, v) for h, v in zip(handles, new_values.tolist())]
+        values[live] = new_values
+        nodes = self._create_nodes(elements, priors, new_values, handles, terminal)
+        self._row_children[parent_rows, actions] = nodes
         self._row_parents[self._row0[elements] + nodes] = node_indices[live]
 
         low, high = self.adaptive_min[elements], self.adaptive_max[elements]
@@ -520,22 +523,6 @@ class ArenaSearch:
         return int(self.topk_mapping[b, parent, self.node_slot(b, node_index)])
 
 
-def _charge_absorbed(
-    model: PolicyValueModel, handles: list[ModelState], counts: list[int]
-) -> None:
-    """Charge through the provider ``counts[i]`` simulations at ``handles[i]`` that each end
-    at its EOS child, as a search charges them: one ``evaluate_step`` stepping each handle
-    with a positive count to EOS, and one stepping each of those terminal children
-    ``counts[i] - 1`` times, which absorbs."""
-    searched = [(h, s) for h, s in zip(handles, counts) if s > 0]
-    if searched:
-        root_handles = [h for h, _ in searched]
-        _, _, children, _ = model.evaluate_step(root_handles, [model.eos_id] * len(searched))
-        visits = [c for c, (_, s) in zip(children, searched) for _ in range(s - 1)]
-        if visits:
-            model.evaluate_step(visits, [model.eos_id] * len(visits))
-
-
 def _search_until_settled(arena: ArenaSearch) -> None:
     """Run a visit-count search, retiring each element once its pick is settled.
 
@@ -592,11 +579,10 @@ def decode_mcts(
     is EOS. With ``visit_count``
     root selection and ``model`` values, an element also retires from its
     arena once its pick is settled (:func:`_search_until_settled`); other
-    settings run every simulation of an undecided root. Each element's R
-    skipped simulations are charged through the provider by one replay
-    (:func:`_charge_absorbed`): one step of the root handle to EOS and R - 1
-    absorbing steps of that terminal child. Outputs, ``evaluations`` and the
-    ledger are those of the full search.
+    settings run every simulation of an undecided root. Each round's skipped
+    simulations, of settled and decided elements alike, are charged on the
+    ledger in one call, one evaluation each, without a provider call.
+    Outputs, ``evaluations`` and the ledger are those of the full search.
     """
     if not states:
         raise ValueError("empty batch")
@@ -612,7 +598,7 @@ def decode_mcts(
         else:
             arena.run()
         skipped = live_counts - arena.simulation_counts
-        _charge_absorbed(model, arena.node_states[:, 0].tolist(), skipped.tolist())
+        model.ledger.charge_evaluations(int(skipped.sum()))
         evaluations[indices] += arena.evaluations + skipped
         return arena.root_priors, arena.root_actions()
 

@@ -12,14 +12,10 @@ The concrete providers here are small deterministic tabular models that stand
 in for trained networks, so every downstream number can be checked by hand or
 by exhaustive enumeration.
 
-Two conventions make the sequence distribution proper and the search loops
-total:
-
-* forced EOS — one step before the length cap the prior becomes a one-hot on
-  EOS, so every trajectory terminates with EOS and probabilities sum to 1;
-* absorbing terminals — evaluating any action from a terminal state returns
-  the same handle, its value, a one-hot EOS prior and ``terminal=True``, so
-  lockstep batched loops can keep running past finished elements.
+Forced EOS makes the sequence distribution proper: one step before the
+length cap the prior becomes a one-hot on EOS, so every trajectory terminates
+with EOS and probabilities sum to 1. A terminal state's prior is that one-hot
+as well, so a finished row of a lockstep batch can be read like a live one.
 
 Priors are served a batch at a time by :meth:`PolicyValueModel.priors`, the
 one home of forced EOS, and every provider keeps that rule: a provider
@@ -29,15 +25,15 @@ prefix one token short of the cap with EOS, at probability 1, without reading
 its prior; and :func:`.mcts.decode_mcts` puts such a prefix in its round's
 arena at simulation count 0, an element settled before its first simulation:
 its pick is its root's slot 0, the top of that one-hot prior, and its skipped
-simulations are charged by the replay a settled element's take. The oracles read every other
-level's priors off its array of output prefixes, in one
+simulations are charged on the ledger as a settled element's are. The oracles
+read every other level's priors off its array of output prefixes, in one
 :meth:`PolicyValueModel.prefix_priors` call, which returns ``priors`` of
 those prefixes' states bit for bit. It is the one array hook: by default it
 builds the rows' states and reads their table; the seeded table gathers its
 rows by each row's context instead, and a wrapped provider asks the model it
-wraps. A handle (:class:`ModelState`) carries its value, so ``evaluate_step``
-answers absorbing handles from the handle alone and steps and evaluates only
-the live ones.
+wraps. A handle (:class:`ModelState`) carries its value, and
+``evaluate_step`` steps live handles only: a charge that computes nothing,
+such as a search's stop at a terminal state, goes straight to the ledger.
 
 A :class:`ModelSpec` holds everything that builds a provider, and its
 ``build`` is the one construction rule; :func:`make_seeded_model` is its
@@ -53,8 +49,7 @@ values: the value head and :func:`rollout_value` both read it, and a wrapped
 provider (:class:`TransformedValueModel`) shares the memo of the model it
 wraps. The value head's walk is part of the forward pass and costs nothing; a
 rollout charges one evaluation per greedy step from the state it was asked
-for, whether or not the walk is recomputed, as ``evaluate_step`` charges an
-absorbing handle.
+for, whether or not the walk is recomputed.
 
 A model holds no per-instance data: an instance's reference enters decoding
 once, through :meth:`PolicyValueModel.initial_state`, and rides in every state
@@ -122,7 +117,7 @@ class ModelState:
     """Incremental-evaluation handle: a state and the value head's output for it.
 
     Advancing a live handle matches stepping the state; a terminal handle
-    absorbs and is returned as it is.
+    cannot be advanced.
     """
 
     state: DecodeState
@@ -175,7 +170,7 @@ def top_actions(priors: np.ndarray, k: int) -> np.ndarray:
 
 
 class PolicyValueModel:
-    """Base provider: vocabulary bookkeeping, forced EOS, absorbing terminals.
+    """Base provider: vocabulary bookkeeping, forced EOS, the budget ledger.
 
     Subclasses supply the prior of non-forced states: ``_table_priors(states)``
     for a batch, or ``_table_prior(state)`` for one state, which the default
@@ -334,30 +329,22 @@ class PolicyValueModel:
     def evaluate_step(
         self, model_states: list[ModelState], actions: list[int]
     ) -> tuple[np.ndarray, np.ndarray, list[ModelState], np.ndarray]:
-        """Advance each handle by one action and evaluate the result.
+        """Advance each live handle by one action and evaluate the result; charges one
+        call per handle.
 
-        Terminal handles absorb: the action is ignored, and the same handle
-        comes back with its value and a one-hot EOS prior, without a step or
-        a value-head call. Only live handles are stepped and evaluated, and
-        with no live handle the value head is not called at all, but every
-        handle is charged as one evaluation.
+        A terminal handle cannot be advanced: :func:`.mdp.step` refuses it with a
+        ``ContractViolation`` before anything is evaluated or charged.
         """
         if len(model_states) != len(actions):
             raise ValueError("one action required per model state")
         if not model_states:
             raise ValueError("empty batch")
-        handles = list(model_states)
-        live = [i for i, ms in enumerate(model_states) if not ms.state.terminal]
-        if live:
-            stepped = [step(model_states[i].state, int(actions[i])) for i in live]
-            for i, s, v in zip(live, stepped, self.values(stepped).tolist()):
-                handles[i] = ModelState(s, v)
-        states = [ms.state for ms in handles]
+        states = [step(ms.state, int(a)) for ms, a in zip(model_states, actions)]
         priors = self.priors(states)
-        values = np.array([ms.value for ms in handles])
-        terminal = np.array([s.terminal for s in states])
-        self.ledger.charge_evaluations(len(handles))
-        return priors, values, handles, terminal
+        values = self.values(states)
+        self.ledger.charge_evaluations(len(states))
+        handles = [ModelState(s, v) for s, v in zip(states, values.tolist())]
+        return priors, values, handles, np.array([s.terminal for s in states])
 
 
 class SeededTabularModel(PolicyValueModel):

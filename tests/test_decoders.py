@@ -362,6 +362,12 @@ class TestSampling:
             sample_sequences(m0, m0.initial_state(()), n=n)
         assert m0.ledger.snapshot() == (0, 0)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf, True, None, "1"])
+    def test_temperature_is_refused_before_anything_is_evaluated(self, m0, tau):
+        with pytest.raises(ConfigurationError, match="temperature"):
+            sample_sequences(m0, m0.initial_state(()), n=5, tau=tau)
+        assert m0.ledger.snapshot() == (0, 0)
+
     def test_numpy_integer_pool_size_accepted(self, m0):
         pool = sample_sequences(m0, m0.initial_state(()), n=np.int64(3), seed=5)
         want = sample_sequences(make_m0(), make_m0().initial_state(()), n=3, seed=5)

@@ -16,6 +16,7 @@ from seqdecode import (
     FixedPriorModel,
     Metric,
     NoisyValueModel,
+    PolicyValueModel,
     SearchConfig,
     SeededTabularModel,
     VgbsConfig,
@@ -310,13 +311,15 @@ class TestExpandAndBackward:
         assert arena.visit_counts[0, 0] == 2
         assert (arena.children_visits == 0).all()
 
-    def test_a_terminal_stop_makes_no_node(self, occupancy_a3):
+    def test_a_terminal_stop_makes_no_node(self, occupancy_a3, monkeypatch):
         # EOS-dominated prior: the first expansion lands on a terminal node and later
-        # simulations stop there. Each steps the node's handle once, which absorbs, and backs
-        # up its own value; no node is made.
+        # simulations stop there. Each backs up the node's handle value and is charged one
+        # evaluation on the ledger, without a provider call; no node is made.
         model = FixedPriorModel([0.05, 0.05, 0.9], 3, value_metric=occupancy_a3)
         arena = fresh_arena(model, num_simulations=3, num_sparse_actions=3, c_puct=0.1)
+        steps = count_calls(monkeypatch, PolicyValueModel, "evaluate_step")
         arena.run()
+        assert [len(handles) for _, handles, _ in steps] == [1]
         assert arena.node_counts.tolist() == [2]
         assert arena.topk_mapping[0, 0, 0] == EOS and arena.children_index[0, 0, 0] == 1
         assert arena.terminal[0, :2].tolist() == [False, True]
@@ -463,8 +466,7 @@ class TestTerminalNodes:
     @pytest.mark.parametrize("vocab, num_sparse_actions", [(2, 1), (3, 3), (5, 2), (5, 5)])
     def test_terminal_nodes_hold_the_eos_row(self, tau, c_puct, vocab, num_sparse_actions):
         # A terminal node's prior is one-hot EOS: every terminal node of a search holds the
-        # mapping and priors made from it, and its score row picks slot 0, the EOS edge, which
-        # is the action its absorbing handle is stepped with.
+        # mapping and priors made from it, and its score row picks slot 0, the EOS edge.
         model = SeededTabularModel(1, vocab, 2, context_order=1)
         cfg = SearchConfig(
             num_simulations=20, num_sparse_actions=num_sparse_actions, c_puct=c_puct, tau=tau
@@ -1029,7 +1031,7 @@ class TestAbsorbingRounds:
         self, counts, backup, value_source, monkeypatch
     ):
         # V=3 at content horizon 1: each tree has five live-parent edges, so most rounds
-        # absorb, and with per-root counts the elements retire at different rounds.
+        # stop at terminal nodes only, and with per-root counts the elements retire at different rounds.
         metric = coverage_metric()
 
         def model():

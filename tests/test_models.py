@@ -174,10 +174,14 @@ class TestPriorRowChecks:
         m = RowPrior([np.nan, 0.5, 0.5])
         root = m.initial_state(())
         forced = step(step(step(root, A), A), B)
-        priors, _, handles = m.evaluate_root([forced, step(step(root, A), EOS)])
+        priors, _, _ = m.evaluate_root([forced, step(step(root, A), EOS)])
         assert priors.tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
-        priors, _, _, _ = m.evaluate_step(handles, [A, A])
-        assert priors.tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
+        # Live handles stepped to a forced-depth child, a child at the cap and an EOS child.
+        parent = ModelState(step(step(root, A), B), 0.0)
+        handles = [parent, ModelState(forced, 0.0), parent]
+        priors, _, _, terminal = m.evaluate_step(handles, [A, A, EOS])
+        assert priors.tolist() == [[0.0, 0.0, 1.0]] * 3
+        assert terminal.tolist() == [False, True, True]
 
     def test_fixed_prior_rejects_nan_at_construction(self):
         with pytest.raises(ValueError, match="probability vector"):
@@ -206,9 +210,9 @@ def loop_value(model, s):
 
 
 def loop_evaluate_step(model, states, actions):
-    """Reference twin of ``evaluate_step``: the per-handle loop that steps or
-    copies every state and reads its prior and value one at a time."""
-    next_states = [s if s.terminal else step(s, int(a)) for s, a in zip(states, actions)]
+    """Reference twin of ``evaluate_step``: the per-handle loop that steps every
+    live state and reads its prior and value one at a time."""
+    next_states = [step(s, int(a)) for s, a in zip(states, actions)]
     priors = np.stack([loop_prior(model, s) for s in next_states])
     values = np.array([loop_value(model, s) for s in next_states])
     terminal = np.array([s.terminal for s in next_states])
@@ -249,7 +253,7 @@ class TestMaskedStep:
             max_size=12,
         ),
     )
-    @example("seeded1", 0, [([3], 0), ([0, 3], 2), ([0, 0, 0, 0], 1)])  # every handle terminal
+    @example("seeded1", 0, [([0, 0, 0], 1), ([0], 3), ([], 0)])  # children at the cap, EOS, live
     @settings(max_examples=80, deadline=None)
     def test_masked_step_equals_the_per_handle_loop(self, kind, seed, rows):
         metric = coverage_metric()
@@ -257,9 +261,11 @@ class TestMaskedStep:
         states, actions = [], []
         for tokens, action in rows:
             s = model.initial_state((0, 1))
-            for t in tokens:  # up to the cap: terminal, forced-depth and live states
-                if not s.terminal:
-                    s = step(s, t)
+            for t in tokens:  # up to the forced depth: live and forced-depth states
+                child = step(s, t)
+                if child.terminal:
+                    break
+                s = child
             states.append(s)
             actions.append(action)
         _, _, handles = model.evaluate_root(states)
@@ -275,30 +281,9 @@ class TestMaskedStep:
         assert [h.state for h in next_handles] == want_states
         assert [h.value for h in next_handles] == want_values.tolist()
         assert terminal.tolist() == want_terminal.tolist()
-        for s, handle, new in zip(states, handles, next_handles):
-            assert (new is handle) == s.terminal  # absorbing rows return the same handle
         for batch in (states, want_states):
             one_by_one = np.stack([twin.priors([s])[0] for s in batch])
             assert np.array_equal(model.priors(batch), one_by_one)
-
-
-    def test_an_all_terminal_batch_charges_every_handle_without_the_value_head(self):
-        class HeadlessModel(SeededTabularModel):
-            def _head(self, states):
-                raise AssertionError("value head called")
-
-        model = HeadlessModel(0, V4, 3, 1)
-        root = model.initial_state((0, 1))
-        finished = [step(root, V4 - 1), step(step(root, 0), V4 - 1)]
-        handles = [ModelState(s, v) for s, v in zip(finished + finished[:1], (0.5, -1.0, 2.0))]
-        priors, values, next_handles, terminal = model.evaluate_step(handles, [0, 1, 2])
-        assert model.ledger.evaluations == 3
-        assert all(new is old for new, old in zip(next_handles, handles))
-        assert values.tolist() == [0.5, -1.0, 2.0]
-        assert terminal.tolist() == [True] * 3
-        assert np.array_equal(priors, np.eye(V4)[[V4 - 1] * 3])
-        with pytest.raises(AssertionError, match="value head called"):
-            model.evaluate_step([*handles, ModelState(root, 0.0)], [0, 1, 2, 0])
 
 
 class TestBatchedValues:
@@ -361,13 +346,31 @@ class TestTracerBoundary:
         assert "state" in {f.name for f in fields(ModelState)}
 
     def test_traced_search_counts_every_charged_handle(self, monkeypatch):
+        # Every charge is a handle the provider answered or a direct charge on the ledger: a
+        # terminal stop (a terminal node's visits past the one it was made with) or a skipped
+        # simulation (an element's count past its arena's), read as each search ends.
         tracer_module = load_bench_tracer()
         retired = count_calls(monkeypatch, ArenaSearch, "retire")
         cfg = SearchConfig(num_simulations=8, num_sparse_actions=2)
+        reads = []  # (terminal stops, skipped simulations, decided roots) of each search
+        root_actions = ArenaSearch.root_actions
+
+        def read_at_end(arena):
+            roots = [h.state for h in arena.node_states[:, 0]]
+            reads.append((
+                int(np.where(arena.terminal, arena.visit_counts - 1, 0).sum()),
+                int((cfg.num_simulations - arena.simulation_counts).sum()),
+                sum(len(s.prefix) == s.max_len - 1 for s in roots),
+            ))  # fmt: skip
+            return root_actions(arena)
+
+        monkeypatch.setattr(ArenaSearch, "root_actions", read_at_end)
 
         def run():
+            reads.clear()
             m = SeededTabularModel(0, 4, 3, context_order=1, value_metric=coverage_metric())
             out = decode_mcts(m, [m.initial_state((0, 1)), m.initial_state((1, 2))], cfg)
+            assert type(m.ledger.evaluations) is int
             return [c.sequence for c in out], m.ledger.snapshot()
 
         untraced = run()
@@ -378,23 +381,44 @@ class TestTracerBoundary:
         finally:
             tracer.uninstall()
         assert traced == untraced
-        # Some element settled, so the ledger includes its replayed simulations.
+        # Both direct-charge sites ran: terminal stops, and the skipped simulations of a
+        # settled element and of a decided root.
+        stops, skipped, decided = np.sum(reads, axis=0).tolist()
         assert any(len(elements) for _, elements in retired)
+        assert stops > 0 and decided > 0
         counts = tracer.counts
         charged = counts["models.evaluate_root.states"] + counts["models.evaluate_step.states"]
-        assert charged == untraced[1][0]
-        assert 0 < counts["models.evaluate_step.terminal"] < counts["models.evaluate_step.states"]
+        assert charged + stops + skipped == untraced[1][0]
+        assert counts["models.evaluate_step.terminal"] == 0
 
 
 class TestAbsorption:
-    def test_step_past_terminal_is_absorbing(self, m0):
-        terminal = step(m0.initial_state(()), EOS)
-        _, _, handles = m0.evaluate_root([terminal])
-        priors, values, next_handles, flags = m0.evaluate_step(handles, [A])
-        assert next_handles[0].state == terminal
-        assert flags[0]
-        assert priors[0][EOS] == 1.0
-        assert values[0] == m0.values([terminal])[0]
+    @pytest.mark.parametrize(
+        "rows",
+        [[([3], 0), ([0, 3], 2), ([0, 0, 0, 0], 1)], [([], 0), ([3], 1), ([0, 3], 2)]],
+        ids=["all_terminal", "mixed"],
+    )
+    def test_a_terminal_handle_is_refused(self, rows):
+        # A batch holding a terminal handle is refused before any prior or value is read and
+        # before anything is charged, even after its live handles step.
+        class UnreadModel(SeededTabularModel):
+            def _table_priors(self, states):
+                raise AssertionError("priors read")
+
+            def _head(self, states):
+                raise AssertionError("value head called")
+
+        model = UnreadModel(0, V4, 3, 1)
+        handles, actions = [], []
+        for tokens, action in rows:
+            s = model.initial_state((0, 1))
+            for t in tokens:
+                s = step(s, t)
+            handles.append(ModelState(s, 0.5))
+            actions.append(action)
+        with pytest.raises(ContractViolation, match="terminal state"):
+            model.evaluate_step(handles, actions)
+        assert model.ledger.snapshot() == (0, 0)
 
     def test_eos_action_sets_terminal_flag(self, m0):
         _, _, handles = m0.evaluate_root([m0.initial_state(())])

@@ -23,6 +23,7 @@ from seqdecode import (
     ContractViolation,
     DecodeState,
     Metric,
+    ModelState,
     PolicyValueModel,
     SearchConfig,
     apply_temperature,
@@ -118,6 +119,10 @@ class RecursiveSearch:
         return int(np.argmax(value_score + policy_score))
 
     def step_simulation(self) -> None:
+        """One descent, expansion and backup. Below a live node the provider steps the
+        node's handle once and the child is made; a terminal node makes no child and calls
+        no provider: it backs up its handle's value, and the ledger is charged one
+        evaluation for the stop."""
         node = self.nodes[0]
         while True:
             action = self._select_action(node)
@@ -126,20 +131,22 @@ class RecursiveSearch:
                 break
             node = child
 
-        dense_action = int(node.mapping[action])
-        priors, values, next_model_states, _ = self.model.evaluate_step(
-            [node.model_state], [dense_action]
-        )
-        # EOS ended the episode at a terminal node: it makes no child, its handle absorbs,
-        # and the node backs up its handle's own value.
-        terminal = node.decode_state.terminal
-        state = node.decode_state if terminal else step(node.decode_state, dense_action)
-        leaf_value = float(values[0])
-        if self.cfg.value_source == "rollout":
-            leaf_value = self._rollout(state)
         leaf = None
-        if not terminal:
-            leaf = self._make_node(priors[0], leaf_value, next_model_states[0], state)
+        if node.decode_state.terminal:
+            leaf_value = node.model_state.value
+            self.model.ledger.charge_evaluations(1)
+        else:
+            dense_action = int(node.mapping[action])
+            priors, values, next_model_states, _ = self.model.evaluate_step(
+                [node.model_state], [dense_action]
+            )
+            state = step(node.decode_state, dense_action)
+            leaf_value, model_state = float(values[0]), next_model_states[0]
+            if self.cfg.value_source == "rollout":
+                # The handle carries the rollout value, as the arena's does.
+                leaf_value = self._rollout(state)
+                model_state = ModelState(state, leaf_value)
+            leaf = self._make_node(priors[0], leaf_value, model_state, state)
             leaf.parent = node
             leaf.action_from_parent = action
             node.children[action] = leaf
