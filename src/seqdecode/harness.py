@@ -519,16 +519,20 @@ def export_tree(arena: ArenaSearch, path: str | Path) -> None:
     b = 0
     lines = ["digraph mcts {", "  node [shape=box];"]
     n_nodes = int(arena.node_counts[b])
+    # Every node but the root is held by one (parent, slot) entry of children_index; in
+    # child order, entry i - 1 is node i's incoming edge.
+    children = arena.children_index[b, :n_nodes]
+    parents, slots = (children >= 0).nonzero()
+    order = children[parents, slots].argsort()
+    parents, slots = parents[order], slots[order]
+    tokens = arena.topk_mapping[b, parents, slots].tolist()
+    priors = arena.children_prior[b, parents, slots].tolist()
     for i in range(n_nodes):
-        token = arena.node_token(b, i)
-        label = "root" if token is None else f"token {token}"
+        label = "root" if i == 0 else f"token {tokens[i - 1]}"
         label += f"\\nvisits {int(arena.visit_counts[b, i])}"
         label += f"\\nvalue {float(arena.values[b, i]):.4f}"
         lines.append(f'  n{i} [label="{label}"];')
-    for i in range(1, n_nodes):
-        parent = int(arena.parents[b, i])
-        sparse = arena.node_slot(b, i)
-        prior = float(arena.children_prior[b, parent, sparse])
+    for i, (parent, prior) in enumerate(zip(parents.tolist(), priors), 1):
         lines.append(f'  n{parent} -> n{i} [label="{prior:.4f}"];')
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -12,9 +12,10 @@ its last, which is never written; the search gathers and scatters whole rows
 through the storage raveled, where (element, node) is row
 ``element * (N + 1) + node``.
 Each root has its own simulation count (by default ``num_simulations``), and
-the arrays are sized by the largest. Element b retires after its count S_b:
-later simulations descend, expand and charge only the elements still active,
-so b's tree is exactly the tree a search of b alone at S_b simulations builds.
+the arrays are sized by the largest. Element b is active while fewer than its
+count S_b simulations are done: each simulation descends, expands and charges
+only the active elements, read off the counts, so b's tree is exactly the tree
+a search of b alone at S_b simulations builds.
 The arena tallies what it charges each element (``ArenaSearch.evaluations``).
 A simulation records its descent as a ``(depth, active)`` path; an element that
 stops early repeats its last node, and the backup masks those padding rows.
@@ -27,7 +28,8 @@ one evaluation. An element therefore makes one node per simulation that stops
 at a live node, and elements make nodes at their own rates. A charge that
 computes nothing goes straight to the ledger: the provider only ever steps a
 live handle.
-An edge's visit count and value are its child's, read through ``children_index``.
+An edge's visit count and value are its child's, read through ``children_index``,
+and a node's incoming edge is the one ``children_index`` entry that holds it.
 An arena is built from its roots and runs one search. Rollout values
 are batched greedy completions (:func:`.models.rollout_value`), each scored
 against its root state's own reference, so a search holds no per-element
@@ -42,27 +44,30 @@ forces EOS, so it can only pick EOS) and enters the arena at simulation
 count 0.
 Under ``visit_count`` root selection with model values, where the pick reads
 visit counts alone and a simulation costs one evaluation, :func:`decode_mcts`
-steps the arena itself and retires an element (:meth:`ArenaSearch.retire`)
-once its pick is settled: each simulation adds one visit to one root child, so
-a pick that leads every rival by at least the simulations left
-(:meth:`ArenaSearch.pick_margins`) cannot change.
+steps the arena itself and retires an element once its pick is settled
+(:meth:`ArenaSearch.retire` lowers its count to the simulations done): each
+simulation adds one visit to one root child, so a pick that leads every rival
+by at least the simulations left (:meth:`ArenaSearch.pick_margins`) cannot
+change.
 
 Selection uses the prior-weighted UCT rule with the node's own visit count
 under the square root, and rescales exploitation values into [0, 1] via the
 online min/max of all values seen in the tree. Unvisited children are
 detected by a zero visit count and pinned to the rescaled minimum, which
 keeps every decision invariant under affine maps of the value function.
-The arena keeps every node's UCT scores in a table, ``ArenaSearch.scores``,
-and rescores a row only where its statistics change: a new node's row is
-written when it is created, :meth:`ArenaSearch.backward` rescores the nodes
-on the path it updates, and :meth:`ArenaSearch.expand` rescores an element's
-rows when its adaptive range moves. Every rescore also writes the rows'
-entries of a descent table, ``ArenaSearch.next_node``: the child at the row's
-argmax slot, or the node itself where that slot is unexpanded, as it always is
-at a terminal node; a new node has no child and points at itself, as every
-entry starts. No statistic changes during a descent, so each level is one
-gather from the descent table, an element that has stopped points at itself,
-and the actions at the stop are one read of the score table.
+The search reads a node's UCT scores only through their argmax, so the arena
+keeps that alone, ``ArenaSearch.best_slot`` (ties go to the lower slot), and
+rescores a node only where its statistics change: :meth:`ArenaSearch.backward`
+rescores the nodes on the path it updates, and :meth:`ArenaSearch.expand` an
+element's nodes when its adaptive range moves. Every rescore also writes the
+nodes' entries of a descent table, ``ArenaSearch.next_node``: the child at the
+best slot, or the node itself where that slot is unexpanded, as it always is at
+a terminal node. A new node is not rescored: at one visit its scores are its
+priors times ``c_puct``, which descend from slot 0, and it has no child, so its
+best slot is 0 and it points at itself, as every entry starts. No statistic
+changes during a descent, so each level is one gather from the descent table,
+an element that has stopped points at itself, and the actions at the stop are
+one read of the best slots.
 
 The tests check the arena against a plain recursive twin (``tests/twin.py``)
 after every simulation.
@@ -173,9 +178,8 @@ class ArenaSearch:
         self.metric = metric
 
         self.simulation_counts = counts
-        self._schedule()
 
-        b, n, a = len(root_states), self._most + 1, cfg.num_sparse_actions
+        b, n, a = len(root_states), int(counts.max()) + 1, cfg.num_sparse_actions
         self.batch_size = b
         self.num_actions = model.vocab_size
         self.num_sparse_actions = a
@@ -190,24 +194,23 @@ class ArenaSearch:
 
         self.visit_counts, self._row_visits = self._node_array(0, np.int64)
         self.values, self._row_values = self._node_array(0.0, np.float64)
-        self.parents, self._row_parents = self._node_array(-1, np.int64)
         self.terminal, self._row_terminal = self._node_array(False, bool)
         self.node_states, self._row_states = self._node_array(None, object)  # the handles
 
         self.topk_mapping, self._row_topk = self._node_array(-1, np.int64, a)
         self.children_index, self._row_children = self._node_array(-1, np.int64, a)
         self.children_prior, self._row_priors = self._node_array(0.0, np.float64, a)
-        # UCT scores of every node's sparse actions, kept equal to uct_scores, and the
-        # descent table written with them (see _rescore): the node a descent moves to from
-        # each node. A node has no child when it is created, so every entry starts at itself.
-        self.scores, self._row_scores = self._node_array(0.0, np.float64, a)
+        # The argmax slot of every node's uct_scores, and the descent table written with it
+        # (see _rescore): the node a descent moves to from each node. A new node's best slot
+        # is 0 and it has no child, so every entry starts there and at the node itself.
+        self.best_slot, self._row_best = self._node_array(0, np.int64)
         self.next_node, self._row_next = self._node_array(0, np.int64)
         self.next_node[:] = np.arange(n)
 
         # Each element's nodes: its root and one per simulation that stopped at a live node.
         self.node_counts = np.zeros(b, dtype=np.int64)
         self.simulations_done = 0
-        self._activate(self._batch_range)
+        self._active, self._active_row0 = self._batch_range, self._row0
 
         self._rollout_charges = np.zeros(b, dtype=np.int64)
         priors, values, handles = model.evaluate_root(root_states)
@@ -222,41 +225,26 @@ class ArenaSearch:
 
     def run(self) -> None:
         """Full search: each root's simulation count."""
-        for _ in range(self._most):
+        while self.simulations_done < self.simulation_counts.max():
             self.step_simulation()
 
     def step_simulation(self) -> None:
-        """One simulate / expand / backward round for every element still active; the
-        elements whose simulation count is reached retire first."""
-        done = self.simulations_done
-        if done >= self._most:
+        """One simulate / expand / backward round for the active elements: those whose
+        simulation count exceeds the simulations done."""
+        active = np.flatnonzero(self.simulation_counts > self.simulations_done)
+        if not active.size:
             raise ContractViolation("simulation budget exhausted")
-        if done in self._retirements:
-            self._activate(self._retirements[done])
+        self._active, self._active_row0 = active, self._row0[active]
         path, actions = self.simulate()
         self.backward(path, self.expand(path[-1], actions))
         self.simulations_done += 1
 
     def retire(self, elements: np.ndarray) -> None:
-        """Lower the simulation counts of active ``elements`` to the simulations done, so
-        they retire before the next simulation; once every element has retired, the
-        search is finished."""
-        self.simulation_counts[elements] = self.simulations_done
-        self._schedule()
-
-    def _schedule(self) -> None:
-        """Read the retirements off the simulation counts: once d simulations are done, the
-        elements whose count is d retire, and _retirements[d] holds those still active."""
+        """Lower the simulation counts of ``elements`` to the simulations done, so they
+        retire before the next simulation; a count already reached stays. Once every
+        element has retired, the search is finished."""
         counts = self.simulation_counts
-        self._most = int(counts.max())
-        self._retirements = {
-            d: np.flatnonzero(counts > d) for d in set(counts.tolist()) if d < self._most
-        }
-
-    def _activate(self, elements: np.ndarray) -> None:
-        """Make ``elements`` the ones that simulations descend, expand and charge."""
-        self._active = elements
-        self._active_row0 = self._row0[elements]
+        counts[elements] = np.minimum(counts[elements], self.simulations_done)
 
     def root_actions(self) -> np.ndarray:
         """(B,) vocabulary id each element commits, read off its root's sparse row: under
@@ -344,8 +332,8 @@ class ArenaSearch:
 
     def uct_select_action(self, node_indices: np.ndarray) -> np.ndarray:
         """Per active element, the sparse action maximizing value score + policy score,
-        read from the score table; ties go to the lower slot."""
-        return self._row_scores.take(self._active_row0 + node_indices, axis=0).argmax(axis=1)
+        read off ``best_slot``; ties go to the lower slot."""
+        return self._row_best[self._active_row0 + node_indices]
 
     def simulate(self) -> tuple[np.ndarray, np.ndarray]:
         """Descend in lockstep until every active element sits on an unexplored edge.
@@ -401,7 +389,6 @@ class ArenaSearch:
         values[live] = new_values
         nodes = self._create_nodes(elements, priors, new_values, handles, terminal)
         self._row_children[parent_rows, actions] = nodes
-        self._row_parents[self._row0[elements] + nodes] = node_indices[live]
 
         low, high = self.adaptive_min[elements], self.adaptive_max[elements]
         out = (new_values < low) | (new_values > high)
@@ -409,7 +396,8 @@ class ArenaSearch:
         if moved.size:
             self.adaptive_min[moved] = np.minimum(low, new_values)[out]
             self.adaptive_max[moved] = np.maximum(high, new_values)[out]
-            # Rows past an element's last node rescore to what they hold: no visit, no score.
+            # Rows past an element's last node score 0 everywhere: they rescore to what they
+            # hold, slot 0 and no child.
             moved_row0 = moved[:, None] * self._stride
             moved_rows = moved_row0 + np.arange(self.node_counts[moved].max())
             self._rescore(moved[:, None], moved_row0, moved_rows, self._row_visits[moved_rows])
@@ -424,8 +412,9 @@ class ArenaSearch:
         terminal: np.ndarray | bool,
     ) -> np.ndarray:
         """Install the next node of each of ``elements``, one visit each, from the provider's
-        raw ``priors``, ``values``, ``handles`` and ``terminal`` flags; return the nodes. With
-        no child, a new row's descent entry is the node itself, as it starts."""
+        raw ``priors``, ``values``, ``handles`` and ``terminal`` flags; return the nodes. A new
+        row's best slot is 0, the top tempered prior, and with no child its descent entry is
+        the node itself: both as they start."""
         nodes = self.node_counts[elements]
         self.node_counts[elements] += 1
         rows = self._row0[elements] + nodes
@@ -434,9 +423,6 @@ class ArenaSearch:
         # Truncated priors are stored as-is, without renormalization.
         kept = tempered[np.arange(len(top))[:, None], top]
         self._row_topk[rows], self._row_priors[rows] = top, kept
-        # The UCT row at one visit with no visited child, bit for bit: sqrt(1) = 1, the
-        # division is by 1, and the value score adds +0.0.
-        self._row_scores[rows] = self.cfg.c_puct * kept
         self._row_values[rows] = values
         self._row_visits[rows] = 1
         self._row_terminal[rows] = terminal
@@ -446,13 +432,13 @@ class ArenaSearch:
     def _rescore(
         self, elements: np.ndarray, row0: np.ndarray, rows: np.ndarray, visits: np.ndarray
     ) -> None:
-        """Write the score rows ``rows`` of ``elements``, whose node-0 rows are ``row0`` and
-        whose visit counts are ``visits`` (see :meth:`_row_uct_scores`), and with them their
-        descent table entries: the child at each row's argmax slot (ties go to the lower
-        slot), or the row's own node where that slot is unexpanded."""
-        scores = self._row_uct_scores(elements, row0, rows, visits)
-        self._row_scores[rows] = scores
-        children = self._row_children[rows, scores.argmax(axis=-1)]
+        """Score the node rows ``rows`` of ``elements``, whose node-0 rows are ``row0`` and
+        whose visit counts are ``visits`` (see :meth:`_row_uct_scores`), and write their best
+        slots, the argmax slots (ties go to the lower slot), and their descent table entries:
+        the child at the best slot, or the row's own node where that slot is unexpanded."""
+        best = self._row_uct_scores(elements, row0, rows, visits).argmax(axis=-1)
+        self._row_best[rows] = best
+        children = self._row_children[rows, best]
         self._row_next[rows] = np.where(children < 0, rows - row0, children)
 
     def backward(self, path: np.ndarray, leaf_values: np.ndarray) -> None:
@@ -507,20 +493,6 @@ class ArenaSearch:
         it ran, and the steps of its rollouts. They sum to what the search has charged
         the ledger."""
         return 1 + np.minimum(self.simulation_counts, self.simulations_done) + self._rollout_charges
-
-    # ------------------------------------------------------------- inspection
-
-    def node_slot(self, b: int, node_index: int) -> int:
-        """The sparse action of a node's parent that holds the node; not for the root."""
-        parent = self.parents[b, node_index]
-        return int(np.flatnonzero(self.children_index[b, parent] == node_index)[0])
-
-    def node_token(self, b: int, node_index: int) -> int | None:
-        """Vocabulary id of the edge into a node, or None for the root."""
-        parent = int(self.parents[b, node_index])
-        if parent < 0:
-            return None
-        return int(self.topk_mapping[b, parent, self.node_slot(b, node_index)])
 
 
 def _search_until_settled(arena: ArenaSearch) -> None:

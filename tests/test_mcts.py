@@ -43,10 +43,27 @@ def fresh_arena(model, batch=1, **cfg_kwargs):
     return ArenaSearch(model, [model.initial_state(())] * batch, SearchConfig(**defaults))
 
 
+def incoming_edges(arena, b):
+    """Each of element b's nodes but the root mapped to its incoming edge, the one
+    ``(parent, slot)`` entry of ``children_index`` that holds it. Asserts that each such
+    node is held exactly once, and that nothing else is held."""
+    n = int(arena.node_counts[b])
+    held = np.argwhere(arena.children_index[b, :n] >= 0).tolist()
+    edges = {int(arena.children_index[b, p, s]): (p, s) for p, s in held}
+    assert len(edges) == len(held) and sorted(edges) == list(range(1, n)), b
+    return edges
+
+
+def node_tokens(arena, b):
+    """Vocabulary id of the edge into each of element b's nodes after the root, in node order."""
+    edges = incoming_edges(arena, b)
+    return [int(arena.topk_mapping[b, p, s]) for p, s in (edges[i] for i in sorted(edges))]
+
+
 def node_depth(arena, b, node):
-    depth = 0
+    edges, depth = incoming_edges(arena, b), 0
     while node != 0:
-        node = int(arena.parents[b, node])
+        node = edges[node][0]
         depth += 1
     return depth
 
@@ -67,10 +84,14 @@ def per_row_scores(arena, node_indices):
     return value_score + policy_score
 
 
-def fill_score_table(arena):
-    """Score every (element, node) pair of a hand-filled arena into its score table."""
-    rows, nodes = np.arange(arena.batch_size)[:, None], np.arange(arena.scores.shape[1])
-    arena.scores[:] = arena.uct_scores(rows, nodes)
+def rescore_all(arena, num_nodes=None):
+    """Rescore the first ``num_nodes`` nodes (every node by default) of every element of a
+    hand-filled arena, as the search rescores the nodes whose statistics it changes."""
+    num_nodes = arena.best_slot.shape[1] if num_nodes is None else num_nodes
+    elements = np.arange(arena.batch_size)[:, None]
+    row0 = elements * (arena.best_slot.shape[1] + 1)
+    rows = row0 + np.arange(num_nodes)
+    arena._rescore(elements, row0, rows, arena.visit_counts[:, :num_nodes])
 
 
 def level_by_level_descent(arena):
@@ -186,7 +207,7 @@ class TestUctSelection:
         assert policy[1] == pytest.approx(math.sqrt(2) * 0.4, abs=1e-12)
         value = (0.9 - 0.5) / (1.0 - 0.5)
         assert value == pytest.approx(0.8)
-        fill_score_table(arena)
+        rescore_all(arena)
         actions = arena.uct_select_action(np.array([0]))
         assert actions[0] == 0  # 0.8 + 0.424 beats 0 + 0.566
 
@@ -195,7 +216,7 @@ class TestUctSelection:
         arena.children_prior[0, 0] = [0.2, 0.5, 0.3]
         arena.visit_counts[0, 0] = 1
         arena.adaptive_min[0], arena.adaptive_max[0] = 0.3, 0.3 + 1e-6
-        fill_score_table(arena)
+        rescore_all(arena)
         assert arena.uct_select_action(np.array([0]))[0] == 1
 
     def test_unvisited_value_never_read(self, m0):
@@ -206,7 +227,7 @@ class TestUctSelection:
         arena.values[0, -1], arena.visit_counts[0, -1] = 99.0, 1
         arena.visit_counts[0, 0] = 1
         arena.adaptive_min[0], arena.adaptive_max[0] = 0.0, 1.0
-        fill_score_table(arena)
+        rescore_all(arena)
         assert arena.uct_select_action(np.array([0]))[0] == 0  # tie on priors -> low index
 
     def test_single_sparse_action(self, m0):
@@ -214,7 +235,7 @@ class TestUctSelection:
         arena.children_prior[0, 0] = [1.0]
         arena.visit_counts[0, 0] = 1
         arena.adaptive_min[0], arena.adaptive_max[0] = 0.0, 1.0
-        fill_score_table(arena)
+        rescore_all(arena)
         assert arena.uct_select_action(np.array([0]))[0] == 0
 
     @pytest.mark.parametrize("batch", [1, 3])
@@ -245,7 +266,7 @@ class TestUctSelection:
             nodes = rng.integers(0, m, size=batch)
             expected_scores = per_row_scores(arena, nodes)
             assert np.array_equal(arena.uct_scores(rows, nodes), expected_scores), trial
-            arena.scores[:, :m] = table
+            rescore_all(arena, m)
             expected = np.argmax(expected_scores, axis=1)
             assert np.array_equal(arena.uct_select_action(nodes), expected), trial
 
@@ -261,7 +282,7 @@ class TestExpandAndBackward:
         arena.step_simulation()
         assert arena.visit_counts[0, 1] == 1
         assert arena.values[0, 1] == arena.model.values([arena.node_states[0, 1].state])[0]
-        assert arena.parents[0, 1] == 0
+        assert incoming_edges(arena, 0)[1][0] == 0
         assert node_depth(arena, 0, 1) == 1
 
     def _two_element_arena(self, m0, backup):
@@ -269,7 +290,6 @@ class TestExpandAndBackward:
         # expands node 2 under sparse action 1; element 1 descended 0 -> 1 and
         # expands node 2 under node 1's sparse action 1.
         arena = fresh_arena(m0, batch=2, num_simulations=2, backup=backup)
-        arena.parents[:, 1], arena.parents[:, 2] = 0, [0, 1]
         arena.children_index[:, 0, 0] = 1
         arena.children_index[[0, 1], [0, 1], 1] = 2
         arena.values[0, :3], arena.visit_counts[0, :3] = [0.5, 0.9, 0.8], [2, 1, 1]
@@ -379,19 +399,20 @@ class TestSimulate:
 
 
 def check_terminal_nodes(arena):
-    """Assert the node invariants of every element's tree, from node states and parent links:
-    each of an element's nodes holds the handle its edge leads to, ``terminal`` flags the
-    terminal ones, and a terminal node has no child and points the descent at itself. Past
-    an element's last node no handle is held."""
+    """Assert the node invariants of every element's tree, from node states and the edges of
+    ``children_index``: each node but the root is held by exactly one ``(parent, slot)``
+    entry, of a live parent made before it, and holds its parent's state stepped by the
+    slot's token; ``terminal`` flags the terminal nodes, and a terminal node has no child and
+    points the descent at itself. Past an element's last node no handle is held."""
     for b in range(arena.batch_size):
         n = int(arena.node_counts[b])
         states = [arena.node_states[b, i].state for i in range(n)]
         assert arena.terminal[b, :n].tolist() == [s.terminal for s in states], b
         assert not arena.terminal[b, n:].any() and all(h is None for h in arena.node_states[b, n:])
-        for i in range(1, n):
-            parent = int(arena.parents[b, i])
-            assert not states[parent].terminal, (b, i)
-            assert states[i] == step(states[parent], arena.node_token(b, i)), (b, i)
+        for i, (parent, slot) in incoming_edges(arena, b).items():
+            assert parent < i and not states[parent].terminal, (b, i)
+            token = int(arena.topk_mapping[b, parent, slot])
+            assert states[i] == step(states[parent], token), (b, i)
             if states[i].terminal:
                 assert (arena.children_index[b, i] == -1).all(), (b, i)
                 assert arena.next_node[b, i] == i, (b, i)
@@ -466,7 +487,7 @@ class TestTerminalNodes:
     @pytest.mark.parametrize("vocab, num_sparse_actions", [(2, 1), (3, 3), (5, 2), (5, 5)])
     def test_terminal_nodes_hold_the_eos_row(self, tau, c_puct, vocab, num_sparse_actions):
         # A terminal node's prior is one-hot EOS: every terminal node of a search holds the
-        # mapping and priors made from it, and its score row picks slot 0, the EOS edge.
+        # mapping and priors made from it, and its best slot is 0, the EOS edge.
         model = SeededTabularModel(1, vocab, 2, context_order=1)
         cfg = SearchConfig(
             num_simulations=20, num_sparse_actions=num_sparse_actions, c_puct=c_puct, tau=tau
@@ -483,7 +504,7 @@ class TestTerminalNodes:
         for n in terminal_nodes.tolist():
             assert arena.topk_mapping[0, n].tobytes() == top[0].tobytes(), n
             assert arena.children_prior[0, n].tobytes() == tempered[0, top[0]].tobytes(), n
-            assert arena.scores[0, n].argmax() == 0, n
+            assert arena.best_slot[0, n] == 0, n
 
     def test_hand_checked_conservation(self, occupancy_a3):
         # V=3 with EOS at prior 0.7, two elements in one arena at counts 3 and 7. Element 0
@@ -512,7 +533,7 @@ class TestTerminalNodes:
             assert arena.node_counts[b] == 1 + live, b
         assert arena.terminal[0, :2].tolist() == [False, True]
         assert arena.terminal[1, :4].tolist() == [False, True, False, True]
-        assert [arena.node_token(1, i) for i in range(1, 4)] == [EOS, A, EOS]
+        assert node_tokens(arena, 1) == [EOS, A, EOS]
         # The root takes every simulation; a terminal node has no child, and takes one visit
         # when made and one per descent that stopped at it.
         assert arena.visit_counts[:, 0].tolist() == [4, 8]
@@ -527,26 +548,26 @@ class TestTerminalNodes:
         assert model.ledger.evaluations == 12
 
 
-def check_score_table(arena):
-    """Assert the score-table invariant: every node's row equals the per-row formula bit for
-    bit, and every terminal node picks slot 0, its EOS edge. Assert the descent table's:
-    every node's next node is the child at its row's argmax slot, or the node itself where
-    that slot is unexpanded."""
+def check_best_slots(arena):
+    """Assert the best-slot invariant: every node's best slot is the argmax of the per-row
+    formula, ties going to the lower slot, and every terminal node picks slot 0, its EOS
+    edge. Assert the descent table's: every node's next node is the child at its best slot,
+    or the node itself where that slot is unexpanded."""
     elements = np.arange(arena.batch_size)
     for node in range(arena.node_counts.max()):
         nodes = np.full(arena.batch_size, node)
-        assert np.array_equal(arena.scores[:, node], per_row_scores(arena, nodes)), node
-        # Read from the table, not uct_select_action, which reads only the active elements.
-        picks = arena.scores[:, node].argmax(axis=1)
+        # Read best_slot, not uct_select_action, which reads only the active elements.
+        picks = arena.best_slot[:, node]
+        assert np.array_equal(picks, per_row_scores(arena, nodes).argmax(axis=1)), node
         assert (picks[arena.terminal[:, node]] == 0).all(), node
         child = arena.children_index[elements, node, picks]
         assert np.array_equal(arena.next_node[:, node], np.where(child >= 0, child, node)), node
 
 
-class TestScoreTable:
+class TestBestSlots:
     @staticmethod
     def _checked_search(batch, cfg):
-        """Run a search, checking the score table after the roots and after every simulation;
+        """Run a search, checking the best slots after the roots and after every simulation;
         return the simulations after which some element's adaptive range moved."""
         metric = coverage_metric()
         model = SeededTabularModel(3, 5, 3, 1, value_metric=metric)
@@ -556,12 +577,12 @@ class TestScoreTable:
             step(step(model.initial_state((3,)), 0), 2),
         ][:batch]
         arena = ArenaSearch(model, roots, cfg, metric=metric)
-        check_score_table(arena)
+        check_best_slots(arena)
         moves = []
         for sim in range(cfg.num_simulations):
             low, high = arena.adaptive_min.copy(), arena.adaptive_max.copy()
             arena.step_simulation()
-            check_score_table(arena)
+            check_best_slots(arena)
             if ((low != arena.adaptive_min) | (high != arena.adaptive_max)).any():
                 moves.append(sim)
         assert arena.terminal.any()
@@ -572,7 +593,7 @@ class TestScoreTable:
     @pytest.mark.parametrize("value_source", VALUE_SOURCES)
     @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("num_sparse_actions", [1, 3])
-    def test_rows_match_the_formula_after_every_simulation(
+    def test_best_slots_match_the_formula_after_every_simulation(
         self, batch, backup, value_source, tau, num_sparse_actions
     ):
         cfg = SearchConfig(
@@ -589,6 +610,34 @@ class TestScoreTable:
         # visited child of that element, far from the path being backed up.
         cfg = SearchConfig(num_simulations=30, num_sparse_actions=3, tau=0.5)
         assert max(self._checked_search(3, cfg)) > 10
+
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("c_puct", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("backup", BACKUP_RULES)
+    def test_tied_priors_pick_the_lower_slot(self, tau, c_puct, backup):
+        # Equal priors tie every fresh row: a node's best slot is 0 when it is made, and
+        # every rescore breaks the ties that remain to the lower slot.
+        metric = coverage_metric()
+        model = FixedPriorModel([0.25] * 4, 3, value_metric=metric)
+        roots = [model.initial_state((0, 1)), step(model.initial_state((2,)), 1)]
+        cfg = SearchConfig(
+            num_simulations=30, num_sparse_actions=3, c_puct=c_puct, tau=tau, backup=backup
+        )
+        arena = ArenaSearch(model, roots, cfg, metric=metric)
+        assert arena.best_slot[:, 0].tolist() == [0, 0]
+        check_best_slots(arena)
+        made = 0
+        for _ in range(cfg.num_simulations):
+            counts = arena.node_counts.copy()
+            arena.step_simulation()
+            for b, n in enumerate(counts.tolist()):
+                for node in range(n, arena.node_counts[b]):
+                    nodes = np.full(arena.batch_size, node)
+                    assert arena.best_slot[b, node] == 0, (b, node)
+                    assert per_row_scores(arena, nodes)[b].argmax() == 0, (b, node)
+                    made += 1
+            check_best_slots(arena)
+        assert made >= 10 and arena.terminal.any()
 
 
 class TestRolloutReuse:
@@ -662,8 +711,8 @@ class TestSearchInvariants:
             # Each simulation makes a node or stops at a terminal node, which takes a visit.
             n = arena.node_counts[0]
             assert n + terminal_stops(arena)[0] == sims + 1
+            assert all(p < i for i, (p, _) in incoming_edges(arena, 0).items())
             for i in range(1, n):
-                assert arena.parents[0, i] < i
                 if not arena.terminal[0, i]:
                     assert arena.visit_counts[0, i] == 1 + arena.children_visits[0, i].sum()
             assert arena.children_visits[0, 0].sum() == sims
@@ -813,7 +862,7 @@ class TestDifferential:
         "value_source, noise_seed",  # rollout values never read the value head
         [("model", None), ("rollout", None), *(("model", seed) for seed in range(5))],
     )
-    def test_long_absorbing_chains_match_the_twin(
+    def test_repeated_terminal_stops_match_the_twin(
         self, occupancy_a3, backup, value_source, noise_seed
     ):
         # An EOS-dominated prior sends most simulations to terminal nodes, many times to each.
@@ -861,13 +910,12 @@ class TestDifferential:
 ARENA_ARRAYS = {
     "visit_counts": 0,
     "values": 0.0,
-    "parents": -1,
     "topk_mapping": -1,
     "children_index": -1,
     "children_prior": 0.0,
     "children_values": 0.0,
     "children_visits": 0,
-    "scores": 0.0,
+    "best_slot": 0,
     "terminal": False,
 }
 
@@ -983,6 +1031,25 @@ class TestPerRootCounts:
         with pytest.raises(ContractViolation, match="simulation budget exhausted"):
             arena.step_simulation()
 
+    def test_retire_only_lowers_a_count(self, occupancy_a3):
+        # Retiring an element that has already retired keeps its count: raising it to the
+        # simulations done would tally simulations it never ran, off the ledger.
+        model = make_m0(value_metric=occupancy_a3)
+        cfg = SearchConfig(num_simulations=5, num_sparse_actions=3)
+        arena = ArenaSearch(model, [model.initial_state(())] * 2, cfg, simulation_counts=[1, 5])
+        for _ in range(3):
+            arena.step_simulation()
+        arena.retire(np.array([0]))
+        assert arena.simulation_counts.tolist() == [1, 5]
+        assert arena.evaluations.tolist() == [2, 4]
+        assert model.ledger.evaluations == 6
+        arena.retire(np.array([0, 1]))
+        assert arena.simulation_counts.tolist() == [1, 3]
+        assert arena.evaluations.tolist() == [2, 4]
+        with pytest.raises(ContractViolation, match="simulation budget exhausted"):
+            arena.step_simulation()
+        assert model.ledger.evaluations == 6
+
     def test_uniform_counts_equal_the_default(self, occupancy_a3):
         cfg = SearchConfig(num_simulations=6, num_sparse_actions=3, backup="max")
         arenas = []
@@ -1020,14 +1087,14 @@ class TestPerRootCounts:
         assert model.ledger.snapshot() == (0, 0)
 
 
-class TestAbsorbingRounds:
+class TestTerminalStopRounds:
     """Rounds where every active descent stops at a terminal node make no node, so they
     compute no node row and test no adaptive range; they must leave what the twin leaves."""
 
     @pytest.mark.parametrize("counts", [(30,), (30, 7, 18)], ids=["one", "retiring"])
     @pytest.mark.parametrize("backup", BACKUP_RULES)
     @pytest.mark.parametrize("value_source", VALUE_SOURCES)
-    def test_mostly_absorbing_searches_match_the_twin(
+    def test_mostly_terminal_stop_searches_match_the_twin(
         self, counts, backup, value_source, monkeypatch
     ):
         # V=3 at content horizon 1: each tree has five live-parent edges, so most rounds
@@ -1049,20 +1116,20 @@ class TestAbsorbingRounds:
         for root, count in zip(roots, counts):
             twins.append(RecursiveSearch(model(), replace(cfg, num_simulations=count), metric))
             twins[-1].begin(root)
-        absorbing = 0
+        stops_only = 0
         for sim in range(max(counts)):
             active = [b for b, count in enumerate(counts) if sim < count]
             made = arena.node_counts.sum()
             arena.step_simulation()
-            absorbing += bool(arena.node_counts.sum() == made)
-            assert len(rows_made) == 1 + sim + 1 - absorbing, sim
-            check_score_table(arena)
+            stops_only += bool(arena.node_counts.sum() == made)
+            assert len(rows_made) == 1 + sim + 1 - stops_only, sim
+            check_best_slots(arena)
             for b in active:
                 twins[b].step_simulation()
                 for name, expected in twin_arrays(twins[b]).items():
                     got = getattr(arena, name)[b, : arena.node_counts[b]]
                     assert np.array_equal(got, expected), (name, b, sim)
-        assert absorbing >= 20
+        assert stops_only >= 20
 
 
 @st.composite

@@ -392,7 +392,7 @@ class TestTracerBoundary:
         assert counts["models.evaluate_step.terminal"] == 0
 
 
-class TestAbsorption:
+class TestTerminalHandles:
     @pytest.mark.parametrize(
         "rows",
         [[([3], 0), ([0, 3], 2), ([0, 0, 0, 0], 1)], [([], 0), ([3], 1), ([0, 3], 2)]],
