@@ -70,7 +70,7 @@ def node_depth(arena, b, node):
 
 def per_row_scores(arena, node_indices):
     """UCT scores of one node per element, computed row by row from the arena's statistics
-    (the formula ``uct_select_action`` evaluated at every level before the score table)."""
+    (the formula whose argmax ``best_slot`` keeps)."""
     rows = np.arange(arena.batch_size)
     prior = arena.children_prior[rows, node_indices, :]
     child_values = arena.children_values[rows, node_indices, :]
