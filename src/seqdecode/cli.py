@@ -6,13 +6,15 @@ Subcommands:
   oracle  exact likelihood/metric argmax baselines per instance
   tree    run one search and export the tree as DOT
 
-Exit codes: 0 success, 1 configuration error, 2 I/O error. Any other
-exception is a bug and propagates with its traceback.
+Exit codes: 0 success, 1 configuration error (a bad, unknown or missing
+flag included), 2 I/O error. Any other exception is a bug and propagates
+with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -38,72 +40,69 @@ from .mdp import ConfigurationError
 from .oracle import exact_argmax_likelihood, exact_argmax_metric
 
 
-def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model-seed", type=int, default=0)
-    p.add_argument("--vocab-size", type=int, default=3)
-    p.add_argument("--max-len", type=int, default=3)
-    p.add_argument("--context-order", type=int, default=0)
-    p.add_argument("--value-noise", type=float, default=0.0)
+class _Parser(argparse.ArgumentParser):
+    """A usage error (bad, unknown or missing flag) is a configuration error, not exit 2."""
+
+    def error(self, message: str):
+        raise ConfigurationError(message)
 
 
-def _add_metric_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--metric", choices=METRICS, default="occupancy")
-    p.add_argument("--metric-target", type=int, default=0)
-    p.add_argument("--metric-horizon", type=int, default=3)
-    p.add_argument("--metric-max-n", type=int, default=4)
-    p.add_argument("--embedding-dim", type=int, default=8)
-    p.add_argument("--embedding-seed", type=int, default=0)
+# Each spec with its flags in --help order, flag -> the field it sets. A flag takes
+# its default and type from that field; only choices and help are written here.
+_MODEL = ModelSpec, {
+    "--model-seed": "seed",
+    "--vocab-size": "vocab_size",
+    "--max-len": "max_len",
+    "--context-order": "context_order",
+    "--value-noise": "value_noise",
+}
+_METRIC = MetricSpec, {
+    "--metric": "name",
+    "--metric-target": "target",
+    "--metric-horizon": "horizon",
+    "--metric-max-n": "max_n",
+    "--embedding-dim": "embedding_dim",
+    "--embedding-seed": "embedding_seed",
+}
+_ALGORITHM = AlgorithmSpec, {
+    "--theta": "theta",
+    "--tau": "tau",
+    "--alpha": "alpha",
+    "--value-source": "value_source",
+    "--sparse-actions": "num_sparse_actions",
+    "--c-puct": "c_puct",
+    "--backup": "backup",
+    "--root-selection": "root_selection",
+}
+_FLAG_OPTIONS = {
+    "--metric": {"choices": METRICS},
+    "--theta": {"help": "beam length-normalization exponent"},
+    "--tau": {"help": "sampling / mcts prior temperature"},
+    "--alpha": {"help": "vgbs likelihood weight"},
+    "--value-source": {"choices": VALUE_SOURCES},
+    "--backup": {"choices": BACKUP_RULES},
+    "--root-selection": {"choices": ROOT_SELECTIONS},
+}
 
 
-def _add_algorithm_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta", type=float, default=0.0, help="beam length-normalization exponent")
-    p.add_argument("--tau", type=float, default=1.0, help="sampling / mcts prior temperature")
-    p.add_argument("--alpha", type=float, default=0.5, help="vgbs likelihood weight")
-    p.add_argument("--value-source", choices=VALUE_SOURCES, default="model")
-    p.add_argument("--sparse-actions", type=int, default=3)
-    p.add_argument("--c-puct", type=float, default=1.0)
-    p.add_argument("--backup", choices=BACKUP_RULES, default="average")
-    p.add_argument("--root-selection", choices=ROOT_SELECTIONS, default="visit_count")
+def _add_spec_args(p: argparse.ArgumentParser, *tables: tuple[type, dict[str, str]]) -> None:
+    for spec, flags in tables:
+        defaults = {f.name: f.default for f in dataclasses.fields(spec)}
+        for flag, name in flags.items():
+            default = defaults[name]
+            p.add_argument(flag, type=type(default), default=default, **_FLAG_OPTIONS.get(flag, {}))
 
 
-def _model_spec(args: argparse.Namespace) -> ModelSpec:
-    return ModelSpec(
-        seed=args.model_seed,
-        vocab_size=args.vocab_size,
-        max_len=args.max_len,
-        context_order=args.context_order,
-        value_noise=args.value_noise,
-    )
-
-
-def _metric_spec(args: argparse.Namespace) -> MetricSpec:
-    return MetricSpec(
-        name=args.metric,
-        target=args.metric_target,
-        horizon=args.metric_horizon,
-        max_n=args.metric_max_n,
-        embedding_dim=args.embedding_dim,
-        embedding_seed=args.embedding_seed,
-    )
-
-
-def _algorithm_spec(name: str, args: argparse.Namespace) -> AlgorithmSpec:
-    return AlgorithmSpec(
-        name=name,
-        theta=args.theta,
-        tau=args.tau,
-        alpha=args.alpha,
-        value_source=args.value_source,
-        num_sparse_actions=args.sparse_actions,
-        c_puct=args.c_puct,
-        backup=args.backup,
-        root_selection=args.root_selection,
-    )
+def _spec(table: tuple[type, dict[str, str]], args: argparse.Namespace, **fixed):
+    """The table's spec built from its parsed flags, plus the ``fixed`` fields no flag sets."""
+    spec, flags = table
+    values = {name: getattr(args, flag[2:].replace("-", "_")) for flag, name in flags.items()}
+    return spec(**values, **fixed)
 
 
 @functools.cache  # parsing leaves no state in the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="seqdecode", description=__doc__)
+    parser = _Parser(prog="seqdecode", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_decode = sub.add_parser("decode", help="decode a dataset with one algorithm")
@@ -113,9 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_decode.add_argument("--seed", type=int, default=0)
     p_decode.add_argument("--out", required=True)
     p_decode.add_argument("--format", choices=("json", "table"), default="json")
-    _add_model_args(p_decode)
-    _add_metric_args(p_decode)
-    _add_algorithm_args(p_decode)
+    _add_spec_args(p_decode, _MODEL, _METRIC, _ALGORITHM)
 
     p_sweep = sub.add_parser("sweep", help="budget grid over several algorithms")
     p_sweep.add_argument("--dataset", required=True)
@@ -124,24 +121,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--format", choices=("json", "table"), default="json")
-    _add_model_args(p_sweep)
-    _add_metric_args(p_sweep)
-    _add_algorithm_args(p_sweep)
+    _add_spec_args(p_sweep, _MODEL, _METRIC, _ALGORITHM)
 
     p_oracle = sub.add_parser("oracle", help="exact argmax baselines per instance")
     p_oracle.add_argument("--dataset", required=True)
     p_oracle.add_argument("--out", required=True)
-    _add_model_args(p_oracle)
-    _add_metric_args(p_oracle)
+    _add_spec_args(p_oracle, _MODEL, _METRIC)
 
     p_tree = sub.add_parser("tree", help="run one search and export its tree as DOT")
     p_tree.add_argument("--dataset", required=True)
     p_tree.add_argument("--instance-id", default=None, help="defaults to the first instance")
     p_tree.add_argument("--simulations", type=int, default=8)
     p_tree.add_argument("--out", required=True)
-    _add_model_args(p_tree)
-    _add_metric_args(p_tree)
-    _add_algorithm_args(p_tree)
+    _add_spec_args(p_tree, _MODEL, _METRIC, _ALGORITHM)
 
     return parser
 
@@ -151,9 +143,9 @@ def _run(
 ) -> int:
     """Sweep ``names`` over ``budgets`` and write the report to ``--out``."""
     cfg = RunConfig(
-        model=_model_spec(args),
-        metric=_metric_spec(args),
-        algorithms=tuple(_algorithm_spec(n, args) for n in names),
+        model=_spec(_MODEL, args),
+        metric=_spec(_METRIC, args),
+        algorithms=tuple(_spec(_ALGORITHM, args, name=n) for n in names),
         budgets=budgets,
         seed=args.seed,
     )
@@ -180,7 +172,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
-    cfg = RunConfig(model=_model_spec(args), metric=_metric_spec(args), algorithms=())
+    cfg = RunConfig(model=_spec(_MODEL, args), metric=_spec(_METRIC, args), algorithms=())
     model, metric, _ = validate_run_config(cfg, dataset)
     rows = []
     for inst in sorted(dataset, key=lambda i: i.id):
@@ -212,11 +204,11 @@ def _cmd_tree(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"no instance with id {args.instance_id!r}")
         instance = matches[0]
 
-    algo = _algorithm_spec("mcts", args)
+    algo = _spec(_ALGORITHM, args, name="mcts")
     # No sweep budget: unlike a budget, --simulations 0 is valid (a tree of the root alone).
     check_budget(args.simulations, "--simulations", least=0)
     cfg = RunConfig(
-        model=_model_spec(args), metric=_metric_spec(args), algorithms=(algo,), budgets=()
+        model=_spec(_MODEL, args), metric=_spec(_METRIC, args), algorithms=(algo,), budgets=()
     )
     model, metric, _ = validate_run_config(cfg, [instance])
     search_cfg = algo.search_config(args.simulations, model.vocab_size)
@@ -228,8 +220,6 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     commands = {
         "decode": _cmd_decode,
         "sweep": _cmd_sweep,
@@ -237,6 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         "tree": _cmd_tree,
     }
     try:
+        args = build_parser().parse_args(argv)
         return commands[args.command](args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

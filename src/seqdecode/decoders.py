@@ -220,11 +220,8 @@ def _final_states(candidates: list[Candidate]) -> list[DecodeState]:
 
 
 def _pick(candidates: list[Candidate], keys: list[float]) -> tuple[int, Candidate]:
-    best = 0
-    for i in range(1, len(candidates)):
-        # Ties: higher log-likelihood, then earliest pool position.
-        if (keys[i], candidates[i].log_likelihood) > (keys[best], candidates[best].log_likelihood):
-            best = i
+    # Ties: higher log-likelihood, then earliest pool position (max keeps the first).
+    best = max(range(len(candidates)), key=lambda i: (keys[i], candidates[i].log_likelihood))
     return best, candidates[best]
 
 

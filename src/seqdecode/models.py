@@ -190,19 +190,13 @@ class PolicyValueModel:
     forward pass and costs nothing beyond the evaluation that produced it.
     """
 
-    def __init__(
-        self,
-        vocab_size: int,
-        max_len: int,
-        value_metric: Metric | None = None,
-        ledger: BudgetLedger | None = None,
-    ):
+    def __init__(self, vocab_size: int, max_len: int, value_metric: Metric | None = None):
         check_integer("vocab_size", vocab_size, 2)  # one content token plus EOS
         check_integer("max_len", max_len, 1)
         self.vocab_size = vocab_size
         self.max_len = max_len  # content horizon, excludes the closing EOS
         self.eos_id = vocab_size - 1
-        self.ledger = ledger if ledger is not None else BudgetLedger()
+        self.ledger = BudgetLedger()
         self._value_metric = value_metric
         self._completions: dict[StateKey, DecodeState] = {}  # greedy completion memo
         self._rewards: dict[Metric, dict[StateKey, float]] = {}  # per metric, per final state
@@ -443,7 +437,8 @@ class TransformedValueModel(PolicyValueModel):
     """
 
     def __init__(self, inner: PolicyValueModel, transform):
-        super().__init__(inner.vocab_size, inner.max_len, value_metric=None, ledger=inner.ledger)
+        super().__init__(inner.vocab_size, inner.max_len, value_metric=None)
+        self.ledger = inner.ledger
         self._completions = inner._completions
         self._rewards = inner._rewards
         self._inner = inner

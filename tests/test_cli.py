@@ -222,6 +222,36 @@ class TestDefaults:
         assert cfg.metric == MetricSpec()
         assert cfg.algorithms == tuple(AlgorithmSpec(name) for name in names)
 
+    def test_every_spec_flag_sets_the_field_it_names(self, dataset_path, tmp_path, monkeypatch):
+        # All 19 spec flags off their defaults, each to a value no other field of its type
+        # takes, so a flag wired to the wrong field shows.
+        validated = count_calls(monkeypatch, harness, "validate_run_config")
+        code = run(
+            "sweep", "--dataset", dataset_path, "--algorithms", "greedy,mcts", "--budgets", 2,
+            "--model-seed", 7, "--vocab-size", 5, "--max-len", 4, "--context-order", 2,
+            "--value-noise", 0.25, "--metric", "coverage", "--metric-target", 1,
+            "--metric-horizon", 6, "--metric-max-n", 3, "--embedding-dim", 5,
+            "--embedding-seed", 9, "--theta", 0.75, "--tau", 2, "--alpha", 0.125,
+            "--value-source", "rollout", "--sparse-actions", 2, "--c-puct", 1.5,
+            "--backup", "max", "--root-selection", "max_value", "--out", tmp_path / "x",
+        )
+        assert code == 0
+        [(cfg, _dataset)] = validated
+        assert cfg.model == ModelSpec(
+            seed=7, vocab_size=5, max_len=4, context_order=2, value_noise=0.25
+        )
+        assert cfg.metric == MetricSpec(
+            name="coverage", target=1, horizon=6, max_n=3, embedding_dim=5, embedding_seed=9
+        )
+        assert cfg.algorithms == tuple(
+            AlgorithmSpec(
+                name, theta=0.75, tau=2.0, alpha=0.125, value_source="rollout",
+                num_sparse_actions=2, c_puct=1.5, backup="max", root_selection="max_value",
+            )
+            for name in ("greedy", "mcts")
+        )
+        assert [type(cfg.algorithms[0].tau), type(cfg.model.vocab_size)] == [float, int]
+
 
 class TestExitCodes:
     def test_configuration_error_is_one(self, dataset_path, tmp_path):
@@ -571,6 +601,33 @@ class TestExitCodes:
                 "--out", tmp_path / "x",
             )
         assert "configuration error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            ("--vocab-size", "abc", "--out", "x"),
+            ("--metric", "nope", "--out", "x"),
+            ("--no-such-flag", 1, "--out", "x"),
+            ("--vocab-size", 0, "--out", "x"),
+            (),
+            None,
+        ],
+        ids=["malformed", "bad-choice", "unknown", "refused", "missing-out", "no-command"],
+    )
+    def test_usage_errors_are_one(self, dataset_path, tmp_path, monkeypatch, capsys, tail):
+        # argparse's own usage errors (its exit 2 is the I/O code) are configuration errors.
+        monkeypatch.chdir(tmp_path)
+        sweep = ("sweep", "--dataset", dataset_path, "--algorithms", "greedy", "--budgets", 1)
+        assert run(*(() if tail is None else (*sweep, *tail))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: "), err
+        assert not (tmp_path / "x").exists()
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run("sweep", "--help")
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: seqdecode sweep")
 
     def test_io_error_is_two(self, tmp_path):
         code = run(
