@@ -102,7 +102,10 @@ def _spec(table: tuple[type, dict[str, str]], args: argparse.Namespace, **fixed)
 
 @functools.cache  # parsing leaves no state in the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="seqdecode", description=__doc__)
+    # The docstring is laid out by hand: one subcommand per line.
+    parser = _Parser(
+        prog="seqdecode", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_decode = sub.add_parser("decode", help="decode a dataset with one algorithm")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .decoders import (
@@ -257,7 +257,7 @@ class Report:
 
     def to_dict(self) -> dict:
         return {
-            "cells": [asdict(c) | {"sequence": list(c.sequence)} for c in self.cells],
+            "cells": [vars(c) | {"sequence": list(c.sequence)} for c in self.cells],
             "aggregates": [
                 {"algorithm": a, "budget": b, **stats}
                 for (a, b), stats in sorted(self.aggregates.items())

@@ -37,18 +37,17 @@ data beyond its root states and simulation counts; :func:`decode_mcts` is one
 arena per round as an :func:`.mdp.complete` policy, over every live root, which
 commits each root's pick (:meth:`ArenaSearch.root_actions`), read off the root's
 sparse row, and scores it by the root's raw prior (``ArenaSearch.root_priors``).
-An element whose pick is settled stops simulating, and its skipped
-simulations are charged on the ledger, one evaluation each. A root one token
-short of its cap is settled before its first simulation (every provider
-forces EOS, so it can only pick EOS) and enters the arena at simulation
-count 0.
+An element whose pick is settled retires (:meth:`ArenaSearch.retire`): its
+count falls to the simulations done, and each simulation it skips is charged
+as one evaluation, on the ledger and in its tally, without a provider call,
+so ``ArenaSearch.evaluations`` is each element's whole charge. A root one
+token short of its cap is decided: every provider forces EOS there, so it
+can only pick EOS, and :func:`decode_mcts` retires it at simulation 0.
 Under ``visit_count`` root selection with model values, where the pick reads
 visit counts alone and a simulation costs one evaluation, :func:`decode_mcts`
-steps the arena itself and retires an element once its pick is settled
-(:meth:`ArenaSearch.retire` lowers its count to the simulations done): each
-simulation adds one visit to one root child, so a pick that leads every rival
-by at least the simulations left (:meth:`ArenaSearch.pick_margins`) cannot
-change.
+also retires an element once its pick is settled: each simulation adds one
+visit to one root child, so a pick that leads every rival by at least the
+simulations left (:meth:`ArenaSearch.pick_margins`) cannot change.
 
 Selection uses the prior-weighted UCT rule with the node's own visit count
 under the square root, and rescales exploitation values into [0, 1] via the
@@ -200,7 +199,7 @@ class ArenaSearch:
         self.topk_mapping, self._row_topk = self._node_array(-1, np.int64, a)
         self.children_index, self._row_children = self._node_array(-1, np.int64, a)
         self.children_prior, self._row_priors = self._node_array(0.0, np.float64, a)
-        # The argmax slot of every node's uct_scores, and the descent table written with it
+        # The argmax slot of every node's UCT scores, and the descent table written with it
         # (see _rescore): the node a descent moves to from each node. A new node's best slot
         # is 0 and it has no child, so every entry starts there and at the node itself.
         self.best_slot, self._row_best = self._node_array(0, np.int64)
@@ -212,10 +211,12 @@ class ArenaSearch:
         self.simulations_done = 0
         self._active, self._active_row0 = self._batch_range, self._row0
 
-        self._rollout_charges = np.zeros(b, dtype=np.int64)
+        # Each element's charges past its root and the simulations it ran: rollout steps and
+        # skipped simulations.
+        self._charges = np.zeros(b, dtype=np.int64)
         priors, values, handles = model.evaluate_root(root_states)
         if cfg.value_source == "rollout":
-            values, self._rollout_charges = rollout_value(model, root_states, metric)
+            values, self._charges = rollout_value(model, root_states, metric)
         self.root_priors = priors  # (B, V) raw, untempered: what decode_mcts scores tokens by
         self.adaptive_min = values.astype(np.float64).copy()
         self.adaptive_max = values.astype(np.float64) + 1e-6
@@ -240,11 +241,16 @@ class ArenaSearch:
         self.simulations_done += 1
 
     def retire(self, elements: np.ndarray) -> None:
-        """Lower the simulation counts of ``elements`` to the simulations done, so they
-        retire before the next simulation; a count already reached stays. Once every
-        element has retired, the search is finished."""
+        """Lower the simulation counts of ``elements``, distinct element ids, to the
+        simulations done, so they retire before the next simulation, and charge each
+        simulation they skip: one evaluation, on the ledger and in :attr:`evaluations`,
+        with no provider call. A count already reached stays. Once every element has
+        retired, the search is finished."""
         counts = self.simulation_counts
-        counts[elements] = np.minimum(counts[elements], self.simulations_done)
+        skipped = np.maximum(counts[elements] - self.simulations_done, 0)
+        counts[elements] -= skipped
+        self._charges[elements] += skipped
+        self.model.ledger.charge_evaluations(int(skipped.sum()))
 
     def root_actions(self) -> np.ndarray:
         """(B,) vocabulary id each element commits, read off its root's sparse row: under
@@ -302,21 +308,12 @@ class ArenaSearch:
         child_rows = row0[..., None] + self._row_children.take(rows, axis=0)
         return self._row_visits[child_rows], self._row_values[child_rows]
 
-    def uct_scores(self, elements: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        """Value score + policy score of the sparse actions of each (element, node) pair.
-
-        The index arrays broadcast; the result has their shape plus ``(A,)``, so the
-        full table is ``uct_scores(arange(B)[:, None], arange(m))``.
-        """
-        row0 = elements * self._stride
-        rows = row0 + nodes
-        return self._row_uct_scores(elements, row0, rows, self._row_visits[rows])
-
     def _row_uct_scores(
         self, elements: np.ndarray, row0: np.ndarray, rows: np.ndarray, visits: np.ndarray
     ) -> np.ndarray:
-        """:meth:`uct_scores` of node rows ``rows`` of ``elements``, whose node-0 rows are
-        ``row0`` and whose visit counts are ``visits``."""
+        """Value score + policy score of the sparse actions of node rows ``rows`` of
+        ``elements``, whose node-0 rows are ``row0`` and whose visit counts are ``visits``.
+        The index arrays broadcast; the result has their shape plus ``(A,)``."""
         child_visits, child_values = self._child_statistics(row0, rows)
         policy_score = (
             np.sqrt(visits)[..., None]
@@ -384,7 +381,7 @@ class ArenaSearch:
         )
         if self.cfg.value_source == "rollout":
             new_values, charges = rollout_value(self.model, [h.state for h in handles], self.metric)
-            self._rollout_charges[elements] += charges
+            self._charges[elements] += charges
             handles = [ModelState(h.state, v) for h, v in zip(handles, new_values.tolist())]
         values[live] = new_values
         nodes = self._create_nodes(elements, priors, new_values, handles, terminal)
@@ -490,13 +487,15 @@ class ArenaSearch:
     @property
     def evaluations(self) -> np.ndarray:
         """(B,) evaluations charged for each element so far: its root, one per simulation
-        it ran, and the steps of its rollouts. They sum to what the search has charged
-        the ledger."""
-        return 1 + np.minimum(self.simulation_counts, self.simulations_done) + self._rollout_charges
+        it ran or skipped (:meth:`retire`), and the steps of its rollouts. They sum to what
+        the search has charged the ledger."""
+        return 1 + np.minimum(self.simulation_counts, self.simulations_done) + self._charges
 
 
 def _search_until_settled(arena: ArenaSearch) -> None:
-    """Run a visit-count search, retiring each element once its pick is settled.
+    """Run a search, retiring each element once its pick is settled, where that is known:
+    under ``visit_count`` root selection with model values. Other settings run every
+    simulation.
 
     Each simulation adds one visit to one root child, so an element whose pick leads by
     :meth:`ArenaSearch.pick_margins` at least its R simulations left keeps that pick.
@@ -505,9 +504,11 @@ def _search_until_settled(arena: ArenaSearch) -> None:
     element is checked again after ``ceil(deficit / 2)`` more. The search runs until
     the largest count still standing is reached.
     """
+    cfg = arena.cfg
+    settles = cfg.root_selection == "visit_count" and cfg.value_source == "model"
     counts = arena.simulation_counts.copy()
     most = int(counts.max())
-    check_at = np.where(counts > 1, (counts + 1) // 2, most)
+    check_at = np.where(settles & (counts > 1), (counts + 1) // 2, most)
     next_check = int(check_at.min())
     while (done := arena.simulations_done) < most:
         if done == next_check:
@@ -543,18 +544,18 @@ def decode_mcts(
     evaluations for every token it emits (plus its rollout steps in rollout
     mode), and its candidate's ``evaluations`` is that charge.
 
-    A live root one token short of its cap is decided: every provider forces
-    EOS there, so its tempered prior is one-hot EOS and every search there
-    picks EOS, at raw prior 1. It is an element settled before its first
-    simulation: it enters the round's arena at simulation count 0, where
+    Each round builds its arena at the live roots' own counts. A live root
+    one token short of its cap is decided: every provider forces EOS there, so
+    its tempered prior is one-hot EOS and every search there picks EOS, at raw
+    prior 1. It is an element settled before its first simulation, and it
+    retires at simulation 0 (:meth:`ArenaSearch.retire`), where
     :meth:`ArenaSearch.root_actions` picks slot 0, the top of that prior, which
-    is EOS. With ``visit_count``
-    root selection and ``model`` values, an element also retires from its
-    arena once its pick is settled (:func:`_search_until_settled`); other
-    settings run every simulation of an undecided root. Each round's skipped
-    simulations, of settled and decided elements alike, are charged on the
-    ledger in one call, one evaluation each, without a provider call.
-    Outputs, ``evaluations`` and the ledger are those of the full search.
+    is EOS. With ``visit_count`` root selection and ``model`` values, an
+    element also retires once its pick is settled; other settings run every
+    simulation of an undecided root (:func:`_search_until_settled` drives
+    every search). ``retire`` charges each skipped simulation, so each
+    element's round adds ``ArenaSearch.evaluations``. Outputs,
+    ``evaluations`` and the ledger are those of the full search.
     """
     if not states:
         raise ValueError("empty batch")
@@ -562,16 +563,12 @@ def decode_mcts(
     evaluations = np.zeros(len(states), dtype=np.int64)
 
     def search(indices: list[int], live: list[DecodeState]):
-        live_counts = counts[indices]
-        decided = np.array([len(s.prefix) == s.max_len - 1 for s in live])
-        arena = ArenaSearch(model, live, cfg, metric, np.where(decided, 0, live_counts))
-        if cfg.root_selection == "visit_count" and cfg.value_source == "model":
-            _search_until_settled(arena)
-        else:
-            arena.run()
-        skipped = live_counts - arena.simulation_counts
-        model.ledger.charge_evaluations(int(skipped.sum()))
-        evaluations[indices] += arena.evaluations + skipped
+        arena = ArenaSearch(model, live, cfg, metric, counts[indices])
+        decided = np.flatnonzero([len(s.prefix) == s.max_len - 1 for s in live])
+        if decided.size:
+            arena.retire(decided)
+        _search_until_settled(arena)
+        evaluations[indices] += arena.evaluations
         return arena.root_priors, arena.root_actions()
 
     finals, log_likelihoods = complete(states, search)

@@ -114,12 +114,10 @@ class DecodeState:
     terminal: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # step() bypasses this method; tuples skip the setattr calls.
-        if type(self.source) is not tuple:
-            object.__setattr__(self, "source", tuple(self.source))
-        if type(self.prefix) is not tuple:
-            object.__setattr__(self, "prefix", tuple(self.prefix))
-        if self.reference is not None and type(self.reference) is not tuple:
+        # Stored as tuples (tuple() returns a tuple itself); step() bypasses this method.
+        object.__setattr__(self, "source", tuple(self.source))
+        object.__setattr__(self, "prefix", tuple(self.prefix))
+        if self.reference is not None:
             object.__setattr__(self, "reference", tuple(self.reference))
         if self.max_len < 1:
             raise ValueError("max_len must be positive")

@@ -469,7 +469,6 @@ class NoisyValueModel(TransformedValueModel):
             return clamp01(value + amplitude * (2.0 * unit - 1.0))
 
         super().__init__(inner, perturb)
-        self.amplitude = amplitude
 
 
 @dataclass(frozen=True)

@@ -629,6 +629,19 @@ class TestExitCodes:
         assert exit_.value.code == 0
         assert capsys.readouterr().out.startswith("usage: seqdecode sweep")
 
+    def test_top_level_help_prints_one_subcommand_per_line(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run("--help")
+        assert exit_.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line in (
+            "  decode  one algorithm over a dataset at a single budget",
+            "  sweep   a budget grid over several algorithms",
+            "  oracle  exact likelihood/metric argmax baselines per instance",
+            "  tree    run one search and export the tree as DOT",
+        ):
+            assert line in lines
+
     def test_io_error_is_two(self, tmp_path):
         code = run(
             "decode", "--dataset", tmp_path / "missing.jsonl", "--algorithm", "greedy",

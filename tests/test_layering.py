@@ -121,3 +121,20 @@ def test_no_class_but_the_base_defines_priors(module):
         and item.name == "priors"
     ]
     assert not found, f"priors served outside PolicyValueModel: {found}"
+
+
+def test_decode_mcts_charges_tokens_but_no_evaluations():
+    # An element's evaluations are charged where they happen, by the arena: retiring an
+    # element charges the simulations it skips, so decode_mcts adds up ArenaSearch.evaluations
+    # and charges only the tokens it emits.
+    path = PACKAGE / "mcts.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (decode,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "decode_mcts"]
+    charges = {
+        call.func.attr
+        for call in ast.walk(decode)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr.startswith("charge_")
+    }
+    assert charges == {"charge_tokens"}

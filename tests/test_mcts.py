@@ -84,6 +84,15 @@ def per_row_scores(arena, node_indices):
     return value_score + policy_score
 
 
+def uct_scores(arena, elements, nodes):
+    """UCT scores of the sparse actions of each (element, node) pair, from the arena's
+    private row scorer. The index arrays broadcast; the result has their shape plus
+    ``(A,)``, so the full table is ``uct_scores(arena, arange(B)[:, None], arange(m))``."""
+    row0 = elements * (arena.best_slot.shape[1] + 1)
+    visits = arena.visit_counts[elements, nodes]
+    return arena._row_uct_scores(elements, row0, row0 + nodes, visits)
+
+
 def rescore_all(arena, num_nodes=None):
     """Rescore the first ``num_nodes`` nodes (every node by default) of every element of a
     hand-filled arena, as the search rescores the nodes whose statistics it changes."""
@@ -258,14 +267,14 @@ class TestUctSelection:
             num_nodes = arena.visit_counts.shape[1]
             m = int(rng.integers(1, num_nodes + 1))
             rows = np.arange(batch)
-            table = arena.uct_scores(rows[:, None], np.arange(m))
+            table = uct_scores(arena, rows[:, None], np.arange(m))
             assert table.shape == (batch, m, num_sparse)
             for node in range(m):
                 nodes = np.full(batch, node)
                 assert np.array_equal(table[:, node], per_row_scores(arena, nodes)), trial
             nodes = rng.integers(0, m, size=batch)
             expected_scores = per_row_scores(arena, nodes)
-            assert np.array_equal(arena.uct_scores(rows, nodes), expected_scores), trial
+            assert np.array_equal(uct_scores(arena, rows, nodes), expected_scores), trial
             rescore_all(arena, m)
             expected = np.argmax(expected_scores, axis=1)
             assert np.array_equal(arena.uct_select_action(nodes), expected), trial
@@ -475,7 +484,7 @@ class TestTerminalNodes:
                 arena.step_simulation()
             read.children_values, read.children_visits, read.evaluations
             read.root_actions(), read.pick_margins(elements)
-            read.uct_scores(elements[:, None], np.arange(read.node_counts.max()))
+            uct_scores(read, elements[:, None], np.arange(read.node_counts.max()))
         assert read.model.ledger.snapshot() == unread.model.ledger.snapshot()
         assert np.array_equal(read.root_actions(), unread.root_actions())
         assert np.array_equal(read.node_counts, unread.node_counts)
@@ -1032,8 +1041,9 @@ class TestPerRootCounts:
             arena.step_simulation()
 
     def test_retire_only_lowers_a_count(self, occupancy_a3):
-        # Retiring an element that has already retired keeps its count: raising it to the
-        # simulations done would tally simulations it never ran, off the ledger.
+        # Retiring an element that has already retired keeps its count and charges nothing:
+        # raising it to the simulations done would tally simulations it never ran. Lowering
+        # a count charges each skipped simulation once, on the ledger and in evaluations.
         model = make_m0(value_metric=occupancy_a3)
         cfg = SearchConfig(num_simulations=5, num_sparse_actions=3)
         arena = ArenaSearch(model, [model.initial_state(())] * 2, cfg, simulation_counts=[1, 5])
@@ -1045,10 +1055,11 @@ class TestPerRootCounts:
         assert model.ledger.evaluations == 6
         arena.retire(np.array([0, 1]))
         assert arena.simulation_counts.tolist() == [1, 3]
-        assert arena.evaluations.tolist() == [2, 4]
+        assert arena.evaluations.tolist() == [2, 6]
+        assert model.ledger.evaluations == 8
         with pytest.raises(ContractViolation, match="simulation budget exhausted"):
             arena.step_simulation()
-        assert model.ledger.evaluations == 6
+        assert model.ledger.evaluations == 8
 
     def test_uniform_counts_equal_the_default(self, occupancy_a3):
         cfg = SearchConfig(num_simulations=6, num_sparse_actions=3, backup="max")
@@ -1453,6 +1464,75 @@ class TestDecidedPositions:
         assert model.ledger.snapshot() == (sum(c.evaluations for c in out), 3)
 
 
+def record_arena_charges(monkeypatch) -> list:
+    """Have ``decode_mcts`` build arenas that record, as each search's pick is read, the
+    ledger's evaluation delta since the arena was built, its ``evaluations``, its
+    simulation counts and its simulations done; return the list of those reads."""
+    reads = []
+
+    class RecordingArena(ArenaSearch):
+        def __init__(self, model, *args, **kwargs):
+            self.ledger_at_start = model.ledger.evaluations
+            super().__init__(model, *args, **kwargs)
+
+        def root_actions(self):
+            reads.append((
+                self.model.ledger.evaluations - self.ledger_at_start,
+                self.evaluations.tolist(),
+                self.simulation_counts.tolist(),
+                self.simulations_done,
+            ))  # fmt: skip
+            return super().root_actions()
+
+    monkeypatch.setattr(mcts, "ArenaSearch", RecordingArena)
+    return reads
+
+
+class TestArenaCharges:
+    """``ArenaSearch.retire`` charges each simulation it skips, so an arena's
+    ``evaluations`` is each element's whole charge: for every arena ``decode_mcts`` builds,
+    they sum to the ledger's evaluation delta of its search."""
+
+    @pytest.mark.parametrize("root_selection", ROOT_SELECTIONS)
+    @pytest.mark.parametrize("value_source", VALUE_SOURCES)
+    def test_an_arena_with_a_decided_root_and_a_settled_element(
+        self, monkeypatch, occupancy_a3, root_selection, value_source
+    ):
+        reads = record_arena_charges(monkeypatch)
+        model = make_m0(value_metric=occupancy_a3)
+        cfg = SearchConfig(
+            num_simulations=10,
+            num_sparse_actions=3,
+            root_selection=root_selection,
+            value_source=value_source,
+        )
+        # (A, A) settles after 6 of its 10 simulations under visit-count selection with
+        # model values (TestSettlement); (A, A, A) is one token short of the cap: decided.
+        a_a = step(step(model.initial_state(()), A), A)
+        decode_mcts(model, [a_a, step(a_a, A)], cfg, occupancy_a3)
+        settles = root_selection == "visit_count" and value_source == "model"
+        assert reads[0][2:] == (([6, 0], 6) if settles else ([10, 0], 10))
+        for delta, evaluations, _, _ in reads:
+            assert sum(evaluations) == delta
+        if value_source == "model":
+            assert reads[0][1] == [10 + 1, 10 + 1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(decided_cases())
+    @example((6, 3, 2, [((0,), ()), ((1,), (0, 0))], [10, 8], SearchConfig(num_sparse_actions=3)))
+    def test_every_arena_sums_to_its_ledger_delta(self, case):
+        # The example's first arena settles the root at count 10 and holds a decided one.
+        seed, vocab, horizon, roots, counts, cfg = case
+        metric = coverage_metric()
+        model = SeededTabularModel(seed, vocab, horizon, context_order=1, value_metric=metric)
+        states = [reduce(step, p, model.initial_state(s)) for s, p in roots]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            reads = record_arena_charges(monkeypatch)
+            out = decode_mcts(model, states, cfg, metric, simulation_counts=counts)
+        assert [delta for delta, *_ in reads] == [sum(e) for _, e, *_ in reads]
+        assert sum(c.evaluations for c in out) == model.ledger.evaluations
+
+
 class TestSettlement:
     """Under ``visit_count`` selection with model values, ``decode_mcts`` retires an element
     once no rival root child can catch its pick in the simulations left."""
@@ -1472,8 +1552,11 @@ class TestSettlement:
         cfg = SearchConfig(num_simulations=10, num_sparse_actions=num_sparse_actions)
         out = decode_mcts(model, [step(step(model.initial_state(()), A), A)], cfg)
         assert len(steps) == settled_at
-        assert [arena.simulation_counts.tolist() for arena, _ in retired] == [[settled_at]]
-        # The second position is one token short of the cap: decided, at count 0 in its arena.
+        # The second position is one token short of the cap: decided, retired at count 0.
+        assert [
+            (arena.simulations_done, arena.simulation_counts.tolist(), e.tolist())
+            for arena, e in retired
+        ] == [(settled_at, [settled_at], [0]), (0, [0], [0])]
         assert out[0].sequence == (A, A, A, EOS)
         assert out[0].evaluations == 2 * (10 + 1)
         assert model.ledger.snapshot() == (2 * (10 + 1), 2)
@@ -1495,9 +1578,11 @@ class TestSettlement:
         retired = count_calls(monkeypatch, ArenaSearch, "retire")
         assert run(decode_mcts) == reference
         # Two roots at counts 10 and 8: the first arena retires the 10 after 6 simulations
-        # and still runs the 8 to its end; at the second position neither settles.
+        # and still runs the 8 to its end; at the second position neither settles, and at
+        # the third both are decided, retired at count 0.
         assert [(arena.simulation_counts.tolist(), e.tolist()) for arena, e in retired] == [
-            ([6, 8], [0])
+            ([6, 8], [0]),
+            ([0, 0], [0, 1]),
         ]
         arenas = list(dict.fromkeys(arena for arena, in steps))
         assert [sum(a is arena for a, in steps) for arena in arenas] == [8, 10]
@@ -1554,7 +1639,11 @@ class TestSettlement:
         )
         decode_mcts(model, [step(step(model.initial_state(()), A), A)], cfg, occupancy_a3)
         assert len(steps) == 10
-        assert retired == []
+        # The only retire is the second position's decided root, at simulation 0.
+        assert [(arena.simulations_done, e.tolist()) for arena, e in retired] == [(0, [0])]
+        ((arena, _),) = retired
+        root = arena.node_states[0, 0].state
+        assert len(root.prefix) == root.max_len - 1
 
 
 def rollout_closed_form(arena, horizon):
